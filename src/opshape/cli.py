@@ -46,6 +46,29 @@ def _labels(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _level(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_frame_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--frame",
@@ -62,13 +85,18 @@ def _add_frame_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_stat_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.05, help="CI/test level (default 0.05)")
+    p.add_argument("--alpha", type=_level, default=0.05, help="CI/test level (default 0.05)")
     p.add_argument(
-        "--alpha-ref", type=float, default=0.05, help="reference level for the greedy reduction"
+        "--alpha-ref", type=_level, default=0.05, help="reference level for the greedy reduction"
     )
-    p.add_argument("--df", type=int, default=None, help="chi-square dof (default (d-1)*q)")
     p.add_argument(
-        "--max-removals", type=int, default=None, help="greedy removal cap (default n // 4)"
+        "--df", type=_int_at_least(1), default=None, help="chi-square dof (default (d-1)*q)"
+    )
+    p.add_argument(
+        "--max-removals",
+        type=_int_at_least(0),
+        default=None,
+        help="greedy removal cap (default n // 4)",
     )
     p.add_argument(
         "--skip-degenerate",
@@ -134,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.1, help="tangent noise sd (default 0.1)")
     p.add_argument("--n", type=int, default=200, help="sample size per replication")
     p.add_argument("--reps", type=int, default=1000, help="number of replications")
-    p.add_argument("--alpha", type=float, default=0.05, help="CI level")
+    p.add_argument("--alpha", type=_level, default=0.05, help="CI level")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument(
         "--oracle-draws",

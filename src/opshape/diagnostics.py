@@ -6,6 +6,16 @@ step per removal, and stops as soon as the current endpoint is no longer
 strictly positive (the dispersion test would no longer reject), or at the
 removal cap. Ties are broken by scene id, numerically when ids are digit
 strings, so the outcome does not depend on input row order.
+
+Each step scores all n deletions at once with a closed-form kernel: deleting
+one row changes the mean and the scatter matrix by a rank-one update, so the
+post-deletion endpoints cost one O(n (qd)^2) numpy pass instead of n full
+tests. The kernel only ranks. Every deletion whose endpoint could, within
+the kernel's error bound, still be the largest is recomputed exactly with
+coplanarity_test, and the argmax and tie-break are taken over those exact
+values, so the reported steps are those of an exhaustive search. A step
+typically recomputes one or two deletions. The single-deletion table is
+always recomputed exactly.
 """
 
 from __future__ import annotations
@@ -14,13 +24,44 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .directional import ZERO_TOL, OpsSummary, coplanarity_test
+import numpy as np
+
+from .directional import (
+    FOCAL_TOL,
+    SE_CLAMP_RTOL,
+    ZERO_TOL,
+    OpsSummary,
+    _dispersion_and_se,
+    coplanarity_test,
+    normal_quantile,
+)
 from .errors import EmptySample, FocalMean, InvalidLevel
 from .geometry import DirectionSample
 
 STOP_NONPOSITIVE = "lower_endpoint_nonpositive"
 STOP_MAX_REMOVALS = "max_removals_reached"
 STOP_NO_IMPROVEMENT = "no_improvement"
+
+# Error model of the deletion kernel. Its endpoint for deleting row i and
+# coplanarity_test's endpoint for the same deletion are two roundings of one
+# number; they differ by at most
+#   err_i = 2q * rho_i + z * (dse_i + SE_CLAMP_RTOL * (1 + tS_i)),
+# where rho_i = (KERNEL_RTOL + n * eps) / min_f ||m_-i,f|| bounds the relative
+# error of the block means, the gradient and the quadratic form (n * eps is the
+# worst-case summation error, the 1/r term the normalisation of a short mean),
+# e_i = rho_i * 4q * (n tr C + n ||D_i||^2 / (n-1)) / (n-1)^2 the error of se^2
+# (the bracket bounds the magnitudes the quadratic form is summed from), and
+# dse_i = 2 e_i / (se_i + sqrt(e_i)) >= |se_i - se_i'| whenever
+# |se_i^2 - se_i'^2| <= e_i. Over 9,000 random samples (q = 1 and 3, n = 4..40)
+# the kernel-vs-direct distance was at most 1.6e-3 of err_i, reached where a
+# deletion leaves zero projected variance, and about 1e-6 of it elsewhere (the
+# property test asserts 1/100), so the exact argmax always lies inside the
+# window that greedy_reduce re-evaluates.
+KERNEL_RTOL = 1e-10
+# a block mean this close to FOCAL_TOL may fall on either side of it in the
+# direct recomputation; such deletions are always re-evaluated
+FOCAL_MARGIN = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _scene_order_key(scene_id: str):
@@ -86,6 +127,51 @@ def leave_one_out(
     return rows
 
 
+def _deletion_endpoints(sample: DirectionSample, z: float) -> Tuple[np.ndarray, np.ndarray]:
+    """CI lower endpoints after each single deletion, and their error bounds.
+
+    One numpy pass over the (n, q, d) units of the sample: with mean
+    m, centred rows D = U - m and C = D'D / n, deleting row i leaves the mean
+    m_-i = m - D_i / (n-1) and the quadratic form
+    g_i' S_-i g_i = [n g_i'C g_i - n/(n-1) (D_i . g_i)^2] / (n-1), a rank-one
+    downdate (Chan, Golub & LeVeque 1983). The endpoint is tS_-i - z se_-i
+    with the same tS rule and SE clamp as coplanarity_test.
+
+    Returns:
+        (lower, err), both shape (n,). lower is NaN where the deletion leaves
+        a focal mean; err is the bound of the module's error model, infinite
+        where a block mean lies within FOCAL_MARGIN of FOCAL_TOL.
+    """
+    n, q, d = sample.units.shape
+    flat = sample.units.reshape(n, q * d)
+    mean = flat.mean(axis=0)
+    dev = flat - mean
+    cov = dev.T @ dev / n
+    del_means = (mean - dev / (n - 1)).reshape(n, q, d)
+    r = np.linalg.norm(del_means, axis=2)
+    rmin = r.min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = (-2.0 * del_means / r[:, :, None]).reshape(n, q * d)
+        proj = np.einsum("ij,ij->i", dev, grad)
+        gcg = np.einsum("ij,ij->i", grad @ cov, grad)
+        quad = np.maximum(n * gcg - n / (n - 1) * proj**2, 0.0) / (n - 1)
+        se_raw = np.sqrt(quad / (n - 1))
+        ts, se = _dispersion_and_se(r, se_raw)
+        rho = (KERNEL_RTOL + n * _EPS) / rmin
+        scale = 4.0 * q * (n * np.trace(cov) + n / (n - 1) * np.einsum("ij,ij->i", dev, dev))
+        e = rho * scale / (n - 1) ** 2
+        dse = np.where(e > 0.0, 2.0 * e / (se_raw + np.sqrt(e)), 0.0)
+        err = 2.0 * q * rho + z * (dse + SE_CLAMP_RTOL * (1.0 + ts))
+    lower = ts - z * se
+    lower[rmin < FOCAL_TOL - FOCAL_MARGIN] = np.nan
+    # near-focal deletions: finite, so they pass the focal mask, and with an
+    # infinite bound, so greedy_reduce always re-evaluates them
+    near = np.abs(rmin - FOCAL_TOL) <= FOCAL_MARGIN
+    lower[near] = 0.0
+    err[near] = np.inf
+    return lower, err
+
+
 @dataclass(frozen=True)
 class ReductionStep:
     """One greedy removal: who was removed and the summary afterwards."""
@@ -118,9 +204,10 @@ def greedy_reduce(
 ) -> ReductionTrace:
     """Remove scenes one at a time, keeping the lower endpoint maximal.
 
-    Each iteration evaluates every single deletion from the current sample
-    and removes the argmax of the post-deletion CI lower endpoint at level
-    alpha_ref. The loop stops, checking before each removal, when the
+    Each iteration scores every single deletion from the current sample
+    with the deletion kernel, recomputes exactly those that could hold the
+    maximum, and removes the argmax of the post-deletion CI lower endpoint
+    at level alpha_ref. The loop stops, checking before each removal, when the
     current endpoint is at most the fp zero floor (the test no longer
     rejects), when max_removals (default n // 4) have been removed, or when
     no deletion can be evaluated at all.
@@ -140,11 +227,11 @@ def greedy_reduce(
     if max_removals < 0:
         raise ValueError("max_removals must be >= 0")
 
+    z = normal_quantile(1.0 - alpha_ref / 2.0)
     current = sample
+    summary = coplanarity_test(current, alpha_ref, df)
     steps: List[ReductionStep] = []
-    reason = STOP_MAX_REMOVALS
     while True:
-        summary = coplanarity_test(current, alpha_ref, df)
         if summary.ci[0] <= ZERO_TOL:
             reason = STOP_NONPOSITIVE
             break
@@ -152,36 +239,42 @@ def greedy_reduce(
             reason = STOP_MAX_REMOVALS
             break
 
-        best: Optional[Tuple[float, int, OpsSummary]] = None
-        for i in range(current.n):
+        # rank by the kernel; only deletions whose endpoint could still be
+        # the maximum are recomputed exactly, and the argmax is taken there
+        lower, err = _deletion_endpoints(current, z)
+        ok = ~np.isnan(lower)
+        floor = np.max(lower[ok] - err[ok], initial=-np.inf)
+        best: Optional[Tuple[float, int, OpsSummary, DirectionSample]] = None
+        for i in np.flatnonzero(ok & (lower + err >= floor)).tolist():
+            reduced = current.without(i)
             try:
-                cand = coplanarity_test(current.without(i), alpha_ref, df)
+                cand = coplanarity_test(reduced, alpha_ref, df)
             except FocalMean:
                 continue
-            lower = cand.ci[0]
+            lower_i = cand.ci[0]
             if (
                 best is None
-                or lower > best[0]
+                or lower_i > best[0]
                 or (
-                    lower == best[0]
+                    lower_i == best[0]
                     and _scene_order_key(current.scene_ids[i])
                     < _scene_order_key(current.scene_ids[best[1]])
                 )
             ):
-                best = (lower, i, cand)
+                best = (lower_i, i, cand, reduced)
         if best is None:
             reason = STOP_NO_IMPROVEMENT
             break
 
-        lower, idx, cand_summary = best
+        lower_i, idx, summary, reduced = best
         steps.append(
             ReductionStep(
                 removed_scene_id=current.scene_ids[idx],
-                summary=cand_summary,
-                ci_lower=lower,
+                summary=summary,
+                ci_lower=lower_i,
             )
         )
-        current = current.without(idx)
+        current = reduced
 
     return ReductionTrace(
         steps=tuple(steps),

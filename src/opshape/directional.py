@@ -80,8 +80,25 @@ def total_variance(sample: DirectionSample) -> float:
     Clamped at 0 from below: rounding can push a constant sample's resultant
     a few ulp past 1.
     """
-    r = resultant_length(mean_vector(sample))
-    return max(float(2.0 * np.sum(1.0 - r)), 0.0)
+    return float(_dispersion_and_se(resultant_length(mean_vector(sample)))[0])
+
+
+def _dispersion_and_se(resultant, se_raw=0.0):
+    """Dispersion index and clamped SE from per-block resultant lengths.
+
+    tS = 2 * sum_f (1 - r_f) over the last axis of `resultant`, clamped at 0
+    from below (rounding can push a constant sample's resultant a few ulp
+    past 1). A raw delta SE at rounding-noise scale, se_raw <=
+    SE_CLAMP_RTOL * (1 + tS), becomes exactly 0.0: two-point samples cancel
+    the projected variance identically, and constant samples must not
+    manufacture a positive error from summation noise. Works elementwise on
+    arrays of samples, one per leading index.
+    """
+    # multiplying by the mask costs no more than the scalar max() and
+    # comparison it replaces; + 0.0 turns the -0.0 of a negative tS into 0.0
+    ts = 2.0 * (1.0 - resultant).sum(axis=-1)
+    ts = ts * (ts > 0.0) + 0.0
+    return ts, se_raw * (se_raw > SE_CLAMP_RTOL * (1.0 + ts))
 
 
 def sample_covariance(sample: DirectionSample) -> np.ndarray:
@@ -112,16 +129,11 @@ def delta_se(sample: DirectionSample) -> float:
     se = sqrt(g' S_n g / n) with g the stacked per-block gradients
     -2 u_bar_f / ||u_bar_f||; for one block this is
     (2 / sqrt(n)) * sqrt(u_bar' S_n u_bar) / ||u_bar||. A raw value at
-    rounding-noise scale is returned as exactly 0.0: two-point samples
-    cancel the projected variance identically, and constant samples must
-    not manufacture a positive error from summation noise.
+    rounding-noise scale is returned as exactly 0.0 (_dispersion_and_se).
     """
     mean = mean_vector(sample)
-    se = _delta_se_raw(mean, sample.units.reshape(sample.n, -1))
-    ts = max(float(2.0 * np.sum(1.0 - np.linalg.norm(mean, axis=1))), 0.0)
-    if se <= SE_CLAMP_RTOL * (1.0 + ts):
-        return 0.0
-    return se
+    se_raw = _delta_se_raw(mean, sample.units.reshape(sample.n, -1))
+    return float(_dispersion_and_se(resultant_length(mean), se_raw)[1])
 
 
 def confidence_interval(ts: float, se: float, alpha: float) -> Tuple[float, float]:
@@ -242,11 +254,10 @@ def coplanarity_test(
     mean = mean_vector(sample)
     resultant = resultant_length(mean)
     mu = extrinsic_mean(mean)  # FocalMean propagates
-    ts = max(float(2.0 * np.sum(1.0 - resultant)), 0.0)
     cov = sample_covariance(sample)
-    se = _delta_se_raw(mean, sample.units.reshape(sample.n, -1))
-    if se <= SE_CLAMP_RTOL * (1.0 + ts):
-        se = 0.0
+    se_raw = _delta_se_raw(mean, sample.units.reshape(sample.n, -1))
+    ts, se = _dispersion_and_se(resultant, se_raw)
+    ts, se = float(ts), float(se)
     z, p_normal, degenerate = z_statistic(ts, se)
     t_stat, p_chisq = chisq_statistic(ts, sample.n, df)
     ci = confidence_interval(ts, se, alpha)

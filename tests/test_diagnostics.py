@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import opshape.diagnostics as diagnostics
 from opshape.diagnostics import (
@@ -11,7 +13,7 @@ from opshape.diagnostics import (
     greedy_reduce,
     leave_one_out,
 )
-from opshape.directional import coplanarity_test
+from opshape.directional import coplanarity_test, normal_quantile
 from opshape.errors import EmptySample, FocalMean, InvalidLevel
 from opshape.geometry import DirectionSample
 from opshape.synth import tangent_gaussian_sample
@@ -23,6 +25,17 @@ def outlier_sample(n_tight=49, sigma=0.05, seed=11):
     tight = tangent_gaussian_sample([0.0, 0.0, 1.0], sigma, n_tight, seed)
     vectors = np.vstack([tight, OUTLIER])
     return DirectionSample.from_vectors(vectors)
+
+
+def outlier_sample_q3(n_tight=20, sigma=0.12, seed=3):
+    """Three sphere blocks with different centres; the last row is off in each."""
+    centres = ([0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+    blocks = []
+    for f, centre in enumerate(centres):
+        tight = tangent_gaussian_sample(centre, sigma, n_tight, seed + f)
+        off = tangent_gaussian_sample(centre, 0.5, 1, seed + 10 + f)
+        blocks.append(np.vstack([tight, off]))
+    return DirectionSample.from_vectors(np.stack(blocks, axis=1))
 
 
 def exhaustive_best_deletion(sample, alpha):
@@ -113,9 +126,8 @@ def test_greedy_first_removal_is_the_outlier():
     assert trace.steps[0].ci_lower == oracle_lower
 
 
-def test_greedy_every_step_matches_exhaustive_argmax():
-    sample = outlier_sample(n_tight=20, sigma=0.12, seed=3)
-    trace = greedy_reduce(sample, alpha_ref=0.05, max_removals=4)
+def assert_greedy_matches_exhaustive(sample, max_removals):
+    trace = greedy_reduce(sample, alpha_ref=0.05, max_removals=max_removals)
     current = sample
     for step in trace.steps:
         oracle_id, oracle_lower = exhaustive_best_deletion(current, 0.05)
@@ -125,6 +137,98 @@ def test_greedy_every_step_matches_exhaustive_argmax():
             [sid for sid in current.scene_ids if sid != step.removed_scene_id]
         )
     assert current.scene_ids == trace.final_scene_ids
+    return trace
+
+
+def test_greedy_every_step_matches_exhaustive_argmax():
+    assert_greedy_matches_exhaustive(outlier_sample(n_tight=20, sigma=0.12, seed=3), 4)
+
+
+def test_greedy_every_step_matches_exhaustive_argmax_q3():
+    sample = outlier_sample_q3()
+    assert sample.q == 3
+    assert len(assert_greedy_matches_exhaustive(sample, 4).steps) == 4
+
+
+def test_greedy_tie_break_on_identical_rows():
+    # duplicate the most influential row under ids "10" and "2", side by
+    # side: deleting either leaves the same array, so the two endpoints tie
+    # bitwise, and the numerically smaller id must go first
+    tight = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 30, 17)
+    base = DirectionSample.from_vectors(tight)
+    k = int(exhaustive_best_deletion(base, 0.05)[0])
+    ids = [str(100 + i) for i in range(31)]
+    ids[k], ids[k + 1] = "10", "2"
+    sample = DirectionSample.from_vectors(
+        np.vstack([tight[:k], tight[k], tight[k:]]), scene_ids=ids
+    )
+    tied = [coplanarity_test(sample.without(i), 0.05).ci[0] for i in (k, k + 1)]
+    assert tied[0] == tied[1]
+    trace = greedy_reduce(sample, alpha_ref=0.05, max_removals=1)
+    assert trace.steps[0].removed_scene_id == "2"
+    assert trace.steps[0].ci_lower == tied[0]
+
+
+def test_greedy_near_ties_follow_exact_values():
+    # a copy of the most influential row, moved by ~1e-13: the two deletions
+    # differ in the last bits, where the kernel's ranking and the direct
+    # values can disagree; the reported step must follow the direct values
+    tight = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 30, 17)
+    k = int(exhaustive_best_deletion(DirectionSample.from_vectors(tight), 0.05)[0])
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        row = tight[k] + 1e-13 * rng.normal(size=3)
+        sample = DirectionSample.from_vectors(
+            np.vstack([tight[:k], tight[k], row / np.linalg.norm(row), tight[k + 1 :]])
+        )
+        oracle_id, oracle_lower = exhaustive_best_deletion(sample, 0.05)
+        step = greedy_reduce(sample, alpha_ref=0.05, max_removals=1).steps[0]
+        assert (step.removed_scene_id, step.ci_lower) == (oracle_id, oracle_lower)
+
+
+@st.composite
+def kernel_samples(draw):
+    q = draw(st.sampled_from([1, 3]))
+    n = draw(st.integers(4, 40))
+    sigma = draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.5, 1.5]))
+    shape = draw(st.sampled_from(["plain", "constant", "duplicates", "constant_but_one"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(q):
+        centre = rng.normal(size=3)
+        v = tangent_gaussian_sample(
+            centre / np.linalg.norm(centre), sigma, n, int(rng.integers(2**32))
+        )
+        if shape == "constant":
+            v[:] = v[0]
+        elif shape == "duplicates":
+            v[1::2] = v[0::2][: n // 2]
+        elif shape == "constant_but_one":
+            v[1:] = v[1]
+        blocks.append(v)
+    return DirectionSample.from_vectors(np.stack(blocks, axis=1))
+
+
+# deleting the last row leaves two antipodal pairs: a focal mean
+ANTIPODAL = DirectionSample.from_vectors(np.vstack([np.eye(3)[:2], -np.eye(3)[:2], np.eye(3)[2]]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kernel_samples(), st.sampled_from([0.01, 0.05, 0.5]))
+@example(ANTIPODAL, 0.05)
+def test_deletion_kernel_matches_direct_within_window(sample, alpha):
+    # the greedy window is the kernel's error bound; the real distance to
+    # the direct recomputation must sit far inside it
+    lower, err = diagnostics._deletion_endpoints(sample, normal_quantile(1.0 - alpha / 2.0))
+    for i in range(sample.n):
+        try:
+            direct = coplanarity_test(sample.without(i), alpha).ci[0]
+        except FocalMean:
+            assert math.isnan(lower[i]) or err[i] == math.inf
+            continue
+        assert not math.isnan(lower[i])
+        assert abs(lower[i] - direct) <= err[i] / 100
 
 
 def test_greedy_bookkeeping_and_summary_consistency():
@@ -162,6 +266,16 @@ class _ScriptedSummary:
         self.n = 0
 
 
+def _scripted_kernel(lower_of):
+    """Kernel stand-in: lower_of(scene_id) per row, with a zero error bound."""
+
+    def kernel(s, z):
+        lower = np.array([lower_of(sid) for sid in s.scene_ids], dtype=np.float64)
+        return lower, np.zeros(s.n)
+
+    return kernel
+
+
 def test_greedy_tie_break_prefers_smallest_numeric_id(monkeypatch):
     # script the endpoint values so two candidates tie bitwise at the
     # argmax; the numerically smaller id ("2" before "10") must win
@@ -177,6 +291,11 @@ def test_greedy_tie_break_prefers_smallest_numeric_id(monkeypatch):
         return _ScriptedSummary(lower)
 
     monkeypatch.setattr(diagnostics, "coplanarity_test", scripted)
+    monkeypatch.setattr(
+        diagnostics,
+        "_deletion_endpoints",
+        _scripted_kernel(lambda sid: 0.75 if sid in {"2", "10"} else 0.25),
+    )
     trace = greedy_reduce(sample, alpha_ref=0.05, max_removals=1)
     assert trace.steps[0].removed_scene_id == "2"
     assert trace.stopped_reason == STOP_MAX_REMOVALS
@@ -191,6 +310,7 @@ def test_greedy_tie_break_orders_digits_before_names(monkeypatch):
         return _ScriptedSummary(0.5)
 
     monkeypatch.setattr(diagnostics, "coplanarity_test", all_tied)
+    monkeypatch.setattr(diagnostics, "_deletion_endpoints", _scripted_kernel(lambda sid: 0.5))
     trace = greedy_reduce(sample, alpha_ref=0.05, max_removals=3)
     assert [s.removed_scene_id for s in trace.steps] == ["7", "11", "40"]
 
@@ -234,6 +354,9 @@ def test_greedy_no_improvement_when_nothing_evaluable(monkeypatch):
         return real(s, alpha, df)
 
     monkeypatch.setattr(diagnostics, "coplanarity_test", selective)
+    monkeypatch.setattr(
+        diagnostics, "_deletion_endpoints", _scripted_kernel(lambda sid: math.nan)
+    )
     trace = greedy_reduce(sample, alpha_ref=0.05)
     assert trace.steps == ()
     assert trace.stopped_reason == STOP_NO_IMPROVEMENT

@@ -1,0 +1,49 @@
+"""Golden report hashes: the bytes of report.json for three fixed studies.
+
+A change that moves any reported digit (a faster kernel that rounds
+differently, a reordered sum) changes these hashes. Update a hash only
+for an intended numeric change, and say why in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from opshape.cli import main
+from opshape.io import write_landmarks
+from opshape.synth import synthesize_views
+
+GOLDEN = {
+    # greedy runs to its n // 4 cap (15 removals)
+    "bent": (
+        dict(k=5, cameras=60, seed=42, delta=0.02, noise=0.002),
+        (),
+        "0f17b8d7b6a96f2c9cfd4065d41d24fcf29f891c3724e449e9c685d21c2bf6fc",
+    ),
+    # exactly planar: greedy stops at its first check, no removals
+    "flat": (
+        dict(k=5, cameras=41, seed=7, delta=0.0, noise=0.0),
+        (),
+        "8d6be29d63f765e3a878c9e3f1ca72ecaab7fb88986ffa338480abd395391275",
+    ),
+    # three sphere blocks (q = 3), greedy to its cap (10 removals)
+    "q3": (
+        dict(k=7, cameras=40, seed=5, delta=0.02, noise=0.002),
+        ("--remaining", "5,6,7"),
+        "44815b502c46fef491376c8f990abd6e3bdb4b3d041724bfee3a8fa26ed1eeca",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_bytes_match_golden_hash(tmp_path, name):
+    views, extra, expected = GOLDEN[name]
+    study = tmp_path / "study.csv"
+    write_landmarks(study, synthesize_views(**views))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["analyze", str(study), "--out", str(tmp_path / "out"), *extra])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == expected

@@ -332,6 +332,26 @@ def test_cli_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("analyze", "--alpha", "1.5"),
+        ("analyze", "--alpha-ref", "1.5"),
+        ("analyze", "--df", "0"),
+        ("analyze", "--max-removals", "-1"),
+        ("reduce", "--max-removals", "-1"),
+    ],
+)
+def test_cli_bad_statistical_argument_exits_2(study_csv, tmp_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(study_csv), "--out", str(tmp_path / "o"), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
 @pytest.mark.skipif(shutil.which("opshape") is None, reason="console script not on PATH")
 def test_console_script_usage_error_exit_2():
     proc = subprocess.run(["opshape"], capture_output=True, text=True)
