@@ -2,23 +2,31 @@
 
 Subcommands: analyze (full study), reduce (diagnostics only), vw (sign-blind
 comparator only), synth (generate landmark CSVs), mc (CI coverage
-calibration). Exit codes: 0 success, 2 parse or schema error, 3 geometric
-degeneracy, 4 statistical degeneracy (always for a focal mean; for flagged
-degenerate tests only under --strict).
+calibration). Exit codes: 0 success; 2 usage, parse, schema or I/O error
+(out-of-range options, unreadable or non-UTF-8 input, labels the data lacks);
+3 geometric degeneracy (a degenerate scene without --skip-degenerate, or no
+scene left with it); 4 statistical degeneracy (always for a focal mean; for
+flagged degenerate tests only under --strict). Errors print one line to
+stderr, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .errors import (
+    BehindCamera,
     DegenerateFrame,
     DegeneratePoint,
+    EmptySample,
     FocalMean,
     GenerationFailed,
+    InvalidLandmark,
+    InvalidLevel,
     ParseError,
     SchemaError,
 )
@@ -56,13 +64,16 @@ def _level(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
+def _at_least(low, convert=int):
+    """argparse type: a finite number of type `convert`, at least `low`."""
+    noun = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if not (math.isfinite(value) and value >= low):
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
@@ -90,11 +101,11 @@ def _add_stat_args(p: argparse.ArgumentParser) -> None:
         "--alpha-ref", type=_level, default=0.05, help="reference level for the greedy reduction"
     )
     p.add_argument(
-        "--df", type=_int_at_least(1), default=None, help="chi-square dof (default (d-1)*q)"
+        "--df", type=_at_least(1), default=None, help="chi-square dof (default (d-1)*q)"
     )
     p.add_argument(
         "--max-removals",
-        type=_int_at_least(0),
+        type=_at_least(0),
         default=None,
         help="greedy removal cap (default n // 4)",
     )
@@ -141,8 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic landmark scenes")
     p.add_argument("--out", type=Path, required=True, help="output CSV file")
-    p.add_argument("--k", type=int, default=5, help="landmarks per scene (default 5)")
-    p.add_argument("--cameras", type=int, default=20, help="number of views (default 20)")
+    p.add_argument("--k", type=_at_least(5), default=5, help="landmarks per scene (default 5)")
+    p.add_argument(
+        "--cameras", type=_at_least(1), default=20, help="number of views (default 20)"
+    )
     p.add_argument(
         "--delta", type=float, default=0.0, help="out-of-plane offset magnitude (default 0)"
     )
@@ -159,14 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte Carlo coverage of the dispersion CI")
     p.add_argument("--out", type=Path, required=True, help="output JSON file")
-    p.add_argument("--sigma", type=float, default=0.1, help="tangent noise sd (default 0.1)")
-    p.add_argument("--n", type=int, default=200, help="sample size per replication")
-    p.add_argument("--reps", type=int, default=1000, help="number of replications")
+    p.add_argument(
+        "--sigma", type=_at_least(0, float), default=0.1, help="tangent noise sd (default 0.1)"
+    )
+    p.add_argument("--n", type=_at_least(2), default=200, help="sample size per replication")
+    p.add_argument("--reps", type=_at_least(1), default=1000, help="number of replications")
     p.add_argument("--alpha", type=_level, default=0.05, help="CI level")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument(
         "--oracle-draws",
-        type=int,
+        type=_at_least(1),
         default=1_000_000,
         help="draws for the population-dispersion oracle",
     )
@@ -264,10 +279,10 @@ def _cmd_vw(args) -> int:
     scenes = parse_landmarks(args.input)
     spec = FrameSpec(args.frame, args.remaining)
     sample, skipped, _ = register_scenes(scenes, spec, args.skip_degenerate)
+    axes = canonical_axis(sample.units)
     blocks = []
     for f in range(sample.q):
-        axes = [canonical_axis(sample.units[i, f]) for i in range(sample.n)]
-        v = total_variance_ps(axes)
+        v = total_variance_ps(axes[:, f])
         blocks.append(
             {
                 "block": f,
@@ -332,22 +347,24 @@ _HANDLERS = {
 }
 
 
+# exit code of each error main reports
+_EXIT_CODES = (
+    ((ParseError, SchemaError, InvalidLandmark, InvalidLevel, OSError), EXIT_PARSE),
+    (
+        (DegenerateFrame, DegeneratePoint, EmptySample, BehindCamera, GenerationFailed),
+        EXIT_GEOMETRY,
+    ),
+    ((FocalMean,), EXIT_STATISTICS),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, SchemaError) as exc:
+    except tuple(cls for classes, _ in _EXIT_CODES for cls in classes) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DegenerateFrame, DegeneratePoint, GenerationFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except FocalMean as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STATISTICS
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,19 @@ each remaining landmark to a unit vector in R^(m+1). A scene with k
 landmarks therefore registers as q = k - m - 2 unit vectors, and samples of
 scenes become samples on a product of spheres.
 
+Registration is one stacked pass over n scenes: register_points lifts an
+(n, k, m) array of landmarks, frame_charts calls det, solve and inv once
+each on the (n, m+1, m+1) frame matrices, and chart_coordinates maps the
+remaining points of all scenes at once. Degenerate scenes are masked, not raised: a
+scene fails on the first of DET_RTOL (frame determinant), SCALAR_RTOL
+(frame scalars) and POINT_RTOL (a point on the singular locus) that it
+breaks, its frame is replaced by the identity so the stacked solve and
+inverse cannot raise, and the caller decides whether to skip it or raise
+its error. Each row matches, bit for bit, what the same steps give on that
+scene alone. The single-frame functions (frame_scalars,
+oriented_frame_homography, oriented_coordinate, chart_for_scene,
+scene_to_directions) are n = 1 calls of the same pass.
+
 Conventions: points and homogeneous representatives are plain float64
 ndarrays; frame representatives enter matrices as columns.
 """
@@ -14,7 +27,7 @@ ndarrays; frame representatives enter matrices as columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +41,8 @@ SCALAR_RTOL = 1e-10
 POINT_RTOL = 1e-12
 # unit-norm slack accepted by DirectionSample
 UNIT_ATOL = 1e-12
+
+_VANISHED = "point maps to zero under the frame chart"
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -47,7 +62,7 @@ class LandmarkScene:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise InvalidLandmark("points must be a nonempty (k, m) array")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise InvalidLandmark(f"scene {self.scene_id!r} has non-finite coordinates")
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "scene_id", str(self.scene_id))
@@ -195,6 +210,155 @@ def lift(point) -> np.ndarray:
     return np.concatenate([p, [1.0]])
 
 
+class FrameCharts(NamedTuple):
+    """Oriented charts of n frames, row i for frame i (see frame_charts)."""
+
+    matrix: np.ndarray  # (n, m+1, m+1) charts H, det > 0
+    frame_scalars: np.ndarray  # (n, m+1) positive frame scalars
+    adjusted: np.ndarray  # (n, m+1, m+1) sign-adjusted frame matrices
+    flipped: np.ndarray  # (n,) bool, H negated to make det > 0
+    errors: Dict[int, DegenerateFrame]  # failing frames by row
+
+
+def frame_charts(frames) -> FrameCharts:
+    """Oriented charts of n frames in one pass of stacked linear algebra.
+
+    Args:
+        frames: (n, m+2, m+1) homogeneous representatives per frame; the
+            first m+1 span the frame, the last is the unit point.
+
+    For each frame, lam solves U lam = unit point, where the columns of U
+    are the frame representatives; U' is U with column j times sign(lam_j);
+    H = D^-1 (U')^-1 with D = diag(|lam|), negated when det H <= 0. A frame
+    fails, in this order, on a zero representative, on
+    |det U| < DET_RTOL * prod(column norms), or on some
+    |lam_j| < SCALAR_RTOL * max|lam|. A failing frame gets an entry in
+    errors, and the identity takes the place of its U and U' so that the
+    stacked solve and inverse do not raise; its other rows are meaningless.
+
+    Every row is bit for bit what the same steps give on that frame alone:
+    det, solve and inv run the same LAPACK routine per matrix, and the
+    D^-1 product is formed elementwise, plus 0.0 to turn -0.0 into 0.0 as
+    the matrix product does.
+    """
+    reps = np.asarray(frames, dtype=np.float64)
+    d = reps.shape[2]
+    basis = np.swapaxes(reps[:, :d], 1, 2)  # columns are representatives
+    col_norms = np.linalg.norm(basis, axis=1)
+    det = np.linalg.det(basis)
+    zero = np.any(col_norms == 0.0, axis=1)
+    singular = ~zero & (np.abs(det) < DET_RTOL * np.prod(col_norms, axis=1))
+    bad = zero | singular
+    eye = np.eye(d)
+    basis = np.where(bad[:, None, None], eye, basis)
+    lam = np.linalg.solve(basis, reps[:, d, :, None])[..., 0]
+    abs_lam = np.abs(lam)
+    scale = np.max(abs_lam, axis=1)
+    vanished = ~bad & (
+        (scale == 0.0) | np.any(abs_lam < SCALAR_RTOL * scale[:, None], axis=1)
+    )
+    bad |= vanished
+    adjusted = np.where(bad[:, None, None], eye, basis * np.sign(lam)[:, None, :])
+    abs_lam = np.where(bad[:, None], 1.0, abs_lam)
+    h = np.linalg.inv(adjusted)
+    h *= (1.0 / abs_lam)[:, :, None]
+    h += 0.0
+    flipped = np.linalg.det(h) <= 0.0
+    np.negative(h, out=h, where=flipped[:, None, None])
+
+    errors: Dict[int, DegenerateFrame] = {}
+    for i in np.flatnonzero(bad):
+        if zero[i]:
+            message = "zero frame representative"
+        elif singular[i]:
+            message = f"frame matrix is numerically singular (det={det[i]:.3e})"
+        else:
+            message = "a frame scalar vanishes; unit point lies on a frame hyperplane"
+        errors[int(i)] = DegenerateFrame(message)
+    return FrameCharts(h, abs_lam, adjusted, flipped & ~bad, errors)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    # Euclidean norms over the last axis
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0, 0]
+
+
+def chart_coordinates(matrix, points) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit-sphere coordinates H x~ / ||H x~|| of q points per chart.
+
+    Args:
+        matrix: (n, d, d) charts.
+        points: (n, q, d) homogeneous representatives, q per chart.
+
+    Returns:
+        (units, vanished): units is (n, q, d); vanished (n, q) marks images
+        with ||H x~|| <= POINT_RTOL * ||H||_F * ||x~|| (the singular locus),
+        whose rows of units are left unnormalised.
+
+    Each row is bit for bit what H @ x~ and np.linalg.norm give on that
+    point alone: a stacked matmul of a matrix by a column runs the same
+    matrix-vector kernel, and of a row by a column the same dot kernel
+    (einsum, norm(axis=) and sum(-1) round differently).
+    """
+    h = np.asarray(matrix, dtype=np.float64)
+    x = np.asarray(points, dtype=np.float64)
+    y = np.matmul(h[:, None], x[..., None])[..., 0]
+    norm = _norms(y)
+    floor = POINT_RTOL * _norms(h.reshape(h.shape[0], 1, -1)) * _norms(x)
+    vanished = norm <= floor
+    return y / np.where(vanished, 1.0, norm)[..., None], vanished
+
+
+def check_scene_labels(scene: LandmarkScene, spec: FrameSpec) -> None:
+    """InvalidLandmark unless the scene has spec's dimension and every label it names."""
+    if spec.m != scene.m:
+        raise InvalidLandmark(
+            f"frame of {len(spec.frame_labels)} labels needs m={spec.m} coordinates, scene has m={scene.m}"
+        )
+    for label in spec.frame_labels + spec.remaining_labels:
+        if label > scene.k:
+            raise InvalidLandmark(f"scene {scene.scene_id!r} has no landmark {label}")
+
+
+def register_points(
+    points, spec: FrameSpec
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, Exception]]:
+    """Register n scenes at once through the frame charts spec selects.
+
+    Args:
+        points: (n, k, m) landmark coordinates, row j-1 of a scene holding
+            landmark j; the caller has checked the labels.
+
+    Returns:
+        (units, flipped, errors): units (n, q, m+1) unit vectors; flipped
+        (n,) marks charts negated to keep det > 0; errors maps the row of
+        each degenerate scene to its DegenerateFrame, or else its
+        DegeneratePoint. Those scenes' other rows are meaningless.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+
+    def lifted(labels):
+        chosen = pts[:, [j - 1 for j in labels]]
+        return np.concatenate([chosen, np.ones(chosen.shape[:2] + (1,))], axis=2)
+
+    charts = frame_charts(lifted(spec.frame_labels))
+    units, vanished = chart_coordinates(charts.matrix, lifted(spec.remaining_labels))
+    errors: Dict[int, Exception] = dict(charts.errors)
+    for i in np.flatnonzero(np.any(vanished, axis=1)):
+        errors.setdefault(int(i), DegeneratePoint(_VANISHED))
+    return units, charts.flipped, errors
+
+
+def _one_frame(frame_points) -> FrameCharts:
+    reps = np.asarray(frame_points, dtype=np.float64)
+    if reps.ndim != 2 or reps.shape[0] != reps.shape[1] + 1:
+        raise DegenerateFrame("need m+2 representatives in R^(m+1)")
+    charts = frame_charts(reps[None])
+    if charts.errors:
+        raise charts.errors[0]
+    return charts
+
+
 def frame_scalars(frame_points) -> Tuple[np.ndarray, np.ndarray]:
     """Positive frame scalars and the sign-adjusted frame matrix.
 
@@ -212,25 +376,8 @@ def frame_scalars(frame_points) -> Tuple[np.ndarray, np.ndarray]:
         DegenerateFrame: frame matrix numerically singular or some scalar
             vanishes relative to the largest.
     """
-    reps = np.asarray(frame_points, dtype=np.float64)
-    if reps.ndim != 2 or reps.shape[0] != reps.shape[1] + 1:
-        raise DegenerateFrame("need m+2 representatives in R^(m+1)")
-    d = reps.shape[1]
-    basis = reps[:d].T  # columns are representatives
-    unit = reps[d]
-    col_norms = np.linalg.norm(basis, axis=0)
-    if np.any(col_norms == 0.0):
-        raise DegenerateFrame("zero frame representative")
-    det = np.linalg.det(basis)
-    if abs(det) < DET_RTOL * float(np.prod(col_norms)):
-        raise DegenerateFrame(f"frame matrix is numerically singular (det={det:.3e})")
-    lam = np.linalg.solve(basis, unit)
-    scale = float(np.max(np.abs(lam)))
-    if scale == 0.0 or np.any(np.abs(lam) < SCALAR_RTOL * scale):
-        raise DegenerateFrame("a frame scalar vanishes; unit point lies on a frame hyperplane")
-    signs = np.sign(lam)
-    adjusted = basis * signs[None, :]
-    return np.abs(lam), adjusted
+    charts = _one_frame(frame_points)
+    return charts.frame_scalars[0], charts.adjusted[0]
 
 
 def oriented_frame_homography(frame_points) -> OrientedFrameChart:
@@ -240,36 +387,36 @@ def oriented_frame_homography(frame_points) -> OrientedFrameChart:
     diagonal of frame scalars; when det comes out negative, H is negated
     globally and the flip recorded.
     """
-    lam, adjusted = frame_scalars(frame_points)
-    h = np.diag(1.0 / lam) @ np.linalg.inv(adjusted)
-    flipped = False
-    if np.linalg.det(h) <= 0.0:
-        h = -h
-        flipped = True
-    return OrientedFrameChart(matrix=h, frame_scalars=lam, det_sign_flipped=flipped)
+    charts = _one_frame(frame_points)
+    return OrientedFrameChart(
+        matrix=charts.matrix[0],
+        frame_scalars=charts.frame_scalars[0],
+        det_sign_flipped=bool(charts.flipped[0]),
+    )
 
 
 def oriented_coordinate(chart: OrientedFrameChart, point) -> np.ndarray:
     """Unit-sphere coordinate H x~ / ||H x~|| of a homogeneous representative."""
     x = np.asarray(point, dtype=np.float64).ravel()
-    y = chart.matrix @ x
-    norm = float(np.linalg.norm(y))
-    floor = POINT_RTOL * float(np.linalg.norm(chart.matrix)) * float(np.linalg.norm(x))
-    if norm <= floor:
-        raise DegeneratePoint("point maps to zero under the frame chart")
-    return y / norm
+    units, vanished = chart_coordinates(chart.matrix[None], x[None, None])
+    if vanished[0, 0]:
+        raise DegeneratePoint(_VANISHED)
+    return units[0, 0]
 
 
-def canonical_axis(vector) -> np.ndarray:
-    """Axial representative: flip sign so the first nonzero component is positive."""
-    v = np.asarray(vector, dtype=np.float64).ravel()
-    scale = float(np.max(np.abs(v)))
-    if scale == 0.0:
-        return v.copy()
-    for x in v:
-        if abs(x) > 1e-12 * scale:
-            return -v if x < 0.0 else v.copy()
-    return v.copy()
+def canonical_axis(vectors) -> np.ndarray:
+    """Axial representatives along the last axis.
+
+    Each vector's sign is flipped where needed so that its first entry
+    larger in magnitude than 1e-12 times its largest is positive; zero
+    vectors are returned as they are.
+    """
+    v = np.asarray(vectors, dtype=np.float64)
+    magnitude = np.abs(v)
+    leading = magnitude > 1e-12 * np.max(magnitude, axis=-1, keepdims=True)
+    first = np.argmax(leading, axis=-1)[..., None]
+    flip = np.take_along_axis(leading & (v < 0.0), first, axis=-1)
+    return np.where(flip, -v, v)
 
 
 def axial_coordinate(chart: OrientedFrameChart, point) -> np.ndarray:
@@ -295,20 +442,14 @@ def representatives_to_directions(reps, frame_indices, remaining_indices) -> np.
 
 def chart_for_scene(scene: LandmarkScene, spec: FrameSpec) -> OrientedFrameChart:
     """Oriented chart of the scene's frame landmarks under `spec`."""
-    if spec.m != scene.m:
-        raise InvalidLandmark(
-            f"frame of {len(spec.frame_labels)} labels needs m={spec.m} coordinates, scene has m={scene.m}"
-        )
-    for label in spec.frame_labels + spec.remaining_labels:
-        if label > scene.k:
-            raise InvalidLandmark(f"scene {scene.scene_id!r} has no landmark {label}")
-    reps = np.stack([lift(scene.point(j)) for j in spec.frame_labels])
-    return oriented_frame_homography(reps)
+    check_scene_labels(scene, spec)
+    return oriented_frame_homography(np.stack([lift(scene.point(j)) for j in spec.frame_labels]))
 
 
 def scene_to_directions(scene: LandmarkScene, spec: FrameSpec) -> np.ndarray:
     """Unit vectors (q, m+1) registering the scene's remaining landmarks."""
-    chart = chart_for_scene(scene, spec)
-    return np.stack(
-        [oriented_coordinate(chart, lift(scene.point(j))) for j in spec.remaining_labels]
-    )
+    check_scene_labels(scene, spec)
+    units, _, errors = register_points(scene.points[None], spec)
+    if errors:
+        raise errors[0]
+    return units[0]

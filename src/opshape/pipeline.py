@@ -20,15 +20,14 @@ import numpy as np
 from . import __version__
 from .diagnostics import LeaveOneOutRow, ReductionTrace, greedy_reduce, leave_one_out
 from .directional import OpsSummary, angular_distances, coplanarity_test
-from .errors import DegenerateFrame, DegeneratePoint, EmptySample, MixedOrientationWarning
+from .errors import EmptySample, MixedOrientationWarning
 from .geometry import (
     DirectionSample,
     FrameSpec,
     LandmarkScene,
     canonical_axis,
-    chart_for_scene,
-    lift,
-    oriented_coordinate,
+    check_scene_labels,
+    register_points,
 )
 from .io import format_float, parse_landmarks, write_rows
 from .rng import SplitMix64
@@ -72,57 +71,62 @@ class AnalysisReport:
 def register_scenes(
     scenes: Sequence[LandmarkScene], spec: FrameSpec, skip_degenerate: bool = False
 ) -> Tuple[DirectionSample, List[str], List[str]]:
-    """Register scenes on the sphere product.
+    """Register scenes on the sphere product in one stacked pass.
+
+    The label checks run first, over the whole study, and raise
+    InvalidLandmark. geometry.register_points then registers all scenes at
+    once and masks the degenerate ones; a scene keeps the reason its first
+    failing check gives (frame determinant, frame scalars, then points).
 
     Returns:
         (sample, skipped_ids, flipped_ids). Geometric degeneracies abort
-        with the offending scene id unless skip_degenerate, in which case
-        the scene is dropped and listed. Warns when charts mix determinant
-        sign flips.
+        with the first offending scene's id, in input order, unless
+        skip_degenerate, in which case every degenerate scene is dropped
+        and listed. Warns when charts mix determinant sign flips.
     """
-    units = []
-    ids = []
-    skipped: List[str] = []
-    flipped: List[str] = []
-    for scene in scenes:
-        try:
-            chart = chart_for_scene(scene, spec)
-            dirs = np.stack(
-                [oriented_coordinate(chart, lift(scene.point(j))) for j in spec.remaining_labels]
-            )
-        except (DegenerateFrame, DegeneratePoint) as exc:
-            if skip_degenerate:
-                skipped.append(scene.scene_id)
-                continue
-            raise type(exc)(f"scene {scene.scene_id!r}: {exc}") from exc
-        if chart.det_sign_flipped:
-            flipped.append(scene.scene_id)
-        units.append(dirs)
-        ids.append(scene.scene_id)
-    if not units:
+    checked = set()
+    for scene in scenes:  # scenes of one shape pass or fail the label checks alike
+        if scene.points.shape not in checked:
+            check_scene_labels(scene, spec)
+            checked.add(scene.points.shape)
+    if not scenes:
         raise EmptySample("no scenes survived registration")
-    if flipped and len(flipped) < len(ids):
+    points = [s.points for s in scenes]
+    if len(checked) > 1:  # mixed sizes: keep the labels up to the largest spec names
+        need = max(spec.frame_labels + spec.remaining_labels)
+        points = [p[:need] for p in points]
+    units, flipped, errors = register_points(np.stack(points), spec)
+    if errors and not skip_degenerate:
+        first = min(errors)
+        exc = errors[first]
+        raise type(exc)(f"scene {scenes[first].scene_id!r}: {exc}") from exc
+    keep = np.ones(len(scenes), dtype=bool)
+    keep[list(errors)] = False
+    if not keep.any():
+        raise EmptySample("no scenes survived registration")
+    ids = [s.scene_id for s, kept in zip(scenes, keep) if kept]
+    skipped = [scenes[i].scene_id for i in sorted(errors)]
+    flipped_ids = [s.scene_id for s, f in zip(scenes, flipped & keep) if f]
+    if flipped_ids and len(flipped_ids) < len(ids):
         warnings.warn(
-            f"{len(flipped)} of {len(ids)} scenes registered with a flipped chart "
-            f"orientation: {flipped}",
+            f"{len(flipped_ids)} of {len(ids)} scenes registered with a flipped chart "
+            f"orientation: {flipped_ids}",
             MixedOrientationWarning,
             stacklevel=2,
         )
-    return DirectionSample(np.stack(units), tuple(ids)), skipped, flipped
+    return DirectionSample(units[keep], tuple(ids)), skipped, flipped_ids
 
 
 def run_analysis(config: StudyConfig) -> AnalysisReport:
     """Parse, register, test, diagnose, and reduce one landmark study."""
     path = Path(config.input_path)
-    payload = path.read_bytes()
     scenes = parse_landmarks(path)
+    payload = path.read_bytes()
     spec = config.frame_spec()
     sample, skipped, flipped = register_scenes(scenes, spec, config.skip_degenerate)
 
     full = coplanarity_test(sample, config.alpha, config.df)
-    axes = np.stack(
-        [[canonical_axis(sample.units[i, f]) for f in range(sample.q)] for i in range(sample.n)]
-    )
+    axes = canonical_axis(sample.units)
     vw_full = tuple(total_variance_ps(axes[:, f, :]) for f in range(sample.q))
 
     loo: Tuple[LeaveOneOutRow, ...] = ()

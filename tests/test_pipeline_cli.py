@@ -352,6 +352,49 @@ def test_cli_bad_statistical_argument_exits_2(study_csv, tmp_path, capsys, comma
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ("mc --out {out} --reps 0", 2, "argument --reps: must be >= 1"),
+        ("mc --out {out} --n 1", 2, "argument --n: must be >= 2"),
+        ("mc --out {out} --n 0", 2, "argument --n: must be >= 2"),
+        ("mc --out {out} --oracle-draws 0", 2, "argument --oracle-draws: must be >= 1"),
+        ("mc --out {out} --sigma -1", 2, "argument --sigma: must be >= 0"),
+        ("synth --out {out} --cameras 0", 2, "argument --cameras: must be >= 1"),
+        ("synth --out {out} --k 3", 2, "argument --k: must be >= 5"),
+        ("analyze {study} --out {out} --frame 1,2,3", 2, "needs m=1 coordinates"),
+        ("vw {study} --out {out} --frame 1,2,3", 2, "needs m=1 coordinates"),
+        ("analyze {study} --out {out} --remaining 9", 2, "has no landmark 9"),
+        ("vw {study} --out {out} --remaining 9", 2, "has no landmark 9"),
+        ("analyze {latin1} --out {out}", 2, "line 3: not valid UTF-8"),
+        ("vw {latin1} --out {out}", 2, "line 3: not valid UTF-8"),
+        ("analyze {folder} --out {out}", 2, "cannot read"),
+        ("vw {folder} --out {out}", 2, "cannot read"),
+        ("analyze {degenerate} --out {out} --skip-degenerate", 3, "no scenes survived"),
+        ("vw {degenerate} --out {out} --skip-degenerate", 3, "no scenes survived"),
+    ],
+)
+def test_cli_bad_input_exits_with_documented_code(study_csv, tmp_path, capsys, argv, code, message):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("scene,landmark,x,y\na,1,0,0\nb\xe9,1,0,0\n".encode("latin-1"))
+    degenerate = tmp_path / "degenerate.csv"
+    write_landmarks(degenerate, [collinear_frame_scene("bad1"), collinear_frame_scene("bad2")])
+    out = tmp_path / "out"
+    paths = dict(study=study_csv, latin1=latin1, folder=tmp_path, degenerate=degenerate, out=out)
+    try:
+        rc = main(argv.format(**paths).split())
+    except SystemExit as exc:  # argparse rejects the value
+        rc = exc.code
+    assert rc == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # one message line; argparse prints its usage lines before it
+    lines = err.splitlines()
+    assert [line for line in lines if "error:" in line] == [lines[-1]]
+    assert message in lines[-1]
+    assert not out.exists()
+
+
 @pytest.mark.skipif(shutil.which("opshape") is None, reason="console script not on PATH")
 def test_console_script_usage_error_exit_2():
     proc = subprocess.run(["opshape"], capture_output=True, text=True)
