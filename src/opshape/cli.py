@@ -157,10 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--cameras", type=_at_least(1), default=20, help="number of views (default 20)"
     )
     p.add_argument(
-        "--delta", type=float, default=0.0, help="out-of-plane offset magnitude (default 0)"
+        "--delta",
+        type=_at_least(0, float),
+        default=0.0,
+        help="out-of-plane offset magnitude (default 0)",
     )
     p.add_argument(
-        "--noise", type=float, default=0.0, help="image-plane Gaussian noise sd (default 0)"
+        "--noise",
+        type=_at_least(0, float),
+        default=0.0,
+        help="image-plane Gaussian noise sd (default 0)",
     )
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument(

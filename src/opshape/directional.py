@@ -69,9 +69,13 @@ def extrinsic_mean(mean: np.ndarray) -> np.ndarray:
     """
     m = np.atleast_2d(np.asarray(mean, dtype=np.float64))
     r = np.linalg.norm(m, axis=1)
-    if np.any(r < FOCAL_TOL):
-        raise FocalMean(f"block mean has norm below {FOCAL_TOL}; extrinsic mean undefined")
+    _check_focal(r)
     return m / r[:, None]
+
+
+def _check_focal(resultant: np.ndarray) -> None:
+    if (resultant < FOCAL_TOL).any():
+        raise FocalMean(f"block mean has norm below {FOCAL_TOL}; extrinsic mean undefined")
 
 
 def total_variance(sample: DirectionSample) -> float:
@@ -109,18 +113,32 @@ def sample_covariance(sample: DirectionSample) -> np.ndarray:
     return dev.T @ dev / n
 
 
-def _delta_se_raw(mean: np.ndarray, flat: np.ndarray) -> float:
-    r = np.linalg.norm(mean, axis=1)
-    if np.any(r < FOCAL_TOL):
-        raise FocalMean("focal block mean; delta-method gradient undefined")
-    grad = (-2.0 * mean / r[:, None]).ravel()
-    # g' S_n g as a mean of squared projections: cannot go negative under
-    # rounding, unlike the assembled-matrix form whose cancellation noise
-    # blows up when the resultant is small
-    proj = (flat - mean.ravel()) @ grad
-    n = flat.shape[0]
-    quad = float(proj @ proj) / n
-    return math.sqrt(quad / n)
+def sample_moments(units: np.ndarray):
+    """Block means, resultant lengths, tS and delta SE of R samples at once.
+
+    units has shape (R, n, q, d), one sample per leading index. Returns
+    (mean (R, q, d), resultant (R, q), ts (R,), se (R,)), each entry
+    bit-identical to the same sample computed alone: the SE is
+    sqrt(g' S_n g / n) with g the stacked per-block gradients
+    -2 u_bar_f / ||u_bar_f||, evaluated as a mean of squared projections,
+    which cannot go negative under rounding (unlike the assembled-matrix
+    form, whose cancellation noise blows up when the resultant is small),
+    then clamped by _dispersion_and_se.
+
+    Raises:
+        FocalMean: some sample has a block mean shorter than FOCAL_TOL, so
+            its extrinsic mean and gradient are undefined.
+    """
+    reps, n = units.shape[:2]
+    mean = units.mean(axis=1)
+    resultant = np.linalg.norm(mean, axis=-1)
+    _check_focal(resultant)
+    grad = (-2.0 * mean / resultant[..., None]).reshape(reps, -1, 1)
+    # per sample: one (n, qd) @ (qd,) gemv and one dot, as for a single sample
+    proj = (units.reshape(reps, n, -1) - mean.reshape(reps, 1, -1)) @ grad
+    quad = (proj.transpose(0, 2, 1) @ proj).reshape(reps) / n
+    ts, se = _dispersion_and_se(resultant, np.sqrt(quad / n))
+    return mean, resultant, ts, se
 
 
 def delta_se(sample: DirectionSample) -> float:
@@ -131,16 +149,17 @@ def delta_se(sample: DirectionSample) -> float:
     (2 / sqrt(n)) * sqrt(u_bar' S_n u_bar) / ||u_bar||. A raw value at
     rounding-noise scale is returned as exactly 0.0 (_dispersion_and_se).
     """
-    mean = mean_vector(sample)
-    se_raw = _delta_se_raw(mean, sample.units.reshape(sample.n, -1))
-    return float(_dispersion_and_se(resultant_length(mean), se_raw)[1])
+    return float(sample_moments(sample.units[None])[3][0])
 
 
 def confidence_interval(ts: float, se: float, alpha: float) -> Tuple[float, float]:
-    """Symmetric normal interval ts -+ z_{1-alpha/2} * se; lower end not clamped."""
+    """Symmetric normal interval ts -+ z_{1-alpha/2} * se; lower end not clamped.
+
+    Works elementwise on arrays of ts and se, with the quantile computed once.
+    """
     if not 0.0 < alpha < 1.0:
         raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")
-    if se < 0.0:
+    if np.any(np.asarray(se) < 0.0):
         raise ValueError("standard error must be nonnegative")
     z = normal_quantile(1.0 - alpha / 2.0)
     half = z * se
@@ -251,12 +270,9 @@ def coplanarity_test(
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
 
-    mean = mean_vector(sample)
-    resultant = resultant_length(mean)
-    mu = extrinsic_mean(mean)  # FocalMean propagates
+    mean, resultant, ts, se = (a[0] for a in sample_moments(sample.units[None]))
+    mu = mean / resultant[:, None]  # extrinsic mean; no block is focal
     cov = sample_covariance(sample)
-    se_raw = _delta_se_raw(mean, sample.units.reshape(sample.n, -1))
-    ts, se = _dispersion_and_se(resultant, se_raw)
     ts, se = float(ts), float(se)
     z, p_normal, degenerate = z_statistic(ts, se)
     t_stat, p_chisq = chisq_statistic(ts, sample.n, df)

@@ -133,6 +133,14 @@ class OrientedFrameChart:
         object.__setattr__(self, "frame_scalars", _freeze(self.frame_scalars))
 
 
+def check_unit_norm(units: np.ndarray) -> None:
+    """ValueError unless every vector along the last axis has norm 1 within UNIT_ATOL."""
+    off = np.abs(np.linalg.norm(units, axis=-1) - 1.0)
+    if not np.all(off <= UNIT_ATOL):
+        worst = float(np.max(off))
+        raise ValueError(f"vectors must be unit norm within {UNIT_ATOL} (off by {worst:.3e})")
+
+
 @dataclass(frozen=True)
 class DirectionSample:
     """n scenes registered as unit vectors, one per sphere block.
@@ -154,10 +162,7 @@ class DirectionSample:
             raise EmptySample("sample contains no scenes")
         if u.shape[1] < 1 or u.shape[2] < 2:
             raise ValueError("each block must hold vectors in R^d, d >= 2")
-        norms = np.linalg.norm(u, axis=2)
-        if not np.all(np.abs(norms - 1.0) <= UNIT_ATOL):
-            worst = float(np.max(np.abs(norms - 1.0)))
-            raise ValueError(f"vectors must be unit norm within {UNIT_ATOL} (off by {worst:.3e})")
+        check_unit_norm(u)
         ids = tuple(str(s) for s in self.scene_ids)
         if len(ids) != u.shape[0]:
             raise ValueError("scene_ids length must equal the number of rows")

@@ -2,8 +2,12 @@
 
 The u64 stream is a pure function of (seed, counter), so fixtures regenerate
 bit-identically from a seed alone and blocks can be produced out of order by
-independent generators. Gaussian variates go through libm (log/cos/sin) and
-are therefore exact only up to the platform's libm rounding.
+independent generators. That also lets many streams advance at once:
+`normal_rows` draws one row of normals per seed in a single array pass, row
+r bit-identical to `SplitMix64(seeds[r]).normals(count)`, and a single
+generator's draws are its one-row case. Gaussian variates go through numpy's
+log/cos/sin and are therefore exact only up to the platform's rounding of
+those functions.
 """
 
 from __future__ import annotations
@@ -27,6 +31,46 @@ def _mix(state: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _seed_array(seeds) -> np.ndarray:
+    """Seeds as a 1-D uint64 array, each reduced mod 2^64."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds.reshape(-1)
+    # element by element: numpy would turn a list holding 2^64 - 1 into floats
+    return np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
+
+
+def _words(seeds: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Raw words start .. start+n-1 (0-based) of each seed's stream, (R, n)."""
+    ks = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    return _mix(seeds[:, None] + ks * np.uint64(_GOLDEN))
+
+
+def _unit_interval(words: np.ndarray) -> np.ndarray:
+    # top 53 bits of each word, scaled into [0, 1)
+    return (words >> np.uint64(11)).astype(np.float64) * _TWO_POW_MINUS_53
+
+
+def normal_rows(seeds, count: int, start: int = 0) -> np.ndarray:
+    """Standard normals from one stream per seed, shape (R, count).
+
+    Row r is bit-identical to `SplitMix64(seeds[r]).normals(count)` on a
+    generator whose counter stands at `start`: Box-Muller on ceil(count/2)
+    uniform pairs, u1 from words start .. start+m-1 and u2 from the next m,
+    cosine and sine variates interleaved.
+    """
+    if count < 0:
+        raise ValueError("sample size must be nonnegative")
+    seeds = _seed_array(seeds)
+    m = (count + 1) // 2
+    u1 = 1.0 - _unit_interval(_words(seeds, start, m))  # (0, 1]: log stays finite
+    u2 = _unit_interval(_words(seeds, start + m, m))
+    r = np.sqrt(-2.0 * np.log(u1))
+    out = np.empty((seeds.size, 2 * m), dtype=np.float64)
+    out[:, 0::2] = r * np.cos(_TWO_PI * u2)
+    out[:, 1::2] = r * np.sin(_TWO_PI * u2)
+    return out[:, :count]
+
+
 class SplitMix64:
     """Deterministic stream of u64 / uniform / normal variates.
 
@@ -42,36 +86,25 @@ class SplitMix64:
         """Next n raw words as a uint64 array; advances the counter by n."""
         if n < 0:
             raise ValueError("block size must be nonnegative")
-        ks = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        block = _words(np.array([self.seed], dtype=np.uint64), self.counter, n)[0]
         self.counter += n
-        states = np.uint64(self.seed) + ks * np.uint64(_GOLDEN)
-        return _mix(states)
+        return block
 
     def next_u64(self) -> int:
         return int(self.u64_block(1)[0])
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), each from the top 53 bits of one word."""
-        block = self.u64_block(n)
-        return (block >> np.uint64(11)).astype(np.float64) * _TWO_POW_MINUS_53
+        return _unit_interval(self.u64_block(n))
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller on ceil(n/2) uniform pairs."""
-        if n < 0:
-            raise ValueError("sample size must be nonnegative")
-        m = (n + 1) // 2
-        if m == 0:
-            return np.empty(0, dtype=np.float64)
-        u1 = 1.0 - self.uniforms(m)  # (0, 1]: log stays finite
-        u2 = self.uniforms(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        out = np.empty(2 * m, dtype=np.float64)
-        out[0::2] = r * np.cos(_TWO_PI * u2)
-        out[1::2] = r * np.sin(_TWO_PI * u2)
-        return out[:n]
+        out = normal_rows([self.seed], n, self.counter)[0]
+        self.counter += 2 * ((n + 1) // 2)
+        return out
 
     def normal(self) -> float:
         return float(self.normals(1)[0])

@@ -16,9 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BehindCamera, GenerationFailed
+from .errors import BehindCamera, GenerationFailed, InvalidLandmark
 from .geometry import LandmarkScene, _freeze
-from .rng import SplitMix64
+from .rng import SplitMix64, normal_rows
 
 # rejection margins for general position, in scene units
 _MIN_TRIPLE_AREA = 0.05  # twice the triangle area
@@ -231,7 +231,13 @@ def synthesize_views(
     delta moves non-frame landmarks off-plane before projection; noise adds
     image-plane Gaussian jitter after projection (default off). Seeds for
     the scene, cameras, signs, and noise derive from the master seed.
+
+    Raises:
+        InvalidLandmark: a frame label is not one of the k landmarks.
     """
+    for label in frame_labels:
+        if not 1 <= int(label) <= k:
+            raise InvalidLandmark(f"frame label {label} is not a landmark of 1..{k}")
     master = SplitMix64(seed)
     scene_seed = master.next_u64()
     cam_seed = master.next_u64()
@@ -271,10 +277,17 @@ def _tangent_basis(direction: np.ndarray) -> np.ndarray:
     return np.stack(rows)
 
 
-def tangent_gaussian_sample(direction, sigma: float, n: int, seed: int) -> np.ndarray:
-    """n unit vectors: normalize(direction + tangent noise), noise ~ N(0, sigma^2).
+def tangent_gaussian_samples(direction, sigma: float, n: int, seeds) -> np.ndarray:
+    """One sample of n tangent-Gaussian unit vectors per seed, shape (R, n, d).
 
-    Returns an (n, d) array. sigma = 0 repeats the direction exactly.
+    Sample r is normalize(direction + tangent noise), noise ~ N(0, sigma^2),
+    drawn from the stream of seeds[r]; sigma = 0 repeats the direction
+    exactly. All R samples come from one array pass, each bit-identical to
+    drawing it alone.
+
+    Raises:
+        GenerationFailed: a raw draw's norm is not finite and positive,
+            i.e. sigma is too large for the draws to stay finite.
     """
     mu = np.asarray(direction, dtype=np.float64).ravel()
     norm = float(np.linalg.norm(mu))
@@ -287,7 +300,24 @@ def tangent_gaussian_sample(direction, sigma: float, n: int, seed: int) -> np.nd
     mu = mu / norm
     d = mu.size
     basis = _tangent_basis(mu)
-    gen = SplitMix64(seed)
-    coeffs = sigma * gen.normals(n * (d - 1)).reshape(n, d - 1)
-    raw = mu[None, :] + coeffs @ basis
-    return raw / np.linalg.norm(raw, axis=1)[:, None]
+    # overflow is caught below as a norm that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = sigma * normal_rows(seeds, n * (d - 1))
+        # one (n, d-1) @ (d-1, d) product per sample, as for a single draw
+        raw = mu + coeffs.reshape(-1, n, d - 1) @ basis
+        del coeffs  # one large temporary less while normalizing
+        norms = np.linalg.norm(raw, axis=-1)
+    if not np.all((norms > 0.0) & (norms < math.inf)):
+        raise GenerationFailed(
+            f"sigma {sigma:g} is too large: a tangent draw's norm is not finite and positive"
+        )
+    return raw / norms[..., None]
+
+
+def tangent_gaussian_sample(direction, sigma: float, n: int, seed: int) -> np.ndarray:
+    """n unit vectors: normalize(direction + tangent noise), noise ~ N(0, sigma^2).
+
+    Returns an (n, d) array, the one-seed case of `tangent_gaussian_samples`.
+    sigma = 0 repeats the direction exactly.
+    """
+    return tangent_gaussian_samples(direction, sigma, n, [seed])[0]

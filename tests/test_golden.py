@@ -47,3 +47,29 @@ def test_report_bytes_match_golden_hash(tmp_path, name):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
     assert digest == expected
+
+
+# bytes of the `opshape mc` JSON, recorded from the per-replication loop
+MC_GOLDEN = {
+    # the acceptance size: n=200, 1,000 replications, 10^6 oracle draws
+    "acceptance": (
+        ("--seed", "0"),
+        "d10c1e5f2d4c44368ed9552bd697f0a1da150d1aea469b3a60866347c2e0f91d",
+    ),
+    # odd sizes: three draws per replication, seven replications, five
+    # oracle draws, and the largest seed
+    "small_odd": (
+        ("--n", "3", "--reps", "7", "--oracle-draws", "5", "--seed", "18446744073709551615"),
+        "69661ef0d2d284091fdd957ee1ca4bde2bcf0eadc372c3f6f6612d88716411cc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_GOLDEN))
+def test_mc_bytes_match_golden_hash(tmp_path, name):
+    argv, expected = MC_GOLDEN[name]
+    out = tmp_path / "mc.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["mc", "--out", str(out), *argv])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected

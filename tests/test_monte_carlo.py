@@ -1,0 +1,225 @@
+"""The stacked Monte Carlo pass against the per-replication loop it replaced.
+
+The reference below is the Monte Carlo code as it stood before the stacked
+pass: one generator, one validated sample and one dispersion test per
+replication, in a Python loop. `normal_rows`, `tangent_gaussian_samples`,
+`sample_moments` and `run_monte_carlo` must reproduce it bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from opshape import pipeline
+from opshape.directional import (
+    FOCAL_TOL,
+    ZERO_TOL,
+    _dispersion_and_se,
+    coplanarity_test,
+    delta_se,
+    normal_quantile,
+    sample_moments,
+)
+from opshape.errors import FocalMean, GenerationFailed
+from opshape.geometry import DirectionSample
+from opshape.rng import SplitMix64, normal_rows
+from opshape.synth import _tangent_basis, tangent_gaussian_sample, tangent_gaussian_samples
+
+MASK = (1 << 64) - 1
+SEEDS = (0, 1, 42, 2**63, 2**63 + 7, MASK - 1, MASK)
+
+
+# ---- the per-replication reference -----------------------------------------------
+
+
+def ref_normals(seed, count, start=0):
+    """Box-Muller on one generator whose counter stands at `start`."""
+    gen = SplitMix64(seed)
+    gen.u64_block(start)
+    m = (count + 1) // 2
+    if m == 0:
+        return np.empty(0)
+    u1 = 1.0 - gen.uniforms(m)
+    u2 = gen.uniforms(m)
+    r = np.sqrt(-2.0 * np.log(u1))
+    out = np.empty(2 * m)
+    out[0::2] = r * np.cos(2.0 * np.pi * u2)
+    out[1::2] = r * np.sin(2.0 * np.pi * u2)
+    return out[:count]
+
+
+def ref_tangent(direction, sigma, n, seed):
+    mu = np.asarray(direction, dtype=np.float64)
+    mu = mu / float(np.linalg.norm(mu))
+    d = mu.size
+    coeffs = sigma * ref_normals(seed, n * (d - 1)).reshape(n, d - 1)
+    raw = mu[None, :] + coeffs @ _tangent_basis(mu)
+    return raw / np.linalg.norm(raw, axis=1)[:, None]
+
+
+def ref_moments(units):
+    """(mean, resultant, ts, se) of one (n, q, d) sample."""
+    n = units.shape[0]
+    mean = units.mean(axis=0)
+    r = np.linalg.norm(mean, axis=1)
+    if np.any(r < FOCAL_TOL):
+        raise FocalMean("focal block mean")
+    grad = (-2.0 * mean / r[:, None]).ravel()
+    proj = (units.reshape(n, -1) - mean.ravel()) @ grad
+    se_raw = math.sqrt(float(proj @ proj) / n / n)
+    ts, se = _dispersion_and_se(r, se_raw)
+    return mean, r, float(ts), float(se)
+
+
+def ref_monte_carlo(sigma, n, reps, alpha, seed, oracle_draws, dim=3):
+    mu = np.zeros(dim)
+    mu[-1] = 1.0
+    master = SplitMix64(seed)
+    oracle_seed = master.next_u64()
+    rep_seeds = [master.next_u64() for _ in range(reps)]
+    oracle = ref_tangent(mu, sigma, oracle_draws, oracle_seed)
+    t_pop = 2.0 * (1.0 - float(np.linalg.norm(oracle.mean(axis=0))))
+    z = normal_quantile(1.0 - alpha / 2.0)
+    hits, ts_values, se_values = 0, [], []
+    for rep_seed in rep_seeds:
+        sample = DirectionSample.from_vectors(ref_tangent(mu, sigma, n, rep_seed))
+        _, _, ts, se = ref_moments(sample.units)
+        ts_values.append(ts)
+        se_values.append(se)
+        if ts - z * se <= t_pop <= ts + z * se:
+            hits += 1
+    return {
+        "sigma": sigma,
+        "n": n,
+        "reps": reps,
+        "alpha": alpha,
+        "seed": seed,
+        "dim": dim,
+        "oracle_draws": oracle_draws,
+        "oracle_total_variance": t_pop,
+        "hits": hits,
+        "coverage": hits / reps,
+        "mean_total_variance": float(np.mean(ts_values)),
+        "mean_se": float(np.mean(se_values)),
+    }
+
+
+def assert_same(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+# ---- draws ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 8, 401])
+@pytest.mark.parametrize("start", [0, 3])
+def test_normal_rows_match_one_generator_per_seed(count, start):
+    rows = normal_rows(np.array(SEEDS, dtype=np.uint64), count, start)
+    assert rows.shape == (len(SEEDS), count)
+    for row, seed in zip(rows, SEEDS):
+        assert_same(row, ref_normals(seed, count, start))
+
+
+def test_normal_rows_take_python_ints_mod_2_pow_64():
+    assert_same(normal_rows([-1, 2**64 + 5], 9), normal_rows([MASK, 5], 9))
+
+
+def test_normals_method_continues_the_stream():
+    gen = SplitMix64(MASK)
+    first, second = gen.normals(3), gen.normals(6)
+    assert_same(first, ref_normals(MASK, 3))
+    # three normals take two Box-Muller pairs: four words
+    assert_same(second, ref_normals(MASK, 6, start=4))
+    assert gen.counter == 10
+
+
+@pytest.mark.parametrize("direction", [[0.0, 0.0, 1.0], [1.0, 2.0, 2.0], [0.5, -1.0, 0.25, 2.0]])
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 2.0])
+@pytest.mark.parametrize("n", [1, 3, 200])
+def test_tangent_gaussian_samples_match_single_draws(direction, sigma, n):
+    stacked = tangent_gaussian_samples(direction, sigma, n, np.array(SEEDS, dtype=np.uint64))
+    assert stacked.shape == (len(SEEDS), n, len(direction))
+    for sample, seed in zip(stacked, SEEDS):
+        expected = ref_tangent(direction, sigma, n, seed)
+        assert_same(sample, expected)
+        assert_same(tangent_gaussian_sample(direction, sigma, n, seed), expected)
+
+
+@pytest.mark.parametrize("sigma", [1e200, 1e308])
+def test_tangent_draw_beyond_double_range_fails_to_generate(sigma):
+    with pytest.raises(GenerationFailed, match="too large"):
+        tangent_gaussian_samples([0.0, 0.0, 1.0], sigma, 5, [1, 2])
+
+
+# ---- statistics ------------------------------------------------------------------
+
+
+def stacks():
+    """(R, n, q, d) stacks: tight, spread, two rows, q = 3, constant rows."""
+    seeds = np.array(SEEDS, dtype=np.uint64)
+    yield tangent_gaussian_samples([0.0, 0.0, 1.0], 0.05, 50, seeds)[:, :, None, :]
+    yield tangent_gaussian_samples([1.0, 2.0, 2.0], 1.5, 17, seeds)[:, :, None, :]
+    yield tangent_gaussian_samples([0.0, 1.0, 0.0], 0.3, 2, seeds)[:, :, None, :]
+    blocks = [tangent_gaussian_samples([0.0, 0.0, 1.0], 0.2, 30, seeds[f:]) for f in range(3)]
+    yield np.stack([b[:4] for b in blocks], axis=2)
+    # each sample repeats one vector 25 times
+    yield np.repeat(ref_tangent([1.0, 2.0, 2.0], 0.3, 4, 9)[:, None, None, :], 25, axis=1)
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_sample_moments_match_single_sample_reference(index):
+    units = list(stacks())[index]
+    mean, resultant, ts, se = sample_moments(units)
+    for r, sample in enumerate(units):
+        expected = ref_moments(sample)
+        assert_same(mean[r], expected[0])
+        assert_same(resultant[r], expected[1])
+        assert float(ts[r]) == expected[2]
+        assert float(se[r]) == expected[3]
+        one = DirectionSample(sample, tuple(str(i) for i in range(sample.shape[0])))
+        summary = coplanarity_test(one)
+        assert (summary.total_variance, summary.se) == expected[2:]
+        assert delta_se(one) == expected[3]
+
+
+def test_constant_rows_clamp_se_to_zero():
+    units = list(stacks())[4]
+    _, _, ts, se = sample_moments(units)
+    assert np.all(se == 0.0)
+    assert np.all(ts <= ZERO_TOL)
+
+
+def test_focal_replication_raises_focal_mean():
+    units = list(stacks())[0][:3].copy()
+    units[1, :25, 0] = [0.0, 0.0, 1.0]
+    units[1, 25:, 0] = [0.0, 0.0, -1.0]
+    with pytest.raises(FocalMean):
+        ref_moments(units[1])
+    with pytest.raises(FocalMean):
+        sample_moments(units)
+
+
+# ---- the whole pass ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sigma, n, reps, alpha, seed, oracle_draws",
+    [
+        (0.1, 200, 40, 0.05, 0, 2000),
+        (0.1, 2, 50, 0.05, 1, 100),
+        (0.4, 57, 33, 0.05, 3, 1001),
+        (0.0, 20, 10, 0.05, 12345, 10),
+        (1.5, 31, 25, 0.2, 2**63 + 7, 999),
+    ],
+)
+@pytest.mark.parametrize("slice_doubles", [1 << 20, 1, 700])
+def test_run_monte_carlo_matches_per_replication_loop(
+    monkeypatch, sigma, n, reps, alpha, seed, oracle_draws, slice_doubles
+):
+    # a small slice splits the replications into several (uneven) slices
+    monkeypatch.setattr(pipeline, "_MC_SLICE_DOUBLES", slice_doubles)
+    got = pipeline.run_monte_carlo(sigma, n, reps, alpha, seed, oracle_draws)
+    assert got == ref_monte_carlo(sigma, n, reps, alpha, seed, oracle_draws)

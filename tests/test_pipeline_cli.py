@@ -362,6 +362,12 @@ def test_cli_bad_statistical_argument_exits_2(study_csv, tmp_path, capsys, comma
         ("mc --out {out} --sigma -1", 2, "argument --sigma: must be >= 0"),
         ("synth --out {out} --cameras 0", 2, "argument --cameras: must be >= 1"),
         ("synth --out {out} --k 3", 2, "argument --k: must be >= 5"),
+        ("synth --out {out} --delta -1", 2, "argument --delta: must be >= 0"),
+        ("synth --out {out} --delta nan", 2, "argument --delta: must be >= 0"),
+        ("synth --out {out} --noise -0.5", 2, "argument --noise: must be >= 0"),
+        ("synth --out {out} --k 6 --frame 1,2,3,9", 2, "frame label 9 is not a landmark"),
+        ("mc --out {out} --sigma 1e200 --n 5 --reps 3", 3, "sigma 1e+200 is too large"),
+        ("mc --out {out} --sigma 1e308 --n 5 --reps 3", 3, "sigma 1e+308 is too large"),
         ("analyze {study} --out {out} --frame 1,2,3", 2, "needs m=1 coordinates"),
         ("vw {study} --out {out} --frame 1,2,3", 2, "needs m=1 coordinates"),
         ("analyze {study} --out {out} --remaining 9", 2, "has no landmark 9"),
