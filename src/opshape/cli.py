@@ -36,8 +36,10 @@ from .pipeline import (
     StudyConfig,
     emit_outputs,
     register_scenes,
+    report_to_dict,
     run_analysis,
     run_monte_carlo,
+    write_loo_table,
 )
 from .vw import total_variance_ps
 
@@ -204,8 +206,8 @@ def _print_summary(label: str, s) -> None:
     )
 
 
-def _cmd_analyze(args) -> int:
-    config = StudyConfig(
+def _study_config(args) -> StudyConfig:
+    return StudyConfig(
         input_path=args.input,
         frame_labels=args.frame,
         remaining_labels=args.remaining,
@@ -215,7 +217,10 @@ def _cmd_analyze(args) -> int:
         max_removals=args.max_removals,
         skip_degenerate=args.skip_degenerate,
     )
-    report = run_analysis(config)
+
+
+def _cmd_analyze(args) -> int:
+    report = run_analysis(_study_config(args))
     paths = emit_outputs(report, args.out)
     _print_summary("full", report.full)
     if report.trace is not None:
@@ -231,22 +236,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    config = StudyConfig(
-        input_path=args.input,
-        frame_labels=args.frame,
-        remaining_labels=args.remaining,
-        alpha=args.alpha,
-        alpha_ref=args.alpha_ref,
-        df=args.df,
-        max_removals=args.max_removals,
-        skip_degenerate=args.skip_degenerate,
-    )
-    report = run_analysis(config)
+    report = run_analysis(_study_config(args))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    from .pipeline import report_to_dict
-    from .io import write_rows
-
     full = report_to_dict(report)
     payload = {
         "provenance": full["provenance"],
@@ -258,15 +250,7 @@ def _cmd_reduce(args) -> int:
     (outdir / "reduction.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
-    rows = [
-        [r.scene_id, r.total_variance, r.se, r.z, r.ci_lower, int(r.degenerate), int(r.focal)]
-        for r in report.loo
-    ]
-    write_rows(
-        outdir / "loo_table.csv",
-        ["scene", "tS", "se", "z", "ci_lower", "degenerate", "focal"],
-        rows,
-    )
+    write_loo_table(report.loo, outdir / "loo_table.csv")
     if report.trace is not None:
         removed = ", ".join(report.trace.removed_scene_ids) or "none"
         print(f"reduction: removed [{removed}] ({report.trace.stopped_reason})")

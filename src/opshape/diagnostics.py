@@ -14,13 +14,17 @@ tests. The kernel only ranks. Every deletion whose endpoint could, within
 the kernel's error bound, still be the largest is recomputed exactly with
 coplanarity_test, and the argmax and tie-break are taken over those exact
 values, so the reported steps are those of an exhaustive search. A step
-typically recomputes one or two deletions. The single-deletion table is
-always recomputed exactly.
+typically recomputes one or two deletions.
+
+The single-deletion table is reported, so it is not ranked by the kernel:
+its rows are computed exactly, by one stacked pass that gathers the reduced
+samples of a slice of deletions into one array and takes their moments as
+array operations, in slices of at most about 2^14 doubles. Every row is
+bit-identical to a full coplanarity_test on the sample with that row deleted.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -32,8 +36,11 @@ from .directional import (
     ZERO_TOL,
     OpsSummary,
     _dispersion_and_se,
+    confidence_interval,
     coplanarity_test,
     normal_quantile,
+    stacked_moments,
+    z_statistic,
 )
 from .errors import EmptySample, FocalMean, InvalidLevel
 from .geometry import DirectionSample
@@ -84,46 +91,51 @@ class LeaveOneOutRow:
     focal: bool
 
 
+# doubles in one gathered (rows, n - 1, q, d) deletion stack of leave_one_out
+_LOO_SLICE_DOUBLES = 1 << 14
+
+
 def leave_one_out(
     sample: DirectionSample, alpha: float = 0.05, df: Optional[int] = None
 ) -> List[LeaveOneOutRow]:
     """Single-deletion dispersion table, one row per scene in sample order.
 
-    A deletion that leaves a focal mean is flagged on its row (statistics
-    NaN) rather than raised: the table is a diagnostic, not an analysis.
+    One stacked exact pass: for a slice of deleted rows i at a time, the
+    reduced samples units[j + (j >= i)] are gathered into one
+    (rows, n - 1, q, d) array of at most about 2^14 doubles, and their tS and
+    SE come from stacked_moments, ci_lower from confidence_interval and z
+    from z_statistic. Each row is bit-identical to coplanarity_test on
+    sample.without(i). A deletion that leaves a focal mean is flagged on its
+    row (statistics NaN) rather than raised: the table is a diagnostic, not
+    an analysis.
     """
-    if sample.n < 3:
+    n, q, d = sample.units.shape
+    if n < 3:
         raise EmptySample("need at least three scenes for single-deletion diagnostics")
     if not 0.0 < alpha < 1.0:
         raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")
+    if df is not None and df < 1:
+        raise ValueError("degrees of freedom must be >= 1")
+    ts = np.empty(n)
+    se = np.empty(n)
+    focal = np.empty(n, dtype=bool)
+    cols = np.arange(n - 1)
+    step = max(1, _LOO_SLICE_DOUBLES // ((n - 1) * q * d))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        deleted = np.arange(start, stop)[:, None]
+        stack = sample.units[cols + (cols >= deleted)]
+        _, _, ts[start:stop], se[start:stop], focal[start:stop] = stacked_moments(stack)
+    # NaN statistics on focal rows: their z is NaN and their degenerate flag false
+    ts[focal] = np.nan
+    se[focal] = np.nan
+    lower = confidence_interval(ts, se, alpha)[0]
     rows: List[LeaveOneOutRow] = []
-    for i in range(sample.n):
-        sid = sample.scene_ids[i]
-        try:
-            s = coplanarity_test(sample.without(i), alpha, df)
-            rows.append(
-                LeaveOneOutRow(
-                    scene_id=sid,
-                    total_variance=s.total_variance,
-                    se=s.se,
-                    z=s.z,
-                    ci_lower=s.ci[0],
-                    degenerate=s.degenerate,
-                    focal=False,
-                )
-            )
-        except FocalMean:
-            rows.append(
-                LeaveOneOutRow(
-                    scene_id=sid,
-                    total_variance=math.nan,
-                    se=math.nan,
-                    z=math.nan,
-                    ci_lower=math.nan,
-                    degenerate=False,
-                    focal=True,
-                )
-            )
+    for sid, ts_i, se_i, lower_i, focal_i in zip(
+        sample.scene_ids, ts.tolist(), se.tolist(), lower.tolist(), focal.tolist()
+    ):
+        z, _, degenerate = z_statistic(ts_i, se_i)
+        rows.append(LeaveOneOutRow(sid, ts_i, se_i, z, lower_i, degenerate, focal_i))
     return rows
 
 

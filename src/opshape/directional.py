@@ -26,6 +26,7 @@ ZERO_TOL = 1e-12
 FOCAL_TOL = 1e-10
 # raw delta SE at rounding-noise scale collapses to exactly 0.0
 SE_CLAMP_RTOL = 1e-12
+_FOCAL_MESSAGE = f"block mean has norm below {FOCAL_TOL}; extrinsic mean undefined"
 
 
 def normal_cdf(z: float) -> float:
@@ -69,13 +70,9 @@ def extrinsic_mean(mean: np.ndarray) -> np.ndarray:
     """
     m = np.atleast_2d(np.asarray(mean, dtype=np.float64))
     r = np.linalg.norm(m, axis=1)
-    _check_focal(r)
+    if (r < FOCAL_TOL).any():
+        raise FocalMean(_FOCAL_MESSAGE)
     return m / r[:, None]
-
-
-def _check_focal(resultant: np.ndarray) -> None:
-    if (resultant < FOCAL_TOL).any():
-        raise FocalMean(f"block mean has norm below {FOCAL_TOL}; extrinsic mean undefined")
 
 
 def total_variance(sample: DirectionSample) -> float:
@@ -113,31 +110,45 @@ def sample_covariance(sample: DirectionSample) -> np.ndarray:
     return dev.T @ dev / n
 
 
-def sample_moments(units: np.ndarray):
+def stacked_moments(units: np.ndarray):
     """Block means, resultant lengths, tS and delta SE of R samples at once.
 
     units has shape (R, n, q, d), one sample per leading index. Returns
-    (mean (R, q, d), resultant (R, q), ts (R,), se (R,)), each entry
-    bit-identical to the same sample computed alone: the SE is
+    (mean (R, q, d), resultant (R, q), ts (R,), se (R,), focal (R,)), each
+    entry bit-identical to the same sample computed alone: the SE is
     sqrt(g' S_n g / n) with g the stacked per-block gradients
     -2 u_bar_f / ||u_bar_f||, evaluated as a mean of squared projections,
     which cannot go negative under rounding (unlike the assembled-matrix
     form, whose cancellation noise blows up when the resultant is small),
-    then clamped by _dispersion_and_se.
+    then clamped by _dispersion_and_se. focal marks the samples with a block
+    mean shorter than FOCAL_TOL: their extrinsic mean and gradient are
+    undefined, and so are their ts and se (NaN, inf or meaningless).
+    """
+    reps, n = units.shape[:2]
+    mean = units.mean(axis=1)
+    resultant = np.linalg.norm(mean, axis=-1)
+    focal = (resultant < FOCAL_TOL).any(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        grad = (-2.0 * mean / resultant[..., None]).reshape(reps, -1, 1)
+        # per sample: one (n, qd) @ (qd,) gemv and one dot, as for a single sample
+        proj = (units.reshape(reps, n, -1) - mean.reshape(reps, 1, -1)) @ grad
+        quad = (proj.transpose(0, 2, 1) @ proj).reshape(reps) / n
+        ts, se = _dispersion_and_se(resultant, np.sqrt(quad / n))
+    return mean, resultant, ts, se, focal
+
+
+def sample_moments(units: np.ndarray):
+    """stacked_moments without the focal mask, for samples that must not be focal.
+
+    Returns (mean, resultant, ts, se) as stacked_moments does.
 
     Raises:
         FocalMean: some sample has a block mean shorter than FOCAL_TOL, so
             its extrinsic mean and gradient are undefined.
     """
-    reps, n = units.shape[:2]
-    mean = units.mean(axis=1)
-    resultant = np.linalg.norm(mean, axis=-1)
-    _check_focal(resultant)
-    grad = (-2.0 * mean / resultant[..., None]).reshape(reps, -1, 1)
-    # per sample: one (n, qd) @ (qd,) gemv and one dot, as for a single sample
-    proj = (units.reshape(reps, n, -1) - mean.reshape(reps, 1, -1)) @ grad
-    quad = (proj.transpose(0, 2, 1) @ proj).reshape(reps) / n
-    ts, se = _dispersion_and_se(resultant, np.sqrt(quad / n))
+    mean, resultant, ts, se, focal = stacked_moments(units)
+    if focal.any():
+        raise FocalMean(_FOCAL_MESSAGE)
     return mean, resultant, ts, se
 
 

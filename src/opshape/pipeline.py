@@ -145,7 +145,8 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
         trace = greedy_reduce(sample, config.alpha_ref, config.max_removals, config.df)
         reduced_sample = sample.subset(trace.final_scene_ids)
         reduced = coplanarity_test(reduced_sample, config.alpha, config.df)
-        keep = [i for i, s in enumerate(sample.scene_ids) if s in set(trace.final_scene_ids)]
+        final = set(trace.final_scene_ids)
+        keep = [i for i, s in enumerate(sample.scene_ids) if s in final]
         vw_reduced = tuple(total_variance_ps(axes[keep, f, :]) for f in range(sample.q))
 
     provenance = {
@@ -339,17 +340,21 @@ def emit_outputs(report: AnalysisReport, outdir) -> Dict[str, Path]:
     paths["angles_reduced"] = outdir / "angles_reduced.csv"
     write_rows(paths["angles_reduced"], ["scene", "theta_radians"], rows)
 
-    rows = [
-        [r.scene_id, r.total_variance, r.se, r.z, r.ci_lower, int(r.degenerate), int(r.focal)]
-        for r in report.loo
-    ]
     paths["loo_table"] = outdir / "loo_table.csv"
-    write_rows(
-        paths["loo_table"],
-        ["scene", "tS", "se", "z", "ci_lower", "degenerate", "focal"],
-        rows,
-    )
+    write_loo_table(report.loo, paths["loo_table"])
     return paths
+
+
+def write_loo_table(loo: Sequence[LeaveOneOutRow], path) -> None:
+    """Write the single-deletion table as loo_table.csv, one line per row."""
+    write_rows(
+        path,
+        ["scene", "tS", "se", "z", "ci_lower", "degenerate", "focal"],
+        [
+            [r.scene_id, r.total_variance, r.se, r.z, r.ci_lower, int(r.degenerate), int(r.focal)]
+            for r in loo
+        ],
+    )
 
 
 # doubles in one (replications, n, d) array of the stacked Monte Carlo pass

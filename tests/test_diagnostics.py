@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from opshape.diagnostics import (
     STOP_MAX_REMOVALS,
     STOP_NO_IMPROVEMENT,
     STOP_NONPOSITIVE,
+    LeaveOneOutRow,
     greedy_reduce,
     leave_one_out,
 )
@@ -81,7 +84,10 @@ def test_loo_matches_direct_recomputation():
         assert row.scene_id == sample.scene_ids[i]
         assert row.total_variance == direct.total_variance
         assert row.se == direct.se
+        assert row.z == direct.z
         assert row.ci_lower == direct.ci[0]
+        assert row.degenerate == direct.degenerate
+        assert not row.focal
 
 
 def test_loo_focal_deletion_flagged_not_fatal():
@@ -99,6 +105,83 @@ def test_loo_needs_three_rows():
     units = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(EmptySample):
         leave_one_out(DirectionSample.from_vectors(units), alpha=0.05)
+
+
+# ---------- the stacked pass against the per-row loop ------------------------------
+
+def ref_leave_one_out(sample, alpha=0.05, df=None):
+    """The per-row loop the stacked pass replaced: one copy and one test per row."""
+    rows = []
+    for i in range(sample.n):
+        sid = sample.scene_ids[i]
+        try:
+            s = coplanarity_test(sample.without(i), alpha, df)
+        except FocalMean:
+            nan = math.nan
+            rows.append(LeaveOneOutRow(sid, nan, nan, nan, nan, False, True))
+            continue
+        rows.append(
+            LeaveOneOutRow(sid, s.total_variance, s.se, s.z, s.ci[0], s.degenerate, False)
+        )
+    return rows
+
+
+def assert_same_rows(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        for field in dataclasses.fields(LeaveOneOutRow):
+            a, b = getattr(g, field.name), getattr(e, field.name)
+            assert a == b or (math.isnan(a) and math.isnan(b)), field.name
+        # repr also tells -0.0 from 0.0 and numpy scalars from Python ones
+        assert repr(g) == repr(e)
+
+
+def _duplicated_sample():
+    units = tangent_gaussian_sample([0.0, 0.6, 0.8], 0.2, 6, 21)
+    return DirectionSample.from_vectors(np.vstack([units, units[:4], units[2:3]]))
+
+
+LOO_CASES = {
+    "q1": lambda: outlier_sample(),
+    "q3": lambda: outlier_sample_q3(),
+    # SE clamps to 0 on every deletion, so every row is degenerate
+    "constant": lambda: DirectionSample.from_vectors(np.tile([0.0, 0.0, 1.0], (7, 1))),
+    "duplicated": _duplicated_sample,
+    # deleting the last row leaves two antipodal pairs: a focal row
+    "antipodal": lambda: ANTIPODAL,
+    "three_rows": lambda: DirectionSample.from_vectors(
+        np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    ),
+    # as antipodal, but the focal mean has norm 5e-12: short, not zero
+    "near_antipodal": lambda: DirectionSample.from_vectors(
+        np.vstack([np.eye(3)[:2], [[-1.0, -2e-11, 0.0]], -np.eye(3)[1:]])
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOO_CASES))
+@pytest.mark.parametrize("rows_per_slice", [None, 0, 1, 2, 7])
+def test_loo_stacked_pass_matches_per_row_loop(monkeypatch, case, rows_per_slice):
+    # None keeps the module's slice size; 0 puts every deletion in one slice;
+    # 1, 2 and 7 give several slices, most with an uneven last one
+    sample = LOO_CASES[case]()
+    n, q, d = sample.units.shape
+    if rows_per_slice is not None:
+        rows = rows_per_slice or n
+        monkeypatch.setattr(diagnostics, "_LOO_SLICE_DOUBLES", rows * (n - 1) * q * d)
+    for alpha, df in ((0.05, None), (0.01, 1), (0.5, 7)):
+        assert_same_rows(leave_one_out(sample, alpha, df), ref_leave_one_out(sample, alpha, df))
+
+
+def test_loo_validation_matches_per_row_loop():
+    sample = outlier_sample(n_tight=5)
+    cases = ((0.0, None, InvalidLevel), (1.0, 2, InvalidLevel), (0.05, 0, ValueError))
+    for alpha, df, error in cases:
+        with pytest.raises(error) as got:
+            leave_one_out(sample, alpha, df)
+        with pytest.raises(error) as expected:
+            ref_leave_one_out(sample, alpha, df)
+        assert str(got.value) == str(expected.value)
 
 
 # ---------- greedy reduction ------------------------------------------------------
@@ -229,6 +312,21 @@ def test_deletion_kernel_matches_direct_within_window(sample, alpha):
             continue
         assert not math.isnan(lower[i])
         assert abs(lower[i] - direct) <= err[i] / 100
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kernel_samples(),
+    st.sampled_from([0.01, 0.05, 0.5]),
+    st.sampled_from([None, 1, 2]),
+    st.integers(1, 41),
+)
+@example(ANTIPODAL, 0.05, None, 2)
+def test_loo_stacked_rows_equal_per_row_loop(sample, alpha, df, rows_per_slice):
+    n, q, d = sample.units.shape
+    with mock.patch.object(diagnostics, "_LOO_SLICE_DOUBLES", rows_per_slice * (n - 1) * q * d):
+        got = leave_one_out(sample, alpha, df)
+    assert_same_rows(got, ref_leave_one_out(sample, alpha, df))
 
 
 def test_greedy_bookkeeping_and_summary_consistency():

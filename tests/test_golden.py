@@ -1,4 +1,5 @@
-"""Golden report hashes: the bytes of report.json for three fixed studies.
+"""Golden output hashes: the bytes of report.json for three fixed studies,
+of the `reduce` outputs and of loo_table.csv, and of the `opshape mc` JSON.
 
 A change that moves any reported digit (a faster kernel that rounds
 differently, a reordered sum) changes these hashes. Update a hash only
@@ -47,6 +48,43 @@ def test_report_bytes_match_golden_hash(tmp_path, name):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
     assert digest == expected
+
+
+# bytes of `opshape reduce`'s reduction.json and loo_table.csv, and of
+# `opshape analyze`'s loo_table.csv (the same table), recorded from the
+# per-row leave-one-out loop and the two CSV writers it had
+REDUCE_GOLDEN = {
+    "bent": (
+        "49dd1221081341da062440f4879f5553fbd8883a1c493650a2953825199b95b1",
+        "c4366c807cc0738c2bbbf3e167fabd6081ca9f3def882a97560cca3055fff255",
+    ),
+    "flat": (
+        "8d725046db253aae6ac114b25db64a61471aacef5a45fc6604ccf0238f3f003e",
+        "5805a0c2804928414534a0be6297123da77f9ae66b50bc7235dab8c196c52ef5",
+    ),
+    "q3": (
+        "39831b383fc7377383012246631c730e7d82a26dc13ac9b1790ecce861f13117",
+        "8d8d68c9053e722b726a54370376c2d40f61d2a667925bc69f2c291e2c5ed0be",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCE_GOLDEN))
+def test_reduce_and_loo_table_bytes_match_golden_hash(tmp_path, name):
+    views, extra, _ = GOLDEN[name]
+    reduction_hash, loo_hash = REDUCE_GOLDEN[name]
+    study = tmp_path / "study.csv"
+    write_landmarks(study, synthesize_views(**views))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["reduce", str(study), "--out", str(tmp_path / "r"), *extra]) == 0
+        assert main(["analyze", str(study), "--out", str(tmp_path / "a"), *extra]) == 0
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert digest(tmp_path / "r" / "reduction.json") == reduction_hash
+    assert digest(tmp_path / "r" / "loo_table.csv") == loo_hash
+    assert digest(tmp_path / "a" / "loo_table.csv") == loo_hash
 
 
 # bytes of the `opshape mc` JSON, recorded from the per-replication loop
