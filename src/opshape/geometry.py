@@ -26,8 +26,10 @@ ndarrays; frame representatives enter matrices as columns.
 
 from __future__ import annotations
 
+import operator
+from collections import abc
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,6 +81,38 @@ class LandmarkScene:
         if not 1 <= label <= self.k:
             raise InvalidLandmark(f"label {label} outside 1..{self.k}")
         return self.points[label - 1]
+
+
+@dataclass(frozen=True, eq=False)
+class LandmarkStudy(abc.Sequence):
+    """n scenes of k landmarks each: ids and one read-only (n, k, m) stack.
+
+    Indexing builds scene i on demand as LandmarkScene(ids[i], points[i]).
+    sha256 is the digest of the bytes the study was parsed from, if any.
+    """
+
+    ids: Tuple[str, ...]
+    points: np.ndarray
+    sha256: Optional[str] = None
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=np.float64)
+        if pts.ndim != 3 or pts.shape[0] < 1 or pts.shape[1] < 1:
+            raise InvalidLandmark("points must be a nonempty (n, k, m) array")
+        if not np.isfinite(pts).all():
+            raise InvalidLandmark("study has non-finite coordinates")
+        ids = tuple(str(s) for s in self.ids)
+        if len(ids) != pts.shape[0]:
+            raise ValueError("ids length must equal the number of scenes")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "points", _freeze(pts))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index: int) -> LandmarkScene:
+        index = operator.index(index)
+        return LandmarkScene(self.ids[index], self.points[index])
 
 
 @dataclass(frozen=True)

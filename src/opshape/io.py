@@ -4,21 +4,38 @@ Input contract: UTF-8 CSV with header `scene,landmark,x,y`; scene ids are
 strings, landmark labels positive integers, coordinates finite floats. Rows
 may arrive in any order; scenes are returned in first-appearance order with
 rows sorted by label. Every scene must carry exactly the labels 1..k.
+
+parse_landmarks reads the file's bytes once, and the study's sha256 is the
+hash of those bytes, so it always describes what was parsed. A file that
+csv.reader would split exactly at every comma (no quote or NUL character,
+one line terminator throughout, no blank line, four fields per line, no
+line over csv.field_size_limit()) is converted column by column, in blocks
+of about _BLOCK_BYTES cut at line ends. Anything else, quoted ids
+included, and any file that fails a conversion or check on that pass, goes
+through the csv.reader row loop, which raises each ParseError or
+SchemaError with its message and line number.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import math
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ParseError, SchemaError
-from .geometry import LandmarkScene
+from .geometry import LandmarkScene, LandmarkStudy
 
 HEADER = ("scene", "landmark", "x", "y")
+
+# bytes per block of the columnar pass; bounds its lists of fields
+_BLOCK_BYTES = 1 << 16
+
+Parsed = Tuple[Tuple[str, ...], np.ndarray]
 
 
 def format_float(x: float) -> str:
@@ -26,7 +43,7 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _read_rows(reader) -> Tuple[List[str], Dict[str, Dict[int, Tuple[float, float]]]]:
+def _rows(reader) -> Tuple[List[str], Dict[str, Dict[int, Tuple[float, float]]]]:
     """Scene ids in first-appearance order and their {label: (x, y)} rows."""
     order: List[str] = []
     table: Dict[str, Dict[int, Tuple[float, float]]] = {}
@@ -70,37 +87,17 @@ def _read_rows(reader) -> Tuple[List[str], Dict[str, Dict[int, Tuple[float, floa
     return order, table
 
 
-def _utf8_error(path: Path) -> ParseError:
-    # the decoder reads ahead, so find the first bad byte in the raw file
-    payload = path.read_bytes()
-    try:
-        payload.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = payload.count(b"\n", 0, exc.start) + 1
-        return ParseError(f"not valid UTF-8 (byte {exc.start})", line=line)
-    return ParseError("not valid UTF-8")
+def _read_rows(text: str) -> Parsed:
+    """Scene ids and their (n, k, 2) points, read row by row with csv.reader.
 
-
-def parse_landmarks(path) -> List[LandmarkScene]:
-    """Read a landmark CSV into scenes.
-
-    Raises:
-        ParseError: unreadable file, invalid UTF-8, malformed header or
-            row, or duplicate (scene, landmark); carries the 1-based line
-            number when known.
-        SchemaError: scenes disagree on the label set, or labels are not
-            exactly 1..k.
+    The reference for _read_columns, and the path that raises: every
+    ParseError carries the line number csv.reader gives it.
     """
-    path = Path(path)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        try:
-            order, table = _read_rows(csv.reader(fh))
-        except UnicodeDecodeError as exc:
-            raise _utf8_error(path) from exc
+        order, table = _rows(reader)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from exc
 
     if not order:
         raise ParseError("no data rows", line=1)
@@ -114,11 +111,125 @@ def parse_landmarks(path) -> List[LandmarkScene]:
     k = len(label_set)
     if label_set != set(range(1, k + 1)):
         raise SchemaError(f"labels must be exactly 1..k, got {sorted(label_set)}")
+    points = np.array([[table[sid][j] for j in range(1, k + 1)] for sid in order])
+    return tuple(order), points
 
-    return [
-        LandmarkScene(scene_id=sid, points=np.array([table[sid][j] for j in range(1, k + 1)]))
-        for sid in order
-    ]
+
+def _read_columns(payload: bytes) -> Optional[Parsed]:
+    """What _read_rows returns for the decoded payload, column by column.
+
+    Works on the bytes, so the file's text is never held beside them: the
+    separators are ASCII, which UTF-8 never uses inside a multi-byte
+    character, int and float accept bytes only where they spell the same
+    number as the text, and each distinct scene id is decoded once. None
+    when the payload is not plain enough for bytes.split(b',') to split it
+    as csv.reader would split its text, is not valid UTF-8, or fails a
+    conversion or check; the caller then runs _read_rows, which gives the
+    same result or raises.
+    """
+    if b'"' in payload or b"\0" in payload:
+        return None
+    cut = payload.find(b"\n")
+    if cut < 1:
+        return None
+    term = b"\r\n" if payload[cut - 1] == ord("\r") else b"\n"
+    lines = payload.count(b"\n")
+    crlf = lines if term == b"\r\n" else 0
+    if payload.count(b"\r") != crlf or payload.count(b"\r\n") != crlf or term * 2 in payload:
+        return None
+    start = cut + 1
+    header = payload[: start - len(term)].split(b",")
+    if tuple(h.strip() for h in header) != tuple(map(str.encode, HEADER)):
+        return None
+    rows = lines - 1 + (not payload.endswith(b"\n"))
+    if rows < 1:
+        return None
+
+    limit = csv.field_size_limit()
+    codes: Dict[str, int] = {}  # scene id -> scene number, in first-appearance order
+    raw_codes: Dict[bytes, int] = {}  # id field as read -> scene number
+    scene = np.empty(rows, dtype=np.int64)
+    label = np.empty(rows, dtype=np.int64)
+    xy = np.empty((rows, 2))
+    done = 0
+    while start < len(payload):
+        stop = payload.find(term, start + _BLOCK_BYTES)
+        stop = len(payload) if stop < 0 else stop + len(term)
+        block = payload[start:stop]
+        start = stop
+        if not block.isascii():
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+        if not block.endswith(term):
+            block += term
+        if len(block) > limit and max(map(len, block.split(term))) > limit:
+            return None
+        count = block.count(term)
+        # a NUL field after every line: misplaced unless each line has 4 fields
+        fields = block.replace(term, b",\0,").split(b",")
+        fields.pop()
+        if len(fields) != 5 * count or fields[4::5].count(b"\0") != count:
+            return None
+        ids = fields[0::5]
+        for raw in dict.fromkeys(ids):
+            if raw not in raw_codes:
+                sid = raw.decode("utf-8").strip()
+                if not sid:
+                    return None
+                raw_codes[raw] = codes.setdefault(sid, len(codes))
+        chunk = slice(done, done + count)
+        done += count
+        try:
+            scene[chunk] = np.fromiter(map(raw_codes.__getitem__, ids), np.int64, count)
+            label[chunk] = np.fromiter(map(int, fields[1::5]), np.int64, count)
+            xy[chunk, 0] = np.fromiter(map(float, fields[2::5]), np.float64, count)
+            xy[chunk, 1] = np.fromiter(map(float, fields[3::5]), np.float64, count)
+        except (ValueError, OverflowError):
+            return None
+
+    n = len(codes)
+    if label.min() < 1 or not np.isfinite(xy).all():
+        return None
+    k = int(label.max())
+    if n * k != rows:
+        return None
+    flat = scene * k + (label - 1)
+    seen = np.zeros(rows, dtype=bool)
+    seen[flat] = True
+    if not seen.all():  # a repeated (scene, label) pair
+        return None
+    points = np.empty((rows, 2))
+    points[flat] = xy
+    return tuple(codes), points.reshape(n, k, 2)
+
+
+def _decode(payload: bytes) -> str:
+    try:
+        return payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = payload.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not valid UTF-8 (byte {exc.start})", line=line) from exc
+
+
+def parse_landmarks(path) -> LandmarkStudy:
+    """Read a landmark CSV into a study: scene ids and one (n, k, 2) stack.
+
+    Raises:
+        ParseError: unreadable file, invalid UTF-8, malformed header or
+            row, or duplicate (scene, landmark); carries the 1-based line
+            number when known.
+        SchemaError: scenes disagree on the label set, or labels are not
+            exactly 1..k.
+    """
+    path = Path(path)
+    try:
+        payload = path.read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    ids, points = _read_columns(payload) or _read_rows(_decode(payload))
+    return LandmarkStudy(ids, points, hashlib.sha256(payload).hexdigest())
 
 
 def write_landmarks(path, scenes: Sequence[LandmarkScene]) -> None:

@@ -7,7 +7,6 @@ and configuration yield byte-identical report.json.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
@@ -31,6 +30,7 @@ from .geometry import (
     DirectionSample,
     FrameSpec,
     LandmarkScene,
+    LandmarkStudy,
     canonical_axis,
     check_scene_labels,
     check_unit_norm,
@@ -75,22 +75,17 @@ class AnalysisReport:
     vw_reduced: Optional[Tuple[VwSummary, ...]]
 
 
-def register_scenes(
-    scenes: Sequence[LandmarkScene], spec: FrameSpec, skip_degenerate: bool = False
-) -> Tuple[DirectionSample, List[str], List[str]]:
-    """Register scenes on the sphere product in one stacked pass.
+def _stack(
+    scenes: Sequence[LandmarkScene], spec: FrameSpec
+) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """Scene ids and one (n, k, m) stack, after the label checks.
 
-    The label checks run first, over the whole study, and raise
-    InvalidLandmark. geometry.register_points then registers all scenes at
-    once and masks the degenerate ones; a scene keeps the reason its first
-    failing check gives (frame determinant, frame scalars, then points).
-
-    Returns:
-        (sample, skipped_ids, flipped_ids). Geometric degeneracies abort
-        with the first offending scene's id, in input order, unless
-        skip_degenerate, in which case every degenerate scene is dropped
-        and listed. Warns when charts mix determinant sign flips.
+    A LandmarkStudy hands over its stack; a list of scenes is stacked here,
+    cut to the labels spec names when the scenes differ in size.
     """
+    if isinstance(scenes, LandmarkStudy):
+        check_scene_labels(scenes[0], spec)  # every scene of a study has one shape
+        return scenes.ids, scenes.points
     checked = set()
     for scene in scenes:  # scenes of one shape pass or fail the label checks alike
         if scene.points.shape not in checked:
@@ -102,35 +97,55 @@ def register_scenes(
     if len(checked) > 1:  # mixed sizes: keep the labels up to the largest spec names
         need = max(spec.frame_labels + spec.remaining_labels)
         points = [p[:need] for p in points]
-    units, flipped, errors = register_points(np.stack(points), spec)
+    return tuple(s.scene_id for s in scenes), np.stack(points)
+
+
+def register_scenes(
+    scenes: Sequence[LandmarkScene], spec: FrameSpec, skip_degenerate: bool = False
+) -> Tuple[DirectionSample, List[str], List[str]]:
+    """Register scenes on the sphere product in one stacked pass.
+
+    scenes is a LandmarkStudy, whose stack is registered as it is, or any
+    sequence of LandmarkScene. The label checks run first, over the whole
+    study, and raise InvalidLandmark. geometry.register_points then
+    registers all scenes at once and masks the degenerate ones; a scene
+    keeps the reason its first failing check gives (frame determinant,
+    frame scalars, then points).
+
+    Returns:
+        (sample, skipped_ids, flipped_ids). Geometric degeneracies abort
+        with the first offending scene's id, in input order, unless
+        skip_degenerate, in which case every degenerate scene is dropped
+        and listed. Warns when charts mix determinant sign flips.
+    """
+    ids, points = _stack(scenes, spec)
+    units, flipped, errors = register_points(points, spec)
     if errors and not skip_degenerate:
         first = min(errors)
         exc = errors[first]
-        raise type(exc)(f"scene {scenes[first].scene_id!r}: {exc}") from exc
-    keep = np.ones(len(scenes), dtype=bool)
+        raise type(exc)(f"scene {ids[first]!r}: {exc}") from exc
+    keep = np.ones(len(ids), dtype=bool)
     keep[list(errors)] = False
     if not keep.any():
         raise EmptySample("no scenes survived registration")
-    ids = [s.scene_id for s, kept in zip(scenes, keep) if kept]
-    skipped = [scenes[i].scene_id for i in sorted(errors)]
-    flipped_ids = [s.scene_id for s, f in zip(scenes, flipped & keep) if f]
-    if flipped_ids and len(flipped_ids) < len(ids):
+    kept = [ids[i] for i in np.flatnonzero(keep)]
+    skipped = [ids[i] for i in sorted(errors)]
+    flipped_ids = [ids[i] for i in np.flatnonzero(flipped & keep)]
+    if flipped_ids and len(flipped_ids) < len(kept):
         warnings.warn(
-            f"{len(flipped_ids)} of {len(ids)} scenes registered with a flipped chart "
+            f"{len(flipped_ids)} of {len(kept)} scenes registered with a flipped chart "
             f"orientation: {flipped_ids}",
             MixedOrientationWarning,
             stacklevel=2,
         )
-    return DirectionSample(units[keep], tuple(ids)), skipped, flipped_ids
+    return DirectionSample(units[keep], tuple(kept)), skipped, flipped_ids
 
 
 def run_analysis(config: StudyConfig) -> AnalysisReport:
     """Parse, register, test, diagnose, and reduce one landmark study."""
-    path = Path(config.input_path)
-    scenes = parse_landmarks(path)
-    payload = path.read_bytes()
+    study = parse_landmarks(config.input_path)
     spec = config.frame_spec()
-    sample, skipped, flipped = register_scenes(scenes, spec, config.skip_degenerate)
+    sample, skipped, flipped = register_scenes(study, spec, config.skip_degenerate)
 
     full = coplanarity_test(sample, config.alpha, config.df)
     axes = canonical_axis(sample.units)
@@ -152,8 +167,8 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
     provenance = {
         "software": "opshape",
         "version": __version__,
-        "input_sha256": hashlib.sha256(payload).hexdigest(),
-        "n_input_scenes": len(scenes),
+        "input_sha256": study.sha256,
+        "n_input_scenes": len(study),
         "skipped_scenes": skipped,
         "det_sign_flipped_scenes": flipped,
         "mixed_orientation": bool(flipped) and len(flipped) < sample.n,

@@ -1,5 +1,7 @@
 """Golden output hashes: the bytes of report.json for three fixed studies,
-of the `reduce` outputs and of loo_table.csv, and of the `opshape mc` JSON.
+of the `reduce` outputs and of loo_table.csv, of the `opshape mc` JSON, of
+the `opshape vw` JSON, and of report.json for input with LF line ends and
+with quoted scene ids.
 
 A change that moves any reported digit (a faster kernel that rounds
 differently, a reordered sum) changes these hashes. Update a hash only
@@ -9,10 +11,12 @@ for an intended numeric change, and say why in CHANGES.md.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from opshape.cli import main
+from opshape.geometry import LandmarkScene
 from opshape.io import write_landmarks
 from opshape.synth import synthesize_views
 
@@ -111,3 +115,71 @@ def test_mc_bytes_match_golden_hash(tmp_path, name):
         code = main(["mc", "--out", str(out), *argv])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# bytes of `opshape vw --remaining 5,6,7` for the q3 study, recorded from
+# the csv.reader row loop and the per-scene LandmarkScene list it built
+VW_Q3_GOLDEN = "8646ca86544c266b5aefefece5453dd18cf26de8310095a0ba727045bf5f47a2"
+
+
+def test_vw_bytes_match_golden_hash(tmp_path):
+    views, extra, _ = GOLDEN["q3"]
+    study = tmp_path / "study.csv"
+    write_landmarks(study, synthesize_views(**views))
+    _run(["vw", str(study), "--out", str(tmp_path / "vw.json"), *extra])
+    assert _sha256(tmp_path / "vw.json") == VW_Q3_GOLDEN
+
+
+# report.json of the bent study read from CRLF bytes (what write_landmarks
+# emits) and from the same rows with LF line ends; the reports differ only
+# in provenance.input_sha256, the hash of the bytes that were parsed
+LINE_END_GOLDEN = {
+    b"\r\n": GOLDEN["bent"][2],
+    b"\n": "30299ec1409d28a397a20ed9ec5d646ec61c76c31971be82d8d07430f202f4fe",
+}
+
+
+def test_report_bytes_for_crlf_and_lf_input(tmp_path):
+    views, _, _ = GOLDEN["bent"]
+    write_landmarks(tmp_path / "written.csv", synthesize_views(**views))
+    crlf = (tmp_path / "written.csv").read_bytes()
+    assert crlf.count(b"\r\n") == crlf.count(b"\n")
+    reports = {}
+    for ending, expected in LINE_END_GOLDEN.items():
+        study = tmp_path / f"study{len(ending)}.csv"
+        study.write_bytes(crlf.replace(b"\r\n", ending))
+        out = tmp_path / f"out{len(ending)}"
+        _run(["analyze", str(study), "--out", str(out)])
+        assert _sha256(out / "report.json") == expected
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["provenance"].pop("input_sha256") == _sha256(study)
+        reports[ending] = report
+    assert reports[b"\r\n"] == reports[b"\n"]
+
+
+# report.json of a study whose scene ids hold commas, quotes and spaces, so
+# write_landmarks quotes them and the parser must honour the quoting
+QUOTED_GOLDEN = "f7005d05d97d12bf1a53d5bf02d94efa4c2e9607a8c0d0d084682ca7e4211164"
+
+
+def test_report_bytes_for_quoted_scene_ids(tmp_path):
+    views = synthesize_views(k=5, cameras=30, seed=11, delta=0.02, noise=0.002)
+    awkward = ('cam,{}', 'say "{}"', ' pad {} ', 'é{},"x"')
+    scenes = [
+        LandmarkScene(awkward[i % len(awkward)].format(v.scene_id), v.points)
+        for i, v in enumerate(views)
+    ]
+    study = tmp_path / "study.csv"
+    write_landmarks(study, scenes)
+    assert b'"' in study.read_bytes()
+    _run(["analyze", str(study), "--out", str(tmp_path / "out")])
+    assert _sha256(tmp_path / "out" / "report.json") == QUOTED_GOLDEN

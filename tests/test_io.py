@@ -1,8 +1,15 @@
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from opshape.errors import ParseError, SchemaError
-from opshape.geometry import LandmarkScene
+import opshape.io as oio
+from opshape.errors import InvalidLandmark, ParseError, SchemaError
+from opshape.geometry import LandmarkScene, LandmarkStudy
 from opshape.io import format_float, parse_landmarks, write_landmarks
 
 GOOD = """scene,landmark,x,y
@@ -142,3 +149,289 @@ def test_round_trip_awkward_scene_ids(tmp_path):
     back = parse_landmarks(path)
     assert [s.scene_id for s in back] == ["with space", "comma,inside"]
     np.testing.assert_array_equal(back[1].points, pts + 1)
+
+
+# ---- the columnar pass against the csv.reader row loop ----------------------------
+
+HEAD = "scene,landmark,x,y"
+
+
+def csv_bytes(rows, term="\n", final=True, head=HEAD):
+    lines = [head] + [",".join(str(f) for f in row) for row in rows]
+    return (term.join(lines) + (term if final else "")).encode("utf-8")
+
+
+def grid(ids=("a", "b"), k=3, label="{}", x="0.5", y="-0.25"):
+    return [[sid, label.format(j), x, f"{y}{j}"] for sid in ids for j in range(1, k + 1)]
+
+
+def row_loop(payload):
+    return oio._read_rows(oio._decode(payload))
+
+
+def outcome(read, payload):
+    """(ids, shape, coordinate bytes), or (error class, message, line)."""
+    try:
+        ids, points = read(payload)
+    except (ParseError, SchemaError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return ids, points.shape, np.ascontiguousarray(points).tobytes()
+
+
+def columns(payload, block_bytes=None, limit=None):
+    """_read_columns with its block size and the csv field limit set."""
+    old = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        with mock.patch.object(oio, "_BLOCK_BYTES", block_bytes or oio._BLOCK_BYTES):
+            fast = oio._read_columns(payload)
+            # the row loop runs under the same field limit
+            return fast, outcome(row_loop, payload)
+    finally:
+        csv.field_size_limit(old)
+
+
+def assert_paths_agree(payload, block_bytes=None, limit=None):
+    fast, expected = columns(payload, block_bytes, limit)
+    if fast is not None:
+        assert outcome(lambda _: fast, payload) == expected
+    return fast
+
+
+def block_cut_on_line_end():
+    """Over one default block of rows, one of whose line ends sits exactly
+    where the first block would be cut."""
+    head = (HEAD + "\n").encode()
+    lines = [f"s{i // 4},{i % 4 + 1},0.5,{i}\n".encode() for i in range(6000)]
+    target = len(head) + oio._BLOCK_BYTES
+    ends, pos = [], len(head)
+    for line in lines:
+        pos += len(line)
+        ends.append(pos - 1)
+    before = max(e for e in ends if e <= target)
+    pad = target - before  # leading zeros on the first x move every end by pad
+    lines[0] = lines[0].replace(b",0.5,", b"," + b"0" * pad + b"0.5,", 1)
+    payload = head + b"".join(lines)
+    assert payload[target : target + 1] == b"\n"
+    return payload
+
+
+BLOCK_CUT = block_cut_on_line_end()
+IDS = ["a", "b", "scene one", " padded ", "comma,id", 'say "hi"', "\u00e9t\u00e9", "\u65e5\u672c", "x\x1c"]
+LABELS = ["{}", "{}", "{}", "+{}", " {}", "0{}", "{} "]
+ODD_LABELS = ["{}_0", "0", "-1", "1.5", "x", "", str(2**63), str(2**64 + 1), "\u0663"]
+FLOATS = ["1_0.5", " 1e3 ", "-0", "1E-3", "+.5", "\u0661.5"]
+ODD_FLOATS = ["inf", "-inf", "nan", "Infinity", "1e400", "abc", "", "0x1p3"]
+EDITS = ["blank", "space_line", "bare_cr", "bom", "duplicate", "drop", "nul", "empty", "extra"]
+
+
+@st.composite
+def csv_shaped(draw):
+    """Landmark files built from awkward parts: a grid of (scene, label)
+    rows, shuffled and spelled in odd ways; half of them are then damaged,
+    the other half stay valid."""
+    damaged = draw(st.booleans())
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    if damaged:
+        ids = draw(st.lists(st.sampled_from(IDS) | st.text(max_size=3), min_size=n, max_size=n))
+    else:
+        ids = draw(st.lists(st.sampled_from(IDS), min_size=n, max_size=n, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    coord = finite.map(format_float) | finite.map(repr) | st.sampled_from(FLOATS)
+    if damaged:
+        coord = coord | st.floats().map(repr) | st.sampled_from(ODD_FLOATS)
+    rows = []
+    for sid in ids:
+        if any(c in sid for c in ',"\r\n') and (not damaged or draw(st.booleans())):
+            sid = '"' + sid.replace('"', '""') + '"'  # quoted as csv.writer would
+        for j in range(1, k + 1):
+            spelled = draw(st.sampled_from(LABELS)).format(j)
+            if damaged and draw(st.integers(0, 9)) == 0:
+                spelled = draw(st.sampled_from(ODD_LABELS)).format(j)
+            x, y = (draw(coord) if draw(st.integers(0, 3)) == 0 else format_float(j / 3) for _ in "xy")
+            rows.append(f"{sid},{spelled},{x},{y}")
+    rows = draw(st.permutations(rows))
+    edits = draw(st.lists(st.sampled_from(EDITS), min_size=1, max_size=2)) if damaged else []
+    at = draw(st.integers(0, len(rows)))
+    if "duplicate" in edits and rows:
+        rows.insert(at, rows[at % len(rows)])
+    if "drop" in edits and rows:
+        del rows[at % len(rows)]
+    if "extra" in edits and rows:
+        rows[at % len(rows)] += ",1"
+    if "blank" in edits:
+        rows.insert(at, "")
+    if "space_line" in edits:
+        rows.insert(at, "  ")
+    if "empty" in edits:
+        rows = []
+    mode = draw(st.sampled_from(["\n", "\r\n", "mixed"] if damaged else ["\n", "\r\n"]))
+    lines = [HEAD] + rows
+    terms = [draw(st.sampled_from(["\n", "\r\n"])) if mode == "mixed" else mode for _ in lines]
+    if "bare_cr" in edits:
+        terms[at % len(terms)] = "\r"
+    if draw(st.booleans()):  # no final line end
+        terms[-1] = ""
+    text = "".join(line + term for line, term in zip(lines, terms))
+    if "bom" in edits:
+        text = "\ufeff" + text
+    if "nul" in edits:
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + "\0" + text[cut:]
+    return text.encode("utf-8")
+
+
+payloads = st.one_of(
+    csv_shaped(),
+    csv_shaped(),
+    st.binary(max_size=64),
+    st.binary(max_size=48).map(lambda b: (HEAD + "\n").encode() + b),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(payloads, st.sampled_from([None, 3, 7, 16, 64]), st.sampled_from([None, None, 24]))
+@example(csv_bytes(grid(ids=("scene one", " padded "))), None, None)
+@example(csv_bytes(grid()).replace(b"a,", b'"comma,id",'), None, None)
+@example(csv_bytes(grid()).replace(b"a,", b'"say ""hi""",'), None, None)
+@example(csv_bytes(grid(ids=("\u00e9t\u00e9", "\u65e5\u672c"))), None, None)
+@example(csv_bytes(grid(label="+{}")), None, None)
+@example(csv_bytes(grid(label=" {}")), None, None)
+@example(csv_bytes(grid(label="0{}")), None, None)
+@example(csv_bytes(grid(label="{}_0")), None, None)
+@example(csv_bytes(grid(x="1_0.5")), None, None)
+@example(csv_bytes(grid(x=" 1e3 ")), None, None)
+@example(csv_bytes(grid(x="inf")), None, None)
+@example(csv_bytes(grid(x="nan")), None, None)
+@example(csv_bytes(grid(x="Infinity")), None, None)
+@example(csv_bytes(grid(), term="\r\n"), None, None)
+@example(csv_bytes(grid(), term="\r\n").replace(b"\r\n", b"\n", 2), None, None)
+@example(csv_bytes(grid()).replace(b"\n", b"\r", 2), None, None)
+@example(csv_bytes(grid()).replace(b"\nb", b"\n\nb", 1), None, None)
+@example(csv_bytes(grid()) + b"\n\n", None, None)
+@example("\ufeff".encode() + csv_bytes(grid()), None, None)
+@example(csv_bytes(grid(), final=False), None, None)
+@example(csv_bytes(grid(), term="\r\n", final=False), None, None)
+@example(csv_bytes(grid() + [["a", "2", "9", "9"]]), None, None)
+@example(csv_bytes([r for r in grid() if r[1] != "2"]), None, None)
+@example(csv_bytes([["a", str(2**63), "0", "0"]]), None, None)
+@example(csv_bytes([["a", "1", "0", "0"], ["a", str(2**63 + 1), "0", "0"]]), None, None)
+@example(csv_bytes([]), None, None)
+@example(csv_bytes([], final=False), None, None)
+@example(b"", None, None)
+@example(csv_bytes(grid()).replace(b"0.5", b"0\x005", 1), None, None)
+@example(csv_bytes([["s" * 200_000, "1", "0", "0"]]), None, None)
+@example(csv_bytes(grid(ids=("abcdefg", "b"))), None, 6)
+@example(csv_bytes([[f"s{i}", "1", "0", "0"] for i in range(9)]), 7, None)
+@example(csv_bytes([[f"s{i}", "1", "0", "0"] for i in range(9)], term="\r\n"), 7, None)
+@example(BLOCK_CUT, None, None)
+@example(csv_bytes(grid(), head=" scene ,landmark\t, x,y"), None, None)
+@example(csv_bytes(grid(), head="scene,landmark,x,y\u3000"), None, None)
+def test_columnar_pass_equals_row_loop(payload, block_bytes, limit):
+    assert_paths_agree(payload, block_bytes, limit)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        csv_bytes(grid(ids=("scene one", " padded "))),
+        csv_bytes(grid(ids=("\u00e9t\u00e9", "\u65e5\u672c"))),
+        csv_bytes(grid(label="+{}")),
+        csv_bytes(grid(label=" {}")),
+        csv_bytes(grid(label="0{}")),
+        csv_bytes(grid(x="1_0.5")),
+        csv_bytes(grid(x=" 1e3 ")),
+        csv_bytes(grid(), term="\r\n"),
+        csv_bytes(grid(), final=False),
+        csv_bytes(grid(), term="\r\n", final=False),
+        csv_bytes(grid(), head=" scene ,landmark\t, x,y"),
+        BLOCK_CUT,
+    ],
+)
+def test_plain_files_take_the_columnar_pass(payload):
+    for block_bytes in (None, 7):
+        assert assert_paths_agree(payload, block_bytes) is not None
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        csv_bytes(grid()).replace(b"a,", b'"a",'),
+        csv_bytes(grid()).replace(b"\n", b"\r\n", 1),
+        csv_bytes(grid()).replace(b"\nb", b"\n\nb", 1),
+        csv_bytes(grid()).replace(b"\nb", b"\n  \nb", 1),
+        csv_bytes(grid()).replace(b"a,", b"a\x00,", 1),
+        csv_bytes(grid() + [["a", "1", "0", "0"]]),
+        csv_bytes(grid(x="nan")),
+        csv_bytes(grid(label="{}_0")),
+        csv_bytes([["s" * 200_000, "1", "0", "0"]]),
+    ],
+)
+def test_irregular_files_fall_back_to_the_row_loop(payload):
+    assert assert_paths_agree(payload) is None
+
+
+# ---- write_landmarks then parse_landmarks ------------------------------------------
+
+scene_ids = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), min_size=1, max_size=6
+).filter(lambda s: s == s.strip())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(scene_ids, min_size=1, max_size=4, unique=True)
+    | st.lists(st.from_regex(r"[a-z0-9_.-]{1,6}", fullmatch=True), min_size=1, max_size=4, unique=True),
+    st.integers(1, 5),
+    st.data(),
+)
+@example(["plain", "ids"], 3, None)
+@example(["comma,id", 'say "hi"', "line\nbreak", "\u00e9"], 2, None)
+def test_write_then_parse_round_trips_exactly(tmp_path_factory, ids, k, data):
+    shape = (len(ids), k, 2)
+    if data is None:
+        points = np.random.default_rng(len(ids)).standard_normal(shape) * 1e3
+    else:
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        points = data.draw(hnp.arrays(np.float64, shape, elements=finite))
+    path = tmp_path_factory.mktemp("round_trip") / "study.csv"
+    write_landmarks(path, [LandmarkScene(sid, p) for sid, p in zip(ids, points)])
+    back = parse_landmarks(path)
+    assert back.ids == tuple(ids)
+    assert back.points.tobytes() == np.ascontiguousarray(points).tobytes()
+
+
+# ---- LandmarkStudy ----------------------------------------------------------------
+
+
+def test_study_points_are_read_only_and_scenes_built_on_demand():
+    points = np.arange(24, dtype=float).reshape(2, 6, 2)
+    study = LandmarkStudy(("a", "b"), points, "digest")
+    assert len(study) == 2 and study.sha256 == "digest"
+    assert not study.points.flags.writeable
+    with pytest.raises(ValueError):
+        study.points[0, 0, 0] = 1.0
+    points[0, 0, 0] = -1.0  # the study keeps its own copy
+    assert study.points[0, 0, 0] == 0.0
+    for i, scene in enumerate(study):
+        expected = LandmarkScene(study.ids[i], study.points[i])
+        assert scene.scene_id == expected.scene_id
+        np.testing.assert_array_equal(scene.points, expected.points)
+    assert study[-1].scene_id == "b"
+    with pytest.raises(IndexError):
+        study[2]
+
+
+def test_study_rejects_bad_stacks():
+    with pytest.raises(InvalidLandmark):
+        LandmarkStudy(("a",), np.array([[[0.0, np.nan]]]))
+    with pytest.raises(InvalidLandmark):
+        LandmarkStudy(("a",), np.array([[[0.0, np.inf]]]))
+    with pytest.raises(InvalidLandmark):
+        LandmarkStudy(("a",), np.zeros((1, 2)))
+    with pytest.raises(InvalidLandmark):
+        LandmarkStudy((), np.zeros((0, 5, 2)))
+    with pytest.raises(ValueError):
+        LandmarkStudy(("a", "b"), np.zeros((1, 5, 2)))

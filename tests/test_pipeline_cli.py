@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import builtins
 import csv
 import hashlib
+import io as stdio
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -63,6 +66,27 @@ def test_provenance_hashes_input_bytes(study_csv, study_report):
     assert prov["n_input_scenes"] == 24
     assert prov["skipped_scenes"] == []
     assert prov["mixed_orientation"] is False
+
+
+def test_analyze_reads_its_input_once(study_csv, tmp_path, monkeypatch):
+    # the report's hash must describe the very bytes that were parsed, so
+    # the input is opened once, however the package opens files
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == study_csv.resolve():
+            opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(stdio, "open", counting_open)
+    out = tmp_path / "out"
+    assert main(["analyze", str(study_csv), "--out", str(out)]) == 0
+    assert opened == ["rb"]
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    expected = hashlib.sha256(study_csv.read_bytes()).hexdigest()
+    assert report["provenance"]["input_sha256"] == expected
 
 
 def test_reduction_bookkeeping_is_consistent(study_report):
@@ -378,6 +402,10 @@ def test_cli_bad_statistical_argument_exits_2(study_csv, tmp_path, capsys, comma
         ("vw {folder} --out {out}", 2, "cannot read"),
         ("analyze {degenerate} --out {out} --skip-degenerate", 3, "no scenes survived"),
         ("vw {degenerate} --out {out} --skip-degenerate", 3, "no scenes survived"),
+        ("analyze {huge_quoted} --out {out}", 2, "line 2: field larger than field limit"),
+        ("vw {huge_quoted} --out {out}", 2, "line 2: field larger than field limit"),
+        ("analyze {huge_plain} --out {out}", 2, "line 3: field larger than field limit"),
+        ("vw {huge_plain} --out {out}", 2, "line 3: field larger than field limit"),
     ],
 )
 def test_cli_bad_input_exits_with_documented_code(study_csv, tmp_path, capsys, argv, code, message):
@@ -385,8 +413,22 @@ def test_cli_bad_input_exits_with_documented_code(study_csv, tmp_path, capsys, a
     latin1.write_bytes("scene,landmark,x,y\na,1,0,0\nb\xe9,1,0,0\n".encode("latin-1"))
     degenerate = tmp_path / "degenerate.csv"
     write_landmarks(degenerate, [collinear_frame_scene("bad1"), collinear_frame_scene("bad2")])
+    # a scene id longer than csv.field_size_limit(), quoted and not
+    huge = "s" * 200_000
+    huge_quoted = tmp_path / "huge_quoted.csv"
+    huge_quoted.write_text(f'scene,landmark,x,y\n"{huge}",1,0,0\n', encoding="utf-8")
+    huge_plain = tmp_path / "huge_plain.csv"
+    huge_plain.write_text(f"scene,landmark,x,y\na,1,0,0\n{huge},1,0,0\n", encoding="utf-8")
     out = tmp_path / "out"
-    paths = dict(study=study_csv, latin1=latin1, folder=tmp_path, degenerate=degenerate, out=out)
+    paths = dict(
+        study=study_csv,
+        latin1=latin1,
+        folder=tmp_path,
+        degenerate=degenerate,
+        huge_quoted=huge_quoted,
+        huge_plain=huge_plain,
+        out=out,
+    )
     try:
         rc = main(argv.format(**paths).split())
     except SystemExit as exc:  # argparse rejects the value

@@ -12,13 +12,19 @@ import warnings
 import numpy as np
 import pytest
 
-from opshape.errors import DegenerateFrame, DegeneratePoint, MixedOrientationWarning
+from opshape.errors import (
+    DegenerateFrame,
+    DegeneratePoint,
+    InvalidLandmark,
+    MixedOrientationWarning,
+)
 from opshape.geometry import (
     DET_RTOL,
     POINT_RTOL,
     SCALAR_RTOL,
     FrameSpec,
     LandmarkScene,
+    LandmarkStudy,
     canonical_axis,
     chart_coordinates,
     frame_charts,
@@ -174,6 +180,29 @@ def test_stacked_registration_matches_per_scene_loop(name):
         stacked_register(scenes, spec, False)
     assert str(got.value) == str(expected.value)
     assert type(got.value.__cause__) is type(expected.value.__cause__)
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_study_stack_registers_like_the_per_scene_loop(name):
+    # a LandmarkStudy hands its stack to register_points without a scene list
+    study, remaining = STUDIES[name]
+    scenes = study()
+    stacked = LandmarkStudy([s.scene_id for s in scenes], np.stack([s.points for s in scenes]))
+    spec = FrameSpec((1, 2, 4, 3), remaining)
+
+    units, ids, skipped, flipped = reference_register(scenes, spec, skip_degenerate=True)
+    sample, got_skipped, got_flipped = stacked_register(stacked, spec, True)
+    assert list(sample.scene_ids) == ids
+    assert (got_skipped, got_flipped) == (skipped, flipped)
+    assert_same_bits(sample.units, units)
+
+    with pytest.raises((DegenerateFrame, DegeneratePoint)) as expected:
+        reference_register(scenes, spec)
+    with pytest.raises(expected.type) as got:
+        stacked_register(stacked, spec, False)
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(InvalidLandmark, match="has no landmark 9"):
+        stacked_register(stacked, FrameSpec((1, 2, 4, 3), (9,)), False)
 
 
 def on_line(pts, label, a, b, t):
