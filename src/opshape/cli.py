@@ -13,7 +13,6 @@ stderr, never a traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -31,12 +30,12 @@ from .errors import (
     SchemaError,
 )
 from .geometry import FrameSpec, canonical_axis
-from .io import parse_landmarks, write_landmarks
+from .io import parse_landmarks, write_json, write_landmarks
 from .pipeline import (
     StudyConfig,
     emit_outputs,
     register_scenes,
-    report_to_dict,
+    report_fields,
     run_analysis,
     run_monte_carlo,
     write_loo_table,
@@ -239,17 +238,9 @@ def _cmd_reduce(args) -> int:
     report = run_analysis(_study_config(args))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    full = report_to_dict(report)
-    payload = {
-        "provenance": full["provenance"],
-        "config": full["config"],
-        "leave_one_out": full["leave_one_out"],
-        "reduction": full["reduction"],
-        "reduced": full["reduced"],
-    }
-    (outdir / "reduction.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    fields = report_fields(report)
+    kept = ("provenance", "config", "leave_one_out", "reduction", "reduced")
+    write_json(outdir / "reduction.json", {key: fields[key] for key in kept})
     write_loo_table(report.loo, outdir / "loo_table.csv")
     if report.trace is not None:
         removed = ", ".join(report.trace.removed_scene_ids) or "none"
@@ -280,14 +271,14 @@ def _cmd_vw(args) -> int:
                 "top_eigenvalue": v.top_eigenvalue,
                 "eigengap": v.eigengap,
                 "total_variance": v.total_variance,
-                "top_axis": [float(x) for x in v.top_axis],
+                "top_axis": v.top_axis,
                 "focal": v.focal,
             }
         )
         print(f"block {f}: tS_axial={v.total_variance:.6g} lambda1={v.top_eigenvalue:.6g}")
     payload = {"skipped_scenes": skipped, "blocks": blocks}
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(args.out, payload)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -319,7 +310,7 @@ def _cmd_mc(args) -> int:
         oracle_draws=args.oracle_draws,
     )
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    write_json(args.out, result)
     print(
         f"coverage {result['coverage']:.4f} ({result['hits']}/{result['reps']}) "
         f"oracle tS {result['oracle_total_variance']:.6g}"

@@ -10,17 +10,20 @@ strings, so the outcome does not depend on input row order.
 Each step scores all n deletions at once with a closed-form kernel: deleting
 one row changes the mean and the scatter matrix by a rank-one update, so the
 post-deletion endpoints cost one O(n (qd)^2) numpy pass instead of n full
-tests. The kernel only ranks. Every deletion whose endpoint could, within
-the kernel's error bound, still be the largest is recomputed exactly with
-coplanarity_test, and the argmax and tie-break are taken over those exact
-values, so the reported steps are those of an exhaustive search. A step
-typically recomputes one or two deletions.
+tests. The kernel only ranks. The deletions whose endpoint could, within the
+kernel's error bound, still be the largest form the step's window: their
+reduced samples are gathered into one array and scored exactly by one
+stacked_moments pass, and the argmax and tie-break are taken over those
+exact endpoints, so the reported steps are those of an exhaustive search. A
+window typically holds one or two deletions. Only the winner gets a full
+summary, built from its row of the pass by units_summary, the function
+coplanarity_test wraps.
 
 The single-deletion table is reported, so it is not ranked by the kernel:
-its rows are computed exactly, by one stacked pass that gathers the reduced
-samples of a slice of deletions into one array and takes their moments as
-array operations, in slices of at most about 2^14 doubles. Every row is
-bit-identical to a full coplanarity_test on the sample with that row deleted.
+its rows are computed exactly by the same gathered pass, in slices of at
+most about 2^14 doubles. Every row, like every greedy endpoint and summary,
+is bit-identical to a full coplanarity_test on the sample with that row
+deleted.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ from .directional import (
     coplanarity_test,
     normal_quantile,
     stacked_moments,
+    units_summary,
     z_statistic,
 )
-from .errors import EmptySample, FocalMean, InvalidLevel
+from .errors import EmptySample, InvalidLevel
 from .geometry import DirectionSample
 
 STOP_NONPOSITIVE = "lower_endpoint_nonpositive"
@@ -95,13 +99,27 @@ class LeaveOneOutRow:
 _LOO_SLICE_DOUBLES = 1 << 14
 
 
+def _deletion_moments(units: np.ndarray, rows: np.ndarray):
+    """The samples units (n, q, d) without each of rows, and their moments.
+
+    Returns (stack, mean, resultant, ts, se, focal): stack has shape
+    (len(rows), n - 1, q, d), entry r holding units[j + (j >= rows[r])] for
+    j < n - 1, one C-contiguous array laid out as r samples of their own, and
+    the rest is stacked_moments(stack), each entry bit-identical to the
+    same sample computed alone.
+    """
+    cols = np.arange(units.shape[0] - 1)
+    stack = units[cols + (cols >= rows[:, None])]
+    return (stack,) + stacked_moments(stack)
+
+
 def leave_one_out(
     sample: DirectionSample, alpha: float = 0.05, df: Optional[int] = None
 ) -> List[LeaveOneOutRow]:
     """Single-deletion dispersion table, one row per scene in sample order.
 
     One stacked exact pass: for a slice of deleted rows i at a time, the
-    reduced samples units[j + (j >= i)] are gathered into one
+    reduced samples are gathered by _deletion_moments into one
     (rows, n - 1, q, d) array of at most about 2^14 doubles, and their tS and
     SE come from stacked_moments, ci_lower from confidence_interval and z
     from z_statistic. Each row is bit-identical to coplanarity_test on
@@ -109,7 +127,8 @@ def leave_one_out(
     row (statistics NaN) rather than raised: the table is a diagnostic, not
     an analysis.
     """
-    n, q, d = sample.units.shape
+    units = sample.units
+    n, q, d = units.shape
     if n < 3:
         raise EmptySample("need at least three scenes for single-deletion diagnostics")
     if not 0.0 < alpha < 1.0:
@@ -119,13 +138,11 @@ def leave_one_out(
     ts = np.empty(n)
     se = np.empty(n)
     focal = np.empty(n, dtype=bool)
-    cols = np.arange(n - 1)
     step = max(1, _LOO_SLICE_DOUBLES // ((n - 1) * q * d))
     for start in range(0, n, step):
         stop = min(start + step, n)
-        deleted = np.arange(start, stop)[:, None]
-        stack = sample.units[cols + (cols >= deleted)]
-        _, _, ts[start:stop], se[start:stop], focal[start:stop] = stacked_moments(stack)
+        moments = _deletion_moments(units, np.arange(start, stop))
+        ts[start:stop], se[start:stop], focal[start:stop] = moments[3:]
     # NaN statistics on focal rows: their z is NaN and their degenerate flag false
     ts[focal] = np.nan
     se[focal] = np.nan
@@ -139,10 +156,10 @@ def leave_one_out(
     return rows
 
 
-def _deletion_endpoints(sample: DirectionSample, z: float) -> Tuple[np.ndarray, np.ndarray]:
+def _deletion_endpoints(units: np.ndarray, z: float) -> Tuple[np.ndarray, np.ndarray]:
     """CI lower endpoints after each single deletion, and their error bounds.
 
-    One numpy pass over the (n, q, d) units of the sample: with mean
+    One numpy pass over the (n, q, d) units of a sample: with mean
     m, centred rows D = U - m and C = D'D / n, deleting row i leaves the mean
     m_-i = m - D_i / (n-1) and the quadratic form
     g_i' S_-i g_i = [n g_i'C g_i - n/(n-1) (D_i . g_i)^2] / (n-1), a rank-one
@@ -154,13 +171,13 @@ def _deletion_endpoints(sample: DirectionSample, z: float) -> Tuple[np.ndarray, 
         a focal mean; err is the bound of the module's error model, infinite
         where a block mean lies within FOCAL_MARGIN of FOCAL_TOL.
     """
-    n, q, d = sample.units.shape
-    flat = sample.units.reshape(n, q * d)
-    mean = flat.mean(axis=0)
+    n, q, d = units.shape
+    flat = units.reshape(n, q * d)
+    mean = flat.sum(axis=0) / n
     dev = flat - mean
     cov = dev.T @ dev / n
     del_means = (mean - dev / (n - 1)).reshape(n, q, d)
-    r = np.linalg.norm(del_means, axis=2)
+    r = np.sqrt((del_means * del_means).sum(axis=2))
     rmin = r.min(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         grad = (-2.0 * del_means / r[:, :, None]).reshape(n, q * d)
@@ -170,17 +187,18 @@ def _deletion_endpoints(sample: DirectionSample, z: float) -> Tuple[np.ndarray, 
         se_raw = np.sqrt(quad / (n - 1))
         ts, se = _dispersion_and_se(r, se_raw)
         rho = (KERNEL_RTOL + n * _EPS) / rmin
-        scale = 4.0 * q * (n * np.trace(cov) + n / (n - 1) * np.einsum("ij,ij->i", dev, dev))
+        scale = 4.0 * q * (n * cov.trace() + n / (n - 1) * np.einsum("ij,ij->i", dev, dev))
         e = rho * scale / (n - 1) ** 2
         dse = np.where(e > 0.0, 2.0 * e / (se_raw + np.sqrt(e)), 0.0)
         err = 2.0 * q * rho + z * (dse + SE_CLAMP_RTOL * (1.0 + ts))
     lower = ts - z * se
-    lower[rmin < FOCAL_TOL - FOCAL_MARGIN] = np.nan
-    # near-focal deletions: finite, so they pass the focal mask, and with an
-    # infinite bound, so greedy_reduce always re-evaluates them
-    near = np.abs(rmin - FOCAL_TOL) <= FOCAL_MARGIN
-    lower[near] = 0.0
-    err[near] = np.inf
+    if rmin.min() <= FOCAL_TOL + FOCAL_MARGIN:  # some deletion is focal or nearly so
+        lower[rmin < FOCAL_TOL - FOCAL_MARGIN] = np.nan
+        # near-focal deletions: finite, so they pass the focal mask, and with
+        # an infinite bound, so greedy_reduce always re-evaluates them
+        near = np.abs(rmin - FOCAL_TOL) <= FOCAL_MARGIN
+        lower[near] = 0.0
+        err[near] = np.inf
     return lower, err
 
 
@@ -217,12 +235,16 @@ def greedy_reduce(
     """Remove scenes one at a time, keeping the lower endpoint maximal.
 
     Each iteration scores every single deletion from the current sample
-    with the deletion kernel, recomputes exactly those that could hold the
-    maximum, and removes the argmax of the post-deletion CI lower endpoint
-    at level alpha_ref. The loop stops, checking before each removal, when the
-    current endpoint is at most the fp zero floor (the test no longer
-    rejects), when max_removals (default n // 4) have been removed, or when
-    no deletion can be evaluated at all.
+    with the deletion kernel, scores the window of deletions that could
+    hold the maximum exactly by one gathered stacked_moments pass, and
+    removes the argmax of the post-deletion CI lower endpoint at level
+    alpha_ref. The loop carries the current (n, q, d) units and the indices
+    of the surviving scenes, not a sample per candidate; the winner's
+    OpsSummary comes from its row of the pass through units_summary. The loop
+    stops, checking before each removal, when the current endpoint is at
+    most the fp zero floor (the test no longer rejects), when max_removals
+    (default n // 4) have been removed, or when no deletion can be
+    evaluated at all.
 
     Args:
         sample: registered directions, n >= 3.
@@ -240,58 +262,59 @@ def greedy_reduce(
         raise ValueError("max_removals must be >= 0")
 
     z = normal_quantile(1.0 - alpha_ref / 2.0)
-    current = sample
-    summary = coplanarity_test(current, alpha_ref, df)
+    summary = coplanarity_test(sample, alpha_ref, df)
+    df = summary.df
+    ids = sample.scene_ids
+    units = sample.units
+    survivors = list(range(sample.n))
     steps: List[ReductionStep] = []
     while True:
         if summary.ci[0] <= ZERO_TOL:
             reason = STOP_NONPOSITIVE
             break
-        if len(steps) >= max_removals or current.n <= 3:
+        if len(steps) >= max_removals or len(survivors) <= 3:
             reason = STOP_MAX_REMOVALS
             break
 
         # rank by the kernel; only deletions whose endpoint could still be
-        # the maximum are recomputed exactly, and the argmax is taken there
-        lower, err = _deletion_endpoints(current, z)
+        # the maximum are scored exactly, and the argmax is taken there
+        lower, err = _deletion_endpoints(units, z)
         ok = ~np.isnan(lower)
         floor = np.max(lower[ok] - err[ok], initial=-np.inf)
-        best: Optional[Tuple[float, int, OpsSummary, DirectionSample]] = None
-        for i in np.flatnonzero(ok & (lower + err >= floor)).tolist():
-            reduced = current.without(i)
-            try:
-                cand = coplanarity_test(reduced, alpha_ref, df)
-            except FocalMean:
-                continue
-            lower_i = cand.ci[0]
+        window = np.flatnonzero(ok & (lower + err >= floor))
+        stack, mean, resultant, ts, se, focal = _deletion_moments(units, window)
+        ts[focal] = np.nan  # their statistics are undefined; NaN raises no warning
+        se[focal] = np.nan
+        exact = confidence_interval(ts, se, alpha_ref)[0]
+        best = None
+        for w in np.flatnonzero(~focal).tolist():
             if (
                 best is None
-                or lower_i > best[0]
+                or exact[w] > exact[best]
                 or (
-                    lower_i == best[0]
-                    and _scene_order_key(current.scene_ids[i])
-                    < _scene_order_key(current.scene_ids[best[1]])
+                    exact[w] == exact[best]
+                    and _scene_order_key(ids[survivors[window[w]]])
+                    < _scene_order_key(ids[survivors[window[best]]])
                 )
             ):
-                best = (lower_i, i, cand, reduced)
+                best = w
         if best is None:
             reason = STOP_NO_IMPROVEMENT
             break
 
-        lower_i, idx, summary, reduced = best
-        steps.append(
-            ReductionStep(
-                removed_scene_id=current.scene_ids[idx],
-                summary=summary,
-                ci_lower=lower_i,
-            )
+        units = stack[best]
+        summary = units_summary(
+            units, alpha_ref, df, mean[best], resultant[best], ts[best], se[best]
         )
-        current = reduced
+        removed = survivors.pop(window[best])
+        steps.append(
+            ReductionStep(removed_scene_id=ids[removed], summary=summary, ci_lower=summary.ci[0])
+        )
 
     return ReductionTrace(
         steps=tuple(steps),
         alpha_ref=alpha_ref,
-        initial_scene_ids=sample.scene_ids,
-        final_scene_ids=current.scene_ids,
+        initial_scene_ids=ids,
+        final_scene_ids=tuple(ids[i] for i in survivors),
         stopped_reason=reason,
     )

@@ -104,18 +104,22 @@ def _dispersion_and_se(resultant, se_raw=0.0):
 
 def sample_covariance(sample: DirectionSample) -> np.ndarray:
     """Covariance (1/n normalization) of the stacked block vectors, (q*d, q*d)."""
-    n = sample.n
-    flat = sample.units.reshape(n, -1)
-    dev = flat - flat.mean(axis=0)
+    return _covariance(sample.units)
+
+
+def _covariance(units: np.ndarray) -> np.ndarray:
+    n = units.shape[0]
+    flat = units.reshape(n, -1)
+    dev = flat - flat.sum(axis=0) / n  # flat.mean(axis=0), bit for bit
     return dev.T @ dev / n
 
 
 def stacked_moments(units: np.ndarray):
     """Block means, resultant lengths, tS and delta SE of R samples at once.
 
-    units has shape (R, n, q, d), one sample per leading index. Returns
-    (mean (R, q, d), resultant (R, q), ts (R,), se (R,), focal (R,)), each
-    entry bit-identical to the same sample computed alone: the SE is
+    units has shape (R, n, q, d), one sample per leading index; R may be 0.
+    Returns (mean (R, q, d), resultant (R, q), ts (R,), se (R,), focal (R,)),
+    each entry bit-identical to the same sample computed alone: the SE is
     sqrt(g' S_n g / n) with g the stacked per-block gradients
     -2 u_bar_f / ||u_bar_f||, evaluated as a mean of squared projections,
     which cannot go negative under rounding (unlike the assembled-matrix
@@ -124,14 +128,16 @@ def stacked_moments(units: np.ndarray):
     mean shorter than FOCAL_TOL: their extrinsic mean and gradient are
     undefined, and so are their ts and se (NaN, inf or meaningless).
     """
-    reps, n = units.shape[:2]
-    mean = units.mean(axis=1)
-    resultant = np.linalg.norm(mean, axis=-1)
+    reps, n, q, d = units.shape
+    # the same operations, bit for bit, as units.mean(axis=1) and
+    # np.linalg.norm(mean, axis=-1), without their Python overhead
+    mean = units.sum(axis=1) / n
+    resultant = np.sqrt((mean * mean).sum(axis=-1))
     focal = (resultant < FOCAL_TOL).any(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        grad = (-2.0 * mean / resultant[..., None]).reshape(reps, -1, 1)
+        grad = (-2.0 * mean / resultant[..., None]).reshape(reps, q * d, 1)
         # per sample: one (n, qd) @ (qd,) gemv and one dot, as for a single sample
-        proj = (units.reshape(reps, n, -1) - mean.reshape(reps, 1, -1)) @ grad
+        proj = (units.reshape(reps, n, q * d) - mean.reshape(reps, 1, q * d)) @ grad
         quad = (proj.transpose(0, 2, 1) @ proj).reshape(reps) / n
         ts, se = _dispersion_and_se(resultant, np.sqrt(quad / n))
     return mean, resultant, ts, se, focal
@@ -280,26 +286,43 @@ def coplanarity_test(
         df = (sample.dim - 1) * sample.q
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
+    moments = (a[0] for a in sample_moments(sample.units[None]))
+    return units_summary(sample.units, alpha, df, *moments)
 
-    mean, resultant, ts, se = (a[0] for a in sample_moments(sample.units[None]))
-    mu = mean / resultant[:, None]  # extrinsic mean; no block is focal
-    cov = sample_covariance(sample)
+
+def units_summary(
+    units: np.ndarray,
+    alpha: float,
+    df: int,
+    mean: np.ndarray,
+    resultant: np.ndarray,
+    ts: float,
+    se: float,
+) -> OpsSummary:
+    """The OpsSummary of the (n, q, d) units, given their stacked_moments row.
+
+    mean, resultant, ts and se are one sample's entries of stacked_moments,
+    for a sample that is not focal; alpha and df are taken as valid. The
+    covariance and the statistics are added here, so coplanarity_test and
+    a row of a stacked pass give bit-identical summaries.
+    """
+    n, q, d = units.shape
     ts, se = float(ts), float(se)
     z, p_normal, degenerate = z_statistic(ts, se)
-    t_stat, p_chisq = chisq_statistic(ts, sample.n, df)
+    t_stat, p_chisq = chisq_statistic(ts, n, df)
     ci = confidence_interval(ts, se, alpha)
 
     return OpsSummary(
-        n=sample.n,
-        q=sample.q,
-        dim=sample.dim,
+        n=n,
+        q=q,
+        dim=d,
         alpha=alpha,
         df=df,
         mean_vector=mean,
         resultant=resultant,
-        extrinsic_mean=mu,
+        extrinsic_mean=mean / resultant[:, None],
         total_variance=ts,
-        covariance=cov,
+        covariance=_covariance(units),
         se=se,
         z=z,
         t_stat=t_stat,

@@ -1,4 +1,4 @@
-"""Landmark CSV reading and writing.
+"""Landmark CSV reading and writing, and the JSON writer of every output.
 
 Input contract: UTF-8 CSV with header `scene,landmark,x,y`; scene ids are
 strings, landmark labels positive integers, coordinates finite floats. Rows
@@ -14,14 +14,19 @@ of about _BLOCK_BYTES cut at line ends. Anything else, quoted ids
 included, and any file that fails a conversion or check on that pass, goes
 through the csv.reader row loop, which raises each ParseError or
 SchemaError with its message and line number.
+
+json_text writes the bytes json.dumps(indent=2, ensure_ascii=True) would,
+for values that may hold numpy arrays; see its docstring.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -233,7 +238,19 @@ def parse_landmarks(path) -> LandmarkStudy:
 
 
 def write_landmarks(path, scenes: Sequence[LandmarkScene]) -> None:
-    """Write scenes in the input CSV format, floats at 17 significant digits."""
+    """Write scenes in the input CSV format, floats at 17 significant digits.
+
+    Raises:
+        SchemaError: a scene id that parse_landmarks would not read back as
+            it is: an empty id, or one with leading or trailing whitespace,
+            which the parser strips. Raised before the file is opened.
+    """
+    for scene in scenes:
+        if not scene.scene_id or scene.scene_id != scene.scene_id.strip():
+            raise SchemaError(
+                f"scene id {scene.scene_id!r} would not read back: ids must be "
+                "nonempty, without leading or trailing whitespace"
+            )
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -253,3 +270,112 @@ def write_rows(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
             writer.writerow(
                 [format_float(v) if isinstance(v, float) else str(v) for v in row]
             )
+
+
+@functools.lru_cache(maxsize=256)
+def _array_template(shape: Tuple[int, ...], level: int) -> str:
+    """%-template of an array of this shape, indented at level as json.dumps(indent=2) would."""
+    if not shape:
+        return "%r"
+    if shape[0] == 0:
+        return "[]"
+    inner = _array_template(shape[1:], level + 1)
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return "null" if "n" in text else text  # only 'nan', 'inf' and '-inf' hold an n
+
+
+# the JSON text of a scalar of exactly this type
+_SCALARS = {
+    str: encode_basestring_ascii,
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_parts(value, level: int, out: List[str]) -> None:
+    """Append the JSON text of value to out, as json.dumps(indent=2) writes it."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+        return
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "fiu":
+            # the repr of a Python float or int is its JSON text, unless it
+            # is 'nan', 'inf' or '-inf', the only ones with an n
+            text = _array_template(value.shape, level) % tuple(value.ravel().tolist())
+            if "n" not in text:
+                out.append(text)
+                return
+        _json_parts(value.tolist(), level, out)
+        return
+    if isinstance(value, dict):
+        heads, items, close = _item_heads(tuple(value), level), value.values(), "}"
+    elif isinstance(value, (list, tuple)):
+        heads, items, close = _item_heads(len(value), level), value, "]"
+    elif isinstance(value, int):  # subclasses, as json writes them
+        out.append(int.__repr__(value))
+        return
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+        return
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+        return
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    if not heads:
+        out.append("{}" if close == "}" else "[]")
+        return
+    for head, item in zip(heads, items):
+        scalar = _SCALARS.get(type(item))
+        if scalar is None:
+            out.append(head)
+            _json_parts(item, level + 1, out)
+        else:
+            out.append(head + scalar(item))
+    out.append("\n" + "  " * level + close)
+
+
+@functools.lru_cache(maxsize=1024)
+def _item_heads(keys, level: int) -> Tuple[str, ...]:
+    """The text before each item of a container at level: the opening
+    bracket or a comma, the line break and indent, and for a dict the key.
+
+    keys is the dict's keys as a tuple, or the length of a list.
+    """
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(keys, int):
+        return tuple(("," if i else "[") + pad for i in range(keys))
+    return tuple(
+        ("," if i else "{") + pad + encode_basestring_ascii(key) + ": "
+        for i, key in enumerate(keys)
+    )
+
+
+def json_text(value) -> str:
+    """json.dumps(value, indent=2, ensure_ascii=True), with arrays and NaN.
+
+    Besides dicts with str keys, lists, tuples, str, int, float, bool and
+    None, value may hold numpy arrays, written as nested lists. Floats are
+    written by float.__repr__, the shortest string that reads back as the
+    same double, as json writes them; a non-finite float, which JSON
+    cannot hold, is written as null. A float or integer array is formatted
+    by one cached %r template per shape and indentation, without building
+    nested lists or running json's pure-Python indenting encoder; one that
+    holds a non-finite value is written element by element.
+    """
+    out: List[str] = []
+    _json_parts(value, 0, out)
+    return "".join(out)
+
+
+def write_json(path, value) -> None:
+    """Write json_text(value) and a final newline to path as UTF-8."""
+    Path(path).write_text(json_text(value) + "\n", encoding="utf-8")

@@ -1,14 +1,18 @@
 """End-to-end study pipeline: registration, inference, diagnostics, outputs.
 
-Reports are deterministic: no timestamps, floats via shortest round-trip
-repr, provenance keyed by the sha256 of the input bytes. Identical input
-and configuration yield byte-identical report.json.
+Reports are deterministic: no timestamps, provenance keyed by the sha256 of
+the input bytes. Every JSON output (report.json, reduction.json, the vw and
+mc files) goes through io.json_text, which writes the text
+json.dumps(indent=2) would: each float by float.__repr__, the shortest
+string that reads back as the same double, a non-finite one as null, and
+each float64 array of the report straight from the array, one %-template
+per shape. Identical input and configuration yield byte-identical
+report.json.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +40,7 @@ from .geometry import (
     check_unit_norm,
     register_points,
 )
-from .io import format_float, parse_landmarks, write_rows
+from .io import json_text, parse_landmarks, write_json, write_rows
 from .rng import SplitMix64
 from .synth import tangent_gaussian_sample, tangent_gaussian_samples
 from .vw import VwSummary, total_variance_ps
@@ -187,12 +191,6 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
     )
 
 
-def _jf(x) -> Optional[float]:
-    # JSON has no inf/nan; they appear only on flagged degenerate paths
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
 def _summary_dict(s: OpsSummary) -> Dict:
     return {
         "n": s.n,
@@ -200,17 +198,17 @@ def _summary_dict(s: OpsSummary) -> Dict:
         "dim": s.dim,
         "alpha": s.alpha,
         "df": s.df,
-        "mean_vector": [[_jf(v) for v in row] for row in s.mean_vector],
-        "resultant": [_jf(v) for v in s.resultant],
-        "extrinsic_mean": [[_jf(v) for v in row] for row in s.extrinsic_mean],
-        "total_variance": _jf(s.total_variance),
-        "covariance": [[_jf(v) for v in row] for row in s.covariance],
-        "se": _jf(s.se),
-        "z": _jf(s.z),
-        "t_stat": _jf(s.t_stat),
-        "p_normal": _jf(s.p_normal),
-        "p_chisq": _jf(s.p_chisq),
-        "ci": [_jf(s.ci[0]), _jf(s.ci[1])],
+        "mean_vector": s.mean_vector,
+        "resultant": s.resultant,
+        "extrinsic_mean": s.extrinsic_mean,
+        "total_variance": s.total_variance,
+        "covariance": s.covariance,
+        "se": s.se,
+        "z": s.z,
+        "t_stat": s.t_stat,
+        "p_normal": s.p_normal,
+        "p_chisq": s.p_chisq,
+        "ci": list(s.ci),
         "degenerate": s.degenerate,
         "reject_ci": s.reject_ci,
         "reject_chisq": s.reject_chisq,
@@ -220,17 +218,22 @@ def _summary_dict(s: OpsSummary) -> Dict:
 def _vw_dict(v: VwSummary) -> Dict:
     return {
         "n": v.n,
-        "mean_matrix": [[_jf(x) for x in row] for row in v.mean_matrix],
-        "top_eigenvalue": _jf(v.top_eigenvalue),
-        "top_axis": [_jf(x) for x in v.top_axis],
-        "eigengap": _jf(v.eigengap),
-        "total_variance": _jf(v.total_variance),
+        "mean_matrix": v.mean_matrix,
+        "top_eigenvalue": v.top_eigenvalue,
+        "top_axis": v.top_axis,
+        "eigengap": v.eigengap,
+        "total_variance": v.total_variance,
         "focal": v.focal,
     }
 
 
-def report_to_dict(report: AnalysisReport) -> Dict:
-    """JSON-native view of the report; floats stay exact on round-trip."""
+def report_fields(report: AnalysisReport) -> Dict:
+    """The layout of report.json: its fields in order, arrays left as arrays.
+
+    io.json_text writes this dict as report.json, a float64 array as
+    nested lists and a non-finite float as null; report_to_dict is that
+    text read back, so the layout is described here only.
+    """
     cfg = report.config
     trace = report.trace
     return {
@@ -246,19 +249,17 @@ def report_to_dict(report: AnalysisReport) -> Dict:
             "skip_degenerate": cfg.skip_degenerate,
         },
         "scene_ids": list(report.sample.scene_ids),
-        "directions": [
-            [[_jf(x) for x in block] for block in row] for row in report.sample.units
-        ],
-        "axes": [[[_jf(x) for x in block] for block in row] for row in report.axes],
+        "directions": report.sample.units,
+        "axes": report.axes,
         "full": _summary_dict(report.full),
         "vw_full": [_vw_dict(v) for v in report.vw_full],
         "leave_one_out": [
             {
                 "scene_id": r.scene_id,
-                "total_variance": _jf(r.total_variance),
-                "se": _jf(r.se),
-                "z": _jf(r.z),
-                "ci_lower": _jf(r.ci_lower),
+                "total_variance": r.total_variance,
+                "se": r.se,
+                "z": r.z,
+                "ci_lower": r.ci_lower,
                 "degenerate": r.degenerate,
                 "focal": r.focal,
             }
@@ -274,7 +275,7 @@ def report_to_dict(report: AnalysisReport) -> Dict:
             "steps": [
                 {
                     "removed_scene_id": step.removed_scene_id,
-                    "ci_lower": _jf(step.ci_lower),
+                    "ci_lower": step.ci_lower,
                     "summary": _summary_dict(step.summary),
                 }
                 for step in trace.steps
@@ -287,9 +288,13 @@ def report_to_dict(report: AnalysisReport) -> Dict:
     }
 
 
+def report_to_dict(report: AnalysisReport) -> Dict:
+    """JSON-native view of the report: report.json's text, read back."""
+    return json.loads(json_text(report_fields(report)))
+
+
 def write_report(report: AnalysisReport, path) -> None:
-    payload = json.dumps(report_to_dict(report), indent=2, ensure_ascii=True)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
+    write_json(path, report_fields(report))
 
 
 def _coordinate_header(dim: int) -> List[str]:

@@ -13,10 +13,12 @@ from opshape.diagnostics import (
     STOP_NO_IMPROVEMENT,
     STOP_NONPOSITIVE,
     LeaveOneOutRow,
+    ReductionStep,
+    ReductionTrace,
     greedy_reduce,
     leave_one_out,
 )
-from opshape.directional import coplanarity_test, normal_quantile
+from opshape.directional import OpsSummary, coplanarity_test, normal_quantile
 from opshape.errors import EmptySample, FocalMean, InvalidLevel
 from opshape.geometry import DirectionSample
 from opshape.synth import tangent_gaussian_sample
@@ -303,7 +305,9 @@ ANTIPODAL = DirectionSample.from_vectors(np.vstack([np.eye(3)[:2], -np.eye(3)[:2
 def test_deletion_kernel_matches_direct_within_window(sample, alpha):
     # the greedy window is the kernel's error bound; the real distance to
     # the direct recomputation must sit far inside it
-    lower, err = diagnostics._deletion_endpoints(sample, normal_quantile(1.0 - alpha / 2.0))
+    lower, err = diagnostics._deletion_endpoints(
+        sample.units, normal_quantile(1.0 - alpha / 2.0)
+    )
     for i in range(sample.n):
         try:
             direct = coplanarity_test(sample.without(i), alpha).ci[0]
@@ -327,6 +331,93 @@ def test_loo_stacked_rows_equal_per_row_loop(sample, alpha, df, rows_per_slice):
     with mock.patch.object(diagnostics, "_LOO_SLICE_DOUBLES", rows_per_slice * (n - 1) * q * d):
         got = leave_one_out(sample, alpha, df)
     assert_same_rows(got, ref_leave_one_out(sample, alpha, df))
+
+
+# ---------- the window pass against the per-candidate loop ------------------------
+
+def ref_greedy_reduce(sample, alpha_ref=0.05, max_removals=None, df=None):
+    """The per-candidate loop the window pass replaced: for every deletion in
+    the kernel's window, one sample copy and one full coplanarity_test."""
+    if max_removals is None:
+        max_removals = sample.n // 4
+    z = normal_quantile(1.0 - alpha_ref / 2.0)
+    current = sample
+    summary = coplanarity_test(current, alpha_ref, df)
+    steps = []
+    while True:
+        if summary.ci[0] <= diagnostics.ZERO_TOL:
+            reason = STOP_NONPOSITIVE
+            break
+        if len(steps) >= max_removals or current.n <= 3:
+            reason = STOP_MAX_REMOVALS
+            break
+        lower, err = diagnostics._deletion_endpoints(current.units, z)
+        ok = ~np.isnan(lower)
+        floor = np.max(lower[ok] - err[ok], initial=-np.inf)
+        best = None
+        for i in np.flatnonzero(ok & (lower + err >= floor)).tolist():
+            reduced = current.without(i)
+            try:
+                cand = coplanarity_test(reduced, alpha_ref, df)
+            except FocalMean:
+                continue
+            lower_i = cand.ci[0]
+            if (
+                best is None
+                or lower_i > best[0]
+                or (
+                    lower_i == best[0]
+                    and diagnostics._scene_order_key(current.scene_ids[i])
+                    < diagnostics._scene_order_key(current.scene_ids[best[1]])
+                )
+            ):
+                best = (lower_i, i, cand, reduced)
+        if best is None:
+            reason = STOP_NO_IMPROVEMENT
+            break
+        lower_i, idx, summary, reduced = best
+        steps.append(ReductionStep(current.scene_ids[idx], summary, lower_i))
+        current = reduced
+    return ReductionTrace(
+        tuple(steps), alpha_ref, sample.scene_ids, current.scene_ids, reason
+    )
+
+
+def assert_same_value(a, b, name):
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    else:
+        # repr tells -0.0 from 0.0, NaN from a number and numpy scalars from Python ones
+        assert repr(a) == repr(b), name
+
+
+def assert_same_trace(got, expected):
+    for field in ("alpha_ref", "initial_scene_ids", "final_scene_ids", "stopped_reason"):
+        assert getattr(got, field) == getattr(expected, field), field
+    assert len(got.steps) == len(expected.steps)
+    for g, e in zip(got.steps, expected.steps):
+        assert g.removed_scene_id == e.removed_scene_id
+        assert_same_value(g.ci_lower, e.ci_lower, "ci_lower")
+        for field in dataclasses.fields(OpsSummary):
+            name = field.name
+            assert_same_value(getattr(g.summary, name), getattr(e.summary, name), name)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kernel_samples(),
+    st.sampled_from([0.01, 0.05, 0.5]),
+    st.sampled_from([None, 1, 2]),
+    st.none() | st.integers(0, 40),
+)
+@example(outlier_sample(n_tight=20, sigma=0.12, seed=3), 0.05, None, 6)
+@example(outlier_sample_q3(), 0.05, None, 6)
+@example(ANTIPODAL, 0.05, None, 2)
+def test_greedy_window_pass_equals_per_candidate_loop(sample, alpha, df, max_removals):
+    assert_same_trace(
+        greedy_reduce(sample, alpha, max_removals, df),
+        ref_greedy_reduce(sample, alpha, max_removals, df),
+    )
 
 
 def test_greedy_bookkeeping_and_summary_consistency():
@@ -362,16 +453,34 @@ class _ScriptedSummary:
     def __init__(self, lower):
         self.ci = (lower, lower + 1.0)
         self.n = 0
+        self.df = 2
 
 
-def _scripted_kernel(lower_of):
-    """Kernel stand-in: lower_of(scene_id) per row, with a zero error bound."""
+def _scripted(sample, monkeypatch, lower_of):
+    """Script greedy's endpoints by deleted scene id: the kernel's, with a
+    zero error bound, and the window's exact ones (NaN meaning focal).
 
-    def kernel(s, z):
-        lower = np.array([lower_of(sid) for sid in s.scene_ids], dtype=np.float64)
-        return lower, np.zeros(s.n)
+    The seams see units, not ids, so each row is looked up by its bytes in
+    sample, whose rows must be distinct.
+    """
+    id_of = {row.tobytes(): sid for row, sid in zip(sample.units, sample.scene_ids)}
+    assert len(id_of) == sample.n
 
-    return kernel
+    def lowers(units, rows):
+        return np.array([lower_of(id_of[units[i].tobytes()]) for i in rows], dtype=np.float64)
+
+    def kernel(units, z):
+        return lowers(units, range(len(units))), np.zeros(len(units))
+
+    real = diagnostics._deletion_moments
+
+    def window(units, rows):
+        stack, mean, resultant, _, _, _ = real(units, rows)
+        lower = lowers(units, rows)
+        return stack, mean, resultant, np.nan_to_num(lower), np.zeros(len(rows)), np.isnan(lower)
+
+    monkeypatch.setattr(diagnostics, "_deletion_endpoints", kernel)
+    monkeypatch.setattr(diagnostics, "_deletion_moments", window)
 
 
 def test_greedy_tie_break_prefers_smallest_numeric_id(monkeypatch):
@@ -381,19 +490,8 @@ def test_greedy_tie_break_prefers_smallest_numeric_id(monkeypatch):
     ids = ("10", "2") + tuple(str(100 + i) for i in range(10))
     sample = DirectionSample.from_vectors(units, scene_ids=ids)
 
-    def scripted(s, alpha, df=None):
-        if s.n == sample.n:
-            return _ScriptedSummary(0.5)
-        missing = set(sample.scene_ids) - set(s.scene_ids)
-        lower = 0.75 if missing & {"2", "10"} else 0.25
-        return _ScriptedSummary(lower)
-
-    monkeypatch.setattr(diagnostics, "coplanarity_test", scripted)
-    monkeypatch.setattr(
-        diagnostics,
-        "_deletion_endpoints",
-        _scripted_kernel(lambda sid: 0.75 if sid in {"2", "10"} else 0.25),
-    )
+    monkeypatch.setattr(diagnostics, "coplanarity_test", lambda *args: _ScriptedSummary(0.5))
+    _scripted(sample, monkeypatch, lambda sid: 0.75 if sid in {"2", "10"} else 0.25)
     trace = greedy_reduce(sample, alpha_ref=0.05, max_removals=1)
     assert trace.steps[0].removed_scene_id == "2"
     assert trace.stopped_reason == STOP_MAX_REMOVALS
@@ -404,11 +502,8 @@ def test_greedy_tie_break_orders_digits_before_names(monkeypatch):
     ids = ("alpha", "7", "beta", "40", "gamma", "11")
     sample = DirectionSample.from_vectors(units, scene_ids=ids)
 
-    def all_tied(s, alpha, df=None):
-        return _ScriptedSummary(0.5)
-
-    monkeypatch.setattr(diagnostics, "coplanarity_test", all_tied)
-    monkeypatch.setattr(diagnostics, "_deletion_endpoints", _scripted_kernel(lambda sid: 0.5))
+    monkeypatch.setattr(diagnostics, "coplanarity_test", lambda *args: _ScriptedSummary(0.5))
+    _scripted(sample, monkeypatch, lambda sid: 0.5)
     trace = greedy_reduce(sample, alpha_ref=0.05, max_removals=3)
     assert [s.removed_scene_id for s in trace.steps] == ["7", "11", "40"]
 
@@ -444,17 +539,23 @@ def test_greedy_no_improvement_when_nothing_evaluable(monkeypatch):
     units = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 60, 30)
     sample = DirectionSample.from_vectors(units)
     assert coplanarity_test(sample, 0.05).ci[0] > 0
-    real = coplanarity_test
+    _scripted(sample, monkeypatch, lambda sid: math.nan)
+    trace = greedy_reduce(sample, alpha_ref=0.05)
+    assert trace.steps == ()
+    assert trace.stopped_reason == STOP_NO_IMPROVEMENT
 
-    def selective(s, alpha, df=None):
-        if s.n < sample.n:
-            raise FocalMean("forced")
-        return real(s, alpha, df)
 
-    monkeypatch.setattr(diagnostics, "coplanarity_test", selective)
-    monkeypatch.setattr(
-        diagnostics, "_deletion_endpoints", _scripted_kernel(lambda sid: math.nan)
-    )
+def test_greedy_no_improvement_when_the_window_is_all_focal(monkeypatch):
+    # the kernel finds candidates, the exact pass rules every one out
+    units = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 60, 30)
+    sample = DirectionSample.from_vectors(units)
+    real = diagnostics._deletion_moments
+
+    def all_focal(units, rows):
+        *moments, focal = real(units, rows)
+        return (*moments, np.ones_like(focal))
+
+    monkeypatch.setattr(diagnostics, "_deletion_moments", all_focal)
     trace = greedy_reduce(sample, alpha_ref=0.05)
     assert trace.steps == ()
     assert trace.stopped_reason == STOP_NO_IMPROVEMENT

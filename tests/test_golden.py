@@ -9,6 +9,7 @@ for an intended numeric change, and say why in CHANGES.md.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -16,8 +17,9 @@ import json
 import pytest
 
 from opshape.cli import main
+from opshape.errors import SchemaError
 from opshape.geometry import LandmarkScene
-from opshape.io import write_landmarks
+from opshape.io import HEADER, format_float, write_landmarks
 from opshape.synth import synthesize_views
 
 GOLDEN = {
@@ -167,7 +169,7 @@ def test_report_bytes_for_crlf_and_lf_input(tmp_path):
 
 
 # report.json of a study whose scene ids hold commas, quotes and spaces, so
-# write_landmarks quotes them and the parser must honour the quoting
+# the csv module quotes them and the parser must honour the quoting
 QUOTED_GOLDEN = "f7005d05d97d12bf1a53d5bf02d94efa4c2e9607a8c0d0d084682ca7e4211164"
 
 
@@ -178,8 +180,17 @@ def test_report_bytes_for_quoted_scene_ids(tmp_path):
         LandmarkScene(awkward[i % len(awkward)].format(v.scene_id), v.points)
         for i, v in enumerate(views)
     ]
+    # write_landmarks refuses the padded ids, which the parser strips, so
+    # the rows are written here as it wrote them before it refused them
+    with pytest.raises(SchemaError):
+        write_landmarks(tmp_path / "refused.csv", scenes)
     study = tmp_path / "study.csv"
-    write_landmarks(study, scenes)
+    with open(study, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(HEADER)
+        for scene in scenes:
+            for label, (x, y) in enumerate(scene.points, start=1):
+                writer.writerow([scene.scene_id, label, format_float(x), format_float(y)])
     assert b'"' in study.read_bytes()
     _run(["analyze", str(study), "--out", str(tmp_path / "out")])
     assert _sha256(tmp_path / "out" / "report.json") == QUOTED_GOLDEN

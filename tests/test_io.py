@@ -1,4 +1,7 @@
 import csv
+import json
+import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 import opshape.io as oio
 from opshape.errors import InvalidLandmark, ParseError, SchemaError
 from opshape.geometry import LandmarkScene, LandmarkStudy
-from opshape.io import format_float, parse_landmarks, write_landmarks
+from opshape.io import format_float, json_text, parse_landmarks, write_json, write_landmarks
 
 GOOD = """scene,landmark,x,y
 a,1,0.0,0.0
@@ -377,7 +380,7 @@ def test_irregular_files_fall_back_to_the_row_loop(payload):
 
 scene_ids = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), min_size=1, max_size=6
-).filter(lambda s: s == s.strip())
+)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -389,7 +392,11 @@ scene_ids = st.text(
 )
 @example(["plain", "ids"], 3, None)
 @example(["comma,id", 'say "hi"', "line\nbreak", "\u00e9"], 2, None)
+@example([" a ", "a"], 2, None)
+@example(["a", "\u3000"], 1, None)
 def test_write_then_parse_round_trips_exactly(tmp_path_factory, ids, k, data):
+    # a study either round-trips bit-exactly or is refused, naming an id the
+    # parser would strip, before anything is written
     shape = (len(ids), k, 2)
     if data is None:
         points = np.random.default_rng(len(ids)).standard_normal(shape) * 1e3
@@ -397,10 +404,24 @@ def test_write_then_parse_round_trips_exactly(tmp_path_factory, ids, k, data):
         finite = st.floats(allow_nan=False, allow_infinity=False)
         points = data.draw(hnp.arrays(np.float64, shape, elements=finite))
     path = tmp_path_factory.mktemp("round_trip") / "study.csv"
-    write_landmarks(path, [LandmarkScene(sid, p) for sid, p in zip(ids, points)])
+    try:
+        write_landmarks(path, [LandmarkScene(sid, p) for sid, p in zip(ids, points)])
+    except SchemaError as exc:
+        assert not path.exists()
+        assert any(repr(sid) in str(exc) for sid in ids if sid != sid.strip())
+        return
     back = parse_landmarks(path)
     assert back.ids == tuple(ids)
     assert back.points.tobytes() == np.ascontiguousarray(points).tobytes()
+
+
+@pytest.mark.parametrize("bad", ["", " ", " a", "a\t", "\u00a0a"])
+def test_write_landmarks_refuses_ids_the_parser_would_change(tmp_path, bad):
+    pts = np.arange(10, dtype=float).reshape(5, 2)
+    path = tmp_path / "study.csv"
+    with pytest.raises(SchemaError, match=re.escape(repr(bad))):
+        write_landmarks(path, [LandmarkScene("ok", pts), LandmarkScene(bad, pts)])
+    assert not path.exists()
 
 
 # ---- LandmarkStudy ----------------------------------------------------------------
@@ -435,3 +456,70 @@ def test_study_rejects_bad_stacks():
         LandmarkStudy((), np.zeros((0, 5, 2)))
     with pytest.raises(ValueError):
         LandmarkStudy(("a", "b"), np.zeros((1, 5, 2)))
+
+
+# ---- the JSON writer against json.dumps(indent=2) ----------------------------------
+
+def json_native(value):
+    """The value json.dumps should see: arrays as lists, non-finite floats as None."""
+    if isinstance(value, np.ndarray):
+        return json_native(value.tolist())
+    if isinstance(value, dict):
+        return {key: json_native(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_native(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+AWKWARD_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from(['"', ",", "[", "]", "{", "}", ":", "\\", "\0", "\x1f", "\x7f", "\u00e9",
+                       "\u65e5", "\u2028", "\U0001f600"]),
+    max_size=8,
+)
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+     0.1, 1e16, 1e-7, math.nan, math.inf, -math.inf]
+)
+JSON_FLOATS = st.floats() | EDGE_FLOATS
+JSON_ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.int64]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+    elements=None,
+) | hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4), elements=JSON_FLOATS
+)
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | JSON_FLOATS | JSON_FLOATS.map(np.float64)
+    | AWKWARD_TEXT | JSON_ARRAYS
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(AWKWARD_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+@example({"ids": ['a"b', "c,d", "[e]", "f\\g", "\x01\n", "\u00e9\u65e5"], "empty": [[], {}, ()]})
+@example([True, 1, 1.0, False, 0, 0.0, None])
+@example({"x": np.array([[-0.0, 5e-324], [1e308, np.nan]]), "y": np.array(math.inf), "z": -math.inf})
+@example({"stack": np.zeros((2, 0, 3)), "scalar": np.array(0.5), "ints": np.arange(4).reshape(2, 2)})
+def test_json_text_equals_json_dumps_indent_2(value):
+    assert json_text(value) == json.dumps(json_native(value), indent=2, ensure_ascii=True)
+
+
+def test_json_text_refuses_what_json_cannot_hold():
+    for bad in (object(), {1: 2}, np.array([1j]), {"a": [np.int64(3)]}):
+        with pytest.raises(TypeError):
+            json_text(bad)
+
+
+def test_write_json_ends_with_a_newline(tmp_path):
+    write_json(tmp_path / "out.json", {"a": np.array([1.5, np.nan])})
+    assert (tmp_path / "out.json").read_bytes() == b'{\n  "a": [\n    1.5,\n    null\n  ]\n}\n'
