@@ -3,16 +3,18 @@
 Subcommands: analyze (full study), reduce (diagnostics only), vw (sign-blind
 comparator only), synth (generate landmark CSVs), mc (CI coverage
 calibration). Exit codes: 0 success; 2 usage, parse, schema or I/O error
-(out-of-range options, unreadable or non-UTF-8 input, labels the data lacks);
-3 geometric degeneracy (a degenerate scene without --skip-degenerate, or no
-scene left with it); 4 statistical degeneracy (always for a focal mean; for
-flagged degenerate tests only under --strict). Errors print one line to
+(out-of-range options, unreadable or non-UTF-8 input, labels the data lacks,
+sizes too large for memory such as `mc --reps 10000000000`); 3 geometric
+degeneracy (a degenerate scene without --skip-degenerate, or no scene left
+with it); 4 statistical degeneracy (always for a focal mean; for flagged
+degenerate tests only under --strict). Errors print one line to
 stderr, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -122,6 +124,7 @@ def _add_stat_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # one parser per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opshape",
@@ -330,7 +333,10 @@ _HANDLERS = {
 
 # exit code of each error main reports
 _EXIT_CODES = (
-    ((ParseError, SchemaError, InvalidLandmark, InvalidLevel, OSError), EXIT_PARSE),
+    (
+        (ParseError, SchemaError, InvalidLandmark, InvalidLevel, OSError, MemoryError),
+        EXIT_PARSE,
+    ),
     (
         (DegenerateFrame, DegeneratePoint, EmptySample, BehindCamera, GenerationFailed),
         EXIT_GEOMETRY,
@@ -344,7 +350,10 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except tuple(cls for classes, _ in _EXIT_CODES for cls in classes) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = exc
+        if isinstance(exc, MemoryError):
+            message = f"not enough memory for the requested sizes ({str(exc) or 'no details'})"
+        print(f"error: {message}", file=sys.stderr)
         return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 

@@ -5,9 +5,10 @@ bit-identically from a seed alone and blocks can be produced out of order by
 independent generators. That also lets many streams advance at once:
 `normal_rows` draws one row of normals per seed in a single array pass, row
 r bit-identical to `SplitMix64(seeds[r]).normals(count)`, and a single
-generator's draws are its one-row case. Gaussian variates go through numpy's
-log/cos/sin and are therefore exact only up to the platform's rounding of
-those functions.
+generator's draws are its one-row case. `normal_pairs` gives any range of
+a draw's Box-Muller pairs on its own, so a long draw can be made in slices.
+Gaussian variates go through numpy's log/cos/sin and are therefore exact
+only up to the platform's rounding of those functions.
 """
 
 from __future__ import annotations
@@ -50,25 +51,38 @@ def _unit_interval(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * _TWO_POW_MINUS_53
 
 
+def normal_pairs(seeds, m: int, lo: int, hi: int, start: int = 0) -> np.ndarray:
+    """Box-Muller pairs lo .. hi-1 of a draw of m pairs per seed, shape (R, 2*(hi-lo)).
+
+    The draw takes u1 from words start .. start+m-1 and u2 from the next m;
+    pair j is (r cos(2 pi u2), r sin(2 pi u2)) with r = sqrt(-2 log u1) from
+    words start+j and start+m+j, cosine and sine variates interleaved. Any
+    range of pairs is therefore bit-identical to the same columns of the
+    whole draw.
+    """
+    if not 0 <= lo <= hi <= m:
+        raise ValueError("pair range must satisfy 0 <= lo <= hi <= m")
+    seeds = _seed_array(seeds)
+    u1 = 1.0 - _unit_interval(_words(seeds, start + lo, hi - lo))  # (0, 1]: log stays finite
+    angle = _TWO_PI * _unit_interval(_words(seeds, start + m + lo, hi - lo))
+    r = np.sqrt(-2.0 * np.log(u1))
+    out = np.empty((seeds.size, 2 * (hi - lo)), dtype=np.float64)
+    out[:, 0::2] = r * np.cos(angle)
+    out[:, 1::2] = r * np.sin(angle)
+    return out
+
+
 def normal_rows(seeds, count: int, start: int = 0) -> np.ndarray:
     """Standard normals from one stream per seed, shape (R, count).
 
     Row r is bit-identical to `SplitMix64(seeds[r]).normals(count)` on a
-    generator whose counter stands at `start`: Box-Muller on ceil(count/2)
-    uniform pairs, u1 from words start .. start+m-1 and u2 from the next m,
-    cosine and sine variates interleaved.
+    generator whose counter stands at `start`: the ceil(count/2) pairs of
+    `normal_pairs`, cut to count.
     """
     if count < 0:
         raise ValueError("sample size must be nonnegative")
-    seeds = _seed_array(seeds)
     m = (count + 1) // 2
-    u1 = 1.0 - _unit_interval(_words(seeds, start, m))  # (0, 1]: log stays finite
-    u2 = _unit_interval(_words(seeds, start + m, m))
-    r = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty((seeds.size, 2 * m), dtype=np.float64)
-    out[:, 0::2] = r * np.cos(_TWO_PI * u2)
-    out[:, 1::2] = r * np.sin(_TWO_PI * u2)
-    return out[:, :count]
+    return normal_pairs(seeds, m, 0, m, start)[:, :count]
 
 
 class SplitMix64:

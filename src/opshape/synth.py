@@ -6,6 +6,11 @@ induced plane-to-image maps), so generated view sets provide an exact
 zero-dispersion oracle. Out-of-plane perturbations of the non-frame
 landmarks produce controlled departures. All draws run through the
 counter-based generator, so every artifact regenerates from its seed.
+
+Tangent-Gaussian sphere samples go through one Box-Muller draw and one
+normalize step. `tangent_gaussian_mean` makes and sums its draws one slice
+at a time, so a large oracle's memory does not grow with its size, and its
+mean is bit-identical to that of the whole sample.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .errors import BehindCamera, GenerationFailed, InvalidLandmark
 from .geometry import LandmarkScene, _freeze
-from .rng import SplitMix64, normal_rows
+from .rng import SplitMix64, normal_pairs, normal_rows
 
 # rejection margins for general position, in scene units
 _MIN_TRIPLE_AREA = 0.05  # twice the triangle area
@@ -277,6 +282,50 @@ def _tangent_basis(direction: np.ndarray) -> np.ndarray:
     return np.stack(rows)
 
 
+def _tangent_frame(direction, sigma: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The unit mean direction and its tangent basis, after checking the arguments."""
+    mu = np.asarray(direction, dtype=np.float64).ravel()
+    norm = float(np.linalg.norm(mu))
+    if norm <= 1e-12:
+        raise ValueError("direction must be nonzero")
+    if sigma < 0.0:
+        raise ValueError("sigma must be nonnegative")
+    if n < 1:
+        raise ValueError("need n >= 1 draws")
+    mu = mu / norm
+    return mu, _tangent_basis(mu)
+
+
+def _unit_draws(
+    mu: np.ndarray, basis: np.ndarray, normals: np.ndarray, sigma: float
+) -> np.ndarray:
+    """normalize(mu + (sigma * normals) @ basis) for (R, rows, d-1) standard normals.
+
+    The norm is sqrt((x0^2 + x1^2) + ...) summed left to right over the d
+    coordinates, the order `np.linalg.norm(axis=-1)` takes, bit for bit.
+
+    Raises:
+        GenerationFailed: a raw draw's norm is not finite and positive.
+    """
+    # overflow is caught below as a norm that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = sigma * normals
+        # one (rows, d-1) @ (d-1, d) product per sample, as for a single draw
+        raw = coeffs @ basis
+        del coeffs  # one large temporary less while normalizing
+        raw += mu
+        squares = raw[..., 0] * raw[..., 0]
+        for j in range(1, mu.size):
+            squares += raw[..., j] * raw[..., j]
+        norms = np.sqrt(squares)
+    if not np.all((norms > 0.0) & (norms < math.inf)):
+        raise GenerationFailed(
+            f"sigma {sigma:g} is too large: a tangent draw's norm is not finite and positive"
+        )
+    raw /= norms[..., None]
+    return raw
+
+
 def tangent_gaussian_samples(direction, sigma: float, n: int, seeds) -> np.ndarray:
     """One sample of n tangent-Gaussian unit vectors per seed, shape (R, n, d).
 
@@ -289,29 +338,49 @@ def tangent_gaussian_samples(direction, sigma: float, n: int, seeds) -> np.ndarr
         GenerationFailed: a raw draw's norm is not finite and positive,
             i.e. sigma is too large for the draws to stay finite.
     """
-    mu = np.asarray(direction, dtype=np.float64).ravel()
-    norm = float(np.linalg.norm(mu))
-    if norm <= 1e-12:
-        raise ValueError("direction must be nonzero")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    if n < 1:
-        raise ValueError("need n >= 1 draws")
-    mu = mu / norm
+    mu, basis = _tangent_frame(direction, sigma, n)
     d = mu.size
-    basis = _tangent_basis(mu)
-    # overflow is caught below as a norm that is not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = sigma * normal_rows(seeds, n * (d - 1))
-        # one (n, d-1) @ (d-1, d) product per sample, as for a single draw
-        raw = mu + coeffs.reshape(-1, n, d - 1) @ basis
-        del coeffs  # one large temporary less while normalizing
-        norms = np.linalg.norm(raw, axis=-1)
-    if not np.all((norms > 0.0) & (norms < math.inf)):
-        raise GenerationFailed(
-            f"sigma {sigma:g} is too large: a tangent draw's norm is not finite and positive"
-        )
-    return raw / norms[..., None]
+    normals = normal_rows(seeds, n * (d - 1))
+    return _unit_draws(mu, basis, normals.reshape(-1, n, d - 1), sigma)
+
+
+# draws per slice of `tangent_gaussian_mean`: even, so every slice starts on
+# a Box-Muller pair, and a multiple of 64, so the slices' products round
+# as the rows of one large product do
+_MEAN_SLICE = 8192
+
+
+def tangent_gaussian_mean(direction, sigma: float, n: int, seed: int) -> np.ndarray:
+    """Mean of `tangent_gaussian_sample(direction, sigma, n, seed)`, bit for bit.
+
+    The n draws are made and summed one slice of `_MEAN_SLICE` rows at a
+    time, so memory does not grow with n. The running sum starts at zero and
+    adds the rows in order, as `ndarray.mean(axis=0)` does, and is divided
+    by n at the end. A one-row last slice joins the slice before it: numpy
+    computes a one-row product with a matrix-vector kernel, which may round
+    otherwise.
+
+    Raises:
+        GenerationFailed: as `tangent_gaussian_samples`.
+    """
+    mu, basis = _tangent_frame(direction, sigma, n)
+    d = mu.size
+    seeds = [seed]
+    pairs = (n * (d - 1) + 1) // 2
+    total = np.zeros((1, d))  # the start `np.add.reduce` takes
+    lo = 0
+    while lo < n:
+        hi = min(lo + _MEAN_SLICE, n)
+        if hi == n - 1:
+            hi = n
+        count = (hi - lo) * (d - 1)
+        first = lo * (d - 1) // 2
+        normals = normal_pairs(seeds, pairs, first, first + (count + 1) // 2)[:, :count]
+        units = _unit_draws(mu, basis, normals.reshape(1, -1, d - 1), sigma)[0]
+        # row by row, as the reduction does; accumulate runs each column as one loop
+        total = np.add.accumulate(np.concatenate([total, units]), axis=0)[-1:]
+        lo = hi
+    return total[0] / n
 
 
 def tangent_gaussian_sample(direction, sigma: float, n: int, seed: int) -> np.ndarray:

@@ -3,15 +3,20 @@
 The reference below is the Monte Carlo code as it stood before the stacked
 pass: one generator, one validated sample and one dispersion test per
 replication, in a Python loop. `normal_rows`, `tangent_gaussian_samples`,
-`sample_moments` and `run_monte_carlo` must reproduce it bit for bit.
+`sample_moments` and `run_monte_carlo` must reproduce it bit for bit. The
+sliced oracle mean, `tangent_gaussian_mean`, must equal the mean of the
+whole sample by bytes, in memory that does not grow with the draws.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from opshape import pipeline
+from opshape import pipeline, synth
 from opshape.directional import (
     FOCAL_TOL,
     ZERO_TOL,
@@ -23,8 +28,13 @@ from opshape.directional import (
 )
 from opshape.errors import FocalMean, GenerationFailed
 from opshape.geometry import DirectionSample
-from opshape.rng import SplitMix64, normal_rows
-from opshape.synth import _tangent_basis, tangent_gaussian_sample, tangent_gaussian_samples
+from opshape.rng import SplitMix64, normal_pairs, normal_rows
+from opshape.synth import (
+    _tangent_basis,
+    tangent_gaussian_mean,
+    tangent_gaussian_sample,
+    tangent_gaussian_samples,
+)
 
 MASK = (1 << 64) - 1
 SEEDS = (0, 1, 42, 2**63, 2**63 + 7, MASK - 1, MASK)
@@ -150,8 +160,97 @@ def test_tangent_gaussian_samples_match_single_draws(direction, sigma, n):
 
 @pytest.mark.parametrize("sigma", [1e200, 1e308])
 def test_tangent_draw_beyond_double_range_fails_to_generate(sigma):
-    with pytest.raises(GenerationFailed, match="too large"):
+    with pytest.raises(GenerationFailed, match="too large") as whole:
         tangent_gaussian_samples([0.0, 0.0, 1.0], sigma, 5, [1, 2])
+    with pytest.raises(GenerationFailed) as sliced:
+        tangent_gaussian_mean([0.0, 0.0, 1.0], sigma, 5, 1)
+    assert str(sliced.value) == str(whole.value)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-(2**64), 2**65), min_size=1, max_size=3),
+    st.integers(0, 40),
+    st.data(),
+    st.integers(0, 9),
+)
+def test_normal_pairs_are_columns_of_the_whole_draw(seeds, m, data, start):
+    lo = data.draw(st.integers(0, m))
+    hi = data.draw(st.integers(lo, m))
+    whole = normal_rows(seeds, 2 * m, start)
+    assert_same(normal_pairs(seeds, m, lo, hi, start), whole[:, 2 * lo : 2 * hi])
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 2), (3, 2), (0, 6)])
+def test_normal_pairs_refuse_a_range_outside_the_draw(lo, hi):
+    with pytest.raises(ValueError, match="pair range"):
+        normal_pairs([1], 5, lo, hi)
+
+
+# ---- the sliced oracle mean --------------------------------------------------------
+
+
+# draw counts around the slice size s: one slice, s exactly, a one-row tail
+# and several slices with an odd tail
+def draw_counts(s):
+    return (1, 2, 3, s - 1, s, s + 1, 2 * s + 5)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("mean_slice", [64, 128, None])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    st.none() | st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
+    st.integers(0, 2**64 - 1),
+)
+@example(None, 0)
+def test_tangent_mean_is_the_mean_of_the_whole_sample(d, mean_slice, values, seed):
+    # None: the e_d direction `mc` uses, else a generic (possibly signed-zero) one
+    direction = np.eye(d)[-1] if values is None else np.array(values[:d])
+    assume(np.linalg.norm(direction) > 0.1)
+    with pytest.MonkeyPatch.context() as patch:
+        # None: a slice larger than every n drawn here
+        patch.setattr(synth, "_MEAN_SLICE", mean_slice or 1 << 20)
+        for sigma in (0.0, 1e-3, 0.1, 2.0):
+            for n in draw_counts(mean_slice or 64):
+                expected = tangent_gaussian_sample(direction, sigma, n, seed).mean(axis=0)
+                assert_same(tangent_gaussian_mean(direction, sigma, n, seed), expected)
+
+
+def test_tangent_mean_fails_in_a_late_slice_as_the_sample_does(monkeypatch):
+    monkeypatch.setattr(synth, "_MEAN_SLICE", 64)
+    n, seed = 1000, 7
+    # about e_3 a draw's squared norm is 1 + sigma^2 (z0^2 + z1^2)
+    radii = np.hypot(*normal_rows([seed], 2 * n).reshape(n, 2).T)
+    assert int(np.argmax(radii)) >= 64  # the one failing draw lies beyond the first slice
+    second, first = np.sort(radii)[-2:]
+    # only the draw of largest radius squares past the double range
+    sigma = 2.0 * math.sqrt(np.finfo(np.float64).max) / (first + second)
+    with pytest.raises(GenerationFailed) as whole:
+        tangent_gaussian_sample([0.0, 0.0, 1.0], sigma, n, seed)
+    with pytest.raises(GenerationFailed) as sliced:
+        tangent_gaussian_mean([0.0, 0.0, 1.0], sigma, n, seed)
+    assert str(sliced.value) == str(whole.value)
+
+
+def traced_peak(draw):
+    tracemalloc.start()
+    try:
+        draw()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tangent_mean_memory_does_not_grow_with_the_draws():
+    mu = [0.0, 0.0, 1.0]
+    whole = traced_peak(lambda: tangent_gaussian_sample(mu, 0.1, 10**6, 5).mean(axis=0))
+    small = traced_peak(lambda: tangent_gaussian_mean(mu, 0.1, 2 * 10**5, 5))
+    large = traced_peak(lambda: tangent_gaussian_mean(mu, 0.1, 10**6, 5))
+    # the whole sample holds at least its (n, 2) normals and (n, 3) units at once
+    assert whole > 40 * 10**6
+    assert large < 8 * 2**20
+    assert abs(large - small) <= 0.1 * small
 
 
 # ---- statistics ------------------------------------------------------------------
@@ -221,5 +320,9 @@ def test_run_monte_carlo_matches_per_replication_loop(
 ):
     # a small slice splits the replications into several (uneven) slices
     monkeypatch.setattr(pipeline, "_MC_SLICE_DOUBLES", slice_doubles)
-    got = pipeline.run_monte_carlo(sigma, n, reps, alpha, seed, oracle_draws)
-    assert got == ref_monte_carlo(sigma, n, reps, alpha, seed, oracle_draws)
+    expected = ref_monte_carlo(sigma, n, reps, alpha, seed, oracle_draws)
+    # and the oracle's draws into slices of 64 or 128 rows, or one slice
+    for mean_slice in (64, 128, synth._MEAN_SLICE):
+        monkeypatch.setattr(synth, "_MEAN_SLICE", mean_slice)
+        got = pipeline.run_monte_carlo(sigma, n, reps, alpha, seed, oracle_draws)
+        assert got == expected

@@ -17,7 +17,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 import opshape
-from opshape.cli import main
+from opshape.cli import build_parser, main
 from opshape.errors import DegenerateFrame, FocalMean, MixedOrientationWarning
 from opshape.geometry import FrameSpec, LandmarkScene
 from opshape.io import parse_landmarks, write_landmarks
@@ -441,6 +441,31 @@ def test_cli_bad_input_exits_with_documented_code(study_csv, tmp_path, capsys, a
     assert [line for line in lines if "error:" in line] == [lines[-1]]
     assert message in lines[-1]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "detail",
+    ["Unable to allocate 74.5 GiB for an array with shape (10000000000,) and data type uint64", ""],
+)
+def test_cli_out_of_memory_exits_2(monkeypatch, tmp_path, capsys, detail):
+    # stands in for the allocation `mc --reps 10000000000` asks of the generator
+    def no_memory(seeds, start, n):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr("opshape.rng._words", no_memory)
+    out = tmp_path / "mc.json"
+    rc = main(["mc", "--out", str(out), "--reps", "10000000000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        f"error: not enough memory for the requested sizes ({detail or 'no details'})"
+    ]
+    assert not out.exists()
+
+
+def test_cli_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.skipif(shutil.which("opshape") is None, reason="console script not on PATH")
