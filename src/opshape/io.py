@@ -26,6 +26,7 @@ import functools
 import hashlib
 import io
 import math
+import re
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -261,15 +262,35 @@ def write_landmarks(path, scenes: Sequence[LandmarkScene]) -> None:
                 writer.writerow([scene.scene_id, label, format_float(x), format_float(y)])
 
 
-def write_rows(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Small CSV writer; floats pass through format_float, the rest through str."""
+# csv.writer (excel dialect) quotes a field that holds one of these
+_QUOTED_CHARS = re.compile('[,"\r\n]')
+
+
+def csv_field(text: str) -> str:
+    """text as csv.writer writes it as one of several fields of a row.
+
+    A text with a comma, a quote or a line break goes through csv.writer,
+    which quotes it; any other is written as it is.
+    """
+    if _QUOTED_CHARS.search(text) is None:
+        return text
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue()[: -len("\r\n")]
+
+
+def write_table(path, header: Sequence[str], line: str, rows: Sequence[tuple]) -> None:
+    """Write a CSV of one row shape: the header, then line % row per row.
+
+    line is the %-template of one row, ending in \\r\\n: %.17g for a float
+    (format_float's text), %d for an int and %s for a text already passed
+    through csv_field. The bytes are those csv.writer writes for the same
+    rows with each float passed through format_float. The header names are
+    written as they are, so none may need quoting.
+    """
+    text = ",".join(header) + "\r\n" + "".join([line % row for row in rows])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [format_float(v) if isinstance(v, float) else str(v) for v in row]
-            )
+        fh.write(text)
 
 
 @functools.lru_cache(maxsize=256)

@@ -13,7 +13,9 @@ report.json.
 from __future__ import annotations
 
 import json
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,7 +31,7 @@ from .directional import (
     coplanarity_test,
     sample_moments,
 )
-from .errors import EmptySample, MixedOrientationWarning
+from .errors import EmptySample, InvalidLevel, MixedOrientationWarning
 from .geometry import (
     DirectionSample,
     FrameSpec,
@@ -40,7 +42,7 @@ from .geometry import (
     check_unit_norm,
     register_points,
 )
-from .io import json_text, parse_landmarks, write_json, write_rows
+from .io import csv_field, json_text, parse_landmarks, write_json, write_table
 from .rng import SplitMix64
 # tangent_gaussian_sample has no caller here; perfbench's tracer patches the name
 from .synth import tangent_gaussian_mean, tangent_gaussian_sample, tangent_gaussian_samples
@@ -319,60 +321,66 @@ def emit_outputs(report: AnalysisReport, outdir) -> Dict[str, Path]:
 
     sample = report.sample
     coords = _coordinate_header(sample.dim)
+    floats = ",%.17g" * sample.dim
     removed = set(report.trace.removed_scene_ids) if report.trace else set()
 
-    rows = []
-    for i, sid in enumerate(sample.scene_ids):
-        for f in range(sample.q):
-            rows.append(
-                [sid]
-                + [float(v) for v in sample.units[i, f]]
-                + [1 if sid in removed else 0]
-            )
     paths["sphere_points"] = outdir / "sphere_points.csv"
-    write_rows(paths["sphere_points"], ["scene"] + coords + ["removed"], rows)
-
-    paths["mean_direction"] = outdir / "mean_direction.csv"
-    write_rows(
-        paths["mean_direction"],
-        coords,
-        [[float(v) for v in report.full.extrinsic_mean[f]] for f in range(sample.q)],
+    write_table(
+        paths["sphere_points"],
+        ["scene"] + coords + ["removed"],
+        "%s" + floats + ",%d\r\n",
+        [
+            (csv_field(sid), *block, sid in removed)
+            for sid, blocks in zip(sample.scene_ids, sample.units.tolist())
+            for block in blocks
+        ],
     )
 
-    angles = angular_distances(sample)
-    rows = [
-        [sid, float(angles[i, f])]
-        for i, sid in enumerate(sample.scene_ids)
-        for f in range(sample.q)
-    ]
-    paths["angles_full"] = outdir / "angles_full.csv"
-    write_rows(paths["angles_full"], ["scene", "theta_radians"], rows)
+    paths["mean_direction"] = outdir / "mean_direction.csv"
+    write_table(
+        paths["mean_direction"],
+        coords,
+        floats[1:] + "\r\n",
+        [tuple(mean) for mean in report.full.extrinsic_mean.tolist()],
+    )
 
-    if report.trace is not None:
-        survivors = sample.subset(report.trace.final_scene_ids)
-        angles_r = angular_distances(survivors)
-        rows = [
-            [sid, float(angles_r[i, f])]
-            for i, sid in enumerate(survivors.scene_ids)
-            for f in range(survivors.q)
-        ]
-    else:
-        rows = []
+    paths["angles_full"] = outdir / "angles_full.csv"
+    _write_angles(sample, paths["angles_full"])
+
     paths["angles_reduced"] = outdir / "angles_reduced.csv"
-    write_rows(paths["angles_reduced"], ["scene", "theta_radians"], rows)
+    if report.trace is not None:
+        _write_angles(sample.subset(report.trace.final_scene_ids), paths["angles_reduced"])
+    else:
+        write_table(paths["angles_reduced"], ["scene", "theta_radians"], "", [])
 
     paths["loo_table"] = outdir / "loo_table.csv"
     write_loo_table(report.loo, paths["loo_table"])
     return paths
 
 
+def _write_angles(sample: DirectionSample, path) -> None:
+    """Write each unit's angle to its block's extrinsic mean, one line per (scene, block)."""
+    write_table(
+        path,
+        ["scene", "theta_radians"],
+        "%s,%.17g\r\n",
+        [
+            (csv_field(sid), theta)
+            for sid, thetas in zip(sample.scene_ids, angular_distances(sample).tolist())
+            for theta in thetas
+        ],
+    )
+
+
 def write_loo_table(loo: Sequence[LeaveOneOutRow], path) -> None:
     """Write the single-deletion table as loo_table.csv, one line per row."""
-    write_rows(
+    write_table(
         path,
         ["scene", "tS", "se", "z", "ci_lower", "degenerate", "focal"],
+        "%s,%.17g,%.17g,%.17g,%.17g,%d,%d\r\n",
         [
-            [r.scene_id, r.total_variance, r.se, r.z, r.ci_lower, int(r.degenerate), int(r.focal)]
+            (csv_field(r.scene_id), r.total_variance, r.se, r.z, r.ci_lower,
+             int(r.degenerate), int(r.focal))
             for r in loo
         ],
     )
@@ -380,6 +388,33 @@ def write_loo_table(loo: Sequence[LeaveOneOutRow], path) -> None:
 
 # doubles in one (replications, n, d) array of the stacked Monte Carlo pass
 _MC_SLICE_DOUBLES = 1 << 20
+
+
+def _replications(
+    mu: np.ndarray,
+    sigma: float,
+    n: int,
+    seeds: np.ndarray,
+    ts_values: np.ndarray,
+    se_values: np.ndarray,
+    stop: threading.Event,
+) -> None:
+    """Fill ts_values and se_values with the replications' tS and SE.
+
+    Draws and tests the samples of seeds slice by slice, at most about
+    _MC_SLICE_DOUBLES doubles at a time, and returns early, leaving the
+    rest unfilled, once stop is set; stop is checked before each slice.
+    """
+    step = max(1, _MC_SLICE_DOUBLES // (n * mu.size))
+    for start in range(0, len(seeds), step):
+        if stop.is_set():
+            return
+        end = min(start + step, len(seeds))
+        draws = tangent_gaussian_samples(mu, sigma, n, seeds[start:end])
+        check_unit_norm(draws)
+        _, _, ts, se = sample_moments(draws[:, :, None, :])
+        ts_values[start:end] = ts
+        se_values[start:end] = se
 
 
 def run_monte_carlo(
@@ -402,41 +437,53 @@ def run_monte_carlo(
     (`tangent_gaussian_mean`), so its memory does not grow with their
     number; its mean is bit-identical to that of the whole array.
 
-    All replications go through one stacked pass (draws, unit-norm check,
-    tS, SE and CI as array operations over a leading replication axis, in
-    slices of at most about 2^20 doubles), bit-identical to drawing and
-    testing each replication on its own.
+    The replication pass runs on one worker thread while the calling
+    thread draws the oracle; numpy releases the interpreter lock inside its
+    loops, so the two overlap. The worker draws and tests the replications
+    as array operations over a leading replication axis, in slices of at
+    most about 2^20 doubles, and stores each one's tS and SE; the calling
+    thread then forms every CI and counts the hits in one pass. The output
+    is bit-identical to drawing and testing each replication on its own, in
+    series after the oracle. If the calling thread raises (KeyboardInterrupt
+    included), the worker stops before its next slice, and the call returns
+    only after the worker has exited.
 
     Raises:
-        GenerationFailed: sigma too large for the draws to stay finite.
+        EmptySample, ValueError: n below 2 or reps below 1.
+        InvalidLevel: alpha outside (0, 1), before anything is drawn.
+        GenerationFailed: sigma too large for the draws to stay finite; the
+            oracle's error wins over a replication's.
         FocalMean: a replication's mean is focal.
     """
     if n < 2:
         raise EmptySample("need at least two draws per replication")
     if reps < 1:
         raise ValueError("need at least one replication")
+    if not 0.0 < alpha < 1.0:
+        raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")
     mu = np.zeros(dim)
     mu[-1] = 1.0
     master = SplitMix64(seed)
     oracle_seed = master.next_u64()
     rep_seeds = master.u64_block(reps)
 
-    oracle_mean = tangent_gaussian_mean(mu, sigma, oracle_draws, oracle_seed)
-    t_pop = 2.0 * (1.0 - float(np.linalg.norm(oracle_mean)))
-
     ts_values = np.empty(reps)
     se_values = np.empty(reps)
-    hits = 0
-    step = max(1, _MC_SLICE_DOUBLES // (n * dim))
-    for start in range(0, reps, step):
-        stop = min(start + step, reps)
-        draws = tangent_gaussian_samples(mu, sigma, n, rep_seeds[start:stop])
-        check_unit_norm(draws)
-        _, _, ts, se = sample_moments(draws[:, :, None, :])
-        lower, upper = confidence_interval(ts, se, alpha)
-        hits += int(np.count_nonzero((lower <= t_pop) & (t_pop <= upper)))
-        ts_values[start:stop] = ts
-        se_values[start:stop] = se
+    stop = threading.Event()
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        replications = worker.submit(
+            _replications, mu, sigma, n, rep_seeds, ts_values, se_values, stop
+        )
+        try:
+            oracle_mean = tangent_gaussian_mean(mu, sigma, oracle_draws, oracle_seed)
+            replications.result()
+        except BaseException:
+            stop.set()
+            raise
+    t_pop = 2.0 * (1.0 - float(np.linalg.norm(oracle_mean)))
+
+    lower, upper = confidence_interval(ts_values, se_values, alpha)
+    hits = int(np.count_nonzero((lower <= t_pop) & (t_pop <= upper)))
 
     return {
         "sigma": sigma,

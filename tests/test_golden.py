@@ -1,7 +1,7 @@
 """Golden output hashes: the bytes of report.json for three fixed studies,
 of the `reduce` outputs and of loo_table.csv, of the `opshape mc` JSON, of
-the `opshape vw` JSON, and of report.json for input with LF line ends and
-with quoted scene ids.
+the `opshape vw` JSON, of report.json for input with LF line ends and
+with quoted scene ids, and of the other CSV views of `opshape analyze`.
 
 A change that moves any reported digit (a faster kernel that rounds
 differently, a reordered sum) changes these hashes. Update a hash only
@@ -173,7 +173,8 @@ def test_report_bytes_for_crlf_and_lf_input(tmp_path):
 QUOTED_GOLDEN = "f7005d05d97d12bf1a53d5bf02d94efa4c2e9607a8c0d0d084682ca7e4211164"
 
 
-def test_report_bytes_for_quoted_scene_ids(tmp_path):
+def write_quoted_study(path):
+    """The study of 30 bent views whose ids csv.writer must quote or pad."""
     views = synthesize_views(k=5, cameras=30, seed=11, delta=0.02, noise=0.002)
     awkward = ('cam,{}', 'say "{}"', ' pad {} ', 'é{},"x"')
     scenes = [
@@ -183,14 +184,67 @@ def test_report_bytes_for_quoted_scene_ids(tmp_path):
     # write_landmarks refuses the padded ids, which the parser strips, so
     # the rows are written here as it wrote them before it refused them
     with pytest.raises(SchemaError):
-        write_landmarks(tmp_path / "refused.csv", scenes)
-    study = tmp_path / "study.csv"
-    with open(study, "w", encoding="utf-8", newline="") as fh:
+        write_landmarks(path.with_name("refused.csv"), scenes)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
         for scene in scenes:
             for label, (x, y) in enumerate(scene.points, start=1):
                 writer.writerow([scene.scene_id, label, format_float(x), format_float(y)])
-    assert b'"' in study.read_bytes()
+    assert b'"' in path.read_bytes()
+
+
+def test_report_bytes_for_quoted_scene_ids(tmp_path):
+    study = tmp_path / "study.csv"
+    write_quoted_study(study)
     _run(["analyze", str(study), "--out", str(tmp_path / "out")])
     assert _sha256(tmp_path / "out" / "report.json") == QUOTED_GOLDEN
+
+
+# bytes of `opshape analyze`'s other CSV views (sphere_points,
+# mean_direction, angles_full, angles_reduced), recorded from the
+# csv.writer row loop that passed each float through format_float
+CSV_GOLDEN = {
+    "bent": (
+        "e1280f09098644878d579446cb004ed1cd54d25e2f9d9205094f58ffef2f2c43",
+        "20371047e189a12dd94b8ab00c0e44097e1d1a0f77752dc7ad2b7491931550e5",
+        "bf6d5ebb0de3c2651bd2aab1f01e2b0902ad130a605b001e3a48784eff06d5de",
+        "cb2e3a940d2742066c1d7972e405f571321c8747f08199eab3c96c47f15fd646",
+    ),
+    # no removals: angles_reduced repeats angles_full
+    "flat": (
+        "815e8c7405975ad414385e638f2b5d7aaed5925405581ec0e784358f0f5ab973",
+        "23f5cee3eb149f5354fa3613daa506d96def89f4e2be1f4e99b8d47e4aa59126",
+        "65f50b66c39ec9a3522ba68d0725c2c1298e75bc43b747acc72b3f2f94b31cd5",
+        "65f50b66c39ec9a3522ba68d0725c2c1298e75bc43b747acc72b3f2f94b31cd5",
+    ),
+    # three lines per scene, one per sphere block
+    "q3": (
+        "e886538ef08c168d7753eb1425b9641886202132415234afcbb73a907c7cbd92",
+        "116cbe50da6c59ed533c6a5580a5f1abfd96ff118d430b2bb240f763d4d8104a",
+        "2b47a6e4ef9d4b25ca9923e904ac66ed636d1ce02acbe8433ad4f94c9cdfc3c5",
+        "602fa086c4fe05dd998e575c8d76e8748ff86b1d6a4b4d5288374cf83c1c29fb",
+    ),
+    # ids with commas and quotes, written quoted
+    "quoted": (
+        "43e031447ea9f1a0c9011622d3071807ca6baa209b022f71758a3b78fe8d6bc8",
+        "3f31371404494207b95ad6adceb4dd6645c4e3833aebdae8a2e42703bef81830",
+        "c99dc4656638ff55119c6881d5b674081f4f25f4dafd8523a89d735a94967ceb",
+        "7639e535ba6ebfefa1b7460c92944108505510c681c4b806444f1ce1271f4770",
+    ),
+}
+CSV_VIEWS = ("sphere_points", "mean_direction", "angles_full", "angles_reduced")
+
+
+@pytest.mark.parametrize("name", sorted(CSV_GOLDEN))
+def test_csv_view_bytes_match_golden_hash(tmp_path, name):
+    study = tmp_path / "study.csv"
+    if name == "quoted":
+        write_quoted_study(study)
+        extra = ()
+    else:
+        views, extra, _ = GOLDEN[name]
+        write_landmarks(study, synthesize_views(**views))
+    _run(["analyze", str(study), "--out", str(tmp_path / "out"), *extra])
+    digests = tuple(_sha256(tmp_path / "out" / f"{view}.csv") for view in CSV_VIEWS)
+    assert digests == CSV_GOLDEN[name]

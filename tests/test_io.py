@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import re
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import opshape.io as oio
+from opshape.diagnostics import LeaveOneOutRow
 from opshape.errors import InvalidLandmark, ParseError, SchemaError
 from opshape.geometry import LandmarkScene, LandmarkStudy
 from opshape.io import format_float, json_text, parse_landmarks, write_json, write_landmarks
+from opshape.pipeline import write_loo_table
 
 GOOD = """scene,landmark,x,y
 a,1,0.0,0.0
@@ -523,3 +526,62 @@ def test_json_text_refuses_what_json_cannot_hold():
 def test_write_json_ends_with_a_newline(tmp_path):
     write_json(tmp_path / "out.json", {"a": np.array([1.5, np.nan])})
     assert (tmp_path / "out.json").read_bytes() == b'{\n  "a": [\n    1.5,\n    null\n  ]\n}\n'
+
+
+# ---- the CSV views: %-templates against the csv.writer row loop ----------------------
+
+
+def csv_writer_bytes(header, rows):
+    """The CSV bytes of the row loop the views had: csv.writer, each float
+    through format_float and anything else through str."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_float(v) if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+# scene ids with every character csv.writer quotes for, and some it does not
+CSV_IDS = st.text(st.sampled_from(',"\r\n \t\x00a1é日') | st.characters(), max_size=6)
+CSV_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, math.nan, 1 / 3]
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, line, rows) of one row shape, as the views' rows are: an
+    optional id, then at least one float, then ints. A row never holds the
+    id alone, which csv.writer would quote when empty."""
+    with_id = draw(st.booleans())
+    n_floats = draw(st.integers(1, 6))
+    n_ints = draw(st.integers(0, 2))
+    fields = ["%s"] * with_id + ["%.17g"] * n_floats + ["%d"] * n_ints
+    shape = [CSV_IDS] * with_id + [CSV_FLOATS] * n_floats + [st.integers(0, 1)] * n_ints
+    rows = draw(st.lists(st.tuples(*shape), max_size=5))
+    return [f"c{i}" for i in range(len(fields))], ",".join(fields) + "\r\n", rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(csv_tables())
+@example((["scene", "x"], "%s,%.17g\r\n", [("a,b", -0.0), ('"q"', math.nan), ("", 5e-324)]))
+def test_write_table_matches_the_csv_writer_loop(tmp_path_factory, table):
+    header, line, rows = table
+    if line.startswith("%s"):
+        templated = [(oio.csv_field(row[0]),) + row[1:] for row in rows]
+    else:
+        templated = rows
+    path = tmp_path_factory.mktemp("csv") / "view.csv"
+    oio.write_table(path, header, line, templated)
+    assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(CSV_IDS, *[CSV_FLOATS] * 4, st.booleans(), st.booleans()), max_size=6))
+def test_loo_table_matches_the_csv_writer_loop(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("loo") / "loo_table.csv"
+    write_loo_table([LeaveOneOutRow(*row) for row in rows], path)
+    header = ["scene", "tS", "se", "z", "ci_lower", "degenerate", "focal"]
+    expected = [row[:5] + (int(row[5]), int(row[6])) for row in rows]
+    assert path.read_bytes() == csv_writer_bytes(header, expected)

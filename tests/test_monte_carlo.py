@@ -5,16 +5,21 @@ pass: one generator, one validated sample and one dispersion test per
 replication, in a Python loop. `normal_rows`, `tangent_gaussian_samples`,
 `sample_moments` and `run_monte_carlo` must reproduce it bit for bit. The
 sliced oracle mean, `tangent_gaussian_mean`, must equal the mean of the
-whole sample by bytes, in memory that does not grow with the draws.
+whole sample by bytes, in memory that does not grow with the draws. The
+replication pass runs on a worker thread beside the oracle; its error
+precedence and its stop on the calling thread's error are checked here, as
+is the drawn oracle against the closed-form population dispersion.
 """
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from opshape import pipeline, synth
 from opshape.directional import (
@@ -26,7 +31,7 @@ from opshape.directional import (
     normal_quantile,
     sample_moments,
 )
-from opshape.errors import FocalMean, GenerationFailed
+from opshape.errors import EmptySample, FocalMean, GenerationFailed, InvalidLevel
 from opshape.geometry import DirectionSample
 from opshape.rng import SplitMix64, normal_pairs, normal_rows
 from opshape.synth import (
@@ -321,8 +326,126 @@ def test_run_monte_carlo_matches_per_replication_loop(
     # a small slice splits the replications into several (uneven) slices
     monkeypatch.setattr(pipeline, "_MC_SLICE_DOUBLES", slice_doubles)
     expected = ref_monte_carlo(sigma, n, reps, alpha, seed, oracle_draws)
+    threads = threading.active_count()
     # and the oracle's draws into slices of 64 or 128 rows, or one slice
     for mean_slice in (64, 128, synth._MEAN_SLICE):
         monkeypatch.setattr(synth, "_MEAN_SLICE", mean_slice)
         got = pipeline.run_monte_carlo(sigma, n, reps, alpha, seed, oracle_draws)
         assert got == expected
+        assert threading.active_count() == threads  # the worker has exited
+
+
+# ---- the worker thread --------------------------------------------------------------
+
+
+def run_small():
+    return pipeline.run_monte_carlo(0.1, 20, 30, 0.05, 3, 500)
+
+
+def test_oracle_error_wins_over_a_replication_error(monkeypatch):
+    failed = threading.Event()
+
+    def focal_replication(units):
+        failed.set()
+        raise FocalMean("replication")
+
+    def failing_oracle(*args):
+        assert failed.wait(10)  # the worker has raised first
+        raise GenerationFailed("oracle")
+
+    monkeypatch.setattr(pipeline, "sample_moments", focal_replication)
+    threads = threading.active_count()
+    with pytest.raises(FocalMean, match="replication"):
+        run_small()
+    assert threading.active_count() == threads
+    failed.clear()
+    monkeypatch.setattr(pipeline, "tangent_gaussian_mean", failing_oracle)
+    with pytest.raises(GenerationFailed, match="oracle"):
+        run_small()
+    assert threading.active_count() == threads
+
+
+def no_draw(*args):
+    raise AssertionError("drew before the arguments were checked")
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0, math.nan])
+def test_bad_alpha_fails_before_any_draw(monkeypatch, alpha):
+    monkeypatch.setattr(pipeline, "tangent_gaussian_mean", no_draw)
+    monkeypatch.setattr(pipeline, "tangent_gaussian_samples", no_draw)
+    threads = threading.active_count()
+    with pytest.raises(InvalidLevel) as error:
+        pipeline.run_monte_carlo(alpha=alpha, n=5, reps=3, oracle_draws=10)
+    assert str(error.value) == f"alpha must be in (0, 1), got {alpha}"
+    # n and reps are checked before alpha
+    with pytest.raises(EmptySample):
+        pipeline.run_monte_carlo(alpha=alpha, n=1, reps=3, oracle_draws=10)
+    with pytest.raises(ValueError, match="replication"):
+        pipeline.run_monte_carlo(alpha=alpha, n=5, reps=0, oracle_draws=10)
+    assert threading.active_count() == threads
+
+
+def test_interrupt_stops_the_worker_before_its_next_slice(monkeypatch):
+    monkeypatch.setattr(pipeline, "_MC_SLICE_DOUBLES", 1)  # one replication a slice
+    stops, slices = [], []
+    started = threading.Event()
+    replications, draw = pipeline._replications, pipeline.tangent_gaussian_samples
+
+    def spy(*args):
+        stops.append(args[-1])
+        return replications(*args)
+
+    def counted_draw(mu, sigma, n, seeds):
+        slices.append(len(seeds))
+        if len(slices) == 1:
+            started.set()
+            # hold the first slice until the calling thread has raised
+            stops[0].wait(10)
+        return draw(mu, sigma, n, seeds)
+
+    def interrupted_oracle(*args):
+        assert started.wait(10)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "_replications", spy)
+    monkeypatch.setattr(pipeline, "tangent_gaussian_samples", counted_draw)
+    monkeypatch.setattr(pipeline, "tangent_gaussian_mean", interrupted_oracle)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.run_monte_carlo(0.1, 2, 1000, 0.05, 0, 100)
+    assert threading.active_count() == threads
+    assert stops[0].is_set()
+    assert slices == [1]  # of 1,000 slices, only the one under way ran
+
+
+# ---- the drawn oracle against the closed form ---------------------------------------
+
+
+def population_moments(sigma, d):
+    """E[c] and E[c^2] of c = (1 + sigma^2 W)^(-1/2), W ~ chi^2_(d-1).
+
+    c is a tangent-Gaussian direction's e_d component, so E[c] is the
+    population mean's length R and 2(1 - R) the population total
+    variance. With a = (d - 1)/2 and U Tricomi's function,
+    E[c^k] = (2 sigma^2)^(-a) U(a, a + 1 - k/2, 1/(2 sigma^2)); for d = 3,
+    R = sqrt(pi/2)/sigma * erfcx(1/(sigma sqrt 2)).
+    """
+    a, z = (d - 1) / 2, 1 / (2 * sigma**2)
+    scale = (2 * sigma**2) ** -a
+    r = scale * special.hyperu(a, a + 0.5, z)
+    if d == 3:
+        erfcx_form = math.sqrt(math.pi / 2) / sigma * special.erfcx(1 / (sigma * math.sqrt(2)))
+        assert math.isclose(erfcx_form, r, rel_tol=1e-13)
+        r = erfcx_form
+    return r, scale * special.hyperu(a, a, z)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.5])
+def test_drawn_oracle_matches_the_closed_form(d, sigma):
+    draws = 10**5
+    r, second = population_moments(sigma, d)
+    # to first order 2(1 - |mean|) varies as twice the mean's e_d component
+    se = 2 * math.sqrt((second - r * r) / draws)
+    got = pipeline.run_monte_carlo(sigma, 2, 1, seed=11, oracle_draws=draws, dim=d)
+    assert abs(got["oracle_total_variance"] - 2 * (1 - r)) <= 5 * se
