@@ -266,7 +266,7 @@ def write_landmarks(path, scenes: Sequence[LandmarkScene]) -> None:
 _QUOTED_CHARS = re.compile('[,"\r\n]')
 
 
-def csv_field(text: str) -> str:
+def _csv_field(text: str) -> str:
     """text as csv.writer writes it as one of several fields of a row.
 
     A text with a comma, a quote or a line break goes through csv.writer,
@@ -282,12 +282,17 @@ def csv_field(text: str) -> str:
 def write_table(path, header: Sequence[str], line: str, rows: Sequence[tuple]) -> None:
     """Write a CSV of one row shape: the header, then line % row per row.
 
-    line is the %-template of one row, ending in \\r\\n: %.17g for a float
-    (format_float's text), %d for an int and %s for a text already passed
-    through csv_field. The bytes are those csv.writer writes for the same
-    rows with each float passed through format_float. The header names are
+    line is the %-template of one row, its fields joined by commas and
+    ended by \\r\\n: %s for a text, %.17g for a float (format_float's text)
+    and %d for an int. Each text is quoted as csv.writer quotes it, so the
+    bytes are those csv.writer writes for the same rows with each float
+    passed through format_float; a row of one empty text alone, which
+    csv.writer writes as "", is the one exception. The header names are
     written as they are, so none may need quoting.
     """
+    for i, spec in enumerate(line[: -len("\r\n")].split(",")):
+        if spec == "%s":
+            rows = [row[:i] + (_csv_field(row[i]),) + row[i + 1 :] for row in rows]
     text = ",".join(header) + "\r\n" + "".join([line % row for row in rows])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

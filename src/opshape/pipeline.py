@@ -42,7 +42,7 @@ from .geometry import (
     check_unit_norm,
     register_points,
 )
-from .io import csv_field, json_text, parse_landmarks, write_json, write_table
+from .io import json_text, parse_landmarks, write_json, write_table
 from .rng import SplitMix64
 # tangent_gaussian_sample has no caller here; perfbench's tracer patches the name
 from .synth import tangent_gaussian_mean, tangent_gaussian_sample, tangent_gaussian_samples
@@ -330,7 +330,7 @@ def emit_outputs(report: AnalysisReport, outdir) -> Dict[str, Path]:
         ["scene"] + coords + ["removed"],
         "%s" + floats + ",%d\r\n",
         [
-            (csv_field(sid), *block, sid in removed)
+            (sid, *block, sid in removed)
             for sid, blocks in zip(sample.scene_ids, sample.units.tolist())
             for block in blocks
         ],
@@ -351,7 +351,7 @@ def emit_outputs(report: AnalysisReport, outdir) -> Dict[str, Path]:
     if report.trace is not None:
         _write_angles(sample.subset(report.trace.final_scene_ids), paths["angles_reduced"])
     else:
-        write_table(paths["angles_reduced"], ["scene", "theta_radians"], "", [])
+        write_table(paths["angles_reduced"], ["scene", "theta_radians"], "%s,%.17g\r\n", [])
 
     paths["loo_table"] = outdir / "loo_table.csv"
     write_loo_table(report.loo, paths["loo_table"])
@@ -365,7 +365,7 @@ def _write_angles(sample: DirectionSample, path) -> None:
         ["scene", "theta_radians"],
         "%s,%.17g\r\n",
         [
-            (csv_field(sid), theta)
+            (sid, theta)
             for sid, thetas in zip(sample.scene_ids, angular_distances(sample).tolist())
             for theta in thetas
         ],
@@ -379,8 +379,7 @@ def write_loo_table(loo: Sequence[LeaveOneOutRow], path) -> None:
         ["scene", "tS", "se", "z", "ci_lower", "degenerate", "focal"],
         "%s,%.17g,%.17g,%.17g,%.17g,%d,%d\r\n",
         [
-            (csv_field(r.scene_id), r.total_variance, r.se, r.z, r.ci_lower,
-             int(r.degenerate), int(r.focal))
+            (r.scene_id, r.total_variance, r.se, r.z, r.ci_lower, int(r.degenerate), int(r.focal))
             for r in loo
         ],
     )
@@ -388,6 +387,13 @@ def write_loo_table(loo: Sequence[LeaveOneOutRow], path) -> None:
 
 # doubles in one (replications, n, d) array of the stacked Monte Carlo pass
 _MC_SLICE_DOUBLES = 1 << 20
+
+
+def _slices(reps: int, n: int, dim: int) -> List[Tuple[int, int]]:
+    """(start, end) of each slice of replications: at most about
+    _MC_SLICE_DOUBLES doubles in one (replications, n, dim) array."""
+    step = max(1, _MC_SLICE_DOUBLES // (n * dim))
+    return [(start, min(start + step, reps)) for start in range(0, reps, step)]
 
 
 def _replications(
@@ -401,15 +407,13 @@ def _replications(
 ) -> None:
     """Fill ts_values and se_values with the replications' tS and SE.
 
-    Draws and tests the samples of seeds slice by slice, at most about
-    _MC_SLICE_DOUBLES doubles at a time, and returns early, leaving the
-    rest unfilled, once stop is set; stop is checked before each slice.
+    Draws and tests the samples of seeds slice by slice (`_slices`), and
+    returns early, leaving the rest unfilled, once stop is set; stop is
+    checked before each slice.
     """
-    step = max(1, _MC_SLICE_DOUBLES // (n * mu.size))
-    for start in range(0, len(seeds), step):
+    for start, end in _slices(len(seeds), n, mu.size):
         if stop.is_set():
             return
-        end = min(start + step, len(seeds))
         draws = tangent_gaussian_samples(mu, sigma, n, seeds[start:end])
         check_unit_norm(draws)
         _, _, ts, se = sample_moments(draws[:, :, None, :])
@@ -442,11 +446,12 @@ def run_monte_carlo(
     loops, so the two overlap. The worker draws and tests the replications
     as array operations over a leading replication axis, in slices of at
     most about 2^20 doubles, and stores each one's tS and SE; the calling
-    thread then forms every CI and counts the hits in one pass. The output
-    is bit-identical to drawing and testing each replication on its own, in
-    series after the oracle. If the calling thread raises (KeyboardInterrupt
-    included), the worker stops before its next slice, and the call returns
-    only after the worker has exited.
+    thread then forms the CIs and counts the hits over the same slices, so
+    the pass holds 24 bytes per replication (seed, tS, SE) beyond one
+    slice. The output is bit-identical to drawing and testing each
+    replication on its own, in series after the oracle. If the calling
+    thread raises (KeyboardInterrupt included), the worker stops before its
+    next slice, and the call returns only after the worker has exited.
 
     Raises:
         EmptySample, ValueError: n below 2 or reps below 1.
@@ -482,8 +487,10 @@ def run_monte_carlo(
             raise
     t_pop = 2.0 * (1.0 - float(np.linalg.norm(oracle_mean)))
 
-    lower, upper = confidence_interval(ts_values, se_values, alpha)
-    hits = int(np.count_nonzero((lower <= t_pop) & (t_pop <= upper)))
+    hits = 0
+    for start, end in _slices(reps, n, dim):
+        lower, upper = confidence_interval(ts_values[start:end], se_values[start:end], alpha)
+        hits += int(np.count_nonzero((lower <= t_pop) & (t_pop <= upper)))
 
     return {
         "sigma": sigma,
