@@ -13,7 +13,6 @@ report.json.
 from __future__ import annotations
 
 import json
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -45,7 +44,12 @@ from .geometry import (
 from .io import json_text, parse_landmarks, write_json, write_table
 from .rng import SplitMix64
 # tangent_gaussian_sample has no caller here; perfbench's tracer patches the name
-from .synth import tangent_gaussian_mean, tangent_gaussian_sample, tangent_gaussian_samples
+from .synth import (
+    MeanHelper,
+    tangent_gaussian_mean,
+    tangent_gaussian_sample,
+    tangent_gaussian_samples,
+)
 from .vw import VwSummary, total_variance_ps
 
 
@@ -403,22 +407,24 @@ def _replications(
     seeds: np.ndarray,
     ts_values: np.ndarray,
     se_values: np.ndarray,
-    stop: threading.Event,
+    oracle: MeanHelper,
 ) -> None:
-    """Fill ts_values and se_values with the replications' tS and SE.
+    """Fill ts_values and se_values with the replications' tS and SE, then
+    help draw the oracle (`MeanHelper.draw_slices`).
 
     Draws and tests the samples of seeds slice by slice (`_slices`), and
-    returns early, leaving the rest unfilled, once stop is set; stop is
-    checked before each slice.
+    returns early, leaving the rest unfilled, once the oracle's helper is
+    stopped; that is checked before each slice.
     """
     for start, end in _slices(len(seeds), n, mu.size):
-        if stop.is_set():
+        if oracle.stopped:
             return
         draws = tangent_gaussian_samples(mu, sigma, n, seeds[start:end])
         check_unit_norm(draws)
         _, _, ts, se = sample_moments(draws[:, :, None, :])
         ts_values[start:end] = ts
         se_values[start:end] = se
+    oracle.draw_slices()
 
 
 def run_monte_carlo(
@@ -448,10 +454,20 @@ def run_monte_carlo(
     most about 2^20 doubles, and stores each one's tS and SE; the calling
     thread then forms the CIs and counts the hits over the same slices, so
     the pass holds 24 bytes per replication (seed, tS, SE) beyond one
-    slice. The output is bit-identical to drawing and testing each
-    replication on its own, in series after the oracle. If the calling
-    thread raises (KeyboardInterrupt included), the worker stops before its
-    next slice, and the call returns only after the worker has exited.
+    slice. Once its replications are done, the worker draws oracle slices
+    too (a `MeanHelper`): both threads claim the oracle's slices in order,
+    at most 4 ahead of its running sum, and the calling thread alone adds
+    them to the sum in slice order. The output is bit-identical to drawing
+    and testing each replication on its own, in series after the oracle.
+    If the calling thread raises (KeyboardInterrupt included), the worker
+    stops before its next replication slice or oracle slice, and the call
+    returns only after the worker has exited.
+
+    On one CPU nothing overlaps, and the thread hand-offs cost a few
+    percent: pinned with `taskset -c 0` on a 2-vCPU Intel Xeon VM, a call
+    at n = 200, 1,000 replications and 10^6 oracle draws took 194-204 ms,
+    against 191-199 ms when only the calling thread drew the oracle
+    (medians of three alternating runs of 15 calls).
 
     Raises:
         EmptySample, ValueError: n below 2 or reps below 1.
@@ -474,16 +490,16 @@ def run_monte_carlo(
 
     ts_values = np.empty(reps)
     se_values = np.empty(reps)
-    stop = threading.Event()
+    oracle = MeanHelper()
     with ThreadPoolExecutor(max_workers=1) as worker:
         replications = worker.submit(
-            _replications, mu, sigma, n, rep_seeds, ts_values, se_values, stop
+            _replications, mu, sigma, n, rep_seeds, ts_values, se_values, oracle
         )
         try:
-            oracle_mean = tangent_gaussian_mean(mu, sigma, oracle_draws, oracle_seed)
+            oracle_mean = tangent_gaussian_mean(mu, sigma, oracle_draws, oracle_seed, oracle)
             replications.result()
         except BaseException:
-            stop.set()
+            oracle.stop()
             raise
     t_pop = 2.0 * (1.0 - float(np.linalg.norm(oracle_mean)))
 

@@ -10,14 +10,16 @@ counter-based generator, so every artifact regenerates from its seed.
 Tangent-Gaussian sphere samples go through one Box-Muller draw and one
 normalize step. `tangent_gaussian_mean` makes and sums its draws one slice
 at a time, so a large oracle's memory does not grow with its size, and its
-mean is bit-identical to that of the whole sample.
+mean is bit-identical to that of the whole sample; a `MeanHelper` lets a
+second thread draw some of the slices while the calling thread sums them.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -348,38 +350,171 @@ def tangent_gaussian_samples(direction, sigma: float, n: int, seeds) -> np.ndarr
 # a Box-Muller pair, and a multiple of 64, so the slices' products round
 # as the rows of one large product do
 _MEAN_SLICE = 8192
+# slices of `tangent_gaussian_mean` claimed ahead of its running sum, at most
+_MEAN_AHEAD = 4
 
 
-def tangent_gaussian_mean(direction, sigma: float, n: int, seed: int) -> np.ndarray:
-    """Mean of `tangent_gaussian_sample(direction, sigma, n, seed)`, bit for bit.
+def _mean_bounds(n: int) -> List[Tuple[int, int]]:
+    """(lo, hi) rows of each slice of an n-draw mean, `_MEAN_SLICE` rows each.
 
-    The n draws are made and summed one slice of `_MEAN_SLICE` rows at a
-    time, so memory does not grow with n. The running sum starts at zero and
-    adds the rows in order, as `ndarray.mean(axis=0)` does, and is divided
-    by n at the end. A one-row last slice joins the slice before it: numpy
-    computes a one-row product with a matrix-vector kernel, which may round
-    otherwise.
-
-    Raises:
-        GenerationFailed: as `tangent_gaussian_samples`.
+    A one-row last slice joins the slice before it: numpy computes a
+    one-row product with a matrix-vector kernel, which may round otherwise.
     """
-    mu, basis = _tangent_frame(direction, sigma, n)
-    d = mu.size
-    seeds = [seed]
-    pairs = (n * (d - 1) + 1) // 2
-    total = np.zeros((1, d))  # the start `np.add.reduce` takes
+    bounds = []
     lo = 0
     while lo < n:
         hi = min(lo + _MEAN_SLICE, n)
         if hi == n - 1:
             hi = n
-        count = (hi - lo) * (d - 1)
-        first = lo * (d - 1) // 2
-        normals = normal_pairs(seeds, pairs, first, first + (count + 1) // 2)[:, :count]
-        units = _unit_draws(mu, basis, normals.reshape(1, -1, d - 1), sigma)[0]
-        # row by row, as the reduction does; accumulate runs each column as one loop
-        total = np.add.accumulate(np.concatenate([total, units]), axis=0)[-1:]
+        bounds.append((lo, hi))
         lo = hi
+    return bounds
+
+
+def _mean_slice(
+    mu: np.ndarray, basis: np.ndarray, sigma: float, seed: int, n: int, lo: int, hi: int
+) -> np.ndarray:
+    """Rows lo..hi of `tangent_gaussian_sample(mu, sigma, n, seed)`, bit for bit."""
+    d = mu.size
+    count = (hi - lo) * (d - 1)
+    first = lo * (d - 1) // 2
+    pairs = (n * (d - 1) + 1) // 2
+    normals = normal_pairs([seed], pairs, first, first + (count + 1) // 2)[:, :count]
+    return _unit_draws(mu, basis, normals.reshape(1, -1, d - 1), sigma)[0]
+
+
+class MeanHelper:
+    """Lets other threads draw slices of one `tangent_gaussian_mean` call.
+
+    Pass it to the call on one thread and call `draw_slices` on another (or
+    several), in either order. Every thread claims slices in order from one
+    counter, and none claims a slice more than `_MEAN_AHEAD` ahead of the
+    running sum; the calling thread alone adds the slices to the sum, in
+    order. A slice's error is raised when the sum reaches that slice, as in
+    a serial loop. Once `stop` is called, helpers claim no further slice.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._draw: Optional[Callable[[int], np.ndarray]] = None
+        self._count = 0  # slices of the call
+        self._claimed = 0  # slices claimed by either thread
+        self._summed = 0  # slices added to the running sum
+        self._drawn: Dict[int, Tuple[Optional[np.ndarray], Optional[BaseException]]] = {}
+        self._stopped = False
+
+    @property
+    def stopped(self) -> bool:
+        return self._stopped
+
+    def stop(self) -> None:
+        with self._cond:
+            self._stopped = True
+            self._cond.notify_all()
+
+    def draw_slices(self) -> None:
+        """Draw slices of the call until every slice is claimed or `stop` is called.
+
+        Waits for the call to begin, and while the window ahead of the sum
+        is full. An error is kept with its slice for the calling thread.
+        """
+        while True:
+            with self._cond:
+                while not (self._stopped or self._claimable() or self._all_claimed()):
+                    self._cond.wait()
+                if self._stopped or self._all_claimed():
+                    return
+                k = self._claim()
+            self._keep(k, BaseException)
+
+    def _begin(self, draw: Callable[[int], np.ndarray], count: int) -> None:
+        with self._cond:
+            if self._draw is not None:
+                raise ValueError("a MeanHelper serves one tangent_gaussian_mean call")
+            self._draw, self._count = draw, count
+            self._cond.notify_all()
+
+    def _take(self, k: int) -> np.ndarray:
+        """Slice k, once slices 0..k-1 are in the sum; draws what is unclaimed."""
+        with self._cond:
+            self._summed = k
+            self._cond.notify_all()
+        while True:
+            with self._cond:
+                while k not in self._drawn and not self._claimable():
+                    self._cond.wait()
+                if k in self._drawn:
+                    units, error = self._drawn.pop(k)
+                    break
+                claimed = self._claim()
+            self._keep(claimed, Exception)
+        if error is not None:
+            raise error
+        return units
+
+    def _claimable(self) -> bool:
+        end = min(self._count, self._summed + _MEAN_AHEAD)
+        return self._draw is not None and self._claimed < end
+
+    def _all_claimed(self) -> bool:
+        return self._draw is not None and self._claimed == self._count
+
+    def _claim(self) -> int:
+        self._claimed += 1
+        return self._claimed - 1
+
+    def _keep(self, k: int, errors) -> None:
+        """Draw slice k and keep it, or the error in `errors` that it raised.
+
+        The calling thread keeps an Exception, so an interrupt propagates at
+        once; the helper keeps any error, so no slice the sum waits for is
+        lost with it.
+        """
+        try:
+            drawn = (self._draw(k), None)
+        except errors as error:
+            drawn = (None, error)
+        with self._cond:
+            self._drawn[k] = drawn
+            self._cond.notify_all()
+
+
+def tangent_gaussian_mean(
+    direction, sigma: float, n: int, seed: int, helper: Optional[MeanHelper] = None
+) -> np.ndarray:
+    """Mean of `tangent_gaussian_sample(direction, sigma, n, seed)`, bit for bit.
+
+    The n draws are made and summed one slice of `_MEAN_SLICE` rows at a
+    time (`_mean_bounds`), so memory does not grow with n. The running sum
+    starts at zero and adds the rows in order, as `ndarray.mean(axis=0)`
+    does, and is divided by n at the end.
+
+    The calling thread draws every slice that no helper thread has claimed
+    (with no helper, every slice) and alone adds the slices to the sum, in
+    slice order, so the mean does not depend on who drew what. A helper
+    (`MeanHelper.draw_slices` on another thread) claims slices from the
+    same counter, at most `_MEAN_AHEAD` (4) slices ahead of the sum, so at
+    most that many drawn slices wait in memory. If the calling thread
+    raises, KeyboardInterrupt included, the helper is stopped before its
+    next slice.
+
+    Raises:
+        GenerationFailed: as `tangent_gaussian_samples`; the first failing
+            slice's error, whichever thread drew it.
+    """
+    helper = MeanHelper() if helper is None else helper
+    try:
+        mu, basis = _tangent_frame(direction, sigma, n)
+        bounds = _mean_bounds(n)
+        helper._begin(lambda k: _mean_slice(mu, basis, sigma, seed, n, *bounds[k]), len(bounds))
+        total = np.zeros((1, mu.size))  # the start `np.add.reduce` takes
+        for k in range(len(bounds)):
+            units = helper._take(k)
+            # row by row, as the reduction does; accumulate runs each column as one loop
+            total = np.add.accumulate(np.concatenate([total, units]), axis=0)[-1:]
+    except BaseException:
+        helper.stop()
+        raise
     return total[0] / n
 
 

@@ -5,13 +5,15 @@ pass: one generator, one validated sample and one dispersion test per
 replication, in a Python loop. `normal_rows`, `tangent_gaussian_samples`,
 `sample_moments` and `run_monte_carlo` must reproduce it bit for bit. The
 sliced oracle mean, `tangent_gaussian_mean`, must equal the mean of the
-whole sample by bytes, in memory that does not grow with the draws. The
-replication pass runs on a worker thread beside the oracle; its error
-precedence and its stop on the calling thread's error are checked here, as
-is the drawn oracle against the closed-form population dispersion.
+whole sample by bytes, in memory that does not grow with the draws,
+whichever thread draws each slice. The replication pass runs on a worker
+thread beside the oracle and then helps draw it; its error precedence and
+its stop on the calling thread's error are checked here, as is the drawn
+oracle against the closed-form population dispersion.
 """
 
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -222,6 +224,142 @@ def test_tangent_mean_is_the_mean_of_the_whole_sample(d, mean_slice, values, see
                 assert_same(tangent_gaussian_mean(direction, sigma, n, seed), expected)
 
 
+def helped_mean(direction, sigma, n, seed, schedule, drawers):
+    """`tangent_gaussian_mean` with a helper thread on `schedule`; drawers
+    gets the thread that drew each slice, keyed by the slice's first row.
+
+    schedule None: no helper. "eager": the helper starts before the call,
+    and the caller's first draw waits until the helper has drawn a slice.
+    An int c: the helper starts when the caller begins its draw number c
+    (0-based), which waits until the helper has drawn a slice. A caller's
+    draw waits only if a slice is left for the helper.
+    """
+    count = len(synth._mean_bounds(n))
+    helper = thread = None
+    if schedule is not None:
+        helper = synth.MeanHelper()
+        thread = threading.Thread(target=helper.draw_slices, daemon=True)
+    helped = threading.Event()
+    draw = synth._mean_slice
+
+    def recorded(mu, basis, sigma, seed, n, lo, hi):
+        me = threading.current_thread()
+        if me is not thread:
+            mine = sum(1 for t in drawers.values() if t is me)
+            if schedule == mine and thread is not None:
+                thread.start()
+            if mine == (0 if schedule == "eager" else schedule) and mine + 1 < count:
+                assert helped.wait(10)
+        try:
+            return draw(mu, basis, sigma, seed, n, lo, hi)
+        finally:
+            drawers[lo] = me
+            if me is thread:
+                helped.set()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synth, "_mean_slice", recorded)
+        if schedule == "eager":
+            thread.start()
+        try:
+            return tangent_gaussian_mean(direction, sigma, n, seed, helper)
+        finally:
+            if thread is not None:
+                thread.join(10)
+                assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("mean_slice", [64, 128])
+@pytest.mark.parametrize("schedule", [None, "eager", "late"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(
+    st.none() | st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
+    st.integers(0, 2**64 - 1),
+)
+@example(None, 0)
+def test_helped_mean_is_the_mean_of_the_whole_sample(d, mean_slice, schedule, values, seed):
+    direction = np.eye(d)[-1] if values is None else np.array(values[:d])
+    assume(np.linalg.norm(direction) > 0.1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synth, "_MEAN_SLICE", mean_slice)
+        for sigma in (0.0, 1e-3, 0.1, 2.0):
+            for n in draw_counts(mean_slice):
+                bounds = synth._mean_bounds(n)
+                when = len(bounds) // 2 if schedule == "late" else schedule
+                drawers = {}
+                got = helped_mean(direction, sigma, n, seed, when, drawers)
+                expected = tangent_gaussian_sample(direction, sigma, n, seed).mean(axis=0)
+                assert_same(got, expected)
+                assert sorted(drawers) == [lo for lo, _ in bounds]  # each slice drawn once
+                threads = set(drawers.values())
+                if schedule is None:
+                    assert threads == {threading.current_thread()}
+                elif schedule == "eager" and len(bounds) > 1:
+                    assert len(threads) == 2  # the helper drew at least one slice
+
+
+def test_helpers_beyond_the_cores_draw_each_slice_once(monkeypatch):
+    # three helpers and the caller on two cores, switching as often as possible
+    monkeypatch.setattr(synth, "_MEAN_SLICE", 64)
+    n, seed, drawn = 20_001, 3, []
+    draw = synth._mean_slice
+
+    def counted(*args):
+        drawn.append(args[-2])
+        return draw(*args)
+
+    monkeypatch.setattr(synth, "_mean_slice", counted)
+    expected = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, n, seed).mean(axis=0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        helper = synth.MeanHelper()
+        helpers = [threading.Thread(target=helper.draw_slices, daemon=True) for _ in range(3)]
+        for thread in helpers:
+            thread.start()
+        got = tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, n, seed, helper)
+        for thread in helpers:
+            thread.join(10)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same(got, expected)
+    assert sorted(drawn) == [lo for lo, _ in synth._mean_bounds(n)]
+
+
+def test_a_helper_claims_at_most_the_window_ahead_of_the_sum(monkeypatch):
+    monkeypatch.setattr(synth, "_MEAN_SLICE", 64)  # 40 slices
+    helper, caller = synth.MeanHelper(), threading.current_thread()
+    thread = threading.Thread(target=helper.draw_slices, daemon=True)
+    helper_slices, while_held = [], []
+    draw = synth._mean_slice
+
+    def held(*args):
+        if threading.current_thread() is caller and thread.ident is None:
+            # the sum stays at slice 0 while the helper runs alone for a while
+            thread.start()
+            thread.join(0.5)
+            while_held.extend(helper_slices)
+        elif threading.current_thread() is thread:
+            helper_slices.append(args[-2])
+        return draw(*args)
+
+    monkeypatch.setattr(synth, "_mean_slice", held)
+    got = tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 64 * 40, 1, helper)
+    thread.join(10)
+    assert not thread.is_alive()
+    assert while_held == [64, 128, 192]  # slices 1 to 3: at most 4 ahead of the sum
+    assert_same(got, tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 64 * 40, 1).mean(axis=0))
+
+
+def test_a_helper_serves_one_call():
+    helper = synth.MeanHelper()
+    tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 10, 1, helper)
+    with pytest.raises(ValueError, match="one tangent_gaussian_mean call"):
+        tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 10, 1, helper)
+
+
 def test_tangent_mean_fails_in_a_late_slice_as_the_sample_does(monkeypatch):
     monkeypatch.setattr(synth, "_MEAN_SLICE", 64)
     n, seed = 1000, 7
@@ -236,6 +374,14 @@ def test_tangent_mean_fails_in_a_late_slice_as_the_sample_does(monkeypatch):
     with pytest.raises(GenerationFailed) as sliced:
         tangent_gaussian_mean([0.0, 0.0, 1.0], sigma, n, seed)
     assert str(sliced.value) == str(whole.value)
+    # a helper draws the failing slice; the caller raises its error on reaching it
+    failing, drawers = int(np.argmax(radii)) // 64, {}
+    threads = threading.active_count()
+    with pytest.raises(GenerationFailed) as helped:
+        helped_mean([0.0, 0.0, 1.0], sigma, n, seed, failing - 1, drawers)
+    assert str(helped.value) == str(whole.value)
+    assert drawers[64 * failing] is not threading.current_thread()
+    assert threading.active_count() == threads
 
 
 def traced_peak(draw):
@@ -256,6 +402,9 @@ def test_tangent_mean_memory_does_not_grow_with_the_draws():
     assert whole > 40 * 10**6
     assert large < 8 * 2**20
     assert abs(large - small) <= 0.1 * small
+    # a helper holds at most the window of slices ahead of the sum
+    helped = traced_peak(lambda: helped_mean(mu, 0.1, 10**6, 5, "eager", {}))
+    assert helped < 8 * 2**20
 
 
 # ---- statistics ------------------------------------------------------------------
@@ -385,10 +534,22 @@ def test_bad_alpha_fails_before_any_draw(monkeypatch, alpha):
     assert threading.active_count() == threads
 
 
+def spy_stop(monkeypatch):
+    """An event set once a `MeanHelper` has been stopped."""
+    stopped, stop = threading.Event(), synth.MeanHelper.stop
+
+    def spied(helper):
+        stop(helper)
+        stopped.set()
+
+    monkeypatch.setattr(synth.MeanHelper, "stop", spied)
+    return stopped
+
+
 def test_interrupt_stops_the_worker_before_its_next_slice(monkeypatch):
     monkeypatch.setattr(pipeline, "_MC_SLICE_DOUBLES", 1)  # one replication a slice
     stops, slices = [], []
-    started = threading.Event()
+    started, stopped = threading.Event(), spy_stop(monkeypatch)
     replications, draw = pipeline._replications, pipeline.tangent_gaussian_samples
 
     def spy(*args):
@@ -400,7 +561,7 @@ def test_interrupt_stops_the_worker_before_its_next_slice(monkeypatch):
         if len(slices) == 1:
             started.set()
             # hold the first slice until the calling thread has raised
-            stops[0].wait(10)
+            stopped.wait(10)
         return draw(mu, sigma, n, seeds)
 
     def interrupted_oracle(*args):
@@ -414,8 +575,35 @@ def test_interrupt_stops_the_worker_before_its_next_slice(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         pipeline.run_monte_carlo(0.1, 2, 1000, 0.05, 0, 100)
     assert threading.active_count() == threads
-    assert stops[0].is_set()
+    assert stops[0].stopped
     assert slices == [1]  # of 1,000 slices, only the one under way ran
+
+
+def test_interrupt_stops_the_worker_before_its_next_oracle_slice(monkeypatch):
+    monkeypatch.setattr(synth, "_MEAN_SLICE", 64)  # 1,563 oracle slices
+    helped, stopped = threading.Event(), spy_stop(monkeypatch)
+    worker_slices = []
+    draw = synth._mean_slice
+
+    def interrupted_draw(*args):
+        if threading.current_thread() is threading.main_thread():
+            # the caller's first slice waits until the worker is inside one
+            assert helped.wait(10)
+            raise KeyboardInterrupt
+        worker_slices.append(args[-2])
+        helped.set()
+        # hold the worker's first slice until the calling thread has raised
+        stopped.wait(10)
+        return draw(*args)
+
+    monkeypatch.setattr(synth, "_mean_slice", interrupted_draw)
+    threads = threading.active_count()
+    # one replication: the worker turns to the oracle at once
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.run_monte_carlo(0.1, 2, 1, 0.05, 0, 100_000)
+    assert threading.active_count() == threads
+    assert stopped.is_set()
+    assert len(worker_slices) == 1  # only the oracle slice under way ran
 
 
 # ---- the drawn oracle against the closed form ---------------------------------------
