@@ -132,8 +132,15 @@ class FrameSpec:
         labels = frame + rest
         if any(x < 1 for x in labels):
             raise InvalidLandmark("labels must be positive integers")
-        if len(set(labels)) != len(labels):
-            raise InvalidLandmark("frame and remaining labels must be distinct")
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                if i < len(frame):
+                    repeat = f"frame label {label} is repeated"
+                elif label in frame:
+                    repeat = f"label {label} is both a frame and a remaining label"
+                else:
+                    repeat = f"remaining label {label} is repeated"
+                raise InvalidLandmark(f"{repeat}; frame and remaining labels must be distinct")
         object.__setattr__(self, "frame_labels", frame)
         object.__setattr__(self, "remaining_labels", rest)
 

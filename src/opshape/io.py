@@ -238,8 +238,19 @@ def parse_landmarks(path) -> LandmarkStudy:
     return LandmarkStudy(ids, points, hashlib.sha256(payload).hexdigest())
 
 
+# one landmark row, as csv.writer writes it with each float passed through
+# format_float; the id goes through _csv_field
+_LANDMARK_ROW = "%s,%d,%.17g,%.17g\r\n"
+# rows formatted per write: about 60 kB of text, never the whole file
+_WRITE_ROWS = 1000
+
+
 def write_landmarks(path, scenes: Sequence[LandmarkScene]) -> None:
     """Write scenes in the input CSV format, floats at 17 significant digits.
+
+    The bytes are those csv.writer writes for the rows (id, label,
+    format_float(x), format_float(y)); they are formatted by the
+    _LANDMARK_ROW template about _WRITE_ROWS rows at a time.
 
     Raises:
         SchemaError: a scene id that parse_landmarks would not read back as
@@ -254,12 +265,18 @@ def write_landmarks(path, scenes: Sequence[LandmarkScene]) -> None:
             )
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HEADER)
+        fh.write(",".join(HEADER) + "\r\n")
+        fields: List = []
+        rows = 0
         for scene in scenes:
-            for label in range(1, scene.k + 1):
-                x, y = scene.points[label - 1]
-                writer.writerow([scene.scene_id, label, format_float(x), format_float(y)])
+            sid = _csv_field(scene.scene_id)
+            for label, (x, y) in enumerate(scene.points.tolist(), start=1):
+                fields += (sid, label, x, y)
+            rows += scene.k
+            if rows >= _WRITE_ROWS:
+                fh.write((_LANDMARK_ROW * rows) % tuple(fields))
+                fields, rows = [], 0
+        fh.write((_LANDMARK_ROW * rows) % tuple(fields))
 
 
 # csv.writer (excel dialect) quotes a field that holds one of these

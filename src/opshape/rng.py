@@ -7,6 +7,10 @@ independent generators. That also lets many streams advance at once:
 r bit-identical to `SplitMix64(seeds[r]).normals(count)`, and a single
 generator's draws are its one-row case. `normal_pairs` gives any range of
 a draw's Box-Muller pairs on its own, so a long draw can be made in slices.
+`successive_normals` gives many successive draws of one stream at once:
+word j of a stream at counter c is word j of the stream seeded
+seed + c*golden (mod 2^64) at counter 0, so each draw is a row of
+`normal_rows` for its own shifted seed.
 Gaussian variates go through numpy's log/cos/sin and are therefore exact
 only up to the platform's rounding of those functions.
 """
@@ -83,6 +87,23 @@ def normal_rows(seeds, count: int, start: int = 0) -> np.ndarray:
         raise ValueError("sample size must be nonnegative")
     m = (count + 1) // 2
     return normal_pairs(seeds, m, 0, m, start)[:, :count]
+
+
+def successive_normals(seed: int, count: int, draws: int) -> np.ndarray:
+    """`draws` successive `SplitMix64(seed).normals(count)` calls, shape (draws, count).
+
+    Row v is bit-identical to the v-th call on one generator. That call
+    starts at counter c = v * 2 * ceil(count / 2), and the stream at
+    counter c is the stream seeded seed + c * golden (mod 2^64) at counter
+    0; so row v is the `normal_rows` row of that shifted seed, and all rows
+    come from one array pass.
+    """
+    if draws < 0:
+        raise ValueError("number of draws must be nonnegative")
+    step = (2 * ((count + 1) // 2) * _GOLDEN) & _MASK
+    # uint64 arrays wrap mod 2^64, as the stream's counter arithmetic does
+    seeds = np.arange(draws, dtype=np.uint64) * np.uint64(step) + np.uint64(int(seed) & _MASK)
+    return normal_rows(seeds, count)
 
 
 class SplitMix64:

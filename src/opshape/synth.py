@@ -7,6 +7,21 @@ zero-dispersion oracle. Out-of-plane perturbations of the non-frame
 landmarks produce controlled departures. All draws run through the
 counter-based generator, so every artifact regenerates from its seed.
 
+A study is generated as array operations over all cameras at once
+(`_camera_stack`). Camera try t reads words 7t..7t+6 of its stream, as a
+loop making one try at a time would. Tries are drawn in batches, their
+look-at rotations computed stacked, and those that put a landmark behind
+the camera rejected in bulk; the first n accepted tries are kept in try
+order, and a batch never reaches past the `_MAX_TRIES` * n budget. The
+bits match the one-camera-at-a-time loop because each step makes the same
+floating-point operations on the same operands: elementwise arithmetic
+and `np.cross` round per element, a stacked (1, 3) @ (3, 1) product makes
+the dot call `np.linalg.norm` makes for a vector, the stacked projection
+makes one BLAS product per camera, and cosines and sines still come from
+`math`, one value at a time. Each view's image noise is one
+`normals(2k)` draw of one stream, all views drawn together by
+`rng.successive_normals`.
+
 Tangent-Gaussian sphere samples go through one Box-Muller draw and one
 normalize step. `tangent_gaussian_mean` makes and sums its draws one slice
 at a time, so a large oracle's memory does not grow with its size, and its
@@ -25,7 +40,7 @@ import numpy as np
 
 from .errors import BehindCamera, GenerationFailed, InvalidLandmark
 from .geometry import LandmarkScene, _freeze
-from .rng import SplitMix64, normal_pairs, normal_rows
+from .rng import SplitMix64, normal_pairs, normal_rows, successive_normals
 
 # rejection margins for general position, in scene units
 _MIN_TRIPLE_AREA = 0.05  # twice the triangle area
@@ -65,6 +80,29 @@ class Scene3D:
         return self.points.shape[0]
 
 
+def _check_cameras(rotations: np.ndarray, focals: np.ndarray) -> None:
+    """Check a stack of cameras, (N, 3, 3) rotations and (N,) focals.
+
+    Raises:
+        ValueError: the first failed check of the first camera that fails
+            one, in the order a camera is checked: its rotation is 3x3 and
+            orthogonal, preserves orientation, and its focal is positive.
+    """
+    orthogonal = "rotation must be a 3x3 orthogonal matrix"
+    if rotations.ndim != 3 or rotations.shape[1:] != (3, 3):
+        raise ValueError(orthogonal)
+    gram = rotations @ rotations.transpose(0, 2, 1)
+    failed = (
+        (~np.isclose(gram, np.eye(3), atol=1e-10).all(axis=(1, 2)), orthogonal),
+        (np.linalg.det(rotations) < 0.0, "rotation must preserve orientation (det +1)"),
+        (~(focals > 0.0), "focal length must be positive"),
+    )
+    bad = np.logical_or.reduce([fails for fails, _ in failed])
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise ValueError(next(message for fails, message in failed if fails[first]))
+
+
 @dataclass(frozen=True)
 class PinholeCamera:
     """Pinhole camera: x_cam = rotation @ (x_world - center), image = focal * (x/z, y/z)."""
@@ -76,14 +114,37 @@ class PinholeCamera:
     def __post_init__(self):
         c = np.asarray(self.center, dtype=np.float64)
         r = np.asarray(self.rotation, dtype=np.float64)
-        if r.shape != (3, 3) or not np.allclose(r @ r.T, np.eye(3), atol=1e-10):
-            raise ValueError("rotation must be a 3x3 orthogonal matrix")
-        if np.linalg.det(r) < 0.0:
-            raise ValueError("rotation must preserve orientation (det +1)")
-        if not self.focal > 0.0:
-            raise ValueError("focal length must be positive")
+        _check_cameras(r[None], np.array([self.focal], dtype=np.float64))
         object.__setattr__(self, "center", _freeze(c))
         object.__setattr__(self, "rotation", _freeze(r))
+
+
+def _camera_coords(centers: np.ndarray, rotations: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(N, k, 3) camera coordinates of k points in each of N cameras.
+
+    Slice i is (points - centers[i]) @ rotations[i].T, bit for bit: the
+    stacked product makes the same BLAS call for each slice.
+    """
+    return (points[None] - centers[:, None, :]) @ rotations.transpose(0, 2, 1)
+
+
+def _project(
+    centers: np.ndarray, rotations: np.ndarray, focals: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """(N, k, 2) images of k points in each of N cameras.
+
+    Raises:
+        BehindCamera: some landmark has depth below 1e-6 in some camera;
+            the message names the first such camera's shallowest landmark.
+    """
+    coords = _camera_coords(centers, rotations, points)
+    depths = coords[..., 2]
+    behind = (depths < _MIN_DEPTH).any(axis=1)
+    if behind.any():
+        cam = depths[int(np.argmax(behind))]
+        bad = int(np.argmin(cam))
+        raise BehindCamera(f"landmark {bad + 1} has depth {cam[bad]:.3e}")
+    return focals[:, None, None] * coords[..., :2] / depths[..., None]
 
 
 def project(camera: PinholeCamera, scene: Scene3D, scene_id: str = "view") -> LandmarkScene:
@@ -92,12 +153,9 @@ def project(camera: PinholeCamera, scene: Scene3D, scene_id: str = "view") -> La
     Raises:
         BehindCamera: some landmark has camera depth below 1e-6.
     """
-    cam_coords = (scene.points - camera.center) @ camera.rotation.T
-    depths = cam_coords[:, 2]
-    if np.any(depths < _MIN_DEPTH):
-        bad = int(np.argmin(depths))
-        raise BehindCamera(f"landmark {bad + 1} has depth {depths[bad]:.3e}")
-    image = camera.focal * cam_coords[:, :2] / depths[:, None]
+    image = _project(
+        camera.center[None], camera.rotation[None], np.array([camera.focal]), scene.points
+    )[0]
     return LandmarkScene(scene_id=scene_id, points=image)
 
 
@@ -138,19 +196,92 @@ def random_coplanar_scene(k: int, seed: int) -> Scene3D:
     raise GenerationFailed(f"no general-position scene after {_MAX_TRIES} tries")
 
 
-def _look_at_rotation(center: np.ndarray, target: np.ndarray, roll: float) -> np.ndarray:
-    z = target - center
-    z = z / np.linalg.norm(z)
-    up = np.array([0.0, 0.0, 1.0])
-    x = np.cross(up, z)
-    if np.linalg.norm(x) < 1e-8:
-        x = np.cross(np.array([0.0, 1.0, 0.0]), z)
-    x = x / np.linalg.norm(x)
+def _norms(v: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm` of each row of an (N, 3) stack, bit for bit.
+
+    The norm of a vector is the square root of its dot product with itself;
+    a stacked (1, 3) @ (3, 1) product makes the same dot call per row,
+    where a sum of squares may round otherwise.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _look_at_rotations(centers: np.ndarray, targets: np.ndarray, rolls: np.ndarray) -> np.ndarray:
+    """(N, 3, 3) rotations whose z axis points from each center to its target.
+
+    x is up x z normalized (y-axis x z when z is nearly vertical), y = z x x,
+    and the x and y axes are rolled by the angle in `rolls`.
+    """
+    z = targets - centers
+    z = z / _norms(z)[:, None]
+    x = np.cross(np.array([0.0, 0.0, 1.0]), z)
+    vertical = _norms(x) < 1e-8
+    if vertical.any():
+        x[vertical] = np.cross(np.array([0.0, 1.0, 0.0]), z[vertical])
+    x = x / _norms(x)[:, None]
     y = np.cross(z, x)
-    c, s = math.cos(roll), math.sin(roll)
-    xr = c * x + s * y
-    yr = -s * x + c * y
-    return np.stack([xr, yr, z])
+    # math's cos and sin, which numpy's vector loops may not match
+    c = np.array([math.cos(r) for r in rolls.tolist()])[:, None]
+    s = np.array([math.sin(r) for r in rolls.tolist()])[:, None]
+    return np.stack([c * x + s * y, -s * x + c * y, z], axis=1)
+
+
+def _camera_tries(draws: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centers, rotations and focals of the tries whose 7 uniforms are the rows of draws."""
+    uz = 0.35 + 0.6 * draws[:, 0]
+    phi = 2.0 * math.pi * draws[:, 1]
+    radius = 3.5 + 1.5 * draws[:, 2]
+    square = 1.0 - uz * uz
+    rho = np.sqrt(np.where(0.0 > square, 0.0, square))  # max(square, 0.0)
+    cos_phi = np.array([math.cos(p) for p in phi.tolist()])
+    sin_phi = np.array([math.sin(p) for p in phi.tolist()])
+    centers = radius[:, None] * np.stack([rho * cos_phi, rho * sin_phi, uz], axis=1)
+    targets = np.stack(
+        [0.3 * (draws[:, 3] - 0.5), 0.3 * (draws[:, 4] - 0.5), np.zeros(len(draws))], axis=1
+    )
+    rotations = _look_at_rotations(centers, targets, 2.0 * math.pi * draws[:, 5])
+    return centers, rotations, 0.8 + 0.7 * draws[:, 6]
+
+
+def _camera_stack(
+    n: int, seed: int, scene: Optional[Scene3D] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centers (n, 3), rotations (n, 3, 3) and focals (n,) of n cameras.
+
+    Try t reads words 7t..7t+6 of the seed's stream. Tries are made in
+    batches and checked in bulk; with a scene, a try that puts a landmark at
+    depth below 1e-6 is rejected, and the first n accepted tries are kept in
+    try order. Tries after the n-th accepted one are neither checked nor
+    kept, so the result and every error are those of making the tries one
+    at a time.
+
+    Raises:
+        ValueError: a try fails a camera check (`_check_cameras`).
+        GenerationFailed: fewer than n tries were accepted in `_MAX_TRIES` * n.
+    """
+    if n < 1:
+        raise ValueError("need at least one camera")
+    gen = SplitMix64(seed)
+    budget = _MAX_TRIES * n
+    tries, kept = 0, []
+    need = n
+    while need:
+        # the first batch is exactly n tries: without rejections it is the last
+        batch = min(budget - tries, need if tries == 0 else max(4 * need, 1024))
+        if batch <= 0:
+            raise GenerationFailed("could not place cameras with positive depth")
+        tries += batch
+        centers, rotations, focals = _camera_tries(gen.uniforms(7 * batch).reshape(batch, 7))
+        accepted = np.arange(batch)
+        if scene is not None:
+            depths = _camera_coords(centers, rotations, scene.points)[..., 2]
+            accepted = np.flatnonzero(~(depths < _MIN_DEPTH).any(axis=1))
+        accepted = accepted[:need]
+        need -= accepted.size
+        made = accepted[-1] + 1 if need == 0 else batch
+        _check_cameras(rotations[:made], focals[:made])
+        kept.append((centers[accepted], rotations[accepted], focals[accepted]))
+    return tuple(np.concatenate(part) for part in zip(*kept))
 
 
 def random_cameras(
@@ -160,37 +291,16 @@ def random_cameras(
 
     Centers stay on one side of the scene plane so all views share an
     orientation. When a scene is given, cameras that put any landmark at
-    depth below 1e-6 are rejected and redrawn.
+    depth below 1e-6 are rejected and redrawn. The cameras of `_camera_stack`.
 
     Raises:
         GenerationFailed: rejection sampling exhausted its budget.
     """
-    if n < 1:
-        raise ValueError("need at least one camera")
-    gen = SplitMix64(seed)
-    cams: List[PinholeCamera] = []
-    tries = 0
-    while len(cams) < n:
-        tries += 1
-        if tries > _MAX_TRIES * n:
-            raise GenerationFailed("could not place cameras with positive depth")
-        draws = gen.uniforms(7)
-        uz = 0.35 + 0.6 * draws[0]
-        phi = 2.0 * math.pi * draws[1]
-        radius = 3.5 + 1.5 * draws[2]
-        rho = math.sqrt(max(1.0 - uz * uz, 0.0))
-        center = radius * np.array([rho * math.cos(phi), rho * math.sin(phi), uz])
-        target = np.array([0.3 * (draws[3] - 0.5), 0.3 * (draws[4] - 0.5), 0.0])
-        roll = 2.0 * math.pi * draws[5]
-        focal = 0.8 + 0.7 * draws[6]
-        rotation = _look_at_rotation(center, target, roll)
-        cam = PinholeCamera(center=center, rotation=rotation, focal=focal)
-        if scene is not None:
-            depths = ((scene.points - center) @ rotation.T)[:, 2]
-            if np.any(depths < _MIN_DEPTH):
-                continue
-        cams.append(cam)
-    return cams
+    centers, rotations, focals = _camera_stack(n, seed, scene)
+    return [
+        PinholeCamera(center=c, rotation=r, focal=f)
+        for c, r, f in zip(centers, rotations, focals.tolist())
+    ]
 
 
 def perturb_out_of_plane(
@@ -240,11 +350,17 @@ def synthesize_views(
     the scene, cameras, signs, and noise derive from the master seed.
 
     Raises:
-        InvalidLandmark: a frame label is not one of the k landmarks.
+        InvalidLandmark: a frame label is not one of the k landmarks, or
+            is repeated; or noise so large that a coordinate is not finite
+            (the first such scene is named).
     """
     for label in frame_labels:
         if not 1 <= int(label) <= k:
             raise InvalidLandmark(f"frame label {label} is not a landmark of 1..{k}")
+    labels = [int(label) for label in frame_labels]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise InvalidLandmark(f"frame label {label} is repeated")
     master = SplitMix64(seed)
     scene_seed = master.next_u64()
     cam_seed = master.next_u64()
@@ -254,16 +370,14 @@ def synthesize_views(
     scene = random_coplanar_scene(k, scene_seed)
     if delta > 0.0:
         scene = perturb_out_of_plane(scene, delta, perturb_seed, frame_labels)
-    cams = random_cameras(cameras, cam_seed, scene=scene)
-    views = [project(cam, scene, scene_id=str(i + 1)) for i, cam in enumerate(cams)]
+    images = _project(*_camera_stack(cameras, cam_seed, scene=scene), scene.points)
     if noise > 0.0:
-        ngen = SplitMix64(noise_seed)
-        noisy = []
-        for view in views:
-            jitter = noise * ngen.normals(2 * k).reshape(k, 2)
-            noisy.append(LandmarkScene(view.scene_id, view.points + jitter))
-        views = noisy
-    return views
+        # view v's jitter is the stream's v-th normals(2k) draw
+        normals = successive_normals(noise_seed, 2 * k, cameras).reshape(cameras, k, 2)
+        # a coordinate that overflows is refused below as not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = images + noise * normals
+    return [LandmarkScene(str(i + 1), image) for i, image in enumerate(images)]
 
 
 def _tangent_basis(direction: np.ndarray) -> np.ndarray:

@@ -325,6 +325,19 @@ def test_frame_spec_validation():
         FrameSpec(frame_labels=(1, 2, 3, 4), remaining_labels=(4,))
 
 
+@pytest.mark.parametrize(
+    "frame, rest, repeat",
+    [
+        ((1, 2, 3, 3), (5,), "frame label 3 is repeated"),
+        ((1, 2, 3, 4), (5, 5), "remaining label 5 is repeated"),
+        ((1, 2, 3, 4), (6, 2), "label 2 is both a frame and a remaining label"),
+    ],
+)
+def test_frame_spec_names_the_repeated_label(frame, rest, repeat):
+    with pytest.raises(InvalidLandmark, match=repeat):
+        FrameSpec(frame_labels=frame, remaining_labels=rest)
+
+
 def test_direction_sample_validation_and_views():
     v = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     sample = DirectionSample.from_vectors(v, scene_ids=("a", "b", "c"))

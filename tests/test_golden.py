@@ -248,3 +248,22 @@ def test_csv_view_bytes_match_golden_hash(tmp_path, name):
     _run(["analyze", str(study), "--out", str(tmp_path / "out"), *extra])
     digests = tuple(_sha256(tmp_path / "out" / f"{view}.csv") for view in CSV_VIEWS)
     assert digests == CSV_GOLDEN[name]
+
+
+# bytes of `opshape synth` output, recorded from the per-camera generator and
+# the csv.writer row loop that wrote it
+SYNTH_GOLDEN = {
+    "--k 7 --cameras 2000 --delta 0.02 --noise 0.002": (
+        "d6ad6dbd12fdfdfef489a807ec6fb56608a2d98be1aa68902f4ccd389265d401"
+    ),
+    "--k 5 --cameras 200 --delta 0.02 --noise 0.002": (
+        "9177be83c2e6f03b70ed1868448c79fe906c085fdfbc92ef8a015def1f7076f1"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(SYNTH_GOLDEN))
+def test_synth_bytes_match_golden_hash(tmp_path, args):
+    out = tmp_path / "study.csv"
+    _run(["synth", *args.split(), "--out", str(out)])
+    assert _sha256(out) == SYNTH_GOLDEN[args]

@@ -418,6 +418,38 @@ def test_write_then_parse_round_trips_exactly(tmp_path_factory, ids, k, data):
     assert back.points.tobytes() == np.ascontiguousarray(points).tobytes()
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            scene_ids.filter(lambda sid: sid == sid.strip()),
+            st.integers(1, 7),
+            st.integers(0, 2**32 - 1),
+        ),
+        max_size=12,
+    ),
+    st.sampled_from([1, 5, 1000]),
+)
+@example([("comma,id", 3, 1), ('say "hi"', 1, 2), ("line\nbreak", 5, 3), ("\u00e9", 2, 4)], 1)
+@example([("a", 5, 0)] * 300, 1000)
+def test_write_landmarks_writes_the_bytes_of_csv_writer(tmp_path_factory, specs, block):
+    # scenes of mixed sizes, ids csv.writer must quote, and blocks that end
+    # inside, at and after a scene
+    scenes = [
+        LandmarkScene(sid, np.random.default_rng(seed).standard_normal((k, 2)) * 10.0 ** (seed % 9 - 4))
+        for sid, k, seed in specs
+    ]
+    path = tmp_path_factory.mktemp("written") / "study.csv"
+    with mock.patch.object(oio, "_WRITE_ROWS", block):
+        write_landmarks(path, scenes)
+    rows = [
+        (scene.scene_id, label, x, y)
+        for scene in scenes
+        for label, (x, y) in enumerate(scene.points.tolist(), start=1)
+    ]
+    assert path.read_bytes() == csv_writer_bytes(oio.HEADER, rows)
+
+
 @pytest.mark.parametrize("bad", ["", " ", " a", "a\t", "\u00a0a"])
 def test_write_landmarks_refuses_ids_the_parser_would_change(tmp_path, bad):
     pts = np.arange(10, dtype=float).reshape(5, 2)

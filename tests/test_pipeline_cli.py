@@ -390,6 +390,9 @@ def test_cli_bad_statistical_argument_exits_2(study_csv, tmp_path, capsys, comma
         ("synth --out {out} --delta nan", 2, "argument --delta: must be >= 0"),
         ("synth --out {out} --noise -0.5", 2, "argument --noise: must be >= 0"),
         ("synth --out {out} --k 6 --frame 1,2,3,9", 2, "frame label 9 is not a landmark"),
+        ("synth --out {out} --k 6 --frame 1,2,3,3", 2, "frame label 3 is repeated"),
+        ("analyze {study} --out {out} --frame 1,2,3,3", 2, "frame label 3 is repeated"),
+        ("vw {study} --out {out} --frame 1,2,3,3", 2, "frame label 3 is repeated"),
         ("mc --out {out} --sigma 1e200 --n 5 --reps 3", 3, "sigma 1e+200 is too large"),
         ("mc --out {out} --sigma 1e308 --n 5 --reps 3", 3, "sigma 1e+308 is too large"),
         ("analyze {study} --out {out} --frame 1,2,3", 2, "needs m=1 coordinates"),

@@ -1,6 +1,8 @@
 import numpy as np
 
-from opshape.rng import SplitMix64
+import pytest
+
+from opshape.rng import SplitMix64, successive_normals
 
 MASK = (1 << 64) - 1
 
@@ -94,3 +96,23 @@ def test_distinct_seeds_give_distinct_streams():
     a = SplitMix64(100).u64_block(16)
     b = SplitMix64(101).u64_block(16)
     assert not np.array_equal(a, b)
+
+
+# ---------- successive draws of one stream at once ---------------------------
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63, MASK - 2, MASK])
+@pytest.mark.parametrize("count", [0, 1, 3, 10, 14])
+def test_successive_normals_equal_successive_calls(seed, count):
+    gen = SplitMix64(seed)
+    calls = [gen.normals(count) for _ in range(40)]
+    got = successive_normals(seed, count, 40)
+    assert got.shape == (40, count)
+    assert got.tobytes() == np.array(calls).reshape(40, count).tobytes()
+
+
+def test_successive_normals_validation():
+    assert successive_normals(3, 4, 0).shape == (0, 4)
+    with pytest.raises(ValueError):
+        successive_normals(3, 4, -1)
+    with pytest.raises(ValueError):
+        successive_normals(3, -1, 2)

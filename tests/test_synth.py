@@ -1,11 +1,21 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import opshape
 import opshape.synth as synth
 from opshape.directional import coplanarity_test, total_variance
-from opshape.errors import BehindCamera, GenerationFailed
-from opshape.geometry import DirectionSample, FrameSpec
+from opshape.errors import BehindCamera, GenerationFailed, InvalidLandmark
+from opshape.geometry import DirectionSample, FrameSpec, LandmarkScene
 from opshape.pipeline import register_scenes
+from opshape.rng import SplitMix64
 from opshape.synth import (
     PinholeCamera,
     Scene3D,
@@ -250,3 +260,244 @@ def test_pinhole_camera_rejects_bad_rotation():
         PinholeCamera(center=np.zeros(3), rotation=reflect, focal=1.0)
     with pytest.raises(ValueError):
         PinholeCamera(center=np.zeros(3), rotation=np.eye(3), focal=0.0)
+
+
+def test_camera_checks_raise_the_first_cameras_first_failure():
+    rotations = np.stack([np.eye(3), np.eye(3), 2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0])])
+    focals = np.array([1.0, 0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="focal length must be positive"):
+        synth._check_cameras(rotations, focals)
+    with pytest.raises(ValueError, match="orthogonal"):
+        synth._check_cameras(rotations[2:], focals[2:])
+    with pytest.raises(ValueError, match="det"):
+        synth._check_cameras(rotations[3:], np.array([np.nan]))
+    with pytest.raises(ValueError, match="focal"):
+        synth._check_cameras(rotations[:1], np.array([np.nan]))
+    synth._check_cameras(rotations[:1], focals[:1])
+
+
+# ---------- the per-camera loop, kept as the reference of the stacked study --------
+#
+# random_cameras, project and synthesize_views as they were written one camera
+# at a time; the stacked generator must give the same bits and the same errors.
+
+def ref_look_at_rotation(center, target, roll):
+    z = target - center
+    z = z / np.linalg.norm(z)
+    up = np.array([0.0, 0.0, 1.0])
+    x = np.cross(up, z)
+    if np.linalg.norm(x) < 1e-8:
+        x = np.cross(np.array([0.0, 1.0, 0.0]), z)
+    x = x / np.linalg.norm(x)
+    y = np.cross(z, x)
+    c, s = math.cos(roll), math.sin(roll)
+    xr = c * x + s * y
+    yr = -s * x + c * y
+    return np.stack([xr, yr, z])
+
+
+def ref_random_cameras(n, seed, scene=None, gen=None):
+    gen = SplitMix64(seed) if gen is None else gen
+    cams = []
+    tries = 0
+    while len(cams) < n:
+        tries += 1
+        if tries > synth._MAX_TRIES * n:
+            raise GenerationFailed("could not place cameras with positive depth")
+        draws = gen.uniforms(7)
+        uz = 0.35 + 0.6 * draws[0]
+        phi = 2.0 * math.pi * draws[1]
+        radius = 3.5 + 1.5 * draws[2]
+        rho = math.sqrt(max(1.0 - uz * uz, 0.0))
+        center = radius * np.array([rho * math.cos(phi), rho * math.sin(phi), uz])
+        target = np.array([0.3 * (draws[3] - 0.5), 0.3 * (draws[4] - 0.5), 0.0])
+        roll = 2.0 * math.pi * draws[5]
+        focal = 0.8 + 0.7 * draws[6]
+        rotation = ref_look_at_rotation(center, target, roll)
+        cam = PinholeCamera(center=center, rotation=rotation, focal=focal)
+        if scene is not None:
+            depths = ((scene.points - center) @ rotation.T)[:, 2]
+            if np.any(depths < 1e-6):
+                continue
+        cams.append(cam)
+    return cams
+
+
+def ref_project(camera, scene, scene_id="view"):
+    cam_coords = (scene.points - camera.center) @ camera.rotation.T
+    depths = cam_coords[:, 2]
+    if np.any(depths < 1e-6):
+        bad = int(np.argmin(depths))
+        raise BehindCamera(f"landmark {bad + 1} has depth {depths[bad]:.3e}")
+    image = camera.focal * cam_coords[:, :2] / depths[:, None]
+    return LandmarkScene(scene_id=scene_id, points=image)
+
+
+def ref_synthesize_views(k, cameras, seed, delta=0.0, noise=0.0, frame_labels=(1, 2, 4, 3)):
+    master = SplitMix64(seed)
+    scene_seed, cam_seed, perturb_seed, noise_seed = (master.next_u64() for _ in range(4))
+    scene = random_coplanar_scene(k, scene_seed)
+    if delta > 0.0:
+        scene = perturb_out_of_plane(scene, delta, perturb_seed, frame_labels)
+    cams = ref_random_cameras(cameras, cam_seed, scene=scene)
+    views = [ref_project(cam, scene, scene_id=str(i + 1)) for i, cam in enumerate(cams)]
+    if noise > 0.0:
+        ngen = SplitMix64(noise_seed)
+        noisy = []
+        for view in views:
+            jitter = noise * ngen.normals(2 * k).reshape(k, 2)
+            noisy.append(LandmarkScene(view.scene_id, view.points + jitter))
+        views = noisy
+    return views
+
+
+def wide_scene(reach):
+    """A planar scene reaching `reach` from the origin: beyond about 4 many
+    cameras see a landmark behind them and are redrawn (half of them at
+    reach 6, nine in ten at reach 10)."""
+    angles = np.linspace(0.0, 2.0 * np.pi, 6)[:-1]
+    pts = np.column_stack([reach * np.cos(angles), reach * np.sin(angles), np.zeros(5)])
+    return Scene3D(
+        points=pts,
+        coplanar=True,
+        plane_normal=np.array([0.0, 0.0, 1.0]),
+        plane_offset=0.0,
+        out_of_plane_offsets=np.zeros(5),
+    )
+
+
+def camera_bytes(cams):
+    return [(c.center.tobytes(), c.rotation.tobytes(), float(c.focal)) for c in cams]
+
+
+def views_bytes(views):
+    return [(v.scene_id, v.points.tobytes()) for v in views]
+
+
+def outcome(make):
+    """What make() returns, or the type and message of what it raises."""
+    try:
+        return make()
+    except (GenerationFailed, ValueError, InvalidLandmark) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    k=st.integers(5, 8),
+    cameras=st.integers(1, 60),
+    seed=st.integers(0, 2**64 - 1),
+    delta=st.sampled_from([0.0, 1e-3, 0.02, 0.3]),
+    noise=st.sampled_from([0.0, 1e-4, 0.002, 0.05]),
+)
+@example(k=5, cameras=1, seed=2**64 - 1, delta=0.0, noise=0.0)
+@example(k=7, cameras=37, seed=0, delta=0.02, noise=0.002)
+def test_synthesize_views_equals_the_per_camera_loop(k, cameras, seed, delta, noise):
+    got = synthesize_views(k=k, cameras=cameras, seed=seed, delta=delta, noise=noise)
+    want = ref_synthesize_views(k=k, cameras=cameras, seed=seed, delta=delta, noise=noise)
+    assert views_bytes(got) == views_bytes(want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**64 - 1),
+    reach=st.sampled_from([None, 1.0, 3.8, 4.5, 6.0, 10.0]),
+)
+@example(n=40, seed=3, reach=6.0)
+def test_random_cameras_equal_the_per_camera_loop(n, seed, reach):
+    scene = None if reach is None else wide_scene(reach)
+    got = outcome(lambda: camera_bytes(random_cameras(n, seed, scene=scene)))
+    want = outcome(lambda: camera_bytes(ref_random_cameras(n, seed, scene=scene)))
+    assert got == want
+
+
+def test_wide_scenes_reject_many_tries():
+    # the scenes the properties above use do exercise the rejection
+    counted = SplitMix64(3)
+    ref_random_cameras(40, 3, scene=wide_scene(6.0), gen=counted)
+    assert counted.counter // 7 > 60
+
+
+def test_two_thousand_cameras_equal_the_per_camera_loop():
+    got = synthesize_views(k=7, cameras=2000, seed=5, delta=0.02, noise=0.002)
+    want = ref_synthesize_views(k=7, cameras=2000, seed=5, delta=0.02, noise=0.002)
+    assert views_bytes(got) == views_bytes(want)
+    scene = random_coplanar_scene(5, seed=8)
+    assert camera_bytes(random_cameras(2000, 8, scene=scene)) == camera_bytes(
+        ref_random_cameras(2000, 8, scene=scene)
+    )
+
+
+def test_project_equals_the_per_camera_projection():
+    scene = perturb_out_of_plane(random_coplanar_scene(6, seed=2), 0.05, seed=3)
+    for cam in ref_random_cameras(25, 4, scene=scene):
+        assert project(cam, scene).points.tobytes() == ref_project(cam, scene).points.tobytes()
+    behind = planar_scene([(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], -1.0)
+    with pytest.raises(BehindCamera) as got:
+        project(identity_camera(), behind)
+    with pytest.raises(BehindCamera) as want:
+        ref_project(identity_camera(), behind)
+    assert str(got.value) == str(want.value)
+
+
+def test_look_at_rotations_equal_the_per_camera_rotation():
+    # the first two cameras look straight down, where x falls back to y-axis x z
+    centers = np.array([[0.0, 0.0, 5.0], [0.3, -0.2, 4.0], [1.0, 2.0, 3.0], [-3.0, 0.5, 1.5]])
+    targets = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.0], [0.1, -0.1, 0.0], [0.0, 0.0, 0.0]])
+    rolls = np.array([0.0, 2.5, 1.0, 5.9])
+    got = synth._look_at_rotations(centers, targets, rolls)
+    for i in range(4):
+        assert got[i].tobytes() == ref_look_at_rotation(centers[i], targets[i], rolls[i]).tobytes()
+
+
+class CountingSplitMix64(SplitMix64):
+    """A generator that records every instance, so a test can read how many
+    words each one drew."""
+
+    made = []
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        CountingSplitMix64.made.append(self)
+
+
+@pytest.mark.parametrize("max_tries", [1, 2, 3])
+def test_generation_fails_after_as_many_tries_as_the_loop(monkeypatch, max_tries):
+    monkeypatch.setattr(synth, "_MAX_TRIES", max_tries)
+    monkeypatch.setattr(synth, "SplitMix64", CountingSplitMix64)
+    scene = wide_scene(10.0)  # about one try in ten is kept
+    failures = successes = 0
+    for n in (1, 3, 8):
+        for seed in range(12):
+            CountingSplitMix64.made = []
+            got = outcome(lambda: camera_bytes(random_cameras(n, seed, scene=scene)))
+            (stacked,) = CountingSplitMix64.made
+            reference = SplitMix64(seed)
+            want = outcome(lambda: camera_bytes(ref_random_cameras(n, seed, scene, reference)))
+            assert got == want
+            if isinstance(want, tuple):
+                failures += 1
+                assert want[0] == "GenerationFailed"
+                # every try of the budget was drawn, and not one more
+                assert stacked.counter == reference.counter == 7 * max_tries * n
+    assert failures > 0
+
+
+def test_repeated_frame_label_is_refused():
+    with pytest.raises(InvalidLandmark, match="frame label 3 is repeated"):
+        synthesize_views(k=6, cameras=3, seed=0, frame_labels=(1, 2, 3, 3))
+
+
+def test_huge_noise_exits_2_with_one_error_line(tmp_path):
+    # the overflow is refused as a non-finite coordinate, with no numpy warning
+    env = dict(os.environ, PYTHONPATH=str(Path(opshape.__file__).resolve().parents[1]))
+    out = tmp_path / "s.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "opshape.cli", "synth", "--k", "7", "--cameras", "10",
+         "--noise", "1e308", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: scene '1' has non-finite coordinates\n"
+    assert not out.exists()
