@@ -174,9 +174,23 @@ class OrientedFrameChart:
         object.__setattr__(self, "frame_scalars", _freeze(self.frame_scalars))
 
 
+def last_axis_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, which must hold at least one coordinate.
+
+    The squares are summed left to right one coordinate column at a time:
+    d long loops rather than one short loop per vector. For fewer than 8
+    coordinates that is the order `np.linalg.norm(axis=-1)` takes, so the
+    norms are its bits.
+    """
+    squares = v[..., 0] * v[..., 0]
+    for j in range(1, v.shape[-1]):
+        squares += v[..., j] * v[..., j]
+    return np.sqrt(squares)
+
+
 def check_unit_norm(units: np.ndarray) -> None:
     """ValueError unless every vector along the last axis has norm 1 within UNIT_ATOL."""
-    off = np.abs(np.linalg.norm(units, axis=-1) - 1.0)
+    off = np.abs(last_axis_norms(units) - 1.0)
     if not np.all(off <= UNIT_ATOL):
         worst = float(np.max(off))
         raise ValueError(f"vectors must be unit norm within {UNIT_ATOL} (off by {worst:.3e})")

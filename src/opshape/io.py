@@ -255,13 +255,19 @@ def write_landmarks(path, scenes: Sequence[LandmarkScene]) -> None:
     Raises:
         SchemaError: a scene id that parse_landmarks would not read back as
             it is: an empty id, or one with leading or trailing whitespace,
-            which the parser strips. Raised before the file is opened.
+            which the parser strips; or a scene whose points are not (k, 2),
+            which the format cannot hold. Raised before the file is opened.
     """
     for scene in scenes:
         if not scene.scene_id or scene.scene_id != scene.scene_id.strip():
             raise SchemaError(
                 f"scene id {scene.scene_id!r} would not read back: ids must be "
                 "nonempty, without leading or trailing whitespace"
+            )
+        if scene.points.shape[1] != 2:
+            raise SchemaError(
+                f"scene {scene.scene_id!r} has points of shape {scene.points.shape}: "
+                "the landmark format holds (k, 2) planar points"
             )
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -111,6 +111,10 @@ def _stack(
     return tuple(s.scene_id for s in scenes), np.stack(points)
 
 
+# flipped scene ids the mixed-orientation warning names, at most
+_WARN_IDS = 5
+
+
 def register_scenes(
     scenes: Sequence[LandmarkScene], spec: FrameSpec, skip_degenerate: bool = False
 ) -> Tuple[DirectionSample, List[str], List[str]]:
@@ -127,7 +131,8 @@ def register_scenes(
         (sample, skipped_ids, flipped_ids). Geometric degeneracies abort
         with the first offending scene's id, in input order, unless
         skip_degenerate, in which case every degenerate scene is dropped
-        and listed. Warns when charts mix determinant sign flips.
+        and listed. Warns when charts mix determinant sign flips, giving
+        the count of flipped scenes and the first `_WARN_IDS` of their ids.
     """
     ids, points = _stack(scenes, spec)
     units, flipped, errors = register_points(points, spec)
@@ -143,9 +148,11 @@ def register_scenes(
     skipped = [ids[i] for i in sorted(errors)]
     flipped_ids = [ids[i] for i in np.flatnonzero(flipped & keep)]
     if flipped_ids and len(flipped_ids) < len(kept):
+        shown = ", ".join(repr(i) for i in flipped_ids[:_WARN_IDS])
+        more = ", ..." if len(flipped_ids) > _WARN_IDS else ""
         warnings.warn(
             f"{len(flipped_ids)} of {len(kept)} scenes registered with a flipped chart "
-            f"orientation: {flipped_ids}",
+            f"orientation: [{shown}{more}]",
             MixedOrientationWarning,
             stacklevel=2,
         )
@@ -456,18 +463,19 @@ def run_monte_carlo(
     the pass holds 24 bytes per replication (seed, tS, SE) beyond one
     slice. Once its replications are done, the worker draws oracle slices
     too (a `MeanHelper`): both threads claim the oracle's slices in order,
-    at most 4 ahead of its running sum, and the calling thread alone adds
+    at most 2 ahead of its running sum, and the calling thread alone adds
     them to the sum in slice order. The output is bit-identical to drawing
     and testing each replication on its own, in series after the oracle.
     If the calling thread raises (KeyboardInterrupt included), the worker
     stops before its next replication slice or oracle slice, and the call
     returns only after the worker has exited.
 
-    On one CPU nothing overlaps, and the thread hand-offs cost a few
-    percent: pinned with `taskset -c 0` on a 2-vCPU Intel Xeon VM, a call
-    at n = 200, 1,000 replications and 10^6 oracle draws took 194-204 ms,
-    against 191-199 ms when only the calling thread drew the oracle
-    (medians of three alternating runs of 15 calls).
+    On one CPU nothing overlaps, and the thread hand-offs cost little:
+    pinned with `taskset -c 0` on a 2-vCPU Intel Xeon VM, a call at n = 200,
+    1,000 replications and 10^6 oracle draws took 150-186 ms, against
+    140-186 ms when only the calling thread drew the oracle (medians of 15
+    calls, six alternating runs each; the host's own speed drifts by more
+    than the difference).
 
     Raises:
         EmptySample, ValueError: n below 2 or reps below 1.

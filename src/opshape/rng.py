@@ -11,8 +11,14 @@ a draw's Box-Muller pairs on its own, so a long draw can be made in slices.
 word j of a stream at counter c is word j of the stream seeded
 seed + c*golden (mod 2^64) at counter 0, so each draw is a row of
 `normal_rows` for its own shifted seed.
-Gaussian variates go through numpy's log/cos/sin and are therefore exact
-only up to the platform's rounding of those functions.
+
+Every word comes from `_words`, one splitmix64 pass over one or more
+ranges of each seed's stream. A range of Box-Muller pairs takes its u1 and
+u2 words in one such pass and transforms them in place, so it costs about
+27 numpy calls whatever its length; with many threads drawing, the calls
+(each a release and re-take of the interpreter lock) matter as much as the
+arithmetic. Gaussian variates go through numpy's log/cos/sin and are
+therefore exact only up to the platform's rounding of those functions.
 """
 
 from __future__ import annotations
@@ -28,12 +34,15 @@ _TWO_POW_MINUS_53 = 2.0 ** -53
 _TWO_PI = 2.0 * np.pi
 
 
-def _mix(state: np.ndarray) -> np.ndarray:
-    # finalizer of splitmix64; wraps mod 2^64 via uint64 arithmetic
-    z = state
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix(z: np.ndarray) -> np.ndarray:
+    # finalizer of splitmix64, in place on a fresh array; wraps mod 2^64 via
+    # uint64 arithmetic
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _seed_array(seeds) -> np.ndarray:
@@ -44,15 +53,26 @@ def _seed_array(seeds) -> np.ndarray:
     return np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
 
 
-def _words(seeds: np.ndarray, start: int, n: int) -> np.ndarray:
-    """Raw words start .. start+n-1 (0-based) of each seed's stream, (R, n)."""
-    ks = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    return _mix(seeds[:, None] + ks * np.uint64(_GOLDEN))
+def _words(seeds: np.ndarray, start, n: int) -> np.ndarray:
+    """Raw words s .. s+n-1 (0-based) of each seed's stream for each start s.
+
+    start is one int, giving shape (R, n), or a sequence of S ints, giving
+    (S, R, n): each start's words one contiguous block. Either way the
+    words come from one splitmix64 pass.
+    """
+    counters = np.add.outer(
+        np.asarray(start, dtype=np.uint64), np.arange(1, n + 1, dtype=np.uint64)
+    )
+    counters *= np.uint64(_GOLDEN)
+    return _mix(np.expand_dims(counters, -2) + seeds[:, None])
 
 
 def _unit_interval(words: np.ndarray) -> np.ndarray:
-    # top 53 bits of each word, scaled into [0, 1)
-    return (words >> np.uint64(11)).astype(np.float64) * _TWO_POW_MINUS_53
+    # top 53 bits of each word, scaled into [0, 1); shifts words in place
+    words >>= np.uint64(11)
+    unit = words.astype(np.float64)
+    unit *= _TWO_POW_MINUS_53
+    return unit
 
 
 def normal_pairs(seeds, m: int, lo: int, hi: int, start: int = 0) -> np.ndarray:
@@ -62,18 +82,25 @@ def normal_pairs(seeds, m: int, lo: int, hi: int, start: int = 0) -> np.ndarray:
     pair j is (r cos(2 pi u2), r sin(2 pi u2)) with r = sqrt(-2 log u1) from
     words start+j and start+m+j, cosine and sine variates interleaved. Any
     range of pairs is therefore bit-identical to the same columns of the
-    whole draw.
+    whole draw. The u1 and u2 words of the range come from one `_words`
+    pass, and Box-Muller runs in place on them.
     """
     if not 0 <= lo <= hi <= m:
         raise ValueError("pair range must satisfy 0 <= lo <= hi <= m")
     seeds = _seed_array(seeds)
-    u1 = 1.0 - _unit_interval(_words(seeds, start + lo, hi - lo))  # (0, 1]: log stays finite
-    angle = _TWO_PI * _unit_interval(_words(seeds, start + m + lo, hi - lo))
-    r = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty((seeds.size, 2 * (hi - lo)), dtype=np.float64)
-    out[:, 0::2] = r * np.cos(angle)
-    out[:, 1::2] = r * np.sin(angle)
-    return out
+    c = hi - lo
+    r, angle = _unit_interval(_words(seeds, (start + lo, start + m + lo), c))
+    np.subtract(1.0, r, out=r)  # u1 in (0, 1]: log stays finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    angle *= _TWO_PI
+    out = np.empty((seeds.size, c, 2))
+    np.cos(angle, out=out[..., 0])
+    np.sin(angle, out=out[..., 1])
+    out[..., 0] *= r
+    out[..., 1] *= r
+    return out.reshape(seeds.size, 2 * c)
 
 
 def normal_rows(seeds, count: int, start: int = 0) -> np.ndarray:

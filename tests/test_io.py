@@ -459,6 +459,16 @@ def test_write_landmarks_refuses_ids_the_parser_would_change(tmp_path, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_write_landmarks_refuses_points_that_are_not_planar(tmp_path, m):
+    path = tmp_path / "study.csv"
+    good = LandmarkScene("ok", np.zeros((5, 2)))
+    bad = LandmarkScene("bent", np.arange(5.0 * m).reshape(5, m))
+    with pytest.raises(SchemaError, match=re.escape(f"'bent' has points of shape (5, {m})")):
+        write_landmarks(path, [good, bad])
+    assert not path.exists()
+
+
 # ---- LandmarkStudy ----------------------------------------------------------------
 
 

@@ -328,8 +328,10 @@ def test_helpers_beyond_the_cores_draw_each_slice_once(monkeypatch):
     assert sorted(drawn) == [lo for lo, _ in synth._mean_bounds(n)]
 
 
-def test_a_helper_claims_at_most_the_window_ahead_of_the_sum(monkeypatch):
+def held_helper_slices(monkeypatch, ahead):
+    """First rows of the slices a helper draws while the sum stays at slice 0."""
     monkeypatch.setattr(synth, "_MEAN_SLICE", 64)  # 40 slices
+    monkeypatch.setattr(synth, "_MEAN_AHEAD", ahead)
     helper, caller = synth.MeanHelper(), threading.current_thread()
     thread = threading.Thread(target=helper.draw_slices, daemon=True)
     helper_slices, while_held = [], []
@@ -345,12 +347,19 @@ def test_a_helper_claims_at_most_the_window_ahead_of_the_sum(monkeypatch):
             helper_slices.append(args[-2])
         return draw(*args)
 
-    monkeypatch.setattr(synth, "_mean_slice", held)
-    got = tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 64 * 40, 1, helper)
+    with monkeypatch.context() as patch:
+        patch.setattr(synth, "_mean_slice", held)
+        got = tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 64 * 40, 1, helper)
     thread.join(10)
     assert not thread.is_alive()
-    assert while_held == [64, 128, 192]  # slices 1 to 3: at most 4 ahead of the sum
     assert_same(got, tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 64 * 40, 1).mean(axis=0))
+    return while_held
+
+
+def test_a_helper_claims_at_most_the_window_ahead_of_the_sum(monkeypatch):
+    # slices 1 .. ahead-1: the caller holds slice 0 of the window
+    for ahead in (synth._MEAN_AHEAD, 4):
+        assert held_helper_slices(monkeypatch, ahead) == [64 * k for k in range(1, ahead)]
 
 
 def test_a_helper_serves_one_call():

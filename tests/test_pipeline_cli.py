@@ -216,6 +216,18 @@ def test_mirrored_scene_reports_mixed_orientation(tmp_path):
     assert rep.provenance["mixed_orientation"] is True
 
 
+def test_mixed_orientation_warning_names_at_most_five_ids():
+    # the 2,000-scene study of `synth --k 7 --cameras 2000 --delta 0.02 --noise 0.002`
+    views = synthesize_views(k=7, cameras=2000, seed=0, delta=0.02, noise=0.002)
+    with pytest.warns(MixedOrientationWarning) as record:
+        _, _, flipped = register_scenes(views, FrameSpec((1, 2, 4, 3), (5, 6, 7)))
+    assert len(flipped) > 5
+    message = str(record[0].message)
+    head = f"{len(flipped)} of 2000 scenes registered with a flipped chart orientation: "
+    assert message == head + "[" + ", ".join(map(repr, flipped[:5])) + ", ...]"
+    assert len(message) < 120
+
+
 def test_skip_degenerate_drops_and_lists_scene(tmp_path):
     good = synthesize_views(k=5, cameras=3, seed=9, delta=0.01, noise=0.002)
     path = tmp_path / "mixed.csv"
