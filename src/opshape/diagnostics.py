@@ -44,7 +44,7 @@ from .directional import (
     normal_quantile,
     stacked_moments,
     units_summary,
-    z_statistic,
+    z_values,
 )
 from .errors import EmptySample, InvalidLevel
 from .geometry import DirectionSample
@@ -121,11 +121,11 @@ def leave_one_out(
     One stacked exact pass: for a slice of deleted rows i at a time, the
     reduced samples are gathered by _deletion_moments into one
     (rows, n - 1, q, d) array of at most about 2^14 doubles, and their tS and
-    SE come from stacked_moments, ci_lower from confidence_interval and z
-    from z_statistic. Each row is bit-identical to coplanarity_test on
-    sample.without(i). A deletion that leaves a focal mean is flagged on its
-    row (statistics NaN) rather than raised: the table is a diagnostic, not
-    an analysis.
+    SE come from stacked_moments, ci_lower from confidence_interval, and z
+    and the degenerate flag from z_values, all in array steps. Each row is
+    bit-identical to coplanarity_test on sample.without(i). A deletion that
+    leaves a focal mean is flagged on its row (statistics NaN) rather than
+    raised: the table is a diagnostic, not an analysis.
     """
     units = sample.units
     n, q, d = units.shape
@@ -147,13 +147,19 @@ def leave_one_out(
     ts[focal] = np.nan
     se[focal] = np.nan
     lower = confidence_interval(ts, se, alpha)[0]
-    rows: List[LeaveOneOutRow] = []
-    for sid, ts_i, se_i, lower_i, focal_i in zip(
-        sample.scene_ids, ts.tolist(), se.tolist(), lower.tolist(), focal.tolist()
-    ):
-        z, _, degenerate = z_statistic(ts_i, se_i)
-        rows.append(LeaveOneOutRow(sid, ts_i, se_i, z, lower_i, degenerate, focal_i))
-    return rows
+    z, degenerate = z_values(ts, se)
+    return [
+        LeaveOneOutRow(*row)
+        for row in zip(
+            sample.scene_ids,
+            ts.tolist(),
+            se.tolist(),
+            z.tolist(),
+            lower.tolist(),
+            degenerate.tolist(),
+            focal.tolist(),
+        )
+    ]
 
 
 def _deletion_endpoints(units: np.ndarray, z: float) -> Tuple[np.ndarray, np.ndarray]:

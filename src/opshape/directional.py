@@ -6,16 +6,24 @@ It vanishes exactly when each block is constant, which for camera scenes
 means the landmarks are consistent with a single planar configuration.
 Inference uses the delta-method standard error of tS together with a
 chi-square calibration of n * tS.
+
+The normal CDF and quantile are ports of ndtr (with its erf and erfc) and
+ndtri from S. L. Moshier's Cephes Math Library (1989), the code behind
+scipy.special.ndtr and ndtri: the same rational approximations, evaluated
+in the order of cephes's polevl and p1evl with plain float arithmetic and
+libm's exp, log and sqrt, so they give scipy's bits. scipy.special itself
+is imported only by chisq_upper_tail, on its first call; with df = 2
+(chisq_statistic's closed form) nothing here loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import special
 
 from .errors import EmptySample, FocalMean, InvalidLevel
 from .geometry import DirectionSample, _freeze
@@ -28,17 +36,181 @@ FOCAL_TOL = 1e-10
 SE_CLAMP_RTOL = 1e-12
 _FOCAL_MESSAGE = f"block mean has norm below {FOCAL_TOL}; extrinsic mean undefined"
 
+# cephes constants: sqrt(1/2), log(DBL_MAX), sqrt(2 pi) and exp(-2)
+_SQRT1_2 = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 1.35335283236612691894e-1
+
+
+def _erf(x: float) -> float:
+    """cephes erf: x T(x^2) / U(x^2) on |x| <= 1, 1 - erfc(x) beyond."""
+    if x < 0.0:
+        return -_erf(-x)
+    if x > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    t = ((((9.60497373987051638749e0 * z
+            + 9.00260197203842689217e1) * z
+           + 2.23200534594684319226e3) * z
+          + 7.00332514112805075473e3) * z
+         + 5.55923013010394962768e4)
+    u = (((((z + 3.35617141647503099647e1) * z
+            + 5.21357949780152679795e2) * z
+           + 4.59432382970980127987e3) * z
+          + 2.26290000613890934246e4) * z
+         + 4.92673942608635921086e4)
+    return x * t / u
+
+
+def _erfc(a: float) -> float:
+    """cephes erfc: 1 - erf(a) on |a| < 1, exp(-a^2) P(|a|) / Q(|a|) beyond."""
+    x = -a if a < 0.0 else a
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:
+        return 2.0 if a < 0.0 else 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        p = ((((((((2.46196981473530512524e-10 * x
+                    + 5.64189564831068821977e-1) * x
+                   + 7.46321056442269912687e0) * x
+                  + 4.86371970985681366614e1) * x
+                 + 1.96520832956077098242e2) * x
+                + 5.26445194995477358631e2) * x
+               + 9.34528527171957607540e2) * x
+              + 1.02755188689515710272e3) * x
+             + 5.57535335369399327526e2)
+        q = ((((((((x + 1.32281951154744992508e1) * x
+                   + 8.67072140885989742329e1) * x
+                  + 3.54937778887819891062e2) * x
+                 + 9.75708501743205489753e2) * x
+                + 1.82390916687909736289e3) * x
+               + 2.24633760818710981792e3) * x
+              + 1.65666309194161350182e3) * x
+             + 5.57535340817727675546e2)
+    else:
+        p = (((((5.64189583547755073984e-1 * x
+                 + 1.27536670759978104416e0) * x
+                + 5.01905042251180477414e0) * x
+               + 6.16021097993053585195e0) * x
+              + 7.40974269950448939160e0) * x
+             + 2.97886665372100240670e0)
+        q = ((((((x + 2.26052863220117276590e0) * x
+                 + 9.39603524938001434673e0) * x
+                + 1.20489539808096656605e1) * x
+               + 1.70814450747565897222e1) * x
+              + 9.60896809063285878198e0) * x
+             + 3.36907645100081516050e0)
+    y = (z * p) / q
+    if a < 0.0:
+        y = 2.0 - y
+    if y != 0.0:
+        return y
+    return 2.0 if a < 0.0 else 0.0
+
+
+def _ndtr(a: float) -> float:
+    """cephes ndtr: the standard normal CDF at a; NaN gives NaN."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0.0 else y
+
+
+@lru_cache(maxsize=16)  # confidence_interval asks for one level many times
+def _ndtri(y0: float) -> float:
+    """cephes ndtri: the standard normal quantile of y0 in [0, 1].
+
+    A rational function of y - 1/2 for exp(-2) < y0 < 1 - exp(-2); in the
+    tails an expansion in z = sqrt(-2 log y) with y = min(y0, 1 - y0), one
+    rational function in 1/z for z < 8 (y > exp(-32)) and another beyond.
+    """
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if not 0.0 < y0 < 1.0:
+        return math.nan
+    y = y0
+    lower = True
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        lower = False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        p = ((((-5.99633501014107895267e1 * y2
+                + 9.80010754185999661536e1) * y2
+               - 5.66762857469070293439e1) * y2
+              + 1.39312609387279679503e1) * y2
+             - 1.23916583867381258016e0)
+        q = ((((((((y2 + 1.95448858338141759834e0) * y2
+                   + 4.67627912898881538453e0) * y2
+                  + 8.63602421390890590575e1) * y2
+                 - 2.25462687854119370527e2) * y2
+                + 2.00260212380060660359e2) * y2
+               - 8.20372256168333339912e1) * y2
+              + 1.59056225126211695515e1) * y2
+             - 1.18331621121330003142e0)
+        x = y + y * (y2 * p / q)
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        p = ((((((((4.05544892305962419923e0 * z
+                    + 3.15251094599893866154e1) * z
+                   + 5.71628192246421288162e1) * z
+                  + 4.40805073893200834700e1) * z
+                 + 1.46849561928858024014e1) * z
+                + 2.18663306850790267539e0) * z
+               - 1.40256079171354495875e-1) * z
+              - 3.50424626827848203418e-2) * z
+             - 8.57456785154685413611e-4)
+        q = ((((((((z + 1.57799883256466749731e1) * z
+                   + 4.53907635128879210584e1) * z
+                  + 4.13172038254672030440e1) * z
+                 + 1.50425385692907503408e1) * z
+                + 2.50464946208309415979e0) * z
+               - 1.42182922854787788574e-1) * z
+              - 3.80806407691578277194e-2) * z
+             - 9.33259480895457427372e-4)
+    else:
+        p = ((((((((3.23774891776946035970e0 * z
+                    + 6.91522889068984211695e0) * z
+                   + 3.93881025292474443415e0) * z
+                  + 1.33303460815807542389e0) * z
+                 + 2.01485389549179081538e-1) * z
+                + 1.23716634817820021358e-2) * z
+               + 3.01581553508235416007e-4) * z
+              + 2.65806974686737550832e-6) * z
+             + 6.23974539184983293730e-9)
+        q = ((((((((z + 6.02427039364742014255e0) * z
+                   + 3.67983563856160859403e0) * z
+                  + 1.37702099489081330271e0) * z
+                 + 2.16236993594496635890e-1) * z
+                + 1.34204006088543189037e-2) * z
+               + 3.28014464682127739104e-4) * z
+              + 2.89247864745380683936e-6) * z
+             + 6.79019408009981274425e-9)
+    x = x0 - z * p / q
+    return -x if lower else x
+
 
 def normal_cdf(z: float) -> float:
     """Standard normal CDF."""
-    return float(special.ndtr(z))
+    return _ndtr(float(z))
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF on (0, 1)."""
+    """Inverse standard normal CDF on (0, 1), computed once per level."""
     if not 0.0 < p < 1.0:
         raise InvalidLevel(f"quantile level must be in (0, 1), got {p}")
-    return float(special.ndtri(p))
+    return _ndtri(float(p))
 
 
 def chisq_upper_tail(t: float, df: int) -> float:
@@ -47,6 +219,8 @@ def chisq_upper_tail(t: float, df: int) -> float:
         raise ValueError("statistic must be nonnegative")
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
+    from scipy import special  # the module's only scipy use; see its docstring
+
     return float(special.gammaincc(df / 2.0, t / 2.0))
 
 
@@ -198,7 +372,21 @@ def z_statistic(ts: float, se: float) -> Tuple[float, float, bool]:
             return (0.0, 1.0, True)
         return (math.inf, 0.0, True)
     z = ts / se
-    return (z, float(special.ndtr(-z)), False)
+    return (z, _ndtr(-float(z)), False)
+
+
+def z_values(ts: np.ndarray, se: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """z and the degenerate flag of z_statistic for arrays of ts and se.
+
+    Elementwise the same values as z_statistic, without its p-value; NaN
+    entries give z NaN and a false flag, as they do there.
+    """
+    if np.any(se < 0.0):
+        raise ValueError("standard error must be nonnegative")
+    degenerate = se == 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = np.where(degenerate, np.where(ts <= ZERO_TOL, 0.0, math.inf), ts / se)
+    return z, degenerate
 
 
 def chisq_statistic(ts: float, n: int, df: int) -> Tuple[float, float]:

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from opshape import directional
 from opshape.directional import (
     OpsSummary,
     angular_distances,
@@ -231,6 +232,121 @@ def test_normal_quantile_matches_reference():
         normal_quantile(0.0)
     with pytest.raises(InvalidLevel):
         normal_quantile(1.5)
+    with pytest.raises(InvalidLevel):
+        normal_quantile(math.nan)
+
+
+# ---------- the cephes port against scipy.special ---------------------------------
+
+def _bits(values):
+    """uint64 bit patterns, with every NaN mapped to one pattern."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(values), np.uint64(0x7FF8000000000000), values.view(np.uint64))
+
+
+def _around(edges, ulps=3):
+    """Each edge and its neighbours up to `ulps` steps on either side."""
+    out = []
+    for edge in edges:
+        below = above = float(edge)
+        out.append(below)
+        for _ in range(ulps):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            out += [below, above]
+    return np.array(out)
+
+
+def _assert_same_bits(port, reference, xs):
+    got = np.fromiter(map(port, xs.tolist()), dtype=np.float64, count=len(xs))
+    bad = np.flatnonzero(_bits(got) != _bits(reference(xs)))
+    assert bad.size == 0, [(xs[i], got[i], reference(xs[i])) for i in bad[:5]]
+
+
+SPECIAL_POINTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, -1e-310, 1e-300, 1e300, -1e300]
+SQRT2 = math.sqrt(2.0)
+# ndtr's own edges: |a| / sqrt(2) at sqrt(1/2) (erf or erfc), at 1 and 8
+# (erfc's three forms), and at sqrt(log(DBL_MAX)) (erfc's underflow)
+NDTR_EDGES = [e * s for e in (1.0, SQRT2, 8.0 * SQRT2, SQRT2 * math.sqrt(709.782712893384))
+              for s in (1.0, -1.0)]
+# erf's and erfc's: |x| at 1 and 8, and ndtr's sqrt(1/2)
+ERF_EDGES = [e * s for e in (math.sqrt(0.5), 1.0, 8.0, math.sqrt(709.782712893384))
+             for s in (1.0, -1.0)]
+
+
+def _ndtr_inputs(count, seed):
+    rng = np.random.default_rng(seed)
+    third = count // 3
+    magnitudes = np.exp(rng.uniform(-745.0, 5.0, count - 2 * third))
+    return np.concatenate([
+        rng.normal(0.0, 4.0, third),
+        rng.uniform(-40.0, 40.0, third),
+        magnitudes * rng.choice([-1.0, 1.0], magnitudes.size),
+    ])
+
+
+def test_ndtr_port_equals_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    xs = np.concatenate([_ndtr_inputs(1_000_000, 11), _around(NDTR_EDGES + ERF_EDGES),
+                         np.array(SPECIAL_POINTS)])
+    _assert_same_bits(directional._ndtr, special.ndtr, xs)
+    # normal_cdf and z_statistic's p-value are the port
+    for x in xs[:1000].tolist() + SPECIAL_POINTS:
+        assert _bits(normal_cdf(x)) == _bits(special.ndtr(x))
+    for ts, se in ((0.1871, 0.0812), (3.0, 1e-3), (1e-9, 0.5), (-0.2, 0.1)):
+        assert z_statistic(ts, se)[1] == float(special.ndtr(-(ts / se)))
+
+
+def test_erf_and_erfc_ports_equal_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    xs = np.concatenate([_ndtr_inputs(200_000, 12), _around(ERF_EDGES),
+                         np.array(SPECIAL_POINTS)])
+    _assert_same_bits(directional._erf, special.erf, xs)
+    _assert_same_bits(directional._erfc, special.erfc, xs)
+
+
+def test_ndtri_port_equals_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(13)
+    # the central rational function, then both tails down to subnormals
+    # (sqrt(-2 log y) crosses 8 at y = exp(-32))
+    ps = np.concatenate([
+        rng.uniform(0.0, 1.0, 400_000),
+        np.exp(rng.uniform(-745.0, 0.0, 300_000)),
+        1.0 - np.exp(rng.uniform(-37.0, 0.0, 300_000)),
+        _around([math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 0.5,
+                 1.0 - math.exp(-32.0)]),
+        np.array([0.0, 5e-324, 1e-323, 1e-310, 2.2250738585072014e-308, math.nan,
+                  math.nextafter(1.0, 0.0), 1.0]),
+    ])
+    _assert_same_bits(directional._ndtri, special.ndtri, ps)
+    assert directional._ndtri(0.0) == -math.inf
+    assert directional._ndtri(1.0) == math.inf
+    for p in (0.975, 0.995, 0.5, 1e-300, 1.0 - 1e-16):
+        assert normal_quantile(p) == float(special.ndtri(p))
+
+
+def test_normal_quantile_is_computed_once_per_level():
+    directional._ndtri.cache_clear()
+    values = {normal_quantile(1.0 - 0.05 / 2.0) for _ in range(100)}
+    values.add(normal_quantile(np.float64(0.975)))
+    assert values == {directional._ndtri(0.975)}
+    assert directional._ndtri.cache_info().misses == 1
+
+
+def test_z_values_match_z_statistic_elementwise():
+    tol = directional.ZERO_TOL
+    ts = np.array([0.0, 0.0, tol, 2 * tol, 0.3, 0.3, 1e-300, math.nan, math.nan, 0.5, -0.0, 1.0])
+    se = np.array([0.0, 1.0, 0.0, 0.0, 0.0, -0.0, 1e-300, math.nan, 0.0, 1e-320, 0.0, math.inf])
+    ts = np.concatenate([ts, np.random.default_rng(3).uniform(0.0, 1.0, 200)])
+    se = np.concatenate([se, np.random.default_rng(4).uniform(0.0, 0.1, 200)])
+    z, degenerate = directional.z_values(ts, se)
+    for i, (ts_i, se_i) in enumerate(zip(ts.tolist(), se.tolist())):
+        z_i, _, degenerate_i = z_statistic(ts_i, se_i)
+        assert _bits(z[i]) == _bits(z_i), (ts_i, se_i)
+        assert degenerate[i] == degenerate_i
+    with pytest.raises(ValueError, match="standard error must be nonnegative"):
+        directional.z_values(np.array([0.1, 0.2]), np.array([0.1, -1e-300]))
 
 
 # ---------- angles ---------------------------------------------------------------

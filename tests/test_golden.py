@@ -13,9 +13,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import opshape
 from opshape.cli import main
 from opshape.errors import SchemaError
 from opshape.geometry import LandmarkScene
@@ -267,3 +272,42 @@ def test_synth_bytes_match_golden_hash(tmp_path, args):
     out = tmp_path / "study.csv"
     _run(["synth", *args.split(), "--out", str(out)])
     assert _sha256(out) == SYNTH_GOLDEN[args]
+
+
+# A fresh interpreter runs synth, analyze, reduce, vw and mc in process and
+# must not load scipy.special, whose import is most of the package's start-up:
+# the normal CDF and quantile are cephes ports, and q = 1 studies test their
+# chi-square statistic with df = 2 in closed form. A q = 3 analyze (df = 6) is
+# the first call that needs scipy's incomplete gamma; it loads scipy.special
+# there and writes the golden bytes.
+_SCIPY_PROBE = """
+import contextlib, io, sys
+from opshape.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+    return "scipy.special" in sys.modules
+
+work = sys.argv[1]
+assert not run("synth", "--k", "7", "--cameras", "30", "--out", work + "/synth.csv")
+assert not run("analyze", work + "/bent.csv", "--out", work + "/bent")
+assert not run("reduce", work + "/bent.csv", "--out", work + "/reduce")
+assert not run("vw", work + "/q3.csv", "--out", work + "/vw.json", "--remaining", "5,6,7")
+assert not run("mc", "--out", work + "/mc.json", *sys.argv[2:])
+assert run("analyze", work + "/q3.csv", "--out", work + "/q3", "--remaining", "5,6,7")
+"""
+
+
+def test_scipy_special_loads_only_for_chisq_tails_beyond_df_2(tmp_path):
+    for name in ("bent", "q3"):
+        write_landmarks(tmp_path / f"{name}.csv", synthesize_views(**GOLDEN[name][0]))
+    mc_argv, mc_digest = MC_GOLDEN["small_odd"]
+    env = dict(os.environ, PYTHONPATH=str(Path(opshape.__file__).resolve().parents[1]))
+    subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), *mc_argv], env=env, check=True
+    )
+    assert _sha256(tmp_path / "bent" / "report.json") == GOLDEN["bent"][2]
+    assert _sha256(tmp_path / "q3" / "report.json") == GOLDEN["q3"][2]
+    assert _sha256(tmp_path / "vw.json") == VW_Q3_GOLDEN
+    assert _sha256(tmp_path / "mc.json") == mc_digest
