@@ -475,30 +475,34 @@ def coplanarity_test(
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
     moments = (a[0] for a in sample_moments(sample.units[None]))
-    return units_summary(sample.units, alpha, df, *moments)
+    return units_summary(sample.n, alpha, df, *moments, _covariance(sample.units))
 
 
 def units_summary(
-    units: np.ndarray,
+    n: int,
     alpha: float,
     df: int,
     mean: np.ndarray,
     resultant: np.ndarray,
     ts: float,
     se: float,
+    covariance: np.ndarray,
 ) -> OpsSummary:
-    """The OpsSummary of the (n, q, d) units, given their stacked_moments row.
+    """The OpsSummary of n units, given their stacked_moments row and covariance.
 
     mean, resultant, ts and se are one sample's entries of stacked_moments,
-    for a sample that is not focal; alpha and df are taken as valid. The
-    covariance and the statistics are added here, so coplanarity_test and
-    a row of a stacked pass give bit-identical summaries.
+    for a sample that is not focal, and covariance is _covariance of its
+    units; alpha and df are taken as valid. The statistics are added here,
+    so coplanarity_test and a row of a stacked pass give bit-identical
+    summaries. The interval is ts -+ z * se, the arithmetic of
+    confidence_interval, whose argument checks a stacked_moments row passes.
     """
-    n, q, d = units.shape
+    q, d = mean.shape
     ts, se = float(ts), float(se)
     z, p_normal, degenerate = z_statistic(ts, se)
     t_stat, p_chisq = chisq_statistic(ts, n, df)
-    ci = confidence_interval(ts, se, alpha)
+    half = normal_quantile(1.0 - alpha / 2.0) * se
+    ci = (ts - half, ts + half)
 
     return OpsSummary(
         n=n,
@@ -510,14 +514,14 @@ def units_summary(
         resultant=resultant,
         extrinsic_mean=mean / resultant[:, None],
         total_variance=ts,
-        covariance=_covariance(units),
+        covariance=covariance,
         se=se,
         z=z,
         t_stat=t_stat,
         p_normal=p_normal,
         p_chisq=p_chisq,
-        ci=(float(ci[0]), float(ci[1])),
+        ci=ci,
         degenerate=degenerate,
-        reject_ci=bool(ci[0] > ZERO_TOL),
+        reject_ci=ci[0] > ZERO_TOL,
         reject_chisq=bool(p_chisq < alpha),
     )

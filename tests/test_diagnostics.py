@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import opshape.diagnostics as diagnostics
 from opshape.diagnostics import (
     STOP_MAX_REMOVALS,
+    STOP_MIN_SCENES,
     STOP_NO_IMPROVEMENT,
     STOP_NONPOSITIVE,
     LeaveOneOutRow,
@@ -18,7 +19,13 @@ from opshape.diagnostics import (
     greedy_reduce,
     leave_one_out,
 )
-from opshape.directional import OpsSummary, coplanarity_test, normal_quantile
+from opshape.directional import (
+    OpsSummary,
+    _covariance,
+    coplanarity_test,
+    normal_quantile,
+    stacked_moments,
+)
 from opshape.errors import EmptySample, FocalMean, InvalidLevel
 from opshape.geometry import DirectionSample
 from opshape.synth import tangent_gaussian_sample
@@ -305,9 +312,11 @@ ANTIPODAL = DirectionSample.from_vectors(np.vstack([np.eye(3)[:2], -np.eye(3)[:2
 def test_deletion_kernel_matches_direct_within_window(sample, alpha):
     # the greedy window is the kernel's error bound; the real distance to
     # the direct recomputation must sit far inside it
-    lower, err = diagnostics._deletion_endpoints(
+    lower, err, cov = diagnostics._deletion_endpoints(
         sample.units, normal_quantile(1.0 - alpha / 2.0)
     )
+    # the covariance greedy_reduce carries into the previous step's summary
+    assert cov.tobytes() == _covariance(sample.units).tobytes()
     for i in range(sample.n):
         try:
             direct = coplanarity_test(sample.without(i), alpha).ci[0]
@@ -333,6 +342,45 @@ def test_loo_stacked_rows_equal_per_row_loop(sample, alpha, df, rows_per_slice):
     assert_same_rows(got, ref_leave_one_out(sample, alpha, df))
 
 
+def gather_deletion_stack(units, rows):
+    """The index gather _deletion_moments used before its slice copies."""
+    cols = np.arange(units.shape[0] - 1)
+    return units[cols + (cols >= rows[:, None])]
+
+
+@st.composite
+def deletion_rows(draw, n):
+    """Deleted rows: single rows, runs and scattered sets, often holding the
+    first or the last row (a slice touching the last row is the edge case)."""
+    shape = draw(st.sampled_from(["single", "run", "scattered", "all"]))
+    if shape == "single":
+        rows = [draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))]
+    elif shape == "run":
+        start = draw(st.sampled_from([0]) | st.integers(0, n - 1))
+        stop = draw(st.sampled_from([n]) | st.integers(start + 1, n))
+        rows = list(range(start, stop))
+    elif shape == "scattered":
+        rows = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+        rows = sorted(rows | set(draw(st.sampled_from([(), (0,), (n - 1,), (0, n - 1)]))))
+    else:
+        rows = list(range(n))
+    return np.array(rows, dtype=np.intp)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kernel_samples(), st.data())
+def test_deletion_stack_slices_equal_the_index_gather(sample, data):
+    units = sample.units
+    rows = data.draw(deletion_rows(units.shape[0]))
+    stack, *moments = diagnostics._deletion_moments(units, rows)
+    expected = gather_deletion_stack(units, rows)
+    assert stack.flags.c_contiguous
+    assert_same_value(stack, expected, "stack")
+    names = ("mean", "resultant", "ts", "se", "focal")
+    for got, want, name in zip(moments, stacked_moments(expected), names):
+        assert_same_value(got, want, name)
+
+
 # ---------- the window pass against the per-candidate loop ------------------------
 
 def ref_greedy_reduce(sample, alpha_ref=0.05, max_removals=None, df=None):
@@ -348,10 +396,13 @@ def ref_greedy_reduce(sample, alpha_ref=0.05, max_removals=None, df=None):
         if summary.ci[0] <= diagnostics.ZERO_TOL:
             reason = STOP_NONPOSITIVE
             break
-        if len(steps) >= max_removals or current.n <= 3:
+        if len(steps) >= max_removals:
             reason = STOP_MAX_REMOVALS
             break
-        lower, err = diagnostics._deletion_endpoints(current.units, z)
+        if current.n <= 3:
+            reason = STOP_MIN_SCENES
+            break
+        lower, err, _ = diagnostics._deletion_endpoints(current.units, z)
         ok = ~np.isnan(lower)
         floor = np.max(lower[ok] - err[ok], initial=-np.inf)
         best = None
@@ -470,7 +521,8 @@ def _scripted(sample, monkeypatch, lower_of):
         return np.array([lower_of(id_of[units[i].tobytes()]) for i in rows], dtype=np.float64)
 
     def kernel(units, z):
-        return lowers(units, range(len(units))), np.zeros(len(units))
+        lower = lowers(units, range(len(units)))
+        return lower, np.zeros(len(units)), diagnostics._covariance(units)
 
     real = diagnostics._deletion_moments
 
@@ -531,6 +583,19 @@ def test_greedy_floor_at_three_scenes():
     sample = DirectionSample.from_vectors(units)
     trace = greedy_reduce(sample, alpha_ref=0.05, max_removals=10)
     assert len(trace.final_scene_ids) >= 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_greedy_floor_with_removals_left_has_its_own_reason(seed):
+    # six scattered rows keep rejecting down to the three-scene floor; a cap
+    # above n - 3 is not what stops the loop, so it must not be reported
+    sample = DirectionSample.from_vectors(tangent_gaussian_sample([0.0, 0.0, 1.0], 0.4, 6, seed))
+    trace = greedy_reduce(sample, alpha_ref=0.05, max_removals=10)
+    assert len(trace.steps) == 3 and len(trace.final_scene_ids) == 3
+    assert trace.steps[-1].ci_lower > diagnostics.ZERO_TOL
+    assert trace.stopped_reason == STOP_MIN_SCENES
+    # a cap that the floor reaches at the same step is still the cap
+    assert greedy_reduce(sample, 0.05, max_removals=3).stopped_reason == STOP_MAX_REMOVALS
 
 
 def test_greedy_no_improvement_when_nothing_evaluable(monkeypatch):

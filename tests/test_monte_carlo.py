@@ -493,6 +493,32 @@ def test_run_monte_carlo_matches_per_replication_loop(
         assert threading.active_count() == threads  # the worker has exited
 
 
+@pytest.mark.parametrize(
+    "draws, slices",
+    [
+        (40_001, 3),  # ends in an odd tail
+        (400_003, 25),  # the worker's 20 replications end early, so it draws many slices
+        (32_769, 2),  # a one-row tail joins the slice before it
+    ],
+)
+def test_oracle_at_the_production_slice_is_the_whole_sample_mean(monkeypatch, draws, slices):
+    seed = SplitMix64(0).next_u64()  # the oracle's seed under master seed 0
+    mean = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, draws, seed).mean(axis=0)
+    drawn = []
+    draw = synth._mean_slice
+
+    def counted(*args):
+        drawn.append(args[-2])
+        return draw(*args)
+
+    monkeypatch.setattr(synth, "_mean_slice", counted)
+    got = pipeline.run_monte_carlo(0.1, 30, 20, 0.05, 0, draws)
+    assert got["oracle_total_variance"] == 2.0 * (1.0 - float(np.linalg.norm(mean)))
+    assert synth._MEAN_SLICE == 16_384
+    assert sorted(drawn) == [lo for lo, _ in synth._mean_bounds(draws)]
+    assert len(drawn) == slices
+
+
 # ---- the worker thread --------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import csv
+import dataclasses
 import hashlib
 import io as stdio
 import json
@@ -18,6 +19,7 @@ from jsonschema import Draft7Validator
 
 import opshape
 from opshape.cli import build_parser, main
+from opshape.directional import OpsSummary, coplanarity_test
 from opshape.errors import DegenerateFrame, FocalMean, MixedOrientationWarning
 from opshape.geometry import FrameSpec, LandmarkScene
 from opshape.io import parse_landmarks, write_landmarks
@@ -99,6 +101,33 @@ def test_reduction_bookkeeping_is_consistent(study_report):
     assert set(rep.trace.final_scene_ids) <= set(rep.sample.scene_ids)
     assert len(rep.vw_full) == rep.sample.q
     assert len(rep.vw_reduced) == rep.sample.q
+
+
+def assert_same_summary(got, expected):
+    for field in dataclasses.fields(OpsSummary):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+        else:
+            # repr tells -0.0 from 0.0 and numpy scalars from Python ones
+            assert repr(a) == repr(b), field.name
+
+
+@pytest.mark.parametrize("bent", [True, False])
+@pytest.mark.parametrize("alpha", [0.05, 0.01, 0.2])
+def test_reduced_summary_is_the_test_of_the_reduced_sample(tmp_path, bent, alpha):
+    # the reduced summary comes from greedy's last step, or from the full
+    # test when greedy removes nothing, when alpha == alpha_ref (0.05); it
+    # must be the test of the reduced sample at alpha either way
+    path = tmp_path / "views.csv"
+    delta, noise = (0.02, 0.005) if bent else (0.0, 0.0)
+    write_landmarks(path, synthesize_views(k=5, cameras=24, seed=3, delta=delta, noise=noise))
+    rep = run_analysis(StudyConfig(input_path=path, alpha=alpha, alpha_ref=0.05))
+    assert (len(rep.trace.steps) > 0) == bent
+    reduced_sample = rep.sample.subset(rep.trace.final_scene_ids)
+    assert rep.reduced_sample.scene_ids == reduced_sample.scene_ids
+    assert rep.reduced_sample.units.tobytes() == reduced_sample.units.tobytes()
+    assert_same_summary(rep.reduced, coplanarity_test(reduced_sample, alpha, None))
 
 
 def test_report_dict_matches_shipped_schema(study_report):
@@ -251,6 +280,27 @@ def test_cli_analyze_succeeds(study_csv, tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
     out = capsys.readouterr().out
     assert "full:" in out and "reduction:" in out and "reduced:" in out
+
+
+def test_cli_floor_with_removals_left_is_not_the_cap(tmp_path, capsys):
+    # a five-scene bent study keeps rejecting down to three scenes; with a
+    # cap of 10 it is the floor that stops the reduction, with the default
+    # cap (5 // 4 = 1) still the cap
+    path = tmp_path / "five.csv"
+    write_landmarks(path, synthesize_views(k=5, cameras=5, seed=0, delta=0.02))
+    rc = main(["analyze", str(path), "--max-removals", "10", "--out", str(tmp_path / "a")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    report = json.loads((tmp_path / "a" / "report.json").read_text(encoding="utf-8"))
+    reduction = report["reduction"]
+    assert [s["removed_scene_id"] for s in reduction["steps"]] == ["5", "3"]
+    assert reduction["final_scene_ids"] == ["1", "2", "4"]
+    assert reduction["stopped_reason"] == "min_scenes_reached"
+    assert "reduction: removed [5, 3] (min_scenes_reached)" in out
+    schema_path = Path(opshape.__file__).parent / "schemas" / "report.schema.json"
+    Draft7Validator(json.loads(schema_path.read_text(encoding="utf-8"))).validate(report)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "b")]) == 0
+    assert "(max_removals_reached)" in capsys.readouterr().out
 
 
 def test_cli_missing_input_exits_2(tmp_path, capsys):
