@@ -24,8 +24,7 @@ The single-deletion table is reported, so it is not ranked by the kernel:
 its rows are computed exactly by the same stacked pass, in slices of at
 most about 2^14 doubles. Every row, like every greedy endpoint and summary,
 is bit-identical to a full coplanarity_test on the sample with that row
-deleted. A deletion stack is built from row slices, the rows before and
-after each deleted one, not by an index gather.
+deleted.
 """
 
 from __future__ import annotations
@@ -111,10 +110,9 @@ def _deletion_moments(units: np.ndarray, rows: np.ndarray):
     (len(rows), n - 1, q, d), entry r holding units[j + (j >= rows[r])] for
     j < n - 1, one C-contiguous array laid out as r samples of their own, and
     the rest is stacked_moments(stack), each entry bit-identical to the
-    same sample computed alone. Each entry is two slice copies, the rows
-    before and after the deleted one: bit for bit the index gather
-    units[j + (j >= rows[r])], in less than half its time. The copies run
-    on flat views, which numpy copies faster than (rows, q, d) blocks.
+    same sample computed alone. Each entry is two slice copies of flat
+    views, the rows before and after the deleted one: numpy makes those
+    faster than an index gather or copies of (rows, q, d) blocks.
     """
     n = units.shape[0]
     k = units[0].size
