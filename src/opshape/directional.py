@@ -494,15 +494,13 @@ def units_summary(
     for a sample that is not focal, and covariance is _covariance of its
     units; alpha and df are taken as valid. The statistics are added here,
     so coplanarity_test and a row of a stacked pass give bit-identical
-    summaries. The interval is ts -+ z * se, the arithmetic of
-    confidence_interval, whose argument checks a stacked_moments row passes.
+    summaries.
     """
     q, d = mean.shape
     ts, se = float(ts), float(se)
     z, p_normal, degenerate = z_statistic(ts, se)
     t_stat, p_chisq = chisq_statistic(ts, n, df)
-    half = normal_quantile(1.0 - alpha / 2.0) * se
-    ci = (ts - half, ts + half)
+    ci = confidence_interval(ts, se, alpha)
 
     return OpsSummary(
         n=n,
@@ -520,8 +518,8 @@ def units_summary(
         t_stat=t_stat,
         p_normal=p_normal,
         p_chisq=p_chisq,
-        ci=ci,
+        ci=(float(ci[0]), float(ci[1])),
         degenerate=degenerate,
-        reject_ci=ci[0] > ZERO_TOL,
+        reject_ci=bool(ci[0] > ZERO_TOL),
         reject_chisq=bool(p_chisq < alpha),
     )

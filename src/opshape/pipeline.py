@@ -82,7 +82,6 @@ class AnalysisReport:
     vw_full: Tuple[VwSummary, ...]
     loo: Tuple[LeaveOneOutRow, ...]
     trace: Optional[ReductionTrace]
-    reduced_sample: Optional[DirectionSample]
     reduced: Optional[OpsSummary]
     vw_reduced: Optional[Tuple[VwSummary, ...]]
 
@@ -172,17 +171,13 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
 
     loo: Tuple[LeaveOneOutRow, ...] = ()
     trace = None
-    reduced_sample = None
     reduced = None
     vw_reduced = None
     if sample.n >= 3:
         loo = tuple(leave_one_out(sample, config.alpha, config.df))
         trace = greedy_reduce(sample, config.alpha_ref, config.max_removals, config.df)
         reduced_sample = sample.subset(trace.final_scene_ids)
-        if config.alpha != config.alpha_ref:
-            reduced = coplanarity_test(reduced_sample, config.alpha, config.df)
-        else:  # greedy has tested the reduced sample at this level already
-            reduced = trace.steps[-1].summary if trace.steps else full
+        reduced = coplanarity_test(reduced_sample, config.alpha, config.df)
         final = set(trace.final_scene_ids)
         keep = [i for i, s in enumerate(sample.scene_ids) if s in final]
         vw_reduced = tuple(total_variance_ps(axes[keep, f, :]) for f in range(sample.q))
@@ -205,7 +200,6 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
         vw_full=vw_full,
         loo=loo,
         trace=trace,
-        reduced_sample=reduced_sample,
         reduced=reduced,
         vw_reduced=vw_reduced,
     )
@@ -365,8 +359,8 @@ def emit_outputs(report: AnalysisReport, outdir) -> Dict[str, Path]:
     _write_angles(sample, paths["angles_full"])
 
     paths["angles_reduced"] = outdir / "angles_reduced.csv"
-    if report.reduced_sample is not None:
-        _write_angles(report.reduced_sample, paths["angles_reduced"])
+    if report.trace is not None:
+        _write_angles(sample.subset(report.trace.final_scene_ids), paths["angles_reduced"])
     else:
         write_table(paths["angles_reduced"], ["scene", "theta_radians"], "%s,%.17g\r\n", [])
 

@@ -116,17 +116,14 @@ def assert_same_summary(got, expected):
 @pytest.mark.parametrize("bent", [True, False])
 @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.2])
 def test_reduced_summary_is_the_test_of_the_reduced_sample(tmp_path, bent, alpha):
-    # the reduced summary comes from greedy's last step, or from the full
-    # test when greedy removes nothing, when alpha == alpha_ref (0.05); it
-    # must be the test of the reduced sample at alpha either way
+    # alpha == alpha_ref (0.05) or not, with greedy removals (bent) or
+    # none (flat), the reduced summary is the test of the reduced sample
     path = tmp_path / "views.csv"
     delta, noise = (0.02, 0.005) if bent else (0.0, 0.0)
     write_landmarks(path, synthesize_views(k=5, cameras=24, seed=3, delta=delta, noise=noise))
     rep = run_analysis(StudyConfig(input_path=path, alpha=alpha, alpha_ref=0.05))
     assert (len(rep.trace.steps) > 0) == bent
     reduced_sample = rep.sample.subset(rep.trace.final_scene_ids)
-    assert rep.reduced_sample.scene_ids == reduced_sample.scene_ids
-    assert rep.reduced_sample.units.tobytes() == reduced_sample.units.tobytes()
     assert_same_summary(rep.reduced, coplanarity_test(reduced_sample, alpha, None))
 
 
