@@ -221,6 +221,15 @@ def _study_config(args) -> StudyConfig:
     )
 
 
+def _strict_exit(args, report) -> int:
+    """EXIT_STATISTICS under --strict when the full or the reduced test is degenerate."""
+    reduced = report.reduced
+    if args.strict and (report.full.degenerate or (reduced is not None and reduced.degenerate)):
+        print("strict: degenerate dispersion test", file=sys.stderr)
+        return EXIT_STATISTICS
+    return EXIT_OK
+
+
 def _cmd_analyze(args) -> int:
     report = run_analysis(_study_config(args))
     paths = emit_outputs(report, args.out)
@@ -231,10 +240,7 @@ def _cmd_analyze(args) -> int:
     if report.reduced is not None:
         _print_summary("reduced", report.reduced)
     print(f"wrote {paths['report']}")
-    if args.strict and (report.full.degenerate or (report.reduced and report.reduced.degenerate)):
-        print("strict: degenerate dispersion test", file=sys.stderr)
-        return EXIT_STATISTICS
-    return EXIT_OK
+    return _strict_exit(args, report)
 
 
 def _cmd_reduce(args) -> int:
@@ -253,10 +259,7 @@ def _cmd_reduce(args) -> int:
     else:
         print("reduction: skipped (fewer than 3 scenes)")
     print(f"wrote {outdir / 'reduction.json'}")
-    if args.strict and report.full.degenerate:
-        print("strict: degenerate dispersion test", file=sys.stderr)
-        return EXIT_STATISTICS
-    return EXIT_OK
+    return _strict_exit(args, report)
 
 
 def _cmd_vw(args) -> int:

@@ -339,7 +339,12 @@ def frame_charts(frames) -> FrameCharts:
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    # Euclidean norms over the last axis
+    """Euclidean norms over the last axis, each `np.linalg.norm` of its vector bit for bit.
+
+    The norm of a vector is the square root of its dot product with itself;
+    a stacked (1, d) @ (d, 1) product makes the same dot call per vector,
+    where a sum of squares may round otherwise.
+    """
     return np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0, 0]
 
 
@@ -477,11 +482,6 @@ def canonical_axis(vectors) -> np.ndarray:
     first = np.argmax(leading, axis=-1)[..., None]
     flip = np.take_along_axis(leading & (v < 0.0), first, axis=-1)
     return np.where(flip, -v, v)
-
-
-def axial_coordinate(chart: OrientedFrameChart, point) -> np.ndarray:
-    """Sphere coordinate with the sign canonicalized (projective, unoriented)."""
-    return canonical_axis(oriented_coordinate(chart, point))
 
 
 def representatives_to_directions(reps, frame_indices, remaining_indices) -> np.ndarray:

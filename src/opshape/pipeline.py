@@ -13,6 +13,7 @@ report.json.
 from __future__ import annotations
 
 import json
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,12 +45,7 @@ from .geometry import (
 from .io import json_text, parse_landmarks, write_json, write_table
 from .rng import SplitMix64
 # tangent_gaussian_sample has no caller here; perfbench's tracer patches the name
-from .synth import (
-    MeanHelper,
-    tangent_gaussian_mean,
-    tangent_gaussian_sample,
-    tangent_gaussian_samples,
-)
+from .synth import tangent_gaussian_mean, tangent_gaussian_sample, tangent_gaussian_samples
 from .vw import VwSummary, total_variance_ps
 
 
@@ -417,24 +413,22 @@ def _replications(
     seeds: np.ndarray,
     ts_values: np.ndarray,
     se_values: np.ndarray,
-    oracle: MeanHelper,
+    stop: threading.Event,
 ) -> None:
-    """Fill ts_values and se_values with the replications' tS and SE, then
-    help draw the oracle (`MeanHelper.draw_slices`).
+    """Fill ts_values and se_values with the replications' tS and SE.
 
     Draws and tests the samples of seeds slice by slice (`_slices`), and
-    returns early, leaving the rest unfilled, once the oracle's helper is
-    stopped; that is checked before each slice.
+    returns early, leaving the rest unfilled, once stop is set; that is
+    checked before each slice.
     """
     for start, end in _slices(len(seeds), n, mu.size):
-        if oracle.stopped:
+        if stop.is_set():
             return
         draws = tangent_gaussian_samples(mu, sigma, n, seeds[start:end])
         check_unit_norm(draws)
         _, _, ts, se = sample_moments(draws[:, :, None, :])
         ts_values[start:end] = ts
         se_values[start:end] = se
-    oracle.draw_slices()
 
 
 def run_monte_carlo(
@@ -457,28 +451,22 @@ def run_monte_carlo(
     (`tangent_gaussian_mean`), so its memory does not grow with their
     number; its mean is bit-identical to that of the whole array.
 
-    The replication pass runs on one worker thread while the calling
-    thread draws the oracle; numpy releases the interpreter lock inside its
-    loops, so the two overlap. The worker draws and tests the replications
-    as array operations over a leading replication axis, in slices of at
-    most about 2^17 doubles, and stores each one's tS and SE; the calling
-    thread then forms the CIs and counts the hits over the same slices, so
-    the pass holds 24 bytes per replication (seed, tS, SE) beyond one
-    slice. Once its replications are done, the worker draws oracle slices
-    too (a `MeanHelper`): both threads claim the oracle's slices in order,
-    at most 2 ahead of its running sum, and the calling thread alone adds
-    them to the sum in slice order. The output is bit-identical to drawing
-    and testing each replication on its own, in series after the oracle.
-    If the calling thread raises (KeyboardInterrupt included), the worker
-    stops before its next replication slice or oracle slice, and the call
-    returns only after the worker has exited.
-
-    On one CPU nothing overlaps, and the thread hand-offs cost little:
-    pinned with `taskset -c 0` on a 2-vCPU Intel Xeon VM, a call at n = 200,
-    1,000 replications and 10^6 oracle draws took 150-186 ms, against
-    140-186 ms when only the calling thread drew the oracle (medians of 15
-    calls, six alternating runs each; the host's own speed drifts by more
-    than the difference).
+    The call owns a pool of two worker threads. The replication pass goes
+    to it first, as one task that draws and tests the replications as
+    array operations over a leading replication axis, in slices of at most
+    about 2^17 doubles, and stores each one's tS and SE; the calling thread
+    then forms the CIs and counts the hits over the same slices, so the
+    pass holds 24 bytes per replication (seed, tS, SE) beyond one slice.
+    The oracle's slices go to the same pool as futures, at most
+    `synth._MEAN_AHEAD` ahead of its running sum: one worker draws them
+    beside the replication pass, both once it ends, while the calling
+    thread adds them to the sum in slice order. numpy releases the
+    interpreter lock inside its loops, so the two overlap, and the output
+    is bit-identical to drawing and testing each replication on its own,
+    in series after the oracle. If the calling thread raises
+    (KeyboardInterrupt included), the replication task stops before its
+    next slice, no queued oracle slice starts, and the call returns only
+    after both workers have exited.
 
     Raises:
         EmptySample, ValueError: n below 2 or reps below 1.
@@ -501,16 +489,17 @@ def run_monte_carlo(
 
     ts_values = np.empty(reps)
     se_values = np.empty(reps)
-    oracle = MeanHelper()
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        replications = worker.submit(
-            _replications, mu, sigma, n, rep_seeds, ts_values, se_values, oracle
-        )
+    stop = threading.Event()
+    with ThreadPoolExecutor(max_workers=2) as pool:
         try:
-            oracle_mean = tangent_gaussian_mean(mu, sigma, oracle_draws, oracle_seed, oracle)
+            replications = pool.submit(
+                _replications, mu, sigma, n, rep_seeds, ts_values, se_values, stop
+            )
+            oracle_mean = tangent_gaussian_mean(mu, sigma, oracle_draws, oracle_seed, pool)
             replications.result()
         except BaseException:
-            oracle.stop()
+            stop.set()
+            pool.shutdown(cancel_futures=True)
             raise
     t_pop = 2.0 * (1.0 - float(np.linalg.norm(oracle_mean)))
 

@@ -27,24 +27,26 @@ normalize step, which adds the mean direction and divides by the norms one
 coordinate column at a time. `tangent_gaussian_mean` makes and sums its
 draws one slice of 16,384 draws at a time, so a large oracle's memory does
 not grow with its size, and its mean is bit-identical to that of the whole
-sample; a `MeanHelper` lets a second thread draw some of the slices while
-the calling thread sums them. A slice costs about 45 numpy calls, each a
-release and re-take of the interpreter lock, so large slices keep two
-drawing threads from waiting on each other: 10^6 draws take about 2,800
-calls.
+sample. Given an executor, it submits the slices to its workers as
+futures, a bounded window of them ahead of the running sum, and adds their
+results in slice order on the calling thread. A slice costs about 45 numpy
+calls, each a release and re-take of the interpreter lock, so large slices
+keep two drawing threads from waiting on each other: 10^6 draws take about
+2,800 calls.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from collections import deque
+from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BehindCamera, GenerationFailed, InvalidLandmark
-from .geometry import LandmarkScene, _freeze, last_axis_norms
+from .geometry import LandmarkScene, _freeze, _norms, last_axis_norms
 from .rng import SplitMix64, normal_pairs, normal_rows, successive_normals
 
 # rejection margins for general position, in scene units
@@ -199,16 +201,6 @@ def random_coplanar_scene(k: int, seed: int) -> Scene3D:
                 out_of_plane_offsets=np.zeros(k),
             )
     raise GenerationFailed(f"no general-position scene after {_MAX_TRIES} tries")
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """`np.linalg.norm` of each row of an (N, 3) stack, bit for bit.
-
-    The norm of a vector is the square root of its dot product with itself;
-    a stacked (1, 3) @ (3, 1) product makes the same dot call per row,
-    where a sum of squares may round otherwise.
-    """
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def _look_at_rotations(centers: np.ndarray, targets: np.ndarray, rolls: np.ndarray) -> np.ndarray:
@@ -472,8 +464,12 @@ def tangent_gaussian_samples(direction, sigma: float, n: int, seeds) -> np.ndarr
 # a Box-Muller pair, and a multiple of 64, so the slices' products round
 # as the rows of one large product do
 _MEAN_SLICE = 16384
-# slices of `tangent_gaussian_mean` claimed ahead of its running sum, at most
-_MEAN_AHEAD = 2
+# slices of `tangent_gaussian_mean` submitted to its pool ahead of its
+# running sum, at most, so at most that many drawn slices wait in memory; at
+# 2, an `mc` call at n = 200, 1,000 replications and 10^6 draws took about
+# 10% longer on a 2-vCPU Intel Xeon VM (the workers wait while the calling
+# thread takes a result and submits the next slice)
+_MEAN_AHEAD = 4
 
 
 def _mean_bounds(n: int) -> List[Tuple[int, int]]:
@@ -505,104 +501,8 @@ def _mean_slice(
     return _unit_draws(mu, basis, normals.reshape(1, -1, d - 1), sigma)[0]
 
 
-class MeanHelper:
-    """Lets other threads draw slices of one `tangent_gaussian_mean` call.
-
-    Pass it to the call on one thread and call `draw_slices` on another (or
-    several), in either order. Every thread claims slices in order from one
-    counter, and none claims a slice more than `_MEAN_AHEAD` ahead of the
-    running sum; the calling thread alone adds the slices to the sum, in
-    order. A slice's error is raised when the sum reaches that slice, as in
-    a serial loop. Once `stop` is called, helpers claim no further slice.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._draw: Optional[Callable[[int], np.ndarray]] = None
-        self._count = 0  # slices of the call
-        self._claimed = 0  # slices claimed by either thread
-        self._summed = 0  # slices added to the running sum
-        self._drawn: Dict[int, Tuple[Optional[np.ndarray], Optional[BaseException]]] = {}
-        self._stopped = False
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
-    def stop(self) -> None:
-        with self._cond:
-            self._stopped = True
-            self._cond.notify_all()
-
-    def draw_slices(self) -> None:
-        """Draw slices of the call until every slice is claimed or `stop` is called.
-
-        Waits for the call to begin, and while the window ahead of the sum
-        is full. An error is kept with its slice for the calling thread.
-        """
-        while True:
-            with self._cond:
-                while not (self._stopped or self._claimable() or self._all_claimed()):
-                    self._cond.wait()
-                if self._stopped or self._all_claimed():
-                    return
-                k = self._claim()
-            self._keep(k, BaseException)
-
-    def _begin(self, draw: Callable[[int], np.ndarray], count: int) -> None:
-        with self._cond:
-            if self._draw is not None:
-                raise ValueError("a MeanHelper serves one tangent_gaussian_mean call")
-            self._draw, self._count = draw, count
-            self._cond.notify_all()
-
-    def _take(self, k: int) -> np.ndarray:
-        """Slice k, once slices 0..k-1 are in the sum; draws what is unclaimed."""
-        with self._cond:
-            self._summed = k
-            self._cond.notify_all()
-        while True:
-            with self._cond:
-                while k not in self._drawn and not self._claimable():
-                    self._cond.wait()
-                if k in self._drawn:
-                    units, error = self._drawn.pop(k)
-                    break
-                claimed = self._claim()
-            self._keep(claimed, Exception)
-        if error is not None:
-            raise error
-        return units
-
-    def _claimable(self) -> bool:
-        end = min(self._count, self._summed + _MEAN_AHEAD)
-        return self._draw is not None and self._claimed < end
-
-    def _all_claimed(self) -> bool:
-        return self._draw is not None and self._claimed == self._count
-
-    def _claim(self) -> int:
-        self._claimed += 1
-        return self._claimed - 1
-
-    def _keep(self, k: int, errors) -> None:
-        """Draw slice k and keep it, or the error in `errors` that it raised.
-
-        The calling thread keeps an Exception, so an interrupt propagates at
-        once; the helper keeps any error, so no slice the sum waits for is
-        lost with it.
-        """
-        try:
-            drawn = (self._draw(k), None)
-        except errors as error:
-            drawn = (None, error)
-        with self._cond:
-            self._drawn[k] = drawn
-            self._cond.notify_all()
-
-
 def tangent_gaussian_mean(
-    direction, sigma: float, n: int, seed: int, helper: Optional[MeanHelper] = None
+    direction, sigma: float, n: int, seed: int, pool: Optional[Executor] = None
 ) -> np.ndarray:
     """Mean of `tangent_gaussian_sample(direction, sigma, n, seed)`, bit for bit.
 
@@ -611,32 +511,42 @@ def tangent_gaussian_mean(
     starts at zero and adds the rows in order, as `ndarray.mean(axis=0)`
     does, and is divided by n at the end.
 
-    The calling thread draws every slice that no helper thread has claimed
-    (with no helper, every slice) and alone adds the slices to the sum, in
-    slice order, so the mean does not depend on who drew what. A helper
-    (`MeanHelper.draw_slices` on another thread) claims slices from the
-    same counter, at most `_MEAN_AHEAD` (2) slices ahead of the sum, so at
-    most that many drawn slices wait in memory. If the calling thread
-    raises, KeyboardInterrupt included, the helper is stopped before its
-    next slice.
+    With no pool the calling thread draws every slice. With a pool the
+    slices are drawn by its workers: at most `_MEAN_AHEAD` slices are
+    submitted beyond the running sum, so at most that many drawn slices
+    wait in memory, and the calling thread alone adds them to the sum, in
+    slice order, so the mean does not depend on which worker drew what.
+    Whatever is left of that window is cancelled if the call raises,
+    KeyboardInterrupt included.
 
     Raises:
         GenerationFailed: as `tangent_gaussian_samples`; the first failing
-            slice's error, whichever thread drew it.
+            slice's error, raised when the sum reaches that slice.
     """
-    helper = MeanHelper() if helper is None else helper
+    mu, basis = _tangent_frame(direction, sigma, n)
+    bounds = _mean_bounds(n)
+
+    def draw(k: int) -> np.ndarray:
+        return _mean_slice(mu, basis, sigma, seed, n, *bounds[k])
+
+    window = deque()  # futures of the slices submitted beyond the sum
+    total = np.zeros((1, mu.size))  # the start `np.add.reduce` takes
     try:
-        mu, basis = _tangent_frame(direction, sigma, n)
-        bounds = _mean_bounds(n)
-        helper._begin(lambda k: _mean_slice(mu, basis, sigma, seed, n, *bounds[k]), len(bounds))
-        total = np.zeros((1, mu.size))  # the start `np.add.reduce` takes
         for k in range(len(bounds)):
-            units = helper._take(k)
-            # row by row, as the reduction does; accumulate runs each column as one loop
-            total = np.add.accumulate(np.concatenate([total, units]), axis=0)[-1:]
-    except BaseException:
-        helper.stop()
-        raise
+            if pool is None:
+                units = draw(k)
+            else:
+                ahead = range(k + len(window), min(k + _MEAN_AHEAD, len(bounds)))
+                window.extend(pool.submit(draw, j) for j in ahead)
+                units = window.popleft().result()
+            # row by row, as the reduction does; accumulate runs each column as one loop.
+            # The copy and the del keep neither the accumulated rows nor the
+            # slice alive while the next slice is awaited.
+            total = np.add.accumulate(np.concatenate([total, units]), axis=0)[-1:].copy()
+            del units
+    finally:
+        for future in window:
+            future.cancel()
     return total[0] / n
 
 

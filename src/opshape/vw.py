@@ -26,16 +26,6 @@ _JACOBI_MAX_SWEEPS = 60
 EIGENGAP_TOL = 1e-10
 
 
-def vw_embed(axis) -> np.ndarray:
-    """Projector embedding x x' / ||x||^2 of one axis (sign-blind)."""
-    x = np.asarray(axis, dtype=np.float64).ravel()
-    norm = float(np.linalg.norm(x))
-    if norm <= 1e-12:
-        raise DegeneratePoint("cannot embed a zero axis")
-    u = x / norm
-    return np.outer(u, u)
-
-
 def vw_mean(axes) -> np.ndarray:
     """Mean projector of n axes, shape (d, d); symmetric PSD with trace 1."""
     arr = np.asarray(axes, dtype=np.float64)

@@ -13,7 +13,6 @@ from opshape.geometry import (
     DirectionSample,
     FrameSpec,
     LandmarkScene,
-    axial_coordinate,
     canonical_axis,
     chart_for_scene,
     frame_scalars,
@@ -219,19 +218,6 @@ def test_canonical_axis_examples():
     np.testing.assert_array_equal(
         canonical_axis(np.array([0.0, 0.0, 1.0])), [0.0, 0.0, 1.0]
     )
-
-
-def test_axial_equals_oriented_up_to_sign():
-    chart = oriented_frame_homography(unit_square_frame())
-    gen = SplitMix64(803)
-    for _ in range(20):
-        p = np.append(gen.uniforms(2) * 4.0 - 2.0, 1.0)
-        try:
-            u = oriented_coordinate(chart, p)
-            a = axial_coordinate(chart, p)
-        except DegeneratePoint:
-            continue
-        assert np.array_equal(a, u) or np.array_equal(a, -u)
 
 
 # ---------- whole-scene registration --------------------------------------------

@@ -6,8 +6,8 @@ replication, in a Python loop. `normal_rows`, `tangent_gaussian_samples`,
 `sample_moments` and `run_monte_carlo` must reproduce it bit for bit. The
 sliced oracle mean, `tangent_gaussian_mean`, must equal the mean of the
 whole sample by bytes, in memory that does not grow with the draws,
-whichever thread draws each slice. The replication pass runs on a worker
-thread beside the oracle and then helps draw it; its error precedence and
+whichever pool worker draws each slice. The replication pass runs as one
+task on the pool beside the oracle's slices; its error precedence and
 its stop on the calling thread's error are checked here, as is the drawn
 oracle against the closed-form population dispersion.
 """
@@ -15,7 +15,9 @@ oracle against the closed-form population dispersion.
 import math
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -224,49 +226,45 @@ def test_tangent_mean_is_the_mean_of_the_whole_sample(d, mean_slice, values, see
                 assert_same(tangent_gaussian_mean(direction, sigma, n, seed), expected)
 
 
-def helped_mean(direction, sigma, n, seed, schedule, drawers):
-    """`tangent_gaussian_mean` with a helper thread on `schedule`; drawers
-    gets the thread that drew each slice, keyed by the slice's first row.
+def pooled_mean(direction, sigma, n, seed, schedule, drawers, workers=2):
+    """`tangent_gaussian_mean` on a pool of `workers` threads made for the
+    call; drawers gets the thread that drew each slice, keyed by the slice's
+    first row.
 
-    schedule None: no helper. "eager": the helper starts before the call,
-    and the caller's first draw waits until the helper has drawn a slice.
-    An int c: the helper starts when the caller begins its draw number c
-    (0-based), which waits until the helper has drawn a slice. A caller's
-    draw waits only if a slice is left for the helper.
+    schedule None: no pool. "eager": every worker is free from the start,
+    and the first slice waits until another slice has begun, when the pool
+    and the window let one begin. An int c: one worker is held busy, as by
+    the replication pass, until slice c begins.
     """
-    count = len(synth._mean_bounds(n))
-    helper = thread = None
-    if schedule is not None:
-        helper = synth.MeanHelper()
-        thread = threading.Thread(target=helper.draw_slices, daemon=True)
-    helped = threading.Event()
+    slices = {lo: k for k, (lo, _) in enumerate(synth._mean_bounds(n))}
+    overlap = min(workers, synth._MEAN_AHEAD, len(slices)) > 1
+    other, free = threading.Event(), threading.Event()
     draw = synth._mean_slice
 
     def recorded(mu, basis, sigma, seed, n, lo, hi):
-        me = threading.current_thread()
-        if me is not thread:
-            mine = sum(1 for t in drawers.values() if t is me)
-            if schedule == mine and thread is not None:
-                thread.start()
-            if mine == (0 if schedule == "eager" else schedule) and mine + 1 < count:
-                assert helped.wait(10)
+        k = slices[lo]
+        if k == schedule:
+            free.set()
+        if k > 0:
+            other.set()
+        elif schedule == "eager" and overlap:
+            assert other.wait(10)
         try:
             return draw(mu, basis, sigma, seed, n, lo, hi)
         finally:
-            drawers[lo] = me
-            if me is thread:
-                helped.set()
+            drawers[lo] = threading.current_thread()
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(synth, "_mean_slice", recorded)
-        if schedule == "eager":
-            thread.start()
-        try:
-            return tangent_gaussian_mean(direction, sigma, n, seed, helper)
-        finally:
-            if thread is not None:
-                thread.join(10)
-                assert not thread.is_alive()
+        if schedule is None:
+            return tangent_gaussian_mean(direction, sigma, n, seed)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            held = pool.submit(free.wait, 10) if isinstance(schedule, int) else None
+            try:
+                return tangent_gaussian_mean(direction, sigma, n, seed, pool)
+            finally:
+                free.set()
+                assert held is None or held.result()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -287,86 +285,124 @@ def test_helped_mean_is_the_mean_of_the_whole_sample(d, mean_slice, schedule, va
             for n in draw_counts(mean_slice):
                 bounds = synth._mean_bounds(n)
                 when = len(bounds) // 2 if schedule == "late" else schedule
-                drawers = {}
-                got = helped_mean(direction, sigma, n, seed, when, drawers)
                 expected = tangent_gaussian_sample(direction, sigma, n, seed).mean(axis=0)
-                assert_same(got, expected)
-                assert sorted(drawers) == [lo for lo, _ in bounds]  # each slice drawn once
-                threads = set(drawers.values())
-                if schedule is None:
-                    assert threads == {threading.current_thread()}
-                elif schedule == "eager" and len(bounds) > 1:
-                    assert len(threads) == 2  # the helper drew at least one slice
+                for workers in (1, 2, 4) if schedule == "eager" else (2,):
+                    drawers = {}
+                    got = pooled_mean(direction, sigma, n, seed, when, drawers, workers)
+                    assert_same(got, expected)
+                    assert sorted(drawers) == [lo for lo, _ in bounds]  # each slice drawn once
+                    threads = set(drawers.values())
+                    if schedule is None:
+                        assert threads == {threading.current_thread()}
+                    else:
+                        assert threading.current_thread() not in threads  # the pool drew them
+                    if schedule == "eager" and min(workers, synth._MEAN_AHEAD, len(bounds)) > 1:
+                        assert len(threads) >= 2  # two workers drew at once
 
 
 def test_helpers_beyond_the_cores_draw_each_slice_once(monkeypatch):
-    # three helpers and the caller on two cores, switching as often as possible
+    # four workers on two cores, switching as often as possible, under the
+    # production window and a narrower one
     monkeypatch.setattr(synth, "_MEAN_SLICE", 64)
-    n, seed, drawn = 20_001, 3, []
+    n, seed = 20_001, 3
     draw = synth._mean_slice
-
-    def counted(*args):
-        drawn.append(args[-2])
-        return draw(*args)
-
-    monkeypatch.setattr(synth, "_mean_slice", counted)
     expected = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, n, seed).mean(axis=0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        helper = synth.MeanHelper()
-        helpers = [threading.Thread(target=helper.draw_slices, daemon=True) for _ in range(3)]
-        for thread in helpers:
-            thread.start()
-        got = tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, n, seed, helper)
-        for thread in helpers:
-            thread.join(10)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert_same(got, expected)
-    assert sorted(drawn) == [lo for lo, _ in synth._mean_bounds(n)]
+    for ahead in (2, synth._MEAN_AHEAD):
+        monkeypatch.setattr(synth, "_MEAN_AHEAD", ahead)
+        drawn = []
+
+        def counted(*args):
+            drawn.append(args[-2])
+            return draw(*args)
+
+        monkeypatch.setattr(synth, "_mean_slice", counted)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, n, seed, pool)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same(got, expected)
+        assert sorted(drawn) == [lo for lo, _ in synth._mean_bounds(n)]
+        assert threading.active_count() == threads
 
 
-def held_helper_slices(monkeypatch, ahead):
-    """First rows of the slices a helper draws while the sum stays at slice 0."""
+class CountingPool(ThreadPoolExecutor):
+    """A thread pool that counts the tasks submitted to it."""
+
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+def held_window(monkeypatch, ahead):
+    """(first rows of the slices begun, slices submitted) while slice 0,
+    and with it the running sum, is held."""
     monkeypatch.setattr(synth, "_MEAN_SLICE", 64)  # 40 slices
     monkeypatch.setattr(synth, "_MEAN_AHEAD", ahead)
-    helper, caller = synth.MeanHelper(), threading.current_thread()
-    thread = threading.Thread(target=helper.draw_slices, daemon=True)
-    helper_slices, while_held = [], []
+    begun, while_held = [], []
     draw = synth._mean_slice
+    pool = CountingPool(max_workers=ahead + 2)  # more workers than the window
 
     def held(*args):
-        if threading.current_thread() is caller and thread.ident is None:
-            # the sum stays at slice 0 while the helper runs alone for a while
-            thread.start()
-            thread.join(0.5)
-            while_held.extend(helper_slices)
-        elif threading.current_thread() is thread:
-            helper_slices.append(args[-2])
+        if args[-2] == 0:
+            # the other workers run alone: until the window's slices have
+            # begun, and a while after
+            deadline = time.monotonic() + 10
+            while len(begun) < ahead - 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)
+            while_held.append((sorted(begun), pool.submitted))
+        else:
+            begun.append(args[-2])
         return draw(*args)
 
-    with monkeypatch.context() as patch:
+    with pool, monkeypatch.context() as patch:
         patch.setattr(synth, "_mean_slice", held)
-        got = tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 64 * 40, 1, helper)
-    thread.join(10)
-    assert not thread.is_alive()
+        got = tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 64 * 40, 1, pool)
     assert_same(got, tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 64 * 40, 1).mean(axis=0))
-    return while_held
+    assert pool.submitted == 40
+    return while_held[0]
 
 
 def test_a_helper_claims_at_most_the_window_ahead_of_the_sum(monkeypatch):
-    # slices 1 .. ahead-1: the caller holds slice 0 of the window
-    for ahead in (synth._MEAN_AHEAD, 4):
-        assert held_helper_slices(monkeypatch, ahead) == [64 * k for k in range(1, ahead)]
+    # slices 1 .. ahead-1 begin: slice 0 is the window's first
+    for ahead in (2, synth._MEAN_AHEAD):
+        begun, submitted = held_window(monkeypatch, ahead)
+        assert begun == [64 * k for k in range(1, ahead)]
+        assert submitted == ahead
 
 
-def test_a_helper_serves_one_call():
-    helper = synth.MeanHelper()
-    tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 10, 1, helper)
-    with pytest.raises(ValueError, match="one tangent_gaussian_mean call"):
-        tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 10, 1, helper)
+def test_an_interrupted_mean_cancels_its_window(monkeypatch):
+    monkeypatch.setattr(synth, "_MEAN_SLICE", 64)  # 40 slices
+    caller = threading.current_thread()
+    begun, drawing, returned = [], threading.Event(), threading.Event()
+    draw, result = synth._mean_slice, Future.result
+
+    def held(*args):
+        begun.append(args[-2])
+        drawing.set()
+        returned.wait(10)  # the pool's one worker is busy until the call has returned
+        return draw(*args)
+
+    def interrupted_result(future, timeout=None):
+        if threading.current_thread() is caller:
+            # the interrupt arrives while the caller waits for slice 0
+            assert drawing.wait(10)
+            raise KeyboardInterrupt
+        return result(future, timeout)
+
+    monkeypatch.setattr(synth, "_mean_slice", held)
+    monkeypatch.setattr(Future, "result", interrupted_result)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with pytest.raises(KeyboardInterrupt):
+            tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 64 * 40, 1, pool)
+        returned.set()
+    assert begun == [0]  # the rest of the window never began
 
 
 def test_tangent_mean_fails_in_a_late_slice_as_the_sample_does(monkeypatch):
@@ -383,13 +419,15 @@ def test_tangent_mean_fails_in_a_late_slice_as_the_sample_does(monkeypatch):
     with pytest.raises(GenerationFailed) as sliced:
         tangent_gaussian_mean([0.0, 0.0, 1.0], sigma, n, seed)
     assert str(sliced.value) == str(whole.value)
-    # a helper draws the failing slice; the caller raises its error on reaching it
+    # a worker draws the failing slice; the caller raises its error on reaching it
     failing, drawers = int(np.argmax(radii)) // 64, {}
     threads = threading.active_count()
-    with pytest.raises(GenerationFailed) as helped:
-        helped_mean([0.0, 0.0, 1.0], sigma, n, seed, failing - 1, drawers)
-    assert str(helped.value) == str(whole.value)
+    with pytest.raises(GenerationFailed) as pooled:
+        pooled_mean([0.0, 0.0, 1.0], sigma, n, seed, failing - 1, drawers)
+    assert str(pooled.value) == str(whole.value)
     assert drawers[64 * failing] is not threading.current_thread()
+    # no slice beyond the window was drawn
+    assert max(drawers) <= 64 * (failing + synth._MEAN_AHEAD - 1)
     assert threading.active_count() == threads
 
 
@@ -411,9 +449,9 @@ def test_tangent_mean_memory_does_not_grow_with_the_draws():
     assert whole > 40 * 10**6
     assert large < 8 * 2**20
     assert abs(large - small) <= 0.1 * small
-    # a helper holds at most the window of slices ahead of the sum
-    helped = traced_peak(lambda: helped_mean(mu, 0.1, 10**6, 5, "eager", {}))
-    assert helped < 8 * 2**20
+    # a pool holds at most the window of slices ahead of the sum
+    pooled = traced_peak(lambda: pooled_mean(mu, 0.1, 10**6, 5, "eager", {}))
+    assert pooled < 8 * 2**20
 
 
 # ---- statistics ------------------------------------------------------------------
@@ -497,7 +535,7 @@ def test_run_monte_carlo_matches_per_replication_loop(
     "draws, slices",
     [
         (40_001, 3),  # ends in an odd tail
-        (400_003, 25),  # the worker's 20 replications end early, so it draws many slices
+        (400_003, 25),  # the 20 replications end early, so both workers draw slices
         (32_769, 2),  # a one-row tail joins the slice before it
     ],
 )
@@ -569,22 +607,10 @@ def test_bad_alpha_fails_before_any_draw(monkeypatch, alpha):
     assert threading.active_count() == threads
 
 
-def spy_stop(monkeypatch):
-    """An event set once a `MeanHelper` has been stopped."""
-    stopped, stop = threading.Event(), synth.MeanHelper.stop
-
-    def spied(helper):
-        stop(helper)
-        stopped.set()
-
-    monkeypatch.setattr(synth.MeanHelper, "stop", spied)
-    return stopped
-
-
 def test_interrupt_stops_the_worker_before_its_next_slice(monkeypatch):
     monkeypatch.setattr(pipeline, "_MC_SLICE_DOUBLES", 1)  # one replication a slice
     stops, slices = [], []
-    started, stopped = threading.Event(), spy_stop(monkeypatch)
+    started = threading.Event()
     replications, draw = pipeline._replications, pipeline.tangent_gaussian_samples
 
     def spy(*args):
@@ -596,7 +622,7 @@ def test_interrupt_stops_the_worker_before_its_next_slice(monkeypatch):
         if len(slices) == 1:
             started.set()
             # hold the first slice until the calling thread has raised
-            stopped.wait(10)
+            stops[0].wait(10)
         return draw(mu, sigma, n, seeds)
 
     def interrupted_oracle(*args):
@@ -610,35 +636,66 @@ def test_interrupt_stops_the_worker_before_its_next_slice(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         pipeline.run_monte_carlo(0.1, 2, 1000, 0.05, 0, 100)
     assert threading.active_count() == threads
-    assert stops[0].stopped
+    assert stops[0].is_set()
     assert slices == [1]  # of 1,000 slices, only the one under way ran
 
 
 def test_interrupt_stops_the_worker_before_its_next_oracle_slice(monkeypatch):
+    monkeypatch.setattr(pipeline, "_MC_SLICE_DOUBLES", 1)  # one replication a slice
     monkeypatch.setattr(synth, "_MEAN_SLICE", 64)  # 1,563 oracle slices
-    helped, stopped = threading.Event(), spy_stop(monkeypatch)
-    worker_slices = []
-    draw = synth._mean_slice
+    caller = threading.current_thread()
+    stops, replication_slices, oracle_slices, after_stop = [], [], [], []
+    replicating, drawing = threading.Event(), threading.Event()
+    replications, draw_samples, draw_slice = (
+        pipeline._replications,
+        pipeline.tangent_gaussian_samples,
+        synth._mean_slice,
+    )
+    result = Future.result
 
-    def interrupted_draw(*args):
-        if threading.current_thread() is threading.main_thread():
-            # the caller's first slice waits until the worker is inside one
-            assert helped.wait(10)
+    def spy(*args):
+        stops.append(args[-1])
+        return replications(*args)
+
+    def held_samples(mu, sigma, n, seeds):
+        after_stop.append(stops[0].is_set())
+        replication_slices.append(len(seeds))
+        if len(replication_slices) == 1:
+            replicating.set()
+            stops[0].wait(10)  # until the calling thread has raised
+        return draw_samples(mu, sigma, n, seeds)
+
+    def held_slice(*args):
+        assert replicating.wait(10)  # the stop event is known
+        after_stop.append(stops[0].is_set())
+        oracle_slices.append(args[-2])
+        if len(oracle_slices) == 1:
+            drawing.set()
+            stops[0].wait(10)
+        return draw_slice(*args)
+
+    def interrupted_result(future, timeout=None):
+        if threading.current_thread() is caller:
+            # the interrupt arrives while the caller waits for the oracle's
+            # first slice, both workers inside a slice, the window's second
+            # oracle slice queued behind them
+            assert replicating.wait(10) and drawing.wait(10)
             raise KeyboardInterrupt
-        worker_slices.append(args[-2])
-        helped.set()
-        # hold the worker's first slice until the calling thread has raised
-        stopped.wait(10)
-        return draw(*args)
+        return result(future, timeout)
 
-    monkeypatch.setattr(synth, "_mean_slice", interrupted_draw)
+    monkeypatch.setattr(pipeline, "_replications", spy)
+    monkeypatch.setattr(pipeline, "tangent_gaussian_samples", held_samples)
+    monkeypatch.setattr(synth, "_mean_slice", held_slice)
+    monkeypatch.setattr(Future, "result", interrupted_result)
     threads = threading.active_count()
-    # one replication: the worker turns to the oracle at once
     with pytest.raises(KeyboardInterrupt):
-        pipeline.run_monte_carlo(0.1, 2, 1, 0.05, 0, 100_000)
+        pipeline.run_monte_carlo(0.1, 2, 1000, 0.05, 0, 100_000)
     assert threading.active_count() == threads
-    assert stopped.is_set()
-    assert len(worker_slices) == 1  # only the oracle slice under way ran
+    assert stops[0].is_set()
+    # only the slices under way ran, and none began once the caller had stopped
+    assert replication_slices == [1]
+    assert oracle_slices == [0]
+    assert not any(after_stop)
 
 
 # ---- the drawn oracle against the closed form ---------------------------------------

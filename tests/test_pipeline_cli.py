@@ -323,13 +323,32 @@ def test_cli_collinear_frame_exits_3(tmp_path, capsys):
 
 
 def test_cli_strict_flags_degenerate_as_4(tmp_path, capsys):
-    path = tmp_path / "two.csv"
-    write_landmarks(path, synthesize_views(k=5, cameras=2, seed=0))
-    assert main(["analyze", str(path), "--out", str(tmp_path / "a")]) == 0
-    capsys.readouterr()
-    rc = main(["analyze", str(path), "--out", str(tmp_path / "b"), "--strict"])
-    assert rc == 4
-    assert "degenerate" in capsys.readouterr().err
+    views = synthesize_views(k=5, cameras=3, seed=0, delta=0.05)
+    studies = {
+        # two views: the full test is degenerate
+        "two": synthesize_views(k=5, cameras=2, seed=0),
+        # two repeated pairs and one more view: greedy removes "c", and only
+        # the reduced test, of the two pairs, is degenerate
+        "pairs": [
+            LandmarkScene(sid, views[view].points)
+            for sid, view in (("a0", 0), ("a1", 0), ("b0", 1), ("b1", 1), ("c", 2))
+        ],
+    }
+    for name, scenes in studies.items():
+        path = tmp_path / f"{name}.csv"
+        write_landmarks(path, scenes)
+        for command in ("analyze", "reduce"):
+            out = tmp_path / name / command
+            assert main([command, str(path), "--out", str(out / "plain")]) == 0
+            capsys.readouterr()
+            rc = main([command, str(path), "--out", str(out / "strict"), "--strict"])
+            printed = capsys.readouterr()
+            assert rc == 4, (name, command)
+            assert "degenerate" in printed.err
+            if name == "pairs":
+                assert "removed [c]" in printed.out
+                assert "reduced: n=4 " in printed.out and "[degenerate]" in printed.out
+                assert not run_analysis(StudyConfig(input_path=path)).full.degenerate
 
 
 def test_cli_focal_mean_exits_4(monkeypatch, tmp_path, capsys):

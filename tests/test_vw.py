@@ -14,7 +14,6 @@ from opshape.vw import (
     jacobi_eigh,
     top_eigenpair,
     total_variance_ps,
-    vw_embed,
     vw_mean,
 )
 
@@ -37,33 +36,6 @@ def random_symmetric(gen, d, scale=1.0):
     return (raw + raw.T) / 2.0
 
 
-# ---------- embedding -------------------------------------------------------------
-
-def test_vw_embed_examples():
-    np.testing.assert_array_equal(
-        vw_embed(np.array([0.0, 0.0, 1.0])), np.diag([0.0, 0.0, 1.0])
-    )
-    np.testing.assert_allclose(
-        vw_embed(np.array([1.0, 1.0, 0.0])),
-        [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]],
-        atol=0,
-    )
-
-
-def test_vw_embed_scale_and_sign_blind():
-    gen = SplitMix64(61)
-    for _ in range(10):
-        z = gen.normals(3)
-        base = vw_embed(z)
-        np.testing.assert_array_equal(vw_embed(-z), base)
-        np.testing.assert_allclose(vw_embed(2.5 * z), base, atol=1e-15)
-
-
-def test_vw_embed_rejects_zero():
-    with pytest.raises(DegeneratePoint):
-        vw_embed(np.zeros(3))
-
-
 # ---------- mean matrix -----------------------------------------------------------
 
 def test_vw_mean_examples():
@@ -73,6 +45,8 @@ def test_vw_mean_examples():
     )
     axes = np.eye(3)
     np.testing.assert_allclose(vw_mean(axes), np.eye(3) / 3.0, atol=1e-16)
+    with pytest.raises(DegeneratePoint):
+        vw_mean(np.stack([e1, np.zeros(3)]))
 
 
 def test_vw_mean_sign_blind_and_trace_one():
