@@ -30,7 +30,7 @@ deleted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -86,8 +86,7 @@ def _scene_order_key(scene_id: str):
     return (1, 0, scene_id)
 
 
-@dataclass(frozen=True)
-class LeaveOneOutRow:
+class LeaveOneOutRow(NamedTuple):
     """Recomputed summary statistics with one scene deleted."""
 
     scene_id: str
@@ -160,18 +159,8 @@ def leave_one_out(
     se[focal] = np.nan
     lower = confidence_interval(ts, se, alpha)[0]
     z, degenerate = z_values(ts, se)
-    return [
-        LeaveOneOutRow(*row)
-        for row in zip(
-            sample.scene_ids,
-            ts.tolist(),
-            se.tolist(),
-            z.tolist(),
-            lower.tolist(),
-            degenerate.tolist(),
-            focal.tolist(),
-        )
-    ]
+    columns = (ts, se, z, lower, degenerate, focal)
+    return list(map(LeaveOneOutRow._make, zip(sample.scene_ids, *(c.tolist() for c in columns))))
 
 
 def _deletion_endpoints(

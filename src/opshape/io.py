@@ -16,7 +16,10 @@ through the csv.reader row loop, which raises each ParseError or
 SchemaError with its message and line number.
 
 json_text writes the bytes json.dumps(indent=2, ensure_ascii=True) would,
-for values that may hold numpy arrays; see its docstring.
+for values that may hold numpy arrays and RowTable leaves: a table of rows
+of one layout, such as the report's leave-one-out table and reduction
+steps, written by one % of a cached template; see its docstring.
+write_table writes a CSV from its columns by one % per table.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import math
 import re
 from json.encoder import encode_basestring_ascii
@@ -302,23 +306,29 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[: -len("\r\n")]
 
 
-def write_table(path, header: Sequence[str], line: str, rows: Sequence[tuple]) -> None:
-    """Write a CSV of one row shape: the header, then line % row per row.
+def write_table(path, header: Sequence[str], line: str, columns: Sequence[Sequence]) -> None:
+    """Write a CSV of one row shape: the header, then one line per row.
 
+    columns holds the table column by column, each with one value per row.
     line is the %-template of one row, its fields joined by commas and
     ended by \\r\\n: %s for a text, %.17g for a float (format_float's text)
-    and %d for an int. Each text is quoted as csv.writer quotes it, so the
-    bytes are those csv.writer writes for the same rows with each float
-    passed through format_float; a row of one empty text alone, which
-    csv.writer writes as "", is the one exception. The header names are
-    written as they are, so none may need quoting.
+    and %d for an int. In a column that holds a text to quote, each
+    distinct text is quoted once, as csv.writer quotes it. The rows are
+    formatted by one % of line repeated once per row, so the bytes are
+    those csv.writer writes for the same rows with each float passed
+    through format_float; a row of one empty text alone, which csv.writer
+    writes as "", is the one exception. The header names are written as
+    they are, so none may need quoting.
     """
+    columns = list(columns)
     for i, spec in enumerate(line[: -len("\r\n")].split(",")):
-        if spec == "%s":
-            rows = [row[:i] + (_csv_field(row[i]),) + row[i + 1 :] for row in rows]
-    text = ",".join(header) + "\r\n" + "".join([line % row for row in rows])
+        if spec == "%s" and _QUOTED_CHARS.search("".join(columns[i])):
+            quoted = {text: _csv_field(text) for text in set(columns[i])}
+            columns[i] = list(map(quoted.__getitem__, columns[i]))
+    rows = len(columns[0]) if columns else 0
+    body = (line * rows) % tuple(itertools.chain.from_iterable(zip(*columns, strict=True)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write(",".join(header) + "\r\n" + body)
 
 
 @functools.lru_cache(maxsize=256)
@@ -326,11 +336,7 @@ def _array_template(shape: Tuple[int, ...], level: int) -> str:
     """%-template of an array of this shape, indented at level as json.dumps(indent=2) would."""
     if not shape:
         return "%r"
-    if shape[0] == 0:
-        return "[]"
-    inner = _array_template(shape[1:], level + 1)
-    pad = "\n" + "  " * (level + 1)
-    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
+    return _bracketed("[", [_array_template(shape[1:], level + 1)] * shape[0], level)
 
 
 def _float_text(x: float) -> str:
@@ -338,14 +344,141 @@ def _float_text(x: float) -> str:
     return "null" if "n" in text else text  # only 'nan', 'inf' and '-inf' hold an n
 
 
+_JSON_BOOLS = {True: "true", False: "false"}
 # the JSON text of a scalar of exactly this type
 _SCALARS = {
     str: encode_basestring_ascii,
     float: _float_text,
     int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
+    bool: _JSON_BOOLS.__getitem__,
     type(None): lambda _: "null",
 }
+
+
+class RowTable:
+    """Rows of one layout, which json_text writes as a JSON list of objects.
+
+    keys names the fields of a row, in order; a (key, keys) pair names a
+    field whose value is itself a tuple laid out by keys, written as a
+    nested object. Each row is a tuple (a NamedTuple will do) of values in
+    that order.
+    """
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys: Tuple, rows: Sequence[tuple]):
+        self.keys = keys
+        self.rows = rows
+
+
+def _leaf_spec(column: Sequence, keys, leaves: List[Sequence]):
+    """The template spec of one field of a table, or None.
+
+    column holds the field's value in every row; keys is None for a value,
+    or the layout of a nested tuple. The field's leaves are appended to
+    leaves as columns, one value per row, in the order its template takes
+    them. The spec is "%s" for a text the leaf already is (an id through
+    encode_basestring_ascii, a bool as true or false), "%r" for an int or
+    a finite float, ("array", shape) for a numeric array, ("[", specs) for
+    a tuple or list and ("{", ((key, spec), ...)) for a nested tuple with
+    keys. None when the column mixes types, shapes or lengths, or holds a
+    non-finite float or a value of any other type: the table then takes
+    the element walk.
+    """
+    kinds = set(map(type, column))
+    if all(issubclass(kind, (tuple, list)) for kind in kinds):
+        lengths = set(map(len, column))
+        if len(lengths) != 1 or (keys is not None and lengths != {len(keys)}):
+            return None
+        specs = []
+        for key, values in zip(keys or (None,) * lengths.pop(), zip(*column)):
+            name, inner = key if isinstance(key, tuple) else (key, None)
+            spec = _leaf_spec(values, inner, leaves)
+            if spec is None:
+                return None
+            specs.append(spec if keys is None else (name, spec))
+        return ("[" if keys is None else "{", tuple(specs))
+    if keys is not None or len(kinds) != 1:
+        return None
+    (kind,) = kinds
+    if kind is str:
+        leaves.append(list(map(encode_basestring_ascii, column)))
+        return "%s"
+    if kind is bool:
+        leaves.append(list(map(_JSON_BOOLS.__getitem__, column)))
+        return "%s"
+    if kind is int:
+        leaves.append(column)
+        return "%r"
+    if kind is float:
+        # a NaN or an infinity makes the sum non-finite; so does a sum past
+        # the largest double, which only costs the element walk
+        if not math.isfinite(sum(column)):
+            return None
+        leaves.append(column)
+        return "%r"
+    if kind is np.ndarray and len({(a.shape, a.dtype) for a in column}) == 1:
+        stack = np.array(column)  # one shape and dtype: their stack, as np.stack would give
+        if stack.dtype.kind in "iu" or (stack.dtype.kind == "f" and np.isfinite(stack).all()):
+            leaves.extend(stack.reshape(len(column), -1).T.tolist())
+            return ("array", stack.shape[1:])
+    return None
+
+
+@functools.lru_cache(maxsize=256)
+def _spec_template(spec, level: int) -> str:
+    """%-template of a value of this spec (_leaf_spec), indented at level."""
+    if isinstance(spec, str):
+        return spec
+    tag, items = spec
+    if tag == "array":
+        return _array_template(items, level)
+    if tag == "[":
+        parts = [_spec_template(item, level + 1) for item in items]
+    else:  # a key may hold a %, which the template must escape
+        parts = [
+            encode_basestring_ascii(key).replace("%", "%%") + ": " + _spec_template(item, level + 1)
+            for key, item in items
+        ]
+    return _bracketed(tag, parts, level)
+
+
+def _bracketed(tag: str, parts: List[str], level: int) -> str:
+    """The JSON list ("[") or object ("{") of these item texts, indented at level."""
+    close = "]" if tag == "[" else "}"
+    if not parts:
+        return tag + close
+    pad = "\n" + "  " * (level + 1)
+    return tag + pad + ("," + pad).join(parts) + "\n" + "  " * level + close
+
+
+@functools.lru_cache(maxsize=64)
+def _table_template(row_spec, level: int, rows: int) -> str:
+    """%-template of a table of this many rows of row_spec, indented at level."""
+    return _bracketed("[", [_spec_template(row_spec, level + 1)] * rows, level)
+
+
+def _table_text(table: RowTable, level: int) -> Optional[str]:
+    """The JSON text of table at level by one % of its cached template, or
+    None when _leaf_spec finds a value the template cannot write."""
+    if not table.rows:
+        return "[]"
+    leaves: List[Sequence] = []
+    row_spec = _leaf_spec(table.rows, table.keys, leaves)
+    if row_spec is None:
+        return None
+    values = tuple(itertools.chain.from_iterable(zip(*leaves)))
+    return _table_template(row_spec, level, len(table.rows)) % values
+
+
+def _row_dict(keys, row) -> Dict:
+    """One row of a RowTable as the dict it stands for."""
+    item = {}
+    for key, value in zip(keys, row, strict=True):
+        if isinstance(key, tuple):
+            key, value = key[0], _row_dict(key[1], value)
+        item[key] = value
+    return item
 
 
 def _json_parts(value, level: int, out: List[str]) -> None:
@@ -363,6 +496,13 @@ def _json_parts(value, level: int, out: List[str]) -> None:
                 out.append(text)
                 return
         _json_parts(value.tolist(), level, out)
+        return
+    if isinstance(value, RowTable):
+        text = _table_text(value, level)
+        if text is None:
+            _json_parts([_row_dict(value.keys, row) for row in value.rows], level, out)
+        else:
+            out.append(text)
         return
     if isinstance(value, dict):
         heads, items, close = _item_heads(tuple(value), level), value.values(), "}"
@@ -419,6 +559,14 @@ def json_text(value) -> str:
     by one cached %r template per shape and indentation, without building
     nested lists or running json's pure-Python indenting encoder; one that
     holds a non-finite value is written element by element.
+
+    A RowTable is written as the list of objects its rows stand for, by one
+    % of one cached template per (layout, indentation, row count): each id
+    goes in through encode_basestring_ascii, each bool as true or false,
+    each float and int by %r and each array by ravel().tolist(), so its
+    rows build no dicts and the walk visits none of their leaves. A table
+    that holds a non-finite float, or any value the template cannot write,
+    is written element by element as its list of dicts.
     """
     out: List[str] = []
     _json_parts(value, 0, out)

@@ -4,15 +4,17 @@ Reports are deterministic: no timestamps, provenance keyed by the sha256 of
 the input bytes. Every JSON output (report.json, reduction.json, the vw and
 mc files) goes through io.json_text, which writes the text
 json.dumps(indent=2) would: each float by float.__repr__, the shortest
-string that reads back as the same double, a non-finite one as null, and
-each float64 array of the report straight from the array, one %-template
-per shape. Identical input and configuration yield byte-identical
-report.json.
+string that reads back as the same double, a non-finite one as null, each
+float64 array of the report straight from the array, one %-template per
+shape, and the leave-one-out table and the reduction steps as io.RowTable
+rows, one %-template per table. Identical input and configuration yield
+byte-identical report.json.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +44,7 @@ from .geometry import (
     check_unit_norm,
     register_points,
 )
-from .io import json_text, parse_landmarks, write_json, write_table
+from .io import RowTable, json_text, parse_landmarks, write_json, write_table
 from .rng import SplitMix64
 # tangent_gaussian_sample has no caller here; perfbench's tracer patches the name
 from .synth import tangent_gaussian_mean, tangent_gaussian_sample, tangent_gaussian_samples
@@ -201,28 +203,19 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
     )
 
 
+# report.json's summary fields, in order: the OpsSummary attributes of these names
+_SUMMARY_KEYS = (
+    "n", "q", "dim", "alpha", "df", "mean_vector", "resultant", "extrinsic_mean",
+    "total_variance", "covariance", "se", "z", "t_stat", "p_normal", "p_chisq", "ci",
+    "degenerate", "reject_ci", "reject_chisq",
+)
+_summary_row = operator.attrgetter(*_SUMMARY_KEYS)
+# the layout of one reduction step of report.json
+_STEP_KEYS = ("removed_scene_id", "ci_lower", ("summary", _SUMMARY_KEYS))
+
+
 def _summary_dict(s: OpsSummary) -> Dict:
-    return {
-        "n": s.n,
-        "q": s.q,
-        "dim": s.dim,
-        "alpha": s.alpha,
-        "df": s.df,
-        "mean_vector": s.mean_vector,
-        "resultant": s.resultant,
-        "extrinsic_mean": s.extrinsic_mean,
-        "total_variance": s.total_variance,
-        "covariance": s.covariance,
-        "se": s.se,
-        "z": s.z,
-        "t_stat": s.t_stat,
-        "p_normal": s.p_normal,
-        "p_chisq": s.p_chisq,
-        "ci": list(s.ci),
-        "degenerate": s.degenerate,
-        "reject_ci": s.reject_ci,
-        "reject_chisq": s.reject_chisq,
-    }
+    return dict(zip(_SUMMARY_KEYS, _summary_row(s)))
 
 
 def _vw_dict(v: VwSummary) -> Dict:
@@ -242,7 +235,12 @@ def report_fields(report: AnalysisReport) -> Dict:
 
     io.json_text writes this dict as report.json, a float64 array as
     nested lists and a non-finite float as null; report_to_dict is that
-    text read back, so the layout is described here only.
+    text read back, so the layout is described here only. The
+    leave-one-out table (the LeaveOneOutRow tuples themselves) and the
+    reduction steps (removed id, endpoint and the summary's fields, arrays
+    included, as one tuple per step) are handed over as io.RowTable, rows
+    of one layout that json_text writes by one cached template per table,
+    as the lists of objects they stand for.
     """
     cfg = report.config
     trace = report.trace
@@ -263,18 +261,7 @@ def report_fields(report: AnalysisReport) -> Dict:
         "axes": report.axes,
         "full": _summary_dict(report.full),
         "vw_full": [_vw_dict(v) for v in report.vw_full],
-        "leave_one_out": [
-            {
-                "scene_id": r.scene_id,
-                "total_variance": r.total_variance,
-                "se": r.se,
-                "z": r.z,
-                "ci_lower": r.ci_lower,
-                "degenerate": r.degenerate,
-                "focal": r.focal,
-            }
-            for r in report.loo
-        ],
+        "leave_one_out": RowTable(LeaveOneOutRow._fields, report.loo),
         "reduction": None
         if trace is None
         else {
@@ -282,14 +269,13 @@ def report_fields(report: AnalysisReport) -> Dict:
             "stopped_reason": trace.stopped_reason,
             "initial_scene_ids": list(trace.initial_scene_ids),
             "final_scene_ids": list(trace.final_scene_ids),
-            "steps": [
-                {
-                    "removed_scene_id": step.removed_scene_id,
-                    "ci_lower": step.ci_lower,
-                    "summary": _summary_dict(step.summary),
-                }
-                for step in trace.steps
-            ],
+            "steps": RowTable(
+                _STEP_KEYS,
+                [
+                    (step.removed_scene_id, step.ci_lower, _summary_row(step.summary))
+                    for step in trace.steps
+                ],
+            ),
         },
         "reduced": None if report.reduced is None else _summary_dict(report.reduced),
         "vw_reduced": None
@@ -330,17 +316,14 @@ def emit_outputs(report: AnalysisReport, outdir) -> Dict[str, Path]:
     coords = _coordinate_header(sample.dim)
     floats = ",%.17g" * sample.dim
     removed = set(report.trace.removed_scene_ids) if report.trace else set()
+    ids = _row_ids(sample)
 
     paths["sphere_points"] = outdir / "sphere_points.csv"
     write_table(
         paths["sphere_points"],
         ["scene"] + coords + ["removed"],
         "%s" + floats + ",%d\r\n",
-        [
-            (sid, *block, sid in removed)
-            for sid, blocks in zip(sample.scene_ids, sample.units.tolist())
-            for block in blocks
-        ],
+        [ids, *sample.units.reshape(-1, sample.dim).T.tolist(), [sid in removed for sid in ids]],
     )
 
     paths["mean_direction"] = outdir / "mean_direction.csv"
@@ -348,7 +331,7 @@ def emit_outputs(report: AnalysisReport, outdir) -> Dict[str, Path]:
         paths["mean_direction"],
         coords,
         floats[1:] + "\r\n",
-        [tuple(mean) for mean in report.full.extrinsic_mean.tolist()],
+        report.full.extrinsic_mean.T.tolist(),
     )
 
     paths["angles_full"] = outdir / "angles_full.csv"
@@ -358,11 +341,18 @@ def emit_outputs(report: AnalysisReport, outdir) -> Dict[str, Path]:
     if report.trace is not None:
         _write_angles(sample.subset(report.trace.final_scene_ids), paths["angles_reduced"])
     else:
-        write_table(paths["angles_reduced"], ["scene", "theta_radians"], "%s,%.17g\r\n", [])
+        write_table(paths["angles_reduced"], ["scene", "theta_radians"], "%s,%.17g\r\n", [(), ()])
 
     paths["loo_table"] = outdir / "loo_table.csv"
     write_loo_table(report.loo, paths["loo_table"])
     return paths
+
+
+def _row_ids(sample: DirectionSample) -> Sequence[str]:
+    """The scene id of each line of a per-scene CSV: one line per (scene, block)."""
+    if sample.q == 1:
+        return sample.scene_ids
+    return [sid for sid in sample.scene_ids for _ in range(sample.q)]
 
 
 def _write_angles(sample: DirectionSample, path) -> None:
@@ -371,11 +361,7 @@ def _write_angles(sample: DirectionSample, path) -> None:
         path,
         ["scene", "theta_radians"],
         "%s,%.17g\r\n",
-        [
-            (sid, theta)
-            for sid, thetas in zip(sample.scene_ids, angular_distances(sample).tolist())
-            for theta in thetas
-        ],
+        [_row_ids(sample), angular_distances(sample).ravel().tolist()],
     )
 
 
@@ -385,10 +371,7 @@ def write_loo_table(loo: Sequence[LeaveOneOutRow], path) -> None:
         path,
         ["scene", "tS", "se", "z", "ci_lower", "degenerate", "focal"],
         "%s,%.17g,%.17g,%.17g,%.17g,%d,%d\r\n",
-        [
-            (r.scene_id, r.total_variance, r.se, r.z, r.ci_lower, int(r.degenerate), int(r.focal))
-            for r in loo
-        ],
+        list(zip(*loo)) or [()] * len(LeaveOneOutRow._fields),
     )
 
 

@@ -108,6 +108,10 @@ def test_loo_focal_deletion_flagged_not_fatal():
     assert rows[2].focal
     assert math.isnan(rows[2].total_variance)
     assert not rows[0].focal and not rows[1].focal
+    # rows are immutable named tuples: a row equals the plain tuple of its fields
+    with pytest.raises(AttributeError):
+        rows[0].focal = True
+    assert rows[0] == tuple(getattr(rows[0], name) for name in LeaveOneOutRow._fields)
 
 
 def test_loo_needs_three_rows():
@@ -138,9 +142,9 @@ def ref_leave_one_out(sample, alpha=0.05, df=None):
 def assert_same_rows(got, expected):
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
-        for field in dataclasses.fields(LeaveOneOutRow):
-            a, b = getattr(g, field.name), getattr(e, field.name)
-            assert a == b or (math.isnan(a) and math.isnan(b)), field.name
+        for name in LeaveOneOutRow._fields:
+            a, b = getattr(g, name), getattr(e, name)
+            assert a == b or (math.isnan(a) and math.isnan(b)), name
         # repr also tells -0.0 from 0.0 and numpy scalars from Python ones
         assert repr(g) == repr(e)
 

@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import opshape.io as oio
-from opshape.diagnostics import LeaveOneOutRow
-from opshape.errors import InvalidLandmark, ParseError, SchemaError
+from opshape import pipeline
+from opshape.diagnostics import LeaveOneOutRow, ReductionStep
+from opshape.directional import OpsSummary, angular_distances
+from opshape.errors import InvalidLandmark, MixedOrientationWarning, ParseError, SchemaError
 from opshape.geometry import LandmarkScene, LandmarkStudy
 from opshape.io import format_float, json_text, parse_landmarks, write_json, write_landmarks
 from opshape.pipeline import write_loo_table
+from opshape.synth import synthesize_views
 
 GOOD = """scene,landmark,x,y
 a,1,0.0,0.0
@@ -570,6 +573,177 @@ def test_write_json_ends_with_a_newline(tmp_path):
     assert (tmp_path / "out.json").read_bytes() == b'{\n  "a": [\n    1.5,\n    null\n  ]\n}\n'
 
 
+# ---- report tables: one %-template per table against json.dumps --------------------
+
+# the layout of a summary in report.json, written out independently of the pipeline
+SUMMARY_KEYS = (
+    "n", "q", "dim", "alpha", "df", "mean_vector", "resultant", "extrinsic_mean",
+    "total_variance", "covariance", "se", "z", "t_stat", "p_normal", "p_chisq", "ci",
+    "degenerate", "reject_ci", "reject_chisq",
+)
+
+# ids with quotes, backslashes, commas, % and control and non-ASCII characters
+TABLE_IDS = st.text(
+    st.sampled_from(['"', "\\", ",", "%", "s", "r", "\0", "\x1f", "\n", "\x7f", "\u00e9",
+                     "\u65e5", "\u2028", "\U0001f600"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=6,
+)
+# finite floats whose sums over a table stay finite, so the template path
+# writes every table drawn from them
+FINITE_TABLE_FLOATS = st.floats(-1e300, 1e300) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1e16]
+)
+TABLE_FLOATS = st.sampled_from([FINITE_TABLE_FLOATS, FINITE_TABLE_FLOATS | JSON_FLOATS])
+
+
+def loo_table(rows):
+    """(the leave-one-out table as report_fields hands it over, its rows as dicts)."""
+    rows = [LeaveOneOutRow(*row) for row in rows]
+    native = [
+        {"scene_id": r.scene_id, "total_variance": r.total_variance, "se": r.se, "z": r.z,
+         "ci_lower": r.ci_lower, "degenerate": r.degenerate, "focal": r.focal}
+        for r in rows
+    ]
+    return oio.RowTable(LeaveOneOutRow._fields, rows), native
+
+
+def steps_table(steps):
+    """(the reduction steps as report_fields hands them over, as dicts)."""
+    rows = [(s.removed_scene_id, s.ci_lower, pipeline._summary_row(s.summary)) for s in steps]
+    native = [
+        {"removed_scene_id": s.removed_scene_id, "ci_lower": s.ci_lower,
+         "summary": {key: getattr(s.summary, key) for key in SUMMARY_KEYS}}
+        for s in steps
+    ]
+    return oio.RowTable(pipeline._STEP_KEYS, rows), native
+
+
+def nan_summary():
+    """A q = 1 summary whose only non-finite values sit in its arrays."""
+    return OpsSummary(
+        n=5, q=1, dim=3, alpha=0.05, df=2, mean_vector=np.array([[math.nan, 0.0, 1.0]]),
+        resultant=np.array([1.0]), extrinsic_mean=np.array([[0.0, -0.0, 1.0]]),
+        total_variance=0.5, covariance=np.diag([math.inf, 1.0, 5e-324]), se=0.25, z=2.0,
+        t_stat=2.5, p_normal=0.01, p_chisq=0.02, ci=(0.1, 0.9), degenerate=False,
+        reject_ci=True, reject_chisq=True,
+    )
+
+
+@st.composite
+def loo_tables(draw):
+    floats = draw(TABLE_FLOATS)
+    row = st.tuples(TABLE_IDS, floats, floats, floats, floats, st.booleans(), st.booleans())
+    return (floats is FINITE_TABLE_FLOATS,) + loo_table(draw(st.lists(row, max_size=60)))
+
+
+@st.composite
+def reduction_tables(draw):
+    floats = draw(TABLE_FLOATS)
+    q, d = draw(st.sampled_from([1, 3])), 3
+
+    def array(*shape):
+        return draw(hnp.arrays(np.float64, shape, elements=floats))
+
+    steps = []
+    for _ in range(draw(st.integers(0, 5))):
+        summary = OpsSummary(
+            n=draw(st.integers(3, 400)), q=q, dim=d, alpha=draw(floats),
+            df=draw(st.integers(1, 12)), mean_vector=array(q, d), resultant=array(q),
+            extrinsic_mean=array(q, d), total_variance=draw(floats),
+            covariance=array(q * d, q * d), se=draw(floats), z=draw(floats),
+            t_stat=draw(floats), p_normal=draw(floats), p_chisq=draw(floats),
+            ci=(draw(floats), draw(floats)), degenerate=draw(st.booleans()),
+            reject_ci=draw(st.booleans()), reject_chisq=draw(st.booleans()),
+        )
+        steps.append(ReductionStep(draw(TABLE_IDS), summary, draw(floats)))
+    return (floats is FINITE_TABLE_FLOATS,) + steps_table(steps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(loo_tables() | reduction_tables(), st.lists(st.sampled_from(["list", "dict"]), max_size=3))
+@example(
+    (False,) + loo_table([('a"%s', math.nan, -0.0, math.inf, 5e-324, False, True),
+                          ("\\,\x01\u00e9%", 0.5, -math.inf, 1.0, -0.0, True, False)]),
+    ["dict"],
+)
+@example((True,) + loo_table([("%d%%", 0.25, 5e-324, -0.0, 1e300, True, False)] * 3), ["list"])
+@example((True,) + loo_table([]), ["dict", "list"])
+@example((False,) + steps_table([ReductionStep("s%s", nan_summary(), 0.5)]), ["dict"])
+@example(  # keys that hold a %, and lists of arrays and tuples inside a row
+    (True, oio.RowTable(("%s", ("x%d", ("%",))), [("a", ((np.eye(2), (3, 4.5)),))] * 2),
+     [{"%s": "a", "x%d": {"%": [np.eye(2), [3, 4.5]]}}] * 2),
+    ["list", "dict"],
+)
+def test_row_tables_equal_json_dumps_of_their_rows(drawn, wrappers):
+    finite, table, native = drawn
+    value = table
+    for wrapper in wrappers:
+        value, native = ([value], [native]) if wrapper == "list" else ({"t%s": value}, {"t%s": native})
+    assert json_text(value) == json.dumps(json_native(native), indent=2, ensure_ascii=True)
+    if finite:  # the template wrote it, not the element walk
+        assert oio._table_text(table, 0) is not None
+
+
+def test_report_with_a_focal_row_equals_json_dumps_of_its_objects(tmp_path):
+    """A study whose leave-one-out table holds a focal row with NaN statistics.
+
+    A mirrored scene registers to the negated direction, so deleting c
+    leaves two antipodal pairs, whose mean is focal.
+    """
+    base = synthesize_views(k=5, cameras=3, seed=0, delta=0.3)
+    mirror = np.array([-1.0, 1.0])
+    scenes = [
+        LandmarkScene("a", base[0].points), LandmarkScene("a'", base[0].points * mirror),
+        LandmarkScene("b", base[1].points), LandmarkScene("b'", base[1].points * mirror),
+        LandmarkScene("c", base[2].points),
+    ]
+    write_landmarks(tmp_path / "study.csv", scenes)
+    with pytest.warns(MixedOrientationWarning):
+        report = pipeline.run_analysis(pipeline.StudyConfig(tmp_path / "study.csv"))
+    pipeline.emit_outputs(report, tmp_path / "out")
+    assert [row.focal for row in report.loo] == [False] * 4 + [True]
+    assert math.isnan(report.loo[4].total_variance)
+
+    def summary(s):
+        return {key: getattr(s, key) for key in SUMMARY_KEYS}
+
+    def vw(v):
+        return {"n": v.n, "mean_matrix": v.mean_matrix, "top_eigenvalue": v.top_eigenvalue,
+                "top_axis": v.top_axis, "eigengap": v.eigengap,
+                "total_variance": v.total_variance, "focal": v.focal}
+
+    cfg, trace = report.config, report.trace
+    expected = {
+        "format": "opshape-report",
+        "provenance": report.provenance,
+        "config": {"frame_labels": cfg.frame_labels, "remaining_labels": cfg.remaining_labels,
+                   "alpha": cfg.alpha, "alpha_ref": cfg.alpha_ref, "df": cfg.df,
+                   "max_removals": cfg.max_removals, "skip_degenerate": cfg.skip_degenerate},
+        "scene_ids": report.sample.scene_ids,
+        "directions": report.sample.units,
+        "axes": report.axes,
+        "full": summary(report.full),
+        "vw_full": [vw(v) for v in report.vw_full],
+        "leave_one_out": loo_table(report.loo)[1],
+        "reduction": {
+            "alpha_ref": trace.alpha_ref, "stopped_reason": trace.stopped_reason,
+            "initial_scene_ids": trace.initial_scene_ids,
+            "final_scene_ids": trace.final_scene_ids,
+            "steps": [
+                {"removed_scene_id": s.removed_scene_id, "ci_lower": s.ci_lower,
+                 "summary": summary(s.summary)}
+                for s in trace.steps
+            ],
+        },
+        "reduced": summary(report.reduced),
+        "vw_reduced": [vw(v) for v in report.vw_reduced],
+    }
+    text = json.dumps(json_native(expected), indent=2, ensure_ascii=True) + "\n"
+    assert (tmp_path / "out" / "report.json").read_text(encoding="utf-8") == text
+    assert '"focal": true' in text and '"total_variance": null' in text
+
+
 # ---- the CSV views: %-templates against the csv.writer row loop ----------------------
 
 
@@ -615,18 +789,59 @@ def csv_tables(draw):
     return [f"c{i}" for i in range(len(fields))], ",".join(fields) + "\r\n", rows
 
 
+def table_columns(header, rows):
+    """The table of these rows column by column, as write_table takes it."""
+    return [list(column) for column in zip(*rows)] or [[] for _ in header]
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(csv_tables())
 @example((["scene", "x"], "%s,%.17g\r\n", [("a,b", -0.0), ('"q"', math.nan), ("", 5e-324)]))
+@example((["scene", "x"], "%s,%.17g\r\n", [("a,b", 1.0), ("a,b", 2.0), ("a", 3.0)]))
+@example((["scene", "x", "removed"], "%s,%.17g,%d\r\n", []))
 def test_write_table_matches_the_csv_writer_loop(tmp_path_factory, table):
     header, line, rows = table
     path = tmp_path_factory.mktemp("csv") / "view.csv"
-    oio.write_table(path, header, line, rows)
+    oio.write_table(path, header, line, table_columns(header, rows))
     assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+
+def test_q3_views_match_the_csv_writer_loop(tmp_path):
+    """q = 3: one line per (scene, block), removed flags, ids that need quoting."""
+    views = synthesize_views(k=7, cameras=24, seed=5, delta=0.02, noise=0.002)
+    names = ['a,b', '"q"', "line\nbreak", "plain", "%s", "cr\r"]
+    scenes = [LandmarkScene(f"{names[i % 6]}{i}", v.points) for i, v in enumerate(views)]
+    write_landmarks(tmp_path / "study.csv", scenes)
+    config = pipeline.StudyConfig(tmp_path / "study.csv", remaining_labels=(5, 6, 7))
+    report = pipeline.run_analysis(config)
+    paths = pipeline.emit_outputs(report, tmp_path / "out")
+    sample, trace = report.sample, report.trace
+    assert sample.q == 3 and trace.removed_scene_ids
+
+    points = [
+        (sid, *block, int(sid in trace.removed_scene_ids))
+        for sid, blocks in zip(sample.scene_ids, sample.units.tolist())
+        for block in blocks
+    ]
+    header = ["scene", "x", "y", "z", "removed"]
+    assert paths["sphere_points"].read_bytes() == csv_writer_bytes(header, points)
+    reduced = sample.subset(trace.final_scene_ids)
+    for name, part in (("angles_full", sample), ("angles_reduced", reduced)):
+        angles = [
+            (sid, theta)
+            for sid, thetas in zip(part.scene_ids, angular_distances(part).tolist())
+            for theta in thetas
+        ]
+        assert len(angles) == 3 * part.n
+        assert paths[name].read_bytes() == csv_writer_bytes(["scene", "theta_radians"], angles)
+    means = [tuple(mean) for mean in report.full.extrinsic_mean.tolist()]
+    assert paths["mean_direction"].read_bytes() == csv_writer_bytes(["x", "y", "z"], means)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(CSV_IDS, *[CSV_FLOATS] * 4, st.booleans(), st.booleans()), max_size=6))
+@example([("a,b", -0.0, math.nan, 5e-324, 1.0, True, False), ('"q"', 0.5, 0.25, -1.0, 2.0, False, True)])
+@example([])
 def test_loo_table_matches_the_csv_writer_loop(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("loo") / "loo_table.csv"
     write_loo_table([LeaveOneOutRow(*row) for row in rows], path)
