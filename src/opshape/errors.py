@@ -10,11 +10,13 @@ class InvalidLandmark(OpshapeError):
 
 
 class DegenerateFrame(OpshapeError):
-    """Frame representatives are affinely dependent or a frame scalar vanishes."""
+    """Frame representatives are affinely dependent, a frame scalar vanishes,
+    or the frame scalars or chart overflow float64."""
 
 
 class DegeneratePoint(OpshapeError):
-    """A point maps to (numerically) zero under the frame homography."""
+    """A point maps to (numerically) zero under the frame homography, or its
+    image overflows float64."""
 
 
 class EmptySample(OpshapeError):

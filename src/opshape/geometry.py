@@ -12,8 +12,9 @@ Registration is one stacked pass over n scenes: register_points lifts an
 each on the (n, m+1, m+1) frame matrices, and chart_coordinates maps the
 remaining points of all scenes at once. Degenerate scenes are masked, not raised: a
 scene fails on the first of DET_RTOL (frame determinant), SCALAR_RTOL
-(frame scalars) and POINT_RTOL (a point on the singular locus) that it
-breaks, its frame is replaced by the identity so the stacked solve and
+(frame scalars), finite frame scalars and chart, and POINT_RTOL (a point
+on the singular locus) or a finite image norm that it breaks, its frame
+is replaced by the identity so the stacked solve and
 inverse cannot raise, and the caller decides whether to skip it or raise
 its error. Each row matches, bit for bit, what the same steps give on that
 scene alone. The single-frame functions (frame_scalars,
@@ -44,7 +45,7 @@ POINT_RTOL = 1e-12
 # unit-norm slack accepted by DirectionSample
 UNIT_ATOL = 1e-12
 
-_VANISHED = "point maps to zero under the frame chart"
+_VANISHED = "point maps to zero, or overflows, under the frame chart"
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -291,10 +292,13 @@ def frame_charts(frames) -> FrameCharts:
     are the frame representatives; U' is U with column j times sign(lam_j);
     H = D^-1 (U')^-1 with D = diag(|lam|), negated when det H <= 0. A frame
     fails, in this order, on a zero representative, on
-    |det U| < DET_RTOL * prod(column norms), or on some
-    |lam_j| < SCALAR_RTOL * max|lam|. A failing frame gets an entry in
-    errors, and the identity takes the place of its U and U' so that the
-    stacked solve and inverse do not raise; its other rows are meaningless.
+    |det U| < DET_RTOL * prod(column norms), on some
+    |lam_j| < SCALAR_RTOL * max|lam|, or on a lam or an H that is not
+    finite, as when huge coordinates overflow float64 (a NaN fails no
+    comparison, so the tests before cannot catch it). A failing frame gets
+    an entry in errors, and the identity takes the place of its U and U'
+    so that the stacked solve and inverse do not raise; its other rows are
+    meaningless.
 
     Every row is bit for bit what the same steps give on that frame alone:
     det, solve and inv run the same LAPACK routine per matrix, and the
@@ -318,11 +322,15 @@ def frame_charts(frames) -> FrameCharts:
         (scale == 0.0) | np.any(abs_lam < SCALAR_RTOL * scale[:, None], axis=1)
     )
     bad |= vanished
+    overflow = ~bad & ~np.isfinite(lam).all(axis=1)
+    bad |= overflow
     adjusted = np.where(bad[:, None, None], eye, basis * np.sign(lam)[:, None, :])
     abs_lam = np.where(bad[:, None], 1.0, abs_lam)
     h = np.linalg.inv(adjusted)
     h *= (1.0 / abs_lam)[:, :, None]
     h += 0.0
+    overflow |= ~bad & ~np.isfinite(h).all(axis=(1, 2))
+    bad |= overflow
     flipped = np.linalg.det(h) <= 0.0
     np.negative(h, out=h, where=flipped[:, None, None])
 
@@ -332,8 +340,10 @@ def frame_charts(frames) -> FrameCharts:
             message = "zero frame representative"
         elif singular[i]:
             message = f"frame matrix is numerically singular (det={det[i]:.3e})"
-        else:
+        elif vanished[i]:
             message = "a frame scalar vanishes; unit point lies on a frame hyperplane"
+        else:
+            message = "frame scalars or chart overflow float64; coordinates too large"
         errors[int(i)] = DegenerateFrame(message)
     return FrameCharts(h, abs_lam, adjusted, flipped & ~bad, errors)
 
@@ -357,7 +367,8 @@ def chart_coordinates(matrix, points) -> Tuple[np.ndarray, np.ndarray]:
 
     Returns:
         (units, vanished): units is (n, q, d); vanished (n, q) marks images
-        with ||H x~|| <= POINT_RTOL * ||H||_F * ||x~|| (the singular locus),
+        with ||H x~|| <= POINT_RTOL * ||H||_F * ||x~|| (the singular locus)
+        or with a norm that is not finite (an image that overflows float64),
         whose rows of units are left unnormalised.
 
     Each row is bit for bit what H @ x~ and np.linalg.norm give on that
@@ -370,7 +381,7 @@ def chart_coordinates(matrix, points) -> Tuple[np.ndarray, np.ndarray]:
     y = np.matmul(h[:, None], x[..., None])[..., 0]
     norm = _norms(y)
     floor = POINT_RTOL * _norms(h.reshape(h.shape[0], 1, -1)) * _norms(x)
-    vanished = norm <= floor
+    vanished = (norm <= floor) | ~np.isfinite(norm)
     return y / np.where(vanished, 1.0, norm)[..., None], vanished
 
 
@@ -406,8 +417,10 @@ def register_points(
         chosen = pts[:, [j - 1 for j in labels]]
         return np.concatenate([chosen, np.ones(chosen.shape[:2] + (1,))], axis=2)
 
-    charts = frame_charts(lifted(spec.frame_labels))
-    units, vanished = chart_coordinates(charts.matrix, lifted(spec.remaining_labels))
+    # coordinates that overflow float64 fail their scene; they warn nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        charts = frame_charts(lifted(spec.frame_labels))
+        units, vanished = chart_coordinates(charts.matrix, lifted(spec.remaining_labels))
     errors: Dict[int, Exception] = dict(charts.errors)
     for i in np.flatnonzero(np.any(vanished, axis=1)):
         errors.setdefault(int(i), DegeneratePoint(_VANISHED))

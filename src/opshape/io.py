@@ -10,10 +10,11 @@ hash of those bytes, so it always describes what was parsed. A file that
 csv.reader would split exactly at every comma (no quote or NUL character,
 one line terminator throughout, no blank line, four fields per line, no
 line over csv.field_size_limit()) is converted column by column, in blocks
-of about _BLOCK_BYTES cut at line ends. Anything else, quoted ids
-included, and any file that fails a conversion or check on that pass, goes
-through the csv.reader row loop, which raises each ParseError or
-SchemaError with its message and line number.
+of about _BLOCK_BYTES cut at line ends. Each block is checked by the pass
+that splits it, with no separate scan of the file for line ends. Anything
+else, quoted ids included, and any file that fails a conversion or check
+on that pass, goes through the csv.reader row loop, which raises each
+ParseError or SchemaError with its message and line number.
 
 json_text writes the bytes json.dumps(indent=2, ensure_ascii=True) would,
 for values that may hold numpy arrays and RowTable leaves: a table of rows
@@ -131,33 +132,42 @@ def _read_columns(payload: bytes) -> Optional[Parsed]:
     Works on the bytes, so the file's text is never held beside them: the
     separators are ASCII, which UTF-8 never uses inside a multi-byte
     character, int and float accept bytes only where they spell the same
-    number as the text, and each distinct scene id is decoded once. None
-    when the payload is not plain enough for bytes.split(b',') to split it
-    as csv.reader would split its text, is not valid UTF-8, or fails a
-    conversion or check; the caller then runs _read_rows, which gives the
-    same result or raises.
+    number as the text, and each distinct scene id is decoded and each
+    distinct label spelling converted once. None when the payload is not
+    plain enough for bytes.split(b',') to split it as csv.reader would
+    split its text, is not valid UTF-8, or fails a conversion or check; the
+    caller then runs _read_rows, which gives the same result or raises.
+
+    The line terminator is the first line's. An LF file may hold no \\r
+    anywhere; a CRLF file's blocks may hold no \\r or \\n once their line
+    ends are replaced. Each line end becomes a NUL field; a block holds
+    len(fields) // 5 rows, each of which must end in one. A blank or short
+    line leaves a NUL elsewhere, so its block's rows fall short of its line
+    ends, and the rows of all blocks must add up to the file's line ends,
+    which size the arrays.
     """
     if b'"' in payload or b"\0" in payload:
         return None
     cut = payload.find(b"\n")
     if cut < 1:
         return None
-    term = b"\r\n" if payload[cut - 1] == ord("\r") else b"\n"
-    lines = payload.count(b"\n")
-    crlf = lines if term == b"\r\n" else 0
-    if payload.count(b"\r") != crlf or payload.count(b"\r\n") != crlf or term * 2 in payload:
+    crlf = payload[cut - 1] == ord("\r")
+    term = b"\r\n" if crlf else b"\n"
+    # a CRLF file's header here, its blocks once their line ends are replaced
+    if b"\r" in (payload[: cut - 1] if crlf else payload):
         return None
     start = cut + 1
     header = payload[: start - len(term)].split(b",")
     if tuple(h.strip() for h in header) != tuple(map(str.encode, HEADER)):
         return None
-    rows = lines - 1 + (not payload.endswith(b"\n"))
+    rows = payload.count(b"\n") - 1 + (not payload.endswith(b"\n"))
     if rows < 1:
         return None
 
     limit = csv.field_size_limit()
     codes: Dict[str, int] = {}  # scene id -> scene number, in first-appearance order
     raw_codes: Dict[bytes, int] = {}  # id field as read -> scene number
+    raw_labels: Dict[bytes, int] = {}  # label field as read -> label
     scene = np.empty(rows, dtype=np.int64)
     label = np.empty(rows, dtype=np.int64)
     xy = np.empty((rows, 2))
@@ -176,11 +186,14 @@ def _read_columns(payload: bytes) -> Optional[Parsed]:
             block += term
         if len(block) > limit and max(map(len, block.split(term))) > limit:
             return None
-        count = block.count(term)
-        # a NUL field after every line: misplaced unless each line has 4 fields
-        fields = block.replace(term, b",\0,").split(b",")
+        joined = block.replace(term, b",\0,")
+        if crlf and (b"\r" in joined or b"\n" in joined):
+            return None
+        # a NUL field after every row; see the docstring for the row total
+        fields = joined.split(b",")
         fields.pop()
-        if len(fields) != 5 * count or fields[4::5].count(b"\0") != count:
+        count = len(fields) // 5
+        if fields[4::5].count(b"\0") != count:
             return None
         ids = fields[0::5]
         for raw in dict.fromkeys(ids):
@@ -189,15 +202,21 @@ def _read_columns(payload: bytes) -> Optional[Parsed]:
                 if not sid:
                     return None
                 raw_codes[raw] = codes.setdefault(sid, len(codes))
+        labels = fields[1::5]
         chunk = slice(done, done + count)
         done += count
         try:
+            for raw in dict.fromkeys(labels):
+                if raw not in raw_labels:
+                    raw_labels[raw] = int(raw)
             scene[chunk] = np.fromiter(map(raw_codes.__getitem__, ids), np.int64, count)
-            label[chunk] = np.fromiter(map(int, fields[1::5]), np.int64, count)
+            label[chunk] = np.fromiter(map(raw_labels.__getitem__, labels), np.int64, count)
             xy[chunk, 0] = np.fromiter(map(float, fields[2::5]), np.float64, count)
             xy[chunk, 1] = np.fromiter(map(float, fields[3::5]), np.float64, count)
         except (ValueError, OverflowError):
             return None
+    if done != rows:  # a blank or short line
+        return None
 
     n = len(codes)
     if label.min() < 1 or not np.isfinite(xy).all():

@@ -227,6 +227,7 @@ def block_cut_on_line_end():
 
 
 BLOCK_CUT = block_cut_on_line_end()
+CRLF = csv_bytes(grid(), term="\r\n")
 IDS = ["a", "b", "scene one", " padded ", "comma,id", 'say "hi"', "\u00e9t\u00e9", "\u65e5\u672c", "x\x1c"]
 LABELS = ["{}", "{}", "{}", "+{}", " {}", "0{}", "{} "]
 ODD_LABELS = ["{}_0", "0", "-1", "1.5", "x", "", str(2**63), str(2**64 + 1), "\u0663"]
@@ -376,10 +377,29 @@ def test_plain_files_take_the_columnar_pass(payload):
         csv_bytes(grid(x="nan")),
         csv_bytes(grid(label="{}_0")),
         csv_bytes([["s" * 200_000, "1", "0", "0"]]),
+        # line ends the columnar pass checks block by block
+        CRLF.replace(b"\r\na,2,", b"\na,2,", 1),  # one bare \n line end
+        CRLF.replace(b"\r\na,2,", b"\r\r\na,2,", 1),
+        csv_bytes(grid(x="0.5\r")),  # a \r in an x field of an LF file, which float() strips
+        CRLF + b"\r\n",  # ends in \r\n\r\n
+        CRLF.replace(b"scene,", b"scene\r,", 1),  # a \r the header's strip would hide
     ],
 )
 def test_irregular_files_fall_back_to_the_row_loop(payload):
-    assert assert_paths_agree(payload) is None
+    for block_bytes in (None, 7):
+        assert assert_paths_agree(payload, block_bytes) is None
+
+
+def test_multi_block_study_takes_the_columnar_pass(tmp_path):
+    # the shape the wide benchmark parses: k = 7 rows written by
+    # write_landmarks, over more than one default block
+    views = synthesize_views(k=7, cameras=300, seed=4, delta=0.02, noise=0.002)
+    write_landmarks(tmp_path / "wide.csv", views)
+    crlf = (tmp_path / "wide.csv").read_bytes()
+    assert len(crlf) > oio._BLOCK_BYTES and crlf.count(b"\r\n") == 1 + 7 * 300
+    for payload in (crlf, crlf.replace(b"\r\n", b"\n")):
+        fast = assert_paths_agree(payload)
+        assert fast is not None and len(fast[0]) == 300
 
 
 # ---- write_landmarks then parse_landmarks ------------------------------------------

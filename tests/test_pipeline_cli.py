@@ -271,6 +271,34 @@ def test_skip_degenerate_drops_and_lists_scene(tmp_path):
 # ---- command line ----
 
 
+@pytest.mark.parametrize("command", ["analyze", "reduce", "vw"])
+def test_cli_coordinates_that_overflow_exit_3_or_are_skipped(tmp_path, capsys, command):
+    # finite coordinates whose frame solve (huge) or image norm (far)
+    # overflows float64
+    huge = [[1e308, 1e308], [-1e308, 1e308], [1e308, -1e308], [0.0, 0.0], [1.0, 1.0]]
+    far = [[0.0, 0.0], [1e-3, 0.0], [3e-4, 4e-4], [0.0, 1e-3], [1e152, 0.0]]
+    good = synthesize_views(k=5, cameras=4, seed=9, delta=0.01, noise=0.002)
+    path = tmp_path / "overflow.csv"
+    write_landmarks(path, [LandmarkScene("huge", np.array(huge))] + list(good)
+                    + [LandmarkScene("far", np.array(far))])
+    out = tmp_path / ("vw.json" if command == "vw" else "out")
+    assert main([command, str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: scene 'huge': frame scalars or chart overflow float64; coordinates too large\n"
+    assert not out.exists()
+
+    assert main([command, str(path), "--out", str(out), "--skip-degenerate"]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "vw":
+        written = json.loads(out.read_text(encoding="utf-8"))
+        skipped, kept = written["skipped_scenes"], written["blocks"][0]["n"]
+    else:
+        name = "report.json" if command == "analyze" else "reduction.json"
+        written = json.loads((out / name).read_text(encoding="utf-8"))
+        skipped, kept = written["provenance"]["skipped_scenes"], len(written["leave_one_out"])
+    assert (skipped, kept) == (["huge", "far"], 4)
+
+
 def test_cli_analyze_succeeds(study_csv, tmp_path, capsys):
     rc = main(["analyze", str(study_csv), "--out", str(tmp_path / "out")])
     assert rc == 0

@@ -51,8 +51,13 @@ def ref_chart(reps):
     scale = float(np.max(np.abs(lam)))
     if scale == 0.0 or np.any(np.abs(lam) < SCALAR_RTOL * scale):
         raise DegenerateFrame("a frame scalar vanishes; unit point lies on a frame hyperplane")
+    overflow = DegenerateFrame("frame scalars or chart overflow float64; coordinates too large")
+    if not np.isfinite(lam).all():
+        raise overflow
     adjusted = basis * np.sign(lam)[None, :]
     h = np.diag(1.0 / np.abs(lam)) @ np.linalg.inv(adjusted)
+    if not np.isfinite(h).all():
+        raise overflow
     if np.linalg.det(h) <= 0.0:
         return -h, True
     return h, False
@@ -61,8 +66,8 @@ def ref_chart(reps):
 def ref_coordinate(h, x):
     y = h @ x
     norm = float(np.linalg.norm(y))
-    if norm <= POINT_RTOL * float(np.linalg.norm(h)) * float(np.linalg.norm(x)):
-        raise DegeneratePoint("point maps to zero under the frame chart")
+    if norm <= POINT_RTOL * float(np.linalg.norm(h)) * float(np.linalg.norm(x)) or not np.isfinite(norm):
+        raise DegeneratePoint("point maps to zero, or overflows, under the frame chart")
     return y / norm
 
 
@@ -226,6 +231,52 @@ def test_first_offender_raises_reference_message(first, later):
     assert str(got.value) == str(expected.value)
     _, skipped, _ = stacked_register(scenes, spec, True)
     assert skipped == ["first-bad", "later-bad"]
+
+
+# labels 1-3 overflow the frame solve; label 5 of FAR overflows only its
+# image's norm, under a finite chart of a small frame
+HUGE = np.array([[1e308, 1e308], [-1e308, 1e308], [1e308, -1e308], [0.0, 0.0], [1.0, 1.0]])
+FAR = np.array([[0.0, 0.0], [1e-3, 0.0], [3e-4, 4e-4], [0.0, 1e-3], [1e152, 0.0]])
+
+
+def test_coordinates_that_overflow_fail_their_scene():
+    scenes = pixel_study(5, 12, 3, defects=False)
+    scenes[2] = LandmarkScene("huge", HUGE)
+    scenes[5] = LandmarkScene("far", FAR)
+    spec = FrameSpec((1, 2, 4, 3), (5,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the overflow warns nothing
+        with pytest.raises(DegenerateFrame, match="'huge': frame scalars or chart overflow"):
+            stacked_register(scenes, spec, False)
+        with pytest.raises(DegeneratePoint, match="'far': point maps to zero, or overflows"):
+            stacked_register(scenes[3:], spec, False)
+        sample, skipped, flipped = stacked_register(scenes, spec, True)
+    assert skipped == ["huge", "far"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        units, ids, ref_skipped, ref_flipped = reference_register(scenes, spec, skip_degenerate=True)
+    assert (list(sample.scene_ids), skipped, flipped) == (ids, ref_skipped, ref_flipped)
+    assert_same_bits(sample.units, units)
+
+
+def test_frame_charts_fail_frames_that_overflow():
+    # HUGE's frame solves to NaN scalars; a subnormal unit point to finite
+    # scalars whose chart overflows
+    lifted_huge = np.hstack([HUGE[[0, 1, 3, 2]], np.ones((4, 1))])
+    subnormal = np.vstack([np.eye(3), np.full((1, 3), 1e-310)])
+    plain = np.hstack([FAR[[0, 1, 3, 2]], np.ones((4, 1))])
+    frames = np.stack([lifted_huge, subnormal, plain])
+    with np.errstate(over="ignore", invalid="ignore"):
+        charts = frame_charts(frames)
+        for i, reps in enumerate(frames):
+            try:
+                h, flip = ref_chart(reps)
+            except DegenerateFrame as exc:
+                assert str(charts.errors[i]) == str(exc)
+                continue
+            assert (i, charts.flipped[i]) == (2, flip)
+            assert_same_bits(charts.matrix[i], h)
+    assert sorted(charts.errors) == [0, 1]
+    assert "overflow" in str(charts.errors[1])
 
 
 def test_mixed_scene_sizes_register_like_the_loop():
