@@ -9,155 +9,3 @@ oracles.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    BehindCamera,
-    DegenerateFrame,
-    DegeneratePoint,
-    EmptySample,
-    FocalMean,
-    FocalWarning,
-    GenerationFailed,
-    InvalidLandmark,
-    InvalidLevel,
-    MixedOrientationWarning,
-    OpshapeError,
-    ParseError,
-    SchemaError,
-)
-from .geometry import (
-    DirectionSample,
-    FrameSpec,
-    LandmarkScene,
-    LandmarkStudy,
-    OrientedFrameChart,
-    canonical_axis,
-    chart_for_scene,
-    frame_scalars,
-    lift,
-    oriented_coordinate,
-    oriented_frame_homography,
-    representatives_to_directions,
-    scene_to_directions,
-)
-from .directional import (
-    OpsSummary,
-    angular_distances,
-    chisq_statistic,
-    chisq_upper_tail,
-    confidence_interval,
-    coplanarity_test,
-    delta_se,
-    extrinsic_mean,
-    mean_vector,
-    normal_cdf,
-    normal_quantile,
-    resultant_length,
-    sample_covariance,
-    total_variance,
-    z_statistic,
-)
-from .vw import VwSummary, jacobi_eigh, top_eigenpair, total_variance_ps, vw_mean
-from .diagnostics import (
-    LeaveOneOutRow,
-    ReductionStep,
-    ReductionTrace,
-    greedy_reduce,
-    leave_one_out,
-)
-from .rng import SplitMix64
-from .synth import (
-    PinholeCamera,
-    Scene3D,
-    perturb_out_of_plane,
-    project,
-    random_cameras,
-    random_coplanar_scene,
-    synthesize_views,
-    tangent_gaussian_sample,
-)
-from .io import parse_landmarks, write_landmarks
-from .pipeline import (
-    AnalysisReport,
-    StudyConfig,
-    emit_outputs,
-    register_scenes,
-    report_to_dict,
-    run_analysis,
-    run_monte_carlo,
-    write_report,
-)
-
-__all__ = [
-    "__version__",
-    "AnalysisReport",
-    "BehindCamera",
-    "DegenerateFrame",
-    "DegeneratePoint",
-    "DirectionSample",
-    "EmptySample",
-    "FocalMean",
-    "FocalWarning",
-    "FrameSpec",
-    "GenerationFailed",
-    "InvalidLandmark",
-    "InvalidLevel",
-    "LandmarkScene",
-    "LandmarkStudy",
-    "LeaveOneOutRow",
-    "MixedOrientationWarning",
-    "OpsSummary",
-    "OpshapeError",
-    "OrientedFrameChart",
-    "ParseError",
-    "PinholeCamera",
-    "ReductionStep",
-    "ReductionTrace",
-    "Scene3D",
-    "SchemaError",
-    "SplitMix64",
-    "StudyConfig",
-    "VwSummary",
-    "angular_distances",
-    "canonical_axis",
-    "chart_for_scene",
-    "chisq_statistic",
-    "chisq_upper_tail",
-    "confidence_interval",
-    "coplanarity_test",
-    "delta_se",
-    "emit_outputs",
-    "extrinsic_mean",
-    "frame_scalars",
-    "greedy_reduce",
-    "jacobi_eigh",
-    "leave_one_out",
-    "lift",
-    "mean_vector",
-    "normal_cdf",
-    "normal_quantile",
-    "oriented_coordinate",
-    "oriented_frame_homography",
-    "parse_landmarks",
-    "perturb_out_of_plane",
-    "project",
-    "random_cameras",
-    "random_coplanar_scene",
-    "register_scenes",
-    "report_to_dict",
-    "representatives_to_directions",
-    "resultant_length",
-    "run_analysis",
-    "run_monte_carlo",
-    "sample_covariance",
-    "scene_to_directions",
-    "synthesize_views",
-    "tangent_gaussian_sample",
-    "top_eigenpair",
-    "total_variance",
-    "total_variance_ps",
-    "vw_mean",
-    "write_landmarks",
-    "write_report",
-    "z_statistic",
-]

@@ -34,12 +34,14 @@ from .errors import (
 from .geometry import FrameSpec, canonical_axis
 from .io import parse_landmarks, write_json, write_landmarks
 from .pipeline import (
+    VW_BLOCK_KEYS,
     StudyConfig,
     emit_outputs,
     register_scenes,
     report_fields,
     run_analysis,
     run_monte_carlo,
+    vw_fields,
     write_loo_table,
 )
 from .vw import total_variance_ps
@@ -270,17 +272,7 @@ def _cmd_vw(args) -> int:
     blocks = []
     for f in range(sample.q):
         v = total_variance_ps(axes[:, f])
-        blocks.append(
-            {
-                "block": f,
-                "n": v.n,
-                "top_eigenvalue": v.top_eigenvalue,
-                "eigengap": v.eigengap,
-                "total_variance": v.total_variance,
-                "top_axis": v.top_axis,
-                "focal": v.focal,
-            }
-        )
+        blocks.append({"block": f, **vw_fields(v, VW_BLOCK_KEYS)})
         print(f"block {f}: tS_axial={v.total_variance:.6g} lambda1={v.top_eigenvalue:.6g}")
     payload = {"skipped_scenes": skipped, "blocks": blocks}
     args.out.parent.mkdir(parents=True, exist_ok=True)

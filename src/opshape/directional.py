@@ -7,6 +7,11 @@ means the landmarks are consistent with a single planar configuration.
 Inference uses the delta-method standard error of tS together with a
 chi-square calibration of n * tS.
 
+Every moment comes from one stacked pass, stacked_moments, over R samples
+at once; one sample is its R = 1 row. coplanarity_test's OpsSummary holds
+that row (block means, resultant lengths, extrinsic mean, tS, SE) with the
+covariance and the test statistics, and total_variance is its tS alone.
+
 The normal CDF and quantile are ports of ndtr (with its erf and erfc) and
 ndtri from S. L. Moshier's Cephes Math Library (1989), the code behind
 scipy.special.ndtr and ndtri: the same rational approximations, evaluated
@@ -111,8 +116,8 @@ def _erfc(a: float) -> float:
     return 2.0 if a < 0.0 else 0.0
 
 
-def _ndtr(a: float) -> float:
-    """cephes ndtr: the standard normal CDF at a; NaN gives NaN."""
+def normal_cdf(a: float) -> float:
+    """Standard normal CDF at a: cephes ndtr; NaN gives NaN."""
     x = a * _SQRT1_2
     z = abs(x)
     if z < _SQRT1_2:
@@ -201,11 +206,6 @@ def _ndtri(y0: float) -> float:
     return -x if lower else x
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF."""
-    return _ndtr(float(z))
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF on (0, 1), computed once per level."""
     if not 0.0 < p < 1.0:
@@ -224,38 +224,15 @@ def chisq_upper_tail(t: float, df: int) -> float:
     return float(special.gammaincc(df / 2.0, t / 2.0))
 
 
-def mean_vector(sample: DirectionSample) -> np.ndarray:
-    """Per-block Euclidean mean, shape (q, d)."""
-    return sample.units.mean(axis=0)
-
-
-def resultant_length(mean: np.ndarray) -> np.ndarray:
-    """Per-block mean resultant length, shape (q,). Values in [0, 1] up to fp."""
-    m = np.atleast_2d(np.asarray(mean, dtype=np.float64))
-    return np.linalg.norm(m, axis=1)
-
-
-def extrinsic_mean(mean: np.ndarray) -> np.ndarray:
-    """Per-block mean direction u_bar / ||u_bar||, shape (q, d).
-
-    Raises:
-        FocalMean: some block mean is numerically zero, so every direction
-            is equally close and no representative exists.
-    """
-    m = np.atleast_2d(np.asarray(mean, dtype=np.float64))
-    r = np.linalg.norm(m, axis=1)
-    if (r < FOCAL_TOL).any():
-        raise FocalMean(_FOCAL_MESSAGE)
-    return m / r[:, None]
-
-
 def total_variance(sample: DirectionSample) -> float:
     """Dispersion index tS = 2 * sum over blocks of (1 - resultant length).
 
-    Clamped at 0 from below: rounding can push a constant sample's resultant
-    a few ulp past 1.
+    The tS of stacked_moments for the one sample, so bit for bit the value
+    coplanarity_test reports; clamped at 0 from below, since rounding can
+    push a constant sample's resultant a few ulp past 1. A focal sample
+    still has its tS.
     """
-    return float(_dispersion_and_se(resultant_length(mean_vector(sample)))[0])
+    return float(stacked_moments(sample.units[None])[2][0])
 
 
 def _dispersion_and_se(resultant, se_raw=0.0):
@@ -274,11 +251,6 @@ def _dispersion_and_se(resultant, se_raw=0.0):
     ts = 2.0 * (1.0 - resultant).sum(axis=-1)
     ts = ts * (ts > 0.0) + 0.0
     return ts, se_raw * (se_raw > SE_CLAMP_RTOL * (1.0 + ts))
-
-
-def sample_covariance(sample: DirectionSample) -> np.ndarray:
-    """Covariance (1/n normalization) of the stacked block vectors, (q*d, q*d)."""
-    return _covariance(sample.units)
 
 
 def _covariance(units: np.ndarray) -> np.ndarray:
@@ -300,7 +272,8 @@ def stacked_moments(units: np.ndarray):
     form, whose cancellation noise blows up when the resultant is small),
     then clamped by _dispersion_and_se. focal marks the samples with a block
     mean shorter than FOCAL_TOL: their extrinsic mean and gradient are
-    undefined, and so are their ts and se (NaN, inf or meaningless).
+    undefined, and so is their se (NaN, inf or meaningless); their ts is
+    still 2 * sum_f (1 - ||u_bar_f||).
     """
     reps, n, q, d = units.shape
     # the same operations, bit for bit, as units.mean(axis=1) and
@@ -332,17 +305,6 @@ def sample_moments(units: np.ndarray):
     return mean, resultant, ts, se
 
 
-def delta_se(sample: DirectionSample) -> float:
-    """Delta-method standard error of the dispersion index.
-
-    se = sqrt(g' S_n g / n) with g the stacked per-block gradients
-    -2 u_bar_f / ||u_bar_f||; for one block this is
-    (2 / sqrt(n)) * sqrt(u_bar' S_n u_bar) / ||u_bar||. A raw value at
-    rounding-noise scale is returned as exactly 0.0 (_dispersion_and_se).
-    """
-    return float(sample_moments(sample.units[None])[3][0])
-
-
 def confidence_interval(ts: float, se: float, alpha: float) -> Tuple[float, float]:
     """Symmetric normal interval ts -+ z_{1-alpha/2} * se; lower end not clamped.
 
@@ -372,7 +334,7 @@ def z_statistic(ts: float, se: float) -> Tuple[float, float, bool]:
             return (0.0, 1.0, True)
         return (math.inf, 0.0, True)
     z = ts / se
-    return (z, _ndtr(-float(z)), False)
+    return (z, normal_cdf(-float(z)), False)
 
 
 def z_values(ts: np.ndarray, se: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -405,10 +367,11 @@ def chisq_statistic(ts: float, n: int, df: int) -> Tuple[float, float]:
     return (t, chisq_upper_tail(t, df))
 
 
-def angular_distances(sample: DirectionSample) -> np.ndarray:
-    """Angles (n, q) between each vector and its block's extrinsic mean."""
-    mu = extrinsic_mean(mean_vector(sample))
-    cosines = np.einsum("nqd,qd->nq", sample.units, mu)
+def angular_distances(units: np.ndarray, mean_direction: np.ndarray) -> np.ndarray:
+    """Angles (n, q) between each vector of units (n, q, d) and its block's
+    mean direction, a (q, d) row of unit vectors such as an OpsSummary's
+    extrinsic_mean."""
+    cosines = np.einsum("nqd,qd->nq", units, mean_direction)
     return np.arccos(np.clip(cosines, -1.0, 1.0))
 
 

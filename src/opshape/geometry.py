@@ -17,9 +17,8 @@ on the singular locus) or a finite image norm that it breaks, its frame
 is replaced by the identity so the stacked solve and
 inverse cannot raise, and the caller decides whether to skip it or raise
 its error. Each row matches, bit for bit, what the same steps give on that
-scene alone. The single-frame functions (frame_scalars,
-oriented_frame_homography, oriented_coordinate, chart_for_scene,
-scene_to_directions) are n = 1 calls of the same pass.
+scene alone, so one scene or one frame is the n = 1 call of the same pass;
+there is no separate single-frame path.
 
 Conventions: points and homogeneous representatives are plain float64
 ndarrays; frame representatives enter matrices as columns.
@@ -77,11 +76,6 @@ class LandmarkScene:
     @property
     def m(self) -> int:
         return self.points.shape[1]
-
-    def point(self, label: int) -> np.ndarray:
-        if not 1 <= label <= self.k:
-            raise InvalidLandmark(f"label {label} outside 1..{self.k}")
-        return self.points[label - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,27 +146,6 @@ class FrameSpec:
     @property
     def q(self) -> int:
         return len(self.remaining_labels)
-
-
-@dataclass(frozen=True)
-class OrientedFrameChart:
-    """Sign-adjusted linear chart of one oriented frame.
-
-    matrix is (m+1, m+1) with positive determinant; frame_scalars are the
-    positive barycentric-style weights of the unit point in the sign-adjusted
-    frame basis. det_sign_flipped records a global sign flip applied to keep
-    det positive; when it is False the chart sends the j-th sign-adjusted
-    frame representative to a positive multiple of e_j and the unit point to
-    a positive multiple of the all-ones vector (negative multiples when True).
-    """
-
-    matrix: np.ndarray
-    frame_scalars: np.ndarray
-    det_sign_flipped: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-        object.__setattr__(self, "frame_scalars", _freeze(self.frame_scalars))
 
 
 def last_axis_norms(v: np.ndarray) -> np.ndarray:
@@ -261,14 +234,6 @@ class DirectionSample:
         if not keep:
             raise EmptySample("subset selects no scenes")
         return DirectionSample(self.units[keep], tuple(self.scene_ids[i] for i in keep))
-
-
-def lift(point) -> np.ndarray:
-    """Homogeneous representative (x_1, ..., x_m, 1) of an affine point."""
-    p = np.asarray(point, dtype=np.float64).ravel()
-    if p.size < 1 or not np.all(np.isfinite(p)):
-        raise InvalidLandmark("point must be a finite nonempty vector")
-    return np.concatenate([p, [1.0]])
 
 
 class FrameCharts(NamedTuple):
@@ -427,61 +392,6 @@ def register_points(
     return units, charts.flipped, errors
 
 
-def _one_frame(frame_points) -> FrameCharts:
-    reps = np.asarray(frame_points, dtype=np.float64)
-    if reps.ndim != 2 or reps.shape[0] != reps.shape[1] + 1:
-        raise DegenerateFrame("need m+2 representatives in R^(m+1)")
-    charts = frame_charts(reps[None])
-    if charts.errors:
-        raise charts.errors[0]
-    return charts
-
-
-def frame_scalars(frame_points) -> Tuple[np.ndarray, np.ndarray]:
-    """Positive frame scalars and the sign-adjusted frame matrix.
-
-    Args:
-        frame_points: sequence of m+2 homogeneous representatives in R^(m+1);
-            the first m+1 span the frame, the last is the unit point.
-
-    Returns:
-        (lam, adjusted): lam is the (m+1,) vector of positive scalars with
-        adjusted @ lam == unit point, adjusted the (m+1, m+1) matrix whose
-        column j is the j-th representative times the sign of its solved
-        scalar.
-
-    Raises:
-        DegenerateFrame: frame matrix numerically singular or some scalar
-            vanishes relative to the largest.
-    """
-    charts = _one_frame(frame_points)
-    return charts.frame_scalars[0], charts.adjusted[0]
-
-
-def oriented_frame_homography(frame_points) -> OrientedFrameChart:
-    """Chart matrix H of an oriented frame, normalized to det(H) > 0.
-
-    H = D^-1 (U')^-1 with U' the sign-adjusted frame matrix and D the
-    diagonal of frame scalars; when det comes out negative, H is negated
-    globally and the flip recorded.
-    """
-    charts = _one_frame(frame_points)
-    return OrientedFrameChart(
-        matrix=charts.matrix[0],
-        frame_scalars=charts.frame_scalars[0],
-        det_sign_flipped=bool(charts.flipped[0]),
-    )
-
-
-def oriented_coordinate(chart: OrientedFrameChart, point) -> np.ndarray:
-    """Unit-sphere coordinate H x~ / ||H x~|| of a homogeneous representative."""
-    x = np.asarray(point, dtype=np.float64).ravel()
-    units, vanished = chart_coordinates(chart.matrix[None], x[None, None])
-    if vanished[0, 0]:
-        raise DegeneratePoint(_VANISHED)
-    return units[0, 0]
-
-
 def canonical_axis(vectors) -> np.ndarray:
     """Axial representatives along the last axis.
 
@@ -495,34 +405,3 @@ def canonical_axis(vectors) -> np.ndarray:
     first = np.argmax(leading, axis=-1)[..., None]
     flip = np.take_along_axis(leading & (v < 0.0), first, axis=-1)
     return np.where(flip, -v, v)
-
-
-def representatives_to_directions(reps, frame_indices, remaining_indices) -> np.ndarray:
-    """Register homogeneous representatives through the frame they select.
-
-    Args:
-        reps: (k, m+1) array of homogeneous representatives.
-        frame_indices: ordered row indices of the m+2 frame representatives.
-        remaining_indices: row indices to register (q of them).
-
-    Returns:
-        (q, m+1) array of unit vectors.
-    """
-    reps = np.asarray(reps, dtype=np.float64)
-    chart = oriented_frame_homography(reps[list(frame_indices)])
-    return np.stack([oriented_coordinate(chart, reps[i]) for i in remaining_indices])
-
-
-def chart_for_scene(scene: LandmarkScene, spec: FrameSpec) -> OrientedFrameChart:
-    """Oriented chart of the scene's frame landmarks under `spec`."""
-    check_scene_labels(scene, spec)
-    return oriented_frame_homography(np.stack([lift(scene.point(j)) for j in spec.frame_labels]))
-
-
-def scene_to_directions(scene: LandmarkScene, spec: FrameSpec) -> np.ndarray:
-    """Unit vectors (q, m+1) registering the scene's remaining landmarks."""
-    check_scene_labels(scene, spec)
-    units, _, errors = register_points(scene.points[None], spec)
-    if errors:
-        raise errors[0]
-    return units[0]

@@ -20,7 +20,8 @@ json_text writes the bytes json.dumps(indent=2, ensure_ascii=True) would,
 for values that may hold numpy arrays and RowTable leaves: a table of rows
 of one layout, such as the report's leave-one-out table and reduction
 steps, written by one % of a cached template; see its docstring.
-write_table writes a CSV from its columns by one % per table.
+write_table writes a CSV from its columns by one % per table, each float
+at 17 significant digits (%.17g), enough to read back as the same double.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ HEADER = ("scene", "landmark", "x", "y")
 _BLOCK_BYTES = 1 << 16
 
 Parsed = Tuple[Tuple[str, ...], np.ndarray]
-
-
-def format_float(x: float) -> str:
-    """17 significant digits: enough to round-trip any double exactly."""
-    return format(float(x), ".17g")
 
 
 def _rows(reader) -> Tuple[List[str], Dict[str, Dict[int, Tuple[float, float]]]]:
@@ -262,7 +258,7 @@ def parse_landmarks(path) -> LandmarkStudy:
 
 
 # one landmark row, as csv.writer writes it with each float passed through
-# format_float; the id goes through _csv_field
+# format(x, ".17g"); the id goes through _csv_field
 _LANDMARK_ROW = "%s,%d,%.17g,%.17g\r\n"
 # rows formatted per write: about 60 kB of text, never the whole file
 _WRITE_ROWS = 1000
@@ -272,7 +268,7 @@ def write_landmarks(path, scenes: Sequence[LandmarkScene]) -> None:
     """Write scenes in the input CSV format, floats at 17 significant digits.
 
     The bytes are those csv.writer writes for the rows (id, label,
-    format_float(x), format_float(y)); they are formatted by the
+    format(x, ".17g"), format(y, ".17g")); they are formatted by the
     _LANDMARK_ROW template about _WRITE_ROWS rows at a time.
 
     Raises:
@@ -330,14 +326,15 @@ def write_table(path, header: Sequence[str], line: str, columns: Sequence[Sequen
 
     columns holds the table column by column, each with one value per row.
     line is the %-template of one row, its fields joined by commas and
-    ended by \\r\\n: %s for a text, %.17g for a float (format_float's text)
-    and %d for an int. In a column that holds a text to quote, each
-    distinct text is quoted once, as csv.writer quotes it. The rows are
-    formatted by one % of line repeated once per row, so the bytes are
-    those csv.writer writes for the same rows with each float passed
-    through format_float; a row of one empty text alone, which csv.writer
-    writes as "", is the one exception. The header names are written as
-    they are, so none may need quoting.
+    ended by \\r\\n: %s for a text, %.17g for a float (17 significant
+    digits, enough to read back as the same double) and %d for an int. In
+    a column that holds a text to quote, each distinct text is quoted
+    once, as csv.writer quotes it. The rows are formatted by one % of line
+    repeated once per row, so the bytes are those csv.writer writes for
+    the same rows with each float passed through format(x, ".17g"); a row
+    of one empty text alone, which csv.writer writes as "", is the one
+    exception. The header names are written as they are, so none may need
+    quoting.
     """
     columns = list(columns)
     for i, spec in enumerate(line[: -len("\r\n")].split(",")):

@@ -13,7 +13,6 @@ byte-identical report.json.
 
 from __future__ import annotations
 
-import json
 import operator
 import threading
 import warnings
@@ -44,7 +43,7 @@ from .geometry import (
     check_unit_norm,
     register_points,
 )
-from .io import RowTable, json_text, parse_landmarks, write_json, write_table
+from .io import RowTable, parse_landmarks, write_json, write_table
 from .rng import SplitMix64
 # tangent_gaussian_sample has no caller here; perfbench's tracer patches the name
 from .synth import tangent_gaussian_mean, tangent_gaussian_sample, tangent_gaussian_samples
@@ -218,24 +217,24 @@ def _summary_dict(s: OpsSummary) -> Dict:
     return dict(zip(_SUMMARY_KEYS, _summary_row(s)))
 
 
-def _vw_dict(v: VwSummary) -> Dict:
-    return {
-        "n": v.n,
-        "mean_matrix": v.mean_matrix,
-        "top_eigenvalue": v.top_eigenvalue,
-        "top_axis": v.top_axis,
-        "eigengap": v.eigengap,
-        "total_variance": v.total_variance,
-        "focal": v.focal,
-    }
+# report.json's comparator fields, in order: the VwSummary attributes of these names
+_VW_KEYS = ("n", "mean_matrix", "top_eigenvalue", "top_axis", "eigengap", "total_variance", "focal")
+# the fields of one block of `opshape vw`'s JSON, in order, after its "block" index
+VW_BLOCK_KEYS = ("n", "top_eigenvalue", "eigengap", "total_variance", "top_axis", "focal")
+
+
+def vw_fields(v: VwSummary, keys: Tuple[str, ...] = _VW_KEYS) -> Dict:
+    """The VwSummary attributes named by keys, in that order."""
+    return {key: getattr(v, key) for key in keys}
 
 
 def report_fields(report: AnalysisReport) -> Dict:
     """The layout of report.json: its fields in order, arrays left as arrays.
 
     io.json_text writes this dict as report.json, a float64 array as
-    nested lists and a non-finite float as null; report_to_dict is that
-    text read back, so the layout is described here only. The
+    nested lists and a non-finite float as null, so the layout is
+    described here only; json.loads(json_text(report_fields(report)))
+    is the report as JSON values. The
     leave-one-out table (the LeaveOneOutRow tuples themselves) and the
     reduction steps (removed id, endpoint and the summary's fields, arrays
     included, as one tuple per step) are handed over as io.RowTable, rows
@@ -260,7 +259,7 @@ def report_fields(report: AnalysisReport) -> Dict:
         "directions": report.sample.units,
         "axes": report.axes,
         "full": _summary_dict(report.full),
-        "vw_full": [_vw_dict(v) for v in report.vw_full],
+        "vw_full": [vw_fields(v) for v in report.vw_full],
         "leave_one_out": RowTable(LeaveOneOutRow._fields, report.loo),
         "reduction": None
         if trace is None
@@ -280,13 +279,8 @@ def report_fields(report: AnalysisReport) -> Dict:
         "reduced": None if report.reduced is None else _summary_dict(report.reduced),
         "vw_reduced": None
         if report.vw_reduced is None
-        else [_vw_dict(v) for v in report.vw_reduced],
+        else [vw_fields(v) for v in report.vw_reduced],
     }
-
-
-def report_to_dict(report: AnalysisReport) -> Dict:
-    """JSON-native view of the report: report.json's text, read back."""
-    return json.loads(json_text(report_fields(report)))
 
 
 def write_report(report: AnalysisReport, path) -> None:
@@ -335,11 +329,12 @@ def emit_outputs(report: AnalysisReport, outdir) -> Dict[str, Path]:
     )
 
     paths["angles_full"] = outdir / "angles_full.csv"
-    _write_angles(sample, paths["angles_full"])
+    _write_angles(sample, report.full, paths["angles_full"])
 
     paths["angles_reduced"] = outdir / "angles_reduced.csv"
     if report.trace is not None:
-        _write_angles(sample.subset(report.trace.final_scene_ids), paths["angles_reduced"])
+        reduced = sample.subset(report.trace.final_scene_ids)
+        _write_angles(reduced, report.reduced, paths["angles_reduced"])
     else:
         write_table(paths["angles_reduced"], ["scene", "theta_radians"], "%s,%.17g\r\n", [(), ()])
 
@@ -355,13 +350,18 @@ def _row_ids(sample: DirectionSample) -> Sequence[str]:
     return [sid for sid in sample.scene_ids for _ in range(sample.q)]
 
 
-def _write_angles(sample: DirectionSample, path) -> None:
-    """Write each unit's angle to its block's extrinsic mean, one line per (scene, block)."""
+def _write_angles(sample: DirectionSample, summary: OpsSummary, path) -> None:
+    """Write each unit's angle to its block's extrinsic mean, one line per (scene, block).
+
+    summary is the sample's own coplanarity_test summary, whose extrinsic
+    mean is taken as it is.
+    """
+    angles = angular_distances(sample.units, summary.extrinsic_mean)
     write_table(
         path,
         ["scene", "theta_radians"],
         "%s,%.17g\r\n",
-        [_row_ids(sample), angular_distances(sample).ravel().tolist()],
+        [_row_ids(sample), angles.ravel().tolist()],
     )
 
 

@@ -8,8 +8,10 @@ landmarks produce controlled departures. All draws run through the
 counter-based generator, so every artifact regenerates from its seed.
 
 A study is generated as array operations over all cameras at once
-(`_camera_stack`). Camera try t reads words 7t..7t+6 of its stream, as a
-loop making one try at a time would. Tries are drawn in batches, their
+(`_camera_stack`, `_project`); there is no one-camera path, and a camera
+is one row of the stacks: a center, a rotation and a focal. Camera try t
+reads words 7t..7t+6 of its stream, as a loop making one try at a time
+would. Tries are drawn in batches, their
 look-at rotations computed stacked, and those that put a landmark behind
 the camera rejected in bulk; the first n accepted tries are kept in try
 order, and a batch never reaches past the `_MAX_TRIES` * n budget. The
@@ -110,22 +112,6 @@ def _check_cameras(rotations: np.ndarray, focals: np.ndarray) -> None:
         raise ValueError(next(message for fails, message in failed if fails[first]))
 
 
-@dataclass(frozen=True)
-class PinholeCamera:
-    """Pinhole camera: x_cam = rotation @ (x_world - center), image = focal * (x/z, y/z)."""
-
-    center: np.ndarray
-    rotation: np.ndarray
-    focal: float
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=np.float64)
-        r = np.asarray(self.rotation, dtype=np.float64)
-        _check_cameras(r[None], np.array([self.focal], dtype=np.float64))
-        object.__setattr__(self, "center", _freeze(c))
-        object.__setattr__(self, "rotation", _freeze(r))
-
-
 def _camera_coords(centers: np.ndarray, rotations: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(N, k, 3) camera coordinates of k points in each of N cameras.
 
@@ -152,18 +138,6 @@ def _project(
         bad = int(np.argmin(cam))
         raise BehindCamera(f"landmark {bad + 1} has depth {cam[bad]:.3e}")
     return focals[:, None, None] * coords[..., :2] / depths[..., None]
-
-
-def project(camera: PinholeCamera, scene: Scene3D, scene_id: str = "view") -> LandmarkScene:
-    """Project every landmark; labels keep their order.
-
-    Raises:
-        BehindCamera: some landmark has camera depth below 1e-6.
-    """
-    image = _project(
-        camera.center[None], camera.rotation[None], np.array([camera.focal]), scene.points
-    )[0]
-    return LandmarkScene(scene_id=scene_id, points=image)
 
 
 def _general_position_ok(pts: np.ndarray) -> bool:
@@ -279,25 +253,6 @@ def _camera_stack(
         _check_cameras(rotations[:made], focals[:made])
         kept.append((centers[accepted], rotations[accepted], focals[accepted]))
     return tuple(np.concatenate(part) for part in zip(*kept))
-
-
-def random_cameras(
-    n: int, seed: int, scene: Optional[Scene3D] = None
-) -> List[PinholeCamera]:
-    """n cameras on a shell above the z = 0 plane, looking near the origin.
-
-    Centers stay on one side of the scene plane so all views share an
-    orientation. When a scene is given, cameras that put any landmark at
-    depth below 1e-6 are rejected and redrawn. The cameras of `_camera_stack`.
-
-    Raises:
-        GenerationFailed: rejection sampling exhausted its budget.
-    """
-    centers, rotations, focals = _camera_stack(n, seed, scene)
-    return [
-        PinholeCamera(center=c, rotation=r, focal=f)
-        for c, r, f in zip(centers, rotations, focals.tolist())
-    ]
 
 
 def perturb_out_of_plane(

@@ -1,9 +1,10 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from opshape.geometry import FrameSpec
+from opshape.geometry import FrameSpec, chart_coordinates, frame_charts
 from opshape.io import parse_landmarks
 from opshape.pipeline import register_scenes
 
@@ -35,3 +36,16 @@ def sope_creek_sample(sope_creek_scenes):
     spec = FrameSpec(frame_labels=(1, 2, 4, 3), remaining_labels=(5,))
     sample, _, _ = register_scenes(sope_creek_scenes, spec)
     return sample
+
+
+def register_reps(reps, frame=(0, 1, 2, 3), rest=(4,)):
+    """Unit vectors (q, m+1) of the rows `rest` of one scene's homogeneous
+    representatives, in the chart of the rows `frame`; None when the frame
+    or a point is degenerate. One scene through frame_charts and
+    chart_coordinates, so it acts on raw representatives, not on landmarks."""
+    reps = np.asarray(reps, dtype=np.float64)
+    charts = frame_charts(reps[None, list(frame)])
+    units, vanished = chart_coordinates(charts.matrix, reps[None, list(rest)])
+    if charts.errors or vanished.any():
+        return None
+    return units[0]

@@ -18,25 +18,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import SOPE_CREEK_HINT, sope_creek_path
+from conftest import SOPE_CREEK_HINT, register_reps, sope_creek_path
 from opshape.directional import (
     angular_distances,
     chisq_upper_tail,
     coplanarity_test,
-    delta_se,
-    mean_vector,
     normal_cdf,
     normal_quantile,
-    resultant_length,
-    sample_covariance,
 )
-from opshape.errors import DegenerateFrame, DegeneratePoint, FocalWarning
-from opshape.geometry import (
-    DirectionSample,
-    FrameSpec,
-    canonical_axis,
-    representatives_to_directions,
-)
+from opshape.errors import FocalWarning
+from opshape.geometry import DirectionSample, FrameSpec, canonical_axis
 from opshape.diagnostics import greedy_reduce
 from opshape.io import parse_landmarks, write_landmarks
 from opshape.pipeline import register_scenes, run_monte_carlo
@@ -84,7 +75,7 @@ def test_01_full_sample_location_and_spread():
     _require_dataset(1)
     sample, summary, elapsed = _dataset_summary()
     ubar = summary.mean_vector[0]
-    r = float(resultant_length(summary.mean_vector)[0])
+    r = float(summary.resultant[0])
     ts = summary.total_variance
     ok = (
         summary.n == 41
@@ -129,7 +120,7 @@ def test_03_greedy_reduction():
     sample, _, _ = _dataset_summary()
     trace = greedy_reduce(sample, 0.05)
     reduced = coplanarity_test(sample.subset(trace.final_scene_ids), 0.05)
-    r = float(resultant_length(reduced.mean_vector)[0])
+    r = float(reduced.resultant[0])
     ok = (
         len(trace.steps) == 2
         and abs(r - 0.9352) <= 0.001
@@ -177,10 +168,9 @@ def test_05_direction_invariance_under_positive_maps():
         if np.linalg.det(mat) <= 0.05:
             continue
         reps = np.hstack([pts, np.ones((5, 1))])
-        try:
-            base = representatives_to_directions(reps, (0, 1, 2, 3), (4,))
-            moved = representatives_to_directions(reps @ mat.T, (0, 1, 2, 3), (4,))
-        except (DegenerateFrame, DegeneratePoint):
+        base = register_reps(reps)
+        moved = register_reps(reps @ mat.T)
+        if base is None or moved is None:
             continue
         worst = max(worst, float(np.max(np.abs(moved - base))))
         done += 1
@@ -193,16 +183,16 @@ def test_06_internal_identities():
     worst_tr = 0.0
     for i in range(100):
         n = 4 + int(gen.uniforms(1)[0] * 40)
-        sample = _sphere_sample(gen, n, q=1 + (i % 3))
-        r = resultant_length(mean_vector(sample))
-        tr = float(np.trace(sample_covariance(sample)))
-        worst_tr = max(worst_tr, abs(tr - (sample.q - float(np.sum(r**2)))))
+        summary = coplanarity_test(_sphere_sample(gen, n, q=1 + (i % 3)), 0.05)
+        r = summary.resultant
+        tr = float(np.trace(summary.covariance))
+        worst_tr = max(worst_tr, abs(tr - (summary.q - float(np.sum(r**2)))))
 
     two_ok = True
     for seed in range(20):
         pair = _sphere_sample(SplitMix64(900 + seed), 2)
-        two_ok = two_ok and delta_se(pair) == 0.0
-        two_ok = two_ok and coplanarity_test(pair, 0.05).degenerate
+        summary = coplanarity_test(pair, 0.05)
+        two_ok = two_ok and summary.se == 0.0 and summary.degenerate
 
     zq = normal_quantile(0.975)
     quantile_dev = abs(zq - float(mp.sqrt(2) * mp.erfinv(mp.mpf("0.95"))))
@@ -242,7 +232,7 @@ def test_08_monte_carlo_coverage_and_bootstrap():
 
     mu = np.array([0.0, 0.0, 1.0])
     draws = tangent_gaussian_sample(mu, 0.1, 200, 12345)
-    se = delta_se(DirectionSample.from_vectors(draws))
+    se = coplanarity_test(DirectionSample.from_vectors(draws), 0.05).se
     resampler = np.random.default_rng(99)
     boot = []
     for _ in range(2000):
@@ -290,10 +280,11 @@ def test_09_sign_blind_comparator():
 
     draws = tangent_gaussian_sample(np.array([0.0, 0.0, 1.0]), 0.01, 200, 5)
     sample = DirectionSample.from_vectors(draws)
-    max_angle = float(np.max(angular_distances(sample)))
+    summary = coplanarity_test(sample, 0.05)
+    max_angle = float(np.max(angular_distances(sample.units, summary.extrinsic_mean)))
     ratio = total_variance_ps(
         np.array([canonical_axis(u) for u in draws])
-    ).total_variance / coplanarity_test(sample, 0.05).total_variance
+    ).total_variance / summary.total_variance
 
     ok = (
         sign_blind

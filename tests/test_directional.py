@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opshape import directional
 from opshape.directional import (
@@ -12,20 +14,15 @@ from opshape.directional import (
     chisq_upper_tail,
     confidence_interval,
     coplanarity_test,
-    delta_se,
-    extrinsic_mean,
-    mean_vector,
     normal_cdf,
     normal_quantile,
-    resultant_length,
-    sample_covariance,
     total_variance,
     z_statistic,
 )
 from opshape.errors import EmptySample, FocalMean, InvalidLevel
 from opshape.geometry import DirectionSample
 from opshape.rng import SplitMix64
-from opshape.synth import tangent_gaussian_sample
+from opshape.synth import tangent_gaussian_sample, tangent_gaussian_samples
 
 mpmath.mp.dps = 50
 
@@ -56,32 +53,36 @@ SE_THREE = 2.0 * math.sqrt(2.0) / (3.0 * math.sqrt(15.0))
 
 def test_mean_vector_basic():
     np.testing.assert_array_equal(
-        mean_vector(sample_of([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])), [[0.0, 0.0, 1.0]]
+        coplanarity_test(sample_of([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])).mean_vector,
+        [[0.0, 0.0, 1.0]],
     )
     np.testing.assert_allclose(
-        mean_vector(sample_of([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])),
+        coplanarity_test(sample_of([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])).mean_vector,
         [[0.5, 0.5, 0.0]],
         atol=0,
     )
 
 
 def test_resultant_length_basic():
-    assert resultant_length(np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0)
-    r = resultant_length(np.array([[0.5, 0.5, 0.0]]))
+    same = coplanarity_test(sample_of([0.0, 0.0, 1.0], [0.0, 0.0, 1.0]))
+    assert same.resultant[0] == pytest.approx(1.0)
+    r = coplanarity_test(sample_of([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])).resultant
     assert r[0] == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-15)
 
 
 def test_extrinsic_mean_normalizes_and_rejects_focal():
+    # block mean (0, 0, 1/3)
+    third = sample_of([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
     np.testing.assert_allclose(
-        extrinsic_mean(np.array([[0.0, 0.0, 0.5]])), [[0.0, 0.0, 1.0]], atol=0
+        coplanarity_test(third).extrinsic_mean, [[0.0, 0.0, 1.0]], atol=0
     )
     np.testing.assert_allclose(
-        extrinsic_mean(np.array([[0.5, 0.5, 0.0]])),
+        coplanarity_test(sample_of([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])).extrinsic_mean,
         [[math.sqrt(2) / 2, math.sqrt(2) / 2, 0.0]],
         atol=1e-16,
     )
     with pytest.raises(FocalMean):
-        extrinsic_mean(np.zeros((1, 3)))
+        coplanarity_test(sample_of([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]))
 
 
 # ---------- dispersion index ----------------------------------------------------
@@ -104,7 +105,7 @@ def test_total_variance_bounds_random():
 
 
 def test_sample_covariance_hand_value():
-    cov = sample_covariance(THREE_ROWS)
+    cov = coplanarity_test(THREE_ROWS).covariance
     expect = np.array(
         [[2 / 9, -2 / 9, 0.0], [-2 / 9, 2 / 9, 0.0], [0.0, 0.0, 0.0]]
     )
@@ -112,7 +113,7 @@ def test_sample_covariance_hand_value():
 
 
 def test_sample_covariance_constant_is_zero():
-    cov = sample_covariance(sample_of([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+    cov = coplanarity_test(sample_of([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])).covariance
     np.testing.assert_array_equal(cov, np.zeros((3, 3)))
 
 
@@ -120,8 +121,8 @@ def test_trace_identity_random_samples():
     # per block: trace of the covariance equals 1 - resultant^2
     for seed in range(30):
         s = random_sphere_sample(12, 1000 + seed, q=2)
-        cov = sample_covariance(s)
-        r = resultant_length(mean_vector(s))
+        summary = coplanarity_test(s)
+        cov, r = summary.covariance, summary.resultant
         d = s.dim
         for f in range(s.q):
             block = cov[f * d : (f + 1) * d, f * d : (f + 1) * d]
@@ -131,12 +132,12 @@ def test_trace_identity_random_samples():
 # ---------- delta-method standard error ------------------------------------------
 
 def test_delta_se_hand_value():
-    assert delta_se(THREE_ROWS) == pytest.approx(SE_THREE, abs=1e-15)
+    assert coplanarity_test(THREE_ROWS).se == pytest.approx(SE_THREE, abs=1e-15)
     assert SE_THREE == pytest.approx(0.24343, abs=5e-6)
 
 
 def test_delta_se_constant_sample_is_exact_zero():
-    assert delta_se(sample_of([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])) == 0.0
+    assert coplanarity_test(sample_of([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])).se == 0.0
 
 
 def test_delta_se_two_point_samples_exactly_zero():
@@ -148,12 +149,12 @@ def test_delta_se_two_point_samples_exactly_zero():
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         if np.linalg.norm(raw.sum(axis=0)) < 1e-6:
             continue
-        assert delta_se(DirectionSample.from_vectors(raw)) == 0.0
+        assert coplanarity_test(DirectionSample.from_vectors(raw)).se == 0.0
 
 
 def test_delta_se_focal_propagates():
     with pytest.raises(FocalMean):
-        delta_se(sample_of([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]))
+        coplanarity_test(sample_of([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]))
 
 
 # ---------- interval and test engines --------------------------------------------
@@ -289,9 +290,9 @@ def test_ndtr_port_equals_scipy_bit_for_bit():
     special = pytest.importorskip("scipy.special")
     xs = np.concatenate([_ndtr_inputs(1_000_000, 11), _around(NDTR_EDGES + ERF_EDGES),
                          np.array(SPECIAL_POINTS)])
-    _assert_same_bits(directional._ndtr, special.ndtr, xs)
-    # normal_cdf and z_statistic's p-value are the port
-    for x in xs[:1000].tolist() + SPECIAL_POINTS:
+    _assert_same_bits(normal_cdf, special.ndtr, xs)
+    # numpy scalars give the same bits, and z_statistic's p-value is the port
+    for x in xs[:1000]:
         assert _bits(normal_cdf(x)) == _bits(special.ndtr(x))
     for ts, se in ((0.1871, 0.0812), (3.0, 1e-3), (1e-9, 0.5), (-0.2, 0.1)):
         assert z_statistic(ts, se)[1] == float(special.ndtr(-(ts / se)))
@@ -353,11 +354,14 @@ def test_z_values_match_z_statistic_elementwise():
 
 def test_angular_distances_cardinal_cases():
     s = sample_of([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
-    np.testing.assert_allclose(angular_distances(s), np.zeros((3, 1)), atol=0)
+    np.testing.assert_allclose(
+        angular_distances(s.units, coplanarity_test(s).extrinsic_mean), np.zeros((3, 1)), atol=0
+    )
 
     mixed = sample_of([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-    ang = angular_distances(mixed)
-    mu = extrinsic_mean(mean_vector(mixed))[0]
+    mu = coplanarity_test(mixed).extrinsic_mean
+    ang = angular_distances(mixed.units, mu)
+    mu = mu[0]
     assert ang[0, 0] == pytest.approx(math.acos(np.dot([0, 0, 1], mu)), abs=1e-15)
     assert ang[2, 0] == pytest.approx(math.acos(np.dot([1, 0, 0], mu)), abs=1e-15)
 
@@ -367,8 +371,9 @@ def test_angular_distances_orthogonal_and_antipodal():
     # angle and antipode
     rows = [[0.0, 0.0, 1.0]] * 8 + [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
     s = sample_of(*rows)
-    mu = extrinsic_mean(mean_vector(s))[0]
-    ang = angular_distances(s)
+    mu = coplanarity_test(s).extrinsic_mean
+    ang = angular_distances(s.units, mu)
+    mu = mu[0]
     assert ang[8, 0] == pytest.approx(math.acos(mu @ np.array([1.0, 0, 0])), abs=1e-12)
     assert ang[9, 0] == pytest.approx(math.pi - ang[0, 0], abs=1e-12)
 
@@ -466,3 +471,25 @@ def test_small_dispersion_summary_against_tangent_oracle():
     # tS approximates the mean squared tangent radius at this scale
     tangent_sq = np.sum(units[:, :2] ** 2, axis=1)
     assert out.total_variance == pytest.approx(float(np.mean(tangent_sq)), rel=0.02)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    q=st.sampled_from([1, 2, 3]),
+    n=st.integers(2, 60),
+    sigma=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 4),
+)
+@example(q=1, n=2, sigma=0.0, seed=0)
+@example(q=3, n=60, sigma=1.0, seed=2**64 - 4)
+def test_summary_mean_and_total_variance_equal_the_per_sample_formula(q, n, sigma, seed):
+    """The summary's extrinsic mean, which the angle CSVs take, and
+    total_variance are the per-sample formulas on the block means, bit for bit."""
+    draws = tangent_gaussian_samples([0.3, -0.4, 0.8], sigma, n, [seed + f for f in range(q)])
+    s = DirectionSample(draws.transpose(1, 0, 2), tuple(str(i) for i in range(n)))
+    m = s.units.mean(axis=0)
+    r = np.linalg.norm(m, axis=1)
+    assert coplanarity_test(s).extrinsic_mean.tobytes() == (m / r[:, None]).tobytes()
+    ts = total_variance(s)
+    assert ts == max(2.0 * float(np.sum(1.0 - r)), 0.0)
+    assert math.copysign(1.0, ts) == 1.0

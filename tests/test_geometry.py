@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import register_reps
 from opshape.errors import (
     DegenerateFrame,
-    DegeneratePoint,
     EmptySample,
     InvalidLandmark,
 )
@@ -14,13 +14,11 @@ from opshape.geometry import (
     FrameSpec,
     LandmarkScene,
     canonical_axis,
-    chart_for_scene,
-    frame_scalars,
-    lift,
-    oriented_coordinate,
-    oriented_frame_homography,
-    scene_to_directions,
+    chart_coordinates,
+    frame_charts,
+    register_points,
 )
+from opshape.pipeline import register_scenes
 from opshape.rng import SplitMix64
 
 SQ3 = math.sqrt(3.0)
@@ -64,22 +62,23 @@ def five_point_scene(last, scene_id="s"):
 # ---------- lift ----------------------------------------------------------------
 
 def test_lift_examples():
-    np.testing.assert_array_equal(lift((0.0, 0.0)), [0.0, 0.0, 1.0])
-    np.testing.assert_array_equal(lift((1 / 3, 1 / 3)), [1 / 3, 1 / 3, 1.0])
-    np.testing.assert_array_equal(lift((-2.5, 4.0)), [-2.5, 4.0, 1.0])
-
-
-def test_lift_rejects_non_finite():
-    with pytest.raises(InvalidLandmark):
-        lift((float("nan"), 0.0))
-    with pytest.raises(InvalidLandmark):
-        lift((0.0, float("inf")))
+    # register_points lifts each landmark to (x, 1): its directions are the
+    # bits of the charts of the hand-lifted representatives
+    scene = five_point_scene((-2.5, 4.0))
+    spec = FrameSpec(frame_labels=(1, 2, 3, 4), remaining_labels=(5,))
+    units, flipped, errors = register_points(scene.points[None], spec)
+    assert not errors
+    reps = np.array(
+        [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1 / 3, 1 / 3, 1.0], [-2.5, 4.0, 1.0]]
+    )
+    assert units[0].tobytes() == register_reps(reps).tobytes()
 
 
 # ---------- frame scalars -------------------------------------------------------
 
 def test_frame_scalars_centroid_unit_point():
-    lam, adjusted = frame_scalars(unit_square_frame())
+    charts = frame_charts(unit_square_frame()[None])
+    lam, adjusted = charts.frame_scalars[0], charts.adjusted[0]
     np.testing.assert_allclose(lam, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
     # no sign flips needed
     np.testing.assert_array_equal(adjusted, unit_square_frame()[:3].T)
@@ -87,7 +86,8 @@ def test_frame_scalars_centroid_unit_point():
 
 def test_frame_scalars_standard_frame():
     reps = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
-    lam, adjusted = frame_scalars(reps)
+    charts = frame_charts(reps[None])
+    lam, adjusted = charts.frame_scalars[0], charts.adjusted[0]
     np.testing.assert_allclose(lam, [1.0, 1.0, 1.0], atol=1e-15)
     np.testing.assert_array_equal(adjusted, np.eye(3))
 
@@ -98,7 +98,8 @@ def test_frame_scalars_sign_fix_against_elimination_oracle():
     )
     raw = solve_by_elimination(reps[:3].T, reps[3])
     assert raw == pytest.approx([-5.0, 3.0, 3.0])
-    lam, adjusted = frame_scalars(reps)
+    charts = frame_charts(reps[None])
+    lam, adjusted = charts.frame_scalars[0], charts.adjusted[0]
     np.testing.assert_allclose(lam, np.abs(raw), rtol=1e-13)
     # column 0 flipped, others untouched
     np.testing.assert_allclose(adjusted[:, 0], -reps[0], atol=0)
@@ -112,10 +113,10 @@ def test_frame_scalars_random_frames_match_oracle():
     for _ in range(50):
         pts = gen.uniforms(8).reshape(4, 2) * 4.0 - 2.0
         reps = np.hstack([pts, np.ones((4, 1))])
-        try:
-            lam, adjusted = frame_scalars(reps)
-        except DegenerateFrame:
+        charts = frame_charts(reps[None])
+        if charts.errors:
             continue
+        lam, adjusted = charts.frame_scalars[0], charts.adjusted[0]
         oracle = solve_by_elimination(reps[:3].T, reps[3])
         np.testing.assert_allclose(lam, np.abs(oracle), rtol=1e-9)
         np.testing.assert_allclose(adjusted @ lam, reps[3], atol=1e-9)
@@ -125,8 +126,7 @@ def test_frame_scalars_collinear_rejected():
     reps = np.array(
         [[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 1.0], [0.5, 0.25, 1.0]]
     )
-    with pytest.raises(DegenerateFrame):
-        frame_scalars(reps)
+    assert isinstance(frame_charts(reps[None]).errors[0], DegenerateFrame)
 
 
 def test_frame_scalars_unit_point_on_frame_hyperplane():
@@ -134,26 +134,25 @@ def test_frame_scalars_unit_point_on_frame_hyperplane():
     reps = np.array(
         [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.5, 0.5, 1.0]]
     )
-    with pytest.raises(DegenerateFrame):
-        frame_scalars(reps)
+    assert isinstance(frame_charts(reps[None]).errors[0], DegenerateFrame)
 
 
 # ---------- normalizing homography ---------------------------------------------
 
 def test_homography_standard_frame_is_identity():
     reps = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
-    chart = oriented_frame_homography(reps)
-    np.testing.assert_allclose(chart.matrix, np.eye(3), atol=1e-15)
-    assert not chart.det_sign_flipped
+    chart = frame_charts(reps[None])
+    np.testing.assert_allclose(chart.matrix[0], np.eye(3), atol=1e-15)
+    assert not chart.flipped[0]
 
 
 def test_homography_multiply_back():
-    chart = oriented_frame_homography(unit_square_frame())
-    image = chart.matrix @ unit_square_frame()[3]
+    h = frame_charts(unit_square_frame()[None]).matrix[0]
+    image = h @ unit_square_frame()[3]
     ratios = image / image[0]
     np.testing.assert_allclose(ratios, [1.0, 1.0, 1.0], atol=1e-12)
     assert image[0] > 0
-    assert np.linalg.det(chart.matrix) > 0
+    assert np.linalg.det(h) > 0
 
 
 def test_homography_maps_frame_columns_to_axes():
@@ -162,14 +161,13 @@ def test_homography_maps_frame_columns_to_axes():
     while checked < 30:
         pts = gen.uniforms(8).reshape(4, 2) * 4.0 - 2.0
         reps = np.hstack([pts, np.ones((4, 1))])
-        try:
-            lam, adjusted = frame_scalars(reps)
-            chart = oriented_frame_homography(reps)
-        except DegenerateFrame:
+        charts = frame_charts(reps[None])
+        if charts.errors:
             continue
-        sign = -1.0 if chart.det_sign_flipped else 1.0
+        adjusted = charts.adjusted[0]
+        sign = -1.0 if charts.flipped[0] else 1.0
         for j in range(3):
-            image = sign * (chart.matrix @ adjusted[:, j])
+            image = sign * (charts.matrix[0] @ adjusted[:, j])
             target = np.zeros(3)
             target[j] = image[j]
             assert image[j] > 0
@@ -182,33 +180,34 @@ def test_homography_maps_frame_columns_to_axes():
 def test_homography_frame_order_matters_but_contract_holds():
     reps = unit_square_frame()
     swapped = reps[[1, 0, 2, 3]]
-    a = oriented_frame_homography(reps)
-    b = oriented_frame_homography(swapped)
-    assert not np.allclose(a.matrix, b.matrix)
-    for chart in (a, b):
-        assert np.linalg.det(chart.matrix) > 0
+    a, b = frame_charts(np.stack([reps, swapped])).matrix
+    assert not np.allclose(a, b)
+    for h in (a, b):
+        assert np.linalg.det(h) > 0
 
 
 # ---------- spherical and axial coordinates ------------------------------------
 
 def test_oriented_coordinate_identity_chart():
     reps = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
-    chart = oriented_frame_homography(reps)
-    u = oriented_coordinate(chart, np.array([1.0, 1.0, 1.0]))
-    np.testing.assert_allclose(u, np.ones(3) / SQ3, atol=1e-15)
+    chart = frame_charts(reps[None])
+    units, vanished = chart_coordinates(chart.matrix, np.array([[[1.0, 1.0, 1.0]]]))
+    assert not vanished[0, 0]
+    np.testing.assert_allclose(units[0, 0], np.ones(3) / SQ3, atol=1e-15)
 
 
 def test_oriented_coordinate_frame_self_consistency():
-    chart = oriented_frame_homography(unit_square_frame())
-    assert not chart.det_sign_flipped
-    u = oriented_coordinate(chart, unit_square_frame()[3])
-    np.testing.assert_allclose(u, np.ones(3) / SQ3, atol=1e-12)
+    chart = frame_charts(unit_square_frame()[None])
+    assert not chart.flipped[0]
+    units, vanished = chart_coordinates(chart.matrix, unit_square_frame()[None, 3:])
+    assert not vanished[0, 0]
+    np.testing.assert_allclose(units[0, 0], np.ones(3) / SQ3, atol=1e-12)
 
 
 def test_oriented_coordinate_rejects_vanishing_image():
-    chart = oriented_frame_homography(unit_square_frame())
-    with pytest.raises(DegeneratePoint):
-        oriented_coordinate(chart, np.zeros(3))
+    chart = frame_charts(unit_square_frame()[None])
+    _, vanished = chart_coordinates(chart.matrix, np.zeros((1, 1, 3)))
+    assert vanished[0, 0]
 
 
 def test_canonical_axis_examples():
@@ -225,7 +224,7 @@ def test_canonical_axis_examples():
 def test_scene_to_directions_unit_point_coincidence():
     scene = five_point_scene((1 / 3, 1 / 3))
     spec = FrameSpec(frame_labels=(1, 2, 3, 4), remaining_labels=(5,))
-    dirs = scene_to_directions(scene, spec)
+    dirs = register_scenes([scene], spec)[0].units[0]
     assert dirs.shape == (1, 3)
     np.testing.assert_allclose(dirs[0], np.ones(3) / SQ3, atol=1e-12)
 
@@ -240,29 +239,23 @@ def test_scene_to_directions_hand_solved_point():
     y = np.array(v) / np.array(lam)
     expect = y / np.linalg.norm(y)
     np.testing.assert_allclose(expect, np.array([-1.0, 1.0, 1.0]) / SQ3, atol=1e-14)
-    dirs = scene_to_directions(scene, spec)
+    dirs = register_scenes([scene], spec)[0].units[0]
     np.testing.assert_allclose(dirs[0], expect, atol=1e-12)
 
 
 def test_scene_to_directions_positive_scalar_invariance():
-    # registration input is a lift, so scale one landmark's plane coordinates
-    # indirectly: rescaling all homogeneous reps of a scene is exercised via
-    # chart_for_scene on manually scaled representatives
+    # registration input is a lift, so rescaling the homogeneous reps of a
+    # scene is exercised on the charts of manually scaled representatives
     scene = five_point_scene((0.7, -0.2))
     spec = FrameSpec(frame_labels=(1, 2, 3, 4), remaining_labels=(5,))
-    base = scene_to_directions(scene, spec)
+    base = register_scenes([scene], spec)[0].units[0]
 
-    from opshape.geometry import representatives_to_directions
-
-    reps = np.array([lift(p) for p in scene.points])
+    reps = np.hstack([scene.points, np.ones((5, 1))])
     scaled = reps * np.array([[1.0], [7.5], [0.25], [1.0], [3.0]])
-    out = representatives_to_directions(scaled, (0, 1, 2, 3), (4,))
-    np.testing.assert_allclose(out, base, atol=1e-12)
+    np.testing.assert_allclose(register_reps(scaled), base, atol=1e-12)
 
 
 def test_scene_to_directions_opgl_invariance():
-    from opshape.geometry import representatives_to_directions
-
     gen = SplitMix64(804)
     done = 0
     while done < 25:
@@ -271,10 +264,9 @@ def test_scene_to_directions_opgl_invariance():
         if np.linalg.det(mat) <= 0.05:
             continue
         reps = np.hstack([pts, np.ones((5, 1))])
-        try:
-            base = representatives_to_directions(reps, (0, 1, 2, 3), (4,))
-            moved = representatives_to_directions(reps @ mat.T, (0, 1, 2, 3), (4,))
-        except (DegenerateFrame, DegeneratePoint):
+        base = register_reps(reps)
+        moved = register_reps(reps @ mat.T)
+        if base is None or moved is None:
             continue
         np.testing.assert_allclose(moved, base, atol=1e-9)
         done += 1
@@ -284,8 +276,8 @@ def test_scene_errors_carry_scene_id():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.25], [1.0, 0.0]])
     scene = LandmarkScene(scene_id="bad-frame", points=pts)
     spec = FrameSpec(frame_labels=(1, 2, 3, 4), remaining_labels=(5,))
-    with pytest.raises(DegenerateFrame):
-        chart_for_scene(scene, spec)
+    with pytest.raises(DegenerateFrame, match="^scene 'bad-frame': frame matrix"):
+        register_scenes([scene], spec)
 
 
 # ---------- domain type validation ----------------------------------------------
@@ -294,10 +286,9 @@ def test_landmark_scene_validation():
     with pytest.raises(InvalidLandmark):
         LandmarkScene(scene_id="x", points=np.array([[0.0, np.nan]]))
     scene = five_point_scene((2.0, 2.0))
-    np.testing.assert_array_equal(scene.point(1), [0.0, 0.0])
-    np.testing.assert_array_equal(scene.point(5), [2.0, 2.0])
-    with pytest.raises(InvalidLandmark):
-        scene.point(6)
+    assert (scene.k, scene.m) == (5, 2)
+    np.testing.assert_array_equal(scene.points[0], [0.0, 0.0])
+    np.testing.assert_array_equal(scene.points[4], [2.0, 2.0])
 
 
 def test_frame_spec_validation():

@@ -24,7 +24,7 @@ import opshape
 from opshape.cli import main
 from opshape.errors import SchemaError
 from opshape.geometry import LandmarkScene
-from opshape.io import HEADER, format_float, write_landmarks
+from opshape.io import HEADER, write_landmarks
 from opshape.synth import synthesize_views
 
 GOLDEN = {
@@ -195,7 +195,7 @@ def write_quoted_study(path):
         writer.writerow(HEADER)
         for scene in scenes:
             for label, (x, y) in enumerate(scene.points, start=1):
-                writer.writerow([scene.scene_id, label, format_float(x), format_float(y)])
+                writer.writerow([scene.scene_id, label, format(x, ".17g"), format(y, ".17g")])
     assert b'"' in path.read_bytes()
 
 
@@ -208,7 +208,7 @@ def test_report_bytes_for_quoted_scene_ids(tmp_path):
 
 # bytes of `opshape analyze`'s other CSV views (sphere_points,
 # mean_direction, angles_full, angles_reduced), recorded from the
-# csv.writer row loop that passed each float through format_float
+# csv.writer row loop that passed each float through format(x, ".17g")
 CSV_GOLDEN = {
     "bent": (
         "e1280f09098644878d579446cb004ed1cd54d25e2f9d9205094f58ffef2f2c43",

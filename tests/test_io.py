@@ -17,7 +17,7 @@ from opshape.diagnostics import LeaveOneOutRow, ReductionStep
 from opshape.directional import OpsSummary, angular_distances
 from opshape.errors import InvalidLandmark, MixedOrientationWarning, ParseError, SchemaError
 from opshape.geometry import LandmarkScene, LandmarkStudy
-from opshape.io import format_float, json_text, parse_landmarks, write_json, write_landmarks
+from opshape.io import json_text, parse_landmarks, write_json, write_landmarks
 from opshape.pipeline import write_loo_table
 from opshape.synth import synthesize_views
 
@@ -45,10 +45,10 @@ def test_parse_well_formed(tmp_path):
     scenes = parse_landmarks(write(tmp_path, GOOD))
     assert [s.scene_id for s in scenes] == ["a", "b"]
     assert all(s.k == 5 for s in scenes)
-    np.testing.assert_array_equal(scenes[0].point(5), [1.0, 1.0])
+    np.testing.assert_array_equal(scenes[0].points[4], [1.0, 1.0])
     # rows arrive in any order; landmarks are keyed by label
-    np.testing.assert_array_equal(scenes[1].point(1), [0.1, -0.1])
-    np.testing.assert_array_equal(scenes[1].point(5), [2.0, 2.0])
+    np.testing.assert_array_equal(scenes[1].points[0], [0.1, -0.1])
+    np.testing.assert_array_equal(scenes[1].points[4], [2.0, 2.0])
 
 
 def test_parse_rejects_bad_header(tmp_path):
@@ -125,12 +125,15 @@ def test_parse_missing_file():
         parse_landmarks("/nonexistent/landmarks.csv")
 
 
-def test_format_float_17_digits_round_trip():
+def test_written_floats_17_digits_round_trip(tmp_path):
     # 17 significant digits recover any double bit-for-bit
-    for x in (0.1, 1 / 3, 1e-17, -2.5, np.pi, 2.0 ** -1074):
-        assert float(format_float(x)) == x
-    assert format_float(-2.5) == "-2.5"
-    assert len(format_float(1 / 3).replace("0.", "")) == 17
+    values = [0.1, 1 / 3, 1e-17, -2.5, np.pi, 2.0 ** -1074]
+    path = tmp_path / "floats.csv"
+    write_landmarks(path, [LandmarkScene("s", np.array(values).reshape(3, 2))])
+    assert parse_landmarks(path).points.ravel().tolist() == values
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    assert rows[1][3] == "-2.5"
+    assert len(rows[0][3].replace("0.", "")) == 17
 
 
 def test_round_trip_preserves_values_exactly(tmp_path):
@@ -249,7 +252,7 @@ def csv_shaped(draw):
     else:
         ids = draw(st.lists(st.sampled_from(IDS), min_size=n, max_size=n, unique=True))
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    coord = finite.map(format_float) | finite.map(repr) | st.sampled_from(FLOATS)
+    coord = finite.map("{:.17g}".format) | finite.map(repr) | st.sampled_from(FLOATS)
     if damaged:
         coord = coord | st.floats().map(repr) | st.sampled_from(ODD_FLOATS)
     rows = []
@@ -260,7 +263,7 @@ def csv_shaped(draw):
             spelled = draw(st.sampled_from(LABELS)).format(j)
             if damaged and draw(st.integers(0, 9)) == 0:
                 spelled = draw(st.sampled_from(ODD_LABELS)).format(j)
-            x, y = (draw(coord) if draw(st.integers(0, 3)) == 0 else format_float(j / 3) for _ in "xy")
+            x, y = (draw(coord) if draw(st.integers(0, 3)) == 0 else format(j / 3, ".17g") for _ in "xy")
             rows.append(f"{sid},{spelled},{x},{y}")
     rows = draw(st.permutations(rows))
     edits = draw(st.lists(st.sampled_from(EDITS), min_size=1, max_size=2)) if damaged else []
@@ -769,12 +772,12 @@ def test_report_with_a_focal_row_equals_json_dumps_of_its_objects(tmp_path):
 
 def csv_writer_bytes(header, rows):
     """The CSV bytes of the row loop the views had: csv.writer, each float
-    through format_float and anything else through str."""
+    through format(v, ".17g") and anything else through str."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
-        writer.writerow([format_float(v) if isinstance(v, float) else str(v) for v in row])
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
     return buf.getvalue().encode("utf-8")
 
 
@@ -847,10 +850,13 @@ def test_q3_views_match_the_csv_writer_loop(tmp_path):
     assert paths["sphere_points"].read_bytes() == csv_writer_bytes(header, points)
     reduced = sample.subset(trace.final_scene_ids)
     for name, part in (("angles_full", sample), ("angles_reduced", reduced)):
+        # each block's mean direction from the per-sample formula
+        m = part.units.mean(axis=0)
+        thetas = angular_distances(part.units, m / np.linalg.norm(m, axis=1)[:, None])
         angles = [
             (sid, theta)
-            for sid, thetas in zip(part.scene_ids, angular_distances(part).tolist())
-            for theta in thetas
+            for sid, row in zip(part.scene_ids, thetas.tolist())
+            for theta in row
         ]
         assert len(angles) == 3 * part.n
         assert paths[name].read_bytes() == csv_writer_bytes(["scene", "theta_radians"], angles)

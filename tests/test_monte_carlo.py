@@ -31,9 +31,9 @@ from opshape.directional import (
     ZERO_TOL,
     _dispersion_and_se,
     coplanarity_test,
-    delta_se,
     normal_quantile,
     sample_moments,
+    total_variance,
 )
 from opshape.errors import EmptySample, FocalMean, GenerationFailed, InvalidLevel
 from opshape.geometry import DirectionSample
@@ -482,7 +482,7 @@ def test_sample_moments_match_single_sample_reference(index):
         one = DirectionSample(sample, tuple(str(i) for i in range(sample.shape[0])))
         summary = coplanarity_test(one)
         assert (summary.total_variance, summary.se) == expected[2:]
-        assert delta_se(one) == expected[3]
+        assert total_variance(one) == expected[2]
 
 
 def test_constant_rows_clamp_se_to_zero():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import builtins
 import csv
 import dataclasses
@@ -9,6 +10,7 @@ import hashlib
 import io as stdio
 import json
 import os
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -18,16 +20,17 @@ import pytest
 from jsonschema import Draft7Validator
 
 import opshape
+from conftest import REPO_ROOT
 from opshape.cli import build_parser, main
 from opshape.directional import OpsSummary, coplanarity_test
 from opshape.errors import DegenerateFrame, FocalMean, MixedOrientationWarning
 from opshape.geometry import FrameSpec, LandmarkScene
-from opshape.io import parse_landmarks, write_landmarks
+from opshape.io import json_text, parse_landmarks, write_landmarks
 from opshape.pipeline import (
     StudyConfig,
     emit_outputs,
     register_scenes,
-    report_to_dict,
+    report_fields,
     run_analysis,
     write_report,
 )
@@ -131,13 +134,14 @@ def test_report_dict_matches_shipped_schema(study_report):
     schema_path = Path(opshape.__file__).parent / "schemas" / "report.schema.json"
     schema = json.loads(schema_path.read_text(encoding="utf-8"))
     Draft7Validator.check_schema(schema)
-    Draft7Validator(schema).validate(report_to_dict(study_report))
+    Draft7Validator(schema).validate(json.loads(json_text(report_fields(study_report))))
 
 
 def test_report_json_round_trips_exactly(study_report, tmp_path):
     path = tmp_path / "report.json"
     write_report(study_report, path)
-    assert json.loads(path.read_text(encoding="utf-8")) == report_to_dict(study_report)
+    expected = json.loads(json_text(report_fields(study_report)))
+    assert json.loads(path.read_text(encoding="utf-8")) == expected
 
 
 def test_report_bytes_deterministic_across_runs(study_csv, tmp_path):
@@ -199,7 +203,7 @@ def test_two_scene_study_flags_degenerate(tmp_path):
     assert rep.full.se == 0.0
     assert rep.loo == ()
     assert rep.trace is None and rep.reduced is None
-    d = report_to_dict(rep)
+    d = json.loads(json_text(report_fields(rep)))
     assert d["reduction"] is None and d["reduced"] is None and d["vw_reduced"] is None
     schema_path = Path(opshape.__file__).parent / "schemas" / "report.schema.json"
     schema = json.loads(schema_path.read_text(encoding="utf-8"))
@@ -584,3 +588,71 @@ def test_console_script_usage_error_exit_2():
     proc = subprocess.run(["opshape", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "analyze" in proc.stdout
+
+
+# ---- the import surface: the submodules are the API ------------------------------
+
+
+def _module_names(tree):
+    """(name, statement) of each name a module's top-level statements define."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def _references(tree):
+    """Names a module reads, as a Name, an Attribute or an import, each outside
+    the top-level statement that defines that name."""
+    found = set()
+    for statement in tree.body:
+        own = {name for name, _ in _module_names(ast.Module([statement], []))}
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            if name not in own:
+                found.add(name)
+    return found
+
+
+def test_no_orphan_public_names():
+    """Every public module-level name of the package is used by the package,
+    a demo or the benchmark; tests do not count, nor does __init__.py, which
+    re-exports nothing."""
+    package = sorted(p for p in (REPO_ROOT / "src" / "opshape").glob("*.py") if p.name != "__init__.py")
+    users = package + sorted((REPO_ROOT / "demos").glob("*.py")) + sorted((REPO_ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in users}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    orphans = [
+        f"{path.stem}.{name}"
+        for path in package
+        for name, _ in _module_names(trees[path])
+        if not name.startswith("_") and name not in used
+    ]
+    assert orphans == []
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
+    """README's Python quickstart, run as written on a synthetic study."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    write_landmarks(
+        tmp_path / "study.csv", synthesize_views(k=5, cameras=20, seed=42, delta=0.02, noise=0.002)
+    )
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    summary = namespace["summary"]
+    assert isinstance(summary, OpsSummary) and summary.n == 20
+    printed = capsys.readouterr().out
+    assert printed == f"{summary.total_variance} {summary.ci} {summary.reject_ci}\n"

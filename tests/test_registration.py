@@ -83,7 +83,7 @@ def ref_axis(vector):
 
 
 def lifted(scene, label):
-    return np.concatenate([scene.point(label), [1.0]])
+    return np.concatenate([scene.points[label - 1], [1.0]])
 
 
 def reference_register(scenes, spec, skip_degenerate=False):

@@ -17,11 +17,8 @@ from opshape.geometry import DirectionSample, FrameSpec, LandmarkScene
 from opshape.pipeline import register_scenes
 from opshape.rng import SplitMix64
 from opshape.synth import (
-    PinholeCamera,
     Scene3D,
     perturb_out_of_plane,
-    project,
-    random_cameras,
     random_coplanar_scene,
     synthesize_views,
     tangent_gaussian_sample,
@@ -31,7 +28,20 @@ SPEC = FrameSpec(frame_labels=(1, 2, 4, 3), remaining_labels=(5,))
 
 
 def identity_camera(focal=1.0):
-    return PinholeCamera(center=np.zeros(3), rotation=np.eye(3), focal=focal)
+    """A camera as (center, rotation, focal), one row of the camera stacks."""
+    return np.zeros(3), np.eye(3), focal
+
+
+def one_view(camera, scene):
+    """The (k, 2) image of the scene in one camera: a one-camera stack through _project."""
+    center, rotation, focal = camera
+    return synth._project(center[None], rotation[None], np.array([focal]), scene.points)[0]
+
+
+def camera_list(n, seed, scene=None):
+    """_camera_stack's cameras as a list of (center, rotation, focal)."""
+    centers, rotations, focals = synth._camera_stack(n, seed, scene)
+    return list(zip(centers, rotations, focals.tolist()))
 
 
 def planar_scene(xy, z):
@@ -49,8 +59,8 @@ def planar_scene(xy, z):
 
 def test_project_optical_axis():
     scene = planar_scene([(0.0, 0.0)], 5.0)
-    view = project(identity_camera(), scene)
-    np.testing.assert_array_equal(view.points, [[0.0, 0.0]])
+    view = one_view(identity_camera(), scene)
+    np.testing.assert_array_equal(view, [[0.0, 0.0]])
 
 
 def test_project_direct_division():
@@ -61,28 +71,28 @@ def test_project_direct_division():
         plane_offset=2.0,
         out_of_plane_offsets=np.zeros(1),
     )
-    view = project(identity_camera(), scene)
-    np.testing.assert_allclose(view.points, [[0.5, 1.0]], atol=0)
+    view = one_view(identity_camera(), scene)
+    np.testing.assert_allclose(view, [[0.5, 1.0]], atol=0)
 
 
 def test_project_similar_triangles():
     square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    view = project(identity_camera(), planar_scene(square, 2.0))
+    view = one_view(identity_camera(), planar_scene(square, 2.0))
     np.testing.assert_allclose(
-        view.points, np.array(square) / 2.0, atol=1e-15
+        view, np.array(square) / 2.0, atol=1e-15
     )
 
 
 def test_project_rejects_nonpositive_depth():
     scene = planar_scene([(0.0, 0.0), (1.0, 1.0)], -1.0)
     with pytest.raises(BehindCamera):
-        project(identity_camera(), scene)
+        one_view(identity_camera(), scene)
 
 
 def test_project_scales_with_focal():
     scene = planar_scene([(0.4, -0.2)], 4.0)
-    a = project(identity_camera(1.0), scene).points
-    b = project(identity_camera(2.5), scene).points
+    a = one_view(identity_camera(1.0), scene)
+    b = one_view(identity_camera(2.5), scene)
     np.testing.assert_allclose(b, 2.5 * a, atol=1e-15)
 
 
@@ -119,26 +129,26 @@ def test_generation_budget_surfaces(monkeypatch):
 
 def test_random_cameras_contract():
     scene = random_coplanar_scene(5, seed=3)
-    cams = random_cameras(4, seed=3, scene=scene)
+    cams = camera_list(4, seed=3, scene=scene)
     assert len(cams) == 4
-    for cam in cams:
+    for center, rotation, focal in cams:
         np.testing.assert_allclose(
-            cam.rotation @ cam.rotation.T, np.eye(3), atol=1e-12
+            rotation @ rotation.T, np.eye(3), atol=1e-12
         )
-        assert np.linalg.det(cam.rotation) == pytest.approx(1.0, abs=1e-12)
-        assert cam.focal > 0
-        assert cam.center[2] > 0  # stays on one side of the scene plane
-        depths = ((scene.points - cam.center) @ cam.rotation.T)[:, 2]
+        assert np.linalg.det(rotation) == pytest.approx(1.0, abs=1e-12)
+        assert focal > 0
+        assert center[2] > 0  # stays on one side of the scene plane
+        depths = ((scene.points - center) @ rotation.T)[:, 2]
         assert np.all(depths > 0)
 
 
 def test_random_cameras_deterministic():
-    a = random_cameras(3, seed=9)
-    b = random_cameras(3, seed=9)
+    a = camera_list(3, seed=9)
+    b = camera_list(3, seed=9)
     for ca, cb in zip(a, b):
-        np.testing.assert_array_equal(ca.center, cb.center)
-        np.testing.assert_array_equal(ca.rotation, cb.rotation)
-        assert ca.focal == cb.focal
+        np.testing.assert_array_equal(ca[0], cb[0])
+        np.testing.assert_array_equal(ca[1], cb[1])
+        assert ca[2] == cb[2]
 
 
 def test_perturb_out_of_plane_moves_only_free_landmarks():
@@ -253,13 +263,16 @@ def test_scene3d_rejects_inconsistent_plane():
 
 
 def test_pinhole_camera_rejects_bad_rotation():
+    def check(rotation, focal):
+        synth._check_cameras(rotation[None], np.array([focal]))
+
     with pytest.raises(ValueError):
-        PinholeCamera(center=np.zeros(3), rotation=np.eye(3) * 2.0, focal=1.0)
+        check(np.eye(3) * 2.0, 1.0)
     reflect = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
-        PinholeCamera(center=np.zeros(3), rotation=reflect, focal=1.0)
+        check(reflect, 1.0)
     with pytest.raises(ValueError):
-        PinholeCamera(center=np.zeros(3), rotation=np.eye(3), focal=0.0)
+        check(np.eye(3), 0.0)
 
 
 def test_camera_checks_raise_the_first_cameras_first_failure():
@@ -278,8 +291,9 @@ def test_camera_checks_raise_the_first_cameras_first_failure():
 
 # ---------- the per-camera loop, kept as the reference of the stacked study --------
 #
-# random_cameras, project and synthesize_views as they were written one camera
-# at a time; the stacked generator must give the same bits and the same errors.
+# the camera draw, the projection and synthesize_views as they were written one
+# camera at a time, each camera a (center, rotation, focal) checked on its own;
+# the stacked generator must give the same bits and the same errors.
 
 def ref_look_at_rotation(center, target, roll):
     z = target - center
@@ -314,22 +328,23 @@ def ref_random_cameras(n, seed, scene=None, gen=None):
         roll = 2.0 * math.pi * draws[5]
         focal = 0.8 + 0.7 * draws[6]
         rotation = ref_look_at_rotation(center, target, roll)
-        cam = PinholeCamera(center=center, rotation=rotation, focal=focal)
+        synth._check_cameras(rotation[None], np.array([focal]))
         if scene is not None:
             depths = ((scene.points - center) @ rotation.T)[:, 2]
             if np.any(depths < 1e-6):
                 continue
-        cams.append(cam)
+        cams.append((center, rotation, focal))
     return cams
 
 
 def ref_project(camera, scene, scene_id="view"):
-    cam_coords = (scene.points - camera.center) @ camera.rotation.T
+    center, rotation, focal = camera
+    cam_coords = (scene.points - center) @ rotation.T
     depths = cam_coords[:, 2]
     if np.any(depths < 1e-6):
         bad = int(np.argmin(depths))
         raise BehindCamera(f"landmark {bad + 1} has depth {depths[bad]:.3e}")
-    image = camera.focal * cam_coords[:, :2] / depths[:, None]
+    image = focal * cam_coords[:, :2] / depths[:, None]
     return LandmarkScene(scene_id=scene_id, points=image)
 
 
@@ -367,7 +382,7 @@ def wide_scene(reach):
 
 
 def camera_bytes(cams):
-    return [(c.center.tobytes(), c.rotation.tobytes(), float(c.focal)) for c in cams]
+    return [(center.tobytes(), rotation.tobytes(), float(focal)) for center, rotation, focal in cams]
 
 
 def views_bytes(views):
@@ -407,7 +422,7 @@ def test_synthesize_views_equals_the_per_camera_loop(k, cameras, seed, delta, no
 @example(n=40, seed=3, reach=6.0)
 def test_random_cameras_equal_the_per_camera_loop(n, seed, reach):
     scene = None if reach is None else wide_scene(reach)
-    got = outcome(lambda: camera_bytes(random_cameras(n, seed, scene=scene)))
+    got = outcome(lambda: camera_bytes(camera_list(n, seed, scene=scene)))
     want = outcome(lambda: camera_bytes(ref_random_cameras(n, seed, scene=scene)))
     assert got == want
 
@@ -424,7 +439,7 @@ def test_two_thousand_cameras_equal_the_per_camera_loop():
     want = ref_synthesize_views(k=7, cameras=2000, seed=5, delta=0.02, noise=0.002)
     assert views_bytes(got) == views_bytes(want)
     scene = random_coplanar_scene(5, seed=8)
-    assert camera_bytes(random_cameras(2000, 8, scene=scene)) == camera_bytes(
+    assert camera_bytes(camera_list(2000, 8, scene=scene)) == camera_bytes(
         ref_random_cameras(2000, 8, scene=scene)
     )
 
@@ -432,10 +447,10 @@ def test_two_thousand_cameras_equal_the_per_camera_loop():
 def test_project_equals_the_per_camera_projection():
     scene = perturb_out_of_plane(random_coplanar_scene(6, seed=2), 0.05, seed=3)
     for cam in ref_random_cameras(25, 4, scene=scene):
-        assert project(cam, scene).points.tobytes() == ref_project(cam, scene).points.tobytes()
+        assert one_view(cam, scene).tobytes() == ref_project(cam, scene).points.tobytes()
     behind = planar_scene([(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], -1.0)
     with pytest.raises(BehindCamera) as got:
-        project(identity_camera(), behind)
+        one_view(identity_camera(), behind)
     with pytest.raises(BehindCamera) as want:
         ref_project(identity_camera(), behind)
     assert str(got.value) == str(want.value)
@@ -471,7 +486,7 @@ def test_generation_fails_after_as_many_tries_as_the_loop(monkeypatch, max_tries
     for n in (1, 3, 8):
         for seed in range(12):
             CountingSplitMix64.made = []
-            got = outcome(lambda: camera_bytes(random_cameras(n, seed, scene=scene)))
+            got = outcome(lambda: camera_bytes(camera_list(n, seed, scene=scene)))
             (stacked,) = CountingSplitMix64.made
             reference = SplitMix64(seed)
             want = outcome(lambda: camera_bytes(ref_random_cameras(n, seed, scene, reference)))
