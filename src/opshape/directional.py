@@ -411,10 +411,6 @@ class OpsSummary:
         object.__setattr__(self, "extrinsic_mean", _freeze(self.extrinsic_mean))
         object.__setattr__(self, "covariance", _freeze(self.covariance))
 
-    @property
-    def reject(self) -> bool:
-        return self.reject_ci
-
 
 def coplanarity_test(
     sample: DirectionSample, alpha: float = 0.05, df: Optional[int] = None

@@ -45,6 +45,10 @@ POINT_RTOL = 1e-12
 UNIT_ATOL = 1e-12
 
 _VANISHED = "point maps to zero, or overflows, under the frame chart"
+# chart_coordinates takes the norm of an image as it is when its largest
+# component lies between these
+_SCALE_LOW = 2.0 ** -400
+_SCALE_HIGH = 2.0 ** 400
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -334,7 +338,10 @@ def chart_coordinates(matrix, points) -> Tuple[np.ndarray, np.ndarray]:
         (units, vanished): units is (n, q, d); vanished (n, q) marks images
         with ||H x~|| <= POINT_RTOL * ||H||_F * ||x~|| (the singular locus)
         or with a norm that is not finite (an image that overflows float64),
-        whose rows of units are left unnormalised.
+        whose rows of units are left unnormalised. Any other image whose
+        largest component lies outside [2^-400, 2^400] is scaled by a
+        power of two before it is normalised, so that its squares neither
+        underflow nor overflow.
 
     Each row is bit for bit what H @ x~ and np.linalg.norm give on that
     point alone: a stacked matmul of a matrix by a column runs the same
@@ -347,6 +354,14 @@ def chart_coordinates(matrix, points) -> Tuple[np.ndarray, np.ndarray]:
     norm = _norms(y)
     floor = POINT_RTOL * _norms(h.reshape(h.shape[0], 1, -1)) * _norms(x)
     vanished = (norm <= floor) | ~np.isfinite(norm)
+    # far from 1 in scale, an image's squares fall below the smallest normal
+    # double, losing bits, or overflow; a power of two rescales it exactly
+    largest = np.max(np.abs(y), axis=-1)
+    rescale = ~vanished & ((largest < _SCALE_LOW) | (largest > _SCALE_HIGH))
+    if rescale.any():
+        _, exponent = np.frexp(largest[rescale])
+        y[rescale] = np.ldexp(y[rescale], -exponent[:, None])
+        norm[rescale] = _norms(y[rescale])
     return y / np.where(vanished, 1.0, norm)[..., None], vanished
 
 

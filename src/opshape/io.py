@@ -17,9 +17,11 @@ on that pass, goes through the csv.reader row loop, which raises each
 ParseError or SchemaError with its message and line number.
 
 json_text writes the bytes json.dumps(indent=2, ensure_ascii=True) would,
-for values that may hold numpy arrays and RowTable leaves: a table of rows
-of one layout, such as the report's leave-one-out table and reduction
-steps, written by one % of a cached template; see its docstring.
+for values that may hold numpy arrays and RowTables (rows of one layout,
+such as the report's leave-one-out table and reduction steps), by one path:
+one walk of the value gives its leaves and the spec of its template, one
+compiler turns the spec into a %-template, and one % fills it. See its
+docstring.
 write_table writes a CSV from its columns by one % per table, each float
 at 17 significant digits (%.17g), enough to read back as the same double.
 """
@@ -347,30 +349,6 @@ def write_table(path, header: Sequence[str], line: str, columns: Sequence[Sequen
         fh.write(",".join(header) + "\r\n" + body)
 
 
-@functools.lru_cache(maxsize=256)
-def _array_template(shape: Tuple[int, ...], level: int) -> str:
-    """%-template of an array of this shape, indented at level as json.dumps(indent=2) would."""
-    if not shape:
-        return "%r"
-    return _bracketed("[", [_array_template(shape[1:], level + 1)] * shape[0], level)
-
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return "null" if "n" in text else text  # only 'nan', 'inf' and '-inf' hold an n
-
-
-_JSON_BOOLS = {True: "true", False: "false"}
-# the JSON text of a scalar of exactly this type
-_SCALARS = {
-    str: encode_basestring_ascii,
-    float: _float_text,
-    int: int.__repr__,
-    bool: _JSON_BOOLS.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
 class RowTable:
     """Rows of one layout, which json_text writes as a JSON list of objects.
 
@@ -387,76 +365,140 @@ class RowTable:
         self.rows = rows
 
 
-def _leaf_spec(column: Sequence, keys, leaves: List[Sequence]):
-    """The template spec of one field of a table, or None.
+# the types json writes as scalars, subclasses included (bool is an int)
+_SCALAR_TYPES = (str, int, float, type(None))
 
-    column holds the field's value in every row; keys is None for a value,
-    or the layout of a nested tuple. The field's leaves are appended to
-    leaves as columns, one value per row, in the order its template takes
-    them. The spec is "%s" for a text the leaf already is (an id through
-    encode_basestring_ascii, a bool as true or false), "%r" for an int or
-    a finite float, ("array", shape) for a numeric array, ("[", specs) for
-    a tuple or list and ("{", ((key, spec), ...)) for a nested tuple with
-    keys. None when the column mixes types, shapes or lengths, or holds a
-    non-finite float or a value of any other type: the table then takes
-    the element walk.
+
+def _scalar_text(value) -> str:
+    """The JSON text of a scalar: a float by float.__repr__, or null when
+    it is not finite, and an int by int.__repr__, as json writes them."""
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    text = float.__repr__(value)
+    return "null" if "n" in text else text  # only 'nan', 'inf' and '-inf' hold an n
+
+
+def _spec(column: Sequence, keys, level: int, leaves: List[Tuple[list, int]]):
+    """The template spec of column's values, one per row of a table of one
+    layout (a document is a table of one row), written at level.
+
+    keys is None, or the layout of tuples written as objects (see RowTable).
+    Their leaves go to leaves as (values, width) pairs: width values per
+    row, rows one after another, in template order. A spec is "%r" or "%s"
+    for a scalar (_scalars), ("{", ((key text, spec), ...)) for an object
+    and ("*", (spec, count)) for a list, numeric array or RowTable of count
+    items of one spec. Values that share no layout (type, length, keys,
+    shape or row count) are each a "%s" leaf of their own text.
     """
     kinds = set(map(type, column))
-    if all(issubclass(kind, (tuple, list)) for kind in kinds):
-        lengths = set(map(len, column))
-        if len(lengths) != 1 or (keys is not None and lengths != {len(keys)}):
-            return None
-        specs = []
-        for key, values in zip(keys or (None,) * lengths.pop(), zip(*column)):
-            name, inner = key if isinstance(key, tuple) else (key, None)
-            spec = _leaf_spec(values, inner, leaves)
-            if spec is None:
-                return None
-            specs.append(spec if keys is None else (name, spec))
-        return ("[" if keys is None else "{", tuple(specs))
-    if keys is not None or len(kinds) != 1:
-        return None
-    (kind,) = kinds
-    if kind is str:
-        leaves.append(list(map(encode_basestring_ascii, column)))
-        return "%s"
-    if kind is bool:
-        leaves.append(list(map(_JSON_BOOLS.__getitem__, column)))
-        return "%s"
-    if kind is int:
-        leaves.append(column)
-        return "%r"
-    if kind is float:
-        # a NaN or an infinity makes the sum non-finite; so does a sum past
-        # the largest double, which only costs the element walk
-        if not math.isfinite(sum(column)):
-            return None
-        leaves.append(column)
-        return "%r"
-    if kind is np.ndarray and len({(a.shape, a.dtype) for a in column}) == 1:
+    first = column[0]
+    if len(kinds) > 1 and not all(issubclass(kind, _SCALAR_TYPES) for kind in kinds):
+        pass  # only scalars share a template across types
+    elif keys is not None:
+        if isinstance(first, (list, tuple)) and set(map(len, column)) == {len(keys)}:
+            return _object(keys, column, level, leaves)
+    elif isinstance(first, _SCALAR_TYPES):
+        return _scalars(column, kinds, 1, leaves)
+    elif isinstance(first, np.ndarray) and len({(a.shape, a.dtype) for a in column}) == 1:
+        if first.dtype.kind not in "fiu":
+            return _spec([a.tolist() for a in column], None, level, leaves)
         stack = np.array(column)  # one shape and dtype: their stack, as np.stack would give
-        if stack.dtype.kind in "iu" or (stack.dtype.kind == "f" and np.isfinite(stack).all()):
-            leaves.extend(stack.reshape(len(column), -1).T.tolist())
-            return ("array", stack.shape[1:])
-    return None
+        kinds = {float} if stack.dtype.kind == "f" else {int}  # what tolist gives
+        spec = _scalars(stack.ravel().tolist(), kinds, first.size, leaves)
+        for count in reversed(first.shape):
+            spec = ("*", (spec, count))
+        return spec
+    elif isinstance(first, RowTable) and len({(t.keys, len(t.rows)) for t in column}) == 1:
+        rows = [row for table in column for row in table.rows]
+        return _repeat(rows, first.keys, len(first.rows), level, leaves)
+    elif isinstance(first, dict) and len(set(map(tuple, column))) == 1:
+        names = tuple((name, None) for name in first)  # a tuple key is no layout
+        return _object(names, [tuple(d.values()) for d in column], level, leaves)
+    elif isinstance(first, (list, tuple)) and len(set(map(len, column))) == 1:
+        return _repeat(list(itertools.chain.from_iterable(column)), None, len(first), level, leaves)
+    if len(column) == 1:
+        raise TypeError(
+            f"cannot write {type(first).__name__} as JSON"
+            + ("" if keys is None else f" laid out by {len(keys)} keys")
+        )
+    leaves.append(([_text(value, keys, level) for value in column], 1))
+    return "%s"
 
 
-@functools.lru_cache(maxsize=256)
-def _spec_template(spec, level: int) -> str:
-    """%-template of a value of this spec (_leaf_spec), indented at level."""
+def _scalars(values: Sequence, kinds, width: int, leaves) -> str:
+    """_spec of scalars of these types, width of them per row.
+
+    The repr of an int or of a finite float is its JSON text, so those go
+    in by %r; any other scalar goes in as the text _scalar_text gives it.
+    """
+    # a NaN or an infinity makes the sum non-finite; so does a sum past the
+    # largest double, which only costs the texts
+    if kinds == {int} or (kinds == {float} and math.isfinite(sum(values))):
+        spec = "%r"
+    else:
+        spec = "%s"
+        values = list(map(encode_basestring_ascii if kinds == {str} else _scalar_text, values))
+    if values:
+        leaves.append((values, width))
+    return spec
+
+
+def _object(keys, column: Sequence, level: int, leaves):
+    """_spec of a column of tuples laid out by keys (see RowTable)."""
+    fields = []
+    for key, values in zip(keys, zip(*column)):
+        name, inner = key if isinstance(key, tuple) else (key, None)
+        # a key may hold a %, which the template must escape
+        text = encode_basestring_ascii(name).replace("%", "%%")
+        fields.append((text, _spec(values, inner, level + 1, leaves)))
+    return ("{", tuple(fields))
+
+
+def _repeat(items: Sequence, keys, count: int, level: int, leaves):
+    """_spec of a column of lists of count items each; items holds the
+    items of all of them in order, and keys their layout, if any.
+
+    The items' leaves are interleaved into one leaf of count items per
+    list: each item's values in template order, one item after another.
+    """
+    if not count:
+        return "[]"
+    mark = len(leaves)
+    spec = _spec(items, keys, level + 1, leaves)
+    parts = leaves[mark:]
+    if len(parts) == 1:
+        leaves[mark] = (parts[0][0], count * parts[0][1])
+    elif parts:
+        # each part cut into columns of one value per item, so that zip
+        # gives each item's values in template order
+        columns = [values[j::width] for values, width in parts for j in range(width)]
+        values = list(itertools.chain.from_iterable(zip(*columns)))
+        leaves[mark:] = [(values, count * len(columns))]
+    return ("*", (spec, count))
+
+
+def _template(spec, level: int) -> str:
+    """%-template of a value of this spec (_spec), indented at level."""
     if isinstance(spec, str):
         return spec
     tag, items = spec
-    if tag == "array":
-        return _array_template(items, level)
-    if tag == "[":
-        parts = [_spec_template(item, level + 1) for item in items]
-    else:  # a key may hold a %, which the template must escape
-        parts = [
-            encode_basestring_ascii(key).replace("%", "%%") + ": " + _spec_template(item, level + 1)
-            for key, item in items
-        ]
-    return _bracketed(tag, parts, level)
+    if tag == "*":
+        return _repeated(items, level)
+    return _bracketed("{", [key + ": " + _template(item, level + 1) for key, item in items], level)
+
+
+@functools.lru_cache(maxsize=256)
+def _repeated(items: Tuple, level: int) -> str:
+    """%-template of a list of count items of one spec, indented at level;
+    cached, as arrays and tables repeat theirs from call to call."""
+    item, count = items
+    return _bracketed("[", [_template(item, level + 1)] * count, level)
 
 
 def _bracketed(tag: str, parts: List[str], level: int) -> str:
@@ -468,125 +510,28 @@ def _bracketed(tag: str, parts: List[str], level: int) -> str:
     return tag + pad + ("," + pad).join(parts) + "\n" + "  " * level + close
 
 
-@functools.lru_cache(maxsize=64)
-def _table_template(row_spec, level: int, rows: int) -> str:
-    """%-template of a table of this many rows of row_spec, indented at level."""
-    return _bracketed("[", [_spec_template(row_spec, level + 1)] * rows, level)
-
-
-def _table_text(table: RowTable, level: int) -> Optional[str]:
-    """The JSON text of table at level by one % of its cached template, or
-    None when _leaf_spec finds a value the template cannot write."""
-    if not table.rows:
-        return "[]"
-    leaves: List[Sequence] = []
-    row_spec = _leaf_spec(table.rows, table.keys, leaves)
-    if row_spec is None:
-        return None
-    values = tuple(itertools.chain.from_iterable(zip(*leaves)))
-    return _table_template(row_spec, level, len(table.rows)) % values
-
-
-def _row_dict(keys, row) -> Dict:
-    """One row of a RowTable as the dict it stands for."""
-    item = {}
-    for key, value in zip(keys, row, strict=True):
-        if isinstance(key, tuple):
-            key, value = key[0], _row_dict(key[1], value)
-        item[key] = value
-    return item
-
-
-def _json_parts(value, level: int, out: List[str]) -> None:
-    """Append the JSON text of value to out, as json.dumps(indent=2) writes it."""
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        out.append(scalar(value))
-        return
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind in "fiu":
-            # the repr of a Python float or int is its JSON text, unless it
-            # is 'nan', 'inf' or '-inf', the only ones with an n
-            text = _array_template(value.shape, level) % tuple(value.ravel().tolist())
-            if "n" not in text:
-                out.append(text)
-                return
-        _json_parts(value.tolist(), level, out)
-        return
-    if isinstance(value, RowTable):
-        text = _table_text(value, level)
-        if text is None:
-            _json_parts([_row_dict(value.keys, row) for row in value.rows], level, out)
-        else:
-            out.append(text)
-        return
-    if isinstance(value, dict):
-        heads, items, close = _item_heads(tuple(value), level), value.values(), "}"
-    elif isinstance(value, (list, tuple)):
-        heads, items, close = _item_heads(len(value), level), value, "]"
-    elif isinstance(value, int):  # subclasses, as json writes them
-        out.append(int.__repr__(value))
-        return
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-        return
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-        return
-    else:
-        raise TypeError(f"cannot write {type(value).__name__} as JSON")
-    if not heads:
-        out.append("{}" if close == "}" else "[]")
-        return
-    for head, item in zip(heads, items):
-        scalar = _SCALARS.get(type(item))
-        if scalar is None:
-            out.append(head)
-            _json_parts(item, level + 1, out)
-        else:
-            out.append(head + scalar(item))
-    out.append("\n" + "  " * level + close)
-
-
-@functools.lru_cache(maxsize=1024)
-def _item_heads(keys, level: int) -> Tuple[str, ...]:
-    """The text before each item of a container at level: the opening
-    bracket or a comma, the line break and indent, and for a dict the key.
-
-    keys is the dict's keys as a tuple, or the length of a list.
-    """
-    pad = "\n" + "  " * (level + 1)
-    if isinstance(keys, int):
-        return tuple(("," if i else "[") + pad for i in range(keys))
-    return tuple(
-        ("," if i else "{") + pad + encode_basestring_ascii(key) + ": "
-        for i, key in enumerate(keys)
-    )
+def _text(value, keys, level: int) -> str:
+    """The JSON text of value at level: one % of its template."""
+    leaves: List[Tuple[list, int]] = []
+    spec = _spec((value,), keys, level, leaves)
+    return _template(spec, level) % tuple(itertools.chain.from_iterable(v for v, _ in leaves))
 
 
 def json_text(value) -> str:
     """json.dumps(value, indent=2, ensure_ascii=True), with arrays and NaN.
 
     Besides dicts with str keys, lists, tuples, str, int, float, bool and
-    None, value may hold numpy arrays, written as nested lists. Floats are
-    written by float.__repr__, the shortest string that reads back as the
-    same double, as json writes them; a non-finite float, which JSON
-    cannot hold, is written as null. A float or integer array is formatted
-    by one cached %r template per shape and indentation, without building
-    nested lists or running json's pure-Python indenting encoder; one that
-    holds a non-finite value is written element by element.
+    None (subclasses included), value may hold numpy arrays, written as
+    nested lists, and RowTables, written as the lists of objects their rows
+    stand for. Floats are written by float.__repr__, the shortest string
+    that reads back as the same double, as json writes them; a non-finite
+    float, which JSON cannot hold, is written as null.
 
-    A RowTable is written as the list of objects its rows stand for, by one
-    % of one cached template per (layout, indentation, row count): each id
-    goes in through encode_basestring_ascii, each bool as true or false,
-    each float and int by %r and each array by ravel().tolist(), so its
-    rows build no dicts and the walk visits none of their leaves. A table
-    that holds a non-finite float, or any value the template cannot write,
-    is written element by element as its list of dicts.
+    _spec walks the value once, a RowTable column by column and an array
+    by ravel().tolist(), and _template compiles its template, whose lists
+    of one spec (arrays, tables) are cached by layout, length and level.
     """
-    out: List[str] = []
-    _json_parts(value, 0, out)
-    return "".join(out)
+    return _text(value, None, 0)
 
 
 def write_json(path, value) -> None:

@@ -3,11 +3,11 @@
 Reports are deterministic: no timestamps, provenance keyed by the sha256 of
 the input bytes. Every JSON output (report.json, reduction.json, the vw and
 mc files) goes through io.json_text, which writes the text
-json.dumps(indent=2) would: each float by float.__repr__, the shortest
-string that reads back as the same double, a non-finite one as null, each
-float64 array of the report straight from the array, one %-template per
-shape, and the leave-one-out table and the reduction steps as io.RowTable
-rows, one %-template per table. Identical input and configuration yield
+json.dumps(indent=2) would, by one % of one template: each float by
+float.__repr__, the shortest string that reads back as the same double, a
+non-finite one as null, each float64 array of the report straight from the
+array, and the leave-one-out table and the reduction steps as io.RowTable
+rows, column by column. Identical input and configuration yield
 byte-identical report.json.
 """
 
@@ -238,8 +238,8 @@ def report_fields(report: AnalysisReport) -> Dict:
     leave-one-out table (the LeaveOneOutRow tuples themselves) and the
     reduction steps (removed id, endpoint and the summary's fields, arrays
     included, as one tuple per step) are handed over as io.RowTable, rows
-    of one layout that json_text writes by one cached template per table,
-    as the lists of objects they stand for.
+    of one layout that json_text writes column by column, as the lists of
+    objects they stand for.
     """
     cfg = report.config
     trace = report.trace

@@ -167,6 +167,3 @@ class SplitMix64:
         out = normal_rows([self.seed], n, self.counter)[0]
         self.counter += 2 * ((n + 1) // 2)
         return out
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])

@@ -612,12 +612,17 @@ TABLE_IDS = st.text(
     | st.characters(blacklist_categories=("Cs",)),
     max_size=6,
 )
-# finite floats whose sums over a table stay finite, so the template path
-# writes every table drawn from them
+# finite floats whose sums over a table stay finite
 FINITE_TABLE_FLOATS = st.floats(-1e300, 1e300) | st.sampled_from(
     [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1e16]
 )
-TABLE_FLOATS = st.sampled_from([FINITE_TABLE_FLOATS, FINITE_TABLE_FLOATS | JSON_FLOATS])
+# the floats of one table: all finite, some not, or np.float64, a float
+# subclass whose repr is not its JSON text
+TABLE_FLOATS = st.sampled_from([
+    FINITE_TABLE_FLOATS,
+    FINITE_TABLE_FLOATS | JSON_FLOATS,
+    (FINITE_TABLE_FLOATS | JSON_FLOATS).map(np.float64),
+])
 
 
 def loo_table(rows):
@@ -657,16 +662,19 @@ def nan_summary():
 def loo_tables(draw):
     floats = draw(TABLE_FLOATS)
     row = st.tuples(TABLE_IDS, floats, floats, floats, floats, st.booleans(), st.booleans())
-    return (floats is FINITE_TABLE_FLOATS,) + loo_table(draw(st.lists(row, max_size=60)))
+    return loo_table(draw(st.lists(row, max_size=60)))
 
 
 @st.composite
 def reduction_tables(draw):
     floats = draw(TABLE_FLOATS)
+    # the arrays' elements, drawn apart: a NaN or an infinity inside an
+    # array field of a table whose other floats are finite
+    elements = draw(st.sampled_from([FINITE_TABLE_FLOATS, FINITE_TABLE_FLOATS | JSON_FLOATS]))
     q, d = draw(st.sampled_from([1, 3])), 3
 
     def array(*shape):
-        return draw(hnp.arrays(np.float64, shape, elements=floats))
+        return draw(hnp.arrays(np.float64, shape, elements=elements))
 
     steps = []
     for _ in range(draw(st.integers(0, 5))):
@@ -680,32 +688,77 @@ def reduction_tables(draw):
             reject_ci=draw(st.booleans()), reject_chisq=draw(st.booleans()),
         )
         steps.append(ReductionStep(draw(TABLE_IDS), summary, draw(floats)))
-    return (floats is FINITE_TABLE_FLOATS,) + steps_table(steps)
+    return steps_table(steps)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(loo_tables() | reduction_tables(), st.lists(st.sampled_from(["list", "dict"]), max_size=3))
 @example(
-    (False,) + loo_table([('a"%s', math.nan, -0.0, math.inf, 5e-324, False, True),
-                          ("\\,\x01\u00e9%", 0.5, -math.inf, 1.0, -0.0, True, False)]),
+    loo_table([('a"%s', math.nan, -0.0, math.inf, 5e-324, False, True),
+               ("\\,\x01\u00e9%", 0.5, -math.inf, 1.0, -0.0, True, False)]),
     ["dict"],
 )
-@example((True,) + loo_table([("%d%%", 0.25, 5e-324, -0.0, 1e300, True, False)] * 3), ["list"])
-@example((True,) + loo_table([]), ["dict", "list"])
-@example((False,) + steps_table([ReductionStep("s%s", nan_summary(), 0.5)]), ["dict"])
+@example(loo_table([("%d%%", 0.25, 5e-324, -0.0, 1e300, True, False)] * 3), ["list"])
+@example(loo_table([]), ["dict", "list"])
+@example(loo_table([("f", np.float64(0.5), np.float64(math.nan), 1.0, -0.0, True, False)] * 2), [])
+@example(steps_table([ReductionStep("s%s", nan_summary(), 0.5)]), ["dict"])
+@example(  # columns whose values differ in type, length or shape, each written on its own
+    (oio.RowTable(("a", "b"), [(None, [1]), (1.5, [1, 2.5]), ("x", np.zeros(2)), (2, np.eye(2))]),
+     [{"a": None, "b": [1]}, {"a": 1.5, "b": [1, 2.5]}, {"a": "x", "b": np.zeros(2)},
+      {"a": 2, "b": np.eye(2)}]),
+    ["dict"],
+)
 @example(  # keys that hold a %, and lists of arrays and tuples inside a row
-    (True, oio.RowTable(("%s", ("x%d", ("%",))), [("a", ((np.eye(2), (3, 4.5)),))] * 2),
+    (oio.RowTable(("%s", ("x%d", ("%",))), [("a", ((np.eye(2), (3, 4.5)),))] * 2),
      [{"%s": "a", "x%d": {"%": [np.eye(2), [3, 4.5]]}}] * 2),
     ["list", "dict"],
 )
 def test_row_tables_equal_json_dumps_of_their_rows(drawn, wrappers):
-    finite, table, native = drawn
+    table, native = drawn
     value = table
     for wrapper in wrappers:
         value, native = ([value], [native]) if wrapper == "list" else ({"t%s": value}, {"t%s": native})
     assert json_text(value) == json.dumps(json_native(native), indent=2, ensure_ascii=True)
-    if finite:  # the template wrote it, not the element walk
-        assert oio._table_text(table, 0) is not None
+
+
+def report_objects(report):
+    """report.json as the dicts and lists it stands for, written out
+    independently of report_fields."""
+
+    def summary(s):
+        return {key: getattr(s, key) for key in SUMMARY_KEYS}
+
+    def vw(v):
+        return {"n": v.n, "mean_matrix": v.mean_matrix, "top_eigenvalue": v.top_eigenvalue,
+                "top_axis": v.top_axis, "eigengap": v.eigengap,
+                "total_variance": v.total_variance, "focal": v.focal}
+
+    cfg, trace = report.config, report.trace
+    return {
+        "format": "opshape-report",
+        "provenance": report.provenance,
+        "config": {"frame_labels": cfg.frame_labels, "remaining_labels": cfg.remaining_labels,
+                   "alpha": cfg.alpha, "alpha_ref": cfg.alpha_ref, "df": cfg.df,
+                   "max_removals": cfg.max_removals, "skip_degenerate": cfg.skip_degenerate},
+        "scene_ids": report.sample.scene_ids,
+        "directions": report.sample.units,
+        "axes": report.axes,
+        "full": summary(report.full),
+        "vw_full": [vw(v) for v in report.vw_full],
+        "leave_one_out": loo_table(report.loo)[1],
+        "reduction": None if trace is None else {
+            "alpha_ref": trace.alpha_ref, "stopped_reason": trace.stopped_reason,
+            "initial_scene_ids": trace.initial_scene_ids,
+            "final_scene_ids": trace.final_scene_ids,
+            "steps": [
+                {"removed_scene_id": s.removed_scene_id, "ci_lower": s.ci_lower,
+                 "summary": summary(s.summary)}
+                for s in trace.steps
+            ],
+        },
+        "reduced": None if report.reduced is None else summary(report.reduced),
+        "vw_reduced": None if report.vw_reduced is None else [vw(v) for v in report.vw_reduced],
+    }
 
 
 def test_report_with_a_focal_row_equals_json_dumps_of_its_objects(tmp_path):
@@ -728,43 +781,23 @@ def test_report_with_a_focal_row_equals_json_dumps_of_its_objects(tmp_path):
     assert [row.focal for row in report.loo] == [False] * 4 + [True]
     assert math.isnan(report.loo[4].total_variance)
 
-    def summary(s):
-        return {key: getattr(s, key) for key in SUMMARY_KEYS}
-
-    def vw(v):
-        return {"n": v.n, "mean_matrix": v.mean_matrix, "top_eigenvalue": v.top_eigenvalue,
-                "top_axis": v.top_axis, "eigengap": v.eigengap,
-                "total_variance": v.total_variance, "focal": v.focal}
-
-    cfg, trace = report.config, report.trace
-    expected = {
-        "format": "opshape-report",
-        "provenance": report.provenance,
-        "config": {"frame_labels": cfg.frame_labels, "remaining_labels": cfg.remaining_labels,
-                   "alpha": cfg.alpha, "alpha_ref": cfg.alpha_ref, "df": cfg.df,
-                   "max_removals": cfg.max_removals, "skip_degenerate": cfg.skip_degenerate},
-        "scene_ids": report.sample.scene_ids,
-        "directions": report.sample.units,
-        "axes": report.axes,
-        "full": summary(report.full),
-        "vw_full": [vw(v) for v in report.vw_full],
-        "leave_one_out": loo_table(report.loo)[1],
-        "reduction": {
-            "alpha_ref": trace.alpha_ref, "stopped_reason": trace.stopped_reason,
-            "initial_scene_ids": trace.initial_scene_ids,
-            "final_scene_ids": trace.final_scene_ids,
-            "steps": [
-                {"removed_scene_id": s.removed_scene_id, "ci_lower": s.ci_lower,
-                 "summary": summary(s.summary)}
-                for s in trace.steps
-            ],
-        },
-        "reduced": summary(report.reduced),
-        "vw_reduced": [vw(v) for v in report.vw_reduced],
-    }
+    expected = report_objects(report)
     text = json.dumps(json_native(expected), indent=2, ensure_ascii=True) + "\n"
     assert (tmp_path / "out" / "report.json").read_text(encoding="utf-8") == text
     assert '"focal": true' in text and '"total_variance": null' in text
+
+
+def test_report_with_float64_levels_equals_json_dumps_of_its_objects(tmp_path):
+    """Levels given through the Python API as np.float64, a float subclass
+    whose repr is not its JSON text, are written as json writes them."""
+    path = tmp_path / "study.csv"
+    write_landmarks(path, synthesize_views(k=5, cameras=16, seed=4, delta=0.02, noise=0.002))
+    config = pipeline.StudyConfig(path, alpha=np.float64(0.05), alpha_ref=np.float64(0.1))
+    report = pipeline.run_analysis(config)
+    assert type(report.config.alpha) is np.float64 and report.trace is not None
+    expected = json.dumps(json_native(report_objects(report)), indent=2, ensure_ascii=True)
+    assert json_text(pipeline.report_fields(report)) == expected
+    assert '"alpha": 0.05' in expected and '"alpha_ref": 0.1' in expected
 
 
 # ---- the CSV views: %-templates against the csv.writer row loop ----------------------

@@ -272,6 +272,46 @@ def test_skip_degenerate_drops_and_lists_scene(tmp_path):
     assert "bad" not in rep.sample.scene_ids
 
 
+def far_unit_point_study(x):
+    """synthesize_views(k=5, cameras=6, seed=0) with the x of scene "1"'s
+    landmark 3, the unit point of the default frame, set to x: the scene's
+    image under its chart scales as 1/|x|."""
+    scenes = list(synthesize_views(k=5, cameras=6, seed=0))
+    points = scenes[0].points.copy()
+    points[2, 0] = x
+    scenes[0] = LandmarkScene(scenes[0].scene_id, points)
+    return scenes
+
+
+@pytest.mark.parametrize("x", [-1e155, -1e158, -1e160])
+def test_image_underflow_registers_and_runs(tmp_path, x):
+    # images near 1e-160, whose squares fall below the smallest normal
+    # double, are scaled by a power of two before they are normalised
+    scenes = far_unit_point_study(x)
+    spec = FrameSpec((1, 2, 4, 3), (5,))
+    sample, skipped, _ = register_scenes(scenes, spec)
+    assert skipped == [] and sample.scene_ids[0] == "1"
+    assert np.max(np.abs(np.linalg.norm(sample.units, axis=-1) - 1.0)) < 1e-15
+    # the other scenes keep every bit
+    assert np.array_equal(sample.units[1:], register_scenes(scenes[1:], spec)[0].units)
+
+    path = tmp_path / "far.csv"
+    write_landmarks(path, scenes)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert main(["vw", str(path), "--out", str(tmp_path / "vw.json")]) == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "vw"])
+def test_image_that_vanishes_exits_3(tmp_path, capsys, command):
+    path = tmp_path / "far.csv"
+    write_landmarks(path, far_unit_point_study(-1e162))
+    out = tmp_path / ("vw.json" if command == "vw" else "out")
+    assert main([command, str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: scene '1': point maps to zero, or overflows, under the frame chart\n"
+    )
+
+
 # ---- command line ----
 
 
@@ -625,19 +665,46 @@ def _references(tree):
     return found
 
 
+def _class_members(tree):
+    """(class name, method name) of each method and property a module's classes define."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, member.name
+
+
 def test_no_orphan_public_names():
-    """Every public module-level name of the package is used by the package,
-    a demo or the benchmark; tests do not count, nor does __init__.py, which
-    re-exports nothing."""
+    """Every public module-level name of the package, and every public
+    method and property of its classes, is used by the package, a demo or
+    the benchmark; tests do not count, nor does __init__.py, which
+    re-exports nothing. A method is used when some attribute bears its
+    name, or some string of the benchmark, whose tracer patches methods by
+    name."""
     package = sorted(p for p in (REPO_ROOT / "src" / "opshape").glob("*.py") if p.name != "__init__.py")
-    users = package + sorted((REPO_ROOT / "demos").glob("*.py")) + sorted((REPO_ROOT / "perfbench").glob("*.py"))
+    bench = sorted((REPO_ROOT / "perfbench").glob("*.py"))
+    users = package + sorted((REPO_ROOT / "demos").glob("*.py")) + bench
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in users}
     used = set().union(*(_references(tree) for tree in trees.values()))
+    attributes = {
+        node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    } | {
+        node.value
+        for path in bench
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
     orphans = [
         f"{path.stem}.{name}"
         for path in package
         for name, _ in _module_names(trees[path])
         if not name.startswith("_") and name not in used
+    ]
+    orphans += [
+        f"{path.stem}.{cls}.{name}"
+        for path in package
+        for cls, name in _class_members(trees[path])
+        if not name.startswith("_") and name not in attributes
     ]
     assert orphans == []
 

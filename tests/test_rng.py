@@ -85,9 +85,9 @@ def test_normals_deterministic_and_roughly_standard():
 
 
 def test_normal_scalar_matches_fresh_block_head():
-    # each scalar draw consumes one Box-Muller pair (two words)
+    # a draw of one normal consumes one Box-Muller pair (two words)
     gen = SplitMix64(5)
-    first = gen.normal()
+    first = gen.normals(1)[0]
     assert first == SplitMix64(5).normals(1)[0]
     assert gen.counter == 2
 
