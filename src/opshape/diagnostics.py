@@ -5,16 +5,19 @@ highest lower confidence endpoint for the dispersion index, recording one
 step per removal, and stops as soon as the current endpoint is no longer
 strictly positive (the dispersion test would no longer reject), at the
 removal cap, or at three scenes. Ties are broken by scene id, numerically
-when ids are digit strings, so the outcome does not depend on input row
-order.
+when ids are digit strings. A tie is one of computed endpoints: deleting
+either of two identical scenes leaves the same scenes in another order,
+whose sums may round apart, so which of the two goes first can depend on
+the input row order.
 
 Each step scores all n deletions at once with a closed-form kernel: deleting
 one row changes the mean and the scatter matrix by a rank-one update, so the
 post-deletion endpoints cost one O(n (qd)^2) numpy pass instead of n full
-tests. The kernel only ranks. The deletions whose endpoint could, within the
-kernel's error bound, still be the largest form the step's window, typically
-one deletion: their reduced samples are stacked and scored exactly by one
-stacked_moments pass, and the argmax and tie-break are taken over those
+tests, its constant factors folded into scalars. The kernel only ranks. The
+deletions whose endpoint could, within the kernel's error bound, still be
+the largest form the step's window, typically one deletion: their reduced
+samples are stacked scenes-major, (n - 1, rows, q, d), and scored exactly by
+one stacked_moments pass, and the argmax and tie-break are taken over those
 exact endpoints, so the reported steps are those of an exhaustive search.
 Only the winner gets a full summary, built by units_summary (the function
 coplanarity_test wraps) from its row of the pass and its covariance, which
@@ -57,21 +60,31 @@ STOP_NO_IMPROVEMENT = "no_improvement"
 # three scenes remain while max_removals would allow more removals
 STOP_MIN_SCENES = "min_scenes_reached"
 
-# Error model of the deletion kernel. Its endpoint for deleting row i and
-# coplanarity_test's endpoint for the same deletion are two roundings of one
-# number; they differ by at most
-#   err_i = 2q * rho_i + z * (dse_i + SE_CLAMP_RTOL * (1 + tS_i)),
+# Error model of the deletion kernel. Its endpoint for deleting row i is
+# tS_i - z se_i with tS_i = 2q - 2 sum_f ||m_-i,f||, not clamped at 0, and z se_i
+# the raw SE times z, zeroed at or below z * SE_CLAMP_RTOL * (1 + tS_i). It and
+# coplanarity_test's endpoint for the same deletion differ by at most
+#   err_i = 2q (1 + z SE_CLAMP_RTOL) rho_i + z dse_i + z SE_CLAMP_RTOL (1 + tS_i),
 # where rho_i = (KERNEL_RTOL + n * eps) / min_f ||m_-i,f|| bounds the relative
-# error of the block means, the gradient and the quadratic form (n * eps is the
-# worst-case summation error, the 1/r term the normalisation of a short mean),
-# e_i = rho_i * 4q * (n tr C + n ||D_i||^2 / (n-1)) / (n-1)^2 the error of se^2
-# (the bracket bounds the magnitudes the quadratic form is summed from), and
-# dse_i = 2 e_i / (se_i + sqrt(e_i)) >= |se_i - se_i'| whenever
-# |se_i^2 - se_i'^2| <= e_i. Over 9,000 random samples (q = 1 and 3, n = 4..40)
-# the kernel-vs-direct distance was at most 1.6e-3 of err_i, reached where a
-# deletion leaves zero projected variance, and about 1e-6 of it elsewhere (the
-# property test asserts 1/100), so the exact argmax always lies inside the
-# window that greedy_reduce re-evaluates.
+# error of the block means, their directions and the quadratic form (n * eps is
+# the worst-case summation error, the 1/r term the normalisation of a short
+# mean). Each tS is within q rho_i of the true value, which is at least 0 up to
+# the unit-norm tolerance, far below rho_i; so 2q rho_i also covers the direct
+# tS's clamp at 0, and the kernel need not apply it.
+# e_i = rho_i * 4q * (n tr C + n ||D_i||^2 / (n-1)) / (n-1)^2 bounds the error of
+# se^2 (the bracket bounds the magnitudes the quadratic form is summed from),
+# and dse_i = 2 e_i / (se_i + sqrt(e_i)) >= |se_i - se_i'| whenever
+# |se_i^2 - se_i'^2| <= e_i; the kernel forms z^2 e_i as one product, with
+# n tr C = sum_j ||D_j||^2. Where one side clamps its SE and the other does not,
+# the clamped side's raw SE is at most SE_CLAMP_RTOL (1 + tS), its tS at most
+# tS_i + 2q rho_i: the last term and the SE_CLAMP_RTOL part of the first. The
+# kernel does apply the SE clamp: without it the distance reaches
+# z * SE_CLAMP_RTOL, up to 1.3% of err_i at alpha = 0.01. Over 9,000 random
+# samples (q = 1 and 3, n = 4..40) the kernel-vs-direct distance was at most
+# 1.6e-3 of err_i, reached where a deletion leaves zero projected variance, and
+# at most 4e-6 of it on samples without repeated rows (the property test
+# asserts 1/100), so the exact argmax always lies inside the window that
+# greedy_reduce re-evaluates.
 KERNEL_RTOL = 1e-10
 # a block mean this close to FOCAL_TOL may fall on either side of it in the
 # direct recomputation; such deletions are always re-evaluated
@@ -98,29 +111,28 @@ class LeaveOneOutRow(NamedTuple):
     focal: bool
 
 
-# doubles in one (rows, n - 1, q, d) deletion stack of leave_one_out
+# doubles in one (n - 1, rows, q, d) deletion stack of leave_one_out
 _LOO_SLICE_DOUBLES = 1 << 14
 
 
 def _deletion_moments(units: np.ndarray, rows: np.ndarray):
     """The samples units (n, q, d) without each of rows, and their moments.
 
-    Returns (stack, mean, resultant, ts, se, focal): stack has shape
-    (len(rows), n - 1, q, d), entry r holding units[j + (j >= rows[r])] for
-    j < n - 1, one C-contiguous array laid out as r samples of their own, and
-    the rest is stacked_moments(stack), each entry bit-identical to the
-    same sample computed alone. Each entry is two slice copies of flat
-    views, the rows before and after the deleted one: numpy makes those
-    faster than an index gather or copies of (rows, q, d) blocks.
+    Returns (stack, mean, resultant, ts, se, focal): stack is the
+    scenes-major (n - 1, len(rows), q, d) stack that stacked_moments takes,
+    one C-contiguous array whose column stack[:, r] holds
+    units[j + (j >= rows[r])] for j < n - 1, and the rest is
+    stacked_moments(stack), each entry bit-identical to the same sample
+    computed alone. Each column is two slice copies, the rows before and
+    after the deleted one: numpy makes those faster than an index gather.
     """
     n = units.shape[0]
-    k = units[0].size
-    flat = units.reshape(-1)
-    stack = np.empty((len(rows), (n - 1) * k))
-    for entry, i in zip(stack, rows.tolist()):
-        entry[: i * k] = flat[: i * k]
-        entry[i * k :] = flat[(i + 1) * k :]
-    stack = stack.reshape((len(rows), n - 1) + units.shape[1:])
+    flat = units.reshape(n, -1)
+    stack = np.empty((n - 1, len(rows), flat.shape[1]))
+    for r, i in enumerate(rows.tolist()):
+        stack[:i, r] = flat[:i]
+        stack[i:, r] = flat[i + 1 :]
+    stack = stack.reshape((n - 1, len(rows)) + units.shape[1:])
     return (stack,) + stacked_moments(stack)
 
 
@@ -130,8 +142,8 @@ def leave_one_out(
     """Single-deletion dispersion table, one row per scene in sample order.
 
     One stacked exact pass: for a slice of deleted rows i at a time, the
-    reduced samples are stacked by _deletion_moments into one
-    (rows, n - 1, q, d) array of at most about 2^14 doubles, and their tS and
+    reduced samples are stacked by _deletion_moments into one scenes-major
+    (n - 1, rows, q, d) array of at most about 2^14 doubles, and their tS and
     SE come from stacked_moments, ci_lower from confidence_interval, and z
     and the degenerate flag from z_values, all in array steps. Each row is
     bit-identical to coplanarity_test on sample.without(i). A deletion that
@@ -172,8 +184,11 @@ def _deletion_endpoints(
     m, centred rows D = U - m and C = D'D / n, deleting row i leaves the mean
     m_-i = m - D_i / (n-1) and the quadratic form
     g_i' S_-i g_i = [n g_i'C g_i - n/(n-1) (D_i . g_i)^2] / (n-1), a rank-one
-    downdate (Chan, Golub & LeVeque 1983). The endpoint is tS_-i - z se_-i
-    with the same tS rule and SE clamp as coplanarity_test.
+    downdate (Chan, Golub & LeVeque 1983). With g_i = -2 u_i, u_i the unit
+    block directions of m_-i, the endpoint tS_-i - z se_-i is
+    2q - 2 sum_f ||m_-i,f|| - (2 z sqrt(n) / (n-1)) sqrt(u_i'C u_i - (D_i . u_i)^2 / (n-1)),
+    the constant factors folded into scalars. coplanarity_test's SE clamp is
+    applied; its clamp of tS at 0 is not, since the error bound covers it.
 
     Returns:
         (lower, err, cov). lower and err have shape (n,): lower is NaN where
@@ -188,21 +203,24 @@ def _deletion_endpoints(
     dev = flat - mean
     cov = dev.T @ dev / n
     del_means = (mean - dev / (n - 1)).reshape(n, q, d)
-    r = np.sqrt((del_means * del_means).sum(axis=2))
+    r = np.sqrt(np.einsum("iqd,iqd->iq", del_means, del_means))
     rmin = r.min(axis=1)
+    sq = np.einsum("ij,ij->i", dev, dev)  # ||D_i||^2, whose sum is n tr C
+    zrtol = z * SE_CLAMP_RTOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        grad = (-2.0 * del_means / r[:, :, None]).reshape(n, q * d)
-        proj = np.einsum("ij,ij->i", dev, grad)
-        gcg = np.einsum("ij,ij->i", grad @ cov, grad)
-        quad = np.maximum(n * gcg - n / (n - 1) * proj**2, 0.0) / (n - 1)
-        se_raw = np.sqrt(quad / (n - 1))
-        ts, se = _dispersion_and_se(r, se_raw)
+        u = (del_means / r[:, :, None]).reshape(n, q * d)
+        proj = np.einsum("ij,ij->i", dev, u)
+        ucu = np.einsum("ij,ij->i", u @ cov, u)
+        zse = np.sqrt(np.maximum(ucu - proj * proj / (n - 1), 0.0)) * (2.0 * z * n**0.5 / (n - 1))
+        ts = 2.0 * q - 2.0 * r.sum(axis=1)
+        clamp = (ts + 1.0) * zrtol
+        lower = ts - zse * (zse > clamp)
         rho = (KERNEL_RTOL + n * _EPS) / rmin
-        scale = 4.0 * q * (n * cov.trace() + n / (n - 1) * np.einsum("ij,ij->i", dev, dev))
-        e = rho * scale / (n - 1) ** 2
-        dse = np.where(e > 0.0, 2.0 * e / (se_raw + np.sqrt(e)), 0.0)
-        err = 2.0 * q * rho + z * (dse + SE_CLAMP_RTOL * (1.0 + ts))
-    lower = ts - z * se
+        # z^2 e_i, and z dse_i = 2 z^2 e_i / (z se_i + sqrt(z^2 e_i)); a
+        # constant sample has e_i = se_i = 0, and 0/0 there
+        ze = (sq + (n - 1) / n * sq.sum()) * rho * (4.0 * q * n * z * z / (n - 1) ** 3)
+        zdse = np.where(ze > 0.0, 2.0 * ze / (zse + np.sqrt(ze)), 0.0)
+        err = rho * (2.0 * q * (1.0 + zrtol)) + zdse + clamp
     if rmin.min() <= FOCAL_TOL + FOCAL_MARGIN:  # some deletion is focal or nearly so
         lower[rmin < FOCAL_TOL - FOCAL_MARGIN] = np.nan
         # near-focal deletions: finite, so they pass the focal mask, and with
@@ -300,11 +318,11 @@ def greedy_reduce(
         if removals:  # cov is the covariance of the sample the last removal left
             covariances.append(cov)
         # fmax skips the NaN of focal deletions, and a NaN fails the >=
-        window = np.flatnonzero(lower + err >= np.fmax.reduce(lower - err))
+        window = (lower + err >= np.fmax.reduce(lower - err)).nonzero()[0]
         stack, mean, resultant, ts, se, focal = _deletion_moments(units, window)
         exact = ts - z * se  # meaningless on focal rows, which are skipped
         best = None
-        for w in np.flatnonzero(~focal).tolist():
+        for w in (~focal).nonzero()[0].tolist():
             if (
                 best is None
                 or exact[w] > exact[best]
@@ -319,7 +337,7 @@ def greedy_reduce(
             reason = STOP_NO_IMPROVEMENT
             break
 
-        units = stack[best]
+        units = np.ascontiguousarray(stack[:, best])
         current = exact[best]
         removed = survivors.pop(window[best])
         removals.append((removed, (mean[best], resultant[best], ts[best], se[best])))

@@ -8,9 +8,14 @@ Inference uses the delta-method standard error of tS together with a
 chi-square calibration of n * tS.
 
 Every moment comes from one stacked pass, stacked_moments, over R samples
-at once; one sample is its R = 1 row. coplanarity_test's OpsSummary holds
-that row (block means, resultant lengths, extrinsic mean, tS, SE) with the
-covariance and the test statistics, and total_variance is its tS alone.
+at once, laid out scenes-major as (n, R, q, d): scene j of every sample is
+one contiguous row, so the sum over scenes and the centring run one long
+loop per scene rather than a loop of q * d per scene and sample, and still
+add the scenes in order, bit for bit as one sample alone. One (n, q, d)
+sample is the R = 1 stack units[:, None]. coplanarity_test's OpsSummary
+holds that row (block means, resultant lengths, extrinsic mean, tS, SE)
+with the covariance and the test statistics, and total_variance is its tS
+alone.
 
 The normal CDF and quantile are ports of ndtr (with its erf and erfc) and
 ndtri from S. L. Moshier's Cephes Math Library (1989), the code behind
@@ -232,7 +237,7 @@ def total_variance(sample: DirectionSample) -> float:
     push a constant sample's resultant a few ulp past 1. A focal sample
     still has its tS.
     """
-    return float(stacked_moments(sample.units[None])[2][0])
+    return float(stacked_moments(sample.units[:, None])[2][0])
 
 
 def _dispersion_and_se(resultant, se_raw=0.0):
@@ -263,28 +268,33 @@ def _covariance(units: np.ndarray) -> np.ndarray:
 def stacked_moments(units: np.ndarray):
     """Block means, resultant lengths, tS and delta SE of R samples at once.
 
-    units has shape (R, n, q, d), one sample per leading index; R may be 0.
+    units is a scenes-major stack of shape (n, R, q, d): units[:, r] is
+    sample r, and R may be 0. A single (n, q, d) sample is units[:, None].
     Returns (mean (R, q, d), resultant (R, q), ts (R,), se (R,), focal (R,)),
-    each entry bit-identical to the same sample computed alone: the SE is
-    sqrt(g' S_n g / n) with g the stacked per-block gradients
-    -2 u_bar_f / ||u_bar_f||, evaluated as a mean of squared projections,
-    which cannot go negative under rounding (unlike the assembled-matrix
-    form, whose cancellation noise blows up when the resultant is small),
-    then clamped by _dispersion_and_se. focal marks the samples with a block
-    mean shorter than FOCAL_TOL: their extrinsic mean and gradient are
-    undefined, and so is their se (NaN, inf or meaningless); their ts is
-    still 2 * sum_f (1 - ||u_bar_f||).
+    each entry bit-identical to the same sample computed alone. In this
+    layout the sum over scenes and the centring run one long loop over all
+    R samples per scene; the sum still adds the scenes one after another,
+    as for a single sample. The SE is sqrt(g' S_n g / n) with g the stacked
+    per-block gradients -2 u_bar_f / ||u_bar_f||, evaluated as a mean of
+    squared projections, which cannot go negative under rounding (unlike
+    the assembled-matrix form, whose cancellation noise blows up when the
+    resultant is small), then clamped by _dispersion_and_se. focal marks the
+    samples with a block mean shorter than FOCAL_TOL: their extrinsic mean
+    and gradient are undefined, and so is their se (NaN, inf or
+    meaningless); their ts is still 2 * sum_f (1 - ||u_bar_f||).
     """
-    reps, n, q, d = units.shape
-    # the same operations, bit for bit, as units.mean(axis=1) and
+    n, reps, q, d = units.shape
+    # the same operations, bit for bit, as a sample's mean(axis=0) and
     # np.linalg.norm(mean, axis=-1), without their Python overhead
-    mean = units.sum(axis=1) / n
+    mean = units.sum(axis=0) / n
     resultant = np.sqrt((mean * mean).sum(axis=-1))
     focal = (resultant < FOCAL_TOL).any(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         grad = (-2.0 * mean / resultant[..., None]).reshape(reps, q * d, 1)
-        # per sample: one (n, qd) @ (qd,) gemv and one dot, as for a single sample
-        proj = (units.reshape(reps, n, q * d) - mean.reshape(reps, 1, q * d)) @ grad
+        # per sample: one (n, qd) @ (qd,) gemv on the strided (R, n, qd)
+        # view of the centred rows and one dot, as for a single sample
+        dev = (units - mean).reshape(n, reps, q * d)
+        proj = dev.transpose(1, 0, 2) @ grad
         quad = (proj.transpose(0, 2, 1) @ proj).reshape(reps) / n
         ts, se = _dispersion_and_se(resultant, np.sqrt(quad / n))
     return mean, resultant, ts, se, focal
@@ -312,7 +322,7 @@ def confidence_interval(ts: float, se: float, alpha: float) -> Tuple[float, floa
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")
-    if np.any(np.asarray(se) < 0.0):
+    if (np.asarray(se) < 0.0).any():
         raise ValueError("standard error must be nonnegative")
     z = normal_quantile(1.0 - alpha / 2.0)
     half = z * se
@@ -343,7 +353,7 @@ def z_values(ts: np.ndarray, se: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Elementwise the same values as z_statistic, without its p-value; NaN
     entries give z NaN and a false flag, as they do there.
     """
-    if np.any(se < 0.0):
+    if (se < 0.0).any():
         raise ValueError("standard error must be nonnegative")
     degenerate = se == 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -433,7 +443,7 @@ def coplanarity_test(
         df = (sample.dim - 1) * sample.q
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    moments = (a[0] for a in sample_moments(sample.units[None]))
+    moments = (a[0] for a in sample_moments(sample.units[:, None]))
     return units_summary(sample.n, alpha, df, *moments, _covariance(sample.units))
 
 

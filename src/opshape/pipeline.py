@@ -32,8 +32,9 @@ from .directional import (
     coplanarity_test,
     sample_moments,
 )
-from .errors import EmptySample, InvalidLevel, MixedOrientationWarning
+from .errors import DegeneratePoint, EmptySample, InvalidLevel, MixedOrientationWarning
 from .geometry import (
+    UNIT_ATOL,
     DirectionSample,
     FrameSpec,
     LandmarkScene,
@@ -41,6 +42,7 @@ from .geometry import (
     canonical_axis,
     check_scene_labels,
     check_unit_norm,
+    last_axis_norms,
     register_points,
 )
 from .io import RowTable, parse_landmarks, write_json, write_table
@@ -112,6 +114,26 @@ def _stack(
 _WARN_IDS = 5
 
 
+def _registered(
+    ids: Tuple[str, ...], units: np.ndarray, errors: Dict[int, Exception], skip_degenerate: bool
+) -> Tuple[DirectionSample, np.ndarray, List[str]]:
+    """The sample of the scenes without errors, its row mask and the skipped ids.
+
+    Raises the error of the first scene that has one, in input order,
+    unless skip_degenerate; EmptySample when every scene has one.
+    """
+    if errors and not skip_degenerate:
+        first = min(errors)
+        exc = errors[first]
+        raise type(exc)(f"scene {ids[first]!r}: {exc}") from exc
+    keep = np.ones(len(ids), dtype=bool)
+    keep[list(errors)] = False
+    if not keep.any():
+        raise EmptySample("no scenes survived registration")
+    kept = [ids[i] for i in np.flatnonzero(keep).tolist()]
+    return DirectionSample(units[keep], tuple(kept)), keep, [ids[i] for i in sorted(errors)]
+
+
 def register_scenes(
     scenes: Sequence[LandmarkScene], spec: FrameSpec, skip_degenerate: bool = False
 ) -> Tuple[DirectionSample, List[str], List[str]]:
@@ -122,7 +144,10 @@ def register_scenes(
     study, and raise InvalidLandmark. geometry.register_points then
     registers all scenes at once and masks the degenerate ones; a scene
     keeps the reason its first failing check gives (frame determinant,
-    frame scalars, then points).
+    frame scalars, then points). A registered vector that fails
+    DirectionSample's unit-norm check makes its scene a DegeneratePoint
+    too; those rows are looked for only once the check has failed, so a
+    study whose vectors all pass takes no extra pass over them.
 
     Returns:
         (sample, skipped_ids, flipped_ids). Geometric degeneracies abort
@@ -133,27 +158,27 @@ def register_scenes(
     """
     ids, points = _stack(scenes, spec)
     units, flipped, errors = register_points(points, spec)
-    if errors and not skip_degenerate:
-        first = min(errors)
-        exc = errors[first]
-        raise type(exc)(f"scene {ids[first]!r}: {exc}") from exc
-    keep = np.ones(len(ids), dtype=bool)
-    keep[list(errors)] = False
-    if not keep.any():
-        raise EmptySample("no scenes survived registration")
-    kept = [ids[i] for i in np.flatnonzero(keep)]
-    skipped = [ids[i] for i in sorted(errors)]
+    try:
+        sample, keep, skipped = _registered(ids, units, errors, skip_degenerate)
+    except ValueError:
+        off = ~(np.abs(last_axis_norms(units) - 1.0) <= UNIT_ATOL).all(axis=1)
+        bad = [i for i in np.flatnonzero(off).tolist() if i not in errors]
+        if not bad:
+            raise
+        message = f"registered vector is not unit norm within {UNIT_ATOL}"
+        errors.update((i, DegeneratePoint(message)) for i in bad)
+        sample, keep, skipped = _registered(ids, units, errors, skip_degenerate)
     flipped_ids = [ids[i] for i in np.flatnonzero(flipped & keep)]
-    if flipped_ids and len(flipped_ids) < len(kept):
+    if flipped_ids and len(flipped_ids) < sample.n:
         shown = ", ".join(repr(i) for i in flipped_ids[:_WARN_IDS])
         more = ", ..." if len(flipped_ids) > _WARN_IDS else ""
         warnings.warn(
-            f"{len(flipped_ids)} of {len(kept)} scenes registered with a flipped chart "
+            f"{len(flipped_ids)} of {sample.n} scenes registered with a flipped chart "
             f"orientation: [{shown}{more}]",
             MixedOrientationWarning,
             stacklevel=2,
         )
-    return DirectionSample(units[keep], tuple(kept)), skipped, flipped_ids
+    return sample, skipped, flipped_ids
 
 
 def run_analysis(config: StudyConfig) -> AnalysisReport:
@@ -409,7 +434,9 @@ def _replications(
             return
         draws = tangent_gaussian_samples(mu, sigma, n, seeds[start:end])
         check_unit_norm(draws)
-        _, _, ts, se = sample_moments(draws[:, :, None, :])
+        # a scenes-major view: a copy in that layout adds more page faults
+        # than its long loops save, and memory besides
+        _, _, ts, se = sample_moments(draws.swapaxes(0, 1)[:, :, None, :])
         ts_values[start:end] = ts
         se_values[start:end] = se
 

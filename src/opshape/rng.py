@@ -12,6 +12,17 @@ word j of a stream at counter c is word j of the stream seeded
 seed + c*golden (mod 2^64) at counter 0, so each draw is a row of
 `normal_rows` for its own shifted seed.
 
+The three normal entry points are thin wrappers over `normal_pairs`, and
+each stays because it holds counter arithmetic its callers would otherwise
+repeat. `SplitMix64.normals` is the stateful draw: it starts at the
+generator's counter and advances it, and the benchmark's study generators
+draw their jitter with it, so their inputs depend on its stream.
+`normal_rows` draws one row per seed, the shape of the Monte Carlo
+replications (`synth.tangent_gaussian_samples`), and rounds each count up
+to whole pairs. `successive_normals` turns the calls a loop over one
+generator would make into shifted seeds, so `synth.synthesize_views` draws
+every camera's image noise in one pass.
+
 Every word comes from `_words`, one splitmix64 pass over one or more
 ranges of each seed's stream. A range of Box-Muller pairs takes its u1 and
 u2 words in one such pass and transforms them in place, so it costs about

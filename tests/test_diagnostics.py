@@ -377,7 +377,7 @@ def test_deletion_stack_slices_equal_the_index_gather(sample, data):
     units = sample.units
     rows = data.draw(deletion_rows(units.shape[0]))
     stack, *moments = diagnostics._deletion_moments(units, rows)
-    expected = gather_deletion_stack(units, rows)
+    expected = gather_deletion_stack(units, rows).swapaxes(0, 1)
     assert stack.flags.c_contiguous
     assert_same_value(stack, expected, "stack")
     names = ("mean", "resultant", "ts", "se", "focal")

@@ -493,3 +493,57 @@ def test_summary_mean_and_total_variance_equal_the_per_sample_formula(q, n, sigm
     ts = total_variance(s)
     assert ts == max(2.0 * float(np.sum(1.0 - r)), 0.0)
     assert math.copysign(1.0, ts) == 1.0
+
+
+# ---------- the scenes-major stacked pass against one sample at a time ------------
+
+def per_sample_moments(units):
+    """(mean, resultant, ts, se, focal) of one (n, q, d) sample by the
+    single-sample formulas: mean(axis=0), np.linalg.norm, one gemv and one dot."""
+    n = units.shape[0]
+    mean = units.mean(axis=0)
+    r = np.linalg.norm(mean, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        grad = (-2.0 * mean / r[:, None]).ravel()
+        proj = (units.reshape(n, -1) - mean.ravel()) @ grad
+        ts, se = directional._dispersion_and_se(r, np.sqrt(proj @ proj / n / n))
+    return mean, r, ts, se, bool((r < directional.FOCAL_TOL).any())
+
+
+def sample_stack(reps, n, q, seed):
+    """(R, n, q, 3) samples, one per leading index: tangent-Gaussian blocks
+    of spreads 1e-3 to 1, the second sample with constant rows."""
+    seeds = np.arange(reps * q, dtype=np.uint64) + np.uint64(seed)
+    blocks = [
+        tangent_gaussian_samples([0.3, -0.4, 0.8], sigma, n, seeds[f::q])
+        for f, sigma in zip(range(q), (1e-3, 0.3, 1.0))
+    ]
+    stack = np.stack(blocks, axis=2)
+    if reps > 1:
+        stack[1] = stack[1, 0]
+    return stack
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "view", "strided"])
+@pytest.mark.parametrize("reps", [0, 1, 5])
+@pytest.mark.parametrize("n", [2, 3, 17, 200])
+@pytest.mark.parametrize("q", [1, 3])
+def test_stacked_moments_equal_each_sample_alone(q, n, reps, layout):
+    stack = sample_stack(reps, n, q, seed=1000 * n + q)
+    if layout == "contiguous":
+        units = np.ascontiguousarray(stack.swapaxes(0, 1))
+    elif layout == "view":  # the (R, n, q, d) memory order read scenes-major
+        units = stack.swapaxes(0, 1)
+    else:  # every other sample of a scenes-major stack twice as wide
+        wide = np.repeat(stack, 2, axis=0)
+        units = np.ascontiguousarray(wide.swapaxes(0, 1))[:, ::2]
+    assert units.shape == (n, reps, q, 3)
+    if reps > 1:
+        assert units.flags.c_contiguous == (layout == "contiguous")
+    got = directional.stacked_moments(units)
+    shapes = [(reps, q, 3), (reps, q), (reps,), (reps,), (reps,)]
+    assert [a.shape for a in got] == shapes
+    for r in range(reps):
+        want = per_sample_moments(stack[r])
+        for name, g, w in zip(("mean", "resultant", "ts", "se", "focal"), got, want):
+            assert g[r].tobytes() == np.asarray(w).tobytes(), (name, r)

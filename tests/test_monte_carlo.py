@@ -472,7 +472,7 @@ def stacks():
 @pytest.mark.parametrize("index", range(5))
 def test_sample_moments_match_single_sample_reference(index):
     units = list(stacks())[index]
-    mean, resultant, ts, se = sample_moments(units)
+    mean, resultant, ts, se = sample_moments(units.swapaxes(0, 1))
     for r, sample in enumerate(units):
         expected = ref_moments(sample)
         assert_same(mean[r], expected[0])
@@ -487,7 +487,7 @@ def test_sample_moments_match_single_sample_reference(index):
 
 def test_constant_rows_clamp_se_to_zero():
     units = list(stacks())[4]
-    _, _, ts, se = sample_moments(units)
+    _, _, ts, se = sample_moments(units.swapaxes(0, 1))
     assert np.all(se == 0.0)
     assert np.all(ts <= ZERO_TOL)
 
@@ -499,7 +499,7 @@ def test_focal_replication_raises_focal_mean():
     with pytest.raises(FocalMean):
         ref_moments(units[1])
     with pytest.raises(FocalMean):
-        sample_moments(units)
+        sample_moments(units.swapaxes(0, 1))
 
 
 # ---- the whole pass ---------------------------------------------------------------

@@ -13,10 +13,14 @@ import os
 import re
 import shutil
 import subprocess
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 import opshape
@@ -312,6 +316,79 @@ def test_image_that_vanishes_exits_3(tmp_path, capsys, command):
     )
 
 
+# ---- input row order ----
+
+
+def permuted_reports(scenes, order, remaining):
+    """report.json, as JSON values, of the scenes and of the scenes in `order`."""
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # orientation and focal-axis warnings
+        for rows in (scenes, [scenes[i] for i in order]):
+            path = Path(tmp) / "study.csv"
+            write_landmarks(path, rows)
+            report = run_analysis(StudyConfig(input_path=path, remaining_labels=remaining))
+            reports.append(json.loads(json_text(report_fields(report))))
+    return reports
+
+
+def by_scene(report):
+    """The report with each per-scene list keyed by scene id, without the
+    input's sha256 (the permuted file has other bytes)."""
+    ids = report["scene_ids"]
+    out = dict(report, scene_ids=sorted(ids))
+    out["provenance"] = {k: v for k, v in report["provenance"].items() if k != "input_sha256"}
+    for key in ("skipped_scenes", "det_sign_flipped_scenes"):
+        out["provenance"][key] = sorted(out["provenance"][key])
+    out["directions"] = dict(sorted(zip(ids, report["directions"])))
+    out["axes"] = dict(sorted(zip(ids, report["axes"])))
+    out["leave_one_out"] = dict(sorted((row["scene_id"], row) for row in report["leave_one_out"]))
+    if report["reduction"] is not None:
+        reduction = out["reduction"] = dict(report["reduction"])
+        for key in ("initial_scene_ids", "final_scene_ids"):
+            reduction[key] = sorted(reduction[key])
+    return out
+
+
+def assert_same_report_values(got, want, where="report"):
+    # floats at golden.json's tolerance: the sums over scenes round in
+    # input order, so their last bits move with it
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_same_report_values(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_report_values(g, w, f"{where}[{i}]")
+    elif isinstance(want, float) and isinstance(got, float):
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12), where
+    else:
+        assert got == want, where
+
+
+@st.composite
+def permuted_bent_studies(draw):
+    q = draw(st.sampled_from([1, 3]))
+    n = draw(st.integers(5, 40))
+    delta = draw(st.sampled_from([0.0, 0.005, 0.02]))
+    scenes = synthesize_views(
+        k=4 + q, cameras=n, seed=draw(st.integers(0, 2**32 - 1)),
+        delta=delta, noise=0.002,
+    )
+    return scenes, draw(st.permutations(range(n))), (5, 6, 7)[:q]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(permuted_bent_studies())
+def test_permuting_scene_rows_only_reorders_the_per_scene_rows(study):
+    scenes, order, remaining = study
+    want, got = permuted_reports(scenes, order, remaining)
+    assert got["scene_ids"] == [scenes[i].scene_id for i in order]
+    # the removed ids and the stop reason exactly, as every id, flag and count
+    assert_same_report_values(by_scene(got), by_scene(want))
+
+
 # ---- command line ----
 
 
@@ -341,6 +418,42 @@ def test_cli_coordinates_that_overflow_exit_3_or_are_skipped(tmp_path, capsys, c
         written = json.loads((out / name).read_text(encoding="utf-8"))
         skipped, kept = written["provenance"]["skipped_scenes"], len(written["leave_one_out"])
     assert (skipped, kept) == (["huge", "far"], 4)
+
+
+@pytest.mark.parametrize("command", ["analyze", "reduce", "vw"])
+def test_registered_vector_off_unit_norm_exits_3_or_is_skipped(
+    tmp_path, capsys, monkeypatch, command
+):
+    # a registered vector whose norm is off by 1e-9, beyond UNIT_ATOL, makes
+    # its scene a DegeneratePoint rather than a ValueError from DirectionSample
+    chart_coordinates = opshape.geometry.chart_coordinates
+
+    def off_unit(matrix, points):
+        units, vanished = chart_coordinates(matrix, points)
+        units[2, 0] *= 1.0 + 1e-9
+        return units, vanished
+
+    monkeypatch.setattr(opshape.geometry, "chart_coordinates", off_unit)
+    scenes = synthesize_views(k=5, cameras=5, seed=9, delta=0.01, noise=0.002)
+    path = tmp_path / "off.csv"
+    write_landmarks(path, scenes)
+    bad = scenes[2].scene_id
+    out = tmp_path / ("vw.json" if command == "vw" else "out")
+    assert main([command, str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: scene {bad!r}: registered vector is not unit norm within 1e-12\n"
+    assert not out.exists()
+
+    assert main([command, str(path), "--out", str(out), "--skip-degenerate"]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "vw":
+        written = json.loads(out.read_text(encoding="utf-8"))
+        skipped, kept = written["skipped_scenes"], written["blocks"][0]["n"]
+    else:
+        name = "report.json" if command == "analyze" else "reduction.json"
+        written = json.loads((out / name).read_text(encoding="utf-8"))
+        skipped, kept = written["provenance"]["skipped_scenes"], len(written["leave_one_out"])
+    assert (skipped, kept) == ([bad], 4)
 
 
 def test_cli_analyze_succeeds(study_csv, tmp_path, capsys):
