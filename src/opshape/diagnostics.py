@@ -5,10 +5,11 @@ highest lower confidence endpoint for the dispersion index, recording one
 step per removal, and stops as soon as the current endpoint is no longer
 strictly positive (the dispersion test would no longer reject), at the
 removal cap, or at three scenes. Ties are broken by scene id, numerically
-when ids are digit strings. A tie is one of computed endpoints: deleting
-either of two identical scenes leaves the same scenes in another order,
-whose sums may round apart, so which of the two goes first can depend on
-the input row order.
+when ids are digit strings. A tie is one of computed endpoints. Deleting
+either of two identical scenes (bitwise-equal unit rows) leaves the same
+scenes in another order, whose sums may round apart; so of such copies
+only the one with the smallest id is a candidate, and copies do not make
+the removal order depend on the input row order.
 
 Each step scores all n deletions at once with a closed-form kernel: deleting
 one row changes the mean and the scatter matrix by a rank-one update, so the
@@ -321,18 +322,14 @@ def greedy_reduce(
         window = (lower + err >= np.fmax.reduce(lower - err)).nonzero()[0]
         stack, mean, resultant, ts, se, focal = _deletion_moments(units, window)
         exact = ts - z * se  # meaningless on focal rows, which are skipped
-        best = None
+        keys = [_scene_order_key(ids[survivors[i]]) for i in window.tolist()]
+        # of bitwise-equal rows only the smallest id is a candidate
+        distinct = {}
         for w in (~focal).nonzero()[0].tolist():
-            if (
-                best is None
-                or exact[w] > exact[best]
-                or (
-                    exact[w] == exact[best]
-                    and _scene_order_key(ids[survivors[window[w]]])
-                    < _scene_order_key(ids[survivors[window[best]]])
-                )
-            ):
-                best = w
+            row = units[window[w]].tobytes()
+            if row not in distinct or keys[w] < keys[distinct[row]]:
+                distinct[row] = w
+        best = min(distinct.values(), key=lambda w: (-exact[w], keys[w]), default=None)
         if best is None:
             reason = STOP_NO_IMPROVEMENT
             break

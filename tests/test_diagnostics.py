@@ -1,26 +1,23 @@
-import dataclasses
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import opshape.diagnostics as diagnostics
+import reference as ref
 from opshape.diagnostics import (
     STOP_MAX_REMOVALS,
     STOP_MIN_SCENES,
     STOP_NO_IMPROVEMENT,
     STOP_NONPOSITIVE,
     LeaveOneOutRow,
-    ReductionStep,
-    ReductionTrace,
     greedy_reduce,
     leave_one_out,
 )
 from opshape.directional import (
-    OpsSummary,
     _covariance,
     coplanarity_test,
     normal_quantile,
@@ -50,19 +47,6 @@ def outlier_sample_q3(n_tight=20, sigma=0.12, seed=3):
     return DirectionSample.from_vectors(np.stack(blocks, axis=1))
 
 
-def exhaustive_best_deletion(sample, alpha):
-    """Independent argmax of the post-deletion lower endpoint."""
-    best_id, best_lower = None, -math.inf
-    for i in range(sample.n):
-        try:
-            out = coplanarity_test(sample.without(i), alpha)
-        except FocalMean:
-            continue
-        if out.ci[0] > best_lower:
-            best_id, best_lower = sample.scene_ids[i], out.ci[0]
-    return best_id, best_lower
-
-
 # ---------- leave-one-out table ---------------------------------------------------
 
 def test_loo_constant_sample_all_zero():
@@ -89,14 +73,9 @@ def test_loo_matches_direct_recomputation():
     sample = outlier_sample(n_tight=11)
     rows = leave_one_out(sample, alpha=0.05)
     for i, row in enumerate(rows):
-        direct = coplanarity_test(sample.without(i), 0.05)
-        assert row.scene_id == sample.scene_ids[i]
-        assert row.total_variance == direct.total_variance
-        assert row.se == direct.se
-        assert row.z == direct.z
-        assert row.ci_lower == direct.ci[0]
-        assert row.degenerate == direct.degenerate
-        assert not row.focal
+        s = coplanarity_test(DirectionSample.from_vectors(ref.drop_rows(sample.units, [i])), 0.05)
+        want = LeaveOneOutRow(sample.scene_ids[i], s.total_variance, s.se, s.z, s.ci[0], s.degenerate, False)
+        ref.assert_same_bits(row, want)
 
 
 def test_loo_focal_deletion_flagged_not_fatal():
@@ -121,33 +100,6 @@ def test_loo_needs_three_rows():
 
 
 # ---------- the stacked pass against the per-row loop ------------------------------
-
-def ref_leave_one_out(sample, alpha=0.05, df=None):
-    """The per-row loop the stacked pass replaced: one copy and one test per row."""
-    rows = []
-    for i in range(sample.n):
-        sid = sample.scene_ids[i]
-        try:
-            s = coplanarity_test(sample.without(i), alpha, df)
-        except FocalMean:
-            nan = math.nan
-            rows.append(LeaveOneOutRow(sid, nan, nan, nan, nan, False, True))
-            continue
-        rows.append(
-            LeaveOneOutRow(sid, s.total_variance, s.se, s.z, s.ci[0], s.degenerate, False)
-        )
-    return rows
-
-
-def assert_same_rows(got, expected):
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        for name in LeaveOneOutRow._fields:
-            a, b = getattr(g, name), getattr(e, name)
-            assert a == b or (math.isnan(a) and math.isnan(b)), name
-        # repr also tells -0.0 from 0.0 and numpy scalars from Python ones
-        assert repr(g) == repr(e)
-
 
 def _duplicated_sample():
     units = tangent_gaussian_sample([0.0, 0.6, 0.8], 0.2, 6, 21)
@@ -183,7 +135,7 @@ def test_loo_stacked_pass_matches_per_row_loop(monkeypatch, case, rows_per_slice
         rows = rows_per_slice or n
         monkeypatch.setattr(diagnostics, "_LOO_SLICE_DOUBLES", rows * (n - 1) * q * d)
     for alpha, df in ((0.05, None), (0.01, 1), (0.5, 7)):
-        assert_same_rows(leave_one_out(sample, alpha, df), ref_leave_one_out(sample, alpha, df))
+        ref.assert_same_bits(leave_one_out(sample, alpha, df), ref.leave_one_out(sample, alpha, df))
 
 
 def test_loo_validation_matches_per_row_loop():
@@ -193,7 +145,7 @@ def test_loo_validation_matches_per_row_loop():
         with pytest.raises(error) as got:
             leave_one_out(sample, alpha, df)
         with pytest.raises(error) as expected:
-            ref_leave_one_out(sample, alpha, df)
+            ref.leave_one_out(sample, alpha, df)
         assert str(got.value) == str(expected.value)
 
 
@@ -217,22 +169,14 @@ def test_greedy_first_removal_is_the_outlier():
     assert len(trace.steps) >= 1
     assert trace.steps[0].removed_scene_id == outlier_id
 
-    oracle_id, oracle_lower = exhaustive_best_deletion(sample, 0.05)
-    assert trace.steps[0].removed_scene_id == oracle_id
-    assert trace.steps[0].ci_lower == oracle_lower
+    i, oracle = ref.best_deletion(sample, 0.05)
+    assert trace.steps[0].removed_scene_id == sample.scene_ids[i]
+    assert trace.steps[0].ci_lower == oracle.ci[0]
 
 
 def assert_greedy_matches_exhaustive(sample, max_removals):
     trace = greedy_reduce(sample, alpha_ref=0.05, max_removals=max_removals)
-    current = sample
-    for step in trace.steps:
-        oracle_id, oracle_lower = exhaustive_best_deletion(current, 0.05)
-        assert step.removed_scene_id == oracle_id
-        assert step.ci_lower == oracle_lower
-        current = current.subset(
-            [sid for sid in current.scene_ids if sid != step.removed_scene_id]
-        )
-    assert current.scene_ids == trace.final_scene_ids
+    ref.assert_same_bits(trace, ref.greedy_reduce(sample, 0.05, max_removals))
     return trace
 
 
@@ -251,14 +195,13 @@ def test_greedy_tie_break_on_identical_rows():
     # side: deleting either leaves the same array, so the two endpoints tie
     # bitwise, and the numerically smaller id must go first
     tight = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 30, 17)
-    base = DirectionSample.from_vectors(tight)
-    k = int(exhaustive_best_deletion(base, 0.05)[0])
+    k = ref.best_deletion(DirectionSample.from_vectors(tight), 0.05)[0]
     ids = [str(100 + i) for i in range(31)]
     ids[k], ids[k + 1] = "10", "2"
     sample = DirectionSample.from_vectors(
         np.vstack([tight[:k], tight[k], tight[k:]]), scene_ids=ids
     )
-    tied = [coplanarity_test(sample.without(i), 0.05).ci[0] for i in (k, k + 1)]
+    tied = [ref.summary(ref.drop_rows(sample.units, [i]), 0.05).ci[0] for i in (k, k + 1)]
     assert tied[0] == tied[1]
     trace = greedy_reduce(sample, alpha_ref=0.05, max_removals=1)
     assert trace.steps[0].removed_scene_id == "2"
@@ -270,16 +213,16 @@ def test_greedy_near_ties_follow_exact_values():
     # differ in the last bits, where the kernel's ranking and the direct
     # values can disagree; the reported step must follow the direct values
     tight = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 30, 17)
-    k = int(exhaustive_best_deletion(DirectionSample.from_vectors(tight), 0.05)[0])
+    k = ref.best_deletion(DirectionSample.from_vectors(tight), 0.05)[0]
     rng = np.random.default_rng(0)
     for _ in range(20):
         row = tight[k] + 1e-13 * rng.normal(size=3)
         sample = DirectionSample.from_vectors(
             np.vstack([tight[:k], tight[k], row / np.linalg.norm(row), tight[k + 1 :]])
         )
-        oracle_id, oracle_lower = exhaustive_best_deletion(sample, 0.05)
+        i, oracle = ref.best_deletion(sample, 0.05)
         step = greedy_reduce(sample, alpha_ref=0.05, max_removals=1).steps[0]
-        assert (step.removed_scene_id, step.ci_lower) == (oracle_id, oracle_lower)
+        assert (step.removed_scene_id, step.ci_lower) == (sample.scene_ids[i], oracle.ci[0])
 
 
 @st.composite
@@ -323,7 +266,7 @@ def test_deletion_kernel_matches_direct_within_window(sample, alpha):
     assert cov.tobytes() == _covariance(sample.units).tobytes()
     for i in range(sample.n):
         try:
-            direct = coplanarity_test(sample.without(i), alpha).ci[0]
+            direct = ref.summary(ref.drop_rows(sample.units, [i]), alpha).ci[0]
         except FocalMean:
             assert math.isnan(lower[i]) or err[i] == math.inf
             continue
@@ -343,13 +286,7 @@ def test_loo_stacked_rows_equal_per_row_loop(sample, alpha, df, rows_per_slice):
     n, q, d = sample.units.shape
     with mock.patch.object(diagnostics, "_LOO_SLICE_DOUBLES", rows_per_slice * (n - 1) * q * d):
         got = leave_one_out(sample, alpha, df)
-    assert_same_rows(got, ref_leave_one_out(sample, alpha, df))
-
-
-def gather_deletion_stack(units, rows):
-    """The index gather _deletion_moments used before its slice copies."""
-    cols = np.arange(units.shape[0] - 1)
-    return units[cols + (cols >= rows[:, None])]
+    ref.assert_same_bits(got, ref.leave_one_out(sample, alpha, df))
 
 
 @st.composite
@@ -377,86 +314,16 @@ def test_deletion_stack_slices_equal_the_index_gather(sample, data):
     units = sample.units
     rows = data.draw(deletion_rows(units.shape[0]))
     stack, *moments = diagnostics._deletion_moments(units, rows)
-    expected = gather_deletion_stack(units, rows).swapaxes(0, 1)
+    # the index gather _deletion_moments used before its slice copies
+    expected = np.stack([ref.drop_rows(units, [i]) for i in rows]).swapaxes(0, 1)
     assert stack.flags.c_contiguous
-    assert_same_value(stack, expected, "stack")
+    ref.assert_same_bits(stack, expected, "stack")
     names = ("mean", "resultant", "ts", "se", "focal")
     for got, want, name in zip(moments, stacked_moments(expected), names):
-        assert_same_value(got, want, name)
+        ref.assert_same_bits(got, want, name)
 
 
-# ---------- the window pass against the per-candidate loop ------------------------
-
-def ref_greedy_reduce(sample, alpha_ref=0.05, max_removals=None, df=None):
-    """The per-candidate loop the window pass replaced: for every deletion in
-    the kernel's window, one sample copy and one full coplanarity_test."""
-    if max_removals is None:
-        max_removals = sample.n // 4
-    z = normal_quantile(1.0 - alpha_ref / 2.0)
-    current = sample
-    summary = coplanarity_test(current, alpha_ref, df)
-    steps = []
-    while True:
-        if summary.ci[0] <= diagnostics.ZERO_TOL:
-            reason = STOP_NONPOSITIVE
-            break
-        if len(steps) >= max_removals:
-            reason = STOP_MAX_REMOVALS
-            break
-        if current.n <= 3:
-            reason = STOP_MIN_SCENES
-            break
-        lower, err, _ = diagnostics._deletion_endpoints(current.units, z)
-        ok = ~np.isnan(lower)
-        floor = np.max(lower[ok] - err[ok], initial=-np.inf)
-        best = None
-        for i in np.flatnonzero(ok & (lower + err >= floor)).tolist():
-            reduced = current.without(i)
-            try:
-                cand = coplanarity_test(reduced, alpha_ref, df)
-            except FocalMean:
-                continue
-            lower_i = cand.ci[0]
-            if (
-                best is None
-                or lower_i > best[0]
-                or (
-                    lower_i == best[0]
-                    and diagnostics._scene_order_key(current.scene_ids[i])
-                    < diagnostics._scene_order_key(current.scene_ids[best[1]])
-                )
-            ):
-                best = (lower_i, i, cand, reduced)
-        if best is None:
-            reason = STOP_NO_IMPROVEMENT
-            break
-        lower_i, idx, summary, reduced = best
-        steps.append(ReductionStep(current.scene_ids[idx], summary, lower_i))
-        current = reduced
-    return ReductionTrace(
-        tuple(steps), alpha_ref, sample.scene_ids, current.scene_ids, reason
-    )
-
-
-def assert_same_value(a, b, name):
-    if isinstance(a, np.ndarray):
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-    else:
-        # repr tells -0.0 from 0.0, NaN from a number and numpy scalars from Python ones
-        assert repr(a) == repr(b), name
-
-
-def assert_same_trace(got, expected):
-    for field in ("alpha_ref", "initial_scene_ids", "final_scene_ids", "stopped_reason"):
-        assert getattr(got, field) == getattr(expected, field), field
-    assert len(got.steps) == len(expected.steps)
-    for g, e in zip(got.steps, expected.steps):
-        assert g.removed_scene_id == e.removed_scene_id
-        assert_same_value(g.ci_lower, e.ci_lower, "ci_lower")
-        for field in dataclasses.fields(OpsSummary):
-            name = field.name
-            assert_same_value(getattr(g.summary, name), getattr(e.summary, name), name)
-
+# ---------- the window pass against the exhaustive search ------------------------
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
@@ -469,10 +336,37 @@ def assert_same_trace(got, expected):
 @example(outlier_sample_q3(), 0.05, None, 6)
 @example(ANTIPODAL, 0.05, None, 2)
 def test_greedy_window_pass_equals_per_candidate_loop(sample, alpha, df, max_removals):
-    assert_same_trace(
+    ref.assert_same_bits(
         greedy_reduce(sample, alpha, max_removals, df),
-        ref_greedy_reduce(sample, alpha, max_removals, df),
+        ref.greedy_reduce(sample, alpha, max_removals, df),
     )
+
+
+# ---------- greedy's two steps against the exhaustive pair search --------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kernel_samples(), st.sampled_from([0.01, 0.05, 0.5]))
+@example(outlier_sample_q3(), 0.05)
+def test_greedy_pair_is_no_better_than_the_best_pair(sample, alpha):
+    # greedy's second endpoint is the exact endpoint of its own pair, which
+    # the brute-force pair search can only match or beat
+    trace = greedy_reduce(sample, alpha, max_removals=2)
+    assume(len(trace.steps) == 2)
+    rows = [sample.scene_ids.index(sid) for sid in trace.removed_scene_ids]
+    lower = ref.lower(ref.drop_rows(sample.units, rows), alpha)
+    assert math.isclose(trace.steps[1].ci_lower, lower, rel_tol=ref.RTOL, abs_tol=ref.ATOL)
+    _, best = ref.best_pair(sample, alpha)
+    assert lower <= best
+
+
+def test_pair_search_finds_the_two_outliers():
+    tight = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.05, 20, 5)
+    units = np.vstack([tight[:7], OUTLIER, tight[7:], [[0.0, math.sin(0.4), math.cos(0.4)]]])
+    sample = DirectionSample.from_vectors(units)
+    pair, lower = ref.best_pair(sample, 0.05)
+    assert pair == ("7", "21")
+    assert lower == ref.lower(ref.drop_rows(sample.units, [21, 7]))
+    assert lower > ref.lower(ref.drop_rows(sample.units, [7, 8]))
 
 
 def test_greedy_bookkeeping_and_summary_consistency():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from opshape import directional
 from opshape.directional import (
     OpsSummary,
@@ -36,10 +37,6 @@ def random_sphere_sample(n, seed, q=1, d=3):
     raw = gen.normals(n * q * d).reshape(n, q, d)
     units = raw / np.linalg.norm(raw, axis=2, keepdims=True)
     return DirectionSample(units, tuple(str(i) for i in range(n)))
-
-
-def phi_reference(z):
-    return float(0.5 * mpmath.erfc(-z / mpmath.sqrt(2)))
 
 
 THREE_ROWS = sample_of([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
@@ -185,7 +182,7 @@ def test_z_statistic_basic_points():
 def test_z_statistic_derived_value():
     z, p, _ = z_statistic(0.1871, 0.0812)
     assert z == pytest.approx(0.1871 / 0.0812, abs=1e-12)
-    assert p == pytest.approx(1.0 - phi_reference(z), abs=1e-12)
+    assert p == pytest.approx(1.0 - ref.normal_cdf(z), abs=1e-12)
     assert p == pytest.approx(0.0106, abs=5e-4)
 
 
@@ -221,7 +218,7 @@ def test_chisq_upper_tail_other_df():
 def test_normal_cdf_matches_high_precision_reference():
     for z in np.linspace(-8.0, 8.0, 33):
         assert normal_cdf(float(z)) == pytest.approx(
-            phi_reference(float(z)), abs=1e-10
+            ref.normal_cdf(float(z)), abs=1e-10
         )
 
 
@@ -239,12 +236,6 @@ def test_normal_quantile_matches_reference():
 
 # ---------- the cephes port against scipy.special ---------------------------------
 
-def _bits(values):
-    """uint64 bit patterns, with every NaN mapped to one pattern."""
-    values = np.asarray(values, dtype=np.float64)
-    return np.where(np.isnan(values), np.uint64(0x7FF8000000000000), values.view(np.uint64))
-
-
 def _around(edges, ulps=3):
     """Each edge and its neighbours up to `ulps` steps on either side."""
     out = []
@@ -257,10 +248,9 @@ def _around(edges, ulps=3):
     return np.array(out)
 
 
-def _assert_same_bits(port, reference, xs):
-    got = np.fromiter(map(port, xs.tolist()), dtype=np.float64, count=len(xs))
-    bad = np.flatnonzero(_bits(got) != _bits(reference(xs)))
-    assert bad.size == 0, [(xs[i], got[i], reference(xs[i])) for i in bad[:5]]
+def _scalar_calls(port, xs):
+    """port called on each of xs as a Python float."""
+    return np.fromiter(map(port, xs.tolist()), dtype=np.float64, count=len(xs))
 
 
 SPECIAL_POINTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
@@ -290,10 +280,10 @@ def test_ndtr_port_equals_scipy_bit_for_bit():
     special = pytest.importorskip("scipy.special")
     xs = np.concatenate([_ndtr_inputs(1_000_000, 11), _around(NDTR_EDGES + ERF_EDGES),
                          np.array(SPECIAL_POINTS)])
-    _assert_same_bits(normal_cdf, special.ndtr, xs)
+    ref.assert_same_bits(_scalar_calls(normal_cdf, xs), special.ndtr(xs), any_nan=True)
     # numpy scalars give the same bits, and z_statistic's p-value is the port
     for x in xs[:1000]:
-        assert _bits(normal_cdf(x)) == _bits(special.ndtr(x))
+        ref.assert_same_bits(normal_cdf(x), special.ndtr(x), x, any_nan=True)
     for ts, se in ((0.1871, 0.0812), (3.0, 1e-3), (1e-9, 0.5), (-0.2, 0.1)):
         assert z_statistic(ts, se)[1] == float(special.ndtr(-(ts / se)))
 
@@ -302,8 +292,8 @@ def test_erf_and_erfc_ports_equal_scipy_bit_for_bit():
     special = pytest.importorskip("scipy.special")
     xs = np.concatenate([_ndtr_inputs(200_000, 12), _around(ERF_EDGES),
                          np.array(SPECIAL_POINTS)])
-    _assert_same_bits(directional._erf, special.erf, xs)
-    _assert_same_bits(directional._erfc, special.erfc, xs)
+    ref.assert_same_bits(_scalar_calls(directional._erf, xs), special.erf(xs), any_nan=True)
+    ref.assert_same_bits(_scalar_calls(directional._erfc, xs), special.erfc(xs), any_nan=True)
 
 
 def test_ndtri_port_equals_scipy_bit_for_bit():
@@ -320,7 +310,7 @@ def test_ndtri_port_equals_scipy_bit_for_bit():
         np.array([0.0, 5e-324, 1e-323, 1e-310, 2.2250738585072014e-308, math.nan,
                   math.nextafter(1.0, 0.0), 1.0]),
     ])
-    _assert_same_bits(directional._ndtri, special.ndtri, ps)
+    ref.assert_same_bits(_scalar_calls(directional._ndtri, ps), special.ndtri(ps), any_nan=True)
     assert directional._ndtri(0.0) == -math.inf
     assert directional._ndtri(1.0) == math.inf
     for p in (0.975, 0.995, 0.5, 1e-300, 1.0 - 1e-16):
@@ -344,7 +334,7 @@ def test_z_values_match_z_statistic_elementwise():
     z, degenerate = directional.z_values(ts, se)
     for i, (ts_i, se_i) in enumerate(zip(ts.tolist(), se.tolist())):
         z_i, _, degenerate_i = z_statistic(ts_i, se_i)
-        assert _bits(z[i]) == _bits(z_i), (ts_i, se_i)
+        ref.assert_same_bits(z[i], z_i, (ts_i, se_i), any_nan=True)
         assert degenerate[i] == degenerate_i
     with pytest.raises(ValueError, match="standard error must be nonnegative"):
         directional.z_values(np.array([0.1, 0.2]), np.array([0.1, -1e-300]))
@@ -497,19 +487,6 @@ def test_summary_mean_and_total_variance_equal_the_per_sample_formula(q, n, sigm
 
 # ---------- the scenes-major stacked pass against one sample at a time ------------
 
-def per_sample_moments(units):
-    """(mean, resultant, ts, se, focal) of one (n, q, d) sample by the
-    single-sample formulas: mean(axis=0), np.linalg.norm, one gemv and one dot."""
-    n = units.shape[0]
-    mean = units.mean(axis=0)
-    r = np.linalg.norm(mean, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        grad = (-2.0 * mean / r[:, None]).ravel()
-        proj = (units.reshape(n, -1) - mean.ravel()) @ grad
-        ts, se = directional._dispersion_and_se(r, np.sqrt(proj @ proj / n / n))
-    return mean, r, ts, se, bool((r < directional.FOCAL_TOL).any())
-
-
 def sample_stack(reps, n, q, seed):
     """(R, n, q, 3) samples, one per leading index: tangent-Gaussian blocks
     of spreads 1e-3 to 1, the second sample with constant rows."""
@@ -544,6 +521,6 @@ def test_stacked_moments_equal_each_sample_alone(q, n, reps, layout):
     shapes = [(reps, q, 3), (reps, q), (reps,), (reps,), (reps,)]
     assert [a.shape for a in got] == shapes
     for r in range(reps):
-        want = per_sample_moments(stack[r])
+        want = ref.moments(stack[r])
         for name, g, w in zip(("mean", "resultant", "ts", "se", "focal"), got, want):
-            assert g[r].tobytes() == np.asarray(w).tobytes(), (name, r)
+            ref.assert_same_bits(g[r], w, (name, r))

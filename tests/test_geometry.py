@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference as ref
 from conftest import register_reps
 from opshape.errors import (
     DegenerateFrame,
@@ -22,29 +23,6 @@ from opshape.pipeline import register_scenes
 from opshape.rng import SplitMix64
 
 SQ3 = math.sqrt(3.0)
-
-
-def solve_by_elimination(a, b):
-    """Gaussian elimination with partial pivoting, independent of the library."""
-    a = [list(map(float, row)) for row in a]
-    b = list(map(float, b))
-    n = len(b)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) < 1e-14:
-            raise ZeroDivisionError("singular")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-            b[r] -= f * b[col]
-    x = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        s = b[r] - sum(a[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = s / a[r][r]
-    return x
 
 
 def unit_square_frame():
@@ -96,7 +74,7 @@ def test_frame_scalars_sign_fix_against_elimination_oracle():
     reps = np.array(
         [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [3.0, 3.0, 1.0]]
     )
-    raw = solve_by_elimination(reps[:3].T, reps[3])
+    raw = ref.solve_by_elimination(reps[:3].T, reps[3])
     assert raw == pytest.approx([-5.0, 3.0, 3.0])
     charts = frame_charts(reps[None])
     lam, adjusted = charts.frame_scalars[0], charts.adjusted[0]
@@ -117,7 +95,7 @@ def test_frame_scalars_random_frames_match_oracle():
         if charts.errors:
             continue
         lam, adjusted = charts.frame_scalars[0], charts.adjusted[0]
-        oracle = solve_by_elimination(reps[:3].T, reps[3])
+        oracle = ref.solve_by_elimination(reps[:3].T, reps[3])
         np.testing.assert_allclose(lam, np.abs(oracle), rtol=1e-9)
         np.testing.assert_allclose(adjusted @ lam, reps[3], atol=1e-9)
 
@@ -234,8 +212,8 @@ def test_scene_to_directions_hand_solved_point():
     scene = five_point_scene((1.0, 1.0))
     spec = FrameSpec(frame_labels=(1, 2, 3, 4), remaining_labels=(5,))
     reps = unit_square_frame()
-    v = solve_by_elimination(reps[:3].T, [1.0, 1.0, 1.0])
-    lam = solve_by_elimination(reps[:3].T, reps[3])
+    v = ref.solve_by_elimination(reps[:3].T, [1.0, 1.0, 1.0])
+    lam = ref.solve_by_elimination(reps[:3].T, reps[3])
     y = np.array(v) / np.array(lam)
     expect = y / np.linalg.norm(y)
     np.testing.assert_allclose(expect, np.array([-1.0, 1.0, 1.0]) / SQ3, atol=1e-14)
@@ -321,7 +299,7 @@ def test_direction_sample_validation_and_views():
     assert sample.n == 3 and sample.q == 1 and sample.dim == 3
     assert sample.units.shape == (3, 1, 3)
 
-    reduced = sample.without(1)
+    reduced = sample.subset(["a", "c"])
     assert reduced.scene_ids == ("a", "c")
     np.testing.assert_array_equal(reduced.units[:, 0, :], v[[0, 2]])
 

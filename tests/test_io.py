@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import math
 import re
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import opshape.io as oio
+import reference as ref
 from opshape import pipeline
 from opshape.diagnostics import LeaveOneOutRow, ReductionStep
 from opshape.directional import OpsSummary, angular_distances
@@ -181,15 +181,6 @@ def row_loop(payload):
     return oio._read_rows(oio._decode(payload))
 
 
-def outcome(read, payload):
-    """(ids, shape, coordinate bytes), or (error class, message, line)."""
-    try:
-        ids, points = read(payload)
-    except (ParseError, SchemaError) as exc:
-        return type(exc), str(exc), getattr(exc, "line", None)
-    return ids, points.shape, np.ascontiguousarray(points).tobytes()
-
-
 def columns(payload, block_bytes=None, limit=None):
     """_read_columns with its block size and the csv field limit set."""
     old = csv.field_size_limit()
@@ -199,7 +190,7 @@ def columns(payload, block_bytes=None, limit=None):
         with mock.patch.object(oio, "_BLOCK_BYTES", block_bytes or oio._BLOCK_BYTES):
             fast = oio._read_columns(payload)
             # the row loop runs under the same field limit
-            return fast, outcome(row_loop, payload)
+            return fast, ref.outcome(row_loop, payload, errors=(ParseError, SchemaError))
     finally:
         csv.field_size_limit(old)
 
@@ -207,7 +198,7 @@ def columns(payload, block_bytes=None, limit=None):
 def assert_paths_agree(payload, block_bytes=None, limit=None):
     fast, expected = columns(payload, block_bytes, limit)
     if fast is not None:
-        assert outcome(lambda _: fast, payload) == expected
+        assert ref.outcome(lambda: fast) == expected
     return fast
 
 
@@ -473,7 +464,7 @@ def test_write_landmarks_writes_the_bytes_of_csv_writer(tmp_path_factory, specs,
         for scene in scenes
         for label, (x, y) in enumerate(scene.points.tolist(), start=1)
     ]
-    assert path.read_bytes() == csv_writer_bytes(oio.HEADER, rows)
+    assert path.read_bytes() == ref.csv_writer_bytes(oio.HEADER, rows)
 
 
 @pytest.mark.parametrize("bad", ["", " ", " a", "a\t", "\u00a0a"])
@@ -531,19 +522,6 @@ def test_study_rejects_bad_stacks():
 
 # ---- the JSON writer against json.dumps(indent=2) ----------------------------------
 
-def json_native(value):
-    """The value json.dumps should see: arrays as lists, non-finite floats as None."""
-    if isinstance(value, np.ndarray):
-        return json_native(value.tolist())
-    if isinstance(value, dict):
-        return {key: json_native(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_native(item) for item in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 AWKWARD_TEXT = st.text(
     st.characters(blacklist_categories=("Cs",))
     | st.sampled_from(['"', ",", "[", "]", "{", "}", ":", "\\", "\0", "\x1f", "\x7f", "\u00e9",
@@ -582,7 +560,7 @@ JSON_VALUES = st.recursive(
 @example({"x": np.array([[-0.0, 5e-324], [1e308, np.nan]]), "y": np.array(math.inf), "z": -math.inf})
 @example({"stack": np.zeros((2, 0, 3)), "scalar": np.array(0.5), "ints": np.arange(4).reshape(2, 2)})
 def test_json_text_equals_json_dumps_indent_2(value):
-    assert json_text(value) == json.dumps(json_native(value), indent=2, ensure_ascii=True)
+    assert json_text(value) == json.dumps(ref.json_native(value), indent=2, ensure_ascii=True)
 
 
 def test_json_text_refuses_what_json_cannot_hold():
@@ -718,7 +696,7 @@ def test_row_tables_equal_json_dumps_of_their_rows(drawn, wrappers):
     value = table
     for wrapper in wrappers:
         value, native = ([value], [native]) if wrapper == "list" else ({"t%s": value}, {"t%s": native})
-    assert json_text(value) == json.dumps(json_native(native), indent=2, ensure_ascii=True)
+    assert json_text(value) == json.dumps(ref.json_native(native), indent=2, ensure_ascii=True)
 
 
 def report_objects(report):
@@ -782,7 +760,7 @@ def test_report_with_a_focal_row_equals_json_dumps_of_its_objects(tmp_path):
     assert math.isnan(report.loo[4].total_variance)
 
     expected = report_objects(report)
-    text = json.dumps(json_native(expected), indent=2, ensure_ascii=True) + "\n"
+    text = json.dumps(ref.json_native(expected), indent=2, ensure_ascii=True) + "\n"
     assert (tmp_path / "out" / "report.json").read_text(encoding="utf-8") == text
     assert '"focal": true' in text and '"total_variance": null' in text
 
@@ -795,24 +773,12 @@ def test_report_with_float64_levels_equals_json_dumps_of_its_objects(tmp_path):
     config = pipeline.StudyConfig(path, alpha=np.float64(0.05), alpha_ref=np.float64(0.1))
     report = pipeline.run_analysis(config)
     assert type(report.config.alpha) is np.float64 and report.trace is not None
-    expected = json.dumps(json_native(report_objects(report)), indent=2, ensure_ascii=True)
+    expected = json.dumps(ref.json_native(report_objects(report)), indent=2, ensure_ascii=True)
     assert json_text(pipeline.report_fields(report)) == expected
     assert '"alpha": 0.05' in expected and '"alpha_ref": 0.1' in expected
 
 
 # ---- the CSV views: %-templates against the csv.writer row loop ----------------------
-
-
-def csv_writer_bytes(header, rows):
-    """The CSV bytes of the row loop the views had: csv.writer, each float
-    through format(v, ".17g") and anything else through str."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
-    return buf.getvalue().encode("utf-8")
-
 
 # scene ids with every character csv.writer quotes for, and some it does not; no
 # NUL, which csv.writer refuses before Python 3.11 (as scene_ids above)
@@ -859,7 +825,7 @@ def test_write_table_matches_the_csv_writer_loop(tmp_path_factory, table):
     header, line, rows = table
     path = tmp_path_factory.mktemp("csv") / "view.csv"
     oio.write_table(path, header, line, table_columns(header, rows))
-    assert path.read_bytes() == csv_writer_bytes(header, rows)
+    assert path.read_bytes() == ref.csv_writer_bytes(header, rows)
 
 
 def test_q3_views_match_the_csv_writer_loop(tmp_path):
@@ -880,21 +846,20 @@ def test_q3_views_match_the_csv_writer_loop(tmp_path):
         for block in blocks
     ]
     header = ["scene", "x", "y", "z", "removed"]
-    assert paths["sphere_points"].read_bytes() == csv_writer_bytes(header, points)
+    assert paths["sphere_points"].read_bytes() == ref.csv_writer_bytes(header, points)
     reduced = sample.subset(trace.final_scene_ids)
     for name, part in (("angles_full", sample), ("angles_reduced", reduced)):
         # each block's mean direction from the per-sample formula
-        m = part.units.mean(axis=0)
-        thetas = angular_distances(part.units, m / np.linalg.norm(m, axis=1)[:, None])
+        thetas = angular_distances(part.units, ref.summary(part.units).extrinsic_mean)
         angles = [
             (sid, theta)
             for sid, row in zip(part.scene_ids, thetas.tolist())
             for theta in row
         ]
         assert len(angles) == 3 * part.n
-        assert paths[name].read_bytes() == csv_writer_bytes(["scene", "theta_radians"], angles)
+        assert paths[name].read_bytes() == ref.csv_writer_bytes(["scene", "theta_radians"], angles)
     means = [tuple(mean) for mean in report.full.extrinsic_mean.tolist()]
-    assert paths["mean_direction"].read_bytes() == csv_writer_bytes(["x", "y", "z"], means)
+    assert paths["mean_direction"].read_bytes() == ref.csv_writer_bytes(["x", "y", "z"], means)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -906,4 +871,4 @@ def test_loo_table_matches_the_csv_writer_loop(tmp_path_factory, rows):
     write_loo_table([LeaveOneOutRow(*row) for row in rows], path)
     header = ["scene", "tS", "se", "z", "ci_lower", "degenerate", "focal"]
     expected = [row[:5] + (int(row[5]), int(row[6])) for row in rows]
-    assert path.read_bytes() == csv_writer_bytes(header, expected)
+    assert path.read_bytes() == ref.csv_writer_bytes(header, expected)

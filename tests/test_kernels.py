@@ -3,10 +3,10 @@
 `rng.normal_pairs` makes its u1 and u2 words in one splitmix64 pass and
 runs Box-Muller in place; `synth._unit_draws` adds the mean direction and
 divides by the norms one coordinate column at a time; and
-`geometry.check_unit_norm` sums its squares by columns too. The references
-below are those kernels as they stood before: two word passes per draw, and
-a broadcast over the short last axis. The new kernels must give their bits,
-and their errors.
+`geometry.check_unit_norm` sums its squares by columns too. Their
+references in reference.py are the scalar stream with Box-Muller on it,
+and a broadcast over the short last axis. The new kernels must give their
+bits, and their errors.
 """
 
 import math
@@ -17,74 +17,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import reference as ref
 from opshape import rng
 from opshape.errors import GenerationFailed
-from opshape.geometry import UNIT_ATOL, check_unit_norm, last_axis_norms
+from opshape.geometry import check_unit_norm, last_axis_norms
 from opshape.rng import normal_pairs
 from opshape.synth import _tangent_basis, _unit_draws
 
-MASK = (1 << 64) - 1
-GOLDEN = 0x9E3779B97F4A7C15
+MASK = ref.MASK
 
 
-def ref_mix(state):
-    z = state
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def ref_words(seeds, start, n):
-    ks = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    return ref_mix(seeds[:, None] + ks * np.uint64(GOLDEN))
-
-
-def ref_unit_interval(words):
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def ref_normal_pairs(seeds, m, lo, hi, start=0):
-    """Box-Muller pairs lo .. hi-1 from two word passes, one for u1 and one for u2."""
-    seeds = np.array([int(s) & MASK for s in seeds], dtype=np.uint64)
-    u1 = 1.0 - ref_unit_interval(ref_words(seeds, start + lo, hi - lo))
-    angle = 2.0 * np.pi * ref_unit_interval(ref_words(seeds, start + m + lo, hi - lo))
-    r = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty((seeds.size, 2 * (hi - lo)), dtype=np.float64)
-    out[:, 0::2] = r * np.cos(angle)
-    out[:, 1::2] = r * np.sin(angle)
-    return out
-
-
-def ref_unit_draws(mu, basis, normals, sigma):
-    """normalize(mu + (sigma * normals) @ basis), broadcasting over the last axis."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = (sigma * normals) @ basis
-        raw += mu
-        squares = raw[..., 0] * raw[..., 0]
-        for j in range(1, mu.size):
-            squares += raw[..., j] * raw[..., j]
-        norms = np.sqrt(squares)
-    if not np.all((norms > 0.0) & (norms < math.inf)):
-        raise GenerationFailed(
-            f"sigma {sigma:g} is too large: a tangent draw's norm is not finite and positive"
-        )
-    raw /= norms[..., None]
-    return raw
-
-
-def ref_check_unit_norm(units):
-    off = np.abs(np.linalg.norm(units, axis=-1) - 1.0)
-    if not np.all(off <= UNIT_ATOL):
-        worst = float(np.max(off))
-        raise ValueError(f"vectors must be unit norm within {UNIT_ATOL} (off by {worst:.3e})")
-
-
-def outcome(call, *args):
-    """(bytes of the result, None) or (None, the error's type and text)."""
-    try:
-        return np.asarray(call(*args)).tobytes(), None
-    except (ValueError, GenerationFailed) as error:
-        return None, (type(error), str(error))
+def words(seeds, start, n):
+    """Words start .. start+n-1 of each seed's stream, as a (len(seeds), n) uint64 array."""
+    return np.array([ref.splitmix64(s, n, start) for s in seeds], dtype=np.uint64)
 
 
 # ---- rng.normal_pairs ------------------------------------------------------------
@@ -107,18 +52,17 @@ def test_normal_pairs_match_two_word_passes(seeds, m, data, start):
         hi = data.draw(st.integers(lo, m))
     got = normal_pairs(seeds, m, lo, hi, start)
     assert got.shape == (len(seeds), 2 * (hi - lo))
-    assert got.tobytes() == ref_normal_pairs(seeds, m, lo, hi, start).tobytes()
+    ref.assert_same_bits(got, ref.normal_pairs(seeds, m, lo, hi, start))
 
 
 def test_u64_blocks_and_normal_pairs_share_one_word_pass():
     # the u64 stream and Box-Muller both read words through `_words`
     seeds = np.array([0, 7, MASK], dtype=np.uint64)
-    assert rng._words(seeds, 5, 9).tobytes() == ref_words(seeds, 5, 9).tobytes()
+    ref.assert_same_bits(rng._words(seeds, 5, 9), words(seeds, 5, 9))
     both = rng._words(seeds, (5, 2**63), 9)
     assert both.shape == (2, 3, 9)
-    assert both[1].tobytes() == ref_words(seeds, 2**63, 9).tobytes()
-    block = rng.SplitMix64(MASK).u64_block(9)
-    assert block.tobytes() == ref_words(seeds[2:], 0, 9)[0].tobytes()
+    ref.assert_same_bits(both[1], words(seeds, 2**63, 9))
+    ref.assert_same_bits(rng.SplitMix64(MASK).u64_block(9), words([MASK], 0, 9)[0])
 
 
 # ---- synth._unit_draws -----------------------------------------------------------
@@ -142,8 +86,8 @@ def test_unit_draws_match_the_broadcast_kernel(d, values, samples, rows, data, s
     mu = mu / np.linalg.norm(mu)
     basis = _tangent_basis(mu)
     normals = data.draw(hnp.arrays(np.float64, (samples, rows, d - 1), elements=finite))
-    got = outcome(_unit_draws, mu, basis, normals.copy(), sigma)
-    assert got == outcome(ref_unit_draws, mu, basis, normals.copy(), sigma)
+    got = ref.outcome(_unit_draws, mu, basis, normals.copy(), sigma)
+    assert got == ref.outcome(ref.unit_draws, mu, basis, normals.copy(), sigma)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -151,9 +95,9 @@ def test_unit_draws_overflow_fails_as_the_broadcast_kernel(d):
     mu = np.eye(d)[-1]
     normals = rng.normal_rows([1, 2], 7 * (d - 1)).reshape(2, 7, d - 1)
     for sigma in (1e200, 1e308):
-        got = outcome(_unit_draws, mu, _tangent_basis(mu), normals, sigma)
-        assert got[1] is not None and got[1][0] is GenerationFailed
-        assert got == outcome(ref_unit_draws, mu, _tangent_basis(mu), normals, sigma)
+        got = ref.outcome(_unit_draws, mu, _tangent_basis(mu), normals, sigma)
+        assert got[0] is GenerationFailed
+        assert got == ref.outcome(ref.unit_draws, mu, _tangent_basis(mu), normals, sigma)
 
 
 def test_unit_draws_of_no_samples_are_empty():
@@ -188,11 +132,9 @@ def test_column_norms_match_linalg_norm(d, lead, data):
         expected = np.linalg.norm(units, axis=-1)
         got = last_axis_norms(units)
     # a NaN norm may carry another sign bit; every other norm has the same bits
-    nan = np.isnan(expected)
-    assert np.array_equal(np.isnan(got), nan)
-    assert got[~nan].tobytes() == expected[~nan].tobytes()
+    ref.assert_same_bits(got, expected, any_nan=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert outcome(check_unit_norm, units) == outcome(ref_check_unit_norm, units)
+        assert ref.outcome(check_unit_norm, units) == ref.outcome(ref.check_unit_norm, units)
 
 
 def test_check_unit_norm_names_the_worst_row():
@@ -200,6 +142,6 @@ def test_check_unit_norm_names_the_worst_row():
     with pytest.raises(ValueError) as got:
         check_unit_norm(units)
     with pytest.raises(ValueError) as expected:
-        ref_check_unit_norm(units)
+        ref.check_unit_norm(units)
     assert str(got.value) == str(expected.value)
     check_unit_norm(units[[0, 2]])

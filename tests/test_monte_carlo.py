@@ -1,8 +1,8 @@
 """The stacked Monte Carlo pass against the per-replication loop it replaced.
 
-The reference below is the Monte Carlo code as it stood before the stacked
-pass: one generator, one validated sample and one dispersion test per
-replication, in a Python loop. `normal_rows`, `tangent_gaussian_samples`,
+The reference, reference.monte_carlo, is the Monte Carlo code as it stood
+before the stacked pass: one generator, one sample and one dispersion test
+per replication, in a Python loop. `normal_rows`, `tangent_gaussian_samples`,
 `sample_moments` and `run_monte_carlo` must reproduce it bit for bit. The
 sliced oracle mean, `tangent_gaussian_mean`, must equal the mean of the
 whole sample by bytes, in memory that does not grow with the draws,
@@ -25,13 +25,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import reference as ref
 from opshape import pipeline, synth
 from opshape.directional import (
-    FOCAL_TOL,
     ZERO_TOL,
-    _dispersion_and_se,
     coplanarity_test,
-    normal_quantile,
     sample_moments,
     total_variance,
 )
@@ -39,95 +37,13 @@ from opshape.errors import EmptySample, FocalMean, GenerationFailed, InvalidLeve
 from opshape.geometry import DirectionSample
 from opshape.rng import SplitMix64, normal_pairs, normal_rows
 from opshape.synth import (
-    _tangent_basis,
     tangent_gaussian_mean,
     tangent_gaussian_sample,
     tangent_gaussian_samples,
 )
 
-MASK = (1 << 64) - 1
+MASK = ref.MASK
 SEEDS = (0, 1, 42, 2**63, 2**63 + 7, MASK - 1, MASK)
-
-
-# ---- the per-replication reference -----------------------------------------------
-
-
-def ref_normals(seed, count, start=0):
-    """Box-Muller on one generator whose counter stands at `start`."""
-    gen = SplitMix64(seed)
-    gen.u64_block(start)
-    m = (count + 1) // 2
-    if m == 0:
-        return np.empty(0)
-    u1 = 1.0 - gen.uniforms(m)
-    u2 = gen.uniforms(m)
-    r = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty(2 * m)
-    out[0::2] = r * np.cos(2.0 * np.pi * u2)
-    out[1::2] = r * np.sin(2.0 * np.pi * u2)
-    return out[:count]
-
-
-def ref_tangent(direction, sigma, n, seed):
-    mu = np.asarray(direction, dtype=np.float64)
-    mu = mu / float(np.linalg.norm(mu))
-    d = mu.size
-    coeffs = sigma * ref_normals(seed, n * (d - 1)).reshape(n, d - 1)
-    raw = mu[None, :] + coeffs @ _tangent_basis(mu)
-    return raw / np.linalg.norm(raw, axis=1)[:, None]
-
-
-def ref_moments(units):
-    """(mean, resultant, ts, se) of one (n, q, d) sample."""
-    n = units.shape[0]
-    mean = units.mean(axis=0)
-    r = np.linalg.norm(mean, axis=1)
-    if np.any(r < FOCAL_TOL):
-        raise FocalMean("focal block mean")
-    grad = (-2.0 * mean / r[:, None]).ravel()
-    proj = (units.reshape(n, -1) - mean.ravel()) @ grad
-    se_raw = math.sqrt(float(proj @ proj) / n / n)
-    ts, se = _dispersion_and_se(r, se_raw)
-    return mean, r, float(ts), float(se)
-
-
-def ref_monte_carlo(sigma, n, reps, alpha, seed, oracle_draws, dim=3):
-    mu = np.zeros(dim)
-    mu[-1] = 1.0
-    master = SplitMix64(seed)
-    oracle_seed = master.next_u64()
-    rep_seeds = [master.next_u64() for _ in range(reps)]
-    oracle = ref_tangent(mu, sigma, oracle_draws, oracle_seed)
-    t_pop = 2.0 * (1.0 - float(np.linalg.norm(oracle.mean(axis=0))))
-    z = normal_quantile(1.0 - alpha / 2.0)
-    hits, ts_values, se_values = 0, [], []
-    for rep_seed in rep_seeds:
-        sample = DirectionSample.from_vectors(ref_tangent(mu, sigma, n, rep_seed))
-        _, _, ts, se = ref_moments(sample.units)
-        ts_values.append(ts)
-        se_values.append(se)
-        if ts - z * se <= t_pop <= ts + z * se:
-            hits += 1
-    return {
-        "sigma": sigma,
-        "n": n,
-        "reps": reps,
-        "alpha": alpha,
-        "seed": seed,
-        "dim": dim,
-        "oracle_draws": oracle_draws,
-        "oracle_total_variance": t_pop,
-        "hits": hits,
-        "coverage": hits / reps,
-        "mean_total_variance": float(np.mean(ts_values)),
-        "mean_se": float(np.mean(se_values)),
-    }
-
-
-def assert_same(got, expected):
-    got, expected = np.asarray(got), np.asarray(expected)
-    assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
 
 
 # ---- draws ---------------------------------------------------------------------
@@ -139,19 +55,19 @@ def test_normal_rows_match_one_generator_per_seed(count, start):
     rows = normal_rows(np.array(SEEDS, dtype=np.uint64), count, start)
     assert rows.shape == (len(SEEDS), count)
     for row, seed in zip(rows, SEEDS):
-        assert_same(row, ref_normals(seed, count, start))
+        ref.assert_same_bits(row, ref.normals(seed, count, start))
 
 
 def test_normal_rows_take_python_ints_mod_2_pow_64():
-    assert_same(normal_rows([-1, 2**64 + 5], 9), normal_rows([MASK, 5], 9))
+    ref.assert_same_bits(normal_rows([-1, 2**64 + 5], 9), normal_rows([MASK, 5], 9))
 
 
 def test_normals_method_continues_the_stream():
     gen = SplitMix64(MASK)
     first, second = gen.normals(3), gen.normals(6)
-    assert_same(first, ref_normals(MASK, 3))
+    ref.assert_same_bits(first, ref.normals(MASK, 3))
     # three normals take two Box-Muller pairs: four words
-    assert_same(second, ref_normals(MASK, 6, start=4))
+    ref.assert_same_bits(second, ref.normals(MASK, 6, start=4))
     assert gen.counter == 10
 
 
@@ -162,9 +78,9 @@ def test_tangent_gaussian_samples_match_single_draws(direction, sigma, n):
     stacked = tangent_gaussian_samples(direction, sigma, n, np.array(SEEDS, dtype=np.uint64))
     assert stacked.shape == (len(SEEDS), n, len(direction))
     for sample, seed in zip(stacked, SEEDS):
-        expected = ref_tangent(direction, sigma, n, seed)
-        assert_same(sample, expected)
-        assert_same(tangent_gaussian_sample(direction, sigma, n, seed), expected)
+        expected = ref.tangent_draws(direction, sigma, n, seed)
+        ref.assert_same_bits(sample, expected)
+        ref.assert_same_bits(tangent_gaussian_sample(direction, sigma, n, seed), expected)
 
 
 @pytest.mark.parametrize("sigma", [1e200, 1e308])
@@ -187,7 +103,7 @@ def test_normal_pairs_are_columns_of_the_whole_draw(seeds, m, data, start):
     lo = data.draw(st.integers(0, m))
     hi = data.draw(st.integers(lo, m))
     whole = normal_rows(seeds, 2 * m, start)
-    assert_same(normal_pairs(seeds, m, lo, hi, start), whole[:, 2 * lo : 2 * hi])
+    ref.assert_same_bits(normal_pairs(seeds, m, lo, hi, start), whole[:, 2 * lo : 2 * hi])
 
 
 @pytest.mark.parametrize("lo, hi", [(-1, 2), (3, 2), (0, 6)])
@@ -223,7 +139,7 @@ def test_tangent_mean_is_the_mean_of_the_whole_sample(d, mean_slice, values, see
         for sigma in (0.0, 1e-3, 0.1, 2.0):
             for n in draw_counts(mean_slice or 64):
                 expected = tangent_gaussian_sample(direction, sigma, n, seed).mean(axis=0)
-                assert_same(tangent_gaussian_mean(direction, sigma, n, seed), expected)
+                ref.assert_same_bits(tangent_gaussian_mean(direction, sigma, n, seed), expected)
 
 
 def pooled_mean(direction, sigma, n, seed, schedule, drawers, workers=2):
@@ -289,7 +205,7 @@ def test_helped_mean_is_the_mean_of_the_whole_sample(d, mean_slice, schedule, va
                 for workers in (1, 2, 4) if schedule == "eager" else (2,):
                     drawers = {}
                     got = pooled_mean(direction, sigma, n, seed, when, drawers, workers)
-                    assert_same(got, expected)
+                    ref.assert_same_bits(got, expected)
                     assert sorted(drawers) == [lo for lo, _ in bounds]  # each slice drawn once
                     threads = set(drawers.values())
                     if schedule is None:
@@ -324,7 +240,7 @@ def test_helpers_beyond_the_cores_draw_each_slice_once(monkeypatch):
                 got = tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, n, seed, pool)
         finally:
             sys.setswitchinterval(interval)
-        assert_same(got, expected)
+        ref.assert_same_bits(got, expected)
         assert sorted(drawn) == [lo for lo, _ in synth._mean_bounds(n)]
         assert threading.active_count() == threads
 
@@ -364,7 +280,7 @@ def held_window(monkeypatch, ahead):
     with pool, monkeypatch.context() as patch:
         patch.setattr(synth, "_mean_slice", held)
         got = tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 64 * 40, 1, pool)
-    assert_same(got, tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 64 * 40, 1).mean(axis=0))
+    ref.assert_same_bits(got, tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 64 * 40, 1).mean(axis=0))
     assert pool.submitted == 40
     return while_held[0]
 
@@ -466,7 +382,7 @@ def stacks():
     blocks = [tangent_gaussian_samples([0.0, 0.0, 1.0], 0.2, 30, seeds[f:]) for f in range(3)]
     yield np.stack([b[:4] for b in blocks], axis=2)
     # each sample repeats one vector 25 times
-    yield np.repeat(ref_tangent([1.0, 2.0, 2.0], 0.3, 4, 9)[:, None, None, :], 25, axis=1)
+    yield np.repeat(ref.tangent_draws([1.0, 2.0, 2.0], 0.3, 4, 9)[:, None, None, :], 25, axis=1)
 
 
 @pytest.mark.parametrize("index", range(5))
@@ -474,14 +390,11 @@ def test_sample_moments_match_single_sample_reference(index):
     units = list(stacks())[index]
     mean, resultant, ts, se = sample_moments(units.swapaxes(0, 1))
     for r, sample in enumerate(units):
-        expected = ref_moments(sample)
-        assert_same(mean[r], expected[0])
-        assert_same(resultant[r], expected[1])
-        assert float(ts[r]) == expected[2]
-        assert float(se[r]) == expected[3]
+        expected = ref.moments(sample)
+        ref.assert_same_bits((mean[r], resultant[r], ts[r], se[r], np.False_), expected)
         one = DirectionSample(sample, tuple(str(i) for i in range(sample.shape[0])))
         summary = coplanarity_test(one)
-        assert (summary.total_variance, summary.se) == expected[2:]
+        assert (summary.total_variance, summary.se) == expected[2:4]
         assert total_variance(one) == expected[2]
 
 
@@ -496,8 +409,7 @@ def test_focal_replication_raises_focal_mean():
     units = list(stacks())[0][:3].copy()
     units[1, :25, 0] = [0.0, 0.0, 1.0]
     units[1, 25:, 0] = [0.0, 0.0, -1.0]
-    with pytest.raises(FocalMean):
-        ref_moments(units[1])
+    assert ref.moments(units[1])[4]  # focal
     with pytest.raises(FocalMean):
         sample_moments(units.swapaxes(0, 1))
 
@@ -521,7 +433,7 @@ def test_run_monte_carlo_matches_per_replication_loop(
 ):
     # a small slice splits the replications into several (uneven) slices
     monkeypatch.setattr(pipeline, "_MC_SLICE_DOUBLES", slice_doubles)
-    expected = ref_monte_carlo(sigma, n, reps, alpha, seed, oracle_draws)
+    expected = ref.monte_carlo(sigma, n, reps, alpha, seed, oracle_draws)
     threads = threading.active_count()
     # and the oracle's draws into slices of 64 or 128 rows, or one slice
     for mean_slice in (64, 128, synth._MEAN_SLICE):

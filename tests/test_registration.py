@@ -1,6 +1,6 @@
 """The stacked registration pass against the per-scene loop it replaced.
 
-`reference_register` is the per-scene registration as it stood before the
+reference.register is the per-scene registration as it stood before the
 stacked pass: one frame solve, chart and set of sphere coordinates per
 scene, with a Python loop over scenes. The stacked pass must reproduce it
 bit for bit (units, axes, skipped and flipped ids) and raise the same
@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference as ref
 from opshape.errors import (
     DegenerateFrame,
     DegeneratePoint,
@@ -19,9 +20,6 @@ from opshape.errors import (
     MixedOrientationWarning,
 )
 from opshape.geometry import (
-    DET_RTOL,
-    POINT_RTOL,
-    SCALAR_RTOL,
     FrameSpec,
     LandmarkScene,
     LandmarkStudy,
@@ -33,85 +31,7 @@ from opshape.pipeline import register_scenes
 from opshape.synth import synthesize_views
 
 
-# ---- the per-scene reference ---------------------------------------------------
-
-
-def ref_chart(reps):
-    """(H, flipped) of one frame, or DegenerateFrame."""
-    d = reps.shape[1]
-    basis = reps[:d].T
-    unit = reps[d]
-    col_norms = np.linalg.norm(basis, axis=0)
-    if np.any(col_norms == 0.0):
-        raise DegenerateFrame("zero frame representative")
-    det = np.linalg.det(basis)
-    if abs(det) < DET_RTOL * float(np.prod(col_norms)):
-        raise DegenerateFrame(f"frame matrix is numerically singular (det={det:.3e})")
-    lam = np.linalg.solve(basis, unit)
-    scale = float(np.max(np.abs(lam)))
-    if scale == 0.0 or np.any(np.abs(lam) < SCALAR_RTOL * scale):
-        raise DegenerateFrame("a frame scalar vanishes; unit point lies on a frame hyperplane")
-    overflow = DegenerateFrame("frame scalars or chart overflow float64; coordinates too large")
-    if not np.isfinite(lam).all():
-        raise overflow
-    adjusted = basis * np.sign(lam)[None, :]
-    h = np.diag(1.0 / np.abs(lam)) @ np.linalg.inv(adjusted)
-    if not np.isfinite(h).all():
-        raise overflow
-    if np.linalg.det(h) <= 0.0:
-        return -h, True
-    return h, False
-
-
-def ref_coordinate(h, x):
-    y = h @ x
-    norm = float(np.linalg.norm(y))
-    if norm <= POINT_RTOL * float(np.linalg.norm(h)) * float(np.linalg.norm(x)) or not np.isfinite(norm):
-        raise DegeneratePoint("point maps to zero, or overflows, under the frame chart")
-    return y / norm
-
-
-def ref_axis(vector):
-    v = np.asarray(vector, dtype=np.float64).ravel()
-    scale = float(np.max(np.abs(v)))
-    if scale == 0.0:
-        return v.copy()
-    for x in v:
-        if abs(x) > 1e-12 * scale:
-            return -v if x < 0.0 else v.copy()
-    return v.copy()
-
-
-def lifted(scene, label):
-    return np.concatenate([scene.points[label - 1], [1.0]])
-
-
-def reference_register(scenes, spec, skip_degenerate=False):
-    units, ids, skipped, flipped = [], [], [], []
-    for scene in scenes:
-        try:
-            h, flip = ref_chart(np.stack([lifted(scene, j) for j in spec.frame_labels]))
-            dirs = np.stack([ref_coordinate(h, lifted(scene, j)) for j in spec.remaining_labels])
-        except (DegenerateFrame, DegeneratePoint) as exc:
-            if skip_degenerate:
-                skipped.append(scene.scene_id)
-                continue
-            raise type(exc)(f"scene {scene.scene_id!r}: {exc}") from exc
-        if flip:
-            flipped.append(scene.scene_id)
-        units.append(dirs)
-        ids.append(scene.scene_id)
-    return np.stack(units), ids, skipped, flipped
-
-
 # ---- studies -------------------------------------------------------------------
-
-
-def assert_same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.shape == b.shape and a.dtype == b.dtype
-    assert np.array_equal(a, b)
-    assert a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0
 
 
 def pixel_study(k, cameras, seed, defects=True):
@@ -169,18 +89,18 @@ def test_stacked_registration_matches_per_scene_loop(name):
     scenes = study()
     spec = FrameSpec((1, 2, 4, 3), remaining)
 
-    units, ids, skipped, flipped = reference_register(scenes, spec, skip_degenerate=True)
+    units, ids, skipped, flipped = ref.register(scenes, spec, skip_degenerate=True)
     sample, got_skipped, got_flipped = stacked_register(scenes, spec, True)
     assert len(skipped) >= 10 and len(flipped) >= 8  # the study exercises every mask
     assert list(sample.scene_ids) == ids
     assert got_skipped == skipped
     assert got_flipped == flipped
-    assert_same_bits(sample.units, units)
-    axes = np.stack([[ref_axis(block) for block in row] for row in units])
-    assert_same_bits(canonical_axis(sample.units), axes)
+    ref.assert_same_bits(sample.units, units)
+    axes = np.stack([[ref.axis(block) for block in row] for row in units])
+    ref.assert_same_bits(canonical_axis(sample.units), axes)
 
     with pytest.raises((DegenerateFrame, DegeneratePoint)) as expected:
-        reference_register(scenes, spec)
+        ref.register(scenes, spec)
     with pytest.raises(expected.type) as got:
         stacked_register(scenes, spec, False)
     assert str(got.value) == str(expected.value)
@@ -195,14 +115,14 @@ def test_study_stack_registers_like_the_per_scene_loop(name):
     stacked = LandmarkStudy([s.scene_id for s in scenes], np.stack([s.points for s in scenes]))
     spec = FrameSpec((1, 2, 4, 3), remaining)
 
-    units, ids, skipped, flipped = reference_register(scenes, spec, skip_degenerate=True)
+    units, ids, skipped, flipped = ref.register(scenes, spec, skip_degenerate=True)
     sample, got_skipped, got_flipped = stacked_register(stacked, spec, True)
     assert list(sample.scene_ids) == ids
     assert (got_skipped, got_flipped) == (skipped, flipped)
-    assert_same_bits(sample.units, units)
+    ref.assert_same_bits(sample.units, units)
 
     with pytest.raises((DegenerateFrame, DegeneratePoint)) as expected:
-        reference_register(scenes, spec)
+        ref.register(scenes, spec)
     with pytest.raises(expected.type) as got:
         stacked_register(stacked, spec, False)
     assert str(got.value) == str(expected.value)
@@ -225,7 +145,7 @@ def test_first_offender_raises_reference_message(first, later):
     scenes[7] = LandmarkScene("later-bad", on_line(scenes[7].points, later, 1, 2, 0.5))
     spec = FrameSpec((1, 2, 4, 3), (5,))
     with pytest.raises(DegenerateFrame, match="first-bad") as expected:
-        reference_register(scenes, spec)
+        ref.register(scenes, spec)
     with pytest.raises(DegenerateFrame) as got:
         stacked_register(scenes, spec, False)
     assert str(got.value) == str(expected.value)
@@ -253,9 +173,9 @@ def test_coordinates_that_overflow_fail_their_scene():
         sample, skipped, flipped = stacked_register(scenes, spec, True)
     assert skipped == ["huge", "far"]
     with np.errstate(over="ignore", invalid="ignore"):
-        units, ids, ref_skipped, ref_flipped = reference_register(scenes, spec, skip_degenerate=True)
+        units, ids, ref_skipped, ref_flipped = ref.register(scenes, spec, skip_degenerate=True)
     assert (list(sample.scene_ids), skipped, flipped) == (ids, ref_skipped, ref_flipped)
-    assert_same_bits(sample.units, units)
+    ref.assert_same_bits(sample.units, units)
 
 
 def test_frame_charts_fail_frames_that_overflow():
@@ -269,12 +189,12 @@ def test_frame_charts_fail_frames_that_overflow():
         charts = frame_charts(frames)
         for i, reps in enumerate(frames):
             try:
-                h, flip = ref_chart(reps)
+                h, flip = ref.chart(reps)
             except DegenerateFrame as exc:
                 assert str(charts.errors[i]) == str(exc)
                 continue
             assert (i, charts.flipped[i]) == (2, flip)
-            assert_same_bits(charts.matrix[i], h)
+            ref.assert_same_bits(charts.matrix[i], h)
     assert sorted(charts.errors) == [0, 1]
     assert "overflow" in str(charts.errors[1])
 
@@ -286,26 +206,26 @@ def test_mixed_scene_sizes_register_like_the_loop():
     scenes += [LandmarkScene(f"{s.scene_id}b", s.points) for s in long]
     scenes = scenes[::2] + scenes[1::2]  # k=5 and k=7 scenes interleaved
     spec = FrameSpec((1, 2, 4, 3), (5,))
-    units, ids, _, _ = reference_register(scenes, spec)
+    units, ids, _, _ = ref.register(scenes, spec)
     sample, _, _ = stacked_register(scenes, spec, False)
     assert list(sample.scene_ids) == ids
-    assert_same_bits(sample.units, units)
+    ref.assert_same_bits(sample.units, units)
 
 
 @pytest.mark.parametrize("name", sorted(STUDIES))
 def test_frame_charts_match_single_frame_solves(name):
     study, _ = STUDIES[name]
-    frames = np.stack([[lifted(scene, j) for j in (1, 2, 4, 3)] for scene in study()])
+    frames = np.stack([[ref.lifted(scene, j) for j in (1, 2, 4, 3)] for scene in study()])
     charts = frame_charts(frames)
     for i, reps in enumerate(frames):
         try:
-            h, flip = ref_chart(reps)
+            h, flip = ref.chart(reps)
         except DegenerateFrame as exc:
             assert str(charts.errors[i]) == str(exc)
             continue
         assert i not in charts.errors
         assert charts.flipped[i] == flip
-        assert_same_bits(charts.matrix[i], h)
+        ref.assert_same_bits(charts.matrix[i], h)
 
 
 def test_chart_coordinates_match_single_point_calls():
@@ -314,7 +234,7 @@ def test_chart_coordinates_match_single_point_calls():
     while len(charts) < 40:
         reps = np.hstack([rng.uniform(1e2, 1e4, size=(4, 2)), np.ones((4, 1))])
         try:
-            h, _ = ref_chart(reps)
+            h, _ = ref.chart(reps)
         except DegenerateFrame:
             continue
         charts.append(h)
@@ -325,12 +245,12 @@ def test_chart_coordinates_match_single_point_calls():
     for i in range(40):
         for j in range(3):
             try:
-                expect = ref_coordinate(charts[i], points[i, j])
+                expect = ref.coordinate(charts[i], points[i, j])
             except DegeneratePoint:
                 assert vanished[i, j]
                 continue
             assert not vanished[i, j]
-            assert_same_bits(units[i, j], expect)
+            ref.assert_same_bits(units[i, j], expect)
     assert vanished.sum() == 10
 
 
@@ -345,8 +265,8 @@ def test_stacked_canonical_axis_matches_per_row_calls():
     rows[4] = [-1.0000001e-12, 0.5, -1.0, 0.25]  # just above: flips
     rows[5] = [0.0, -3.0, 1.0, 2.0]
     rows[6] = [1e-300, -1e-300, 0.0, 0.0]
-    expect = np.stack([ref_axis(r) for r in rows])
-    assert_same_bits(canonical_axis(rows), expect)
+    expect = np.stack([ref.axis(r) for r in rows])
+    ref.assert_same_bits(canonical_axis(rows), expect)
     blocks = rows.reshape(16, 4, 4)
-    assert_same_bits(canonical_axis(blocks), expect.reshape(16, 4, 4))
-    assert_same_bits(canonical_axis(rows[4]), expect[4])
+    ref.assert_same_bits(canonical_axis(blocks), expect.reshape(16, 4, 4))
+    ref.assert_same_bits(canonical_axis(rows[4]), expect[4])

@@ -2,22 +2,10 @@ import numpy as np
 
 import pytest
 
+import reference as ref
 from opshape.rng import SplitMix64, successive_normals
 
-MASK = (1 << 64) - 1
-
-
-def _reference_stream(seed, count):
-    """Scalar splitmix64 reference, written independently of the library."""
-    out = []
-    state = seed & MASK
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & MASK
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-        out.append(z ^ (z >> 31))
-    return out
+MASK = ref.MASK
 
 
 # ---------- raw 64-bit stream -------------------------------------------------
@@ -34,7 +22,7 @@ def test_stream_matches_reference_scalar_loop():
     for seed in (0, 1, 42, 2**63, MASK):
         gen = SplitMix64(seed)
         got = [gen.next_u64() for _ in range(50)]
-        assert got == _reference_stream(seed, 50)
+        assert got == ref.splitmix64(seed, 50)
 
 
 def test_block_is_bitwise_equal_to_scalar_calls():
@@ -71,8 +59,7 @@ def test_uniform_scalar_matches_block():
 
 def test_uniforms_match_bit_construction():
     # top 53 bits over 2^53, straight from the raw stream
-    raw = _reference_stream(11, 100)
-    expect = np.array([(r >> 11) / float(1 << 53) for r in raw])
+    expect = ref.unit_interval(ref.splitmix64(11, 100))
     assert np.array_equal(SplitMix64(11).uniforms(100), expect)
 
 

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -11,9 +10,10 @@ from hypothesis import strategies as st
 
 import opshape
 import opshape.synth as synth
+import reference as ref
 from opshape.directional import coplanarity_test, total_variance
 from opshape.errors import BehindCamera, GenerationFailed, InvalidLandmark
-from opshape.geometry import DirectionSample, FrameSpec, LandmarkScene
+from opshape.geometry import FrameSpec
 from opshape.pipeline import register_scenes
 from opshape.rng import SplitMix64
 from opshape.synth import (
@@ -289,82 +289,12 @@ def test_camera_checks_raise_the_first_cameras_first_failure():
     synth._check_cameras(rotations[:1], focals[:1])
 
 
-# ---------- the per-camera loop, kept as the reference of the stacked study --------
+# ---------- the per-camera loop, the reference of the stacked study ----------------
 #
-# the camera draw, the projection and synthesize_views as they were written one
-# camera at a time, each camera a (center, rotation, focal) checked on its own;
-# the stacked generator must give the same bits and the same errors.
-
-def ref_look_at_rotation(center, target, roll):
-    z = target - center
-    z = z / np.linalg.norm(z)
-    up = np.array([0.0, 0.0, 1.0])
-    x = np.cross(up, z)
-    if np.linalg.norm(x) < 1e-8:
-        x = np.cross(np.array([0.0, 1.0, 0.0]), z)
-    x = x / np.linalg.norm(x)
-    y = np.cross(z, x)
-    c, s = math.cos(roll), math.sin(roll)
-    xr = c * x + s * y
-    yr = -s * x + c * y
-    return np.stack([xr, yr, z])
-
-
-def ref_random_cameras(n, seed, scene=None, gen=None):
-    gen = SplitMix64(seed) if gen is None else gen
-    cams = []
-    tries = 0
-    while len(cams) < n:
-        tries += 1
-        if tries > synth._MAX_TRIES * n:
-            raise GenerationFailed("could not place cameras with positive depth")
-        draws = gen.uniforms(7)
-        uz = 0.35 + 0.6 * draws[0]
-        phi = 2.0 * math.pi * draws[1]
-        radius = 3.5 + 1.5 * draws[2]
-        rho = math.sqrt(max(1.0 - uz * uz, 0.0))
-        center = radius * np.array([rho * math.cos(phi), rho * math.sin(phi), uz])
-        target = np.array([0.3 * (draws[3] - 0.5), 0.3 * (draws[4] - 0.5), 0.0])
-        roll = 2.0 * math.pi * draws[5]
-        focal = 0.8 + 0.7 * draws[6]
-        rotation = ref_look_at_rotation(center, target, roll)
-        synth._check_cameras(rotation[None], np.array([focal]))
-        if scene is not None:
-            depths = ((scene.points - center) @ rotation.T)[:, 2]
-            if np.any(depths < 1e-6):
-                continue
-        cams.append((center, rotation, focal))
-    return cams
-
-
-def ref_project(camera, scene, scene_id="view"):
-    center, rotation, focal = camera
-    cam_coords = (scene.points - center) @ rotation.T
-    depths = cam_coords[:, 2]
-    if np.any(depths < 1e-6):
-        bad = int(np.argmin(depths))
-        raise BehindCamera(f"landmark {bad + 1} has depth {depths[bad]:.3e}")
-    image = focal * cam_coords[:, :2] / depths[:, None]
-    return LandmarkScene(scene_id=scene_id, points=image)
-
-
-def ref_synthesize_views(k, cameras, seed, delta=0.0, noise=0.0, frame_labels=(1, 2, 4, 3)):
-    master = SplitMix64(seed)
-    scene_seed, cam_seed, perturb_seed, noise_seed = (master.next_u64() for _ in range(4))
-    scene = random_coplanar_scene(k, scene_seed)
-    if delta > 0.0:
-        scene = perturb_out_of_plane(scene, delta, perturb_seed, frame_labels)
-    cams = ref_random_cameras(cameras, cam_seed, scene=scene)
-    views = [ref_project(cam, scene, scene_id=str(i + 1)) for i, cam in enumerate(cams)]
-    if noise > 0.0:
-        ngen = SplitMix64(noise_seed)
-        noisy = []
-        for view in views:
-            jitter = noise * ngen.normals(2 * k).reshape(k, 2)
-            noisy.append(LandmarkScene(view.scene_id, view.points + jitter))
-        views = noisy
-    return views
-
+# reference.py holds the camera draw, the projection and synthesize_views as
+# they were written one camera at a time, each camera a (center, rotation,
+# focal) checked on its own; the stacked generator must give the same bits
+# and the same errors.
 
 def wide_scene(reach):
     """A planar scene reaching `reach` from the origin: beyond about 4 many
@@ -389,14 +319,6 @@ def views_bytes(views):
     return [(v.scene_id, v.points.tobytes()) for v in views]
 
 
-def outcome(make):
-    """What make() returns, or the type and message of what it raises."""
-    try:
-        return make()
-    except (GenerationFailed, ValueError, InvalidLandmark) as exc:
-        return (type(exc).__name__, str(exc))
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     k=st.integers(5, 8),
@@ -409,7 +331,7 @@ def outcome(make):
 @example(k=7, cameras=37, seed=0, delta=0.02, noise=0.002)
 def test_synthesize_views_equals_the_per_camera_loop(k, cameras, seed, delta, noise):
     got = synthesize_views(k=k, cameras=cameras, seed=seed, delta=delta, noise=noise)
-    want = ref_synthesize_views(k=k, cameras=cameras, seed=seed, delta=delta, noise=noise)
+    want = ref.synthesize_views(k=k, cameras=cameras, seed=seed, delta=delta, noise=noise)
     assert views_bytes(got) == views_bytes(want)
 
 
@@ -422,37 +344,37 @@ def test_synthesize_views_equals_the_per_camera_loop(k, cameras, seed, delta, no
 @example(n=40, seed=3, reach=6.0)
 def test_random_cameras_equal_the_per_camera_loop(n, seed, reach):
     scene = None if reach is None else wide_scene(reach)
-    got = outcome(lambda: camera_bytes(camera_list(n, seed, scene=scene)))
-    want = outcome(lambda: camera_bytes(ref_random_cameras(n, seed, scene=scene)))
+    got = ref.outcome(lambda: camera_bytes(camera_list(n, seed, scene=scene)))
+    want = ref.outcome(lambda: camera_bytes(ref.random_cameras(n, seed, scene=scene)))
     assert got == want
 
 
 def test_wide_scenes_reject_many_tries():
     # the scenes the properties above use do exercise the rejection
     counted = SplitMix64(3)
-    ref_random_cameras(40, 3, scene=wide_scene(6.0), gen=counted)
+    ref.random_cameras(40, 3, scene=wide_scene(6.0), gen=counted)
     assert counted.counter // 7 > 60
 
 
 def test_two_thousand_cameras_equal_the_per_camera_loop():
     got = synthesize_views(k=7, cameras=2000, seed=5, delta=0.02, noise=0.002)
-    want = ref_synthesize_views(k=7, cameras=2000, seed=5, delta=0.02, noise=0.002)
+    want = ref.synthesize_views(k=7, cameras=2000, seed=5, delta=0.02, noise=0.002)
     assert views_bytes(got) == views_bytes(want)
     scene = random_coplanar_scene(5, seed=8)
     assert camera_bytes(camera_list(2000, 8, scene=scene)) == camera_bytes(
-        ref_random_cameras(2000, 8, scene=scene)
+        ref.random_cameras(2000, 8, scene=scene)
     )
 
 
 def test_project_equals_the_per_camera_projection():
     scene = perturb_out_of_plane(random_coplanar_scene(6, seed=2), 0.05, seed=3)
-    for cam in ref_random_cameras(25, 4, scene=scene):
-        assert one_view(cam, scene).tobytes() == ref_project(cam, scene).points.tobytes()
+    for cam in ref.random_cameras(25, 4, scene=scene):
+        assert one_view(cam, scene).tobytes() == ref.project(cam, scene).points.tobytes()
     behind = planar_scene([(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], -1.0)
     with pytest.raises(BehindCamera) as got:
         one_view(identity_camera(), behind)
     with pytest.raises(BehindCamera) as want:
-        ref_project(identity_camera(), behind)
+        ref.project(identity_camera(), behind)
     assert str(got.value) == str(want.value)
 
 
@@ -463,7 +385,7 @@ def test_look_at_rotations_equal_the_per_camera_rotation():
     rolls = np.array([0.0, 2.5, 1.0, 5.9])
     got = synth._look_at_rotations(centers, targets, rolls)
     for i in range(4):
-        assert got[i].tobytes() == ref_look_at_rotation(centers[i], targets[i], rolls[i]).tobytes()
+        assert got[i].tobytes() == ref.look_at_rotation(centers[i], targets[i], rolls[i]).tobytes()
 
 
 class CountingSplitMix64(SplitMix64):
@@ -486,14 +408,14 @@ def test_generation_fails_after_as_many_tries_as_the_loop(monkeypatch, max_tries
     for n in (1, 3, 8):
         for seed in range(12):
             CountingSplitMix64.made = []
-            got = outcome(lambda: camera_bytes(camera_list(n, seed, scene=scene)))
+            got = ref.outcome(lambda: camera_bytes(camera_list(n, seed, scene=scene)))
             (stacked,) = CountingSplitMix64.made
             reference = SplitMix64(seed)
-            want = outcome(lambda: camera_bytes(ref_random_cameras(n, seed, scene, reference)))
+            want = ref.outcome(lambda: camera_bytes(ref.random_cameras(n, seed, scene, reference)))
             assert got == want
             if isinstance(want, tuple):
                 failures += 1
-                assert want[0] == "GenerationFailed"
+                assert want[0] is GenerationFailed
                 # every try of the budget was drawn, and not one more
                 assert stacked.counter == reference.counter == 7 * max_tries * n
     assert failures > 0

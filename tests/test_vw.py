@@ -1,9 +1,9 @@
-import math
 import warnings
 
 import numpy as np
 import pytest
 
+import reference as ref
 from opshape.directional import total_variance
 from opshape.errors import DegeneratePoint, EmptySample, FocalWarning
 from opshape.geometry import DirectionSample, canonical_axis
@@ -16,19 +16,6 @@ from opshape.vw import (
     total_variance_ps,
     vw_mean,
 )
-
-
-def char_poly_eigenvalues(a):
-    """3x3 symmetric eigenvalues via the characteristic cubic's roots."""
-    tr = a[0, 0] + a[1, 1] + a[2, 2]
-    minors = (
-        a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-        + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-        + a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    )
-    det = np.linalg.det(a)
-    roots = np.roots([1.0, -tr, minors, -det])
-    return np.sort(roots.real)[::-1]
 
 
 def random_symmetric(gen, d, scale=1.0):
@@ -75,7 +62,7 @@ def test_jacobi_matches_characteristic_polynomial_roots():
     for _ in range(50):
         a = random_symmetric(gen, 3)
         vals, vecs = jacobi_eigh(a)
-        np.testing.assert_allclose(vals, char_poly_eigenvalues(a), atol=1e-11)
+        np.testing.assert_allclose(vals, ref.char_poly_eigenvalues(a), atol=1e-11)
         # residual per pair
         for j in range(3):
             res = a @ vecs[:, j] - vals[j] * vecs[:, j]
