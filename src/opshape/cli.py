@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
+# canonical_axis has no caller here; perfbench's tracer patches the name
 from .geometry import FrameSpec, canonical_axis
 from .io import parse_landmarks, write_json, write_landmarks
 from .pipeline import (
@@ -265,13 +266,20 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_vw(args) -> int:
+    """Comparator blocks of the registered units; no digest, no canonical axes.
+
+    The vw output has no provenance, so the input is parsed without a
+    sha256. Each block's units go to total_variance_ps as they are, a
+    strided view of the sample: the projector x x' of -x is the projector
+    of x, bit for bit, since a sign flip rounds no product, so the
+    canonical signs analyze's axes carry would change no output byte.
+    """
     scenes = parse_landmarks(args.input)
     spec = FrameSpec(args.frame, args.remaining)
     sample, skipped, _ = register_scenes(scenes, spec, args.skip_degenerate)
-    axes = canonical_axis(sample.units)
     blocks = []
     for f in range(sample.q):
-        v = total_variance_ps(axes[:, f])
+        v = total_variance_ps(sample.units[:, f])
         blocks.append({"block": f, **vw_fields(v, VW_BLOCK_KEYS)})
         print(f"block {f}: tS_axial={v.total_variance:.6g} lambda1={v.top_eigenvalue:.6g}")
     payload = {"skipped_scenes": skipped, "blocks": blocks}

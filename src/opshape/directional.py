@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import EmptySample, FocalMean, InvalidLevel
-from .geometry import DirectionSample, _freeze
+from .geometry import DirectionSample, _freeze, last_axis_norms
 
 # dispersion at or below this is exact concentration (fp zero)
 ZERO_TOL = 1e-12
@@ -380,9 +380,15 @@ def chisq_statistic(ts: float, n: int, df: int) -> Tuple[float, float]:
 def angular_distances(units: np.ndarray, mean_direction: np.ndarray) -> np.ndarray:
     """Angles (n, q) between each vector of units (n, q, d) and its block's
     mean direction, a (q, d) row of unit vectors such as an OpsSummary's
-    extrinsic_mean."""
-    cosines = np.einsum("nqd,qd->nq", units, mean_direction)
-    return np.arccos(np.clip(cosines, -1.0, 1.0))
+    extrinsic_mean.
+
+    Kahan's theta = 2 * atan2(||u - m||, ||u + m||) keeps its relative
+    accuracy for any d, near 0 and near pi alike, where the arccos of a dot
+    product loses every digit of an angle below about 1.5e-8.
+    """
+    u = np.asarray(units, dtype=np.float64)
+    m = np.asarray(mean_direction, dtype=np.float64)
+    return 2.0 * np.arctan2(last_axis_norms(u - m), last_axis_norms(u + m))
 
 
 @dataclass(frozen=True)

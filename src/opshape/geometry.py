@@ -87,7 +87,8 @@ class LandmarkStudy(abc.Sequence):
     """n scenes of k landmarks each: ids and one read-only (n, k, m) stack.
 
     Indexing builds scene i on demand as LandmarkScene(ids[i], points[i]).
-    sha256 is the digest of the bytes the study was parsed from, if any.
+    sha256 is the digest of the bytes the study was parsed from, when the
+    parse was asked for one (io.parse_landmarks with digest=True).
     """
 
     ids: Tuple[str, ...]
@@ -100,7 +101,7 @@ class LandmarkStudy(abc.Sequence):
             raise InvalidLandmark("points must be a nonempty (n, k, m) array")
         if not np.isfinite(pts).all():
             raise InvalidLandmark("study has non-finite coordinates")
-        ids = tuple(str(s) for s in self.ids)
+        ids = tuple(map(str, self.ids))
         if len(ids) != pts.shape[0]:
             raise ValueError("ids length must equal the number of scenes")
         object.__setattr__(self, "ids", ids)
@@ -196,7 +197,7 @@ class DirectionSample:
         if u.shape[1] < 1 or u.shape[2] < 2:
             raise ValueError("each block must hold vectors in R^d, d >= 2")
         check_unit_norm(u)
-        ids = tuple(str(s) for s in self.scene_ids)
+        ids = tuple(map(str, self.scene_ids))
         if len(ids) != u.shape[0]:
             raise ValueError("scene_ids length must equal the number of rows")
         if len(set(ids)) != len(ids):
@@ -259,7 +260,12 @@ def frame_charts(frames) -> FrameCharts:
 
     For each frame, lam solves U lam = unit point, where the columns of U
     are the frame representatives; U' is U with column j times sign(lam_j);
-    H = D^-1 (U')^-1 with D = diag(|lam|), negated when det H <= 0. A frame
+    H = D^-1 (U')^-1 with D = diag(|lam|), negated when det H < 0. Since
+    det H = 1 / (det D * det U') with det D > 0 and
+    det U' = det U * prod sign(lam_j), the sign of det H is the sign of
+    det U * prod sign(lam_j), which the det U already taken for the
+    singularity test gives without a determinant of H. On a frame that
+    passes, neither factor is zero, so this is the det H <= 0 rule. A frame
     fails, in this order, on a zero representative, on
     |det U| < DET_RTOL * prod(column norms), on some
     |lam_j| < SCALAR_RTOL * max|lam|, or on a lam or an H that is not
@@ -293,14 +299,15 @@ def frame_charts(frames) -> FrameCharts:
     bad |= vanished
     overflow = ~bad & ~np.isfinite(lam).all(axis=1)
     bad |= overflow
-    adjusted = np.where(bad[:, None, None], eye, basis * np.sign(lam)[:, None, :])
+    signs = np.sign(lam)
+    adjusted = np.where(bad[:, None, None], eye, basis * signs[:, None, :])
     abs_lam = np.where(bad[:, None], 1.0, abs_lam)
     h = np.linalg.inv(adjusted)
     h *= (1.0 / abs_lam)[:, :, None]
     h += 0.0
     overflow |= ~bad & ~np.isfinite(h).all(axis=(1, 2))
     bad |= overflow
-    flipped = np.linalg.det(h) <= 0.0
+    flipped = np.sign(det) * np.prod(signs, axis=1) < 0.0
     np.negative(h, out=h, where=flipped[:, None, None])
 
     errors: Dict[int, DegenerateFrame] = {}

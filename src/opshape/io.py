@@ -5,8 +5,8 @@ strings, landmark labels positive integers, coordinates finite floats. Rows
 may arrive in any order; scenes are returned in first-appearance order with
 rows sorted by label. Every scene must carry exactly the labels 1..k.
 
-parse_landmarks reads the file's bytes once, and the study's sha256 is the
-hash of those bytes, so it always describes what was parsed. A file that
+parse_landmarks reads the file's bytes once; the study's sha256, when asked
+for, is the hash of those bytes, so it describes what was parsed. A file that
 csv.reader would split exactly at every comma (no quote or NUL character,
 one line terminator throughout, no blank line, four fields per line, no
 line over csv.field_size_limit()) is converted column by column, in blocks
@@ -240,8 +240,13 @@ def _decode(payload: bytes) -> str:
         raise ParseError(f"not valid UTF-8 (byte {exc.start})", line=line) from exc
 
 
-def parse_landmarks(path) -> LandmarkStudy:
+def parse_landmarks(path, digest: bool = False) -> LandmarkStudy:
     """Read a landmark CSV into a study: scene ids and one (n, k, 2) stack.
+
+    With digest, the study's sha256 is the hash of the bytes parsed, from
+    the one read of the file; without it, sha256 is None. Only the runs
+    that write provenance (pipeline.run_analysis, for analyze and reduce)
+    ask for it; `opshape vw` does not hash its input.
 
     Raises:
         ParseError: unreadable file, invalid UTF-8, malformed header or
@@ -256,7 +261,7 @@ def parse_landmarks(path) -> LandmarkStudy:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     ids, points = _read_columns(payload) or _read_rows(_decode(payload))
-    return LandmarkStudy(ids, points, hashlib.sha256(payload).hexdigest())
+    return LandmarkStudy(ids, points, hashlib.sha256(payload).hexdigest() if digest else None)
 
 
 # one landmark row, as csv.writer writes it with each float passed through

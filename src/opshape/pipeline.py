@@ -127,6 +127,8 @@ def _registered(
         exc = errors[first]
         raise type(exc)(f"scene {ids[first]!r}: {exc}") from exc
     keep = np.ones(len(ids), dtype=bool)
+    if not errors:  # every scene registered: the sample takes ids and units as they are
+        return DirectionSample(units, ids), keep, []
     keep[list(errors)] = False
     if not keep.any():
         raise EmptySample("no scenes survived registration")
@@ -168,7 +170,7 @@ def register_scenes(
         message = f"registered vector is not unit norm within {UNIT_ATOL}"
         errors.update((i, DegeneratePoint(message)) for i in bad)
         sample, keep, skipped = _registered(ids, units, errors, skip_degenerate)
-    flipped_ids = [ids[i] for i in np.flatnonzero(flipped & keep)]
+    flipped_ids = [ids[i] for i in np.flatnonzero(flipped & keep).tolist()]
     if flipped_ids and len(flipped_ids) < sample.n:
         shown = ", ".join(repr(i) for i in flipped_ids[:_WARN_IDS])
         more = ", ..." if len(flipped_ids) > _WARN_IDS else ""
@@ -183,7 +185,7 @@ def register_scenes(
 
 def run_analysis(config: StudyConfig) -> AnalysisReport:
     """Parse, register, test, diagnose, and reduce one landmark study."""
-    study = parse_landmarks(config.input_path)
+    study = parse_landmarks(config.input_path, digest=True)
     spec = config.frame_spec()
     sample, skipped, flipped = register_scenes(study, spec, config.skip_degenerate)
 

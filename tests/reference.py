@@ -295,6 +295,16 @@ def axis(vector):
     return v.copy()
 
 
+def angle(u, m):
+    """The angle between the directions of u and m, by mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        u = [mpmath.mpf(float(x)) for x in u]
+        m = [mpmath.mpf(float(x)) for x in m]
+        dot = mpmath.fsum(a * b for a, b in zip(u, m))
+        norms = mpmath.sqrt(mpmath.fsum(a * a for a in u) * mpmath.fsum(b * b for b in m))
+        return float(mpmath.acos(max(-1, min(1, dot / norms))))
+
+
 def lifted(scene, label):
     """Landmark `label` of a scene as the homogeneous representative (x, y, 1)."""
     return np.concatenate([scene.points[label - 1], [1.0]])

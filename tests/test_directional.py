@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,10 +21,11 @@ from opshape.directional import (
     total_variance,
     z_statistic,
 )
-from opshape.errors import EmptySample, FocalMean, InvalidLevel
-from opshape.geometry import DirectionSample
+from opshape.errors import EmptySample, FocalMean, InvalidLevel, MixedOrientationWarning
+from opshape.geometry import DirectionSample, FrameSpec
+from opshape.pipeline import register_scenes
 from opshape.rng import SplitMix64
-from opshape.synth import tangent_gaussian_sample, tangent_gaussian_samples
+from opshape.synth import synthesize_views, tangent_gaussian_sample, tangent_gaussian_samples
 
 mpmath.mp.dps = 50
 
@@ -366,6 +368,41 @@ def test_angular_distances_orthogonal_and_antipodal():
     mu = mu[0]
     assert ang[8, 0] == pytest.approx(math.acos(mu @ np.array([1.0, 0, 0])), abs=1e-12)
     assert ang[9, 0] == pytest.approx(math.pi - ang[0, 0], abs=1e-12)
+
+
+def test_small_angles_keep_their_digits():
+    # the arccos of the dot product read 16 of these 20 angles as 0.0
+    views = synthesize_views(k=5, cameras=20, seed=3, noise=1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MixedOrientationWarning)
+        sample, _, _ = register_scenes(views, FrameSpec())
+    mean = coplanarity_test(sample).extrinsic_mean
+    angles = angular_distances(sample.units, mean)
+    assert (angles > 0.0).all()
+    want = [[ref.angle(u, m) for u, m in zip(row, mean)] for row in sample.units]
+    np.testing.assert_allclose(angles, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_angles_near_zero_and_pi_in_any_dimension(d):
+    gen = SplitMix64(90 + d)
+    means = gen.normals(4 * d).reshape(4, d)
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    # from 1e-9: below it the few-ulp norm error of a unit vector, not the
+    # formula, limits the relative accuracy
+    thetas = 10.0 ** np.linspace(-9, -1, 9)
+    thetas = np.concatenate([thetas, np.pi - thetas])
+    units = []
+    for theta in thetas:
+        # rotate each mean by theta towards a direction orthogonal to it
+        w = gen.normals(4 * d).reshape(4, d)
+        w -= (w * means).sum(axis=1, keepdims=True) * means
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        units.append(np.cos(theta) * means + np.sin(theta) * w)
+    units = np.stack(units)
+    angles = angular_distances(units, means)
+    want = [[ref.angle(u, m) for u, m in zip(row, means)] for row in units]
+    np.testing.assert_allclose(angles, want, rtol=1e-12, atol=0.0)
 
 
 # ---------- assembled summary ----------------------------------------------------

@@ -208,34 +208,35 @@ def test_report_bytes_for_quoted_scene_ids(tmp_path):
 
 # bytes of `opshape analyze`'s other CSV views (sphere_points,
 # mean_direction, angles_full, angles_reduced), recorded from the
-# csv.writer row loop that passed each float through format(x, ".17g")
+# csv.writer row loop that passed each float through format(x, ".17g");
+# the angle views since angular_distances took Kahan's 2 * atan2 form
 CSV_GOLDEN = {
     "bent": (
         "e1280f09098644878d579446cb004ed1cd54d25e2f9d9205094f58ffef2f2c43",
         "20371047e189a12dd94b8ab00c0e44097e1d1a0f77752dc7ad2b7491931550e5",
-        "bf6d5ebb0de3c2651bd2aab1f01e2b0902ad130a605b001e3a48784eff06d5de",
-        "cb2e3a940d2742066c1d7972e405f571321c8747f08199eab3c96c47f15fd646",
+        "cec674522c683143af63d298a128ef0e84a3ad180b5fc827a54e286e605bd5dd",
+        "5946ff5109e0e894f20618f7da6cbcb539a308378bb97a89fa880ced9d85c57f",
     ),
     # no removals: angles_reduced repeats angles_full
     "flat": (
         "815e8c7405975ad414385e638f2b5d7aaed5925405581ec0e784358f0f5ab973",
         "23f5cee3eb149f5354fa3613daa506d96def89f4e2be1f4e99b8d47e4aa59126",
-        "65f50b66c39ec9a3522ba68d0725c2c1298e75bc43b747acc72b3f2f94b31cd5",
-        "65f50b66c39ec9a3522ba68d0725c2c1298e75bc43b747acc72b3f2f94b31cd5",
+        "e0fb49c727c325ddd4a797285b1d05a472c7826324b3ed0d47bff6f6e1d97d60",
+        "e0fb49c727c325ddd4a797285b1d05a472c7826324b3ed0d47bff6f6e1d97d60",
     ),
     # three lines per scene, one per sphere block
     "q3": (
         "e886538ef08c168d7753eb1425b9641886202132415234afcbb73a907c7cbd92",
         "116cbe50da6c59ed533c6a5580a5f1abfd96ff118d430b2bb240f763d4d8104a",
-        "2b47a6e4ef9d4b25ca9923e904ac66ed636d1ce02acbe8433ad4f94c9cdfc3c5",
-        "602fa086c4fe05dd998e575c8d76e8748ff86b1d6a4b4d5288374cf83c1c29fb",
+        "5ab769abbdd99820faff64106f02679ed3fef9568fb90c8237ebb58362bca338",
+        "1aa1db226e71b481058ebfc34fd4f30f2b7469fc06f120c936dc7cb181ae58c8",
     ),
     # ids with commas and quotes, written quoted
     "quoted": (
         "43e031447ea9f1a0c9011622d3071807ca6baa209b022f71758a3b78fe8d6bc8",
         "3f31371404494207b95ad6adceb4dd6645c4e3833aebdae8a2e42703bef81830",
-        "c99dc4656638ff55119c6881d5b674081f4f25f4dafd8523a89d735a94967ceb",
-        "7639e535ba6ebfefa1b7460c92944108505510c681c4b806444f1ce1271f4770",
+        "4c82325c3b8291c2d2fd87e5bf1024ead4d0aa0cc9c8aa3d095ab6dc18694666",
+        "d08043062203feca2c203964addff3c2ee6c5d6efc9d032d2a9010c7076ad62f",
     ),
 }
 CSV_VIEWS = ("sphere_points", "mean_direction", "angles_full", "angles_reduced")

@@ -72,7 +72,10 @@ def test_provenance_hashes_input_bytes(study_csv, study_report):
 
 def test_analyze_reads_its_input_once(study_csv, tmp_path, monkeypatch):
     # the report's hash must describe the very bytes that were parsed, so
-    # the input is opened once, however the package opens files
+    # the input is opened once, however the package opens files; reduce
+    # writes the same provenance, and vw, which writes none, opens its
+    # input once too and hashes nothing
+    expected = hashlib.sha256(study_csv.read_bytes()).hexdigest()
     opened = []
     real_open = builtins.open
 
@@ -83,12 +86,21 @@ def test_analyze_reads_its_input_once(study_csv, tmp_path, monkeypatch):
 
     monkeypatch.setattr(builtins, "open", counting_open)
     monkeypatch.setattr(stdio, "open", counting_open)
-    out = tmp_path / "out"
-    assert main(["analyze", str(study_csv), "--out", str(out)]) == 0
+    for command, name in (("analyze", "report.json"), ("reduce", "reduction.json")):
+        opened.clear()
+        out = tmp_path / command
+        assert main([command, str(study_csv), "--out", str(out)]) == 0
+        assert opened == ["rb"], command
+        written = json.loads((out / name).read_text(encoding="utf-8"))
+        assert written["provenance"]["input_sha256"] == expected, command
+
+    def no_digest(*args, **kwargs):
+        raise AssertionError("vw hashed its input")
+
+    monkeypatch.setattr(hashlib, "sha256", no_digest)
+    opened.clear()
+    assert main(["vw", str(study_csv), "--out", str(tmp_path / "vw.json")]) == 0
     assert opened == ["rb"]
-    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    expected = hashlib.sha256(study_csv.read_bytes()).hexdigest()
-    assert report["provenance"]["input_sha256"] == expected
 
 
 def test_reduction_bookkeeping_is_consistent(study_report):

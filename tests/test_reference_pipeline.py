@@ -15,8 +15,7 @@ views against the reference computations:
 
 Ids, flags, counts, the removal order and the stop reason must match
 exactly, floats within golden.json's tolerance (reference.assert_close).
-Angles are compared by their cosines: arccos is ill-conditioned near 0,
-where a last-bit change of the cosine moves the angle by up to 1.5e-8.
+The angles are held to reference.angle, by mpmath, small ones included.
 """
 
 import contextlib
@@ -100,9 +99,8 @@ def assert_angles(path, sample, mean_direction):
     header, rows = ref.read_csv(path)
     assert header == ["scene", "theta_radians"]
     assert [r[0] for r in rows] == [sid for sid in sample.scene_ids for _ in range(sample.q)]
-    cosines = np.clip((sample.units * np.asarray(mean_direction)).sum(axis=-1), -1.0, 1.0)
-    got = np.cos([float(r[1]) for r in rows])
-    ref.assert_close(got.tolist(), cosines.ravel().tolist(), path.name)
+    want = [ref.angle(u, m) for row in sample.units for u, m in zip(row, mean_direction)]
+    ref.assert_close([float(r[1]) for r in rows], want, path.name)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

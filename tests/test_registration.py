@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference as ref
 from opshape.errors import (
@@ -20,6 +22,7 @@ from opshape.errors import (
     MixedOrientationWarning,
 )
 from opshape.geometry import (
+    DET_RTOL,
     FrameSpec,
     LandmarkScene,
     LandmarkStudy,
@@ -227,6 +230,82 @@ def test_frame_charts_match_single_frame_solves(name):
         assert charts.flipped[i] == flip
         ref.assert_same_bits(charts.matrix[i], h)
 
+
+
+def near_singular(rng, ratio):
+    """Four points whose basis 1, 2, 3 has |det U| about `ratio` times the
+    DET_RTOL bound: point 3 sits that far off the line through 1 and 2."""
+    pts = rng.uniform(-1.0, 1.0, size=(4, 2)) * 10.0 ** rng.uniform(0, 4)
+    edge = pts[1] - pts[0]
+    length = float(np.hypot(*edge))
+    pts[2] = pts[0] + rng.uniform(-1.0, 2.0) * edge
+    norms = np.prod(np.hypot(np.hypot(pts[:3, 0], pts[:3, 1]), 1.0))
+    # det U is the cross product of edge and pts[2] - pts[0]
+    pts[2] += ratio * DET_RTOL * norms / length * np.array([-edge[1], edge[0]]) / length
+    return pts
+
+
+@st.composite
+def frames(draw):
+    """One frame, four lifted points (4, 3): random, on an integer lattice
+    with exact zeros, at pixel scale (1e2-1e4) or with |det U| within 2x of
+    the DET_RTOL bound, either side of it; mirrored or not."""
+    kind = draw(st.sampled_from(["random", "lattice", "pixel", "near_singular"]))
+    if kind == "lattice":
+        pts = np.array(draw(st.lists(st.integers(-3, 3), min_size=8, max_size=8)), float)
+        pts = pts.reshape(4, 2)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "random":
+            pts = rng.normal(size=(4, 2))
+        elif kind == "pixel":
+            pts = rng.uniform(1e2, 1e4, size=(4, 2))
+        else:
+            ratio = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+            pts = near_singular(rng, ratio)
+    if draw(st.booleans()):
+        pts[:, 0] = -pts[:, 0]  # mirrored: the orientation flips
+    return np.hstack([pts, np.ones((4, 1))])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(frames(), min_size=1, max_size=8))
+def test_flip_rule_matches_the_chart_determinant(stack):
+    """frame_charts flips by the sign of det U * prod sign(lam); on every
+    frame that passes, that is reference.chart's det H <= 0 rule, and the
+    chart it returns has det > 0."""
+    charts = frame_charts(np.stack(stack))
+    for i, reps in enumerate(stack):
+        try:
+            h, flip = ref.chart(reps)
+        except DegenerateFrame as exc:
+            assert str(charts.errors[i]) == str(exc)
+            continue
+        assert i not in charts.errors
+        assert bool(charts.flipped[i]) == flip
+        ref.assert_same_bits(charts.matrix[i], h)
+        assert np.linalg.det(charts.matrix[i]) > 0.0
+
+
+def test_flip_rule_holds_on_a_large_stack():
+    """On 20,000 frames of every kind above, each good chart has det > 0.
+    A chart is ±H bit for bit and det(-H) = -det(H) exactly for d = 3, so
+    this is the det H <= 0 rule frame by frame, in one stacked call."""
+    rng = np.random.default_rng(24)
+    n = 5000
+    pts = np.concatenate([
+        rng.normal(size=(n, 4, 2)),
+        rng.integers(-3, 4, size=(n, 4, 2)).astype(float),
+        rng.uniform(1e2, 1e4, size=(n, 4, 2)),
+        np.stack([near_singular(rng, r) for r in rng.uniform(0.5, 2.0, n) * rng.choice([-1, 1], n)]),
+    ])
+    mirrored = rng.random(len(pts)) < 0.5
+    pts[mirrored, :, 0] *= -1.0
+    charts = frame_charts(np.concatenate([pts, np.ones(pts.shape[:2] + (1,))], axis=2))
+    good = np.ones(len(pts), dtype=bool)
+    good[list(charts.errors)] = False
+    assert good.sum() > 3 * n and charts.flipped[good].any() and not charts.flipped[good].all()
+    assert (np.linalg.det(charts.matrix[good]) > 0.0).all()
 
 def test_chart_coordinates_match_single_point_calls():
     rng = np.random.default_rng(5)

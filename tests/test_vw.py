@@ -5,10 +5,11 @@ import pytest
 
 import reference as ref
 from opshape.directional import total_variance
-from opshape.errors import DegeneratePoint, EmptySample, FocalWarning
-from opshape.geometry import DirectionSample, canonical_axis
+from opshape.errors import DegeneratePoint, EmptySample, FocalWarning, MixedOrientationWarning
+from opshape.geometry import DirectionSample, FrameSpec, canonical_axis
+from opshape.pipeline import register_scenes
 from opshape.rng import SplitMix64
-from opshape.synth import tangent_gaussian_sample
+from opshape.synth import synthesize_views, tangent_gaussian_sample
 from opshape.vw import (
     VwSummary,
     jacobi_eigh,
@@ -125,15 +126,26 @@ def test_total_variance_ps_orthonormal_axes():
 
 
 def test_total_variance_ps_sign_blind_exact():
+    """Every VwSummary field, bit for bit, whatever the axes' signs: the
+    projector of -x is the projector of x, since a sign flip rounds no
+    product. opshape vw relies on it to hand the comparator its strided
+    units[:, f] views rather than canonical axes."""
     gen = SplitMix64(65)
     z = gen.normals(24).reshape(8, 3)
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     signs = np.where(gen.uniforms(8) < 0.5, -1.0, 1.0)[:, None]
-    a = total_variance_ps(z)
-    b = total_variance_ps(z * signs)
-    assert a.total_variance == b.total_variance
-    assert a.top_eigenvalue == b.top_eigenvalue
-    np.testing.assert_array_equal(a.mean_matrix, b.mean_matrix)
+    ref.assert_same_bits(total_variance_ps(z * signs), total_variance_ps(z))
+
+    views = synthesize_views(k=7, cameras=2000, seed=24, delta=0.02, noise=0.002)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MixedOrientationWarning)
+        sample, _, _ = register_scenes(views, FrameSpec((1, 2, 4, 3), (5, 6, 7)))
+    units = sample.units
+    axes = canonical_axis(units)
+    assert (axes != units).any()  # some units leave with the other sign
+    for f in range(3):
+        assert not units[:, f].flags.c_contiguous
+        ref.assert_same_bits(total_variance_ps(units[:, f]), total_variance_ps(axes[:, f]), f"block {f}")
 
 
 def test_eigen_residual_on_sampled_mean_matrices():
