@@ -80,7 +80,7 @@ def _at_least(low, convert=int):
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
         if not (math.isfinite(value) and value >= low):
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {low} and finite, got {value}")
         return value
 
     return parse

@@ -25,11 +25,13 @@ every camera's image noise in one pass.
 
 Every word comes from `_words`, one splitmix64 pass over one or more
 ranges of each seed's stream. A range of Box-Muller pairs takes its u1 and
-u2 words in one such pass and transforms them in place, so it costs about
-27 numpy calls whatever its length; with many threads drawing, the calls
-(each a release and re-take of the interpreter lock) matter as much as the
-arithmetic. Gaussian variates go through numpy's log/cos/sin and are
-therefore exact only up to the platform's rounding of those functions.
+u2 words in one such pass and transforms them in place, so it costs 27
+numpy calls that allocate or loop over an array (8 of them the splitmix64
+finalizer, whose shifts share one buffer) whatever its length; with many
+threads drawing, the calls (each a release and re-take of the interpreter
+lock) matter as much as the arithmetic. Gaussian variates go through
+numpy's log/cos/sin and are therefore exact only up to the platform's
+rounding of those functions.
 """
 
 from __future__ import annotations
@@ -47,12 +49,15 @@ _TWO_PI = 2.0 * np.pi
 
 def _mix(z: np.ndarray) -> np.ndarray:
     # finalizer of splitmix64, in place on a fresh array; wraps mod 2^64 via
-    # uint64 arithmetic
-    z ^= z >> np.uint64(30)
+    # uint64 arithmetic. The three shifts share one buffer.
+    shifted = z >> np.uint64(30)
+    z ^= shifted
     z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
     z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
     return z
 
 
@@ -100,12 +105,18 @@ def normal_pairs(seeds, m: int, lo: int, hi: int, start: int = 0) -> np.ndarray:
         raise ValueError("pair range must satisfy 0 <= lo <= hi <= m")
     seeds = _seed_array(seeds)
     c = hi - lo
-    r, angle = _unit_interval(_words(seeds, (start + lo, start + m + lo), c))
+    words = _words(seeds, (start + lo, start + m + lo), c)
+    words >>= np.uint64(11)
+    r, angle = words.astype(np.float64)
+    del words
+    r *= _TWO_POW_MINUS_53  # in [0, 1), as `_unit_interval` gives it
     np.subtract(1.0, r, out=r)  # u1 in (0, 1]: log stays finite
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    angle *= _TWO_PI
+    # 2 pi u2 in one multiply: scaling by 2^-53 is exact, so this has the
+    # bits of 2 pi times the u2 of `_unit_interval`
+    angle *= _TWO_PI * _TWO_POW_MINUS_53
     out = np.empty((seeds.size, c, 2))
     np.cos(angle, out=out[..., 0])
     np.sin(angle, out=out[..., 1])

@@ -369,6 +369,8 @@ def _unit_draws(
 ) -> np.ndarray:
     """normalize(mu + (sigma * normals) @ basis) for (R, rows, d-1) standard normals.
 
+    normals is scaled by sigma in place, so the caller must not use it again.
+
     The norms are `last_axis_norms`, the bits of `np.linalg.norm(axis=-1)`
     for d < 8. Adding mu and dividing by the norms go one coordinate column
     at a time, as the norms do: d long loops rather than one short loop per
@@ -379,10 +381,9 @@ def _unit_draws(
     """
     # overflow is caught below as a norm that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = sigma * normals
+        normals *= sigma
         # one (rows, d-1) @ (d-1, d) product per sample, as for a single draw
-        raw = coeffs @ basis
-        del coeffs  # one large temporary less while normalizing
+        raw = normals @ basis
         columns = [raw[..., j] for j in range(mu.size)]
         for column, shift in zip(columns, mu.tolist()):
             column += shift
@@ -427,21 +428,20 @@ _MEAN_SLICE = 16384
 _MEAN_AHEAD = 4
 
 
-def _mean_bounds(n: int) -> List[Tuple[int, int]]:
-    """(lo, hi) rows of each slice of an n-draw mean, `_MEAN_SLICE` rows each.
+def _mean_slices(n: int) -> int:
+    """Number of slices of an n-draw mean, `_MEAN_SLICE` rows each.
 
     A one-row last slice joins the slice before it: numpy computes a
     one-row product with a matrix-vector kernel, which may round otherwise.
     """
-    bounds = []
-    lo = 0
-    while lo < n:
-        hi = min(lo + _MEAN_SLICE, n)
-        if hi == n - 1:
-            hi = n
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+    count = -(-n // _MEAN_SLICE)
+    return count - 1 if n > 1 and n % _MEAN_SLICE == 1 else count
+
+
+def _mean_bound(n: int, k: int) -> Tuple[int, int]:
+    """(lo, hi) rows of slice k of an n-draw mean; the last slice ends at n."""
+    lo = k * _MEAN_SLICE
+    return lo, n if k == _mean_slices(n) - 1 else lo + _MEAN_SLICE
 
 
 def _mean_slice(
@@ -462,7 +462,7 @@ def tangent_gaussian_mean(
     """Mean of `tangent_gaussian_sample(direction, sigma, n, seed)`, bit for bit.
 
     The n draws are made and summed one slice of `_MEAN_SLICE` rows at a
-    time (`_mean_bounds`), so memory does not grow with n. The running sum
+    time (`_mean_bound`), so memory does not grow with n. The running sum
     starts at zero and adds the rows in order, as `ndarray.mean(axis=0)`
     does, and is divided by n at the end.
 
@@ -479,30 +479,35 @@ def tangent_gaussian_mean(
             slice's error, raised when the sum reaches that slice.
     """
     mu, basis = _tangent_frame(direction, sigma, n)
-    bounds = _mean_bounds(n)
+    slices = _mean_slices(n)
 
     def draw(k: int) -> np.ndarray:
-        return _mean_slice(mu, basis, sigma, seed, n, *bounds[k])
+        return _mean_slice(mu, basis, sigma, seed, n, *_mean_bound(n, k))
 
     window = deque()  # futures of the slices submitted beyond the sum
-    total = np.zeros((1, mu.size))  # the start `np.add.reduce` takes
+    # row 0 holds the running sum, which starts at zero as the reduction's
+    # does, and the rows after it the slice being added
+    buf = np.zeros((min(n, _MEAN_SLICE + 1) + 1, mu.size))
     try:
-        for k in range(len(bounds)):
+        for k in range(slices):
             if pool is None:
                 units = draw(k)
             else:
-                ahead = range(k + len(window), min(k + _MEAN_AHEAD, len(bounds)))
+                ahead = range(k + len(window), min(k + _MEAN_AHEAD, slices))
                 window.extend(pool.submit(draw, j) for j in ahead)
                 units = window.popleft().result()
-            # row by row, as the reduction does; accumulate runs each column as one loop.
-            # The copy and the del keep neither the accumulated rows nor the
-            # slice alive while the next slice is awaited.
-            total = np.add.accumulate(np.concatenate([total, units]), axis=0)[-1:].copy()
-            del units
+            rows = len(units) + 1
+            buf[1:rows] = units
+            del units  # not kept alive while the next slice is awaited
+            # einsum walks the C-ordered rows in memory order, the d axis
+            # inner: each column adds the rows one after another, as
+            # `ndarray.mean`'s reduction does, a whole row per step
+            # (tests/test_monte_carlo.py checks that order)
+            buf[0] = np.einsum("ij->j", buf[:rows])
     finally:
         for future in window:
             future.cancel()
-    return total[0] / n
+    return buf[0] / n
 
 
 def tangent_gaussian_sample(direction, sigma: float, n: int, seed: int) -> np.ndarray:

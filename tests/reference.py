@@ -213,6 +213,27 @@ def tangent_draws(direction, sigma, n, seed):
     return unit_draws(mu, synth._tangent_basis(mu), normals(seed, n * (d - 1)).reshape(n, d - 1), sigma)
 
 
+def row_sum(x):
+    """Sum of the rows of a 2-D array, added one row at a time in order to a zero start."""
+    total = np.zeros(x.shape[1])
+    for row in x:
+        total = total + row
+    return total
+
+
+def mean_bounds(n, size):
+    """(lo, hi) rows of each slice of an n-draw oracle mean, size rows each,
+    by walking the rows: a one-row last slice joins the slice before it."""
+    bounds, lo = [], 0
+    while lo < n:
+        hi = min(lo + size, n)
+        if hi == n - 1:
+            hi = n
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
 def check_unit_norm(units):
     """ValueError naming the worst distance when some row is not unit norm."""
     off = np.abs(np.linalg.norm(units, axis=-1) - 1.0)

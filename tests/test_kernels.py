@@ -95,7 +95,7 @@ def test_unit_draws_overflow_fails_as_the_broadcast_kernel(d):
     mu = np.eye(d)[-1]
     normals = rng.normal_rows([1, 2], 7 * (d - 1)).reshape(2, 7, d - 1)
     for sigma in (1e200, 1e308):
-        got = ref.outcome(_unit_draws, mu, _tangent_basis(mu), normals, sigma)
+        got = ref.outcome(_unit_draws, mu, _tangent_basis(mu), normals.copy(), sigma)
         assert got[0] is GenerationFailed
         assert got == ref.outcome(ref.unit_draws, mu, _tangent_basis(mu), normals, sigma)
 

@@ -6,7 +6,9 @@ per replication, in a Python loop. `normal_rows`, `tangent_gaussian_samples`,
 `sample_moments` and `run_monte_carlo` must reproduce it bit for bit. The
 sliced oracle mean, `tangent_gaussian_mean`, must equal the mean of the
 whole sample by bytes, in memory that does not grow with the draws,
-whichever pool worker draws each slice. The replication pass runs as one
+whichever pool worker draws each slice; its slice bounds must follow the
+row-walking rule of reference.mean_bounds, and the einsum of its running
+sum must add rows in the order of reference.row_sum. The replication pass runs as one
 task on the pool beside the oracle's slices; its error precedence and
 its stop on the calling thread's error are checked here, as is the drawn
 oracle against the closed-form population dispersion.
@@ -121,6 +123,57 @@ def draw_counts(s):
     return (1, 2, 3, s - 1, s, s + 1, 2 * s + 5)
 
 
+def mean_bounds(n):
+    """(lo, hi) of every slice of an n-draw oracle mean, as the oracle computes them."""
+    return [synth._mean_bound(n, k) for k in range(synth._mean_slices(n))]
+
+
+@pytest.mark.parametrize("size", [2, 3, 64, synth._MEAN_SLICE])
+def test_mean_bounds_follow_the_slice_rule(monkeypatch, size):
+    monkeypatch.setattr(synth, "_MEAN_SLICE", size)
+    for n in [*range(1, 4 * size + 3), 40_001, 32_769, 400_003]:
+        assert mean_bounds(n) == ref.mean_bounds(n, size), n
+
+
+def test_mean_bounds_of_a_huge_oracle_are_computed_not_listed():
+    n, size = 10**15, synth._MEAN_SLICE  # 10^15 = 2^15 5^15: whole slices
+    slices = n // size
+    assert synth._mean_slices(n) == slices
+    assert synth._mean_bound(n, 0) == (0, size)
+    assert synth._mean_bound(n, slices - 1) == (n - size, n)
+    # a one-row tail joins the last slice; a two-row tail is a slice of its own
+    assert synth._mean_slices(n + 1) == slices
+    assert synth._mean_bound(n + 1, slices - 1) == (n - size, n + 1)
+    assert synth._mean_slices(n + 2) == slices + 1
+    assert synth._mean_bound(n + 2, slices - 1) == (n - size, n)
+    assert synth._mean_bound(n + 2, slices) == (n, n + 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([1, 2, 3, 16_385, 16_386]),
+    st.integers(2, 9),
+    st.integers(-300, 300),
+    st.integers(0, 3),
+    st.floats(0.0, 0.5),
+    st.integers(0, 2**32 - 1),
+)
+def test_einsum_adds_rows_in_order(rows, d, exponent, spread, zeros, seed):
+    """The oracle's running sum, `np.einsum("ij->j", x)`, adds the rows of x
+    in order, as a loop would and as `ndarray.mean(axis=0)`'s reduction
+    does; a numpy whose einsum changed that order would move the mean's
+    bits. Magnitudes run from 1e-300 to 1e300 over a few decades per
+    example, so the order shows in the rounding, with signed zeros."""
+    gen = np.random.default_rng(seed)
+    powers = np.clip(exponent + gen.integers(-spread, spread + 1, size=(rows, d)), -300, 300)
+    x = gen.uniform(1.0, 10.0, size=(rows, d)) * 10.0**powers
+    x *= gen.choice([-1.0, 1.0], size=(rows, d))
+    x[gen.random((rows, d)) < zeros] *= 0.0  # zero of the value's sign
+    want = ref.row_sum(x)
+    ref.assert_same_bits(np.einsum("ij->j", x), want)
+    ref.assert_same_bits(np.add.reduce(x, axis=0), want)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("mean_slice", [64, 128, None])
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -152,7 +205,7 @@ def pooled_mean(direction, sigma, n, seed, schedule, drawers, workers=2):
     and the window let one begin. An int c: one worker is held busy, as by
     the replication pass, until slice c begins.
     """
-    slices = {lo: k for k, (lo, _) in enumerate(synth._mean_bounds(n))}
+    slices = {lo: k for k, (lo, _) in enumerate(mean_bounds(n))}
     overlap = min(workers, synth._MEAN_AHEAD, len(slices)) > 1
     other, free = threading.Event(), threading.Event()
     draw = synth._mean_slice
@@ -199,7 +252,7 @@ def test_helped_mean_is_the_mean_of_the_whole_sample(d, mean_slice, schedule, va
         patch.setattr(synth, "_MEAN_SLICE", mean_slice)
         for sigma in (0.0, 1e-3, 0.1, 2.0):
             for n in draw_counts(mean_slice):
-                bounds = synth._mean_bounds(n)
+                bounds = mean_bounds(n)
                 when = len(bounds) // 2 if schedule == "late" else schedule
                 expected = tangent_gaussian_sample(direction, sigma, n, seed).mean(axis=0)
                 for workers in (1, 2, 4) if schedule == "eager" else (2,):
@@ -241,7 +294,7 @@ def test_helpers_beyond_the_cores_draw_each_slice_once(monkeypatch):
         finally:
             sys.setswitchinterval(interval)
         ref.assert_same_bits(got, expected)
-        assert sorted(drawn) == [lo for lo, _ in synth._mean_bounds(n)]
+        assert sorted(drawn) == [lo for lo, _ in mean_bounds(n)]
         assert threading.active_count() == threads
 
 
@@ -465,7 +518,7 @@ def test_oracle_at_the_production_slice_is_the_whole_sample_mean(monkeypatch, dr
     got = pipeline.run_monte_carlo(0.1, 30, 20, 0.05, 0, draws)
     assert got["oracle_total_variance"] == 2.0 * (1.0 - float(np.linalg.norm(mean)))
     assert synth._MEAN_SLICE == 16_384
-    assert sorted(drawn) == [lo for lo, _ in synth._mean_bounds(draws)]
+    assert sorted(drawn) == [lo for lo, _ in mean_bounds(draws)]
     assert len(drawn) == slices
 
 

@@ -635,6 +635,7 @@ def test_cli_bad_statistical_argument_exits_2(study_csv, tmp_path, capsys, comma
         ("mc --out {out} --n 0", 2, "argument --n: must be >= 2"),
         ("mc --out {out} --oracle-draws 0", 2, "argument --oracle-draws: must be >= 1"),
         ("mc --out {out} --sigma -1", 2, "argument --sigma: must be >= 0"),
+        ("mc --out {out} --sigma inf", 2, "argument --sigma: must be >= 0 and finite, got inf"),
         ("synth --out {out} --cameras 0", 2, "argument --cameras: must be >= 1"),
         ("synth --out {out} --k 3", 2, "argument --k: must be >= 5"),
         ("synth --out {out} --delta -1", 2, "argument --delta: must be >= 0"),
