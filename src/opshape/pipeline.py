@@ -469,13 +469,14 @@ def run_monte_carlo(
     about 2^17 doubles, and stores each one's tS and SE; the calling thread
     then forms the CIs and counts the hits over the same slices, so the
     pass holds 24 bytes per replication (seed, tS, SE) beyond one slice.
-    The oracle's slices go to the same pool as futures, at most
-    `synth._MEAN_AHEAD` ahead of its running sum: one worker draws them
-    beside the replication pass, both once it ends, while the calling
-    thread adds them to the sum in slice order. numpy releases the
-    interpreter lock inside its loops, so the two overlap, and the output
-    is bit-identical to drawing and testing each replication on its own,
-    in series after the oracle. If the calling thread raises
+    The oracle's slices go to the same pool as a chain of tasks, each of
+    which draws its slice and adds it to the running sum the task before
+    it passed on (`tangent_gaussian_mean`): one worker runs them beside the
+    replication pass, both once it ends, while the calling thread only
+    submits them and waits for the last. numpy releases the interpreter
+    lock inside its loops, so the two overlap, and the output is
+    bit-identical to drawing and testing each replication on its own, in
+    series after the oracle. If the calling thread raises
     (KeyboardInterrupt included), the replication task stops before its
     next slice, no queued oracle slice starts, and the call returns only
     after both workers have exited.

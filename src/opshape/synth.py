@@ -29,11 +29,14 @@ normalize step, which adds the mean direction and divides by the norms one
 coordinate column at a time. `tangent_gaussian_mean` makes and sums its
 draws one slice of 16,384 draws at a time, so a large oracle's memory does
 not grow with its size, and its mean is bit-identical to that of the whole
-sample. Given an executor, it submits the slices to its workers as
-futures, a bounded window of them ahead of the running sum, and adds their
-results in slice order on the calling thread. A slice costs about 45 numpy
-calls, each a release and re-take of the interpreter lock, so large slices
-keep two drawing threads from waiting on each other: 10^6 draws take about
+sample. Its slices form a chain of tasks: task k draws slice k into its own
+buffer, waits for task k - 1's running sum and adds its rows to it, on the
+thread that drew them. Given an executor, the calling thread only submits
+the tasks and waits for the last; with none, it runs the same tasks one
+after another. At d = 3 a slice costs 45 numpy calls that allocate or
+loop over an array (27 Box-Muller, 16 normalize, the buffer and the sum),
+each a release and re-take of the interpreter lock, so large slices keep
+two drawing threads from waiting on each other: 10^6 draws take about
 2,800 calls.
 """
 
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import Executor
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -365,11 +368,17 @@ def _tangent_frame(direction, sigma: float, n: int) -> Tuple[np.ndarray, np.ndar
 
 
 def _unit_draws(
-    mu: np.ndarray, basis: np.ndarray, normals: np.ndarray, sigma: float
+    mu: np.ndarray,
+    basis: np.ndarray,
+    normals: np.ndarray,
+    sigma: float,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """normalize(mu + (sigma * normals) @ basis) for (R, rows, d-1) standard normals.
 
     normals is scaled by sigma in place, so the caller must not use it again.
+    The draws are written to out, an (R, rows, d) array, if one is given,
+    and returned.
 
     The norms are `last_axis_norms`, the bits of `np.linalg.norm(axis=-1)`
     for d < 8. Adding mu and dividing by the norms go one coordinate column
@@ -383,7 +392,7 @@ def _unit_draws(
     with np.errstate(over="ignore", invalid="ignore"):
         normals *= sigma
         # one (rows, d-1) @ (d-1, d) product per sample, as for a single draw
-        raw = normals @ basis
+        raw = np.matmul(normals, basis, out=out)
         columns = [raw[..., j] for j in range(mu.size)]
         for column, shift in zip(columns, mu.tolist()):
             column += shift
@@ -420,12 +429,10 @@ def tangent_gaussian_samples(direction, sigma: float, n: int, seeds) -> np.ndarr
 # a Box-Muller pair, and a multiple of 64, so the slices' products round
 # as the rows of one large product do
 _MEAN_SLICE = 16384
-# slices of `tangent_gaussian_mean` submitted to its pool ahead of its
-# running sum, at most, so at most that many drawn slices wait in memory; at
-# 2, an `mc` call at n = 200, 1,000 replications and 10^6 draws took about
-# 10% longer on a 2-vCPU Intel Xeon VM (the workers wait while the calling
-# thread takes a result and submits the next slice)
-_MEAN_AHEAD = 4
+# slice tasks of `tangent_gaussian_mean` submitted to its pool and not yet
+# known to be summed, at most, so the futures it holds do not grow with the
+# draws; `mc`'s default 10^6 draws, 62 slices, are all submitted at once
+_MEAN_PENDING = 64
 
 
 def _mean_slices(n: int) -> int:
@@ -445,15 +452,39 @@ def _mean_bound(n: int, k: int) -> Tuple[int, int]:
 
 
 def _mean_slice(
-    mu: np.ndarray, basis: np.ndarray, sigma: float, seed: int, n: int, lo: int, hi: int
+    mu: np.ndarray,
+    basis: np.ndarray,
+    sigma: float,
+    seed: int,
+    n: int,
+    lo: int,
+    hi: int,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Rows lo..hi of `tangent_gaussian_sample(mu, sigma, n, seed)`, bit for bit."""
+    """Rows lo..hi of `tangent_gaussian_sample(mu, sigma, n, seed)`, bit for bit.
+
+    The rows are written to out, a (hi - lo, d) array, if one is given.
+    """
     d = mu.size
     count = (hi - lo) * (d - 1)
     first = lo * (d - 1) // 2
     pairs = (n * (d - 1) + 1) // 2
     normals = normal_pairs([seed], pairs, first, first + (count + 1) // 2)[:, :count]
-    return _unit_draws(mu, basis, normals.reshape(1, -1, d - 1), sigma)[0]
+    stacked = None if out is None else out[None]
+    return _unit_draws(mu, basis, normals.reshape(1, -1, d - 1), sigma, stacked)[0]
+
+
+class _Inline(Executor):
+    """Runs each task on the calling thread as it is submitted; a task's
+    error propagates from `submit`, as from a plain loop."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+_INLINE = _Inline()
 
 
 def tangent_gaussian_mean(
@@ -466,48 +497,66 @@ def tangent_gaussian_mean(
     starts at zero and adds the rows in order, as `ndarray.mean(axis=0)`
     does, and is divided by n at the end.
 
-    With no pool the calling thread draws every slice. With a pool the
-    slices are drawn by its workers: at most `_MEAN_AHEAD` slices are
-    submitted beyond the running sum, so at most that many drawn slices
-    wait in memory, and the calling thread alone adds them to the sum, in
-    slice order, so the mean does not depend on which worker drew what.
-    Whatever is left of that window is cancelled if the call raises,
-    KeyboardInterrupt included.
+    The slices are a chain of tasks. Task k draws slice k into rows 1.. of
+    a buffer of its own, waits for task k - 1's running sum, writes it into
+    row 0 and returns the sum of the buffer's rows: each slice is summed on
+    the thread that drew it, in slice order, so the mean does not depend on
+    which worker drew what. With a pool the calling thread only submits the
+    tasks in slice order, at most `_MEAN_PENDING` of them not yet known to
+    be summed, and waits for the last; with none it runs the same tasks one
+    after another. A task waits only on its predecessor, so the pool must
+    start tasks in the order they were submitted, as `ThreadPoolExecutor`
+    does: the predecessor of a running task has then begun too, and the
+    chain cannot deadlock. Each worker holds at most one drawn slice not
+    yet summed. If the call raises, KeyboardInterrupt included, every task
+    not yet begun is cancelled.
 
     Raises:
-        GenerationFailed: as `tangent_gaussian_samples`; the first failing
-            slice's error, raised when the sum reaches that slice.
+        GenerationFailed: as `tangent_gaussian_samples`; the error of the
+            first failing slice in slice order, whichever failed first in
+            time. A task whose draw fails waits on its predecessor and
+            raises the predecessor's error if it has one, and a task that
+            finds an earlier slice failed raises that error without drawing.
     """
     mu, basis = _tangent_frame(direction, sigma, n)
-    slices = _mean_slices(n)
+    failed = []  # slices whose draw raised
 
-    def draw(k: int) -> np.ndarray:
-        return _mean_slice(mu, basis, sigma, seed, n, *_mean_bound(n, k))
+    def add_slice(k: int, before: Future) -> np.ndarray:
+        lo, hi = _mean_bound(n, k)
+        buf = np.empty((hi - lo + 1, mu.size))
+        error = None
+        # a slice that fails after this check costs its worker one more
+        # draw, never a wrong result: the chain orders the errors
+        if not any(j < k for j in failed):
+            try:
+                _mean_slice(mu, basis, sigma, seed, n, lo, hi, out=buf[1:])
+            except Exception as exc:
+                failed.append(k)
+                error = exc
+        # raises an earlier slice's error, which wins over this one's
+        buf[0] = before.result()
+        if error is not None:
+            raise error
+        # einsum walks the C-ordered rows in memory order, the d axis
+        # inner: each column adds the rows one after another, as
+        # `ndarray.mean`'s reduction does, a whole row per step
+        # (tests/test_monte_carlo.py checks that order)
+        return np.einsum("ij->j", buf)
 
-    window = deque()  # futures of the slices submitted beyond the sum
-    # row 0 holds the running sum, which starts at zero as the reduction's
-    # does, and the rows after it the slice being added
-    buf = np.zeros((min(n, _MEAN_SLICE + 1) + 1, mu.size))
+    submit = (_INLINE if pool is None else pool).submit
+    running = Future()
+    running.set_result(np.zeros(mu.size))  # as the reduction's, the sum starts at zero
+    pending = deque()  # tasks submitted and not yet known to be summed
     try:
-        for k in range(slices):
-            if pool is None:
-                units = draw(k)
-            else:
-                ahead = range(k + len(window), min(k + _MEAN_AHEAD, slices))
-                window.extend(pool.submit(draw, j) for j in ahead)
-                units = window.popleft().result()
-            rows = len(units) + 1
-            buf[1:rows] = units
-            del units  # not kept alive while the next slice is awaited
-            # einsum walks the C-ordered rows in memory order, the d axis
-            # inner: each column adds the rows one after another, as
-            # `ndarray.mean`'s reduction does, a whole row per step
-            # (tests/test_monte_carlo.py checks that order)
-            buf[0] = np.einsum("ij->j", buf[:rows])
+        for k in range(_mean_slices(n)):
+            if len(pending) == _MEAN_PENDING:
+                pending.popleft().result()
+            running = submit(add_slice, k, running)
+            pending.append(running)
+        return running.result() / n
     finally:
-        for future in window:
+        for future in pending:
             future.cancel()
-    return buf[0] / n
 
 
 def tangent_gaussian_sample(direction, sigma: float, n: int, seed: int) -> np.ndarray:

@@ -6,12 +6,14 @@ per replication, in a Python loop. `normal_rows`, `tangent_gaussian_samples`,
 `sample_moments` and `run_monte_carlo` must reproduce it bit for bit. The
 sliced oracle mean, `tangent_gaussian_mean`, must equal the mean of the
 whole sample by bytes, in memory that does not grow with the draws,
-whichever pool worker draws each slice; its slice bounds must follow the
-row-walking rule of reference.mean_bounds, and the einsum of its running
-sum must add rows in the order of reference.row_sum. The replication pass runs as one
-task on the pool beside the oracle's slices; its error precedence and
-its stop on the calling thread's error are checked here, as is the drawn
-oracle against the closed-form population dispersion.
+whichever pool worker draws each slice, with each slice summed on the
+thread that drew it and the first failing slice's error raised; its slice
+bounds must follow the row-walking rule of reference.mean_bounds, and the
+einsum of its running sum must add rows in the order of reference.row_sum.
+The replication pass runs as one task on the pool beside the oracle's
+slices; its error precedence and its stop on the calling thread's error
+are checked here, as is the drawn oracle against the closed-form
+population dispersion.
 """
 
 import math
@@ -195,22 +197,24 @@ def test_tangent_mean_is_the_mean_of_the_whole_sample(d, mean_slice, values, see
                 ref.assert_same_bits(tangent_gaussian_mean(direction, sigma, n, seed), expected)
 
 
-def pooled_mean(direction, sigma, n, seed, schedule, drawers, workers=2):
+def pooled_mean(direction, sigma, n, seed, schedule, drawers, workers=2, summers=None):
     """`tangent_gaussian_mean` on a pool of `workers` threads made for the
-    call; drawers gets the thread that drew each slice, keyed by the slice's
+    call; drawers gets the thread that drew each slice, and summers the
+    thread that added it to the running sum, both keyed by the slice's
     first row.
 
     schedule None: no pool. "eager": every worker is free from the start,
     and the first slice waits until another slice has begun, when the pool
-    and the window let one begin. An int c: one worker is held busy, as by
-    the replication pass, until slice c begins.
+    lets one begin. An int c: one worker is held busy, as by the
+    replication pass, until slice c begins.
     """
     slices = {lo: k for k, (lo, _) in enumerate(mean_bounds(n))}
-    overlap = min(workers, synth._MEAN_AHEAD, len(slices)) > 1
+    overlap = min(workers, len(slices)) > 1
     other, free = threading.Event(), threading.Event()
-    draw = synth._mean_slice
+    draw, einsum = synth._mean_slice, np.einsum
+    buffers = {}  # each drawn slice's first row, by the slice's buffer
 
-    def recorded(mu, basis, sigma, seed, n, lo, hi):
+    def recorded(mu, basis, sigma, seed, n, lo, hi, out):
         k = slices[lo]
         if k == schedule:
             free.set()
@@ -219,12 +223,19 @@ def pooled_mean(direction, sigma, n, seed, schedule, drawers, workers=2):
         elif schedule == "eager" and overlap:
             assert other.wait(10)
         try:
-            return draw(mu, basis, sigma, seed, n, lo, hi)
+            return draw(mu, basis, sigma, seed, n, lo, hi, out=out)
         finally:
             drawers[lo] = threading.current_thread()
+            buffers[id(out.base)] = lo
+
+    def summed(subscripts, buf):
+        if summers is not None:
+            summers[buffers[id(buf)]] = threading.current_thread()
+        return einsum(subscripts, buf)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(synth, "_mean_slice", recorded)
+        patch.setattr(np, "einsum", summed)
         if schedule is None:
             return tangent_gaussian_mean(direction, sigma, n, seed)
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -256,122 +267,134 @@ def test_helped_mean_is_the_mean_of_the_whole_sample(d, mean_slice, schedule, va
                 when = len(bounds) // 2 if schedule == "late" else schedule
                 expected = tangent_gaussian_sample(direction, sigma, n, seed).mean(axis=0)
                 for workers in (1, 2, 4) if schedule == "eager" else (2,):
-                    drawers = {}
-                    got = pooled_mean(direction, sigma, n, seed, when, drawers, workers)
+                    drawers, summers = {}, {}
+                    got = pooled_mean(direction, sigma, n, seed, when, drawers, workers, summers)
                     ref.assert_same_bits(got, expected)
                     assert sorted(drawers) == [lo for lo, _ in bounds]  # each slice drawn once
+                    assert summers == drawers  # and summed on the thread that drew it
                     threads = set(drawers.values())
                     if schedule is None:
                         assert threads == {threading.current_thread()}
                     else:
                         assert threading.current_thread() not in threads  # the pool drew them
-                    if schedule == "eager" and min(workers, synth._MEAN_AHEAD, len(bounds)) > 1:
+                    if schedule == "eager" and min(workers, len(bounds)) > 1:
                         assert len(threads) >= 2  # two workers drew at once
 
 
 def test_helpers_beyond_the_cores_draw_each_slice_once(monkeypatch):
     # four workers on two cores, switching as often as possible, under the
-    # production window and a narrower one
+    # production cap on pending slices and a narrower one
     monkeypatch.setattr(synth, "_MEAN_SLICE", 64)
-    n, seed = 20_001, 3
+    n, seed = 20_001, 3  # 312 slices, more than either cap
     draw = synth._mean_slice
     expected = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, n, seed).mean(axis=0)
-    for ahead in (2, synth._MEAN_AHEAD):
-        monkeypatch.setattr(synth, "_MEAN_AHEAD", ahead)
+    for cap in (2, synth._MEAN_PENDING):
+        monkeypatch.setattr(synth, "_MEAN_PENDING", cap)
         drawn = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             drawn.append(args[-2])
-            return draw(*args)
+            return draw(*args, **kwargs)
 
         monkeypatch.setattr(synth, "_mean_slice", counted)
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
+            with CountingPool(max_workers=4) as pool:
                 got = tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, n, seed, pool)
         finally:
             sys.setswitchinterval(interval)
         ref.assert_same_bits(got, expected)
         assert sorted(drawn) == [lo for lo, _ in mean_bounds(n)]
+        assert pool.most <= cap
         assert threading.active_count() == threads
 
 
 class CountingPool(ThreadPoolExecutor):
-    """A thread pool that counts the tasks submitted to it."""
+    """A thread pool that keeps the futures of the tasks submitted to it and
+    counts the most of them submitted and not yet finished at once."""
 
-    submitted = 0
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.futures, self.unfinished, self.most = [], 0, 0
+        self._count = threading.Lock()
 
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
+    def submit(self, fn, /, *args, **kwargs):
+        def counted():
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                # before the future is done, so the caller never sees it done first
+                with self._count:
+                    self.unfinished -= 1
+
+        with self._count:
+            self.unfinished += 1
+            self.most = max(self.most, self.unfinished)
+        self.futures.append(super().submit(counted))
+        return self.futures[-1]
 
 
-def held_window(monkeypatch, ahead):
-    """(first rows of the slices begun, slices submitted) while slice 0,
-    and with it the running sum, is held."""
-    monkeypatch.setattr(synth, "_MEAN_SLICE", 64)  # 40 slices
-    monkeypatch.setattr(synth, "_MEAN_AHEAD", ahead)
-    begun, while_held = [], []
+def test_pending_slices_never_exceed_the_cap(monkeypatch):
+    # while slice 0, and with it the whole chain, is held, the calling
+    # thread submits exactly the cap and waits
+    monkeypatch.setattr(synth, "_MEAN_SLICE", 64)  # 100 slices
     draw = synth._mean_slice
-    pool = CountingPool(max_workers=ahead + 2)  # more workers than the window
+    mu, n = [0.0, 0.0, 1.0], 64 * 100
+    for cap in (2, synth._MEAN_PENDING):
+        monkeypatch.setattr(synth, "_MEAN_PENDING", cap)
+        pool = CountingPool(max_workers=4)
+        while_held = []
 
-    def held(*args):
-        if args[-2] == 0:
-            # the other workers run alone: until the window's slices have
-            # begun, and a while after
-            deadline = time.monotonic() + 10
-            while len(begun) < ahead - 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            time.sleep(0.2)
-            while_held.append((sorted(begun), pool.submitted))
-        else:
-            begun.append(args[-2])
-        return draw(*args)
+        def held(*args, **kwargs):
+            if args[-2] == 0:
+                deadline = time.monotonic() + 10
+                while len(pool.futures) < cap and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.2)  # and a while after
+                while_held.append(len(pool.futures))
+            return draw(*args, **kwargs)
 
-    with pool, monkeypatch.context() as patch:
-        patch.setattr(synth, "_mean_slice", held)
-        got = tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 64 * 40, 1, pool)
-    ref.assert_same_bits(got, tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 64 * 40, 1).mean(axis=0))
-    assert pool.submitted == 40
-    return while_held[0]
-
-
-def test_a_helper_claims_at_most_the_window_ahead_of_the_sum(monkeypatch):
-    # slices 1 .. ahead-1 begin: slice 0 is the window's first
-    for ahead in (2, synth._MEAN_AHEAD):
-        begun, submitted = held_window(monkeypatch, ahead)
-        assert begun == [64 * k for k in range(1, ahead)]
-        assert submitted == ahead
+        monkeypatch.setattr(synth, "_mean_slice", held)
+        with pool:
+            got = tangent_gaussian_mean(mu, 0.1, n, 1, pool)
+        ref.assert_same_bits(got, tangent_gaussian_sample(mu, 0.1, n, 1).mean(axis=0))
+        assert while_held == [cap]
+        assert len(pool.futures) == 100
+        assert pool.most == cap
 
 
-def test_an_interrupted_mean_cancels_its_window(monkeypatch):
-    monkeypatch.setattr(synth, "_MEAN_SLICE", 64)  # 40 slices
+def test_an_interrupted_mean_cancels_every_queued_slice(monkeypatch):
+    monkeypatch.setattr(synth, "_MEAN_SLICE", 64)  # 40 slices, all submitted at once
     caller = threading.current_thread()
     begun, drawing, returned = [], threading.Event(), threading.Event()
     draw, result = synth._mean_slice, Future.result
 
-    def held(*args):
+    def held(*args, **kwargs):
         begun.append(args[-2])
         drawing.set()
         returned.wait(10)  # the pool's one worker is busy until the call has returned
-        return draw(*args)
+        return draw(*args, **kwargs)
 
     def interrupted_result(future, timeout=None):
         if threading.current_thread() is caller:
-            # the interrupt arrives while the caller waits for slice 0
+            # the interrupt arrives while the caller waits for the last slice
             assert drawing.wait(10)
             raise KeyboardInterrupt
         return result(future, timeout)
 
     monkeypatch.setattr(synth, "_mean_slice", held)
     monkeypatch.setattr(Future, "result", interrupted_result)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        with pytest.raises(KeyboardInterrupt):
-            tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 64 * 40, 1, pool)
-        returned.set()
-    assert begun == [0]  # the rest of the window never began
+    with CountingPool(max_workers=1) as pool:
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 64 * 40, 1, pool)
+        finally:
+            returned.set()
+    assert len(pool.futures) == 40
+    assert all(future.cancelled() for future in pool.futures[1:])
+    assert begun == [0]  # no queued slice began
 
 
 def test_tangent_mean_fails_in_a_late_slice_as_the_sample_does(monkeypatch):
@@ -388,16 +411,63 @@ def test_tangent_mean_fails_in_a_late_slice_as_the_sample_does(monkeypatch):
     with pytest.raises(GenerationFailed) as sliced:
         tangent_gaussian_mean([0.0, 0.0, 1.0], sigma, n, seed)
     assert str(sliced.value) == str(whole.value)
-    # a worker draws the failing slice; the caller raises its error on reaching it
+    # a worker draws the failing slice, and the last slice's task raises its error
     failing, drawers = int(np.argmax(radii)) // 64, {}
     threads = threading.active_count()
     with pytest.raises(GenerationFailed) as pooled:
         pooled_mean([0.0, 0.0, 1.0], sigma, n, seed, failing - 1, drawers)
     assert str(pooled.value) == str(whole.value)
     assert drawers[64 * failing] is not threading.current_thread()
-    # no slice beyond the window was drawn
-    assert max(drawers) <= 64 * (failing + synth._MEAN_AHEAD - 1)
+    # the other worker drew at most one slice past the failing one
+    assert max(drawers) <= 64 * (failing + 1)
     assert threading.active_count() == threads
+
+
+def test_the_first_failing_slice_wins_whichever_fails_first(monkeypatch):
+    monkeypatch.setattr(synth, "_MEAN_SLICE", 64)  # 10 slices
+    late_failed, failures = threading.Event(), []
+
+    def failing(*args, **kwargs):
+        lo = args[-2]
+        if lo == 64:
+            assert late_failed.wait(10)  # slice 2 has raised
+        if lo in (64, 128):
+            failures.append(lo)
+            try:
+                raise GenerationFailed(f"slice {lo // 64}")
+            finally:
+                late_failed.set()
+        return np.zeros((64, 3))
+
+    monkeypatch.setattr(synth, "_mean_slice", failing)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(GenerationFailed, match="slice 1"):
+            tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 640, 1, pool)
+    assert failures == [128, 64]
+
+
+def test_at_most_one_slice_per_worker_is_drawn_past_a_failure(monkeypatch):
+    # the failing slice takes a while, and the other workers run ahead of
+    # it; the slices after it are cheap, so the chain would run on at once
+    monkeypatch.setattr(synth, "_MEAN_SLICE", 64)  # 100 slices
+    failing, drawers = 10, []
+
+    def failing_slice(*args, **kwargs):
+        lo = args[-2]
+        drawers.append((lo, threading.current_thread()))
+        if lo == 64 * failing:
+            time.sleep(0.2)
+            raise GenerationFailed("failed")
+        return np.zeros((64, 3))
+
+    monkeypatch.setattr(synth, "_mean_slice", failing_slice)
+    for workers in (2, 4):
+        drawers.clear()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            with pytest.raises(GenerationFailed, match="failed"):
+                tangent_gaussian_mean([0.0, 0.0, 1.0], 0.1, 64 * 100, 1, pool)
+        past = [thread for lo, thread in drawers if lo > 64 * failing]
+        assert len(past) == len(set(past)) <= workers - 1
 
 
 def traced_peak(draw):
@@ -418,7 +488,7 @@ def test_tangent_mean_memory_does_not_grow_with_the_draws():
     assert whole > 40 * 10**6
     assert large < 8 * 2**20
     assert abs(large - small) <= 0.1 * small
-    # a pool holds at most the window of slices ahead of the sum
+    # a pool holds at most one drawn slice per worker
     pooled = traced_peak(lambda: pooled_mean(mu, 0.1, 10**6, 5, "eager", {}))
     assert pooled < 8 * 2**20
 
@@ -510,9 +580,9 @@ def test_oracle_at_the_production_slice_is_the_whole_sample_mean(monkeypatch, dr
     drawn = []
     draw = synth._mean_slice
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         drawn.append(args[-2])
-        return draw(*args)
+        return draw(*args, **kwargs)
 
     monkeypatch.setattr(synth, "_mean_slice", counted)
     got = pipeline.run_monte_carlo(0.1, 30, 20, 0.05, 0, draws)
@@ -630,20 +700,20 @@ def test_interrupt_stops_the_worker_before_its_next_oracle_slice(monkeypatch):
             stops[0].wait(10)  # until the calling thread has raised
         return draw_samples(mu, sigma, n, seeds)
 
-    def held_slice(*args):
+    def held_slice(*args, **kwargs):
         assert replicating.wait(10)  # the stop event is known
         after_stop.append(stops[0].is_set())
         oracle_slices.append(args[-2])
         if len(oracle_slices) == 1:
             drawing.set()
             stops[0].wait(10)
-        return draw_slice(*args)
+        return draw_slice(*args, **kwargs)
 
     def interrupted_result(future, timeout=None):
         if threading.current_thread() is caller:
             # the interrupt arrives while the caller waits for the oracle's
-            # first slice, both workers inside a slice, the window's second
-            # oracle slice queued behind them
+            # first slice, both workers inside a slice, the oracle's next
+            # slices queued behind them up to the cap
             assert replicating.wait(10) and drawing.wait(10)
             raise KeyboardInterrupt
         return result(future, timeout)
