@@ -135,17 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="full study: test, diagnostics, reduction, outputs")
-    p.add_argument("input", type=Path, help="landmark CSV (scene,landmark,x,y)")
-    p.add_argument("--out", type=Path, required=True, help="output directory")
-    _add_frame_args(p)
-    _add_stat_args(p)
-
-    p = sub.add_parser("reduce", help="influence diagnostics and greedy reduction only")
-    p.add_argument("input", type=Path)
-    p.add_argument("--out", type=Path, required=True, help="output directory")
-    _add_frame_args(p)
-    _add_stat_args(p)
+    for name, does in (
+        ("analyze", "full study: test, diagnostics, reduction, outputs"),
+        ("reduce", "influence diagnostics and greedy reduction only"),
+    ):
+        p = sub.add_parser(name, help=does)
+        p.add_argument("input", type=Path, help="landmark CSV (scene,landmark,x,y)")
+        p.add_argument("--out", type=Path, required=True, help="output directory")
+        _add_frame_args(p)
+        _add_stat_args(p)
 
     p = sub.add_parser("vw", help="sign-blind comparator dispersion only")
     p.add_argument("input", type=Path)
@@ -211,6 +209,12 @@ def _print_summary(label: str, s) -> None:
     )
 
 
+def _print_reduction(report) -> None:
+    removed = ", ".join(report.trace.removed_scene_ids) or "none"
+    print(f"reduction: removed [{removed}] ({report.trace.stopped_reason})")
+    _print_summary("reduced", report.reduced)
+
+
 def _study_config(args) -> StudyConfig:
     return StudyConfig(
         input_path=args.input,
@@ -238,10 +242,7 @@ def _cmd_analyze(args) -> int:
     paths = emit_outputs(report, args.out)
     _print_summary("full", report.full)
     if report.trace is not None:
-        removed = ", ".join(report.trace.removed_scene_ids) or "none"
-        print(f"reduction: removed [{removed}] ({report.trace.stopped_reason})")
-    if report.reduced is not None:
-        _print_summary("reduced", report.reduced)
+        _print_reduction(report)
     print(f"wrote {paths['report']}")
     return _strict_exit(args, report)
 
@@ -255,10 +256,7 @@ def _cmd_reduce(args) -> int:
     write_json(outdir / "reduction.json", {key: fields[key] for key in kept})
     write_loo_table(report.loo, outdir / "loo_table.csv")
     if report.trace is not None:
-        removed = ", ".join(report.trace.removed_scene_ids) or "none"
-        print(f"reduction: removed [{removed}] ({report.trace.stopped_reason})")
-        if report.reduced is not None:
-            _print_summary("reduced", report.reduced)
+        _print_reduction(report)
     else:
         print("reduction: skipped (fewer than 3 scenes)")
     print(f"wrote {outdir / 'reduction.json'}")

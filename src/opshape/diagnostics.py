@@ -44,7 +44,6 @@ from .directional import (
     ZERO_TOL,
     OpsSummary,
     _covariance,
-    _dispersion_and_se,
     confidence_interval,
     coplanarity_test,
     normal_quantile,

@@ -10,15 +10,15 @@ scenes become samples on a product of spheres.
 Registration is one stacked pass over n scenes: register_points lifts an
 (n, k, m) array of landmarks, frame_charts calls det, solve and inv once
 each on the (n, m+1, m+1) frame matrices, and chart_coordinates maps the
-remaining points of all scenes at once. Degenerate scenes are masked, not raised: a
-scene fails on the first of DET_RTOL (frame determinant), SCALAR_RTOL
-(frame scalars), finite frame scalars and chart, and POINT_RTOL (a point
-on the singular locus) or a finite image norm that it breaks, its frame
-is replaced by the identity so the stacked solve and
-inverse cannot raise, and the caller decides whether to skip it or raise
-its error. Each row matches, bit for bit, what the same steps give on that
-scene alone, so one scene or one frame is the n = 1 call of the same pass;
-there is no separate single-frame path.
+remaining points of all scenes at once. Degenerate scenes are masked, not
+raised: a scene fails on the first of DET_RTOL (frame determinant),
+SCALAR_RTOL (frame scalars), finite frame scalars and chart, POINT_RTOL (a
+point on the singular locus) or a finite image norm, and UNIT_ATOL (a
+registered vector off unit norm) that it breaks; a failed frame is replaced
+by the identity so the stacked solve and inverse cannot raise, and the
+caller skips the scene or raises its error. Each row matches, bit for bit,
+what the same steps give on that scene alone, so one scene or one frame is
+the n = 1 call of the same pass; there is no separate single-frame path.
 
 Conventions: points and homogeneous representatives are plain float64
 ndarrays; frame representatives enter matrices as columns.
@@ -45,6 +45,7 @@ POINT_RTOL = 1e-12
 UNIT_ATOL = 1e-12
 
 _VANISHED = "point maps to zero, or overflows, under the frame chart"
+_OFF_UNIT = f"registered vector is not unit norm within {UNIT_ATOL}"
 # chart_coordinates takes the norm of an image as it is when its largest
 # component lies between these
 _SCALE_LOW = 2.0 ** -400
@@ -167,10 +168,16 @@ def last_axis_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(squares)
 
 
+def _off_unit(units: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """|norm - 1| of each vector along the last axis, and where it exceeds UNIT_ATOL or is NaN."""
+    off = np.abs(last_axis_norms(units) - 1.0)
+    return off, ~(off <= UNIT_ATOL)
+
+
 def check_unit_norm(units: np.ndarray) -> None:
     """ValueError unless every vector along the last axis has norm 1 within UNIT_ATOL."""
-    off = np.abs(last_axis_norms(units) - 1.0)
-    if not np.all(off <= UNIT_ATOL):
+    off, bad = _off_unit(units)
+    if bad.any():
         worst = float(np.max(off))
         raise ValueError(f"vectors must be unit norm within {UNIT_ATOL} (off by {worst:.3e})")
 
@@ -395,8 +402,9 @@ def register_points(
     Returns:
         (units, flipped, errors): units (n, q, m+1) unit vectors; flipped
         (n,) marks charts negated to keep det > 0; errors maps the row of
-        each degenerate scene to its DegenerateFrame, or else its
-        DegeneratePoint. Those scenes' other rows are meaningless.
+        each degenerate scene to the error of its first failing check: a
+        DegenerateFrame, else a DegeneratePoint (singular locus or image
+        norm, then unit norm). Those scenes' other rows are meaningless.
     """
     pts = np.asarray(points, dtype=np.float64)
 
@@ -404,13 +412,15 @@ def register_points(
         chosen = pts[:, [j - 1 for j in labels]]
         return np.concatenate([chosen, np.ones(chosen.shape[:2] + (1,))], axis=2)
 
-    # coordinates that overflow float64 fail their scene; they warn nothing
+    # overflowing coordinates, and the garbage rows of failed frames, fail silently
     with np.errstate(over="ignore", invalid="ignore"):
         charts = frame_charts(lifted(spec.frame_labels))
         units, vanished = chart_coordinates(charts.matrix, lifted(spec.remaining_labels))
+        off_unit = _off_unit(units)[1]
     errors: Dict[int, Exception] = dict(charts.errors)
-    for i in np.flatnonzero(np.any(vanished, axis=1)):
-        errors.setdefault(int(i), DegeneratePoint(_VANISHED))
+    for reason, failed in ((_VANISHED, vanished), (_OFF_UNIT, off_unit)):
+        for i in np.flatnonzero(np.any(failed, axis=1)):
+            errors.setdefault(int(i), DegeneratePoint(reason))
     return units, charts.flipped, errors
 
 

@@ -17,7 +17,8 @@ import operator
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,9 +33,8 @@ from .directional import (
     coplanarity_test,
     sample_moments,
 )
-from .errors import DegeneratePoint, EmptySample, InvalidLevel, MixedOrientationWarning
+from .errors import EmptySample, InvalidLandmark, InvalidLevel, MixedOrientationWarning
 from .geometry import (
-    UNIT_ATOL,
     DirectionSample,
     FrameSpec,
     LandmarkScene,
@@ -42,7 +42,6 @@ from .geometry import (
     canonical_axis,
     check_scene_labels,
     check_unit_norm,
-    last_axis_norms,
     register_points,
 )
 from .io import RowTable, parse_landmarks, write_json, write_table
@@ -85,55 +84,26 @@ class AnalysisReport:
     vw_reduced: Optional[Tuple[VwSummary, ...]]
 
 
-def _stack(
-    scenes: Sequence[LandmarkScene], spec: FrameSpec
-) -> Tuple[Tuple[str, ...], np.ndarray]:
-    """Scene ids and one (n, k, m) stack, after the label checks.
+def _stack(scenes: Sequence[LandmarkScene], spec: FrameSpec) -> LandmarkStudy:
+    """The scenes as one LandmarkStudy, its labels checked once, on its first scene.
 
-    A LandmarkStudy hands over its stack; a list of scenes is stacked here,
-    cut to the labels spec names when the scenes differ in size.
+    A LandmarkStudy is taken as it is. A list of scenes is stacked into one,
+    so they must all have one (k, m) shape; InvalidLandmark otherwise.
     """
-    if isinstance(scenes, LandmarkStudy):
-        check_scene_labels(scenes[0], spec)  # every scene of a study has one shape
-        return scenes.ids, scenes.points
-    checked = set()
-    for scene in scenes:  # scenes of one shape pass or fail the label checks alike
-        if scene.points.shape not in checked:
-            check_scene_labels(scene, spec)
-            checked.add(scene.points.shape)
-    if not scenes:
-        raise EmptySample("no scenes survived registration")
-    points = [s.points for s in scenes]
-    if len(checked) > 1:  # mixed sizes: keep the labels up to the largest spec names
-        need = max(spec.frame_labels + spec.remaining_labels)
-        points = [p[:need] for p in points]
-    return tuple(s.scene_id for s in scenes), np.stack(points)
+    if not isinstance(scenes, LandmarkStudy):
+        if not scenes:
+            raise EmptySample("no scenes survived registration")
+        shapes = sorted({s.points.shape for s in scenes})
+        if len(shapes) > 1:
+            raise InvalidLandmark(f"scenes of one study must have one (k, m) shape, got {shapes}")
+        ids = tuple(s.scene_id for s in scenes)
+        scenes = LandmarkStudy(ids, np.stack([s.points for s in scenes]))
+    check_scene_labels(scenes[0], spec)
+    return scenes
 
 
 # flipped scene ids the mixed-orientation warning names, at most
 _WARN_IDS = 5
-
-
-def _registered(
-    ids: Tuple[str, ...], units: np.ndarray, errors: Dict[int, Exception], skip_degenerate: bool
-) -> Tuple[DirectionSample, np.ndarray, List[str]]:
-    """The sample of the scenes without errors, its row mask and the skipped ids.
-
-    Raises the error of the first scene that has one, in input order,
-    unless skip_degenerate; EmptySample when every scene has one.
-    """
-    if errors and not skip_degenerate:
-        first = min(errors)
-        exc = errors[first]
-        raise type(exc)(f"scene {ids[first]!r}: {exc}") from exc
-    keep = np.ones(len(ids), dtype=bool)
-    if not errors:  # every scene registered: the sample takes ids and units as they are
-        return DirectionSample(units, ids), keep, []
-    keep[list(errors)] = False
-    if not keep.any():
-        raise EmptySample("no scenes survived registration")
-    kept = [ids[i] for i in np.flatnonzero(keep).tolist()]
-    return DirectionSample(units[keep], tuple(kept)), keep, [ids[i] for i in sorted(errors)]
 
 
 def register_scenes(
@@ -141,36 +111,35 @@ def register_scenes(
 ) -> Tuple[DirectionSample, List[str], List[str]]:
     """Register scenes on the sphere product in one stacked pass.
 
-    scenes is a LandmarkStudy, whose stack is registered as it is, or any
-    sequence of LandmarkScene. The label checks run first, over the whole
-    study, and raise InvalidLandmark. geometry.register_points then
-    registers all scenes at once and masks the degenerate ones; a scene
-    keeps the reason its first failing check gives (frame determinant,
-    frame scalars, then points). A registered vector that fails
-    DirectionSample's unit-norm check makes its scene a DegeneratePoint
-    too; those rows are looked for only once the check has failed, so a
-    study whose vectors all pass takes no extra pass over them.
+    scenes is a LandmarkStudy, or a sequence of LandmarkScene of one size
+    that _stack makes one. Its labels are checked first (InvalidLandmark);
+    geometry.register_points then registers every scene at once and gives
+    each degenerate one the reason of its first failing check.
 
     Returns:
         (sample, skipped_ids, flipped_ids). Geometric degeneracies abort
         with the first offending scene's id, in input order, unless
         skip_degenerate, in which case every degenerate scene is dropped
-        and listed. Warns when charts mix determinant sign flips, giving
-        the count of flipped scenes and the first `_WARN_IDS` of their ids.
+        and listed; EmptySample when none is left. Warns when charts mix
+        determinant sign flips, giving the count of flipped scenes and the
+        first `_WARN_IDS` of their ids.
     """
-    ids, points = _stack(scenes, spec)
-    units, flipped, errors = register_points(points, spec)
-    try:
-        sample, keep, skipped = _registered(ids, units, errors, skip_degenerate)
-    except ValueError:
-        off = ~(np.abs(last_axis_norms(units) - 1.0) <= UNIT_ATOL).all(axis=1)
-        bad = [i for i in np.flatnonzero(off).tolist() if i not in errors]
-        if not bad:
-            raise
-        message = f"registered vector is not unit norm within {UNIT_ATOL}"
-        errors.update((i, DegeneratePoint(message)) for i in bad)
-        sample, keep, skipped = _registered(ids, units, errors, skip_degenerate)
-    flipped_ids = [ids[i] for i in np.flatnonzero(flipped & keep).tolist()]
+    study = _stack(scenes, spec)
+    ids = study.ids
+    units, flipped, errors = register_points(study.points, spec)
+    if errors and not skip_degenerate:
+        first = min(errors)
+        exc = errors[first]
+        raise type(exc)(f"scene {ids[first]!r}: {exc}") from exc
+    skipped = [ids[i] for i in sorted(errors)]
+    if len(skipped) == len(ids):
+        raise EmptySample("no scenes survived registration")
+    if errors:  # else the sample takes units and ids as they are, with no copy
+        keep = np.ones(len(ids), dtype=bool)
+        keep[list(errors)] = False
+        units, flipped, ids = units[keep], flipped & keep, tuple(compress(ids, keep))
+    sample = DirectionSample(units, ids)
+    flipped_ids = [study.ids[i] for i in np.flatnonzero(flipped).tolist()]
     if flipped_ids and len(flipped_ids) < sample.n:
         shown = ", ".join(repr(i) for i in flipped_ids[:_WARN_IDS])
         more = ", ..." if len(flipped_ids) > _WARN_IDS else ""
@@ -202,9 +171,8 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
         trace = greedy_reduce(sample, config.alpha_ref, config.max_removals, config.df)
         reduced_sample = sample.subset(trace.final_scene_ids)
         reduced = coplanarity_test(reduced_sample, config.alpha, config.df)
-        final = set(trace.final_scene_ids)
-        keep = [i for i, s in enumerate(sample.scene_ids) if s in final]
-        vw_reduced = tuple(total_variance_ps(axes[keep, f, :]) for f in range(sample.q))
+        # the comparator is sign-blind: the units give their axes' bits
+        vw_reduced = tuple(total_variance_ps(reduced_sample.units[:, f]) for f in range(sample.q))
 
     provenance = {
         "software": "opshape",
@@ -466,9 +434,9 @@ def run_monte_carlo(
     The call owns a pool of two worker threads. The replication pass goes
     to it first, as one task that draws and tests the replications as
     array operations over a leading replication axis, in slices of at most
-    about 2^17 doubles, and stores each one's tS and SE; the calling thread
-    then forms the CIs and counts the hits over the same slices, so the
-    pass holds 24 bytes per replication (seed, tS, SE) beyond one slice.
+    about 2^17 doubles, and stores each one's tS and SE, 24 bytes per
+    replication with its seed; the calling thread then forms every CI and
+    counts the hits in one elementwise pass over all replications.
     The oracle's slices go to the same pool as a chain of tasks, each of
     which draws its slice and adds it to the running sum the task before
     it passed on (`tangent_gaussian_mean`): one worker runs them beside the
@@ -516,10 +484,8 @@ def run_monte_carlo(
             raise
     t_pop = 2.0 * (1.0 - float(np.linalg.norm(oracle_mean)))
 
-    hits = 0
-    for start, end in _slices(reps, n, dim):
-        lower, upper = confidence_interval(ts_values[start:end], se_values[start:end], alpha)
-        hits += int(np.count_nonzero((lower <= t_pop) & (t_pop <= upper)))
+    lower, upper = confidence_interval(ts_values, se_values, alpha)
+    hits = int(np.count_nonzero((lower <= t_pop) & (t_pop <= upper)))
 
     return {
         "sigma": sigma,

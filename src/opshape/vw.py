@@ -38,11 +38,11 @@ def vw_mean(axes) -> np.ndarray:
     return unit.T @ unit / arr.shape[0]
 
 
-def jacobi_eigh(matrix, rtol: float = JACOBI_RTOL) -> Tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(matrix) -> Tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps rotate away each off-diagonal entry in turn until the
-    off-diagonal Frobenius norm falls to rtol * ||input||_F.
+    off-diagonal Frobenius norm falls to JACOBI_RTOL * ||input||_F.
 
     Returns:
         (values, vectors): eigenvalues descending, vectors in columns.
@@ -64,12 +64,12 @@ def jacobi_eigh(matrix, rtol: float = JACOBI_RTOL) -> Tuple[np.ndarray, np.ndarr
         # norm of the off-diagonal part taken entrywise; the subtraction
         # ||A||_F^2 - sum(diag^2) cannot resolve it near convergence
         off = float(np.linalg.norm(a[off_mask]))
-        if off <= rtol * fnorm:
+        if off <= JACOBI_RTOL * fnorm:
             break
         for p in range(d - 1):
             for q in range(p + 1, d):
                 apq = a[p, q]
-                if abs(apq) <= (rtol * fnorm) / (d * d):
+                if abs(apq) <= (JACOBI_RTOL * fnorm) / (d * d):
                     continue
                 tau = (a[q, q] - a[p, p]) / (2.0 * apq)
                 if tau >= 0.0:

@@ -444,6 +444,33 @@ def test_registered_vector_off_unit_norm_exits_3_or_is_skipped(
     assert (skipped, kept) == ([bad], 4)
 
 
+@pytest.mark.parametrize("command", ["analyze", "reduce", "vw"])
+def test_off_unit_scene_before_a_degenerate_frame_is_the_one_named(
+    tmp_path, capsys, monkeypatch, command
+):
+    # scene 2 registers off unit norm, scene 3 has a collinear frame: the
+    # first offender in input order is scene 2, whatever check catches it
+    chart_coordinates = opshape.geometry.chart_coordinates
+
+    def off_unit(matrix, points):
+        units, vanished = chart_coordinates(matrix, points)
+        units[2, 0] *= 1.0 + 1e-9
+        return units, vanished
+
+    monkeypatch.setattr(opshape.geometry, "chart_coordinates", off_unit)
+    scenes = list(synthesize_views(k=5, cameras=5, seed=9, delta=0.01, noise=0.002))
+    scenes[3] = collinear_frame_scene(scenes[3].scene_id)
+    message = f"scene {scenes[2].scene_id!r}: registered vector is not unit norm within 1e-12"
+    with pytest.raises(opshape.errors.DegeneratePoint) as caught:
+        register_scenes(scenes, FrameSpec())
+    assert str(caught.value) == message
+    path = tmp_path / "order.csv"
+    write_landmarks(path, scenes)
+    out = tmp_path / ("vw.json" if command == "vw" else "out")
+    assert main([command, str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_analyze_succeeds(study_csv, tmp_path, capsys):
     rc = main(["analyze", str(study_csv), "--out", str(tmp_path / "out")])
     assert rc == 0
@@ -809,6 +836,36 @@ def test_no_orphan_public_names():
         if not name.startswith("_") and name not in attributes
     ]
     assert orphans == []
+
+
+# imports no package code reads, kept because perfbench/tracer.py patches the
+# name in that module; ROADMAP item 1(b) deletes both with the tracer's patches
+_PATCHED_IMPORTS = {
+    ("cli", "canonical_axis"): "the tracer counts canonical_axis calls through cli",
+    ("pipeline", "tangent_gaussian_sample"): "the tracer times synth draws through pipeline",
+}
+
+
+def test_no_unused_module_imports():
+    """Every name a module of the package imports at its top level is read
+    somewhere in that module, except the tracer's patch points above."""
+    unused = []
+    for path in sorted((REPO_ROOT / "src" / "opshape").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append((path.stem, name))
+    assert sorted(unused) == sorted(_PATCHED_IMPORTS)
 
 
 def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):

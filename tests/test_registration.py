@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opshape.geometry
 import reference as ref
 from opshape.errors import (
     DegenerateFrame,
@@ -23,12 +24,14 @@ from opshape.errors import (
 )
 from opshape.geometry import (
     DET_RTOL,
+    UNIT_ATOL,
     FrameSpec,
     LandmarkScene,
     LandmarkStudy,
     canonical_axis,
     chart_coordinates,
     frame_charts,
+    register_points,
 )
 from opshape.pipeline import register_scenes
 from opshape.synth import synthesize_views
@@ -202,17 +205,34 @@ def test_frame_charts_fail_frames_that_overflow():
     assert "overflow" in str(charts.errors[1])
 
 
-def test_mixed_scene_sizes_register_like_the_loop():
-    short = synthesize_views(k=5, cameras=6, seed=21, delta=0.02, noise=0.002)
-    long = synthesize_views(k=7, cameras=6, seed=22, delta=0.02, noise=0.002)
+def test_mixed_scene_sizes_raise_invalid_landmark():
+    short = synthesize_views(k=5, cameras=3, seed=21, delta=0.02, noise=0.002)
+    long = synthesize_views(k=7, cameras=3, seed=22, delta=0.02, noise=0.002)
     scenes = [LandmarkScene(f"{s.scene_id}a", s.points) for s in short]
     scenes += [LandmarkScene(f"{s.scene_id}b", s.points) for s in long]
-    scenes = scenes[::2] + scenes[1::2]  # k=5 and k=7 scenes interleaved
-    spec = FrameSpec((1, 2, 4, 3), (5,))
-    units, ids, _, _ = ref.register(scenes, spec)
-    sample, _, _ = stacked_register(scenes, spec, False)
-    assert list(sample.scene_ids) == ids
-    ref.assert_same_bits(sample.units, units)
+    with pytest.raises(InvalidLandmark, match=r"one \(k, m\) shape, got \[\(5, 2\), \(7, 2\)\]"):
+        register_scenes(scenes, FrameSpec((1, 2, 4, 3), (5,)))
+
+
+def test_register_points_fails_an_off_unit_row_after_its_frame_reason(monkeypatch):
+    # rows 1 and 2 register off unit norm, and row 2's frame is collinear:
+    # row 1 becomes a DegeneratePoint, row 2 keeps its DegenerateFrame
+    def off_unit(matrix, points):
+        units, vanished = chart_coordinates(matrix, points)
+        units[[1, 2], 0] *= 1.0 + 1e-9
+        return units, vanished
+
+    points = np.stack([v.points for v in synthesize_views(k=5, cameras=4, seed=9, delta=0.01)])
+    points[2] = on_line(points[2], 4, 1, 2, 0.5)
+    want, _, no_errors = register_points(points[[0, 3]], FrameSpec())
+    monkeypatch.setattr(opshape.geometry, "chart_coordinates", off_unit)
+    units, _, errors = register_points(points, FrameSpec())
+    assert (no_errors, sorted(errors)) == ({}, [1, 2])
+    assert type(errors[1]) is DegeneratePoint
+    assert str(errors[1]) == f"registered vector is not unit norm within {UNIT_ATOL}"
+    assert type(errors[2]) is DegenerateFrame
+    assert "singular" in str(errors[2])
+    ref.assert_same_bits(units[[0, 3]], want)
 
 
 @pytest.mark.parametrize("name", sorted(STUDIES))
