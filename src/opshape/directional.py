@@ -329,29 +329,14 @@ def confidence_interval(ts: float, se: float, alpha: float) -> Tuple[float, floa
     return (ts - half, ts + half)
 
 
-def z_statistic(ts: float, se: float) -> Tuple[float, float, bool]:
-    """One-sided normal test of zero dispersion.
-
-    Returns:
-        (z, p_upper, degenerate). With se == 0 the statistic is undefined;
-        by convention p = 1 when ts is (fp-)zero and p = 0 otherwise, and
-        the degenerate flag is set.
-    """
-    if se < 0.0:
-        raise ValueError("standard error must be nonnegative")
-    if se == 0.0:
-        if ts <= ZERO_TOL:
-            return (0.0, 1.0, True)
-        return (math.inf, 0.0, True)
-    z = ts / se
-    return (z, normal_cdf(-float(z)), False)
-
-
 def z_values(ts: np.ndarray, se: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """z and the degenerate flag of z_statistic for arrays of ts and se.
+    """z = ts / se, the one-sided normal statistic of zero dispersion, and the
+    degenerate flag, for arrays of ts and se.
 
-    Elementwise the same values as z_statistic, without its p-value; NaN
-    entries give z NaN and a false flag, as they do there.
+    With se == 0 the statistic is undefined; by convention z = 0 when ts is
+    (fp-)zero and z = inf otherwise, and the degenerate flag is set. NaN
+    entries give z NaN and a false flag, except that a NaN ts over se == 0
+    gives inf and a set flag.
     """
     if (se < 0.0).any():
         raise ValueError("standard error must be nonnegative")
@@ -473,7 +458,10 @@ def units_summary(
     """
     q, d = mean.shape
     ts, se = float(ts), float(se)
-    z, p_normal, degenerate = z_statistic(ts, se)
+    z, degenerate = z_values(np.float64(ts), np.float64(se))
+    z, degenerate = float(z), bool(degenerate)
+    # a degenerate zero dispersion has p = 1; otherwise the upper normal tail
+    p_normal = 1.0 if degenerate and z == 0.0 else normal_cdf(-z)
     t_stat, p_chisq = chisq_statistic(ts, n, df)
     ci = confidence_interval(ts, se, alpha)
 

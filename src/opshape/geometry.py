@@ -2,10 +2,12 @@
 
 A scene of k planar landmarks is lifted to homogeneous representatives
 x~ = (x, 1). An ordered choice of m+2 landmarks in general position is an
-oriented frame; the frame fixes a sign-adjusted linear chart H that sends
-each remaining landmark to a unit vector in R^(m+1). A scene with k
-landmarks therefore registers as q = k - m - 2 unit vectors, and samples of
-scenes become samples on a product of spheres.
+oriented frame; its frame matrix U and frame scalars lam (U lam = the unit
+point) fix the linear chart H = diag(1/lam) U^-1, negated if need be so
+that det H > 0, and H sends each remaining landmark to a unit vector in
+R^(m+1). A scene with k landmarks therefore registers as q = k - m - 2
+unit vectors, and samples of scenes become samples on a product of
+spheres.
 
 Registration is one stacked pass over n scenes: register_points lifts an
 (n, k, m) array of landmarks, frame_charts calls det, solve and inv once
@@ -252,8 +254,6 @@ class FrameCharts(NamedTuple):
     """Oriented charts of n frames, row i for frame i (see frame_charts)."""
 
     matrix: np.ndarray  # (n, m+1, m+1) charts H, det > 0
-    frame_scalars: np.ndarray  # (n, m+1) positive frame scalars
-    adjusted: np.ndarray  # (n, m+1, m+1) sign-adjusted frame matrices
     flipped: np.ndarray  # (n,) bool, H negated to make det > 0
     errors: Dict[int, DegenerateFrame]  # failing frames by row
 
@@ -265,27 +265,25 @@ def frame_charts(frames) -> FrameCharts:
         frames: (n, m+2, m+1) homogeneous representatives per frame; the
             first m+1 span the frame, the last is the unit point.
 
-    For each frame, lam solves U lam = unit point, where the columns of U
-    are the frame representatives; U' is U with column j times sign(lam_j);
-    H = D^-1 (U')^-1 with D = diag(|lam|), negated when det H < 0. Since
-    det H = 1 / (det D * det U') with det D > 0 and
-    det U' = det U * prod sign(lam_j), the sign of det H is the sign of
-    det U * prod sign(lam_j), which the det U already taken for the
-    singularity test gives without a determinant of H. On a frame that
-    passes, neither factor is zero, so this is the det H <= 0 rule. A frame
-    fails, in this order, on a zero representative, on
+    For each frame, the frame scalars lam solve U lam = unit point, where
+    the columns of U are the frame representatives, and H = diag(1/lam) U^-1,
+    negated when det H < 0. Before that negation H sends column j of U times
+    sign(lam_j) to 1/|lam_j| e_j and the unit point to (1, ..., 1). The sign
+    of det H is the sign of det U * prod sign(lam_j), which the det U
+    already taken for the singularity test gives without a determinant of
+    H. A frame fails, in this order, on a zero representative, on
     |det U| < DET_RTOL * prod(column norms), on some
     |lam_j| < SCALAR_RTOL * max|lam|, or on a lam or an H that is not
     finite, as when huge coordinates overflow float64 (a NaN fails no
     comparison, so the tests before cannot catch it). A failing frame gets
-    an entry in errors, and the identity takes the place of its U and U'
-    so that the stacked solve and inverse do not raise; its other rows are
-    meaningless.
+    an entry in errors and its other rows are meaningless; the identity
+    takes the place of a zero or singular U so that the stacked solve and
+    inverse do not raise, and lam is taken as 1 on every failed frame.
 
     Every row is bit for bit what the same steps give on that frame alone:
     det, solve and inv run the same LAPACK routine per matrix, and the
-    D^-1 product is formed elementwise, plus 0.0 to turn -0.0 into 0.0 as
-    the matrix product does.
+    diag(1/lam) product is formed elementwise, plus 0.0 to turn -0.0 into
+    0.0 as the matrix product does.
     """
     reps = np.asarray(frames, dtype=np.float64)
     d = reps.shape[2]
@@ -295,8 +293,7 @@ def frame_charts(frames) -> FrameCharts:
     zero = np.any(col_norms == 0.0, axis=1)
     singular = ~zero & (np.abs(det) < DET_RTOL * np.prod(col_norms, axis=1))
     bad = zero | singular
-    eye = np.eye(d)
-    basis = np.where(bad[:, None, None], eye, basis)
+    basis = np.where(bad[:, None, None], np.eye(d), basis)
     lam = np.linalg.solve(basis, reps[:, d, :, None])[..., 0]
     abs_lam = np.abs(lam)
     scale = np.max(abs_lam, axis=1)
@@ -306,15 +303,13 @@ def frame_charts(frames) -> FrameCharts:
     bad |= vanished
     overflow = ~bad & ~np.isfinite(lam).all(axis=1)
     bad |= overflow
-    signs = np.sign(lam)
-    adjusted = np.where(bad[:, None, None], eye, basis * signs[:, None, :])
-    abs_lam = np.where(bad[:, None], 1.0, abs_lam)
-    h = np.linalg.inv(adjusted)
-    h *= (1.0 / abs_lam)[:, :, None]
+    lam[bad] = 1.0
+    h = np.linalg.inv(basis)
+    h *= (1.0 / lam)[:, :, None]
     h += 0.0
     overflow |= ~bad & ~np.isfinite(h).all(axis=(1, 2))
     bad |= overflow
-    flipped = np.sign(det) * np.prod(signs, axis=1) < 0.0
+    flipped = ~bad & (np.sign(det) * np.prod(np.sign(lam), axis=1) < 0.0)
     np.negative(h, out=h, where=flipped[:, None, None])
 
     errors: Dict[int, DegenerateFrame] = {}
@@ -328,7 +323,7 @@ def frame_charts(frames) -> FrameCharts:
         else:
             message = "frame scalars or chart overflow float64; coordinates too large"
         errors[int(i)] = DegenerateFrame(message)
-    return FrameCharts(h, abs_lam, adjusted, flipped & ~bad, errors)
+    return FrameCharts(h, flipped, errors)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:

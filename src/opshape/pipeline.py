@@ -41,7 +41,6 @@ from .geometry import (
     LandmarkStudy,
     canonical_axis,
     check_scene_labels,
-    check_unit_norm,
     register_points,
 )
 from .io import RowTable, parse_landmarks, write_json, write_table
@@ -80,6 +79,7 @@ class AnalysisReport:
     vw_full: Tuple[VwSummary, ...]
     loo: Tuple[LeaveOneOutRow, ...]
     trace: Optional[ReductionTrace]
+    reduced_sample: Optional[DirectionSample]  # the trace's final scenes; not in report.json
     reduced: Optional[OpsSummary]
     vw_reduced: Optional[Tuple[VwSummary, ...]]
 
@@ -164,6 +164,7 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
 
     loo: Tuple[LeaveOneOutRow, ...] = ()
     trace = None
+    reduced_sample = None
     reduced = None
     vw_reduced = None
     if sample.n >= 3:
@@ -192,6 +193,7 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
         vw_full=vw_full,
         loo=loo,
         trace=trace,
+        reduced_sample=reduced_sample,
         reduced=reduced,
         vw_reduced=vw_reduced,
     )
@@ -328,8 +330,7 @@ def emit_outputs(report: AnalysisReport, outdir) -> Dict[str, Path]:
 
     paths["angles_reduced"] = outdir / "angles_reduced.csv"
     if report.trace is not None:
-        reduced = sample.subset(report.trace.final_scene_ids)
-        _write_angles(reduced, report.reduced, paths["angles_reduced"])
+        _write_angles(report.reduced_sample, report.reduced, paths["angles_reduced"])
     else:
         write_table(paths["angles_reduced"], ["scene", "theta_radians"], "%s,%.17g\r\n", [(), ()])
 
@@ -403,7 +404,6 @@ def _replications(
         if stop.is_set():
             return
         draws = tangent_gaussian_samples(mu, sigma, n, seeds[start:end])
-        check_unit_norm(draws)
         # a scenes-major view: a copy in that layout adds more page faults
         # than its long loops save, and memory besides
         _, _, ts, se = sample_moments(draws.swapaxes(0, 1)[:, :, None, :])

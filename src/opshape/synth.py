@@ -1,28 +1,29 @@
 """Synthetic planar scenes, pinhole views, and sphere samples for oracles.
 
-Coplanar scenes photographed by cameras on one side of the scene plane
-register identically in every view (the registration is invariant under the
-induced plane-to-image maps), so generated view sets provide an exact
-zero-dispersion oracle. Out-of-plane perturbations of the non-frame
-landmarks produce controlled departures. All draws run through the
-counter-based generator, so every artifact regenerates from its seed.
+Coplanar scenes, drawn in the z = 0 plane and photographed by cameras
+above it, register identically in every view (the registration is invariant
+under the induced plane-to-image maps), so generated view sets provide an
+exact zero-dispersion oracle. Moving the non-frame landmarks along z
+produces controlled departures. All draws run through the counter-based
+generator, so every artifact regenerates from its seed.
 
 A study is generated as array operations over all cameras at once
 (`_camera_stack`, `_project`); there is no one-camera path, and a camera
-is one row of the stacks: a center, a rotation and a focal. Camera try t
-reads words 7t..7t+6 of its stream, as a loop making one try at a time
-would. Tries are drawn in batches, their
-look-at rotations computed stacked, and those that put a landmark behind
-the camera rejected in bulk; the first n accepted tries are kept in try
-order, and a batch never reaches past the `_MAX_TRIES` * n budget. The
-bits match the one-camera-at-a-time loop because each step makes the same
-floating-point operations on the same operands: elementwise arithmetic
-and `np.cross` round per element, a stacked (1, 3) @ (3, 1) product makes
-the dot call `np.linalg.norm` makes for a vector, the stacked projection
-makes one BLAS product per camera, and cosines and sines still come from
-`math`, one value at a time. Each view's image noise is one
-`normals(2k)` draw of one stream, all views drawn together by
-`rng.successive_normals`.
+is one row of the stacks: a center, a rotation and a focal. The formulas
+that make a camera give an orthonormal right-handed rotation and a focal
+in [0.8, 1.5), so only its depths are checked. Camera try t reads words
+7t..7t+6 of its stream, as a loop making one try at a time would. Tries
+are drawn in batches, their look-at rotations computed stacked, and those
+that put a landmark behind the camera rejected in bulk; the first n
+accepted tries are kept in try order, and a batch never reaches past the
+`_MAX_TRIES` * n budget. The bits match the one-camera-at-a-time loop
+because each step makes the same floating-point operations on the same
+operands: elementwise arithmetic and `np.cross` round per element, a
+stacked (1, 3) @ (3, 1) product makes the dot call `np.linalg.norm` makes
+for a vector, the stacked projection makes one BLAS product per camera,
+and cosines and sines still come from `math`, one value at a time. Each
+view's image noise is one `normals(2k)` draw of one stream, all views
+drawn together by `rng.successive_normals`.
 
 Tangent-Gaussian sphere samples go through one Box-Muller draw and one
 normalize step, which adds the mean direction and divides by the norms one
@@ -63,56 +64,19 @@ _MIN_DEPTH = 1e-6
 
 @dataclass(frozen=True)
 class Scene3D:
-    """k labelled 3D landmarks, possibly exactly coplanar."""
+    """k labelled 3D landmarks: points (k, 3), and the signed distance by
+    which each was moved off the z = 0 plane, zero for all of a coplanar scene."""
 
     points: np.ndarray
-    coplanar: bool
-    plane_normal: np.ndarray
-    plane_offset: float
     out_of_plane_offsets: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        normal = np.asarray(self.plane_normal, dtype=np.float64)
-        offs = np.asarray(self.out_of_plane_offsets, dtype=np.float64)
-        if abs(float(np.linalg.norm(normal)) - 1.0) > 1e-12:
-            raise ValueError("plane normal must be a unit vector")
-        if self.coplanar:
-            resid = np.abs(pts @ normal - self.plane_offset)
-            if np.any(resid > 1e-12):
-                raise ValueError("coplanar scene violates its plane equation")
-            if np.any(offs != 0.0):
-                raise ValueError("coplanar scene cannot carry nonzero offsets")
-        object.__setattr__(self, "points", _freeze(pts))
-        object.__setattr__(self, "plane_normal", _freeze(normal))
-        object.__setattr__(self, "out_of_plane_offsets", _freeze(offs))
+        object.__setattr__(self, "points", _freeze(self.points))
+        object.__setattr__(self, "out_of_plane_offsets", _freeze(self.out_of_plane_offsets))
 
     @property
     def k(self) -> int:
         return self.points.shape[0]
-
-
-def _check_cameras(rotations: np.ndarray, focals: np.ndarray) -> None:
-    """Check a stack of cameras, (N, 3, 3) rotations and (N,) focals.
-
-    Raises:
-        ValueError: the first failed check of the first camera that fails
-            one, in the order a camera is checked: its rotation is 3x3 and
-            orthogonal, preserves orientation, and its focal is positive.
-    """
-    orthogonal = "rotation must be a 3x3 orthogonal matrix"
-    if rotations.ndim != 3 or rotations.shape[1:] != (3, 3):
-        raise ValueError(orthogonal)
-    gram = rotations @ rotations.transpose(0, 2, 1)
-    failed = (
-        (~np.isclose(gram, np.eye(3), atol=1e-10).all(axis=(1, 2)), orthogonal),
-        (np.linalg.det(rotations) < 0.0, "rotation must preserve orientation (det +1)"),
-        (~(focals > 0.0), "focal length must be positive"),
-    )
-    bad = np.logical_or.reduce([fails for fails, _ in failed])
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise ValueError(next(message for fails, message in failed if fails[first]))
 
 
 def _camera_coords(centers: np.ndarray, rotations: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -170,13 +134,7 @@ def random_coplanar_scene(k: int, seed: int) -> Scene3D:
         flat = 2.0 * gen.uniforms(2 * k).reshape(k, 2) - 1.0
         if _general_position_ok(flat):
             pts = np.concatenate([flat, np.zeros((k, 1))], axis=1)
-            return Scene3D(
-                points=pts,
-                coplanar=True,
-                plane_normal=np.array([0.0, 0.0, 1.0]),
-                plane_offset=0.0,
-                out_of_plane_offsets=np.zeros(k),
-            )
+            return Scene3D(points=pts, out_of_plane_offsets=np.zeros(k))
     raise GenerationFailed(f"no general-position scene after {_MAX_TRIES} tries")
 
 
@@ -223,14 +181,14 @@ def _camera_stack(
     """Centers (n, 3), rotations (n, 3, 3) and focals (n,) of n cameras.
 
     Try t reads words 7t..7t+6 of the seed's stream. Tries are made in
-    batches and checked in bulk; with a scene, a try that puts a landmark at
-    depth below 1e-6 is rejected, and the first n accepted tries are kept in
-    try order. Tries after the n-th accepted one are neither checked nor
-    kept, so the result and every error are those of making the tries one
-    at a time.
+    batches; with a scene, a try that puts a landmark at depth below 1e-6 is
+    rejected, and the first n accepted tries are kept in try order, so the
+    result and every error are those of making the tries one at a time.
+    Each rotation's rows are a normalised right-handed frame, and each
+    focal is 0.8 + 0.7 u for a uniform u in [0, 1).
 
     Raises:
-        ValueError: a try fails a camera check (`_check_cameras`).
+        ValueError: n < 1.
         GenerationFailed: fewer than n tries were accepted in `_MAX_TRIES` * n.
     """
     if n < 1:
@@ -252,8 +210,6 @@ def _camera_stack(
             accepted = np.flatnonzero(~(depths < _MIN_DEPTH).any(axis=1))
         accepted = accepted[:need]
         need -= accepted.size
-        made = accepted[-1] + 1 if need == 0 else batch
-        _check_cameras(rotations[:made], focals[:made])
         kept.append((centers[accepted], rotations[accepted], focals[accepted]))
     return tuple(np.concatenate(part) for part in zip(*kept))
 
@@ -264,8 +220,9 @@ def perturb_out_of_plane(
     seed: int,
     frame_labels: Sequence[int] = (1, 2, 4, 3),
 ) -> Scene3D:
-    """Move each non-frame landmark off the plane by a signed distance delta.
+    """Move each non-frame landmark along z by a signed distance delta.
 
+    The scene is one that `random_coplanar_scene` drew in the z = 0 plane.
     Frame landmarks stay exactly planar so the registration frame itself
     never degenerates; signs are drawn from the seed.
     """
@@ -280,14 +237,9 @@ def perturb_out_of_plane(
         if label in frame:
             continue
         offsets[label - 1] = delta if gen.uniform() < 0.5 else -delta
-    pts = np.array(scene.points) + offsets[:, None] * scene.plane_normal[None, :]
-    return Scene3D(
-        points=pts,
-        coplanar=False,
-        plane_normal=scene.plane_normal,
-        plane_offset=scene.plane_offset,
-        out_of_plane_offsets=offsets,
-    )
+    pts = np.array(scene.points)
+    pts[:, 2] += offsets
+    return Scene3D(points=pts, out_of_plane_offsets=offsets)
 
 
 def synthesize_views(

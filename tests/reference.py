@@ -548,9 +548,8 @@ def look_at_rotation(center, target, roll):
 
 
 def random_cameras(n, seed, scene=None, gen=None):
-    """n cameras as (center, rotation, focal), seven uniforms a try, each
-    checked on its own; a try that sees a landmark of scene behind it is
-    drawn again."""
+    """n cameras as (center, rotation, focal), seven uniforms a try; a try
+    that sees a landmark of scene behind it is drawn again."""
     gen = SplitMix64(seed) if gen is None else gen
     cams = []
     tries = 0
@@ -568,7 +567,6 @@ def random_cameras(n, seed, scene=None, gen=None):
         roll = 2.0 * math.pi * draws[5]
         focal = 0.8 + 0.7 * draws[6]
         rotation = look_at_rotation(center, target, roll)
-        synth._check_cameras(rotation[None], np.array([focal]))
         if scene is not None:
             depths = ((scene.points - center) @ rotation.T)[:, 2]
             if np.any(depths < 1e-6):

@@ -19,7 +19,7 @@ from opshape.directional import (
     normal_cdf,
     normal_quantile,
     total_variance,
-    z_statistic,
+    units_summary,
 )
 from opshape.errors import EmptySample, FocalMean, InvalidLevel, MixedOrientationWarning
 from opshape.geometry import DirectionSample, FrameSpec
@@ -174,24 +174,43 @@ def test_confidence_interval_lower_not_clamped():
     assert lo < 0.0
 
 
+def summary_z(ts, se):
+    """(z, p_normal, degenerate) of the units_summary of a sample with dispersion ts and SE se."""
+    s = units_summary(10, 0.05, 2, np.array([[0.0, 0.0, 1.0]]), np.ones(1), ts, se, np.zeros((3, 3)))
+    return s.z, s.p_normal, s.degenerate
+
+
+def z_convention(ts, se):
+    """The one-sided normal test of zero dispersion, one scalar at a time:
+    (z, p_upper, degenerate). With se == 0 the statistic is undefined; by
+    convention p = 1 when ts is (fp-)zero and p = 0 otherwise, and the
+    degenerate flag is set."""
+    if se == 0.0:
+        return (0.0, 1.0, True) if ts <= directional.ZERO_TOL else (math.inf, 0.0, True)
+    z = ts / se
+    return (z, normal_cdf(-z), False)
+
+
 def test_z_statistic_basic_points():
-    z, p, degenerate = z_statistic(0.0, 1.0)
+    z, p, degenerate = summary_z(0.0, 1.0)
     assert (z, p, degenerate) == (0.0, 0.5, False)
-    z, p, _ = z_statistic(1.959964, 1.0)
+    z, p, _ = summary_z(1.959964, 1.0)
     assert p == pytest.approx(0.025, abs=1e-6)
 
 
 def test_z_statistic_derived_value():
-    z, p, _ = z_statistic(0.1871, 0.0812)
+    z, p, _ = summary_z(0.1871, 0.0812)
     assert z == pytest.approx(0.1871 / 0.0812, abs=1e-12)
     assert p == pytest.approx(1.0 - ref.normal_cdf(z), abs=1e-12)
     assert p == pytest.approx(0.0106, abs=5e-4)
 
 
 def test_z_statistic_degenerate_conventions():
-    assert z_statistic(0.0, 0.0) == (0.0, 1.0, True)
-    z, p, degenerate = z_statistic(0.3, 0.0)
+    assert summary_z(0.0, 0.0) == (0.0, 1.0, True)
+    z, p, degenerate = summary_z(0.3, 0.0)
     assert math.isinf(z) and p == 0.0 and degenerate
+    with pytest.raises(ValueError, match="standard error must be nonnegative"):
+        summary_z(0.3, -1e-300)
 
 
 def test_chisq_statistic_closed_form_df2():
@@ -283,11 +302,11 @@ def test_ndtr_port_equals_scipy_bit_for_bit():
     xs = np.concatenate([_ndtr_inputs(1_000_000, 11), _around(NDTR_EDGES + ERF_EDGES),
                          np.array(SPECIAL_POINTS)])
     ref.assert_same_bits(_scalar_calls(normal_cdf, xs), special.ndtr(xs), any_nan=True)
-    # numpy scalars give the same bits, and z_statistic's p-value is the port
+    # numpy scalars give the same bits, and units_summary's p-value is the port
     for x in xs[:1000]:
         ref.assert_same_bits(normal_cdf(x), special.ndtr(x), x, any_nan=True)
-    for ts, se in ((0.1871, 0.0812), (3.0, 1e-3), (1e-9, 0.5), (-0.2, 0.1)):
-        assert z_statistic(ts, se)[1] == float(special.ndtr(-(ts / se)))
+    for ts, se in ((0.1871, 0.0812), (3.0, 1e-3), (1e-9, 0.5), (0.02, 0.1)):
+        assert summary_z(ts, se)[1] == float(special.ndtr(-(ts / se)))
 
 
 def test_erf_and_erfc_ports_equal_scipy_bit_for_bit():
@@ -335,9 +354,12 @@ def test_z_values_match_z_statistic_elementwise():
     se = np.concatenate([se, np.random.default_rng(4).uniform(0.0, 0.1, 200)])
     z, degenerate = directional.z_values(ts, se)
     for i, (ts_i, se_i) in enumerate(zip(ts.tolist(), se.tolist())):
-        z_i, _, degenerate_i = z_statistic(ts_i, se_i)
-        ref.assert_same_bits(z[i], z_i, (ts_i, se_i), any_nan=True)
-        assert degenerate[i] == degenerate_i
+        want = z_convention(ts_i, se_i)
+        got = summary_z(ts_i, se_i)
+        ref.assert_same_bits(got[:2], want[:2], (ts_i, se_i), any_nan=True)
+        assert got[2] is want[2]
+        ref.assert_same_bits(z[i], want[0], (ts_i, se_i), any_nan=True)
+        assert degenerate[i] == want[2]
     with pytest.raises(ValueError, match="standard error must be nonnegative"):
         directional.z_values(np.array([0.1, 0.2]), np.array([0.1, -1e-300]))
 

@@ -54,20 +54,43 @@ def test_lift_examples():
 
 # ---------- frame scalars -------------------------------------------------------
 
+def assert_oriented_chart(reps, charts, i=0):
+    """Chart i of charts has the defining property of the chart of the frame
+    reps, with frame scalars lam from the elimination oracle: up to the
+    chart's flip, H sends frame column j times sign(lam_j) to a positive
+    multiple of e_j and the unit point to a positive multiple of (1, ..., 1);
+    and det H > 0."""
+    d = reps.shape[1]
+    lam = ref.solve_by_elimination(reps[:d].T, reps[d])
+    h = charts.matrix[i]
+    sign = -1.0 if charts.flipped[i] else 1.0
+    for j in range(d):
+        image = sign * (h @ (math.copysign(1.0, lam[j]) * reps[j]))
+        target = np.zeros(d)
+        target[j] = image[j]
+        assert image[j] > 0
+        np.testing.assert_allclose(image, target, atol=1e-12 * np.linalg.norm(image))
+    image = sign * (h @ reps[d])
+    assert np.all(image > 0)
+    np.testing.assert_allclose(image, np.full(d, image[0]), rtol=1e-10)
+    assert np.linalg.det(h) > 0
+
+
 def test_frame_scalars_centroid_unit_point():
-    charts = frame_charts(unit_square_frame()[None])
-    lam, adjusted = charts.frame_scalars[0], charts.adjusted[0]
-    np.testing.assert_allclose(lam, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
-    # no sign flips needed
-    np.testing.assert_array_equal(adjusted, unit_square_frame()[:3].T)
+    reps = unit_square_frame()
+    assert ref.solve_by_elimination(reps[:3].T, reps[3]) == pytest.approx([1 / 3] * 3, abs=1e-15)
+    charts = frame_charts(reps[None])
+    assert_oriented_chart(reps, charts)
+    # every scalar is positive: H = 3 U^-1, unflipped
+    assert not charts.flipped[0]
+    np.testing.assert_allclose(charts.matrix[0], 3.0 * np.linalg.inv(reps[:3].T), atol=1e-15)
 
 
 def test_frame_scalars_standard_frame():
     reps = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
     charts = frame_charts(reps[None])
-    lam, adjusted = charts.frame_scalars[0], charts.adjusted[0]
-    np.testing.assert_allclose(lam, [1.0, 1.0, 1.0], atol=1e-15)
-    np.testing.assert_array_equal(adjusted, np.eye(3))
+    assert_oriented_chart(reps, charts)
+    np.testing.assert_array_equal(charts.matrix[0], np.eye(3))
 
 
 def test_frame_scalars_sign_fix_against_elimination_oracle():
@@ -77,27 +100,28 @@ def test_frame_scalars_sign_fix_against_elimination_oracle():
     raw = ref.solve_by_elimination(reps[:3].T, reps[3])
     assert raw == pytest.approx([-5.0, 3.0, 3.0])
     charts = frame_charts(reps[None])
-    lam, adjusted = charts.frame_scalars[0], charts.adjusted[0]
-    np.testing.assert_allclose(lam, np.abs(raw), rtol=1e-13)
-    # column 0 flipped, others untouched
-    np.testing.assert_allclose(adjusted[:, 0], -reps[0], atol=0)
-    np.testing.assert_allclose(adjusted[:, 1], reps[1], atol=0)
-    # adjusted columns scaled by lam reproduce the unit point
-    np.testing.assert_allclose(adjusted @ lam, reps[3], atol=1e-12)
+    # H sends the negated column 0, and columns 1 and 2 as they are, to the axes
+    assert_oriented_chart(reps, charts)
+    # det U = 1 and one negative scalar: diag(1/lam) U^-1 has det < 0, so it is flipped
+    assert charts.flipped[0]
+    np.testing.assert_allclose(
+        charts.matrix[0], -np.diag(1.0 / np.array(raw)) @ np.linalg.inv(reps[:3].T), atol=1e-15
+    )
 
 
 def test_frame_scalars_random_frames_match_oracle():
+    # one stacked call: every row is held to the oracle of its own frame
     gen = SplitMix64(801)
+    frames = []
     for _ in range(50):
         pts = gen.uniforms(8).reshape(4, 2) * 4.0 - 2.0
-        reps = np.hstack([pts, np.ones((4, 1))])
-        charts = frame_charts(reps[None])
-        if charts.errors:
-            continue
-        lam, adjusted = charts.frame_scalars[0], charts.adjusted[0]
-        oracle = ref.solve_by_elimination(reps[:3].T, reps[3])
-        np.testing.assert_allclose(lam, np.abs(oracle), rtol=1e-9)
-        np.testing.assert_allclose(adjusted @ lam, reps[3], atol=1e-9)
+        frames.append(np.hstack([pts, np.ones((4, 1))]))
+    charts = frame_charts(np.stack(frames))
+    assert len(charts.errors) < 5
+    assert 0 < charts.flipped.sum() < 50
+    for i, reps in enumerate(frames):
+        if i not in charts.errors:
+            assert_oriented_chart(reps, charts, i)
 
 
 def test_frame_scalars_collinear_rejected():
@@ -142,16 +166,7 @@ def test_homography_maps_frame_columns_to_axes():
         charts = frame_charts(reps[None])
         if charts.errors:
             continue
-        adjusted = charts.adjusted[0]
-        sign = -1.0 if charts.flipped[0] else 1.0
-        for j in range(3):
-            image = sign * (charts.matrix[0] @ adjusted[:, j])
-            target = np.zeros(3)
-            target[j] = image[j]
-            assert image[j] > 0
-            np.testing.assert_allclose(
-                image, target, atol=1e-12 * np.linalg.norm(image)
-            )
+        assert_oriented_chart(reps, charts)
         checked += 1
 
 
