@@ -201,7 +201,7 @@ def _deletion_endpoints(
     flat = units.reshape(n, q * d)
     mean = flat.sum(axis=0) / n
     dev = flat - mean
-    cov = dev.T @ dev / n
+    cov = _covariance(units)
     del_means = (mean - dev / (n - 1)).reshape(n, q, d)
     r = np.sqrt(np.einsum("iqd,iqd->iq", del_means, del_means))
     rmin = r.min(axis=1)
@@ -210,7 +210,7 @@ def _deletion_endpoints(
     with np.errstate(divide="ignore", invalid="ignore"):
         u = (del_means / r[:, :, None]).reshape(n, q * d)
         proj = np.einsum("ij,ij->i", dev, u)
-        ucu = np.einsum("ij,ij->i", u @ cov, u)
+        ucu = np.einsum("ij,ij->i", np.einsum("ij,jk->ik", u, cov), u)
         zse = np.sqrt(np.maximum(ucu - proj * proj / (n - 1), 0.0)) * (2.0 * z * n**0.5 / (n - 1))
         ts = 2.0 * q - 2.0 * r.sum(axis=1)
         clamp = (ts + 1.0) * zrtol

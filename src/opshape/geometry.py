@@ -1,29 +1,31 @@
 """Oriented projective frames and spherical registration of landmark scenes.
 
 A scene of k planar landmarks is lifted to homogeneous representatives
-x~ = (x, 1). An ordered choice of m+2 landmarks in general position is an
-oriented frame; its frame matrix U and frame scalars lam (U lam = the unit
-point) fix the linear chart H = diag(1/lam) U^-1, negated if need be so
-that det H > 0, and H sends each remaining landmark to a unit vector in
-R^(m+1). A scene with k landmarks therefore registers as q = k - m - 2
-unit vectors, and samples of scenes become samples on a product of
-spheres.
+x~ = (x, y, 1). An ordered choice of four landmarks in general position is
+an oriented frame: the first three are the columns of the frame matrix U,
+the fourth is the unit point p. It fixes the chart H = diag(1/lam) U^-1,
+with frame scalars lam = U^-1 p, negated if need be so that det H > 0, and
+H sends each remaining landmark to a unit vector in R^3: a scene registers
+as q = k - 4 unit vectors on a product of spheres. Registration is planar
+only, as the landmark CSV is.
 
-Registration is one stacked pass over n scenes: register_points lifts an
-(n, k, m) array of landmarks, frame_charts calls det, solve and inv once
-each on the (n, m+1, m+1) frame matrices, and chart_coordinates maps the
-remaining points of all scenes at once. Degenerate scenes are masked, not
-raised: a scene fails on the first of DET_RTOL (frame determinant),
-SCALAR_RTOL (frame scalars), finite frame scalars and chart, POINT_RTOL (a
-point on the singular locus) or a finite image norm, and UNIT_ATOL (a
-registered vector off unit norm) that it breaks; a failed frame is replaced
-by the identity so the stacked solve and inverse cannot raise, and the
-caller skips the scene or raises its error. Each row matches, bit for bit,
-what the same steps give on that scene alone, so one scene or one frame is
-the n = 1 call of the same pass; there is no separate single-frame path.
+register_points registers n scenes in one stacked pass: frame_charts forms
+every chart in closed form and chart_coordinates maps the remaining points.
+Degenerate scenes are masked, not raised: a scene fails on the first of
+DET_RTOL (frame determinant), SCALAR_RTOL (frame scalars), finite frame
+scalars and chart, POINT_RTOL (a point on the singular locus) or a finite
+image norm, and UNIT_ATOL (a registered vector off unit norm) that it
+breaks, and the caller skips the scene or raises its error.
 
-Conventions: points and homogeneous representatives are plain float64
-ndarrays; frame representatives enter matrices as columns.
+Arithmetic. Every value that reaches an output of the package comes from
+numpy element-wise operations and axis reductions, or np.einsum with its
+default optimize=False, in one stated order, never from BLAS or LAPACK, so
+the bytes do not depend on the host's BLAS kernel. A dot product over a
+short last axis adds its products left to right (last_axis_dots), a norm
+is the square root of such a sum of squares (last_axis_norms), and a mean
+of outer products sums each entry's products pairwise along a contiguous
+axis, as ndarray.sum does (mean_outer). No order depends on how many rows
+a stacked pass holds, so each row is bit for bit that row computed alone.
 """
 
 from __future__ import annotations
@@ -156,18 +158,31 @@ class FrameSpec:
         return len(self.remaining_labels)
 
 
-def last_axis_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, which must hold at least one coordinate.
+def last_axis_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis of two broadcastable arrays, their
+    products added left to right one coordinate column at a time: d long
+    loops rather than one short loop per vector."""
+    total = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        total = total + a[..., j] * b[..., j]
+    return total
 
-    The squares are summed left to right one coordinate column at a time:
-    d long loops rather than one short loop per vector. For fewer than 8
-    coordinates that is the order `np.linalg.norm(axis=-1)` takes, so the
-    norms are its bits.
+
+def last_axis_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis: square roots of last_axis_dots(v, v).
+
+    For fewer than 8 coordinates that is the order `np.linalg.norm(axis=-1)`
+    takes, so the norms are its bits.
     """
-    squares = v[..., 0] * v[..., 0]
-    for j in range(1, v.shape[-1]):
-        squares += v[..., j] * v[..., j]
-    return np.sqrt(squares)
+    return np.sqrt(last_axis_dots(v, v))
+
+
+def mean_outer(rows: np.ndarray) -> np.ndarray:
+    """Mean of the outer products r r' of the rows of an (n, p) array: entry
+    (a, b) sums its n products along one contiguous axis, pairwise as
+    ndarray.sum does, then divides by n."""
+    t = rows.T
+    return np.multiply(t[:, None], t[None], order="C").sum(axis=-1) / rows.shape[0]
 
 
 def _off_unit(units: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -253,70 +268,51 @@ class DirectionSample:
 class FrameCharts(NamedTuple):
     """Oriented charts of n frames, row i for frame i (see frame_charts)."""
 
-    matrix: np.ndarray  # (n, m+1, m+1) charts H, det > 0
+    matrix: np.ndarray  # (n, 3, 3) charts H, det > 0
     flipped: np.ndarray  # (n,) bool, H negated to make det > 0
     errors: Dict[int, DegenerateFrame]  # failing frames by row
 
 
 def frame_charts(frames) -> FrameCharts:
-    """Oriented charts of n frames in one pass of stacked linear algebra.
+    """Oriented charts of n planar frames in closed form.
 
     Args:
-        frames: (n, m+2, m+1) homogeneous representatives per frame; the
-            first m+1 span the frame, the last is the unit point.
+        frames: (n, 4, 3) homogeneous representatives per frame: the
+            columns c0, c1, c2 of the frame matrix U, then the unit point p.
 
-    For each frame, the frame scalars lam solve U lam = unit point, where
-    the columns of U are the frame representatives, and H = diag(1/lam) U^-1,
-    negated when det H < 0. Before that negation H sends column j of U times
-    sign(lam_j) to 1/|lam_j| e_j and the unit point to (1, ..., 1). The sign
-    of det H is the sign of det U * prod sign(lam_j), which the det U
-    already taken for the singularity test gives without a determinant of
-    H. A frame fails, in this order, on a zero representative, on
-    |det U| < DET_RTOL * prod(column norms), on some
-    |lam_j| < SCALAR_RTOL * max|lam|, or on a lam or an H that is not
-    finite, as when huge coordinates overflow float64 (a NaN fails no
-    comparison, so the tests before cannot catch it). A failing frame gets
-    an entry in errors and its other rows are meaningless; the identity
-    takes the place of a zero or singular U so that the stacked solve and
-    inverse do not raise, and lam is taken as 1 on every failed frame.
-
-    Every row is bit for bit what the same steps give on that frame alone:
-    det, solve and inv run the same LAPACK routine per matrix, and the
-    diag(1/lam) product is formed elementwise, plus 0.0 to turn -0.0 into
-    0.0 as the matrix product does.
+    The adjugate rows of U are a0 = c1 x c2, a1 = c2 x c0, a2 = c0 x c1,
+    and det U = c0 . a0. With s_j = a_j . p, lam = s / det U, so row j of
+    H = diag(1/lam) U^-1 is a_j / s_j, and det H = det(U)^2 / prod(s): H is
+    negated, and flipped, where prod(s) < 0. A frame fails, in this order,
+    on |det U| < DET_RTOL * prod(representative norms), on some
+    |lam_j| < SCALAR_RTOL * max|lam| (the same ratio of the s_j), or on an
+    s or an H that is not finite, as when huge coordinates overflow (a NaN
+    fails every comparison before). A failing frame gets an entry in
+    errors, its row of matrix is meaningless, and its s is taken as 1 so
+    that dividing by it raises no warning.
     """
     reps = np.asarray(frames, dtype=np.float64)
-    d = reps.shape[2]
-    basis = np.swapaxes(reps[:, :d], 1, 2)  # columns are representatives
-    col_norms = np.linalg.norm(basis, axis=1)
-    det = np.linalg.det(basis)
-    zero = np.any(col_norms == 0.0, axis=1)
-    singular = ~zero & (np.abs(det) < DET_RTOL * np.prod(col_norms, axis=1))
-    bad = zero | singular
-    basis = np.where(bad[:, None, None], np.eye(d), basis)
-    lam = np.linalg.solve(basis, reps[:, d, :, None])[..., 0]
-    abs_lam = np.abs(lam)
-    scale = np.max(abs_lam, axis=1)
-    vanished = ~bad & (
-        (scale == 0.0) | np.any(abs_lam < SCALAR_RTOL * scale[:, None], axis=1)
-    )
-    bad |= vanished
-    overflow = ~bad & ~np.isfinite(lam).all(axis=1)
+    c0, c1, c2, unit = (reps[:, j] for j in range(4))
+    adj = np.stack([np.cross(c1, c2), np.cross(c2, c0), np.cross(c0, c1)], axis=1)
+    det = last_axis_dots(c0, adj[:, 0])
+    singular = np.abs(det) < DET_RTOL * np.prod(last_axis_norms(reps[:, :3]), axis=1)
+    s = last_axis_dots(adj, unit[:, None])
+    abs_s = np.abs(s)
+    scale = np.max(abs_s, axis=1)
+    vanished = ~singular & ((scale == 0.0) | np.any(abs_s < SCALAR_RTOL * scale[:, None], axis=1))
+    bad = singular | vanished
+    overflow = ~bad & ~np.isfinite(s).all(axis=1)
     bad |= overflow
-    lam[bad] = 1.0
-    h = np.linalg.inv(basis)
-    h *= (1.0 / lam)[:, :, None]
-    h += 0.0
+    s[bad] = 1.0
+    h = adj / s[:, :, None]
     overflow |= ~bad & ~np.isfinite(h).all(axis=(1, 2))
     bad |= overflow
-    flipped = ~bad & (np.sign(det) * np.prod(np.sign(lam), axis=1) < 0.0)
+    flipped = ~bad & (np.prod(np.sign(s), axis=1) < 0.0)
     np.negative(h, out=h, where=flipped[:, None, None])
 
     errors: Dict[int, DegenerateFrame] = {}
     for i in np.flatnonzero(bad):
-        if zero[i]:
-            message = "zero frame representative"
-        elif singular[i]:
+        if singular[i]:
             message = f"frame matrix is numerically singular (det={det[i]:.3e})"
         elif vanished[i]:
             message = "a frame scalar vanishes; unit point lies on a frame hyperplane"
@@ -324,16 +320,6 @@ def frame_charts(frames) -> FrameCharts:
             message = "frame scalars or chart overflow float64; coordinates too large"
         errors[int(i)] = DegenerateFrame(message)
     return FrameCharts(h, flipped, errors)
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, each `np.linalg.norm` of its vector bit for bit.
-
-    The norm of a vector is the square root of its dot product with itself;
-    a stacked (1, d) @ (d, 1) product makes the same dot call per vector,
-    where a sum of squares may round otherwise.
-    """
-    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0, 0]
 
 
 def chart_coordinates(matrix, points) -> Tuple[np.ndarray, np.ndarray]:
@@ -352,16 +338,12 @@ def chart_coordinates(matrix, points) -> Tuple[np.ndarray, np.ndarray]:
         power of two before it is normalised, so that its squares neither
         underflow nor overflow.
 
-    Each row is bit for bit what H @ x~ and np.linalg.norm give on that
-    point alone: a stacked matmul of a matrix by a column runs the same
-    matrix-vector kernel, and of a row by a column the same dot kernel
-    (einsum, norm(axis=) and sum(-1) round differently).
     """
     h = np.asarray(matrix, dtype=np.float64)
     x = np.asarray(points, dtype=np.float64)
-    y = np.matmul(h[:, None], x[..., None])[..., 0]
-    norm = _norms(y)
-    floor = POINT_RTOL * _norms(h.reshape(h.shape[0], 1, -1)) * _norms(x)
+    y = last_axis_dots(h[:, None], x[:, :, None])
+    norm = last_axis_norms(y)
+    floor = POINT_RTOL * last_axis_norms(h.reshape(h.shape[0], 1, -1)) * last_axis_norms(x)
     vanished = (norm <= floor) | ~np.isfinite(norm)
     # far from 1 in scale, an image's squares fall below the smallest normal
     # double, losing bits, or overflow; a power of two rescales it exactly
@@ -370,15 +352,16 @@ def chart_coordinates(matrix, points) -> Tuple[np.ndarray, np.ndarray]:
     if rescale.any():
         _, exponent = np.frexp(largest[rescale])
         y[rescale] = np.ldexp(y[rescale], -exponent[:, None])
-        norm[rescale] = _norms(y[rescale])
+        norm[rescale] = last_axis_norms(y[rescale])
     return y / np.where(vanished, 1.0, norm)[..., None], vanished
 
 
 def check_scene_labels(scene: LandmarkScene, spec: FrameSpec) -> None:
-    """InvalidLandmark unless the scene has spec's dimension and every label it names."""
-    if spec.m != scene.m:
+    """InvalidLandmark unless the scene is planar, as spec's frame, and has every label it names."""
+    if spec.m != scene.m or scene.m != 2:
         raise InvalidLandmark(
-            f"frame of {len(spec.frame_labels)} labels needs m={spec.m} coordinates, scene has m={scene.m}"
+            f"registration is planar, with frames of 4 labels: a frame of {len(spec.frame_labels)} "
+            f"labels needs m={spec.m} coordinates, scene has m={scene.m}"
         )
     for label in spec.frame_labels + spec.remaining_labels:
         if label > scene.k:
@@ -391,15 +374,16 @@ def register_points(
     """Register n scenes at once through the frame charts spec selects.
 
     Args:
-        points: (n, k, m) landmark coordinates, row j-1 of a scene holding
-            landmark j; the caller has checked the labels.
+        points: (n, k, 2) landmark coordinates, row j-1 of a scene holding
+            landmark j; the caller has checked them (check_scene_labels).
 
     Returns:
-        (units, flipped, errors): units (n, q, m+1) unit vectors; flipped
+        (units, flipped, errors): units (n, q, 3) unit vectors; flipped
         (n,) marks charts negated to keep det > 0; errors maps the row of
         each degenerate scene to the error of its first failing check: a
         DegenerateFrame, else a DegeneratePoint (singular locus or image
         norm, then unit norm). Those scenes' other rows are meaningless.
+
     """
     pts = np.asarray(points, dtype=np.float64)
 

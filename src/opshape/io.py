@@ -28,13 +28,16 @@ at 17 significant digits (%.17g), enough to read back as the same double.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
 import io
 import itertools
 import math
+import os
 import re
+import secrets
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -264,6 +267,25 @@ def parse_landmarks(path, digest: bool = False) -> LandmarkStudy:
     return LandmarkStudy(ids, points, hashlib.sha256(payload).hexdigest() if digest else None)
 
 
+@contextlib.contextmanager
+def output_file(path):
+    """The one writer of output files: a new UTF-8 text file (no newline
+    translation) beside path, moved over path by os.replace when the block
+    ends, so path keeps its old bytes, or no file, until the new ones are
+    complete. On any exception the temporary file is removed. A symlink at
+    path is replaced, not followed, and the file gets a new file's mode."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 # one landmark row, as csv.writer writes it with each float passed through
 # format(x, ".17g"); the id goes through _csv_field
 _LANDMARK_ROW = "%s,%d,%.17g,%.17g\r\n"
@@ -295,8 +317,7 @@ def write_landmarks(path, scenes: Sequence[LandmarkScene]) -> None:
                 f"scene {scene.scene_id!r} has points of shape {scene.points.shape}: "
                 "the landmark format holds (k, 2) planar points"
             )
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with output_file(path) as fh:
         fh.write(",".join(HEADER) + "\r\n")
         fields: List = []
         rows = 0
@@ -350,7 +371,7 @@ def write_table(path, header: Sequence[str], line: str, columns: Sequence[Sequen
             columns[i] = list(map(quoted.__getitem__, columns[i]))
     rows = len(columns[0]) if columns else 0
     body = (line * rows) % tuple(itertools.chain.from_iterable(zip(*columns, strict=True)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with output_file(path) as fh:
         fh.write(",".join(header) + "\r\n" + body)
 
 
@@ -541,4 +562,5 @@ def json_text(value) -> str:
 
 def write_json(path, value) -> None:
     """Write json_text(value) and a final newline to path as UTF-8."""
-    Path(path).write_text(json_text(value) + "\n", encoding="utf-8")
+    with output_file(path) as fh:
+        fh.write(json_text(value) + "\n")

@@ -17,7 +17,7 @@ import operator
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,6 +41,7 @@ from .geometry import (
     LandmarkStudy,
     canonical_axis,
     check_scene_labels,
+    last_axis_norms,
     register_points,
 )
 from .io import RowTable, parse_landmarks, write_json, write_table
@@ -199,12 +200,8 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
     )
 
 
-# report.json's summary fields, in order: the OpsSummary attributes of these names
-_SUMMARY_KEYS = (
-    "n", "q", "dim", "alpha", "df", "mean_vector", "resultant", "extrinsic_mean",
-    "total_variance", "covariance", "se", "z", "t_stat", "p_normal", "p_chisq", "ci",
-    "degenerate", "reject_ci", "reject_chisq",
-)
+# report.json's summary fields, in order: the fields of OpsSummary
+_SUMMARY_KEYS = tuple(field.name for field in fields(OpsSummary))
 _summary_row = operator.attrgetter(*_SUMMARY_KEYS)
 # the layout of one reduction step of report.json
 _STEP_KEYS = ("removed_scene_id", "ci_lower", ("summary", _SUMMARY_KEYS))
@@ -214,8 +211,8 @@ def _summary_dict(s: OpsSummary) -> Dict:
     return dict(zip(_SUMMARY_KEYS, _summary_row(s)))
 
 
-# report.json's comparator fields, in order: the VwSummary attributes of these names
-_VW_KEYS = ("n", "mean_matrix", "top_eigenvalue", "top_axis", "eigengap", "total_variance", "focal")
+# report.json's comparator fields, in order: the fields of VwSummary
+_VW_KEYS = tuple(field.name for field in fields(VwSummary))
 # the fields of one block of `opshape vw`'s JSON, in order, after its "block" index
 VW_BLOCK_KEYS = ("n", "top_eigenvalue", "eigengap", "total_variance", "top_axis", "focal")
 
@@ -482,7 +479,7 @@ def run_monte_carlo(
             stop.set()
             pool.shutdown(cancel_futures=True)
             raise
-    t_pop = 2.0 * (1.0 - float(np.linalg.norm(oracle_mean)))
+    t_pop = 2.0 * (1.0 - float(last_axis_norms(oracle_mean)))
 
     lower, upper = confidence_interval(ts_values, se_values, alpha)
     hits = int(np.count_nonzero((lower <= t_pop) & (t_pop <= upper)))

@@ -16,12 +16,9 @@ in [0.8, 1.5), so only its depths are checked. Camera try t reads words
 are drawn in batches, their look-at rotations computed stacked, and those
 that put a landmark behind the camera rejected in bulk; the first n
 accepted tries are kept in try order, and a batch never reaches past the
-`_MAX_TRIES` * n budget. The bits match the one-camera-at-a-time loop
-because each step makes the same floating-point operations on the same
-operands: elementwise arithmetic and `np.cross` round per element, a
-stacked (1, 3) @ (3, 1) product makes the dot call `np.linalg.norm` makes
-for a vector, the stacked projection makes one BLAS product per camera,
-and cosines and sines still come from `math`, one value at a time. Each
+`_MAX_TRIES` * n budget. The bits match the one-camera-at-a-time loop:
+every step is elementwise arithmetic in the geometry module's stated
+order, and cosines and sines come from `math`, one value at a time. Each
 view's image noise is one `normals(2k)` draw of one stream, all views
 drawn together by `rng.successive_normals`.
 
@@ -34,11 +31,11 @@ sample. Its slices form a chain of tasks: task k draws slice k into its own
 buffer, waits for task k - 1's running sum and adds its rows to it, on the
 thread that drew them. Given an executor, the calling thread only submits
 the tasks and waits for the last; with none, it runs the same tasks one
-after another. At d = 3 a slice costs 45 numpy calls that allocate or
-loop over an array (27 Box-Muller, 16 normalize, the buffer and the sum),
+after another. At d = 3 a slice costs 54 numpy calls that allocate or
+loop over an array (27 Box-Muller, 25 normalize, the buffer and the sum),
 each a release and re-take of the interpreter lock, so large slices keep
 two drawing threads from waiting on each other: 10^6 draws take about
-2,800 calls.
+3,350 calls.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BehindCamera, GenerationFailed, InvalidLandmark
-from .geometry import LandmarkScene, _freeze, _norms, last_axis_norms
+from .geometry import LandmarkScene, _freeze, last_axis_dots, last_axis_norms
 from .rng import SplitMix64, normal_pairs, normal_rows, successive_normals
 
 # rejection margins for general position, in scene units
@@ -82,10 +79,10 @@ class Scene3D:
 def _camera_coords(centers: np.ndarray, rotations: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(N, k, 3) camera coordinates of k points in each of N cameras.
 
-    Slice i is (points - centers[i]) @ rotations[i].T, bit for bit: the
-    stacked product makes the same BLAS call for each slice.
+    Coordinate j of a point in camera i is the dot of row j of rotations[i]
+    with the point minus centers[i].
     """
-    return (points[None] - centers[:, None, :]) @ rotations.transpose(0, 2, 1)
+    return last_axis_dots((points[None] - centers[:, None, :])[:, :, None], rotations[:, None])
 
 
 def _project(
@@ -145,12 +142,12 @@ def _look_at_rotations(centers: np.ndarray, targets: np.ndarray, rolls: np.ndarr
     and the x and y axes are rolled by the angle in `rolls`.
     """
     z = targets - centers
-    z = z / _norms(z)[:, None]
+    z = z / last_axis_norms(z)[:, None]
     x = np.cross(np.array([0.0, 0.0, 1.0]), z)
-    vertical = _norms(x) < 1e-8
+    vertical = last_axis_norms(x) < 1e-8
     if vertical.any():
         x[vertical] = np.cross(np.array([0.0, 1.0, 0.0]), z[vertical])
-    x = x / _norms(x)[:, None]
+    x = x / last_axis_norms(x)[:, None]
     y = np.cross(z, x)
     # math's cos and sin, which numpy's vector loops may not match
     c = np.array([math.cos(r) for r in rolls.tolist()])[:, None]
@@ -294,10 +291,10 @@ def _tangent_basis(direction: np.ndarray) -> np.ndarray:
     for i in range(d):
         v = np.zeros(d)
         v[i] = 1.0
-        v = v - (v @ direction) * direction
+        v = v - last_axis_dots(v, direction) * direction
         for b in rows:
-            v = v - (v @ b) * b
-        norm = float(np.linalg.norm(v))
+            v = v - last_axis_dots(v, b) * b
+        norm = float(last_axis_norms(v))
         if norm > 1e-8:
             rows.append(v / norm)
         if len(rows) == d - 1:
@@ -308,7 +305,7 @@ def _tangent_basis(direction: np.ndarray) -> np.ndarray:
 def _tangent_frame(direction, sigma: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """The unit mean direction and its tangent basis, after checking the arguments."""
     mu = np.asarray(direction, dtype=np.float64).ravel()
-    norm = float(np.linalg.norm(mu))
+    norm = float(last_axis_norms(mu))
     if norm <= 1e-12:
         raise ValueError("direction must be nonzero")
     if sigma < 0.0:
@@ -332,21 +329,23 @@ def _unit_draws(
     The draws are written to out, an (R, rows, d) array, if one is given,
     and returned.
 
-    The norms are `last_axis_norms`, the bits of `np.linalg.norm(axis=-1)`
-    for d < 8. Adding mu and dividing by the norms go one coordinate column
-    at a time, as the norms do: d long loops rather than one short loop per
-    row.
+    Coordinate j of a raw draw adds the scaled normals times column j of
+    basis left to right, then mu[j], in place one coordinate column at a
+    time: d long loops rather than one short loop per row.
 
     Raises:
         GenerationFailed: a raw draw's norm is not finite and positive.
     """
+    raw = np.empty(normals.shape[:-1] + mu.shape) if out is None else out
+    product = np.empty(normals.shape[:-1])
+    columns = [raw[..., j] for j in range(mu.size)]
     # overflow is caught below as a norm that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         normals *= sigma
-        # one (rows, d-1) @ (d-1, d) product per sample, as for a single draw
-        raw = np.matmul(normals, basis, out=out)
-        columns = [raw[..., j] for j in range(mu.size)]
-        for column, shift in zip(columns, mu.tolist()):
+        for column, weights, shift in zip(columns, basis.T.tolist(), mu.tolist()):
+            np.multiply(normals[..., 0], weights[0], out=column)
+            for c in range(1, len(weights)):
+                column += np.multiply(normals[..., c], weights[c], out=product)
             column += shift
         norms = last_axis_norms(raw)
     # a NaN norm makes min and max NaN, and fails both comparisons
@@ -378,8 +377,7 @@ def tangent_gaussian_samples(direction, sigma: float, n: int, seeds) -> np.ndarr
 
 
 # draws per slice of `tangent_gaussian_mean`: even, so every slice starts on
-# a Box-Muller pair, and a multiple of 64, so the slices' products round
-# as the rows of one large product do
+# a Box-Muller pair
 _MEAN_SLICE = 16384
 # slice tasks of `tangent_gaussian_mean` submitted to its pool and not yet
 # known to be summed, at most, so the futures it holds do not grow with the
@@ -388,19 +386,14 @@ _MEAN_PENDING = 64
 
 
 def _mean_slices(n: int) -> int:
-    """Number of slices of an n-draw mean, `_MEAN_SLICE` rows each.
-
-    A one-row last slice joins the slice before it: numpy computes a
-    one-row product with a matrix-vector kernel, which may round otherwise.
-    """
-    count = -(-n // _MEAN_SLICE)
-    return count - 1 if n > 1 and n % _MEAN_SLICE == 1 else count
+    """Number of slices of an n-draw mean, `_MEAN_SLICE` rows each but the last."""
+    return -(-n // _MEAN_SLICE)
 
 
 def _mean_bound(n: int, k: int) -> Tuple[int, int]:
     """(lo, hi) rows of slice k of an n-draw mean; the last slice ends at n."""
     lo = k * _MEAN_SLICE
-    return lo, n if k == _mean_slices(n) - 1 else lo + _MEAN_SLICE
+    return lo, min(lo + _MEAN_SLICE, n)
 
 
 def _mean_slice(

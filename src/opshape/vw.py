@@ -17,7 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DegeneratePoint, EmptySample, FocalWarning
-from .geometry import canonical_axis, _freeze
+from .geometry import _freeze, canonical_axis, last_axis_norms, mean_outer
 
 # off-diagonal Frobenius target for the Jacobi sweep, relative to ||J||_F
 JACOBI_RTOL = 1e-13
@@ -31,11 +31,10 @@ def vw_mean(axes) -> np.ndarray:
     arr = np.asarray(axes, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise EmptySample("need a nonempty (n, d) array of axes")
-    norms = np.linalg.norm(arr, axis=1)
+    norms = last_axis_norms(arr)
     if np.any(norms <= 1e-12):
         raise DegeneratePoint("cannot embed a zero axis")
-    unit = arr / norms[:, None]
-    return unit.T @ unit / arr.shape[0]
+    return mean_outer(arr / norms[:, None])
 
 
 def jacobi_eigh(matrix) -> Tuple[np.ndarray, np.ndarray]:
@@ -54,7 +53,7 @@ def jacobi_eigh(matrix) -> Tuple[np.ndarray, np.ndarray]:
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + float(np.abs(a).max(initial=0.0)))):
         raise ValueError("matrix must be symmetric")
     a = (a + a.T) / 2.0
-    fnorm = float(np.linalg.norm(a))
+    fnorm = float(last_axis_norms(a.ravel()))
     v = np.eye(d)
     if fnorm == 0.0 or d == 1:
         return np.diag(a).copy(), v
@@ -63,7 +62,7 @@ def jacobi_eigh(matrix) -> Tuple[np.ndarray, np.ndarray]:
     for _ in range(_JACOBI_MAX_SWEEPS):
         # norm of the off-diagonal part taken entrywise; the subtraction
         # ||A||_F^2 - sum(diag^2) cannot resolve it near convergence
-        off = float(np.linalg.norm(a[off_mask]))
+        off = float(last_axis_norms(a[off_mask]))
         if off <= JACOBI_RTOL * fnorm:
             break
         for p in range(d - 1):

@@ -189,9 +189,16 @@ def normal_cdf(z):
 
 
 def unit_draws(mu, basis, draws, sigma):
-    """normalize(mu + (sigma * draws) @ basis), broadcasting over the last axis."""
+    """normalize(mu + (sigma * draws) @ basis), broadcasting over the last axis;
+    each coordinate of the product adds its terms left to right."""
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = (sigma * draws) @ basis
+        scaled = sigma * draws
+        raw = np.zeros(draws.shape[:-1] + mu.shape)
+        for j in range(mu.size):
+            column = scaled[..., 0] * basis[0, j]
+            for c in range(1, basis.shape[0]):
+                column = column + scaled[..., c] * basis[c, j]
+            raw[..., j] = column
         raw += mu
         squares = raw[..., 0] * raw[..., 0]
         for j in range(1, mu.size):
@@ -208,7 +215,7 @@ def unit_draws(mu, basis, draws, sigma):
 def tangent_draws(direction, sigma, n, seed):
     """n tangent-Gaussian unit vectors about direction from one generator."""
     mu = np.asarray(direction, dtype=np.float64)
-    mu = mu / float(np.linalg.norm(mu))
+    mu = mu / math.sqrt(dot(mu, mu))
     d = mu.size
     return unit_draws(mu, synth._tangent_basis(mu), normals(seed, n * (d - 1)).reshape(n, d - 1), sigma)
 
@@ -222,13 +229,11 @@ def row_sum(x):
 
 
 def mean_bounds(n, size):
-    """(lo, hi) rows of each slice of an n-draw oracle mean, size rows each,
-    by walking the rows: a one-row last slice joins the slice before it."""
+    """(lo, hi) rows of each slice of an n-draw oracle mean, size rows each
+    but the last, by walking the rows."""
     bounds, lo = [], 0
     while lo < n:
         hi = min(lo + size, n)
-        if hi == n - 1:
-            hi = n
         bounds.append((lo, hi))
         lo = hi
     return bounds
@@ -268,38 +273,54 @@ def solve_by_elimination(a, b):
     return x
 
 
+def dot(a, b):
+    """The dot product of two vectors in Python floats, its products added left to right."""
+    total = float(a[0]) * float(b[0])
+    for x, y in zip(a[1:], b[1:]):
+        total = total + float(x) * float(y)
+    return total
+
+
+def cross(a, b):
+    """The cross product of two 3-vectors in Python floats."""
+    a0, a1, a2 = map(float, a)
+    b0, b1, b2 = map(float, b)
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
 def chart(reps):
-    """(H, flipped) of one frame of homogeneous representatives, or DegenerateFrame."""
-    d = reps.shape[1]
-    basis = reps[:d].T
-    unit = reps[d]
-    col_norms = np.linalg.norm(basis, axis=0)
-    if np.any(col_norms == 0.0):
-        raise DegenerateFrame("zero frame representative")
-    det = np.linalg.det(basis)
+    """(H, flipped) of one frame of homogeneous representatives c0, c1, c2 and
+    the unit point p, or DegenerateFrame. Row j of H is a_j / (a_j . p) for the
+    adjugate rows a0 = c1 x c2, a1 = c2 x c0, a2 = c0 x c1 of the frame matrix,
+    whose determinant is c0 . a0; H is negated, and flipped, when the product
+    of the a_j . p is negative."""
+    c0, c1, c2, unit = reps
+    col_norms = np.linalg.norm(reps[:3], axis=1)
+    adj = [cross(c1, c2), cross(c2, c0), cross(c0, c1)]
+    det = dot(c0, adj[0])
     if abs(det) < DET_RTOL * float(np.prod(col_norms)):
         raise DegenerateFrame(f"frame matrix is numerically singular (det={det:.3e})")
-    lam = np.linalg.solve(basis, unit)
-    scale = float(np.max(np.abs(lam)))
-    if scale == 0.0 or np.any(np.abs(lam) < SCALAR_RTOL * scale):
+    s = np.array([dot(a, unit) for a in adj])
+    scale = float(np.max(np.abs(s)))
+    if scale == 0.0 or np.any(np.abs(s) < SCALAR_RTOL * scale):
         raise DegenerateFrame("a frame scalar vanishes; unit point lies on a frame hyperplane")
     overflow = DegenerateFrame("frame scalars or chart overflow float64; coordinates too large")
-    if not np.isfinite(lam).all():
+    if not np.isfinite(s).all():
         raise overflow
-    adjusted = basis * np.sign(lam)[None, :]
-    h = np.diag(1.0 / np.abs(lam)) @ np.linalg.inv(adjusted)
+    h = np.array([[x / float(sj) for x in a] for a, sj in zip(adj, s)])
     if not np.isfinite(h).all():
         raise overflow
-    if np.linalg.det(h) <= 0.0:
+    if np.prod(np.sign(s)) < 0.0:
         return -h, True
     return h, False
 
 
 def coordinate(h, x):
     """The unit vector of one representative x under the chart h, or DegeneratePoint."""
-    y = h @ x
-    norm = float(np.linalg.norm(y))
-    if norm <= POINT_RTOL * float(np.linalg.norm(h)) * float(np.linalg.norm(x)) or not np.isfinite(norm):
+    y = np.array([dot(row, x) for row in h])
+    norm = math.sqrt(dot(y, y))
+    hnorm = math.sqrt(dot(h.ravel(), h.ravel()))
+    if norm <= POINT_RTOL * hnorm * math.sqrt(dot(x, x)) or not np.isfinite(norm):
         raise DegeneratePoint("point maps to zero, or overflows, under the frame chart")
     return y / norm
 
@@ -356,15 +377,26 @@ def register(scenes, spec, skip_degenerate=False):
 
 def moments(units):
     """(mean, resultant, ts, se, focal) of one (n, q, d) sample: mean(axis=0),
-    np.linalg.norm, one gemv and one dot."""
+    np.linalg.norm(axis=1), each scene's projection on the gradient by dot,
+    and the sum of their squares by ndarray.sum."""
     n = units.shape[0]
     mean = units.mean(axis=0)
     r = np.linalg.norm(mean, axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         grad = (-2.0 * mean / r[:, None]).ravel()
-        proj = (units.reshape(n, -1) - mean.ravel()) @ grad
-        ts, se = _dispersion_and_se(r, np.sqrt(proj @ proj / n / n))
+        dev = units.reshape(n, -1) - mean.ravel()
+        proj = np.array([dot(row, grad) for row in dev])
+        ts, se = _dispersion_and_se(r, np.sqrt((proj * proj).sum() / n / n))
     return mean, r, ts, se, (r < FOCAL_TOL).any()
+
+
+def covariance(units):
+    """The covariance of the rows of one (n, q, d) sample, over n: entry (a, b)
+    is the ndarray.sum of the products of centred columns a and b."""
+    n = units.shape[0]
+    dev = units.reshape(n, -1) - units.reshape(n, -1).mean(axis=0)
+    p = dev.shape[1]
+    return np.array([[(dev[:, a] * dev[:, b]).sum() for b in range(p)] for a in range(p)]) / n
 
 
 def summary(units, alpha=0.05, df=None):
@@ -380,8 +412,7 @@ def summary(units, alpha=0.05, df=None):
     mean, r, ts, se, focal = moments(units)
     if focal:
         raise FocalMean("focal block mean")
-    dev = units.reshape(n, -1) - units.reshape(n, -1).mean(axis=0)
-    return units_summary(n, alpha, df, mean, r, ts, se, dev.T @ dev / n)
+    return units_summary(n, alpha, df, mean, r, ts, se, covariance(units))
 
 
 def monte_carlo(sigma, n, reps, alpha, seed, oracle_draws, dim=3):
@@ -389,7 +420,8 @@ def monte_carlo(sigma, n, reps, alpha, seed, oracle_draws, dim=3):
     mu = np.eye(dim)[-1]
     oracle_seed, *rep_seeds = splitmix64(seed, reps + 1)
     oracle = tangent_draws(mu, sigma, oracle_draws, oracle_seed)
-    t_pop = 2.0 * (1.0 - float(np.linalg.norm(oracle.mean(axis=0))))
+    oracle_mean = oracle.mean(axis=0)
+    t_pop = 2.0 * (1.0 - math.sqrt(dot(oracle_mean, oracle_mean)))
     tests = []
     for rep_seed in rep_seeds:
         units = tangent_draws(mu, sigma, n, rep_seed)
@@ -534,12 +566,12 @@ def comparator(axes):
 def look_at_rotation(center, target, roll):
     """Rows x, y, z of a camera at center looking at target, rolled about z."""
     z = target - center
-    z = z / np.linalg.norm(z)
+    z = z / math.sqrt(dot(z, z))
     up = np.array([0.0, 0.0, 1.0])
     x = np.cross(up, z)
-    if np.linalg.norm(x) < 1e-8:
+    if math.sqrt(dot(x, x)) < 1e-8:
         x = np.cross(np.array([0.0, 1.0, 0.0]), z)
-    x = x / np.linalg.norm(x)
+    x = x / math.sqrt(dot(x, x))
     y = np.cross(z, x)
     c, s = math.cos(roll), math.sin(roll)
     xr = c * x + s * y
@@ -568,17 +600,23 @@ def random_cameras(n, seed, scene=None, gen=None):
         focal = 0.8 + 0.7 * draws[6]
         rotation = look_at_rotation(center, target, roll)
         if scene is not None:
-            depths = ((scene.points - center) @ rotation.T)[:, 2]
+            depths = camera_coords(scene.points, center, rotation)[:, 2]
             if np.any(depths < 1e-6):
                 continue
         cams.append((center, rotation, focal))
     return cams
 
 
+def camera_coords(points, center, rotation):
+    """(k, 3) coordinates of k points in one camera: row j of rotation dotted
+    with each point minus center."""
+    return np.array([[dot(row, p - center) for row in rotation] for p in points])
+
+
 def project(camera, scene, scene_id="view"):
     """The image of scene in one camera, or BehindCamera."""
     center, rotation, focal = camera
-    cam_coords = (scene.points - center) @ rotation.T
+    cam_coords = camera_coords(scene.points, center, rotation)
     depths = cam_coords[:, 2]
     if np.any(depths < 1e-6):
         bad = int(np.argmin(depths))

@@ -5,7 +5,9 @@ with quoted scene ids, and of the other CSV views of `opshape analyze`.
 
 A change that moves any reported digit (a faster kernel that rounds
 differently, a reordered sum) changes these hashes. Update a hash only
-for an intended numeric change, and say why in CHANGES.md.
+for an intended numeric change, and say why in CHANGES.md. Every hash was
+re-pinned once when registration, the moments, the comparator and the
+synthetic views stopped going through BLAS and LAPACK.
 """
 
 import contextlib
@@ -32,19 +34,19 @@ GOLDEN = {
     "bent": (
         dict(k=5, cameras=60, seed=42, delta=0.02, noise=0.002),
         (),
-        "0f17b8d7b6a96f2c9cfd4065d41d24fcf29f891c3724e449e9c685d21c2bf6fc",
+        "975003ccef3d709058ea1658938becec6f8885935d7ddaebe809728d19a95119",
     ),
     # exactly planar: greedy stops at its first check, no removals
     "flat": (
         dict(k=5, cameras=41, seed=7, delta=0.0, noise=0.0),
         (),
-        "8d6be29d63f765e3a878c9e3f1ca72ecaab7fb88986ffa338480abd395391275",
+        "8be41fd0492e527b3e5bd5bcfb0b9c6a784c65db2734db6d9c252ff9bc197f4f",
     ),
     # three sphere blocks (q = 3), greedy to its cap (10 removals)
     "q3": (
         dict(k=7, cameras=40, seed=5, delta=0.02, noise=0.002),
         ("--remaining", "5,6,7"),
-        "44815b502c46fef491376c8f990abd6e3bdb4b3d041724bfee3a8fa26ed1eeca",
+        "1d6ce95f8b7e5cc11194b5a21fda66df00fcec1defd2234d17f90e28cb760d67",
     ),
 }
 
@@ -66,16 +68,16 @@ def test_report_bytes_match_golden_hash(tmp_path, name):
 # per-row leave-one-out loop and the two CSV writers it had
 REDUCE_GOLDEN = {
     "bent": (
-        "49dd1221081341da062440f4879f5553fbd8883a1c493650a2953825199b95b1",
-        "c4366c807cc0738c2bbbf3e167fabd6081ca9f3def882a97560cca3055fff255",
+        "48762018fb0b11c685011398a68e3cc42d0e32f221d0f07eb5f66f47b6b786bb",
+        "8c128481492605be3552f388880f984076369abd9a0ca1fd65295aa30e87b7af",
     ),
     "flat": (
-        "8d725046db253aae6ac114b25db64a61471aacef5a45fc6604ccf0238f3f003e",
-        "5805a0c2804928414534a0be6297123da77f9ae66b50bc7235dab8c196c52ef5",
+        "3ac26cb9f6e946ba44f293b0fd64b815a459574ac9c25389a44085901d623abf",
+        "26cfe4ed5b3881a584bac5f76e5c063bb9e0cdfde02264aca19110a2ae7757c7",
     ),
     "q3": (
-        "39831b383fc7377383012246631c730e7d82a26dc13ac9b1790ecce861f13117",
-        "8d8d68c9053e722b726a54370376c2d40f61d2a667925bc69f2c291e2c5ed0be",
+        "a8258315388cceb60fb478f143e45f99e7f93713e2ade40ed7da2a985261c23d",
+        "9b0ce453f2d6db5d451f0c6dee071408f3392a6814ea37a5c2e1963e0ceb22d1",
     ),
 }
 
@@ -109,7 +111,7 @@ MC_GOLDEN = {
     # oracle draws, and the largest seed
     "small_odd": (
         ("--n", "3", "--reps", "7", "--oracle-draws", "5", "--seed", "18446744073709551615"),
-        "69661ef0d2d284091fdd957ee1ca4bde2bcf0eadc372c3f6f6612d88716411cc",
+        "cbfd3d906ee493ad115e9004d70e2aa9c67561b395d7c078d371d27c98d763b4",
     ),
 }
 
@@ -135,7 +137,7 @@ def _sha256(path):
 
 # bytes of `opshape vw --remaining 5,6,7` for the q3 study, recorded from
 # the csv.reader row loop and the per-scene LandmarkScene list it built
-VW_Q3_GOLDEN = "8646ca86544c266b5aefefece5453dd18cf26de8310095a0ba727045bf5f47a2"
+VW_Q3_GOLDEN = "2bbbfc2bc237877142295faffe1637ac88162736824a6ba1f9cbfcd7f463f137"
 
 
 def test_vw_bytes_match_golden_hash(tmp_path):
@@ -151,7 +153,7 @@ def test_vw_bytes_match_golden_hash(tmp_path):
 # in provenance.input_sha256, the hash of the bytes that were parsed
 LINE_END_GOLDEN = {
     b"\r\n": GOLDEN["bent"][2],
-    b"\n": "30299ec1409d28a397a20ed9ec5d646ec61c76c31971be82d8d07430f202f4fe",
+    b"\n": "41e4fd274620da380f5349db077790358f596e4bb7f81a10910ab2889f518df8",
 }
 
 
@@ -175,7 +177,7 @@ def test_report_bytes_for_crlf_and_lf_input(tmp_path):
 
 # report.json of a study whose scene ids hold commas, quotes and spaces, so
 # the csv module quotes them and the parser must honour the quoting
-QUOTED_GOLDEN = "f7005d05d97d12bf1a53d5bf02d94efa4c2e9607a8c0d0d084682ca7e4211164"
+QUOTED_GOLDEN = "09594368e46d5205fab0b9b21595d1b0e74d7a53a5b68ac7585534020951fa8d"
 
 
 def write_quoted_study(path):
@@ -212,31 +214,31 @@ def test_report_bytes_for_quoted_scene_ids(tmp_path):
 # the angle views since angular_distances took Kahan's 2 * atan2 form
 CSV_GOLDEN = {
     "bent": (
-        "e1280f09098644878d579446cb004ed1cd54d25e2f9d9205094f58ffef2f2c43",
-        "20371047e189a12dd94b8ab00c0e44097e1d1a0f77752dc7ad2b7491931550e5",
-        "cec674522c683143af63d298a128ef0e84a3ad180b5fc827a54e286e605bd5dd",
-        "5946ff5109e0e894f20618f7da6cbcb539a308378bb97a89fa880ced9d85c57f",
+        "e84dbb1e2252195edd67b28b706b44a3aaa048603417cb8ae63ead93b7a43f20",
+        "e888c224b54cfa8502e8b2b9d980a7744f8367a559d27baecbdd6a6204948d9a",
+        "787f3433cb3e6f14da045191677fc4b096545f1ce9c25d68fbb18625f82d5f28",
+        "cf65265551c5d5ada65d334774f213821d1ddbafd76cdca1d5653f2e618c1573",
     ),
     # no removals: angles_reduced repeats angles_full
     "flat": (
-        "815e8c7405975ad414385e638f2b5d7aaed5925405581ec0e784358f0f5ab973",
-        "23f5cee3eb149f5354fa3613daa506d96def89f4e2be1f4e99b8d47e4aa59126",
-        "e0fb49c727c325ddd4a797285b1d05a472c7826324b3ed0d47bff6f6e1d97d60",
-        "e0fb49c727c325ddd4a797285b1d05a472c7826324b3ed0d47bff6f6e1d97d60",
+        "5299f46951f6ec63cb883291fb26b8d5b2b3b8de3b01b6b9d75efe0466421268",
+        "d4938e908b1c549dfd72341160f8e0a9f078d9789b22d88c816f7353850f9ca0",
+        "885d9a23a99025463b09ef33c39015690932605e6de785d692fcc589a4d76414",
+        "885d9a23a99025463b09ef33c39015690932605e6de785d692fcc589a4d76414",
     ),
     # three lines per scene, one per sphere block
     "q3": (
-        "e886538ef08c168d7753eb1425b9641886202132415234afcbb73a907c7cbd92",
-        "116cbe50da6c59ed533c6a5580a5f1abfd96ff118d430b2bb240f763d4d8104a",
-        "5ab769abbdd99820faff64106f02679ed3fef9568fb90c8237ebb58362bca338",
-        "1aa1db226e71b481058ebfc34fd4f30f2b7469fc06f120c936dc7cb181ae58c8",
+        "116d11cd461f6a8044a21d2439001f1ab0070073d650cef3f7adae297e3da0de",
+        "524c84fd64cd06cff59cb9498be84af2699d9911efdc58858bd0eb95f6587e64",
+        "a0af6549636576777ad40d4c338fb64cad4e07163478773eebaa8c58b49b6aa7",
+        "191c7ab368420f6105563d076a18d4e0bc7059a537c02763a2106043097941c3",
     ),
     # ids with commas and quotes, written quoted
     "quoted": (
-        "43e031447ea9f1a0c9011622d3071807ca6baa209b022f71758a3b78fe8d6bc8",
-        "3f31371404494207b95ad6adceb4dd6645c4e3833aebdae8a2e42703bef81830",
-        "4c82325c3b8291c2d2fd87e5bf1024ead4d0aa0cc9c8aa3d095ab6dc18694666",
-        "d08043062203feca2c203964addff3c2ee6c5d6efc9d032d2a9010c7076ad62f",
+        "12301e38026fb5ce232e6a422792b37453cd103f4812a0ddbf399113a3e357e4",
+        "504c61e2e9a9135ef64263c58668e6030551807b8b053c5ac20dea65bdd9fd74",
+        "920cca98ad6103f91f9d10dda5e0093145dfc5ffff92cf86db77537a32486e13",
+        "78f392657a7729786a8b06cc158663e4e79d759b8efa6aee0614b280a5178d50",
     ),
 }
 CSV_VIEWS = ("sphere_points", "mean_direction", "angles_full", "angles_reduced")
@@ -260,10 +262,10 @@ def test_csv_view_bytes_match_golden_hash(tmp_path, name):
 # the csv.writer row loop that wrote it
 SYNTH_GOLDEN = {
     "--k 7 --cameras 2000 --delta 0.02 --noise 0.002": (
-        "d6ad6dbd12fdfdfef489a807ec6fb56608a2d98be1aa68902f4ccd389265d401"
+        "1fd9869e54611ca44d3abfbedfea995e987263992d2159614e20804002d8c8ed"
     ),
     "--k 5 --cameras 200 --delta 0.02 --noise 0.002": (
-        "9177be83c2e6f03b70ed1868448c79fe906c085fdfbc92ef8a015def1f7076f1"
+        "b9872dff3681944544ad236e7875a0bd55f50798aed6bd84672010419fddfd26"
     ),
 }
 
@@ -312,3 +314,154 @@ def test_scipy_special_loads_only_for_chisq_tails_beyond_df_2(tmp_path):
     assert _sha256(tmp_path / "q3" / "report.json") == GOLDEN["q3"][2]
     assert _sha256(tmp_path / "vw.json") == VW_Q3_GOLDEN
     assert _sha256(tmp_path / "mc.json") == mc_digest
+
+
+# ---- the same bytes whatever kernels the host's libraries pick ----------------------
+
+# A fresh interpreter runs the golden studies through cli.main and prints the
+# sha256 of each output, with the name of the OpenBLAS kernel in use and
+# numpy's CPU dispatch flags. The study CSVs are written by the test process.
+_KERNEL_PROBE = """
+import contextlib, ctypes, hashlib, io, json, pathlib, sys
+import numpy
+from numpy._core._multiarray_umath import __cpu_features__
+from opshape.cli import main
+
+work = pathlib.Path(sys.argv[1])
+studies, synth, mc = json.loads(sys.argv[2])
+digests = {}
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+def digest(key, path):
+    digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+for name, extra in studies.items():
+    run("analyze", str(work / f"{name}.csv"), "--out", str(work / "a"), *extra)
+    for view in ("report", "loo_table") + tuple(%r):
+        digest(f"analyze/{name}/{view}", next((work / "a").glob(view + ".*")))
+    run("reduce", str(work / f"{name}.csv"), "--out", str(work / "r"), *extra)
+    digest(f"reduce/{name}", work / "r" / "reduction.json")
+run("vw", str(work / "q3.csv"), "--out", str(work / "vw.json"), *studies["q3"])
+digest("vw", work / "vw.json")
+for args in synth:
+    run("synth", *args.split(), "--out", str(work / "synth.csv"))
+    digest(f"synth/{args}", work / "synth.csv")
+run("mc", "--out", str(work / "mc.json"), *mc)
+digest("mc/small_odd", work / "mc.json")
+
+libs = pathlib.Path(numpy.__file__).parent.parent / "numpy.libs"
+try:
+    lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas*"))))
+    corename = lib.scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    core = corename().decode()
+except (StopIteration, OSError, AttributeError):
+    core = None
+features = {key: __cpu_features__.get(key, False) for key in ("X86_V3", "X86_V4")}
+print(json.dumps({"core": core, "features": features, "digests": digests}))
+""" % (CSV_VIEWS,)
+
+# OPENBLAS_CORETYPE values and the /proc/cpuinfo flags each needs; a
+# DYNAMIC_ARCH build without the oldest cores aliases Katmai to Prescott and
+# reports that kernel under the first name
+_CORES = {
+    "SkylakeX": ({"avx512f", "avx512bw", "avx512vl", "avx512dq", "avx512cd"}, {"SkylakeX"}),
+    "Haswell": ({"avx2", "fma"}, {"Haswell"}),
+    "Sandybridge": ({"avx"}, {"Sandybridge"}),
+    "Prescott": ({"pni"}, {"Prescott", "Katmai"}),
+}
+# numpy's AVX2 and AVX-512 loops switched off, with the default BLAS kernel
+_NO_AVX_LOOPS = "X86_V4 X86_V3"
+
+
+def _pinned_digests():
+    """The pinned sha256 of every output the probe hashes, by its key."""
+    pinned = {}
+    for name, (_, _, report) in GOLDEN.items():
+        pinned[f"analyze/{name}/report"] = report
+        pinned[f"reduce/{name}"], pinned[f"analyze/{name}/loo_table"] = REDUCE_GOLDEN[name]
+        for view, value in zip(CSV_VIEWS, CSV_GOLDEN[name]):
+            pinned[f"analyze/{name}/{view}"] = value
+    pinned["vw"] = VW_Q3_GOLDEN
+    for args, value in SYNTH_GOLDEN.items():
+        pinned[f"synth/{args}"] = value
+    pinned["mc/small_odd"] = MC_GOLDEN["small_odd"][1]
+    return pinned
+
+
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    """probe(env) runs _KERNEL_PROBE once per environment and returns its record."""
+    work = tmp_path_factory.mktemp("kernels")
+    for name, (views, _, _) in GOLDEN.items():
+        write_landmarks(work / f"{name}.csv", synthesize_views(**views))
+    studies = {name: list(extra) for name, (_, extra, _) in GOLDEN.items()}
+    argv = json.dumps([studies, sorted(SYNTH_GOLDEN), list(MC_GOLDEN["small_odd"][0])])
+    src = str(Path(opshape.__file__).resolve().parents[1])
+    records = {}
+
+    def run(**env):
+        key = tuple(sorted(env.items()))
+        if key not in records:
+            out = subprocess.run(
+                [sys.executable, "-c", _KERNEL_PROBE, str(work), argv],
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", **env),
+                check=True, capture_output=True, text=True,
+            )
+            records[key] = json.loads(out.stdout)
+        return records[key]
+
+    return run
+
+
+def _cpu_flags():
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        pytest.skip("no /proc/cpuinfo to tell which OpenBLAS kernels this CPU runs")
+    return set(next(line for line in text.splitlines() if line.startswith("flags")).split())
+
+
+@pytest.mark.parametrize("core", sorted(_CORES))
+def test_golden_bytes_under_every_openblas_kernel(probe, core):
+    """Every golden output, analysis and draws alike, has its pinned bytes
+    under each OpenBLAS kernel the CPU can run: nothing that reaches an
+    output goes through BLAS or LAPACK."""
+    needs, names = _CORES[core]
+    if not needs <= _cpu_flags():
+        pytest.skip(f"this CPU lacks {sorted(needs - _cpu_flags())} for the {core} kernel")
+    record = probe(OPENBLAS_CORETYPE=core)
+    if record["core"] is None:
+        pytest.skip("numpy's OpenBLAS has no scipy_openblas_get_corename64_ to confirm the kernel")
+    assert record["core"] in names
+    assert record["digests"] == _pinned_digests()
+
+
+def _without_avx_loops(probe):
+    record = probe(NPY_DISABLE_CPU_FEATURES=_NO_AVX_LOOPS)
+    assert not any(record["features"].values())
+    pinned = _pinned_digests()
+    return {key: record["digests"][key] == pinned[key] for key in pinned}
+
+
+def test_analysis_bytes_without_numpy_avx_loops(probe):
+    """analyze, reduce and vw write their pinned bytes with numpy's AVX2
+    and AVX-512 loops switched off, as on a host without them."""
+    same = _without_avx_loops(probe)
+    assert [key for key, ok in same.items() if not ok and not key.startswith(("synth/", "mc/"))] == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="numpy's AVX-512 log, which Box-Muller takes in rng.normal_pairs, rounds about "
+    "one value in 300 otherwise than its baseline loop; one coordinate of the k = 7 "
+    "synth study moves",
+)
+def test_draw_bytes_without_numpy_avx_loops(probe):
+    """synth and mc write their pinned bytes with numpy's AVX2 and AVX-512
+    loops switched off."""
+    same = _without_avx_loops(probe)
+    assert [key for key, ok in same.items() if not ok] == []

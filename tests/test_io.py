@@ -872,3 +872,70 @@ def test_loo_table_matches_the_csv_writer_loop(tmp_path_factory, rows):
     header = ["scene", "tS", "se", "z", "ci_lower", "degenerate", "focal"]
     expected = [row[:5] + (int(row[5]), int(row[6])) for row in rows]
     assert path.read_bytes() == ref.csv_writer_bytes(header, expected)
+
+
+# every writer of an output file, each given the path to write
+WRITERS = {
+    "write_json": lambda path: write_json(path, {"x": [1.5] * 2000}),
+    "write_table": lambda path: oio.write_table(path, ["a"], "%.17g\r\n", [[0.5] * 2000]),
+    "write_landmarks": lambda path: write_landmarks(
+        path, synthesize_views(k=5, cameras=300, seed=1)
+    ),
+}
+
+
+@pytest.mark.parametrize("old", [b"old bytes\n", None])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_write_that_fails_halfway_leaves_the_old_file(tmp_path, monkeypatch, writer, old):
+    """A write that raises after part of its text leaves the final name with
+    its old bytes, or with no file, and no temporary file beside it; the
+    same write without the fault replaces the old bytes."""
+    path = tmp_path / "out.file"
+    if old is not None:
+        path.write_bytes(old)
+    real_open = open
+    written = []
+
+    class Failing:
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            written.append(self.fh.write(text[: len(text) // 2]))
+            raise OSError("disk full")
+
+    monkeypatch.setattr(oio, "open", Failing, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        WRITERS[writer](path)
+    assert written[0] > 0  # half of the first text reached the temporary file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if old is None else ["out.file"])
+    if old is not None:
+        assert path.read_bytes() == old
+    monkeypatch.undo()
+    WRITERS[writer](path)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.file"]
+    assert path.read_bytes() != old
+
+
+def test_cli_write_failure_exits_2_and_keeps_the_old_report(tmp_path, monkeypatch, capsys):
+    study = tmp_path / "study.csv"
+    write_landmarks(study, synthesize_views(k=5, cameras=12, seed=2, delta=0.02, noise=0.002))
+    out = tmp_path / "vw.json"
+    out.write_bytes(b"old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("cannot replace")
+
+    monkeypatch.setattr(oio.os, "replace", failing_replace)
+    from opshape.cli import main
+
+    assert main(["vw", str(study), "--out", str(out)]) == 2
+    assert "cannot replace" in capsys.readouterr().err
+    assert out.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["study.csv", "vw.json"]

@@ -143,9 +143,9 @@ def test_mean_bounds_of_a_huge_oracle_are_computed_not_listed():
     assert synth._mean_slices(n) == slices
     assert synth._mean_bound(n, 0) == (0, size)
     assert synth._mean_bound(n, slices - 1) == (n - size, n)
-    # a one-row tail joins the last slice; a two-row tail is a slice of its own
-    assert synth._mean_slices(n + 1) == slices
-    assert synth._mean_bound(n + 1, slices - 1) == (n - size, n + 1)
+    # a tail of one row or two is a slice of its own
+    assert synth._mean_slices(n + 1) == slices + 1
+    assert synth._mean_bound(n + 1, slices) == (n, n + 1)
     assert synth._mean_slices(n + 2) == slices + 1
     assert synth._mean_bound(n + 2, slices - 1) == (n - size, n)
     assert synth._mean_bound(n + 2, slices) == (n, n + 2)
@@ -571,7 +571,7 @@ def test_run_monte_carlo_matches_per_replication_loop(
     [
         (40_001, 3),  # ends in an odd tail
         (400_003, 25),  # the 20 replications end early, so both workers draw slices
-        (32_769, 2),  # a one-row tail joins the slice before it
+        (32_769, 3),  # a one-row tail is a slice of its own
     ],
 )
 def test_oracle_at_the_production_slice_is_the_whole_sample_mean(monkeypatch, draws, slices):
@@ -586,7 +586,7 @@ def test_oracle_at_the_production_slice_is_the_whole_sample_mean(monkeypatch, dr
 
     monkeypatch.setattr(synth, "_mean_slice", counted)
     got = pipeline.run_monte_carlo(0.1, 30, 20, 0.05, 0, draws)
-    assert got["oracle_total_variance"] == 2.0 * (1.0 - float(np.linalg.norm(mean)))
+    assert got["oracle_total_variance"] == 2.0 * (1.0 - math.sqrt(ref.dot(mean, mean)))
     assert synth._MEAN_SLICE == 16_384
     assert sorted(drawn) == [lo for lo, _ in mean_bounds(draws)]
     assert len(drawn) == slices

@@ -868,6 +868,29 @@ def test_no_unused_module_imports():
     assert sorted(unused) == sorted(_PATCHED_IMPORTS)
 
 
+# numpy names that hand their arithmetic to BLAS or LAPACK
+_BLAS_NAMES = {"matmul", "dot", "inner", "vdot", "tensordot", "linalg"}
+# modules allowed to use any of them: none
+_BLAS_ALLOWED = set()
+
+
+def test_no_module_calls_blas_or_lapack():
+    """No module of the package multiplies matrices with @, calls np.matmul,
+    np.dot, a .dot method, np.inner, np.vdot or np.tensordot, or names
+    anything of np.linalg: every output value comes from numpy's element-wise
+    loops and reductions in a stated order, not from the host's BLAS kernel."""
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "opshape").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.stem, node.lineno, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+                found.append((path.stem, node.lineno, node.attr))
+            elif isinstance(node, ast.alias) and _BLAS_NAMES & set(node.name.split(".")):
+                found.append((path.stem, getattr(node, "lineno", 0), node.name))
+    assert [f for f in found if f[0] not in _BLAS_ALLOWED] == []
+
+
 def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
     """README's Python quickstart, run as written on a synthetic study."""
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")

@@ -369,3 +369,13 @@ def test_stacked_canonical_axis_matches_per_row_calls():
     blocks = rows.reshape(16, 4, 4)
     ref.assert_same_bits(canonical_axis(blocks), expect.reshape(16, 4, 4))
     ref.assert_same_bits(canonical_axis(rows[4]), expect[4])
+
+
+@pytest.mark.parametrize("frame", [(1, 2, 4, 3), (1, 2, 3, 4, 5)])
+def test_registration_is_planar_only(frame):
+    """Scenes of (k, 3) points raise InvalidLandmark, whether or not the
+    frame has the m + 2 labels their dimension would need."""
+    rng = np.random.default_rng(3)
+    scenes = [LandmarkScene(str(i), rng.normal(size=(6, 3))) for i in range(4)]
+    with pytest.raises(InvalidLandmark, match="registration is planar"):
+        register_scenes(scenes, FrameSpec(frame, (6,)))
