@@ -47,7 +47,7 @@ from .geometry import (
 from .io import RowTable, parse_landmarks, write_json, write_table
 from .rng import SplitMix64
 # tangent_gaussian_sample has no caller here; perfbench's tracer patches the name
-from .synth import tangent_gaussian_mean, tangent_gaussian_sample, tangent_gaussian_samples
+from .synth import TangentDraws, tangent_gaussian_mean, tangent_gaussian_sample
 from .vw import VwSummary, total_variance_ps
 
 
@@ -368,16 +368,18 @@ def write_loo_table(loo: Sequence[LeaveOneOutRow], path) -> None:
     )
 
 
-# doubles in one (replications, n, d) array of the stacked Monte Carlo pass:
-# 1 MB arrays stay in cache, so 1,000 replications at n = 200, d = 3 (five
-# slices) draw and test in about 35 ms against 44 ms in one 2^20-double slice
-# (one thread of a 2-vCPU Intel Xeon VM)
-_MC_SLICE_DOUBLES = 1 << 17
+# doubles in one (n, replications, d) array of the stacked Monte Carlo pass,
+# whose buffers `_replications` sizes for one slice and reuses: half-MB
+# arrays stay in cache, so 1,000 replications at n = 200, d = 3 (ten slices)
+# draw and test in about 17.6 ms, against 18.3 ms in 2^17-double slices and
+# 26.3 ms in one 2^20-double slice (one thread of a 2-vCPU Intel Xeon VM);
+# the smaller slice also holds less memory beside the oracle's slices
+_MC_SLICE_DOUBLES = 1 << 16
 
 
 def _slices(reps: int, n: int, dim: int) -> List[Tuple[int, int]]:
     """(start, end) of each slice of replications: at most about
-    _MC_SLICE_DOUBLES doubles in one (replications, n, dim) array."""
+    _MC_SLICE_DOUBLES doubles in one (n, replications, dim) array."""
     step = max(1, _MC_SLICE_DOUBLES // (n * dim))
     return [(start, min(start + step, reps)) for start in range(0, reps, step)]
 
@@ -395,15 +397,22 @@ def _replications(
 
     Draws and tests the samples of seeds slice by slice (`_slices`), and
     returns early, leaving the rest unfilled, once stop is set; that is
-    checked before each slice.
+    checked before each slice. Every slice is drawn into one set of
+    scratch and one units array, sized for the first, largest slice and
+    freed on return.
     """
-    for start, end in _slices(len(seeds), n, mu.size):
+    slices = _slices(len(seeds), n, mu.size)
+    reps = slices[0][1]  # the first slice is the largest
+    draws = TangentDraws(mu, sigma, n)
+    scratch = draws.scratch(n, reps)
+    units = np.empty(n * reps * mu.size)
+    for start, end in slices:
         if stop.is_set():
             return
-        draws = tangent_gaussian_samples(mu, sigma, n, seeds[start:end])
-        # a scenes-major view: a copy in that layout adds more page faults
-        # than its long loops save, and memory besides
-        _, _, ts, se = sample_moments(draws.swapaxes(0, 1)[:, :, None, :])
+        # scenes-major and C-contiguous, as sample_moments reads it
+        out = units[: n * (end - start) * mu.size].reshape(n, end - start, mu.size)
+        draws.draw(seeds[start:end], 0, out, scratch)
+        _, _, ts, se = sample_moments(out[:, :, None, :])
         ts_values[start:end] = ts
         se_values[start:end] = se
 
@@ -430,8 +439,9 @@ def run_monte_carlo(
 
     The call owns a pool of two worker threads. The replication pass goes
     to it first, as one task that draws and tests the replications as
-    array operations over a leading replication axis, in slices of at most
-    about 2^17 doubles, and stores each one's tS and SE, 24 bytes per
+    array operations over a replication axis (scenes-major stacks), in
+    slices of at most about 2^16 doubles drawn into buffers the task
+    reuses, and stores each one's tS and SE, 24 bytes per
     replication with its seed; the calling thread then forms every CI and
     counts the hits in one elementwise pass over all replications.
     The oracle's slices go to the same pool as a chain of tasks, each of

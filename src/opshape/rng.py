@@ -17,17 +17,21 @@ each stays because it holds counter arithmetic its callers would otherwise
 repeat. `SplitMix64.normals` is the stateful draw: it starts at the
 generator's counter and advances it, and the benchmark's study generators
 draw their jitter with it, so their inputs depend on its stream.
-`normal_rows` draws one row per seed, the shape of the Monte Carlo
-replications (`synth.tangent_gaussian_samples`), and rounds each count up
-to whole pairs. `successive_normals` turns the calls a loop over one
-generator would make into shifted seeds, so `synth.synthesize_views` draws
-every camera's image noise in one pass.
+`normal_rows` draws one row per seed and rounds each count up to whole
+pairs. `successive_normals` turns the calls a loop over one generator would
+make into shifted seeds, so `synth.synthesize_views` draws every camera's
+image noise in one pass.
 
-Every word comes from `_words`, one splitmix64 pass over one or more
-ranges of each seed's stream. A range of Box-Muller pairs takes its u1 and
-u2 words in one such pass and transforms them in place, so it costs 27
-numpy calls that allocate or loop over an array (8 of them the splitmix64
-finalizer, whose shifts share one buffer) whatever its length; with many
+Word k of a stream is splitmix64's finalizer on the counter
+seed + (k+1)*golden, made as the seed's offset seed + s*golden plus a
+table of steps (j+1)*golden (`word_steps`): one add per word, exact mod
+2^64. `_words` gives raw words. `box_muller` is the one Box-Muller core:
+`normal_pairs` and the tangent draws of `synth.TangentDraws` both call it.
+It makes a range of pairs' u1 and u2 words as two blocks in one
+splitmix64 pass and transforms them in arrays its caller gives, so a
+caller that reuses its arrays maps no fresh memory per draw. It costs 24
+numpy calls whatever its length: 8 of them the finalizer and 3 the
+per-seed offsets, which are the only arrays it allocates. With many
 threads drawing, the calls (each a release and re-take of the interpreter
 lock) matter as much as the arithmetic. Gaussian variates go through
 numpy's log/cos/sin and are therefore exact only up to the platform's
@@ -47,10 +51,10 @@ _TWO_POW_MINUS_53 = 2.0 ** -53
 _TWO_PI = 2.0 * np.pi
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    # finalizer of splitmix64, in place on a fresh array; wraps mod 2^64 via
-    # uint64 arithmetic. The three shifts share one buffer.
-    shifted = z >> np.uint64(30)
+def _mix(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    # finalizer of splitmix64, in place; wraps mod 2^64 via uint64
+    # arithmetic. The three shifts go to shifted, an array of z's shape.
+    np.right_shift(z, np.uint64(30), out=shifted)
     z ^= shifted
     z *= np.uint64(_MIX1)
     np.right_shift(z, np.uint64(27), out=shifted)
@@ -69,6 +73,17 @@ def _seed_array(seeds) -> np.ndarray:
     return np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
 
 
+def word_steps(n: int) -> np.ndarray:
+    """(j + 1) * golden (mod 2^64) for j < n: word s + j of a stream seeded
+    seed has the counter seed + s * golden plus step j."""
+    return np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+
+
+def _offsets(seeds: np.ndarray, start) -> np.ndarray:
+    """seeds + start * golden (mod 2^64): (R,) for one int start, (S, R) for S starts."""
+    return np.add.outer(np.asarray(start, dtype=np.uint64) * np.uint64(_GOLDEN), seeds)
+
+
 def _words(seeds: np.ndarray, start, n: int) -> np.ndarray:
     """Raw words s .. s+n-1 (0-based) of each seed's stream for each start s.
 
@@ -76,11 +91,8 @@ def _words(seeds: np.ndarray, start, n: int) -> np.ndarray:
     (S, R, n): each start's words one contiguous block. Either way the
     words come from one splitmix64 pass.
     """
-    counters = np.add.outer(
-        np.asarray(start, dtype=np.uint64), np.arange(1, n + 1, dtype=np.uint64)
-    )
-    counters *= np.uint64(_GOLDEN)
-    return _mix(np.expand_dims(counters, -2) + seeds[:, None])
+    z = np.expand_dims(_offsets(seeds, start), -1) + word_steps(n)
+    return _mix(z, np.empty_like(z))
 
 
 def _unit_interval(words: np.ndarray) -> np.ndarray:
@@ -91,6 +103,38 @@ def _unit_interval(words: np.ndarray) -> np.ndarray:
     return unit
 
 
+def box_muller(seeds, starts, steps, words, floats, cos, sin) -> None:
+    """Box-Muller pairs j < c of each seed, into the caller's arrays.
+
+    Pair j of seed r takes u1 from word starts[0] + j and u2 from word
+    starts[1] + j of the seed's stream, and is (rho cos(2 pi u2), rho
+    sin(2 pi u2)) with rho = sqrt(-2 log(1 - u1)). steps is `word_steps(c)`,
+    words a (2, c, R) uint64 array and floats a (2, c, R) float64 array,
+    both scratch. The cosines go to cos and the sines to sin, (c, R) arrays
+    that may be views of words' memory: the words are dead once floats
+    holds them. One splitmix64 pass makes the u1 and u2 words, with floats
+    as its shift scratch; floats then holds rho and the angle.
+    """
+    np.add(steps[:, None], _offsets(_seed_array(seeds), starts)[:, None, :], out=words)
+    _mix(words, floats.view(np.uint64))
+    words >>= np.uint64(11)
+    # a cast, then a scale: a multiply that casts as it goes is twice as slow
+    np.copyto(floats, words, casting="unsafe")
+    rho, angle = floats
+    rho *= _TWO_POW_MINUS_53  # in [0, 1), as `_unit_interval` gives it
+    np.subtract(1.0, rho, out=rho)  # u1 in (0, 1]: log stays finite
+    np.log(rho, out=rho)
+    rho *= -2.0
+    np.sqrt(rho, out=rho)
+    # 2 pi u2 in one multiply: scaling by 2^-53 is exact, so this has the
+    # bits of 2 pi times the u2 of `_unit_interval`
+    angle *= _TWO_PI * _TWO_POW_MINUS_53
+    np.cos(angle, out=cos)
+    np.sin(angle, out=sin)
+    cos *= rho
+    sin *= rho
+
+
 def normal_pairs(seeds, m: int, lo: int, hi: int, start: int = 0) -> np.ndarray:
     """Box-Muller pairs lo .. hi-1 of a draw of m pairs per seed, shape (R, 2*(hi-lo)).
 
@@ -98,30 +142,23 @@ def normal_pairs(seeds, m: int, lo: int, hi: int, start: int = 0) -> np.ndarray:
     pair j is (r cos(2 pi u2), r sin(2 pi u2)) with r = sqrt(-2 log u1) from
     words start+j and start+m+j, cosine and sine variates interleaved. Any
     range of pairs is therefore bit-identical to the same columns of the
-    whole draw. The u1 and u2 words of the range come from one `_words`
-    pass, and Box-Muller runs in place on them.
+    whole draw. `box_muller` makes them.
     """
     if not 0 <= lo <= hi <= m:
         raise ValueError("pair range must satisfy 0 <= lo <= hi <= m")
     seeds = _seed_array(seeds)
     c = hi - lo
-    words = _words(seeds, (start + lo, start + m + lo), c)
-    words >>= np.uint64(11)
-    r, angle = words.astype(np.float64)
-    del words
-    r *= _TWO_POW_MINUS_53  # in [0, 1), as `_unit_interval` gives it
-    np.subtract(1.0, r, out=r)  # u1 in (0, 1]: log stays finite
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    # 2 pi u2 in one multiply: scaling by 2^-53 is exact, so this has the
-    # bits of 2 pi times the u2 of `_unit_interval`
-    angle *= _TWO_PI * _TWO_POW_MINUS_53
+    words = np.empty((2, c, seeds.size), dtype=np.uint64)
     out = np.empty((seeds.size, c, 2))
-    np.cos(angle, out=out[..., 0])
-    np.sin(angle, out=out[..., 1])
-    out[..., 0] *= r
-    out[..., 1] *= r
+    box_muller(
+        seeds,
+        (start + lo, start + m + lo),
+        word_steps(c),
+        words,
+        np.empty(words.shape),
+        out[..., 0].T,
+        out[..., 1].T,
+    )
     return out.reshape(seeds.size, 2 * c)
 
 

@@ -22,20 +22,24 @@ order, and cosines and sines come from `math`, one value at a time. Each
 view's image noise is one `normals(2k)` draw of one stream, all views
 drawn together by `rng.successive_normals`.
 
-Tangent-Gaussian sphere samples go through one Box-Muller draw and one
-normalize step, which adds the mean direction and divides by the norms one
-coordinate column at a time. `tangent_gaussian_mean` makes and sums its
+Tangent-Gaussian sphere samples come from one routine, `TangentDraws.draw`,
+for `tangent_gaussian_samples`, the oracle's slices and `mc`'s
+replications. It writes one Box-Muller pass (`rng.box_muller`) as a block
+of cosines and a block of sines, adds the mean direction to each coordinate
+in a contiguous array of its own, and divides by the norms, all in arrays
+its caller owns and reuses. `tangent_gaussian_mean` makes and sums its
 draws one slice of 16,384 draws at a time, so a large oracle's memory does
 not grow with its size, and its mean is bit-identical to that of the whole
-sample. Its slices form a chain of tasks: task k draws slice k into its own
-buffer, waits for task k - 1's running sum and adds its rows to it, on the
-thread that drew them. Given an executor, the calling thread only submits
-the tasks and waits for the last; with none, it runs the same tasks one
-after another. At d = 3 a slice costs 54 numpy calls that allocate or
-loop over an array (27 Box-Muller, 25 normalize, the buffer and the sum),
+sample. Its slices form a chain of tasks: task k draws slice k into a
+buffer set no running task holds, waits for task k - 1's running sum and
+adds its rows to it, on the thread that drew them. Given an executor, the
+calling thread only submits the tasks and waits for the last; with none,
+it runs the same tasks one after another. At d = 3 a slice costs 51 numpy
+calls (24 Box-Muller, 25 normalize, the running sum's row and the sum),
 each a release and re-take of the interpreter lock, so large slices keep
 two drawing threads from waiting on each other: 10^6 draws take about
-3,350 calls.
+3,160 calls. Only a few of them allocate, and then arrays of a few
+elements, so a slice maps no fresh memory.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import numpy as np
 
 from .errors import BehindCamera, GenerationFailed, InvalidLandmark
 from .geometry import LandmarkScene, _freeze, last_axis_dots, last_axis_norms
-from .rng import SplitMix64, normal_pairs, normal_rows, successive_normals
+from .rng import SplitMix64, box_muller, successive_normals, word_steps
 
 # rejection margins for general position, in scene units
 _MIN_TRIPLE_AREA = 0.05  # twice the triangle area
@@ -319,43 +323,129 @@ def _tangent_frame(direction, sigma: float, n: int) -> Tuple[np.ndarray, np.ndar
 def _unit_draws(
     mu: np.ndarray,
     basis: np.ndarray,
-    normals: np.ndarray,
+    columns: Sequence[np.ndarray],
     sigma: float,
-    out: Optional[np.ndarray] = None,
+    out: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
-    """normalize(mu + (sigma * normals) @ basis) for (R, rows, d-1) standard normals.
+    """normalize(mu + (sigma * z) @ basis) into out, for each row z of the normals in columns.
 
-    normals is scaled by sigma in place, so the caller must not use it again.
-    The draws are written to out, an (R, rows, d) array, if one is given,
-    and returned.
-
-    Coordinate j of a raw draw adds the scaled normals times column j of
-    basis left to right, then mu[j], in place one coordinate column at a
-    time: d long loops rather than one short loop per row.
+    columns holds the d - 1 normals of the rows, each an (rows, R) array,
+    and is scaled by sigma in place, so the caller must not use it again.
+    out is an (rows, R, d) array, and work at least (d + 2) * rows * R
+    doubles of scratch. Coordinate j of the raw draws goes to one
+    contiguous (rows, R) array of work: the scaled normals times column j
+    of basis added left to right, then mu[j]. The norms add the squared
+    coordinates left to right, and each coordinate divided by them goes to
+    out. Returns out.
 
     Raises:
         GenerationFailed: a raw draw's norm is not finite and positive.
     """
-    raw = np.empty(normals.shape[:-1] + mu.shape) if out is None else out
-    product = np.empty(normals.shape[:-1])
-    columns = [raw[..., j] for j in range(mu.size)]
+    rows, reps, d = out.shape
+    size = rows * reps
+    raw = work[: d * size].reshape(d, rows, reps)
+    product, norms = work[d * size : (d + 2) * size].reshape(2, rows, reps)
     # overflow is caught below as a norm that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        normals *= sigma
-        for column, weights, shift in zip(columns, basis.T.tolist(), mu.tolist()):
-            np.multiply(normals[..., 0], weights[0], out=column)
-            for c in range(1, len(weights)):
-                column += np.multiply(normals[..., c], weights[c], out=product)
-            column += shift
-        norms = last_axis_norms(raw)
+        for column in columns:
+            column *= sigma
+        for coordinate, weights, shift in zip(raw, basis.T.tolist(), mu.tolist()):
+            np.multiply(columns[0], weights[0], out=coordinate)
+            for column, weight in zip(columns[1:], weights[1:]):
+                coordinate += np.multiply(column, weight, out=product)
+            coordinate += shift
+        np.multiply(raw[0], raw[0], out=norms)
+        for coordinate in raw[1:]:
+            norms += np.multiply(coordinate, coordinate, out=product)
+        np.sqrt(norms, out=norms)
     # a NaN norm makes min and max NaN, and fails both comparisons
-    if norms.size and not (norms.min() > 0.0 and norms.max() < math.inf):
+    if size and not (norms.min() > 0.0 and norms.max() < math.inf):
         raise GenerationFailed(
             f"sigma {sigma:g} is too large: a tangent draw's norm is not finite and positive"
         )
-    for column in columns:
-        column /= norms
-    return raw
+    for j, coordinate in enumerate(raw):
+        np.divide(coordinate, norms, out=out[..., j])
+    return out
+
+
+class TangentDraws:
+    """Samples of n tangent-Gaussian unit vectors about one direction, drawn
+    a range of rows at a time.
+
+    Row t of a seed's sample is normalize(mu + sigma * z @ basis), with z
+    the normals t(d-1) .. t(d-1)+d-2 of the seed's draw of ceil(n(d-1)/2)
+    Box-Muller pairs and basis the tangent basis at the unit direction mu.
+    `draw` writes any rows of several seeds' samples, bit-identical to the
+    same rows of each whole sample, into arrays the caller owns and may
+    reuse: out, and a scratch set from `scratch`. The object itself holds
+    no array a draw writes, so threads may share it, each with its own
+    scratch.
+
+    Raises:
+        ValueError: a zero direction, a negative sigma or n < 1.
+    """
+
+    def __init__(self, direction, sigma: float, n: int):
+        self.mu, self.basis = _tangent_frame(direction, sigma, n)
+        self.sigma = sigma
+        self.pairs = (n * (self.mu.size - 1) + 1) // 2  # of one seed's draw
+
+    def scratch(self, rows: int, reps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scratch for draws of at most `rows` rows of `reps` seeds.
+
+        The word steps; the words, whose memory then holds the normals; and
+        the floats, the splitmix64 shifts and then rho and the angle, then
+        the raw coordinates, the products and the norms.
+        """
+        d = self.mu.size
+        pairs = (rows * (d - 1) + 1) // 2
+        return (
+            word_steps(pairs),
+            np.empty(2 * pairs * reps, dtype=np.uint64),
+            np.empty(max(2 * pairs, (d + 2) * rows) * reps),
+        )
+
+    def draw(self, seeds, lo: int, out: np.ndarray, scratch) -> np.ndarray:
+        """Rows lo .. lo + rows of each seed's sample into out, an (rows, R, d) array.
+
+        Row lo must start on a Box-Muller pair, lo * (d - 1) even. For odd
+        d the cosines and the sines land in two contiguous blocks, at d = 3
+        the two normal columns; for even d the pairs are interleaved.
+        Returns out.
+
+        Raises:
+            GenerationFailed: a raw draw's norm is not finite and positive,
+                i.e. sigma is too large for the draws to stay finite.
+        """
+        rows, reps, d = out.shape
+        pairs = (rows * (d - 1) + 1) // 2
+        first = lo * (d - 1) // 2
+        steps, words, floats = scratch
+        size = 2 * pairs * reps
+        words = words[:size].reshape(2, pairs, reps)
+        normals = words.view(np.float64)
+        if d % 2:
+            # (d - 1) / 2 whole pairs a row: normal c of row t is pair
+            # t (d - 1) / 2 + c // 2, its cosine for even c
+            cos, sin = normals
+            columns = [normals[c % 2, c // 2 :: (d - 1) // 2] for c in range(d - 1)]
+        else:
+            # rows straddle pairs: interleaved, the normals follow one
+            # another as in the whole draw, and row t's start at t (d - 1)
+            flat = normals.reshape(2 * pairs, reps)
+            cos, sin = flat[0::2], flat[1::2]
+            columns = [flat[c :: d - 1][:rows] for c in range(d - 1)]
+        box_muller(
+            seeds,
+            (first, self.pairs + first),
+            steps[:pairs],
+            words,
+            floats[:size].reshape(2, pairs, reps),
+            cos,
+            sin,
+        )
+        return _unit_draws(self.mu, self.basis, columns, self.sigma, out, floats)
 
 
 def tangent_gaussian_samples(direction, sigma: float, n: int, seeds) -> np.ndarray:
@@ -363,17 +453,18 @@ def tangent_gaussian_samples(direction, sigma: float, n: int, seeds) -> np.ndarr
 
     Sample r is normalize(direction + tangent noise), noise ~ N(0, sigma^2),
     drawn from the stream of seeds[r]; sigma = 0 repeats the direction
-    exactly. All R samples come from one array pass, each bit-identical to
-    drawing it alone.
+    exactly. All R samples come from one `TangentDraws.draw`, each
+    bit-identical to drawing it alone, into a scenes-major (n, R, d) array
+    that is copied to C order (no copy for one seed).
 
     Raises:
         GenerationFailed: a raw draw's norm is not finite and positive,
             i.e. sigma is too large for the draws to stay finite.
     """
-    mu, basis = _tangent_frame(direction, sigma, n)
-    d = mu.size
-    normals = normal_rows(seeds, n * (d - 1))
-    return _unit_draws(mu, basis, normals.reshape(-1, n, d - 1), sigma)
+    draws = TangentDraws(direction, sigma, n)
+    reps = len(seeds)
+    out = np.empty((n, reps, draws.mu.size))
+    return np.ascontiguousarray(draws.draw(seeds, 0, out, draws.scratch(n, reps)).swapaxes(0, 1))
 
 
 # draws per slice of `tangent_gaussian_mean`: even, so every slice starts on
@@ -396,27 +487,11 @@ def _mean_bound(n: int, k: int) -> Tuple[int, int]:
     return lo, min(lo + _MEAN_SLICE, n)
 
 
-def _mean_slice(
-    mu: np.ndarray,
-    basis: np.ndarray,
-    sigma: float,
-    seed: int,
-    n: int,
-    lo: int,
-    hi: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Rows lo..hi of `tangent_gaussian_sample(mu, sigma, n, seed)`, bit for bit.
-
-    The rows are written to out, a (hi - lo, d) array, if one is given.
-    """
-    d = mu.size
-    count = (hi - lo) * (d - 1)
-    first = lo * (d - 1) // 2
-    pairs = (n * (d - 1) + 1) // 2
-    normals = normal_pairs([seed], pairs, first, first + (count + 1) // 2)[:, :count]
-    stacked = None if out is None else out[None]
-    return _unit_draws(mu, basis, normals.reshape(1, -1, d - 1), sigma, stacked)[0]
+def _mean_slice(draws: TangentDraws, seed: int, lo: int, hi: int, out, scratch) -> None:
+    """Rows lo..hi of the sample `draws` makes of seed, bit for bit, into
+    rows 1 .. hi - lo of out, an (at least hi - lo + 1, d) array whose row 0
+    is left to the running sum; scratch is a set from `draws.scratch`."""
+    draws.draw((seed,), lo, out[1 : hi - lo + 1, None], scratch)
 
 
 class _Inline(Executor):
@@ -442,11 +517,14 @@ def tangent_gaussian_mean(
     starts at zero and adds the rows in order, as `ndarray.mean(axis=0)`
     does, and is divided by n at the end.
 
-    The slices are a chain of tasks. Task k draws slice k into rows 1.. of
-    a buffer of its own, waits for task k - 1's running sum, writes it into
-    row 0 and returns the sum of the buffer's rows: each slice is summed on
-    the thread that drew it, in slice order, so the mean does not depend on
-    which worker drew what. With a pool the calling thread only submits the
+    The slices are a chain of tasks. Task k takes a set of scratch and a
+    sum buffer of largest-slice + 1 rows from the call's free list, or
+    makes one if the list is empty, and puts it back when it ends; the call
+    makes at most one set per worker, and they are freed when it returns.
+    Task k draws slice k into rows 1.. of its sum buffer, waits for task
+    k - 1's running sum, writes it into row 0 and returns the sum of row 0
+    and the slice's rows: each slice is summed on the thread that drew it,
+    in slice order, so the mean does not depend on which worker drew what. With a pool the calling thread only submits the
     tasks in slice order, at most `_MEAN_PENDING` of them not yet known to
     be summed, and waits for the last; with none it runs the same tasks one
     after another. A task waits only on its predecessor, so the pool must
@@ -463,34 +541,43 @@ def tangent_gaussian_mean(
             raises the predecessor's error if it has one, and a task that
             finds an earlier slice failed raises that error without drawing.
     """
-    mu, basis = _tangent_frame(direction, sigma, n)
+    draws = TangentDraws(direction, sigma, n)
+    rows = min(n, _MEAN_SLICE)
     failed = []  # slices whose draw raised
+    free = []  # scratch and sum buffers of no running task
 
     def add_slice(k: int, before: Future) -> np.ndarray:
         lo, hi = _mean_bound(n, k)
-        buf = np.empty((hi - lo + 1, mu.size))
-        error = None
-        # a slice that fails after this check costs its worker one more
-        # draw, never a wrong result: the chain orders the errors
-        if not any(j < k for j in failed):
-            try:
-                _mean_slice(mu, basis, sigma, seed, n, lo, hi, out=buf[1:])
-            except Exception as exc:
-                failed.append(k)
-                error = exc
-        # raises an earlier slice's error, which wins over this one's
-        buf[0] = before.result()
-        if error is not None:
-            raise error
-        # einsum walks the C-ordered rows in memory order, the d axis
-        # inner: each column adds the rows one after another, as
-        # `ndarray.mean`'s reduction does, a whole row per step
-        # (tests/test_monte_carlo.py checks that order)
-        return np.einsum("ij->j", buf)
+        try:
+            scratch, buf = free.pop()
+        except IndexError:
+            scratch, buf = draws.scratch(rows, 1), np.empty((rows + 1, draws.mu.size))
+        try:
+            error = None
+            # a slice that fails after this check costs its worker one more
+            # draw, never a wrong result: the chain orders the errors
+            if not any(j < k for j in failed):
+                try:
+                    _mean_slice(draws, seed, lo, hi, out=buf, scratch=scratch)
+                except Exception as exc:
+                    failed.append(k)
+                    error = exc
+            # raises an earlier slice's error, which wins over this one's
+            buf[0] = before.result()
+            if error is not None:
+                raise error
+            # einsum walks the C-ordered rows in memory order, the d axis
+            # inner: each column adds the rows one after another, as
+            # `ndarray.mean`'s reduction does, a whole row per step
+            # (tests/test_monte_carlo.py checks that order); rows past a
+            # short last slice are another slice's, and not summed
+            return np.einsum("ij->j", buf[: hi - lo + 1])
+        finally:
+            free.append((scratch, buf))
 
     submit = (_INLINE if pool is None else pool).submit
     running = Future()
-    running.set_result(np.zeros(mu.size))  # as the reduction's, the sum starts at zero
+    running.set_result(np.zeros(draws.mu.size))  # as the reduction's, the sum starts at zero
     pending = deque()  # tasks submitted and not yet known to be summed
     try:
         for k in range(_mean_slices(n)):

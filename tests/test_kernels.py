@@ -1,8 +1,9 @@
 """The Monte Carlo draw kernels against the ones they replaced.
 
 `rng.normal_pairs` makes its u1 and u2 words in one splitmix64 pass and
-runs Box-Muller in place; `synth._unit_draws` adds the mean direction and
-divides by the norms one coordinate column at a time; and
+runs Box-Muller (`rng.box_muller`) in place; `synth._unit_draws` adds the
+mean direction and divides by the norms one coordinate column at a time,
+in scratch the caller gives; and
 `geometry.check_unit_norm` sums its squares by columns too. Their
 references in reference.py are the scalar stream with Box-Muller on it,
 and a broadcast over the short last axis. The new kernels must give their
@@ -68,6 +69,17 @@ def test_u64_blocks_and_normal_pairs_share_one_word_pass():
 # ---- synth._unit_draws -----------------------------------------------------------
 
 
+def unit_draws(mu, basis, normals, sigma):
+    """`_unit_draws` on (R, rows, d - 1) normals, which it scales in place,
+    as an (R, rows, d) array: the normals go in as (rows, R) column views
+    and the draws come out of a scenes-major (rows, R, d) array."""
+    reps, rows, _ = normals.shape
+    out = np.empty((rows, reps, mu.size))
+    columns = [normals[..., c].T for c in range(mu.size - 1)]
+    _unit_draws(mu, basis, columns, sigma, out, np.empty((mu.size + 2) * rows * reps))
+    return out.swapaxes(0, 1)
+
+
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 
 
@@ -86,7 +98,7 @@ def test_unit_draws_match_the_broadcast_kernel(d, values, samples, rows, data, s
     mu = mu / np.linalg.norm(mu)
     basis = _tangent_basis(mu)
     normals = data.draw(hnp.arrays(np.float64, (samples, rows, d - 1), elements=finite))
-    got = ref.outcome(_unit_draws, mu, basis, normals.copy(), sigma)
+    got = ref.outcome(unit_draws, mu, basis, normals.copy(), sigma)
     assert got == ref.outcome(ref.unit_draws, mu, basis, normals.copy(), sigma)
 
 
@@ -95,14 +107,14 @@ def test_unit_draws_overflow_fails_as_the_broadcast_kernel(d):
     mu = np.eye(d)[-1]
     normals = rng.normal_rows([1, 2], 7 * (d - 1)).reshape(2, 7, d - 1)
     for sigma in (1e200, 1e308):
-        got = ref.outcome(_unit_draws, mu, _tangent_basis(mu), normals.copy(), sigma)
+        got = ref.outcome(unit_draws, mu, _tangent_basis(mu), normals.copy(), sigma)
         assert got[0] is GenerationFailed
         assert got == ref.outcome(ref.unit_draws, mu, _tangent_basis(mu), normals, sigma)
 
 
 def test_unit_draws_of_no_samples_are_empty():
     mu = np.eye(3)[-1]
-    assert _unit_draws(mu, _tangent_basis(mu), np.empty((0, 4, 2)), 0.1).shape == (0, 4, 3)
+    assert unit_draws(mu, _tangent_basis(mu), np.empty((0, 4, 2)), 0.1).shape == (0, 4, 3)
 
 
 # ---- geometry.check_unit_norm ----------------------------------------------------

@@ -212,9 +212,11 @@ def pooled_mean(direction, sigma, n, seed, schedule, drawers, workers=2, summers
     overlap = min(workers, len(slices)) > 1
     other, free = threading.Event(), threading.Event()
     draw, einsum = synth._mean_slice, np.einsum
-    buffers = {}  # each drawn slice's first row, by the slice's buffer
+    # each drawn slice's first row, by the address of its sum buffer, which
+    # the next slice to take the buffer draws into only after this sum
+    buffers = {}
 
-    def recorded(mu, basis, sigma, seed, n, lo, hi, out):
+    def recorded(draws, seed, lo, hi, out, scratch):
         k = slices[lo]
         if k == schedule:
             free.set()
@@ -223,14 +225,14 @@ def pooled_mean(direction, sigma, n, seed, schedule, drawers, workers=2, summers
         elif schedule == "eager" and overlap:
             assert other.wait(10)
         try:
-            return draw(mu, basis, sigma, seed, n, lo, hi, out=out)
+            return draw(draws, seed, lo, hi, out=out, scratch=scratch)
         finally:
             drawers[lo] = threading.current_thread()
-            buffers[id(out.base)] = lo
+            buffers[out.ctypes.data] = lo
 
     def summed(subscripts, buf):
         if summers is not None:
-            summers[buffers[id(buf)]] = threading.current_thread()
+            summers[buffers[buf.ctypes.data]] = threading.current_thread()
         return einsum(subscripts, buf)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -470,6 +472,42 @@ def test_at_most_one_slice_per_worker_is_drawn_past_a_failure(monkeypatch):
         assert len(past) == len(set(past)) <= workers - 1
 
 
+def failing_sigma(d, n, seed):
+    """A sigma at which only the draw of largest normal radius overflows.
+
+    Near mu a draw's squared norm is 1 + sigma^2 |z|^2, z its d - 1
+    normals, so the largest radius alone squares past the double range."""
+    radii = np.sqrt((normal_rows([seed], n * (d - 1)).reshape(n, d - 1) ** 2).sum(axis=1))
+    second, first = np.sort(radii)[-2:]
+    return 2.0 * math.sqrt(np.finfo(np.float64).max) / (first + second), int(np.argmax(radii))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_reused_buffers_carry_nothing_between_slices_or_calls(monkeypatch, d):
+    # each task draws into a scratch and sum buffer set that earlier slices
+    # of the call used; calls in turn on one pool, one of them failing in a
+    # late slice, must each give the whole sample's mean or error
+    monkeypatch.setattr(synth, "_MEAN_SLICE", 64)
+    n = 64 * 4
+    seed = next(s for s in range(100) if failing_sigma(d, n, s)[1] >= 64)
+    huge = failing_sigma(d, n, seed)[0]
+    calls = [
+        (np.eye(d)[-1], 0.1, 64 * 5 + 7, 3),  # a short last slice
+        (np.arange(1.0, d + 1.0), 0.7, 64 * 3 + 1, 11),  # a one-row last slice
+        (np.eye(d)[-1], huge, n, seed),
+        (np.arange(d, 0.0, -1.0), 0.02, 64 * 2 + 30, 8),
+    ]
+
+    def whole_mean(direction, sigma, n, seed):
+        return tangent_gaussian_sample(direction, sigma, n, seed).mean(axis=0)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for direction, sigma, n, seed in calls:
+            got = ref.outcome(tangent_gaussian_mean, direction, sigma, n, seed, pool)
+            assert got == ref.outcome(whole_mean, direction, sigma, n, seed)
+    assert ref.outcome(whole_mean, *calls[2])[0] is GenerationFailed
+
+
 def traced_peak(draw):
     tracemalloc.start()
     try:
@@ -491,6 +529,21 @@ def test_tangent_mean_memory_does_not_grow_with_the_draws():
     # a pool holds at most one drawn slice per worker
     pooled = traced_peak(lambda: pooled_mean(mu, 0.1, 10**6, 5, "eager", {}))
     assert pooled < 8 * 2**20
+
+
+def test_replication_memory_does_not_grow_with_the_replications():
+    mu = np.eye(3)[-1]
+
+    def replication_peak(reps):
+        seeds = SplitMix64(3).u64_block(reps)
+        ts, se = np.empty(reps), np.empty(reps)
+        stop = threading.Event()
+        return traced_peak(lambda: pipeline._replications(mu, 0.1, 200, seeds, ts, se, stop))
+
+    small, large = replication_peak(1000), replication_peak(4000)
+    # the buffers of one slice of about 2^16 doubles, and the moments' temporaries
+    assert large < 3 * 2**20
+    assert abs(large - small) <= 0.1 * small
 
 
 # ---- statistics ------------------------------------------------------------------
@@ -629,7 +682,7 @@ def no_draw(*args):
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0, math.nan])
 def test_bad_alpha_fails_before_any_draw(monkeypatch, alpha):
     monkeypatch.setattr(pipeline, "tangent_gaussian_mean", no_draw)
-    monkeypatch.setattr(pipeline, "tangent_gaussian_samples", no_draw)
+    monkeypatch.setattr(pipeline, "TangentDraws", no_draw)
     threads = threading.active_count()
     with pytest.raises(InvalidLevel) as error:
         pipeline.run_monte_carlo(alpha=alpha, n=5, reps=3, oracle_draws=10)
@@ -646,26 +699,27 @@ def test_interrupt_stops_the_worker_before_its_next_slice(monkeypatch):
     monkeypatch.setattr(pipeline, "_MC_SLICE_DOUBLES", 1)  # one replication a slice
     stops, slices = [], []
     started = threading.Event()
-    replications, draw = pipeline._replications, pipeline.tangent_gaussian_samples
+    replications = pipeline._replications
 
     def spy(*args):
         stops.append(args[-1])
         return replications(*args)
 
-    def counted_draw(mu, sigma, n, seeds):
-        slices.append(len(seeds))
-        if len(slices) == 1:
-            started.set()
-            # hold the first slice until the calling thread has raised
-            stops[0].wait(10)
-        return draw(mu, sigma, n, seeds)
+    class CountedDraws(synth.TangentDraws):
+        def draw(self, seeds, lo, out, scratch):
+            slices.append(len(seeds))
+            if len(slices) == 1:
+                started.set()
+                # hold the first slice until the calling thread has raised
+                stops[0].wait(10)
+            return super().draw(seeds, lo, out, scratch)
 
     def interrupted_oracle(*args):
         assert started.wait(10)
         raise KeyboardInterrupt
 
     monkeypatch.setattr(pipeline, "_replications", spy)
-    monkeypatch.setattr(pipeline, "tangent_gaussian_samples", counted_draw)
+    monkeypatch.setattr(pipeline, "TangentDraws", CountedDraws)
     monkeypatch.setattr(pipeline, "tangent_gaussian_mean", interrupted_oracle)
     threads = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
@@ -681,24 +735,21 @@ def test_interrupt_stops_the_worker_before_its_next_oracle_slice(monkeypatch):
     caller = threading.current_thread()
     stops, replication_slices, oracle_slices, after_stop = [], [], [], []
     replicating, drawing = threading.Event(), threading.Event()
-    replications, draw_samples, draw_slice = (
-        pipeline._replications,
-        pipeline.tangent_gaussian_samples,
-        synth._mean_slice,
-    )
+    replications, draw_slice = pipeline._replications, synth._mean_slice
     result = Future.result
 
     def spy(*args):
         stops.append(args[-1])
         return replications(*args)
 
-    def held_samples(mu, sigma, n, seeds):
-        after_stop.append(stops[0].is_set())
-        replication_slices.append(len(seeds))
-        if len(replication_slices) == 1:
-            replicating.set()
-            stops[0].wait(10)  # until the calling thread has raised
-        return draw_samples(mu, sigma, n, seeds)
+    class HeldDraws(synth.TangentDraws):
+        def draw(self, seeds, lo, out, scratch):
+            after_stop.append(stops[0].is_set())
+            replication_slices.append(len(seeds))
+            if len(replication_slices) == 1:
+                replicating.set()
+                stops[0].wait(10)  # until the calling thread has raised
+            return super().draw(seeds, lo, out, scratch)
 
     def held_slice(*args, **kwargs):
         assert replicating.wait(10)  # the stop event is known
@@ -719,7 +770,7 @@ def test_interrupt_stops_the_worker_before_its_next_oracle_slice(monkeypatch):
         return result(future, timeout)
 
     monkeypatch.setattr(pipeline, "_replications", spy)
-    monkeypatch.setattr(pipeline, "tangent_gaussian_samples", held_samples)
+    monkeypatch.setattr(pipeline, "TangentDraws", HeldDraws)
     monkeypatch.setattr(synth, "_mean_slice", held_slice)
     monkeypatch.setattr(Future, "result", interrupted_result)
     threads = threading.active_count()
