@@ -13,7 +13,7 @@ Two experiments:
 
 import numpy as np
 
-from opshape.directional import coplanarity_test, total_variance
+from opshape.directional import coplanarity_test
 from opshape.geometry import DirectionSample, canonical_axis
 from opshape.synth import tangent_gaussian_sample
 from opshape.vw import total_variance_ps
@@ -24,8 +24,8 @@ mu = np.array([0.0, 0.0, 1.0])
 print("sigma    tS oriented   tS axial      ratio")
 for sigma in (0.005, 0.01, 0.02, 0.05):
     draws = tangent_gaussian_sample(mu, sigma, 200, seed=5)
-    ops = total_variance(DirectionSample.from_vectors(draws))
-    ps = total_variance_ps(np.array([canonical_axis(u) for u in draws])).total_variance
+    ops = coplanarity_test(DirectionSample(draws)).total_variance
+    ps = total_variance_ps(canonical_axis(draws)).total_variance
     print(f"{sigma:5.3f}  {ops:12.3e}  {ps:12.3e}  {ps / ops:9.4f}")
 
 # 2. orientation flips are invisible to the axial index
@@ -34,11 +34,11 @@ flipped = draws.copy()
 flipped[12:] *= -1.0  # 8 of 20 views see the back of the surface
 
 for label, vecs in (("consistent", draws), ("8 flipped", flipped)):
-    ops = total_variance(DirectionSample.from_vectors(vecs))
-    ps = total_variance_ps(np.array([canonical_axis(u) for u in vecs])).total_variance
+    ops = coplanarity_test(DirectionSample(vecs)).total_variance
+    ps = total_variance_ps(canonical_axis(vecs)).total_variance
     print(f"\n{label:>10}: tS oriented = {ops:9.3e}   tS axial = {ps:9.3e}")
 
-s = coplanarity_test(DirectionSample.from_vectors(flipped), alpha=0.05)
+s = coplanarity_test(DirectionSample(flipped), alpha=0.05)
 print(
     f"\nThe oriented test on the flipped sample rejects planarity hard "
     f"(p = {s.p_chisq:.2e}): mixed front/back orientations are real signal, "

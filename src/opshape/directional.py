@@ -14,8 +14,8 @@ loop per scene rather than a loop of q * d per scene and sample, and still
 add the scenes in order, bit for bit as one sample alone. One (n, q, d)
 sample is the R = 1 stack units[:, None]. coplanarity_test's OpsSummary
 holds that row (block means, resultant lengths, extrinsic mean, tS, SE)
-with the covariance and the test statistics, and total_variance is its tS
-alone.
+with the covariance and the test statistics; a sample whose mean may be
+focal has its tS, bit for bit, as stacked_moments(units[:, None])[2][0].
 
 The normal CDF and quantile are ports of ndtr (with its erf and erfc) and
 ndtri from S. L. Moshier's Cephes Math Library (1989), the code behind
@@ -227,17 +227,6 @@ def chisq_upper_tail(t: float, df: int) -> float:
     from scipy import special  # the module's only scipy use; see its docstring
 
     return float(special.gammaincc(df / 2.0, t / 2.0))
-
-
-def total_variance(sample: DirectionSample) -> float:
-    """Dispersion index tS = 2 * sum over blocks of (1 - resultant length).
-
-    The tS of stacked_moments for the one sample, so bit for bit the value
-    coplanarity_test reports; clamped at 0 from below, since rounding can
-    push a constant sample's resultant a few ulp past 1. A focal sample
-    still has its tS.
-    """
-    return float(stacked_moments(sample.units[:, None])[2][0])
 
 
 def _dispersion_and_se(resultant, se_raw=0.0):

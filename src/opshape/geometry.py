@@ -203,12 +203,13 @@ def check_unit_norm(units: np.ndarray) -> None:
 class DirectionSample:
     """n scenes registered as unit vectors, one per sphere block.
 
-    units has shape (n, q, d); scene_ids are the per-row labels. Arrays are
-    locked after construction so samples are safe to share across threads.
+    units has shape (n, q, d), or (n, d) for q = 1; scene_ids are the
+    per-row labels, "0" .. "n-1" when None. Arrays are locked after
+    construction so samples are safe to share across threads.
     """
 
     units: np.ndarray
-    scene_ids: Tuple[str, ...]
+    scene_ids: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         u = np.asarray(self.units, dtype=np.float64)
@@ -221,21 +222,13 @@ class DirectionSample:
         if u.shape[1] < 1 or u.shape[2] < 2:
             raise ValueError("each block must hold vectors in R^d, d >= 2")
         check_unit_norm(u)
-        ids = tuple(map(str, self.scene_ids))
+        ids = tuple(map(str, range(u.shape[0]) if self.scene_ids is None else self.scene_ids))
         if len(ids) != u.shape[0]:
             raise ValueError("scene_ids length must equal the number of rows")
         if len(set(ids)) != len(ids):
             raise ValueError("scene_ids must be distinct")
         object.__setattr__(self, "units", _freeze(u))
         object.__setattr__(self, "scene_ids", ids)
-
-    @classmethod
-    def from_vectors(cls, vectors, scene_ids=None) -> "DirectionSample":
-        arr = np.asarray(vectors, dtype=np.float64)
-        if scene_ids is None:
-            n = arr.shape[0]
-            scene_ids = tuple(str(i) for i in range(n))
-        return cls(arr, tuple(scene_ids))
 
     @property
     def n(self) -> int:

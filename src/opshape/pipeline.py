@@ -93,7 +93,7 @@ def _stack(scenes: Sequence[LandmarkScene], spec: FrameSpec) -> LandmarkStudy:
     """
     if not isinstance(scenes, LandmarkStudy):
         if not scenes:
-            raise EmptySample("no scenes survived registration")
+            raise EmptySample("no scenes to register")
         shapes = sorted({s.points.shape for s in scenes})
         if len(shapes) > 1:
             raise InvalidLandmark(f"scenes of one study must have one (k, m) shape, got {shapes}")
@@ -424,11 +424,10 @@ def run_monte_carlo(
     alpha: float = 0.05,
     seed: int = 0,
     oracle_draws: int = 1_000_000,
-    dim: int = 3,
 ) -> Dict:
     """Coverage calibration of the dispersion CI under tangent-Gaussian noise.
 
-    Draws `reps` samples of size n around a fixed direction, checks whether
+    Draws `reps` samples of size n around the direction e_3, checks whether
     each two-sided CI covers the population dispersion measured by one large
     oracle run, and reports the hit rate. Replication seeds derive from the
     master seed, so results do not depend on evaluation order.
@@ -469,8 +468,7 @@ def run_monte_carlo(
         raise ValueError("need at least one replication")
     if not 0.0 < alpha < 1.0:
         raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")
-    mu = np.zeros(dim)
-    mu[-1] = 1.0
+    mu = np.array([0.0, 0.0, 1.0])
     master = SplitMix64(seed)
     oracle_seed = master.next_u64()
     rep_seeds = master.u64_block(reps)
@@ -500,7 +498,7 @@ def run_monte_carlo(
         "reps": reps,
         "alpha": alpha,
         "seed": seed,
-        "dim": dim,
+        "dim": 3,
         "oracle_draws": oracle_draws,
         "oracle_total_variance": t_pop,
         "hits": hits,

@@ -5,33 +5,31 @@ bit-identically from a seed alone and blocks can be produced out of order by
 independent generators. That also lets many streams advance at once:
 `normal_rows` draws one row of normals per seed in a single array pass, row
 r bit-identical to `SplitMix64(seeds[r]).normals(count)`, and a single
-generator's draws are its one-row case. `normal_pairs` gives any range of
-a draw's Box-Muller pairs on its own, so a long draw can be made in slices.
-`successive_normals` gives many successive draws of one stream at once:
-word j of a stream at counter c is word j of the stream seeded
-seed + c*golden (mod 2^64) at counter 0, so each draw is a row of
-`normal_rows` for its own shifted seed.
+generator's draws are its one-row case. `successive_normals` gives many
+successive draws of one stream at once: word j of a stream at counter c is
+word j of the stream seeded seed + c*golden (mod 2^64) at counter 0, so
+each draw is a row of `normal_rows` for its own shifted seed.
 
-The three normal entry points are thin wrappers over `normal_pairs`, and
-each stays because it holds counter arithmetic its callers would otherwise
-repeat. `SplitMix64.normals` is the stateful draw: it starts at the
-generator's counter and advances it, and the benchmark's study generators
-draw their jitter with it, so their inputs depend on its stream.
-`normal_rows` draws one row per seed and rounds each count up to whole
-pairs. `successive_normals` turns the calls a loop over one generator would
-make into shifted seeds, so `synth.synthesize_views` draws every camera's
-image noise in one pass.
+Each normal entry point stays because it holds counter arithmetic its
+callers would otherwise repeat. `normal_rows` draws one row per seed and
+rounds each count up to whole pairs. `SplitMix64.normals` is the stateful
+draw: it starts at the generator's counter and advances it, and the
+benchmark's study generators draw their jitter with it, so their inputs
+depend on its stream. `successive_normals` turns the calls a loop over one
+generator would make into shifted seeds, so `synth.synthesize_views` draws
+every camera's image noise in one pass.
 
 Word k of a stream is splitmix64's finalizer on the counter
 seed + (k+1)*golden, made as the seed's offset seed + s*golden plus a
 table of steps (j+1)*golden (`word_steps`): one add per word, exact mod
 2^64. `_words` gives raw words. `box_muller` is the one Box-Muller core:
-`normal_pairs` and the tangent draws of `synth.TangentDraws` both call it.
+`normal_rows` and the tangent draws of `synth.TangentDraws` both call it.
 It makes a range of pairs' u1 and u2 words as two blocks in one
 splitmix64 pass and transforms them in arrays its caller gives, so a
-caller that reuses its arrays maps no fresh memory per draw. It costs 24
-numpy calls whatever its length: 8 of them the finalizer and 3 the
-per-seed offsets, which are the only arrays it allocates. With many
+caller that reuses its arrays maps no fresh memory per draw, and any range
+of a draw's pairs is bit-identical to the same pairs of the whole draw. It
+costs 24 numpy calls whatever its length: 8 of them the finalizer and 3
+the per-seed offsets, which are the only arrays it allocates. With many
 threads drawing, the calls (each a release and re-take of the interpreter
 lock) matter as much as the arithmetic. Gaussian variates go through
 numpy's log/cos/sin and are therefore exact only up to the platform's
@@ -135,44 +133,32 @@ def box_muller(seeds, starts, steps, words, floats, cos, sin) -> None:
     sin *= rho
 
 
-def normal_pairs(seeds, m: int, lo: int, hi: int, start: int = 0) -> np.ndarray:
-    """Box-Muller pairs lo .. hi-1 of a draw of m pairs per seed, shape (R, 2*(hi-lo)).
+def normal_rows(seeds, count: int, start: int = 0) -> np.ndarray:
+    """Standard normals from one stream per seed, shape (R, count).
 
-    The draw takes u1 from words start .. start+m-1 and u2 from the next m;
-    pair j is (r cos(2 pi u2), r sin(2 pi u2)) with r = sqrt(-2 log u1) from
-    words start+j and start+m+j, cosine and sine variates interleaved. Any
-    range of pairs is therefore bit-identical to the same columns of the
-    whole draw. `box_muller` makes them.
+    Row r is bit-identical to `SplitMix64(seeds[r]).normals(count)` on a
+    generator whose counter stands at `start`. The m = ceil(count/2) pairs
+    take u1 from words start .. start+m-1 and u2 from the next m; pair j is
+    (r cos(2 pi u2), r sin(2 pi u2)) with r = sqrt(-2 log u1) from words
+    start+j and start+m+j, cosine and sine variates interleaved and the
+    row cut to count. `box_muller` makes them.
     """
-    if not 0 <= lo <= hi <= m:
-        raise ValueError("pair range must satisfy 0 <= lo <= hi <= m")
+    if count < 0:
+        raise ValueError("sample size must be nonnegative")
     seeds = _seed_array(seeds)
-    c = hi - lo
-    words = np.empty((2, c, seeds.size), dtype=np.uint64)
-    out = np.empty((seeds.size, c, 2))
+    m = (count + 1) // 2
+    words = np.empty((2, m, seeds.size), dtype=np.uint64)
+    out = np.empty((seeds.size, m, 2))
     box_muller(
         seeds,
-        (start + lo, start + m + lo),
-        word_steps(c),
+        (start, start + m),
+        word_steps(m),
         words,
         np.empty(words.shape),
         out[..., 0].T,
         out[..., 1].T,
     )
-    return out.reshape(seeds.size, 2 * c)
-
-
-def normal_rows(seeds, count: int, start: int = 0) -> np.ndarray:
-    """Standard normals from one stream per seed, shape (R, count).
-
-    Row r is bit-identical to `SplitMix64(seeds[r]).normals(count)` on a
-    generator whose counter stands at `start`: the ceil(count/2) pairs of
-    `normal_pairs`, cut to count.
-    """
-    if count < 0:
-        raise ValueError("sample size must be nonnegative")
-    m = (count + 1) // 2
-    return normal_pairs(seeds, m, 0, m, start)[:, :count]
+    return out.reshape(seeds.size, 2 * m)[:, :count]
 
 
 def successive_normals(seed: int, count: int, draws: int) -> np.ndarray:

@@ -23,11 +23,11 @@ view's image noise is one `normals(2k)` draw of one stream, all views
 drawn together by `rng.successive_normals`.
 
 Tangent-Gaussian sphere samples come from one routine, `TangentDraws.draw`,
-for `tangent_gaussian_samples`, the oracle's slices and `mc`'s
-replications. It writes one Box-Muller pass (`rng.box_muller`) as a block
-of cosines and a block of sines, adds the mean direction to each coordinate
-in a contiguous array of its own, and divides by the norms, all in arrays
-its caller owns and reuses. `tangent_gaussian_mean` makes and sums its
+for `tangent_gaussian_sample` (its one-seed call), the oracle's slices and
+`mc`'s replications. It writes one Box-Muller pass (`rng.box_muller`) as a
+block of cosines and a block of sines, adds the mean direction to each
+coordinate in a contiguous array of its own, and divides by the norms, all
+in arrays its caller owns and reuses. `tangent_gaussian_mean` makes and sums its
 draws one slice of 16,384 draws at a time, so a large oracle's memory does
 not grow with its size, and its mean is bit-identical to that of the whole
 sample. Its slices form a chain of tasks: task k draws slice k into a
@@ -312,7 +312,7 @@ def _tangent_frame(direction, sigma: float, n: int) -> Tuple[np.ndarray, np.ndar
     norm = float(last_axis_norms(mu))
     if norm <= 1e-12:
         raise ValueError("direction must be nonzero")
-    if sigma < 0.0:
+    if not sigma >= 0.0:  # a NaN sigma fails here too
         raise ValueError("sigma must be nonnegative")
     if n < 1:
         raise ValueError("need n >= 1 draws")
@@ -383,7 +383,7 @@ class TangentDraws:
     scratch.
 
     Raises:
-        ValueError: a zero direction, a negative sigma or n < 1.
+        ValueError: a zero direction, a negative or NaN sigma, or n < 1.
     """
 
     def __init__(self, direction, sigma: float, n: int):
@@ -446,25 +446,6 @@ class TangentDraws:
             sin,
         )
         return _unit_draws(self.mu, self.basis, columns, self.sigma, out, floats)
-
-
-def tangent_gaussian_samples(direction, sigma: float, n: int, seeds) -> np.ndarray:
-    """One sample of n tangent-Gaussian unit vectors per seed, shape (R, n, d).
-
-    Sample r is normalize(direction + tangent noise), noise ~ N(0, sigma^2),
-    drawn from the stream of seeds[r]; sigma = 0 repeats the direction
-    exactly. All R samples come from one `TangentDraws.draw`, each
-    bit-identical to drawing it alone, into a scenes-major (n, R, d) array
-    that is copied to C order (no copy for one seed).
-
-    Raises:
-        GenerationFailed: a raw draw's norm is not finite and positive,
-            i.e. sigma is too large for the draws to stay finite.
-    """
-    draws = TangentDraws(direction, sigma, n)
-    reps = len(seeds)
-    out = np.empty((n, reps, draws.mu.size))
-    return np.ascontiguousarray(draws.draw(seeds, 0, out, draws.scratch(n, reps)).swapaxes(0, 1))
 
 
 # draws per slice of `tangent_gaussian_mean`: even, so every slice starts on
@@ -535,7 +516,7 @@ def tangent_gaussian_mean(
     not yet begun is cancelled.
 
     Raises:
-        GenerationFailed: as `tangent_gaussian_samples`; the error of the
+        GenerationFailed: as `TangentDraws.draw`; the error of the
             first failing slice in slice order, whichever failed first in
             time. A task whose draw fails waits on its predecessor and
             raises the predecessor's error if it has one, and a task that
@@ -594,7 +575,9 @@ def tangent_gaussian_mean(
 def tangent_gaussian_sample(direction, sigma: float, n: int, seed: int) -> np.ndarray:
     """n unit vectors: normalize(direction + tangent noise), noise ~ N(0, sigma^2).
 
-    Returns an (n, d) array, the one-seed case of `tangent_gaussian_samples`.
-    sigma = 0 repeats the direction exactly.
+    Returns an (n, d) array, the one-seed call of `TangentDraws.draw`.
+    sigma = 0 repeats the direction exactly. Raises as `TangentDraws` and its draw.
     """
-    return tangent_gaussian_samples(direction, sigma, n, [seed])[0]
+    draws = TangentDraws(direction, sigma, n)
+    out = np.empty((n, 1, draws.mu.size))
+    return draws.draw((seed,), 0, out, draws.scratch(n, 1))[:, 0]

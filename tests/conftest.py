@@ -7,6 +7,7 @@ import pytest
 from opshape.geometry import FrameSpec, chart_coordinates, frame_charts
 from opshape.io import parse_landmarks
 from opshape.pipeline import register_scenes
+from opshape.synth import TangentDraws
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SOPE_CREEK_DEFAULT = REPO_ROOT / "data" / "sope_creek" / "sope_creek.csv"
@@ -49,3 +50,12 @@ def register_reps(reps, frame=(0, 1, 2, 3), rest=(4,)):
     if charts.errors or vanished.any():
         return None
     return units[0]
+
+
+def tangent_stack(direction, sigma, n, seeds):
+    """One sample of n tangent-Gaussian draws per seed, a C-ordered (R, n, d)
+    copy of the scenes-major (n, R, d) array one `TangentDraws.draw` fills."""
+    draws = TangentDraws(direction, sigma, n)
+    out = np.empty((n, len(seeds), draws.mu.size))
+    draws.draw(seeds, 0, out, draws.scratch(n, len(seeds)))
+    return np.ascontiguousarray(out.swapaxes(0, 1))

@@ -415,9 +415,10 @@ def summary(units, alpha=0.05, df=None):
     return units_summary(n, alpha, df, mean, r, ts, se, covariance(units))
 
 
-def monte_carlo(sigma, n, reps, alpha, seed, oracle_draws, dim=3):
-    """`opshape mc` as a loop: the oracle, then one sample and one test per replication."""
-    mu = np.eye(dim)[-1]
+def monte_carlo(sigma, n, reps, alpha, seed, oracle_draws):
+    """`opshape mc` as a loop: the oracle, then one sample and one test per replication,
+    about the direction e_3."""
+    mu = np.eye(3)[-1]
     oracle_seed, *rep_seeds = splitmix64(seed, reps + 1)
     oracle = tangent_draws(mu, sigma, oracle_draws, oracle_seed)
     oracle_mean = oracle.mean(axis=0)
@@ -429,7 +430,7 @@ def monte_carlo(sigma, n, reps, alpha, seed, oracle_draws, dim=3):
         tests.append(summary(units[:, None], alpha))
     hits = sum(s.ci[0] <= t_pop <= s.ci[1] for s in tests)
     return dict(
-        sigma=sigma, n=n, reps=reps, alpha=alpha, seed=seed, dim=dim, oracle_draws=oracle_draws,
+        sigma=sigma, n=n, reps=reps, alpha=alpha, seed=seed, dim=3, oracle_draws=oracle_draws,
         oracle_total_variance=t_pop, hits=hits, coverage=hits / reps,
         mean_total_variance=float(np.mean([s.total_variance for s in tests])),
         mean_se=float(np.mean([s.se for s in tests])),

@@ -232,7 +232,7 @@ def test_08_monte_carlo_coverage_and_bootstrap():
 
     mu = np.array([0.0, 0.0, 1.0])
     draws = tangent_gaussian_sample(mu, 0.1, 200, 12345)
-    se = coplanarity_test(DirectionSample.from_vectors(draws), 0.05).se
+    se = coplanarity_test(DirectionSample(draws), 0.05).se
     resampler = np.random.default_rng(99)
     boot = []
     for _ in range(2000):
@@ -279,12 +279,10 @@ def test_09_sign_blind_comparator():
         basis_dev = abs(total_variance_ps(np.eye(3)).total_variance - 4.0 / 3.0)
 
     draws = tangent_gaussian_sample(np.array([0.0, 0.0, 1.0]), 0.01, 200, 5)
-    sample = DirectionSample.from_vectors(draws)
+    sample = DirectionSample(draws)
     summary = coplanarity_test(sample, 0.05)
     max_angle = float(np.max(angular_distances(sample.units, summary.extrinsic_mean)))
-    ratio = total_variance_ps(
-        np.array([canonical_axis(u) for u in draws])
-    ).total_variance / summary.total_variance
+    ratio = total_variance_ps(canonical_axis(draws)).total_variance / summary.total_variance
 
     ok = (
         sign_blind

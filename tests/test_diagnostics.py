@@ -33,7 +33,7 @@ OUTLIER = np.array([math.sin(0.5), 0.0, math.cos(0.5)])
 def outlier_sample(n_tight=49, sigma=0.05, seed=11):
     tight = tangent_gaussian_sample([0.0, 0.0, 1.0], sigma, n_tight, seed)
     vectors = np.vstack([tight, OUTLIER])
-    return DirectionSample.from_vectors(vectors)
+    return DirectionSample(vectors)
 
 
 def outlier_sample_q3(n_tight=20, sigma=0.12, seed=3):
@@ -44,14 +44,14 @@ def outlier_sample_q3(n_tight=20, sigma=0.12, seed=3):
         tight = tangent_gaussian_sample(centre, sigma, n_tight, seed + f)
         off = tangent_gaussian_sample(centre, 0.5, 1, seed + 10 + f)
         blocks.append(np.vstack([tight, off]))
-    return DirectionSample.from_vectors(np.stack(blocks, axis=1))
+    return DirectionSample(np.stack(blocks, axis=1))
 
 
 # ---------- leave-one-out table ---------------------------------------------------
 
 def test_loo_constant_sample_all_zero():
     units = np.tile(np.array([0.0, 0.0, 1.0]), (5, 1))
-    rows = leave_one_out(DirectionSample.from_vectors(units), alpha=0.05)
+    rows = leave_one_out(DirectionSample(units), alpha=0.05)
     assert len(rows) == 5
     for row in rows:
         assert row.total_variance == 0.0
@@ -62,7 +62,7 @@ def test_loo_constant_sample_all_zero():
 
 def test_loo_outlier_row_has_minimal_dispersion():
     units = np.vstack([np.tile([0.0, 0.0, 1.0], (6, 1)), [[1.0, 0.0, 0.0]]])
-    sample = DirectionSample.from_vectors(units)
+    sample = DirectionSample(units)
     rows = leave_one_out(sample, alpha=0.05)
     ts = [row.total_variance for row in rows]
     assert np.argmin(ts) == 6
@@ -73,7 +73,7 @@ def test_loo_matches_direct_recomputation():
     sample = outlier_sample(n_tight=11)
     rows = leave_one_out(sample, alpha=0.05)
     for i, row in enumerate(rows):
-        s = coplanarity_test(DirectionSample.from_vectors(ref.drop_rows(sample.units, [i])), 0.05)
+        s = coplanarity_test(DirectionSample(ref.drop_rows(sample.units, [i])), 0.05)
         want = LeaveOneOutRow(sample.scene_ids[i], s.total_variance, s.se, s.z, s.ci[0], s.degenerate, False)
         ref.assert_same_bits(row, want)
 
@@ -82,7 +82,7 @@ def test_loo_focal_deletion_flagged_not_fatal():
     units = np.array(
         [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     )
-    rows = leave_one_out(DirectionSample.from_vectors(units), alpha=0.05)
+    rows = leave_one_out(DirectionSample(units), alpha=0.05)
     # deleting the third row leaves an antipodal pair with zero mean
     assert rows[2].focal
     assert math.isnan(rows[2].total_variance)
@@ -96,29 +96,29 @@ def test_loo_focal_deletion_flagged_not_fatal():
 def test_loo_needs_three_rows():
     units = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(EmptySample):
-        leave_one_out(DirectionSample.from_vectors(units), alpha=0.05)
+        leave_one_out(DirectionSample(units), alpha=0.05)
 
 
 # ---------- the stacked pass against the per-row loop ------------------------------
 
 def _duplicated_sample():
     units = tangent_gaussian_sample([0.0, 0.6, 0.8], 0.2, 6, 21)
-    return DirectionSample.from_vectors(np.vstack([units, units[:4], units[2:3]]))
+    return DirectionSample(np.vstack([units, units[:4], units[2:3]]))
 
 
 LOO_CASES = {
     "q1": lambda: outlier_sample(),
     "q3": lambda: outlier_sample_q3(),
     # SE clamps to 0 on every deletion, so every row is degenerate
-    "constant": lambda: DirectionSample.from_vectors(np.tile([0.0, 0.0, 1.0], (7, 1))),
+    "constant": lambda: DirectionSample(np.tile([0.0, 0.0, 1.0], (7, 1))),
     "duplicated": _duplicated_sample,
     # deleting the last row leaves two antipodal pairs: a focal row
     "antipodal": lambda: ANTIPODAL,
-    "three_rows": lambda: DirectionSample.from_vectors(
+    "three_rows": lambda: DirectionSample(
         np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     ),
     # as antipodal, but the focal mean has norm 5e-12: short, not zero
-    "near_antipodal": lambda: DirectionSample.from_vectors(
+    "near_antipodal": lambda: DirectionSample(
         np.vstack([np.eye(3)[:2], [[-1.0, -2e-11, 0.0]], -np.eye(3)[1:]])
     ),
 }
@@ -153,7 +153,7 @@ def test_loo_validation_matches_per_row_loop():
 
 def test_greedy_stops_immediately_when_not_rejecting():
     units = np.tile(np.array([0.0, 0.0, 1.0]), (6, 1))
-    trace = greedy_reduce(DirectionSample.from_vectors(units), alpha_ref=0.05)
+    trace = greedy_reduce(DirectionSample(units), alpha_ref=0.05)
     assert trace.steps == ()
     assert trace.stopped_reason == STOP_NONPOSITIVE
     assert trace.final_scene_ids == trace.initial_scene_ids
@@ -195,10 +195,10 @@ def test_greedy_tie_break_on_identical_rows():
     # side: deleting either leaves the same array, so the two endpoints tie
     # bitwise, and the numerically smaller id must go first
     tight = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 30, 17)
-    k = ref.best_deletion(DirectionSample.from_vectors(tight), 0.05)[0]
+    k = ref.best_deletion(DirectionSample(tight), 0.05)[0]
     ids = [str(100 + i) for i in range(31)]
     ids[k], ids[k + 1] = "10", "2"
-    sample = DirectionSample.from_vectors(
+    sample = DirectionSample(
         np.vstack([tight[:k], tight[k], tight[k:]]), scene_ids=ids
     )
     tied = [ref.summary(ref.drop_rows(sample.units, [i]), 0.05).ci[0] for i in (k, k + 1)]
@@ -213,11 +213,11 @@ def test_greedy_near_ties_follow_exact_values():
     # differ in the last bits, where the kernel's ranking and the direct
     # values can disagree; the reported step must follow the direct values
     tight = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 30, 17)
-    k = ref.best_deletion(DirectionSample.from_vectors(tight), 0.05)[0]
+    k = ref.best_deletion(DirectionSample(tight), 0.05)[0]
     rng = np.random.default_rng(0)
     for _ in range(20):
         row = tight[k] + 1e-13 * rng.normal(size=3)
-        sample = DirectionSample.from_vectors(
+        sample = DirectionSample(
             np.vstack([tight[:k], tight[k], row / np.linalg.norm(row), tight[k + 1 :]])
         )
         i, oracle = ref.best_deletion(sample, 0.05)
@@ -246,11 +246,11 @@ def kernel_samples(draw):
         elif shape == "constant_but_one":
             v[1:] = v[1]
         blocks.append(v)
-    return DirectionSample.from_vectors(np.stack(blocks, axis=1))
+    return DirectionSample(np.stack(blocks, axis=1))
 
 
 # deleting the last row leaves two antipodal pairs: a focal mean
-ANTIPODAL = DirectionSample.from_vectors(np.vstack([np.eye(3)[:2], -np.eye(3)[:2], np.eye(3)[2]]))
+ANTIPODAL = DirectionSample(np.vstack([np.eye(3)[:2], -np.eye(3)[:2], np.eye(3)[2]]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -362,7 +362,7 @@ def test_greedy_pair_is_no_better_than_the_best_pair(sample, alpha):
 def test_pair_search_finds_the_two_outliers():
     tight = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.05, 20, 5)
     units = np.vstack([tight[:7], OUTLIER, tight[7:], [[0.0, math.sin(0.4), math.cos(0.4)]]])
-    sample = DirectionSample.from_vectors(units)
+    sample = DirectionSample(units)
     pair, lower = ref.best_pair(sample, 0.05)
     assert pair == ("7", "21")
     assert lower == ref.lower(ref.drop_rows(sample.units, [21, 7]))
@@ -438,7 +438,7 @@ def test_greedy_tie_break_prefers_smallest_numeric_id(monkeypatch):
     # argmax; the numerically smaller id ("2" before "10") must win
     units = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.05, 12, 13)
     ids = ("10", "2") + tuple(str(100 + i) for i in range(10))
-    sample = DirectionSample.from_vectors(units, scene_ids=ids)
+    sample = DirectionSample(units, scene_ids=ids)
 
     monkeypatch.setattr(diagnostics, "coplanarity_test", lambda *args: _ScriptedSummary(0.5))
     _scripted(sample, monkeypatch, lambda sid: 0.75 if sid in {"2", "10"} else 0.25)
@@ -450,7 +450,7 @@ def test_greedy_tie_break_prefers_smallest_numeric_id(monkeypatch):
 def test_greedy_tie_break_orders_digits_before_names(monkeypatch):
     units = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.05, 6, 14)
     ids = ("alpha", "7", "beta", "40", "gamma", "11")
-    sample = DirectionSample.from_vectors(units, scene_ids=ids)
+    sample = DirectionSample(units, scene_ids=ids)
 
     monkeypatch.setattr(diagnostics, "coplanarity_test", lambda *args: _ScriptedSummary(0.5))
     _scripted(sample, monkeypatch, lambda sid: 0.5)
@@ -471,14 +471,14 @@ def test_greedy_max_removals_cap():
 
 def test_greedy_default_cap_is_quarter_of_sample():
     units = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.3, 12, 8)
-    sample = DirectionSample.from_vectors(units)
+    sample = DirectionSample(units)
     trace = greedy_reduce(sample, alpha_ref=0.05)
     assert len(trace.steps) <= 12 // 4
 
 
 def test_greedy_floor_at_three_scenes():
     units = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.4, 4, 15)
-    sample = DirectionSample.from_vectors(units)
+    sample = DirectionSample(units)
     trace = greedy_reduce(sample, alpha_ref=0.05, max_removals=10)
     assert len(trace.final_scene_ids) >= 3
 
@@ -487,7 +487,7 @@ def test_greedy_floor_at_three_scenes():
 def test_greedy_floor_with_removals_left_has_its_own_reason(seed):
     # six scattered rows keep rejecting down to the three-scene floor; a cap
     # above n - 3 is not what stops the loop, so it must not be reported
-    sample = DirectionSample.from_vectors(tangent_gaussian_sample([0.0, 0.0, 1.0], 0.4, 6, seed))
+    sample = DirectionSample(tangent_gaussian_sample([0.0, 0.0, 1.0], 0.4, 6, seed))
     trace = greedy_reduce(sample, alpha_ref=0.05, max_removals=10)
     assert len(trace.steps) == 3 and len(trace.final_scene_ids) == 3
     assert trace.steps[-1].ci_lower > diagnostics.ZERO_TOL
@@ -500,7 +500,7 @@ def test_greedy_no_improvement_when_nothing_evaluable(monkeypatch):
     # force every candidate deletion to be focal; the full-sample summary
     # itself must still succeed and reject
     units = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 60, 30)
-    sample = DirectionSample.from_vectors(units)
+    sample = DirectionSample(units)
     assert coplanarity_test(sample, 0.05).ci[0] > 0
     _scripted(sample, monkeypatch, lambda sid: math.nan)
     trace = greedy_reduce(sample, alpha_ref=0.05)
@@ -511,7 +511,7 @@ def test_greedy_no_improvement_when_nothing_evaluable(monkeypatch):
 def test_greedy_no_improvement_when_the_window_is_all_focal(monkeypatch):
     # the kernel finds candidates, the exact pass rules every one out
     units = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 60, 30)
-    sample = DirectionSample.from_vectors(units)
+    sample = DirectionSample(units)
     real = diagnostics._deletion_moments
 
     def all_focal(units, rows):
@@ -527,7 +527,7 @@ def test_greedy_no_improvement_when_the_window_is_all_focal(monkeypatch):
 def test_greedy_validation():
     units = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(EmptySample):
-        greedy_reduce(DirectionSample.from_vectors(units), alpha_ref=0.05)
+        greedy_reduce(DirectionSample(units), alpha_ref=0.05)
     sample = outlier_sample(n_tight=5)
     with pytest.raises(InvalidLevel):
         greedy_reduce(sample, alpha_ref=1.5)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from conftest import tangent_stack
 from opshape import directional
 from opshape.directional import (
     OpsSummary,
@@ -18,20 +19,19 @@ from opshape.directional import (
     coplanarity_test,
     normal_cdf,
     normal_quantile,
-    total_variance,
     units_summary,
 )
 from opshape.errors import EmptySample, FocalMean, InvalidLevel, MixedOrientationWarning
 from opshape.geometry import DirectionSample, FrameSpec
 from opshape.pipeline import register_scenes
 from opshape.rng import SplitMix64
-from opshape.synth import synthesize_views, tangent_gaussian_sample, tangent_gaussian_samples
+from opshape.synth import synthesize_views, tangent_gaussian_sample
 
 mpmath.mp.dps = 50
 
 
 def sample_of(*rows):
-    return DirectionSample.from_vectors(np.array(rows, dtype=np.float64))
+    return DirectionSample(np.array(rows, dtype=np.float64))
 
 
 def random_sphere_sample(n, seed, q=1, d=3):
@@ -87,19 +87,19 @@ def test_extrinsic_mean_normalizes_and_rejects_focal():
 # ---------- dispersion index ----------------------------------------------------
 
 def test_total_variance_constant_sample_is_exact_zero():
-    ts = total_variance(sample_of([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]))
+    ts = coplanarity_test(sample_of([0.0, 1.0, 0.0], [0.0, 1.0, 0.0])).total_variance
     assert ts == 0.0
 
 
 def test_total_variance_hand_value():
-    assert total_variance(THREE_ROWS) == pytest.approx(TS_THREE, abs=1e-15)
+    assert coplanarity_test(THREE_ROWS).total_variance == pytest.approx(TS_THREE, abs=1e-15)
     assert TS_THREE == pytest.approx(0.50929, abs=5e-6)
 
 
 def test_total_variance_bounds_random():
     for seed in range(5):
         s = random_sphere_sample(20, seed, q=2)
-        ts = total_variance(s)
+        ts = coplanarity_test(s).total_variance
         assert 0.0 <= ts <= 2.0 * s.q
 
 
@@ -148,7 +148,7 @@ def test_delta_se_two_point_samples_exactly_zero():
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         if np.linalg.norm(raw.sum(axis=0)) < 1e-6:
             continue
-        assert coplanarity_test(DirectionSample.from_vectors(raw)).se == 0.0
+        assert coplanarity_test(DirectionSample(raw)).se == 0.0
 
 
 def test_delta_se_focal_propagates():
@@ -506,8 +506,8 @@ def test_multi_block_total_variance_sums_blocks():
     blocks = [
         DirectionSample(units[:, [f], :], s.scene_ids) for f in range(2)
     ]
-    assert total_variance(s) == pytest.approx(
-        sum(total_variance(b) for b in blocks), abs=1e-15
+    assert coplanarity_test(s).total_variance == pytest.approx(
+        sum(coplanarity_test(b).total_variance for b in blocks), abs=1e-15
     )
     out = coplanarity_test(s, 0.05)
     assert out.df == 4  # (d - 1) * q
@@ -515,7 +515,7 @@ def test_multi_block_total_variance_sums_blocks():
 
 def test_small_dispersion_summary_against_tangent_oracle():
     units = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.08, 400, 17)
-    s = DirectionSample.from_vectors(units)
+    s = DirectionSample(units)
     out = coplanarity_test(s, 0.05)
     # tS approximates the mean squared tangent radius at this scale
     tangent_sq = np.sum(units[:, :2] ** 2, axis=1)
@@ -534,12 +534,13 @@ def test_small_dispersion_summary_against_tangent_oracle():
 def test_summary_mean_and_total_variance_equal_the_per_sample_formula(q, n, sigma, seed):
     """The summary's extrinsic mean, which the angle CSVs take, and
     total_variance are the per-sample formulas on the block means, bit for bit."""
-    draws = tangent_gaussian_samples([0.3, -0.4, 0.8], sigma, n, [seed + f for f in range(q)])
-    s = DirectionSample(draws.transpose(1, 0, 2), tuple(str(i) for i in range(n)))
+    draws = tangent_stack([0.3, -0.4, 0.8], sigma, n, [seed + f for f in range(q)])
+    s = DirectionSample(draws.transpose(1, 0, 2))
     m = s.units.mean(axis=0)
     r = np.linalg.norm(m, axis=1)
-    assert coplanarity_test(s).extrinsic_mean.tobytes() == (m / r[:, None]).tobytes()
-    ts = total_variance(s)
+    summary = coplanarity_test(s)
+    assert summary.extrinsic_mean.tobytes() == (m / r[:, None]).tobytes()
+    ts = summary.total_variance
     assert ts == max(2.0 * float(np.sum(1.0 - r)), 0.0)
     assert math.copysign(1.0, ts) == 1.0
 
@@ -551,7 +552,7 @@ def sample_stack(reps, n, q, seed):
     of spreads 1e-3 to 1, the second sample with constant rows."""
     seeds = np.arange(reps * q, dtype=np.uint64) + np.uint64(seed)
     blocks = [
-        tangent_gaussian_samples([0.3, -0.4, 0.8], sigma, n, seeds[f::q])
+        tangent_stack([0.3, -0.4, 0.8], sigma, n, seeds[f::q])
         for f, sigma in zip(range(q), (1e-3, 0.3, 1.0))
     ]
     stack = np.stack(blocks, axis=2)

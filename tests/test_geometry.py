@@ -310,7 +310,7 @@ def test_frame_spec_names_the_repeated_label(frame, rest, repeat):
 
 def test_direction_sample_validation_and_views():
     v = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    sample = DirectionSample.from_vectors(v, scene_ids=("a", "b", "c"))
+    sample = DirectionSample(v, scene_ids=("a", "b", "c"))
     assert sample.n == 3 and sample.q == 1 and sample.dim == 3
     assert sample.units.shape == (3, 1, 3)
 
@@ -320,16 +320,17 @@ def test_direction_sample_validation_and_views():
 
     pair = sample.subset(["c", "a"])
     assert pair.scene_ids == ("a", "c")
+    assert DirectionSample(v).scene_ids == ("0", "1", "2")
 
     with pytest.raises(ValueError):
-        DirectionSample.from_vectors(v * 2.0)
+        DirectionSample(v * 2.0)
     with pytest.raises(ValueError):
-        DirectionSample.from_vectors(v, scene_ids=("a", "a", "c"))
+        DirectionSample(v, scene_ids=("a", "a", "c"))
     with pytest.raises(EmptySample):
-        DirectionSample.from_vectors(np.empty((0, 3)))
+        DirectionSample(np.empty((0, 3)))
 
 
 def test_direction_sample_is_immutable():
-    sample = DirectionSample.from_vectors(np.eye(3))
+    sample = DirectionSample(np.eye(3))
     with pytest.raises(ValueError):
         sample.units[0, 0, 0] = 5.0

@@ -456,7 +456,7 @@ def test_analysis_bytes_without_numpy_avx_loops(probe):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="numpy's AVX-512 log, which Box-Muller takes in rng.normal_pairs, rounds about "
+    reason="numpy's AVX-512 log, which Box-Muller takes in rng.box_muller, rounds about "
     "one value in 300 otherwise than its baseline loop; one coordinate of the k = 7 "
     "synth study moves",
 )

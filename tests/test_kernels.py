@@ -1,9 +1,9 @@
 """The Monte Carlo draw kernels against the ones they replaced.
 
-`rng.normal_pairs` makes its u1 and u2 words in one splitmix64 pass and
-runs Box-Muller (`rng.box_muller`) in place; `synth._unit_draws` adds the
-mean direction and divides by the norms one coordinate column at a time,
-in scratch the caller gives; and
+`rng.box_muller` makes its u1 and u2 words in one splitmix64 pass and
+runs Box-Muller in place (here through `rng.normal_rows`);
+`synth._unit_draws` adds the mean direction and divides by the norms one
+coordinate column at a time, in scratch the caller gives; and
 `geometry.check_unit_norm` sums its squares by columns too. Their
 references in reference.py are the scalar stream with Box-Muller on it,
 and a broadcast over the short last axis. The new kernels must give their
@@ -22,7 +22,7 @@ import reference as ref
 from opshape import rng
 from opshape.errors import GenerationFailed
 from opshape.geometry import check_unit_norm, last_axis_norms
-from opshape.rng import normal_pairs
+from opshape.rng import normal_rows
 from opshape.synth import _tangent_basis, _unit_draws
 
 MASK = ref.MASK
@@ -33,31 +33,25 @@ def words(seeds, start, n):
     return np.array([ref.splitmix64(s, n, start) for s in seeds], dtype=np.uint64)
 
 
-# ---- rng.normal_pairs ------------------------------------------------------------
+# ---- rng.box_muller --------------------------------------------------------------
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     st.lists(st.integers(0, MASK), min_size=1, max_size=5),
     st.integers(0, 300),
-    st.data(),
     st.integers(0, 2**63),
 )
-@example([0, MASK], 300, None, 2**63)
-@example([MASK], 1, None, 0)
-def test_normal_pairs_match_two_word_passes(seeds, m, data, start):
-    if data is None:
-        lo, hi = 0, m
-    else:
-        lo = data.draw(st.integers(0, m))
-        hi = data.draw(st.integers(lo, m))
-    got = normal_pairs(seeds, m, lo, hi, start)
-    assert got.shape == (len(seeds), 2 * (hi - lo))
-    ref.assert_same_bits(got, ref.normal_pairs(seeds, m, lo, hi, start))
+@example([0, MASK], 300, 2**63)
+@example([MASK], 1, 0)
+def test_normal_pairs_match_two_word_passes(seeds, m, start):
+    got = normal_rows(seeds, 2 * m, start)
+    assert got.shape == (len(seeds), 2 * m)
+    ref.assert_same_bits(got, ref.normal_pairs(seeds, m, 0, m, start))
 
 
 def test_u64_blocks_and_normal_pairs_share_one_word_pass():
-    # the u64 stream and Box-Muller both read words through `_words`
+    # the u64 stream reads its words through `_words`, one pass for any starts
     seeds = np.array([0, 7, MASK], dtype=np.uint64)
     ref.assert_same_bits(rng._words(seeds, 5, 9), words(seeds, 5, 9))
     both = rng._words(seeds, (5, 2**63), 9)

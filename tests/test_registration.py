@@ -19,6 +19,7 @@ import reference as ref
 from opshape.errors import (
     DegenerateFrame,
     DegeneratePoint,
+    EmptySample,
     InvalidLandmark,
     MixedOrientationWarning,
 )
@@ -212,6 +213,9 @@ def test_mixed_scene_sizes_raise_invalid_landmark():
     scenes += [LandmarkScene(f"{s.scene_id}b", s.points) for s in long]
     with pytest.raises(InvalidLandmark, match=r"one \(k, m\) shape, got \[\(5, 2\), \(7, 2\)\]"):
         register_scenes(scenes, FrameSpec((1, 2, 4, 3), (5,)))
+    # an empty list has nothing to stack: no scene was registered, so none failed
+    with pytest.raises(EmptySample, match="^no scenes to register$"):
+        register_scenes([], FrameSpec((1, 2, 4, 3), (5,)))
 
 
 def test_register_points_fails_an_off_unit_row_after_its_frame_reason(monkeypatch):

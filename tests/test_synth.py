@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import opshape
 import opshape.synth as synth
 import reference as ref
-from opshape.directional import coplanarity_test, total_variance
+from opshape.directional import coplanarity_test
 from opshape.errors import BehindCamera, GenerationFailed, InvalidLandmark
 from opshape.geometry import FrameSpec
 from opshape.pipeline import register_scenes
@@ -173,8 +174,8 @@ def test_coplanar_views_register_identically():
         sample, _, _ = register_scenes(views, SPEC)
         spread = np.ptp(sample.units, axis=0)
         assert float(np.max(np.abs(spread))) < 1e-9
-        assert total_variance(sample) < 1e-9
         out = coplanarity_test(sample, 0.05)
+        assert out.total_variance < 1e-9
         assert not out.reject_ci and not out.reject_chisq
 
 
@@ -187,7 +188,7 @@ def test_departure_grows_with_delta():
         for delta in deltas:
             views = synthesize_views(k=5, cameras=10, seed=seed, delta=delta)
             sample, _, _ = register_scenes(views, SPEC)
-            ts.append(total_variance(sample))
+            ts.append(coplanarity_test(sample).total_variance)
         means += np.array(ts) / 24.0
         if any(ts[i] > ts[i + 1] for i in range(len(deltas) - 1)):
             inversions.append((seed, ts))
@@ -227,8 +228,9 @@ def test_tangent_sample_deterministic_and_centered():
 def test_tangent_sample_validation():
     with pytest.raises(ValueError):
         tangent_gaussian_sample([0.0, 0.0, 0.0], 0.1, 5, seed=1)
-    with pytest.raises(ValueError):
-        tangent_gaussian_sample([0.0, 0.0, 1.0], -0.1, 5, seed=1)
+    for sigma in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            tangent_gaussian_sample([0.0, 0.0, 1.0], sigma, 5, seed=1)
     with pytest.raises(ValueError):
         tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 0, seed=1)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from opshape.directional import total_variance
+from opshape.directional import coplanarity_test
 from opshape.errors import DegeneratePoint, EmptySample, FocalWarning, MixedOrientationWarning
 from opshape.geometry import DirectionSample, FrameSpec, canonical_axis
 from opshape.pipeline import register_scenes
@@ -163,7 +163,6 @@ def test_concentrated_ratio_approaches_two():
     units = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.01, 200, 5)
     max_angle = float(np.max(np.arccos(np.clip(units @ [0.0, 0.0, 1.0], -1, 1))))
     assert max_angle <= 0.05
-    axes = np.stack([canonical_axis(u) for u in units])
-    ts_ps = total_variance_ps(axes).total_variance
-    ts_ops = total_variance(DirectionSample.from_vectors(units))
+    ts_ps = total_variance_ps(canonical_axis(units)).total_variance
+    ts_ops = coplanarity_test(DirectionSample(units)).total_variance
     assert 1.8 <= ts_ps / ts_ops <= 2.2
