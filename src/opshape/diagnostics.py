@@ -52,7 +52,7 @@ from .directional import (
     z_values,
 )
 from .errors import EmptySample, InvalidLevel
-from .geometry import DirectionSample
+from .geometry import DirectionSample, mean_outer
 
 STOP_NONPOSITIVE = "lower_endpoint_nonpositive"
 STOP_MAX_REMOVALS = "max_removals_reached"
@@ -201,7 +201,7 @@ def _deletion_endpoints(
     flat = units.reshape(n, q * d)
     mean = flat.sum(axis=0) / n
     dev = flat - mean
-    cov = _covariance(units)
+    cov = mean_outer(dev)
     del_means = (mean - dev / (n - 1)).reshape(n, q, d)
     r = np.sqrt(np.einsum("iqd,iqd->iq", del_means, del_means))
     rmin = r.min(axis=1)

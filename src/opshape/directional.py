@@ -21,9 +21,9 @@ The normal CDF and quantile are ports of ndtr (with its erf and erfc) and
 ndtri from S. L. Moshier's Cephes Math Library (1989), the code behind
 scipy.special.ndtr and ndtri: the same rational approximations, evaluated
 in the order of cephes's polevl and p1evl with plain float arithmetic and
-libm's exp, log and sqrt, so they give scipy's bits. scipy.special itself
-is imported only by chisq_upper_tail, on its first call; with df = 2
-(chisq_statistic's closed form) nothing here loads it.
+libm's exp, log and sqrt, so they give scipy's bits. The chi-square upper
+tail of integer df is the finite sum of Abramowitz & Stegun (1964) 26.4.4
+and 26.4.5 on that erfc, so the package needs numpy alone at run time.
 """
 
 from __future__ import annotations
@@ -219,14 +219,38 @@ def normal_quantile(p: float) -> float:
 
 
 def chisq_upper_tail(t: float, df: int) -> float:
-    """P(chi2_df > t) via the regularized upper incomplete gamma."""
+    """P(chi2_df > t) for integer df >= 1 and t >= 0 (NaN gives NaN), to about 1e-300.
+
+    With x = t/2, the sum of T(a) = x^a e^-x / Gamma(a + 1) over a = df/2 - 1,
+    df/2 - 2, ... >= 0, plus erfc(sqrt(x)) for odd df (A&S 26.4.4, 26.4.5),
+    taken outward from its largest term by the ratios of neighbouring terms;
+    at df = 2 it is exp(-x), bit for bit.
+    """
     if t < 0.0:
         raise ValueError("statistic must be nonnegative")
-    if df < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    from scipy import special  # the module's only scipy use; see its docstring
-
-    return float(special.gammaincc(df / 2.0, t / 2.0))
+    if not (df >= 1 and df % 1 == 0):
+        raise ValueError(f"degrees of freedom must be an integer >= 1, got {df}")
+    x = t / 2.0
+    head = _erfc(math.sqrt(x)) if df % 2 else 0.0
+    top = df / 2.0 - 1.0
+    if top < 0.0 or not 0.0 < x < math.inf:  # no peak term: df = 1, t = 0, inf or NaN
+        return head if top < 0.0 else math.exp(-x)
+    low = top % 1.0
+    a = peak = min(top, low + max(0.0, math.floor(x - low)))
+    if a < 16.0:  # log T(peak)
+        lead = a * math.log(x) - x - math.lgamma(a + 1.0)  # -x at a = 0: lgamma(1) = +0
+    else:  # Loader's (2000) -bd0 - stirlerr - log(2 pi a)/2: no lgamma rounding
+        s = 1.0 / (a * a)
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - s / 1188) * s) * s) * s) / a
+        lead = -(a * math.log1p((a - x) / x) + (x - a)) - stirlerr - 0.5 * math.log(2 * math.pi * a)
+    total = 1.0
+    for stop, step in ((low, -1.0), (top, 1.0)):  # down to T(low), then up to T(top)
+        a, term = peak, 1.0
+        while a != stop and term > total * 1e-30:
+            term *= a / x if step < 0.0 else x / (a + 1.0)  # T(a -+ 1) / T(a)
+            a += step
+            total += term
+    return head + math.exp(lead) * total
 
 
 def _dispersion_and_se(resultant, se_raw=0.0):
@@ -336,18 +360,12 @@ def z_values(ts: np.ndarray, se: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def chisq_statistic(ts: float, n: int, df: int) -> Tuple[float, float]:
-    """Large-sample calibration T = n * ts against chi-square with df dof.
-
-    For df = 2 the upper tail is exp(-T/2) exactly; other df use the
-    regularized incomplete gamma.
-    """
+    """Large-sample calibration T = n * ts: (T, chisq_upper_tail(T, df)), for every df."""
     if ts < 0.0:
         raise ValueError("dispersion must be nonnegative")
     if n < 1:
         raise EmptySample("need n >= 1")
     t = n * ts
-    if df == 2:
-        return (t, math.exp(-t / 2.0))
     return (t, chisq_upper_tail(t, df))
 
 
@@ -423,8 +441,6 @@ def coplanarity_test(
         raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")
     if df is None:
         df = (sample.dim - 1) * sample.q
-    if df < 1:
-        raise ValueError("degrees of freedom must be >= 1")
     moments = (a[0] for a in sample_moments(sample.units[:, None]))
     return units_summary(sample.n, alpha, df, *moments, _covariance(sample.units))
 

@@ -82,10 +82,6 @@ class LandmarkScene:
     def k(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.points.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class LandmarkStudy(abc.Sequence):
@@ -122,7 +118,7 @@ class LandmarkStudy(abc.Sequence):
 
 @dataclass(frozen=True)
 class FrameSpec:
-    """Which labels form the ordered frame and which register on spheres."""
+    """Which four labels form the ordered frame and which register on spheres."""
 
     frame_labels: Tuple[int, ...] = (1, 2, 4, 3)
     remaining_labels: Tuple[int, ...] = (5,)
@@ -130,8 +126,8 @@ class FrameSpec:
     def __post_init__(self):
         frame = tuple(int(x) for x in self.frame_labels)
         rest = tuple(int(x) for x in self.remaining_labels)
-        if len(frame) < 3:
-            raise InvalidLandmark("a frame needs at least m+2 = 3 labels")
+        if len(frame) != 4:
+            raise InvalidLandmark(f"registration is planar: frames need 4 labels, not {len(frame)}")
         if len(rest) < 1:
             raise InvalidLandmark("at least one remaining label is required")
         labels = frame + rest
@@ -148,10 +144,6 @@ class FrameSpec:
                 raise InvalidLandmark(f"{repeat}; frame and remaining labels must be distinct")
         object.__setattr__(self, "frame_labels", frame)
         object.__setattr__(self, "remaining_labels", rest)
-
-    @property
-    def m(self) -> int:
-        return len(self.frame_labels) - 2
 
     @property
     def q(self) -> int:
@@ -350,12 +342,9 @@ def chart_coordinates(matrix, points) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def check_scene_labels(scene: LandmarkScene, spec: FrameSpec) -> None:
-    """InvalidLandmark unless the scene is planar, as spec's frame, and has every label it names."""
-    if spec.m != scene.m or scene.m != 2:
-        raise InvalidLandmark(
-            f"registration is planar, with frames of 4 labels: a frame of {len(spec.frame_labels)} "
-            f"labels needs m={spec.m} coordinates, scene has m={scene.m}"
-        )
+    """InvalidLandmark unless the scene is planar and has every label spec names."""
+    if scene.points.shape[1] != 2:
+        raise InvalidLandmark(f"registration is planar: scene has m={scene.points.shape[1]}, not 2")
     for label in spec.frame_labels + spec.remaining_labels:
         if label > scene.k:
             raise InvalidLandmark(f"scene {scene.scene_id!r} has no landmark {label}")

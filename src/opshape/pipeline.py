@@ -161,7 +161,8 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
 
     full = coplanarity_test(sample, config.alpha, config.df)
     axes = canonical_axis(sample.units)
-    vw_full = tuple(total_variance_ps(axes[:, f, :]) for f in range(sample.q))
+    # the comparator is sign-blind: the units give their axes' bits
+    vw_full = tuple(total_variance_ps(sample.units[:, f]) for f in range(sample.q))
 
     loo: Tuple[LeaveOneOutRow, ...] = ()
     trace = None
@@ -173,7 +174,6 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
         trace = greedy_reduce(sample, config.alpha_ref, config.max_removals, config.df)
         reduced_sample = sample.subset(trace.final_scene_ids)
         reduced = coplanarity_test(reduced_sample, config.alpha, config.df)
-        # the comparator is sign-blind: the units give their axes' bits
         vw_reduced = tuple(total_variance_ps(reduced_sample.units[:, f]) for f in range(sample.q))
 
     provenance = {
@@ -281,12 +281,6 @@ def write_report(report: AnalysisReport, path) -> None:
     write_json(path, report_fields(report))
 
 
-def _coordinate_header(dim: int) -> List[str]:
-    if dim == 3:
-        return ["x", "y", "z"]
-    return [f"c{i + 1}" for i in range(dim)]
-
-
 def emit_outputs(report: AnalysisReport, outdir) -> Dict[str, Path]:
     """Write report.json and the CSV views; returns the written paths.
 
@@ -301,8 +295,7 @@ def emit_outputs(report: AnalysisReport, outdir) -> Dict[str, Path]:
     write_report(report, paths["report"])
 
     sample = report.sample
-    coords = _coordinate_header(sample.dim)
-    floats = ",%.17g" * sample.dim
+    coords, floats = ["x", "y", "z"], ",%.17g" * 3  # registration gives d = 3
     removed = set(report.trace.removed_scene_ids) if report.trace else set()
     ids = _row_ids(sample)
 
@@ -311,7 +304,7 @@ def emit_outputs(report: AnalysisReport, outdir) -> Dict[str, Path]:
         paths["sphere_points"],
         ["scene"] + coords + ["removed"],
         "%s" + floats + ",%d\r\n",
-        [ids, *sample.units.reshape(-1, sample.dim).T.tolist(), [sid in removed for sid in ids]],
+        [ids, *sample.units.reshape(-1, 3).T.tolist(), [sid in removed for sid in ids]],
     )
 
     paths["mean_direction"] = outdir / "mean_direction.csv"

@@ -227,7 +227,7 @@ def perturb_out_of_plane(
     Frame landmarks stay exactly planar so the registration frame itself
     never degenerates; signs are drawn from the seed.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:  # a NaN delta fails here too
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:
         return scene
@@ -258,10 +258,13 @@ def synthesize_views(
     the scene, cameras, signs, and noise derive from the master seed.
 
     Raises:
+        ValueError: delta or noise is negative or NaN.
         InvalidLandmark: a frame label is not one of the k landmarks, or
             is repeated; or noise so large that a coordinate is not finite
             (the first such scene is named).
     """
+    if not noise >= 0.0:  # a NaN noise fails here too; perturb_out_of_plane checks delta
+        raise ValueError("noise must be nonnegative")
     for label in frame_labels:
         if not 1 <= int(label) <= k:
             raise InvalidLandmark(f"frame label {label} is not a landmark of 1..{k}")
@@ -276,8 +279,7 @@ def synthesize_views(
     noise_seed = master.next_u64()
 
     scene = random_coplanar_scene(k, scene_seed)
-    if delta > 0.0:
-        scene = perturb_out_of_plane(scene, delta, perturb_seed, frame_labels)
+    scene = perturb_out_of_plane(scene, delta, perturb_seed, frame_labels)
     images = _project(*_camera_stack(cameras, cam_seed, scene=scene), scene.points)
     if noise > 0.0:
         # view v's jitter is the stream's v-th normals(2k) draw

@@ -279,18 +279,18 @@ def test_landmark_scene_validation():
     with pytest.raises(InvalidLandmark):
         LandmarkScene(scene_id="x", points=np.array([[0.0, np.nan]]))
     scene = five_point_scene((2.0, 2.0))
-    assert (scene.k, scene.m) == (5, 2)
+    assert scene.k == 5 and scene.points.shape == (5, 2)
     np.testing.assert_array_equal(scene.points[0], [0.0, 0.0])
     np.testing.assert_array_equal(scene.points[4], [2.0, 2.0])
 
 
 def test_frame_spec_validation():
     spec = FrameSpec(frame_labels=(1, 2, 4, 3), remaining_labels=(5,))
-    assert spec.m == 2 and spec.q == 1
-    # three frame labels are legal: they describe a line configuration (m=1)
-    assert FrameSpec(frame_labels=(1, 2, 3), remaining_labels=(5,)).m == 1
-    with pytest.raises(InvalidLandmark):
-        FrameSpec(frame_labels=(1, 2), remaining_labels=(5,))
+    assert spec.q == 1
+    # registration is planar: every frame has exactly four labels
+    for frame in ((1, 2, 3), (1, 2), (1, 2, 3, 4, 6)):
+        with pytest.raises(InvalidLandmark, match="frames need 4 labels"):
+            FrameSpec(frame_labels=frame, remaining_labels=(5,))
     with pytest.raises(InvalidLandmark):
         FrameSpec(frame_labels=(1, 2, 3, 4), remaining_labels=(4,))
 

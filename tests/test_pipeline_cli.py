@@ -674,8 +674,8 @@ def test_cli_bad_statistical_argument_exits_2(study_csv, tmp_path, capsys, comma
         ("vw {study} --out {out} --frame 1,2,3,3", 2, "frame label 3 is repeated"),
         ("mc --out {out} --sigma 1e200 --n 5 --reps 3", 3, "sigma 1e+200 is too large"),
         ("mc --out {out} --sigma 1e308 --n 5 --reps 3", 3, "sigma 1e+308 is too large"),
-        ("analyze {study} --out {out} --frame 1,2,3", 2, "needs m=1 coordinates"),
-        ("vw {study} --out {out} --frame 1,2,3", 2, "needs m=1 coordinates"),
+        ("analyze {study} --out {out} --frame 1,2,3", 2, "frames need 4 labels"),
+        ("vw {study} --out {out} --frame 1,2,3", 2, "frames need 4 labels"),
         ("analyze {study} --out {out} --remaining 9", 2, "has no landmark 9"),
         ("vw {study} --out {out} --remaining 9", 2, "has no landmark 9"),
         ("analyze {latin1} --out {out}", 2, "line 3: not valid UTF-8"),

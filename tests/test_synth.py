@@ -156,6 +156,16 @@ def test_perturb_out_of_plane_moves_only_free_landmarks():
 def test_perturb_zero_delta_is_identity():
     scene = random_coplanar_scene(5, seed=6)
     assert perturb_out_of_plane(scene, 0.0, seed=1) is scene
+    # a negative or NaN delta or noise is refused, not read as zero
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            perturb_out_of_plane(scene, bad, seed=1)
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            synthesize_views(5, 3, 1, delta=bad)
+        with pytest.raises(ValueError, match="noise must be nonnegative"):
+            synthesize_views(5, 3, 1, noise=bad)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            synthesize_views(5, 3, 1, delta=bad, noise=bad)
 
 
 def test_synthesize_views_deterministic_and_labeled():
