@@ -70,8 +70,14 @@ def _level(text: str) -> float:
     return value
 
 
+# the largest integer option: a size this large already fails for lack of
+# memory, and larger ones would overflow numpy's sizes and C longs
+_MAX_INT = 2**53
+
+
 def _at_least(low, convert=int):
-    """argparse type: a finite number of type `convert`, at least `low`."""
+    """argparse type: a finite number of type `convert`, at least `low`; an
+    integer at most `_MAX_INT`."""
     noun = "an integer" if convert is int else "a number"
 
     def parse(text: str):
@@ -79,6 +85,8 @@ def _at_least(low, convert=int):
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if convert is int and value > _MAX_INT:
+            raise argparse.ArgumentTypeError(f"must be at most 2**53, got {len(str(value))} digits")
         if not (math.isfinite(value) and value >= low):
             raise argparse.ArgumentTypeError(f"must be >= {low} and finite, got {value}")
         return value

@@ -136,9 +136,7 @@ def _deletion_moments(units: np.ndarray, rows: np.ndarray):
     return (stack,) + stacked_moments(stack)
 
 
-def leave_one_out(
-    sample: DirectionSample, alpha: float = 0.05, df: Optional[int] = None
-) -> List[LeaveOneOutRow]:
+def leave_one_out(sample: DirectionSample, alpha: float = 0.05) -> List[LeaveOneOutRow]:
     """Single-deletion dispersion table, one row per scene in sample order.
 
     One stacked exact pass: for a slice of deleted rows i at a time, the
@@ -156,8 +154,6 @@ def leave_one_out(
         raise EmptySample("need at least three scenes for single-deletion diagnostics")
     if not 0.0 < alpha < 1.0:
         raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")
-    if df is not None and df < 1:
-        raise ValueError("degrees of freedom must be >= 1")
     ts = np.empty(n)
     se = np.empty(n)
     focal = np.empty(n, dtype=bool)

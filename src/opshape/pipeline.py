@@ -170,7 +170,7 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
     reduced = None
     vw_reduced = None
     if sample.n >= 3:
-        loo = tuple(leave_one_out(sample, config.alpha, config.df))
+        loo = tuple(leave_one_out(sample, config.alpha))
         trace = greedy_reduce(sample, config.alpha_ref, config.max_removals, config.df)
         reduced_sample = sample.subset(trace.final_scene_ids)
         reduced = coplanarity_test(reduced_sample, config.alpha, config.df)

@@ -3,24 +3,26 @@
 Coplanar scenes, drawn in the z = 0 plane and photographed by cameras
 above it, register identically in every view (the registration is invariant
 under the induced plane-to-image maps), so generated view sets provide an
-exact zero-dispersion oracle. Moving the non-frame landmarks along z
-produces controlled departures. All draws run through the counter-based
-generator, so every artifact regenerates from its seed.
+exact zero-dispersion oracle. A scene is a plain (k, 3) array of points;
+moving the non-frame landmarks along z produces controlled departures, and
+the z column is then each landmark's offset. All draws run through the
+counter-based generator, so every artifact regenerates from its seed.
 
 A study is generated as array operations over all cameras at once
 (`_camera_stack`, `_project`); there is no one-camera path, and a camera
 is one row of the stacks: a center, a rotation and a focal. The formulas
 that make a camera give an orthonormal right-handed rotation and a focal
-in [0.8, 1.5), so only its depths are checked. Camera try t reads words
-7t..7t+6 of its stream, as a loop making one try at a time would. Tries
-are drawn in batches, their look-at rotations computed stacked, and those
-that put a landmark behind the camera rejected in bulk; the first n
-accepted tries are kept in try order, and a batch never reaches past the
-`_MAX_TRIES` * n budget. The bits match the one-camera-at-a-time loop:
-every step is elementwise arithmetic in the geometry module's stated
-order, and cosines and sines come from `math`, one value at a time. Each
-view's image noise is one `normals(2k)` draw of one stream, all views
-drawn together by `rng.successive_normals`.
+in [0.8, 1.5), so only its depths are checked, always against the scene
+it photographs. Camera try t reads words 7t..7t+6 of its stream, as a
+loop making one try at a time would. Tries are drawn in batches, their
+look-at rotations computed stacked, and those that put a landmark behind
+the camera rejected in bulk; the first n accepted tries are kept in try
+order, and a batch never reaches past the `_MAX_TRIES` * n budget. The
+bits match the one-camera-at-a-time loop: every step is elementwise
+arithmetic in the geometry module's stated order, and cosines and sines
+come from `math`, one value at a time. Each view's image noise is one
+`normals(2k)` draw of one stream, all views drawn together by
+`rng.successive_normals`.
 
 Tangent-Gaussian sphere samples come from one routine, `TangentDraws.draw`,
 for `tangent_gaussian_sample` (its one-seed call), the oracle's slices and
@@ -47,13 +49,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import Executor, Future
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BehindCamera, GenerationFailed, InvalidLandmark
-from .geometry import LandmarkScene, _freeze, last_axis_dots, last_axis_norms
+from .geometry import LandmarkScene, last_axis_dots, last_axis_norms
 from .rng import SplitMix64, box_muller, successive_normals, word_steps
 
 # rejection margins for general position, in scene units
@@ -61,23 +62,6 @@ _MIN_TRIPLE_AREA = 0.05  # twice the triangle area
 _MIN_PAIR_DIST = 0.1
 _MAX_TRIES = 1000
 _MIN_DEPTH = 1e-6
-
-
-@dataclass(frozen=True)
-class Scene3D:
-    """k labelled 3D landmarks: points (k, 3), and the signed distance by
-    which each was moved off the z = 0 plane, zero for all of a coplanar scene."""
-
-    points: np.ndarray
-    out_of_plane_offsets: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _freeze(self.points))
-        object.__setattr__(self, "out_of_plane_offsets", _freeze(self.out_of_plane_offsets))
-
-    @property
-    def k(self) -> int:
-        return self.points.shape[0]
 
 
 def _camera_coords(centers: np.ndarray, rotations: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -122,8 +106,9 @@ def _general_position_ok(pts: np.ndarray) -> bool:
     return True
 
 
-def random_coplanar_scene(k: int, seed: int) -> Scene3D:
-    """k landmarks drawn in the z = 0 plane, all triples in general position.
+def random_coplanar_scene(k: int, seed: int) -> np.ndarray:
+    """The (k, 3) points of k landmarks drawn in the z = 0 plane, all
+    triples in general position.
 
     Raises:
         GenerationFailed: rejection sampling exhausted its budget.
@@ -134,23 +119,21 @@ def random_coplanar_scene(k: int, seed: int) -> Scene3D:
     for _ in range(_MAX_TRIES):
         flat = 2.0 * gen.uniforms(2 * k).reshape(k, 2) - 1.0
         if _general_position_ok(flat):
-            pts = np.concatenate([flat, np.zeros((k, 1))], axis=1)
-            return Scene3D(points=pts, out_of_plane_offsets=np.zeros(k))
+            return np.concatenate([flat, np.zeros((k, 1))], axis=1)
     raise GenerationFailed(f"no general-position scene after {_MAX_TRIES} tries")
 
 
 def _look_at_rotations(centers: np.ndarray, targets: np.ndarray, rolls: np.ndarray) -> np.ndarray:
     """(N, 3, 3) rotations whose z axis points from each center to its target.
 
-    x is up x z normalized (y-axis x z when z is nearly vertical), y = z x x,
-    and the x and y axes are rolled by the angle in `rolls`.
+    x is up x z normalized, y = z x x, and the x and y axes are rolled by
+    the angle in `rolls`. The z axis of a `_camera_tries` camera is never
+    near vertical: its center lies at least 3.5 sqrt(1 - 0.95^2) > 1.09
+    from the z axis and its target within 0.22 of it, so |up x z| > 0.16.
     """
     z = targets - centers
     z = z / last_axis_norms(z)[:, None]
     x = np.cross(np.array([0.0, 0.0, 1.0]), z)
-    vertical = last_axis_norms(x) < 1e-8
-    if vertical.any():
-        x[vertical] = np.cross(np.array([0.0, 1.0, 0.0]), z[vertical])
     x = x / last_axis_norms(x)[:, None]
     y = np.cross(z, x)
     # math's cos and sin, which numpy's vector loops may not match
@@ -164,8 +147,7 @@ def _camera_tries(draws: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     uz = 0.35 + 0.6 * draws[:, 0]
     phi = 2.0 * math.pi * draws[:, 1]
     radius = 3.5 + 1.5 * draws[:, 2]
-    square = 1.0 - uz * uz
-    rho = np.sqrt(np.where(0.0 > square, 0.0, square))  # max(square, 0.0)
+    rho = np.sqrt(1.0 - uz * uz)  # uz < 0.95, so 1 - uz^2 > 0.0975
     cos_phi = np.array([math.cos(p) for p in phi.tolist()])
     sin_phi = np.array([math.sin(p) for p in phi.tolist()])
     centers = radius[:, None] * np.stack([rho * cos_phi, rho * sin_phi, uz], axis=1)
@@ -177,14 +159,15 @@ def _camera_tries(draws: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _camera_stack(
-    n: int, seed: int, scene: Optional[Scene3D] = None
+    n: int, seed: int, points: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centers (n, 3), rotations (n, 3, 3) and focals (n,) of n cameras.
+    """Centers (n, 3), rotations (n, 3, 3) and focals (n,) of n cameras
+    that see all of the (k, 3) points in front of them.
 
     Try t reads words 7t..7t+6 of the seed's stream. Tries are made in
-    batches; with a scene, a try that puts a landmark at depth below 1e-6 is
-    rejected, and the first n accepted tries are kept in try order, so the
-    result and every error are those of making the tries one at a time.
+    batches; a try that puts a landmark at depth below 1e-6 is rejected,
+    and the first n accepted tries are kept in try order, so the result
+    and every error are those of making the tries one at a time.
     Each rotation's rows are a normalised right-handed frame, and each
     focal is 0.8 + 0.7 u for a uniform u in [0, 1).
 
@@ -205,42 +188,39 @@ def _camera_stack(
             raise GenerationFailed("could not place cameras with positive depth")
         tries += batch
         centers, rotations, focals = _camera_tries(gen.uniforms(7 * batch).reshape(batch, 7))
-        accepted = np.arange(batch)
-        if scene is not None:
-            depths = _camera_coords(centers, rotations, scene.points)[..., 2]
-            accepted = np.flatnonzero(~(depths < _MIN_DEPTH).any(axis=1))
-        accepted = accepted[:need]
+        depths = _camera_coords(centers, rotations, points)[..., 2]
+        accepted = np.flatnonzero(~(depths < _MIN_DEPTH).any(axis=1))[:need]
         need -= accepted.size
         kept.append((centers[accepted], rotations[accepted], focals[accepted]))
     return tuple(np.concatenate(part) for part in zip(*kept))
 
 
 def perturb_out_of_plane(
-    scene: Scene3D,
+    points: np.ndarray,
     delta: float,
     seed: int,
     frame_labels: Sequence[int] = (1, 2, 4, 3),
-) -> Scene3D:
-    """Move each non-frame landmark along z by a signed distance delta.
+) -> np.ndarray:
+    """A copy of the points with each non-frame landmark moved along z by a
+    signed distance delta; delta = 0 returns the points themselves.
 
-    The scene is one that `random_coplanar_scene` drew in the z = 0 plane.
-    Frame landmarks stay exactly planar so the registration frame itself
-    never degenerates; signs are drawn from the seed.
+    The points are those `random_coplanar_scene` drew in the z = 0 plane, so
+    the z column of the copy is each landmark's offset. Frame landmarks stay
+    exactly planar so the registration frame itself never degenerates;
+    signs are drawn from the seed.
     """
     if not delta >= 0.0:  # a NaN delta fails here too
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:
-        return scene
+        return points
     frame = set(int(x) for x in frame_labels)
     gen = SplitMix64(seed)
-    offsets = np.zeros(scene.k)
-    for label in range(1, scene.k + 1):
+    moved = np.array(points)
+    for label in range(1, len(points) + 1):
         if label in frame:
             continue
-        offsets[label - 1] = delta if gen.uniform() < 0.5 else -delta
-    pts = np.array(scene.points)
-    pts[:, 2] += offsets
-    return Scene3D(points=pts, out_of_plane_offsets=offsets)
+        moved[label - 1, 2] += delta if gen.uniform() < 0.5 else -delta
+    return moved
 
 
 def synthesize_views(
@@ -278,9 +258,9 @@ def synthesize_views(
     perturb_seed = master.next_u64()
     noise_seed = master.next_u64()
 
-    scene = random_coplanar_scene(k, scene_seed)
-    scene = perturb_out_of_plane(scene, delta, perturb_seed, frame_labels)
-    images = _project(*_camera_stack(cameras, cam_seed, scene=scene), scene.points)
+    points = random_coplanar_scene(k, scene_seed)
+    points = perturb_out_of_plane(points, delta, perturb_seed, frame_labels)
+    images = _project(*_camera_stack(cameras, cam_seed, points), points)
     if noise > 0.0:
         # view v's jitter is the stream's v-th normals(2k) draw
         normals = successive_normals(noise_seed, 2 * k, cameras).reshape(cameras, k, 2)

@@ -580,9 +580,9 @@ def look_at_rotation(center, target, roll):
     return np.stack([xr, yr, z])
 
 
-def random_cameras(n, seed, scene=None, gen=None):
+def random_cameras(n, seed, points, gen=None):
     """n cameras as (center, rotation, focal), seven uniforms a try; a try
-    that sees a landmark of scene behind it is drawn again."""
+    that sees one of the (k, 3) points behind it is drawn again."""
     gen = SplitMix64(seed) if gen is None else gen
     cams = []
     tries = 0
@@ -600,10 +600,9 @@ def random_cameras(n, seed, scene=None, gen=None):
         roll = 2.0 * math.pi * draws[5]
         focal = 0.8 + 0.7 * draws[6]
         rotation = look_at_rotation(center, target, roll)
-        if scene is not None:
-            depths = camera_coords(scene.points, center, rotation)[:, 2]
-            if np.any(depths < 1e-6):
-                continue
+        depths = camera_coords(points, center, rotation)[:, 2]
+        if np.any(depths < 1e-6):
+            continue
         cams.append((center, rotation, focal))
     return cams
 
@@ -614,10 +613,10 @@ def camera_coords(points, center, rotation):
     return np.array([[dot(row, p - center) for row in rotation] for p in points])
 
 
-def project(camera, scene, scene_id="view"):
-    """The image of scene in one camera, or BehindCamera."""
+def project(camera, points, scene_id="view"):
+    """The image of the (k, 3) points in one camera, or BehindCamera."""
     center, rotation, focal = camera
-    cam_coords = camera_coords(scene.points, center, rotation)
+    cam_coords = camera_coords(points, center, rotation)
     depths = cam_coords[:, 2]
     if np.any(depths < 1e-6):
         bad = int(np.argmin(depths))
@@ -630,11 +629,11 @@ def synthesize_views(k, cameras, seed, delta=0.0, noise=0.0, frame_labels=(1, 2,
     """synth.synthesize_views one camera, one projection and one noise draw at a time."""
     master = SplitMix64(seed)
     scene_seed, cam_seed, perturb_seed, noise_seed = (master.next_u64() for _ in range(4))
-    scene = synth.random_coplanar_scene(k, scene_seed)
+    points = synth.random_coplanar_scene(k, scene_seed)
     if delta > 0.0:
-        scene = synth.perturb_out_of_plane(scene, delta, perturb_seed, frame_labels)
-    cams = random_cameras(cameras, cam_seed, scene=scene)
-    views = [project(cam, scene, scene_id=str(i + 1)) for i, cam in enumerate(cams)]
+        points = synth.perturb_out_of_plane(points, delta, perturb_seed, frame_labels)
+    cams = random_cameras(cameras, cam_seed, points)
+    views = [project(cam, points, scene_id=str(i + 1)) for i, cam in enumerate(cams)]
     if noise > 0.0:
         ngen = SplitMix64(noise_seed)
         noisy = []

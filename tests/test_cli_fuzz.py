@@ -42,6 +42,7 @@ OPTIONS = [
     [], ["--skip-degenerate"], ["--strict"], ["--frame", "1,2,3,4", "--remaining", "5"],
     ["--remaining", "5,6"], ["--alpha", "0.5", "--alpha-ref", "0.9"], ["--max-removals", "0"],
     ["--df", "1"], ["--skip-degenerate", "--strict", "--max-removals", "1"],
+    ["--df", "9" * 400], ["--max-removals", "9" * 400],
 ]
 # the options vw takes: the frame and --skip-degenerate
 VW_OPTIONS = [[], ["--skip-degenerate"], ["--frame", "1,2,3,4", "--remaining", "5"], ["--remaining", "5,6"]]
@@ -142,7 +143,9 @@ VALID = {
     "--alpha": ["0.01", "0.5", "0.999"], "--oracle-draws": ["1", "2", "50"],
     "--seed": ["0", "-3", str(2**64 + 3)],
 }
-INVALID = ["", "x", "-1", "0", "nan", "inf", "1e3", "0.5", "1,1,2,3", "9,2,3,4"]
+INVALID = [
+    "", "x", "-1", "0", "nan", "inf", "1e3", "0.5", "1,1,2,3", "9,2,3,4", "9" * 400, "1" + "0" * 30,
+]
 SYNTH_ARGS = ["--k", "--cameras", "--delta", "--noise", "--frame", "--seed"]
 MC_ARGS = ["--n", "--reps", "--sigma", "--alpha", "--oracle-draws", "--seed"]
 

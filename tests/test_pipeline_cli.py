@@ -643,6 +643,8 @@ def test_cli_usage_errors_exit_2(capsys):
         ("analyze", "--df", "0"),
         ("analyze", "--max-removals", "-1"),
         ("reduce", "--max-removals", "-1"),
+        pytest.param("analyze", "--df", "9" * 400, id="analyze---df-400-digits"),
+        pytest.param("reduce", "--max-removals", "9" * 400, id="reduce---max-removals-400-digits"),
     ],
 )
 def test_cli_bad_statistical_argument_exits_2(study_csv, tmp_path, capsys, command, flag, value):
@@ -653,6 +655,14 @@ def test_cli_bad_statistical_argument_exits_2(study_csv, tmp_path, capsys, comma
     assert f"argument {flag}: must be" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+def test_integer_options_stop_at_two_to_the_53():
+    parse = build_parser().parse_args
+    for flag in ("--n", "--reps", "--oracle-draws"):
+        assert getattr(parse(["mc", "--out", "m", flag, str(2**53)]), flag[2:].replace("-", "_")) == 2**53
+        with pytest.raises(SystemExit):
+            parse(["mc", "--out", "m", flag, str(2**53 + 1)])
+
 
 @pytest.mark.parametrize(
     "argv, code, message",
@@ -665,6 +675,19 @@ def test_cli_bad_statistical_argument_exits_2(study_csv, tmp_path, capsys, comma
         ("mc --out {out} --sigma inf", 2, "argument --sigma: must be >= 0 and finite, got inf"),
         ("synth --out {out} --cameras 0", 2, "argument --cameras: must be >= 1"),
         ("synth --out {out} --k 3", 2, "argument --k: must be >= 5"),
+        # integers past 2**53: too large for numpy's sizes and C longs
+        pytest.param(
+            "synth --out {out} --cameras " + "9" * 400, 2, "argument --cameras: must be at most 2**53",
+            id="synth --cameras 400 digits",
+        ),
+        ("synth --out {out} --k 1" + "0" * 30, 2, "argument --k: must be at most 2**53"),
+        ("mc --out {out} --reps 1" + "0" * 30, 2, "argument --reps: must be at most 2**53"),
+        ("mc --out {out} --n 1" + "0" * 30, 2, "argument --n: must be at most 2**53"),
+        ("mc --out {out} --oracle-draws 1" + "0" * 30, 2, "argument --oracle-draws: must be at most"),
+        pytest.param(
+            "analyze {study} --out {out} --df " + "9" * 400, 2, "argument --df: must be at most 2**53",
+            id="analyze --df 400 digits",
+        ),
         ("synth --out {out} --delta -1", 2, "argument --delta: must be >= 0"),
         ("synth --out {out} --delta nan", 2, "argument --delta: must be >= 0"),
         ("synth --out {out} --noise -0.5", 2, "argument --noise: must be >= 0"),

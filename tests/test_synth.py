@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -18,7 +19,6 @@ from opshape.geometry import FrameSpec
 from opshape.pipeline import register_scenes
 from opshape.rng import SplitMix64
 from opshape.synth import (
-    Scene3D,
     perturb_out_of_plane,
     random_coplanar_scene,
     synthesize_views,
@@ -33,21 +33,20 @@ def identity_camera(focal=1.0):
     return np.zeros(3), np.eye(3), focal
 
 
-def one_view(camera, scene):
-    """The (k, 2) image of the scene in one camera: a one-camera stack through _project."""
+def one_view(camera, points):
+    """The (k, 2) image of the points in one camera: a one-camera stack through _project."""
     center, rotation, focal = camera
-    return synth._project(center[None], rotation[None], np.array([focal]), scene.points)[0]
+    return synth._project(center[None], rotation[None], np.array([focal]), points)[0]
 
 
-def camera_list(n, seed, scene=None):
+def camera_list(n, seed, points):
     """_camera_stack's cameras as a list of (center, rotation, focal)."""
-    centers, rotations, focals = synth._camera_stack(n, seed, scene)
+    centers, rotations, focals = synth._camera_stack(n, seed, points)
     return list(zip(centers, rotations, focals.tolist()))
 
 
 def planar_scene(xy, z):
-    pts = np.column_stack([np.asarray(xy, dtype=float), np.full(len(xy), z)])
-    return Scene3D(points=pts, out_of_plane_offsets=np.zeros(len(xy)))
+    return np.column_stack([np.asarray(xy, dtype=float), np.full(len(xy), z)])
 
 
 # ---------- projection -------------------------------------------------------------
@@ -59,8 +58,7 @@ def test_project_optical_axis():
 
 
 def test_project_direct_division():
-    scene = Scene3D(points=np.array([[1.0, 2.0, 2.0]]), out_of_plane_offsets=np.zeros(1))
-    view = one_view(identity_camera(), scene)
+    view = one_view(identity_camera(), np.array([[1.0, 2.0, 2.0]]))
     np.testing.assert_allclose(view, [[0.5, 1.0]], atol=0)
 
 
@@ -89,11 +87,10 @@ def test_project_scales_with_focal():
 
 def test_random_coplanar_scene_contract():
     scene = random_coplanar_scene(7, seed=1)
-    assert scene.k == 7
-    np.testing.assert_array_equal(scene.points[:, 2], np.zeros(7))
-    np.testing.assert_array_equal(scene.out_of_plane_offsets, np.zeros(7))
+    assert scene.shape == (7, 3)
+    np.testing.assert_array_equal(scene[:, 2], np.zeros(7))
     # margins hold for every pair and triple
-    pts = scene.points[:, :2]
+    pts = scene[:, :2]
     for i in range(7):
         for j in range(i + 1, 7):
             assert np.linalg.norm(pts[i] - pts[j]) >= 0.1
@@ -104,9 +101,9 @@ def test_random_coplanar_scene_contract():
 def test_random_coplanar_scene_deterministic():
     a = random_coplanar_scene(6, seed=42)
     b = random_coplanar_scene(6, seed=42)
-    np.testing.assert_array_equal(a.points, b.points)
+    np.testing.assert_array_equal(a, b)
     c = random_coplanar_scene(6, seed=43)
-    assert not np.array_equal(a.points, c.points)
+    assert not np.array_equal(a, c)
 
 
 def test_generation_budget_surfaces(monkeypatch):
@@ -117,7 +114,7 @@ def test_generation_budget_surfaces(monkeypatch):
 
 def test_random_cameras_contract():
     scene = random_coplanar_scene(5, seed=3)
-    cams = camera_list(4, seed=3, scene=scene)
+    cams = camera_list(4, seed=3, points=scene)
     assert len(cams) == 4
     for center, rotation, focal in cams:
         np.testing.assert_allclose(
@@ -126,13 +123,13 @@ def test_random_cameras_contract():
         assert np.linalg.det(rotation) == pytest.approx(1.0, abs=1e-12)
         assert focal > 0
         assert center[2] > 0  # stays on one side of the scene plane
-        depths = ((scene.points - center) @ rotation.T)[:, 2]
+        depths = ((scene - center) @ rotation.T)[:, 2]
         assert np.all(depths > 0)
 
 
 def test_random_cameras_deterministic():
-    a = camera_list(3, seed=9)
-    b = camera_list(3, seed=9)
+    a = camera_list(3, seed=9, points=wide_scene(1.0))
+    b = camera_list(3, seed=9, points=wide_scene(1.0))
     for ca, cb in zip(a, b):
         np.testing.assert_array_equal(ca[0], cb[0])
         np.testing.assert_array_equal(ca[1], cb[1])
@@ -143,14 +140,12 @@ def test_perturb_out_of_plane_moves_only_free_landmarks():
     scene = random_coplanar_scene(6, seed=5)
     moved = perturb_out_of_plane(scene, 0.03, seed=8, frame_labels=(1, 2, 4, 3))
     for label in (1, 2, 3, 4):
-        np.testing.assert_array_equal(
-            moved.points[label - 1], scene.points[label - 1]
-        )
-        assert moved.out_of_plane_offsets[label - 1] == 0.0
+        np.testing.assert_array_equal(moved[label - 1], scene[label - 1])
+        assert moved[label - 1, 2] == 0.0
     for label in (5, 6):
-        off = moved.out_of_plane_offsets[label - 1]
+        off = moved[label - 1, 2]
         assert abs(off) == 0.03
-        assert moved.points[label - 1][2] == off
+        np.testing.assert_array_equal(moved[label - 1, :2], scene[label - 1, :2])
 
 
 def test_perturb_zero_delta_is_identity():
@@ -256,8 +251,7 @@ def wide_scene(reach):
     cameras see a landmark behind them and are redrawn (half of them at
     reach 6, nine in ten at reach 10)."""
     angles = np.linspace(0.0, 2.0 * np.pi, 6)[:-1]
-    pts = np.column_stack([reach * np.cos(angles), reach * np.sin(angles), np.zeros(5)])
-    return Scene3D(points=pts, out_of_plane_offsets=np.zeros(5))
+    return np.column_stack([reach * np.cos(angles), reach * np.sin(angles), np.zeros(5)])
 
 
 def camera_bytes(cams):
@@ -288,20 +282,20 @@ def test_synthesize_views_equals_the_per_camera_loop(k, cameras, seed, delta, no
 @given(
     n=st.integers(1, 40),
     seed=st.integers(0, 2**64 - 1),
-    reach=st.sampled_from([None, 1.0, 3.8, 4.5, 6.0, 10.0]),
+    reach=st.sampled_from([1.0, 3.8, 4.5, 6.0, 10.0]),
 )
 @example(n=40, seed=3, reach=6.0)
 def test_random_cameras_equal_the_per_camera_loop(n, seed, reach):
-    scene = None if reach is None else wide_scene(reach)
-    got = ref.outcome(lambda: camera_bytes(camera_list(n, seed, scene=scene)))
-    want = ref.outcome(lambda: camera_bytes(ref.random_cameras(n, seed, scene=scene)))
+    scene = wide_scene(reach)
+    got = ref.outcome(lambda: camera_bytes(camera_list(n, seed, scene)))
+    want = ref.outcome(lambda: camera_bytes(ref.random_cameras(n, seed, scene)))
     assert got == want
 
 
 def test_wide_scenes_reject_many_tries():
     # the scenes the properties above use do exercise the rejection
     counted = SplitMix64(3)
-    ref.random_cameras(40, 3, scene=wide_scene(6.0), gen=counted)
+    ref.random_cameras(40, 3, wide_scene(6.0), gen=counted)
     assert counted.counter // 7 > 60
 
 
@@ -321,14 +315,14 @@ def test_two_thousand_cameras_equal_the_per_camera_loop():
     want = ref.synthesize_views(k=7, cameras=2000, seed=5, delta=0.02, noise=0.002)
     assert views_bytes(got) == views_bytes(want)
     scene = random_coplanar_scene(5, seed=8)
-    assert camera_bytes(camera_list(2000, 8, scene=scene)) == camera_bytes(
-        ref.random_cameras(2000, 8, scene=scene)
+    assert camera_bytes(camera_list(2000, 8, scene)) == camera_bytes(
+        ref.random_cameras(2000, 8, scene)
     )
 
 
 def test_project_equals_the_per_camera_projection():
     scene = perturb_out_of_plane(random_coplanar_scene(6, seed=2), 0.05, seed=3)
-    for cam in ref.random_cameras(25, 4, scene=scene):
+    for cam in ref.random_cameras(25, 4, scene):
         assert one_view(cam, scene).tobytes() == ref.project(cam, scene).points.tobytes()
     behind = planar_scene([(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], -1.0)
     with pytest.raises(BehindCamera) as got:
@@ -339,13 +333,24 @@ def test_project_equals_the_per_camera_projection():
 
 
 def test_look_at_rotations_equal_the_per_camera_rotation():
-    # the first two cameras look straight down, where x falls back to y-axis x z
-    centers = np.array([[0.0, 0.0, 5.0], [0.3, -0.2, 4.0], [1.0, 2.0, 3.0], [-3.0, 0.5, 1.5]])
-    targets = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.0], [0.1, -0.1, 0.0], [0.0, 0.0, 0.0]])
-    rolls = np.array([0.0, 2.5, 1.0, 5.9])
+    centers = np.array([[1.0, 2.0, 3.0], [-3.0, 0.5, 1.5]])
+    targets = np.array([[0.1, -0.1, 0.0], [0.0, 0.0, 0.0]])
+    rolls = np.array([1.0, 5.9])
     got = synth._look_at_rotations(centers, targets, rolls)
-    for i in range(4):
+    for i in range(2):
         assert got[i].tobytes() == ref.look_at_rotation(centers[i], targets[i], rolls[i]).tobytes()
+
+
+def test_camera_tries_stay_clear_of_the_vertical():
+    # the extremes of the five uniforms that place a camera, and random ones
+    # between: every center lies over 1.09 from the z axis and every view
+    # axis has |up x z| > 0.16, so _look_at_rotations needs no fallback
+    top = 1.0 - 2.0**-53
+    corners = np.array(list(itertools.product([0.0, top], repeat=5)))
+    draws = np.vstack([corners, SplitMix64(1).uniforms(5 * 20_000).reshape(-1, 5)])
+    centers, rotations, _ = synth._camera_tries(np.column_stack([draws, np.zeros((len(draws), 2))]))
+    assert np.hypot(centers[:, 0], centers[:, 1]).min() > 1.09
+    assert np.hypot(rotations[:, 2, 0], rotations[:, 2, 1]).min() > 0.16
 
 
 class CountingSplitMix64(SplitMix64):
@@ -368,7 +373,7 @@ def test_generation_fails_after_as_many_tries_as_the_loop(monkeypatch, max_tries
     for n in (1, 3, 8):
         for seed in range(12):
             CountingSplitMix64.made = []
-            got = ref.outcome(lambda: camera_bytes(camera_list(n, seed, scene=scene)))
+            got = ref.outcome(lambda: camera_bytes(camera_list(n, seed, scene)))
             (stacked,) = CountingSplitMix64.made
             reference = SplitMix64(seed)
             want = ref.outcome(lambda: camera_bytes(ref.random_cameras(n, seed, scene, reference)))
