@@ -3,8 +3,9 @@
 Subcommands: analyze (full study), reduce (diagnostics only), vw (sign-blind
 comparator only), synth (generate landmark CSVs), mc (CI coverage
 calibration). Exit codes: 0 success; 2 usage, parse, schema or I/O error
-(out-of-range options, unreadable or non-UTF-8 input, labels the data lacks,
-sizes too large for memory such as `mc --reps 10000000000`); 3 geometric
+(out-of-range options, such as an `mc --oracle-draws` above MAX_ORACLE_DRAWS,
+unreadable or non-UTF-8 input, labels the data lacks, sizes too large for
+memory such as `mc --reps 10000000000`); 3 geometric
 degeneracy (a degenerate scene without --skip-degenerate, or no scene left
 with it); 4 statistical degeneracy (always for a focal mean; for flagged
 degenerate tests only under --strict). Errors print one line to
@@ -72,12 +73,15 @@ def _level(text: str) -> float:
 
 # the largest integer option: a size this large already fails for lack of
 # memory, and larger ones would overflow numpy's sizes and C longs
-_MAX_INT = 2**53
+_MAX_INT = (2**53, "2**53")
+# the most `mc --oracle-draws`: the oracle streams its draws in slices, so
+# memory never bounds it, and 10^9 draws take about a minute at ~60 ns each
+MAX_ORACLE_DRAWS = (10**9, "10**9")
 
 
-def _at_least(low, convert=int):
+def _at_least(low, convert=int, most=_MAX_INT):
     """argparse type: a finite number of type `convert`, at least `low`; an
-    integer at most `_MAX_INT`."""
+    integer at most `most`, a (value, text) pair."""
     noun = "an integer" if convert is int else "a number"
 
     def parse(text: str):
@@ -85,8 +89,8 @@ def _at_least(low, convert=int):
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
-        if convert is int and value > _MAX_INT:
-            raise argparse.ArgumentTypeError(f"must be at most 2**53, got {len(str(value))} digits")
+        if convert is int and value > most[0]:
+            raise argparse.ArgumentTypeError(f"must be at most {most[1]}, got {len(str(value))} digits")
         if not (math.isfinite(value) and value >= low):
             raise argparse.ArgumentTypeError(f"must be >= {low} and finite, got {value}")
         return value
@@ -200,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument(
         "--oracle-draws",
-        type=_at_least(1),
+        type=_at_least(1, most=MAX_ORACLE_DRAWS),
         default=1_000_000,
-        help="draws for the population-dispersion oracle",
+        help="draws for the population-dispersion oracle, at most 10**9 (default 1000000)",
     )
     return parser
 

@@ -20,9 +20,13 @@ the largest form the step's window, typically one deletion: their reduced
 samples are stacked scenes-major, (n - 1, rows, q, d), and scored exactly by
 one stacked_moments pass, and the argmax and tie-break are taken over those
 exact endpoints, so the reported steps are those of an exhaustive search.
-Only the winner gets a full summary, built by units_summary (the function
-coplanarity_test wraps) from its row of the pass and its covariance, which
-the next step's kernel pass computes anyway.
+The duplicate-row and tie-break bookkeeping runs only on a window of more
+than one row. The winner's row of that pass holds the mean of the sample it
+leaves, bit for bit the mean a pass over that sample alone computes, so the
+next kernel pass takes it instead of summing the sample again; that pass
+also computes the winner's covariance. The steps' summaries are built after
+the loop, in one units_summary call (the builder coplanarity_test calls
+with one row) over the winners' stacked rows and covariances.
 
 The single-deletion table is reported, so it is not ranked by the kernel:
 its rows are computed exactly by the same stacked pass, in slices of at
@@ -47,6 +51,7 @@ from .directional import (
     confidence_interval,
     coplanarity_test,
     normal_quantile,
+    se_clamp,
     stacked_moments,
     units_summary,
     z_values,
@@ -62,7 +67,8 @@ STOP_MIN_SCENES = "min_scenes_reached"
 
 # Error model of the deletion kernel. Its endpoint for deleting row i is
 # tS_i - z se_i with tS_i = 2q - 2 sum_f ||m_-i,f||, not clamped at 0, and z se_i
-# the raw SE times z, zeroed at or below z * SE_CLAMP_RTOL * (1 + tS_i). It and
+# the raw SE times z, zeroed at or below z * se_clamp(tS_i), which is
+# z * SE_CLAMP_RTOL * (1 + tS_i): coplanarity_test's SE clamp scaled by z. It and
 # coplanarity_test's endpoint for the same deletion differ by at most
 #   err_i = 2q (1 + z SE_CLAMP_RTOL) rho_i + z dse_i + z SE_CLAMP_RTOL (1 + tS_i),
 # where rho_i = (KERNEL_RTOL + n * eps) / min_f ||m_-i,f|| bounds the relative
@@ -172,12 +178,14 @@ def leave_one_out(sample: DirectionSample, alpha: float = 0.05) -> List[LeaveOne
 
 
 def _deletion_endpoints(
-    units: np.ndarray, z: float
+    units: np.ndarray, z: float, mean: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CI lower endpoints after each single deletion, their error bounds, and C.
 
-    One numpy pass over the (n, q, d) units of a sample: with mean
-    m, centred rows D = U - m and C = D'D / n, deleting row i leaves the mean
+    One numpy pass over the (n, q, d) units of a sample and their (q, d)
+    mean m, which the caller carries from the pass that built the sample:
+    it must be bit for bit units.reshape(n, -1).sum(axis=0) / n. With
+    centred rows D = U - m and C = D'D / n, deleting row i leaves the mean
     m_-i = m - D_i / (n-1) and the quadratic form
     g_i' S_-i g_i = [n g_i'C g_i - n/(n-1) (D_i . g_i)^2] / (n-1), a rank-one
     downdate (Chan, Golub & LeVeque 1983). With g_i = -2 u_i, u_i the unit
@@ -185,6 +193,9 @@ def _deletion_endpoints(
     2q - 2 sum_f ||m_-i,f|| - (2 z sqrt(n) / (n-1)) sqrt(u_i'C u_i - (D_i . u_i)^2 / (n-1)),
     the constant factors folded into scalars. coplanarity_test's SE clamp is
     applied; its clamp of tS at 0 is not, since the error bound covers it.
+    Each intermediate is written into an array the pass already owns. A
+    focal deletion divides 0 by 0, so the caller runs the pass under
+    np.errstate(divide="ignore", invalid="ignore").
 
     Returns:
         (lower, err, cov). lower and err have shape (n,): lower is NaN where
@@ -194,29 +205,50 @@ def _deletion_endpoints(
         of coplanarity_test on the same units.
     """
     n, q, d = units.shape
-    flat = units.reshape(n, q * d)
-    mean = flat.sum(axis=0) / n
-    dev = flat - mean
+    mean = mean.reshape(q * d)
+    dev = units.reshape(n, q * d) - mean
     cov = mean_outer(dev)
-    del_means = (mean - dev / (n - 1)).reshape(n, q, d)
-    r = np.sqrt(np.einsum("iqd,iqd->iq", del_means, del_means))
+    # m_-i, then in place its unit block directions u_i
+    u = np.divide(dev, n - 1)
+    np.subtract(mean, u, out=u)
+    blocks = u.reshape(n, q, d)
+    r = np.einsum("iqd,iqd->iq", blocks, blocks)
+    np.sqrt(r, out=r)
     rmin = r.min(axis=1)
+    np.divide(blocks, r[:, :, None], out=blocks)
     sq = np.einsum("ij,ij->i", dev, dev)  # ||D_i||^2, whose sum is n tr C
-    zrtol = z * SE_CLAMP_RTOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = (del_means / r[:, :, None]).reshape(n, q * d)
-        proj = np.einsum("ij,ij->i", dev, u)
-        ucu = np.einsum("ij,ij->i", np.einsum("ij,jk->ik", u, cov), u)
-        zse = np.sqrt(np.maximum(ucu - proj * proj / (n - 1), 0.0)) * (2.0 * z * n**0.5 / (n - 1))
-        ts = 2.0 * q - 2.0 * r.sum(axis=1)
-        clamp = (ts + 1.0) * zrtol
-        lower = ts - zse * (zse > clamp)
-        rho = (KERNEL_RTOL + n * _EPS) / rmin
-        # z^2 e_i, and z dse_i = 2 z^2 e_i / (z se_i + sqrt(z^2 e_i)); a
-        # constant sample has e_i = se_i = 0, and 0/0 there
-        ze = (sq + (n - 1) / n * sq.sum()) * rho * (4.0 * q * n * z * z / (n - 1) ** 3)
-        zdse = np.where(ze > 0.0, 2.0 * ze / (zse + np.sqrt(ze)), 0.0)
-        err = rho * (2.0 * q * (1.0 + zrtol)) + zdse + clamp
+    proj = np.einsum("ij,ij->i", dev, u)
+    zse = np.einsum("ij,ij->i", np.einsum("ij,jk->ik", u, cov), u)  # u_i'C u_i
+    proj *= proj
+    proj /= n - 1
+    zse -= proj
+    np.maximum(zse, 0.0, out=zse)
+    np.sqrt(zse, out=zse)
+    zse *= 2.0 * z * n**0.5 / (n - 1)
+    ts = r.sum(axis=1)  # 2q - 2 sum_f r_f, as -2 sum_f r_f + 2q
+    ts *= -2.0
+    ts += 2.0 * q
+    clamp = se_clamp(ts)
+    clamp *= z
+    lower = zse * (zse > clamp)
+    np.subtract(ts, lower, out=lower)
+    # z^2 e_i, and z dse_i = 2 z^2 e_i / (z se_i + sqrt(z^2 e_i)); a
+    # constant sample has e_i = se_i = 0, and 0/0 there
+    rho = np.divide(KERNEL_RTOL + n * _EPS, rmin)
+    ze = sq
+    ze += (n - 1) / n * sq.sum()
+    ze *= rho
+    ze *= 4.0 * q * n * z * z / (n - 1) ** 3
+    zdse = np.sqrt(ze)
+    zdse += zse
+    positive = ze > 0.0
+    ze *= 2.0
+    np.divide(ze, zdse, out=zdse)
+    zdse[~positive] = 0.0
+    err = rho
+    err *= 2.0 * q * (1.0 + z * SE_CLAMP_RTOL)
+    err += zdse
+    err += clamp
     if rmin.min() <= FOCAL_TOL + FOCAL_MARGIN:  # some deletion is focal or nearly so
         lower[rmin < FOCAL_TOL - FOCAL_MARGIN] = np.nan
         # near-focal deletions: finite, so they pass the focal mask, and with
@@ -264,11 +296,14 @@ def greedy_reduce(
     hold the maximum exactly by one stacked_moments pass over their
     deletion stack, and removes the argmax of the post-deletion CI lower
     endpoint ts - z * se at level alpha_ref. The loop carries the current
-    (n, q, d) units and the indices of the surviving scenes, not a sample
-    per candidate. The winner's OpsSummary is built by units_summary from
-    its row of the pass and its covariance, which the next iteration's
-    kernel computes anyway; only a removal with no later kernel pass
-    computes it on its own. The loop stops, checking before each removal,
+    (n, q, d) units, their mean (the winner's mean row of the window pass,
+    or the full test's mean vector before the first removal) and the
+    indices of the surviving scenes, not a sample per candidate; it runs
+    under one np.errstate. Each winner's row of the pass and its covariance,
+    which the next iteration's kernel computes anyway (only a removal with no
+    later kernel pass computes it on its own), are kept, and after the loop
+    one units_summary call builds every step's OpsSummary from them. The
+    loop stops, checking before each removal,
     when the current endpoint is at most the fp zero floor (the test no
     longer rejects), when max_removals (default n // 4) have been removed,
     when three scenes remain, or when no deletion can be evaluated at all.
@@ -293,55 +328,64 @@ def greedy_reduce(
     current = full.ci[0]
     ids = sample.scene_ids
     units = sample.units
+    mean = full.mean_vector  # the mean of units, carried into each kernel pass
     survivors = list(range(sample.n))
-    # per removal: the removed row and its (mean, resultant, ts, se) row
-    removals: List[Tuple[int, tuple]] = []
+    removed: List[str] = []  # the removed scene ids
+    # per removal: the (mean, resultant, ts, se) row of the sample it leaves
+    moments: List[tuple] = []
     covariances: List[np.ndarray] = []
-    while True:
-        if current <= ZERO_TOL:
-            reason = STOP_NONPOSITIVE
-            break
-        if len(removals) >= max_removals:
-            reason = STOP_MAX_REMOVALS
-            break
-        if len(survivors) <= 3:
-            reason = STOP_MIN_SCENES
-            break
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            if current <= ZERO_TOL:
+                reason = STOP_NONPOSITIVE
+                break
+            if len(removed) >= max_removals:
+                reason = STOP_MAX_REMOVALS
+                break
+            if len(survivors) <= 3:
+                reason = STOP_MIN_SCENES
+                break
 
-        # rank by the kernel; only deletions whose endpoint could still be
-        # the maximum are scored exactly, and the argmax is taken there
-        lower, err, cov = _deletion_endpoints(units, z)
-        if removals:  # cov is the covariance of the sample the last removal left
-            covariances.append(cov)
-        # fmax skips the NaN of focal deletions, and a NaN fails the >=
-        window = (lower + err >= np.fmax.reduce(lower - err)).nonzero()[0]
-        stack, mean, resultant, ts, se, focal = _deletion_moments(units, window)
-        exact = ts - z * se  # meaningless on focal rows, which are skipped
-        keys = [_scene_order_key(ids[survivors[i]]) for i in window.tolist()]
-        # of bitwise-equal rows only the smallest id is a candidate
-        distinct = {}
-        for w in (~focal).nonzero()[0].tolist():
-            row = units[window[w]].tobytes()
-            if row not in distinct or keys[w] < keys[distinct[row]]:
-                distinct[row] = w
-        best = min(distinct.values(), key=lambda w: (-exact[w], keys[w]), default=None)
-        if best is None:
-            reason = STOP_NO_IMPROVEMENT
-            break
+            # rank by the kernel; only deletions whose endpoint could still be
+            # the maximum are scored exactly, and the argmax is taken there
+            lower, err, cov = _deletion_endpoints(units, z, mean)
+            if removed:  # cov is the covariance of the sample the last removal left
+                covariances.append(cov)
+            # fmax skips the NaN of focal deletions, and a NaN fails the >=
+            window = (lower + err >= np.fmax.reduce(lower - err)).nonzero()[0]
+            stack, means, resultant, ts, se, focal = _deletion_moments(units, window)
+            exact = ts - z * se  # meaningless on focal rows, which are skipped
+            if len(window) == 1:
+                best = None if focal[0] else 0
+            else:
+                keys = [_scene_order_key(ids[survivors[i]]) for i in window.tolist()]
+                # of bitwise-equal rows only the smallest id is a candidate
+                distinct = {}
+                for w in (~focal).nonzero()[0].tolist():
+                    row = units[window[w]].tobytes()
+                    if row not in distinct or keys[w] < keys[distinct[row]]:
+                        distinct[row] = w
+                best = min(distinct.values(), key=lambda w: (-exact[w], keys[w]), default=None)
+            if best is None:
+                reason = STOP_NO_IMPROVEMENT
+                break
 
-        units = np.ascontiguousarray(stack[:, best])
-        current = exact[best]
-        removed = survivors.pop(window[best])
-        removals.append((removed, (mean[best], resultant[best], ts[best], se[best])))
-    if len(covariances) < len(removals):
+            units = np.ascontiguousarray(stack[:, best])
+            mean = means[best]
+            current = exact[best]
+            removed.append(ids[survivors.pop(window[best])])
+            moments.append((mean, resultant[best], ts[best], se[best]))
+    if len(covariances) < len(removed):
         covariances.append(_covariance(units))
 
-    steps = []
-    for k, ((removed, moments), cov) in enumerate(zip(removals, covariances)):
-        summary = units_summary(sample.n - k - 1, alpha_ref, full.df, *moments, cov)
-        steps.append(ReductionStep(ids[removed], summary, summary.ci[0]))
+    steps = ()
+    if removed:  # every step's summary in one pass over the stacked rows
+        rows = (np.array(column) for column in zip(*moments))
+        sizes = range(sample.n - 1, sample.n - 1 - len(removed), -1)
+        summaries = units_summary(sizes, alpha_ref, full.df, *rows, covariances)
+        steps = tuple(map(ReductionStep, removed, summaries, (s.ci[0] for s in summaries)))
     return ReductionTrace(
-        steps=tuple(steps),
+        steps=steps,
         alpha_ref=alpha_ref,
         initial_scene_ids=ids,
         final_scene_ids=tuple(ids[i] for i in survivors),

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -258,17 +258,23 @@ def _dispersion_and_se(resultant, se_raw=0.0):
 
     tS = 2 * sum_f (1 - r_f) over the last axis of `resultant`, clamped at 0
     from below (rounding can push a constant sample's resultant a few ulp
-    past 1). A raw delta SE at rounding-noise scale, se_raw <=
-    SE_CLAMP_RTOL * (1 + tS), becomes exactly 0.0: two-point samples cancel
-    the projected variance identically, and constant samples must not
-    manufacture a positive error from summation noise. Works elementwise on
-    arrays of samples, one per leading index.
+    past 1). A raw delta SE at rounding-noise scale, se_raw <= se_clamp(tS),
+    becomes exactly 0.0: two-point samples cancel the projected variance
+    identically, and constant samples must not manufacture a positive error
+    from summation noise. Works elementwise on arrays of samples, one per
+    leading index.
     """
     # multiplying by the mask costs no more than the scalar max() and
     # comparison it replaces; + 0.0 turns the -0.0 of a negative tS into 0.0
     ts = 2.0 * (1.0 - resultant).sum(axis=-1)
     ts = ts * (ts > 0.0) + 0.0
-    return ts, se_raw * (se_raw > SE_CLAMP_RTOL * (1.0 + ts))
+    return ts, se_raw * (se_raw > se_clamp(ts))
+
+
+def se_clamp(ts):
+    """SE_CLAMP_RTOL * (1 + tS): a raw delta SE at or below it is rounding
+    noise and becomes 0.0. Elementwise on arrays."""
+    return SE_CLAMP_RTOL * (1.0 + ts)
 
 
 def _covariance(units: np.ndarray) -> np.ndarray:
@@ -441,55 +447,60 @@ def coplanarity_test(
         raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")
     if df is None:
         df = (sample.dim - 1) * sample.q
-    moments = (a[0] for a in sample_moments(sample.units[:, None]))
-    return units_summary(sample.n, alpha, df, *moments, _covariance(sample.units))
+    moments = sample_moments(sample.units[:, None])
+    return units_summary([sample.n], alpha, df, *moments, [_covariance(sample.units)])[0]
 
 
 def units_summary(
-    n: int,
+    n: Sequence[int],
     alpha: float,
     df: int,
     mean: np.ndarray,
     resultant: np.ndarray,
-    ts: float,
-    se: float,
-    covariance: np.ndarray,
-) -> OpsSummary:
-    """The OpsSummary of n units, given their stacked_moments row and covariance.
+    ts: np.ndarray,
+    se: np.ndarray,
+    covariance: Sequence[np.ndarray],
+) -> Tuple[OpsSummary, ...]:
+    """The OpsSummary of each of k samples, given their stacked_moments rows
+    and covariances.
 
-    mean, resultant, ts and se are one sample's entries of stacked_moments,
-    for a sample that is not focal, and covariance is _covariance of its
-    units; alpha and df are taken as valid. The statistics are added here,
-    so coplanarity_test and a row of a stacked pass give bit-identical
-    summaries.
+    n holds the k sample sizes; mean (k, q, d), resultant (k, q), ts (k,)
+    and se (k,) are k rows of stacked_moments, of samples that are not
+    focal, and covariance holds the k _covariance of their units; alpha and
+    df are taken as valid. The array statistics (z, the interval and the
+    extrinsic means) are formed once for all k rows and the tail
+    probabilities row by row, so coplanarity_test (k = 1) and the rows of a
+    stacked pass give bit-identical summaries.
     """
-    q, d = mean.shape
-    ts, se = float(ts), float(se)
-    z, degenerate = z_values(np.float64(ts), np.float64(se))
-    z, degenerate = float(z), bool(degenerate)
-    # a degenerate zero dispersion has p = 1; otherwise the upper normal tail
-    p_normal = 1.0 if degenerate and z == 0.0 else normal_cdf(-z)
-    t_stat, p_chisq = chisq_statistic(ts, n, df)
-    ci = confidence_interval(ts, se, alpha)
-
-    return OpsSummary(
-        n=n,
-        q=q,
-        dim=d,
-        alpha=alpha,
-        df=df,
-        mean_vector=mean,
-        resultant=resultant,
-        extrinsic_mean=mean / resultant[:, None],
-        total_variance=ts,
-        covariance=covariance,
-        se=se,
-        z=z,
-        t_stat=t_stat,
-        p_normal=p_normal,
-        p_chisq=p_chisq,
-        ci=(float(ci[0]), float(ci[1])),
-        degenerate=degenerate,
-        reject_ci=bool(ci[0] > ZERO_TOL),
-        reject_chisq=bool(p_chisq < alpha),
-    )
+    q, d = mean.shape[1:]
+    z, degenerate = z_values(ts, se)
+    lower, upper = confidence_interval(ts, se, alpha)
+    extrinsic_mean = mean / resultant[..., None]
+    columns = (ts.tolist(), se.tolist(), z.tolist(), degenerate.tolist(), lower.tolist(), upper.tolist())
+    summaries = []
+    for i, (n_i, ts_i, se_i, z_i, degenerate_i, lower_i, upper_i) in enumerate(zip(n, *columns)):
+        # a degenerate zero dispersion has p = 1; otherwise the upper normal tail
+        p_normal = 1.0 if degenerate_i and z_i == 0.0 else normal_cdf(-z_i)
+        t_stat, p_chisq = chisq_statistic(ts_i, n_i, df)
+        summaries.append(OpsSummary(
+            n=n_i,
+            q=q,
+            dim=d,
+            alpha=alpha,
+            df=df,
+            mean_vector=mean[i],
+            resultant=resultant[i],
+            extrinsic_mean=extrinsic_mean[i],
+            total_variance=ts_i,
+            covariance=covariance[i],
+            se=se_i,
+            z=z_i,
+            t_stat=t_stat,
+            p_normal=p_normal,
+            p_chisq=p_chisq,
+            ci=(lower_i, upper_i),
+            degenerate=degenerate_i,
+            reject_ci=bool(lower_i > ZERO_TOL),
+            reject_chisq=bool(p_chisq < alpha),
+        ))
+    return tuple(summaries)

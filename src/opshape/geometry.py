@@ -197,14 +197,27 @@ class DirectionSample:
 
     units has shape (n, q, d), or (n, d) for q = 1; scene_ids are the
     per-row labels, "0" .. "n-1" when None. Arrays are locked after
-    construction so samples are safe to share across threads.
+    construction so samples are safe to share across threads. A sample
+    built from outside data has its unit norms checked; one built from
+    rows checked already, registered (register_points) or taken from
+    another sample, is built by _of_checked_rows and not checked again.
     """
 
     units: np.ndarray
     scene_ids: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
-        u = np.asarray(self.units, dtype=np.float64)
+        self._fill(self.units, self.scene_ids, check_unit_norm)
+
+    @classmethod
+    def _of_checked_rows(cls, units: np.ndarray, scene_ids: Sequence[str]) -> "DirectionSample":
+        """A sample of (n, q, d) rows whose unit norms are checked already."""
+        sample = object.__new__(cls)
+        sample._fill(units, scene_ids, lambda u: None)
+        return sample
+
+    def _fill(self, units, scene_ids, check_norms) -> None:
+        u = np.asarray(units, dtype=np.float64)
         if u.ndim == 2:
             u = u[:, None, :]
         if u.ndim != 3:
@@ -213,8 +226,8 @@ class DirectionSample:
             raise EmptySample("sample contains no scenes")
         if u.shape[1] < 1 or u.shape[2] < 2:
             raise ValueError("each block must hold vectors in R^d, d >= 2")
-        check_unit_norm(u)
-        ids = tuple(map(str, range(u.shape[0]) if self.scene_ids is None else self.scene_ids))
+        check_norms(u)
+        ids = tuple(map(str, range(u.shape[0]) if scene_ids is None else scene_ids))
         if len(ids) != u.shape[0]:
             raise ValueError("scene_ids length must equal the number of rows")
         if len(set(ids)) != len(ids):
@@ -239,7 +252,7 @@ class DirectionSample:
         if not 0 <= index < self.n:
             raise IndexError(f"row {index} outside 0..{self.n - 1}")
         keep = [i for i in range(self.n) if i != index]
-        return DirectionSample(self.units[keep], tuple(self.scene_ids[i] for i in keep))
+        return self._of_checked_rows(self.units[keep], tuple(self.scene_ids[i] for i in keep))
 
     def subset(self, ids: Sequence[str]) -> "DirectionSample":
         """Rows whose scene id is in `ids`, preserving sample order."""
@@ -247,7 +260,7 @@ class DirectionSample:
         keep = [i for i, s in enumerate(self.scene_ids) if s in wanted]
         if not keep:
             raise EmptySample("subset selects no scenes")
-        return DirectionSample(self.units[keep], tuple(self.scene_ids[i] for i in keep))
+        return self._of_checked_rows(self.units[keep], tuple(self.scene_ids[i] for i in keep))
 
 
 class FrameCharts(NamedTuple):

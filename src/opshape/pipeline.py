@@ -139,7 +139,8 @@ def register_scenes(
         keep = np.ones(len(ids), dtype=bool)
         keep[list(errors)] = False
         units, flipped, ids = units[keep], flipped & keep, tuple(compress(ids, keep))
-    sample = DirectionSample(units, ids)
+    # register_points has checked every kept row's unit norm
+    sample = DirectionSample._of_checked_rows(units, ids)
     flipped_ids = [study.ids[i] for i in np.flatnonzero(flipped).tolist()]
     if flipped_ids and len(flipped_ids) < sample.n:
         shown = ", ".join(repr(i) for i in flipped_ids[:_WARN_IDS])

@@ -412,7 +412,8 @@ def summary(units, alpha=0.05, df=None):
     mean, r, ts, se, focal = moments(units)
     if focal:
         raise FocalMean("focal block mean")
-    return units_summary(n, alpha, df, mean, r, ts, se, covariance(units))
+    rows = (np.array([a]) for a in (mean, r, ts, se))
+    return units_summary([n], alpha, df, *rows, [covariance(units)])[0]
 
 
 def monte_carlo(sigma, n, reps, alpha, seed, oracle_draws):

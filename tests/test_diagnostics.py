@@ -260,9 +260,11 @@ ANTIPODAL = DirectionSample(np.vstack([np.eye(3)[:2], -np.eye(3)[:2], np.eye(3)[
 def test_deletion_kernel_matches_direct_within_window(sample, alpha):
     # the greedy window is the kernel's error bound; the real distance to
     # the direct recomputation must sit far inside it
-    lower, err, cov = diagnostics._deletion_endpoints(
-        sample.units, normal_quantile(1.0 - alpha / 2.0)
-    )
+    mean = stacked_moments(sample.units[:, None])[0][0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower, err, cov = diagnostics._deletion_endpoints(
+            sample.units, normal_quantile(1.0 - alpha / 2.0), mean
+        )
     # the covariance greedy_reduce carries into the previous step's summary
     assert cov.tobytes() == _covariance(sample.units).tobytes()
     for i in range(sample.n):
@@ -322,6 +324,28 @@ def test_deletion_stack_slices_equal_the_index_gather(sample, data):
     names = ("mean", "resultant", "ts", "se", "focal")
     for got, want, name in zip(moments, stacked_moments(expected), names):
         ref.assert_same_bits(got, want, name)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kernel_samples(), st.data())
+@example(_duplicated_sample(), None)
+def test_window_mean_row_is_the_mean_the_kernel_needs(sample, data):
+    # greedy_reduce feeds the winner's mean row of the window pass to the next
+    # kernel pass in place of the mean of the sample the deletion leaves
+    units = sample.units
+    n = units.shape[0]
+    if data is None:  # every deletion: the copies of repeated rows among them
+        rows = np.arange(n)
+    else:
+        rows = data.draw(deletion_rows(n))
+    stack, mean = diagnostics._deletion_moments(units, rows)[:2]
+    for r, i in enumerate(rows.tolist()):
+        left = ref.drop_rows(units, [i])
+        flat = left.reshape(n - 1, -1)
+        assert mean[r].tobytes() == (flat.sum(axis=0) / (n - 1)).tobytes()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cov = diagnostics._deletion_endpoints(stack[:, r], 1.96, mean[r])[2]
+        assert cov.tobytes() == _covariance(left).tobytes()
 
 
 # ---------- the window pass against the exhaustive search ------------------------
@@ -404,6 +428,7 @@ class _ScriptedSummary:
         self.ci = (lower, lower + 1.0)
         self.n = 0
         self.df = 2
+        self.mean_vector = None  # the carried mean, which the scripted kernel ignores
 
 
 def _scripted(sample, monkeypatch, lower_of):
@@ -419,7 +444,7 @@ def _scripted(sample, monkeypatch, lower_of):
     def lowers(units, rows):
         return np.array([lower_of(id_of[units[i].tobytes()]) for i in rows], dtype=np.float64)
 
-    def kernel(units, z):
+    def kernel(units, z, mean):
         lower = lowers(units, range(len(units)))
         return lower, np.zeros(len(units)), diagnostics._covariance(units)
 

@@ -177,7 +177,8 @@ def test_confidence_interval_lower_not_clamped():
 
 def summary_z(ts, se):
     """(z, p_normal, degenerate) of the units_summary of a sample with dispersion ts and SE se."""
-    s = units_summary(10, 0.05, 2, np.array([[0.0, 0.0, 1.0]]), np.ones(1), ts, se, np.zeros((3, 3)))
+    mean = np.array([[[0.0, 0.0, 1.0]]])
+    (s,) = units_summary([10], 0.05, 2, mean, np.ones((1, 1)), np.array([ts]), np.array([se]), [np.zeros((3, 3))])
     return s.z, s.p_normal, s.degenerate
 
 

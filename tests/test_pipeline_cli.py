@@ -657,11 +657,13 @@ def test_cli_bad_statistical_argument_exits_2(study_csv, tmp_path, capsys, comma
     assert not (tmp_path / "o").exists()
 
 def test_integer_options_stop_at_two_to_the_53():
+    # --oracle-draws stops at its own, lower cap: the oracle streams its
+    # draws, so memory never stops a large count, only time
     parse = build_parser().parse_args
-    for flag in ("--n", "--reps", "--oracle-draws"):
-        assert getattr(parse(["mc", "--out", "m", flag, str(2**53)]), flag[2:].replace("-", "_")) == 2**53
+    for flag, most in (("--n", 2**53), ("--reps", 2**53), ("--oracle-draws", 10**9)):
+        assert getattr(parse(["mc", "--out", "m", flag, str(most)]), flag[2:].replace("-", "_")) == most
         with pytest.raises(SystemExit):
-            parse(["mc", "--out", "m", flag, str(2**53 + 1)])
+            parse(["mc", "--out", "m", flag, str(most + 1)])
 
 
 @pytest.mark.parametrize(
@@ -684,6 +686,10 @@ def test_integer_options_stop_at_two_to_the_53():
         ("mc --out {out} --reps 1" + "0" * 30, 2, "argument --reps: must be at most 2**53"),
         ("mc --out {out} --n 1" + "0" * 30, 2, "argument --n: must be at most 2**53"),
         ("mc --out {out} --oracle-draws 1" + "0" * 30, 2, "argument --oracle-draws: must be at most"),
+        # 2**53 is below the integer cap, but the oracle streams its draws,
+        # so nothing but time would stop it
+        ("mc --out {out} --oracle-draws " + str(2**53), 2, "argument --oracle-draws: must be at most 10**9"),
+        ("mc --out {out} --oracle-draws 1000000001", 2, "argument --oracle-draws: must be at most 10**9"),
         pytest.param(
             "analyze {study} --out {out} --df " + "9" * 400, 2, "argument --df: must be at most 2**53",
             id="analyze --df 400 digits",

@@ -239,6 +239,26 @@ def test_register_points_fails_an_off_unit_row_after_its_frame_reason(monkeypatc
     ref.assert_same_bits(units[[0, 3]], want)
 
 
+def test_registration_checks_unit_norms_once(monkeypatch):
+    # register_points' unit-norm pass is the only one: the sample it becomes,
+    # and the samples taken from that, are not checked again
+    passes = []
+    real_off_unit, real_check = opshape.geometry._off_unit, opshape.geometry.check_unit_norm
+    monkeypatch.setattr(opshape.geometry, "_off_unit", lambda u: passes.append("_off_unit") or real_off_unit(u))
+    monkeypatch.setattr(opshape.geometry, "check_unit_norm", lambda u: passes.append("check") or real_check(u))
+    views = synthesize_views(k=6, cameras=8, seed=4, delta=0.01)
+    sample = register_scenes(views, FrameSpec((1, 2, 4, 3), (5, 6)))[0]
+    assert sample.n == 8
+    sample.subset(sample.scene_ids[2:]).without(0)
+    assert passes == ["_off_unit"]
+    # a sample built from outside data is checked, and an off-unit row raises
+    units = sample.units.copy()
+    units[3, 1] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="unit norm"):
+        opshape.geometry.DirectionSample(units)
+    assert passes == ["_off_unit", "check", "_off_unit"]
+
+
 @pytest.mark.parametrize("name", sorted(STUDIES))
 def test_frame_charts_match_single_frame_solves(name):
     study, _ = STUDIES[name]
