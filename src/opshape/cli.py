@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-draws",
         type=_at_least(1, most=MAX_ORACLE_DRAWS),
         default=1_000_000,
-        help="draws for the population-dispersion oracle, at most 10**9 (default 1000000)",
+        help=f"draws for the population-dispersion oracle, at most {MAX_ORACLE_DRAWS[1]}",
     )
     return parser
 

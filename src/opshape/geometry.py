@@ -207,16 +207,17 @@ class DirectionSample:
     scene_ids: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
-        self._fill(self.units, self.scene_ids, check_unit_norm)
+        self._fill(self.units, self.scene_ids)
+        check_unit_norm(self.units)
 
     @classmethod
     def _of_checked_rows(cls, units: np.ndarray, scene_ids: Sequence[str]) -> "DirectionSample":
         """A sample of (n, q, d) rows whose unit norms are checked already."""
         sample = object.__new__(cls)
-        sample._fill(units, scene_ids, lambda u: None)
+        sample._fill(units, scene_ids)
         return sample
 
-    def _fill(self, units, scene_ids, check_norms) -> None:
+    def _fill(self, units, scene_ids) -> None:
         u = np.asarray(units, dtype=np.float64)
         if u.ndim == 2:
             u = u[:, None, :]
@@ -226,7 +227,6 @@ class DirectionSample:
             raise EmptySample("sample contains no scenes")
         if u.shape[1] < 1 or u.shape[2] < 2:
             raise ValueError("each block must hold vectors in R^d, d >= 2")
-        check_norms(u)
         ids = tuple(map(str, range(u.shape[0]) if scene_ids is None else scene_ids))
         if len(ids) != u.shape[0]:
             raise ValueError("scene_ids length must equal the number of rows")
