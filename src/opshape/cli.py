@@ -66,8 +66,9 @@ def _level(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    # above 2**-53, or 1 - value/2 rounds to 1 and the interval is infinite
+    if not (0.0 < value < 1.0 and 1.0 - value / 2.0 < 1.0):
+        raise argparse.ArgumentTypeError(f"must be in (2**-53, 1), got {text}")
     return value
 
 

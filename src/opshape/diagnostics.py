@@ -11,21 +11,23 @@ scenes in another order, whose sums may round apart; so of such copies
 only the one with the smallest id is a candidate, and copies do not make
 the removal order depend on the input row order.
 
-Each step scores all n deletions at once with a closed-form kernel: deleting
-one row changes the mean and the scatter matrix by a rank-one update, so the
-post-deletion endpoints cost one O(n (qd)^2) numpy pass instead of n full
-tests, its constant factors folded into scalars. The kernel only ranks. The
-deletions whose endpoint could, within the kernel's error bound, still be
-the largest form the step's window, typically one deletion: their reduced
-samples are stacked scenes-major, (n - 1, rows, q, d), and scored exactly by
-one stacked_moments pass, and the argmax and tie-break are taken over those
-exact endpoints, so the reported steps are those of an exhaustive search.
-The winner's row of that pass holds the mean of the sample it
-leaves, bit for bit the mean a pass over that sample alone computes, so the
-next kernel pass takes it instead of summing the sample again; that pass
-also computes the winner's covariance. The steps' summaries are built after
-the loop, in one units_summary call (the builder coplanarity_test calls
-with one row) over the winners' stacked rows and covariances.
+Each step is one pass over the current sample, a closed-form kernel. It
+computes the sample's own exact row (mean, resultant, tS, SE), bit for bit
+the row stacked_moments gives, and its covariance C; from the same centred
+rows it scores all n deletions at once: deleting one row changes the mean
+and the scatter matrix by a rank-one update, so the post-deletion endpoints
+cost one O(n (qd)^2) numpy pass instead of n full tests, its constant
+factors folded into scalars. The kernel only ranks. The deletions whose
+endpoint could, within the kernel's error bound, still be the largest form
+the step's window. Where the window holds one deletion with a finite bound,
+as in most steps, that deletion is the exhaustive argmax and is removed at
+once. Otherwise the window's reduced samples are stacked scenes-major,
+(n - 1, rows, q, d), and scored exactly by one stacked_moments pass, and the
+argmax and tie-break are taken over those exact endpoints. So the reported
+steps are those of an exhaustive search, and each step's statistics are the
+row and C of the next pass, over the sample the removal leaves. The steps'
+summaries are built after the loop, in one units_summary call (the builder
+coplanarity_test calls with one row) over those rows and covariances.
 
 The single-deletion table is reported, so it is not ranked by the kernel:
 its rows are computed exactly by the same stacked pass, in slices of at
@@ -46,17 +48,17 @@ from .directional import (
     SE_CLAMP_RTOL,
     ZERO_TOL,
     OpsSummary,
-    _covariance,
+    _dispersion_and_se,
     confidence_interval,
     coplanarity_test,
-    normal_quantile,
     se_clamp,
     stacked_moments,
+    two_sided_quantile,
     units_summary,
     z_values,
 )
 from .errors import EmptySample, InvalidLevel
-from .geometry import DirectionSample, mean_outer
+from .geometry import DirectionSample, last_axis_dots, mean_outer
 
 STOP_NONPOSITIVE = "lower_endpoint_nonpositive"
 STOP_MAX_REMOVALS = "max_removals_reached"
@@ -178,15 +180,17 @@ def leave_one_out(sample: DirectionSample, alpha: float = 0.05) -> List[LeaveOne
     return list(map(LeaveOneOutRow._make, zip(sample.scene_ids, *(c.tolist() for c in columns))))
 
 
-def _deletion_endpoints(
-    units: np.ndarray, z: float, mean: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CI lower endpoints after each single deletion, their error bounds, and C.
+def _deletion_endpoints(units: np.ndarray, z: float):
+    """The sample's own exact row and C, and the CI lower endpoints after each
+    single deletion with their error bounds: greedy_reduce's one pass per sample.
 
-    One numpy pass over the (n, q, d) units of a sample and their (q, d)
-    mean m, which the caller carries from the pass that built the sample:
-    it must be bit for bit units.reshape(n, -1).sum(axis=0) / n. With
-    centred rows D = U - m and C = D'D / n, deleting row i leaves the mean
+    One numpy pass over the (n, q, d) units, laid out as (qd, n) columns.
+    Its first part is the sample's row of stacked_moments, bit for bit row 0
+    of stacked_moments(units[:, None]) by the same operations: the mean
+    m = flat.sum(axis=0) / n, the block resultants, the centred rows
+    D = U - m, the projections D_j . g with g = -2 m_f / ||m_f|| added left to
+    right, tS and SE through _dispersion_and_se, and the focal flag. C = D'D / n
+    is formed from the same D. With them, deleting row i leaves the mean
     m_-i = m - D_i / (n-1) and the quadratic form
     g_i' S_-i g_i = [n g_i'C g_i - n/(n-1) (D_i . g_i)^2] / (n-1), a rank-one
     downdate (Chan, Golub & LeVeque 1983). With g_i = -2 u_i, u_i the unit
@@ -194,25 +198,33 @@ def _deletion_endpoints(
     2q - 2 sum_f ||m_-i,f|| - (2 z sqrt(n) / (n-1)) sqrt(u_i'C u_i - (D_i . u_i)^2 / (n-1)),
     the constant factors folded into scalars. coplanarity_test's SE clamp is
     applied; its clamp of tS at 0 is not, since the error bound covers it.
-    The rows are laid out as (qd, n) columns, and each intermediate is
-    written into an array the pass already owns. A focal deletion divides
-    0 by 0, so the caller runs the pass under
-    np.errstate(divide="ignore", invalid="ignore"): greedy_reduce enters one
-    for its whole loop, as entering one costs about 2 us (numpy 2.4, one
-    Xeon core), about 1.7% of a 124 us step at n = 200, q = 1.
+    Each intermediate is written into an array the pass already owns. A
+    focal deletion divides 0 by 0, so the caller runs the pass under
+    np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    greedy_reduce enters one for its whole loop, as entering one costs about
+    2 us (numpy 2.4, one Xeon core), about 1.7% of a 124 us step at n = 200,
+    q = 1.
 
     Returns:
-        (lower, err, cov). lower and err have shape (n,): lower is NaN where
-        the deletion leaves a focal mean; err is the bound of the module's
-        error model, infinite where a block mean lies within FOCAL_MARGIN of
-        FOCAL_TOL. cov is C, shape (qd, qd), bit-identical to the covariance
-        of coplanarity_test on the same units.
+        (row, cov, lower, err). row is (mean (q, d), resultant (q,), ts, se,
+        focal), the entries of stacked_moments' row of the sample, and cov is
+        C, shape (qd, qd), bit-identical to _covariance(units). lower and err
+        have shape (n,): lower is NaN where the deletion leaves a focal mean;
+        err is the bound of the module's error model, infinite where a block
+        mean lies within FOCAL_MARGIN of FOCAL_TOL.
     """
     n, q, d = units.shape
-    mean = mean.reshape(q * d, 1)
+    flat = units.reshape(n, q * d)
+    mean = flat.sum(axis=0) / n
+    block_mean = mean.reshape(q, d)
+    resultant = np.sqrt((block_mean * block_mean).sum(axis=-1))
     # D', m_-i' and u_i' as (qd, n) columns: each elementwise pass runs one
     # long loop per coordinate, not n loops of qd
-    dev = np.subtract(units.reshape(n, q * d).T, mean, order="C")
+    mean = mean[:, None]
+    dev = np.subtract(flat.T, mean, order="C")
+    proj = last_axis_dots(dev.T, (-2.0 * block_mean / resultant[:, None]).ravel())
+    ts, se = _dispersion_and_se(resultant, np.sqrt((proj * proj).sum() / n / n))
+    row = (block_mean, resultant, ts, se, (resultant < FOCAL_TOL).any())
     cov = mean_outer(dev.T)
     # m_-i, then in place its unit block directions u_i
     u = np.divide(dev, n - 1)
@@ -262,7 +274,7 @@ def _deletion_endpoints(
         near = np.abs(rmin - FOCAL_TOL) <= FOCAL_MARGIN
         lower[near] = 0.0
         err[near] = np.inf
-    return lower, err, cov
+    return row, cov, lower, err
 
 
 @dataclass(frozen=True)
@@ -297,22 +309,25 @@ def greedy_reduce(
 ) -> ReductionTrace:
     """Remove scenes one at a time, keeping the lower endpoint maximal.
 
-    Each iteration scores every single deletion from the current sample
-    with the deletion kernel, scores the window of deletions that could
-    hold the maximum exactly by one stacked_moments pass over their
-    deletion stack, and removes the argmax of the post-deletion CI lower
-    endpoint ts - z * se at level alpha_ref. The loop carries the current
-    (n, q, d) units, their mean (the winner's mean row of the window pass,
-    or the full test's mean vector before the first removal) and the
-    indices of the surviving scenes, not a sample per candidate; it runs
-    under one np.errstate. Each winner's row of the pass and its covariance,
-    which the next iteration's kernel computes anyway (only a removal with no
-    later kernel pass computes it on its own), are kept, and after the loop
-    one units_summary call builds every step's OpsSummary from them. The
-    loop stops, checking before each removal,
-    when the current endpoint is at most the fp zero floor (the test no
-    longer rejects), when max_removals (default n // 4) have been removed,
-    when three scenes remain, or when no deletion can be evaluated at all.
+    Each iteration makes one kernel pass over the current (n, q, d) units.
+    It records the pass's exact row and covariance as the summary of the
+    sample the last removal left (the first pass's row is the full test's),
+    checks the stop rules on the row's endpoint ts - z * se at level
+    alpha_ref, and scores every single deletion. A window of one deletion
+    with a finite bound is removed at once; any other window, with duplicate
+    rows, a tie within the bound or a deletion near FOCAL_TOL, is scored
+    exactly by one stacked_moments pass over its deletion stack, and its
+    argmax removed. A removal copies the units around the deleted row. A
+    one-deletion window trusts the kernel's focal call outside FOCAL_MARGIN,
+    as the window already does for the deletions the kernel marks focal
+    (NaN), which it never scores exactly. The loop carries only the
+    current units and the indices of the surviving scenes, and runs under
+    one np.errstate. After the loop one units_summary call builds every
+    step's OpsSummary from the recorded rows. The loop stops, checking
+    before each removal, when the current endpoint is at most the fp zero
+    floor (the test no longer rejects), when max_removals (default n // 4)
+    have been removed, when three scenes remain, or when no deletion can be
+    evaluated at all.
 
     Args:
         sample: registered directions, n >= 3.
@@ -322,27 +337,29 @@ def greedy_reduce(
     """
     if sample.n < 3:
         raise EmptySample("need at least three scenes to reduce")
-    if not 0.0 < alpha_ref < 1.0:
-        raise InvalidLevel(f"alpha_ref must be in (0, 1), got {alpha_ref}")
+    z = two_sided_quantile(alpha_ref, "alpha_ref")
     if max_removals is None:
         max_removals = sample.n // 4
     if max_removals < 0:
         raise ValueError("max_removals must be >= 0")
 
-    z = normal_quantile(1.0 - alpha_ref / 2.0)
     full = coplanarity_test(sample, alpha_ref, df)
-    current = full.ci[0]
     ids = sample.scene_ids
     units = sample.units
-    mean = full.mean_vector  # the mean of units, carried into each kernel pass
     survivors = list(range(sample.n))
     removed: List[str] = []  # the removed scene ids
-    # per removal: the (mean, resultant, ts, se) row of the sample it leaves
-    moments: List[tuple] = []
+    # per sample the loop passes over, the first the full one: its
+    # (mean, resultant, ts, se) row and its covariance
+    rows: List[tuple] = []
     covariances: List[np.ndarray] = []
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
-            if current <= ZERO_TOL:
+            # the sample is not focal: the full test raises on a focal one,
+            # and no removal leaves one
+            (mean, resultant, ts, se, _), cov, lower, err = _deletion_endpoints(units, z)
+            rows.append((mean, resultant, ts, se))
+            covariances.append(cov)
+            if ts - z * se <= ZERO_TOL:
                 reason = STOP_NONPOSITIVE
                 break
             if len(removed) >= max_removals:
@@ -353,39 +370,40 @@ def greedy_reduce(
                 break
 
             # rank by the kernel; only deletions whose endpoint could still be
-            # the maximum are scored exactly, and the argmax is taken there
-            lower, err, cov = _deletion_endpoints(units, z, mean)
-            if removed:  # cov is the covariance of the sample the last removal left
-                covariances.append(cov)
+            # the maximum are scored exactly, and the argmax is taken there;
             # fmax skips the NaN of focal deletions, and a NaN fails the >=
             window = (lower + err >= np.fmax.reduce(lower - err)).nonzero()[0]
-            stack, means, resultant, ts, se, focal = _deletion_moments(units, window)
-            exact = ts - z * se  # meaningless on focal rows, which are skipped
-            keys = [_scene_order_key(ids[survivors[i]]) for i in window.tolist()]
-            # of bitwise-equal rows only the smallest id is a candidate
-            distinct = {}
-            for w in (~focal).nonzero()[0].tolist():
-                row = units[window[w]].tobytes()
-                if row not in distinct or keys[w] < keys[distinct[row]]:
-                    distinct[row] = w
-            best = min(distinct.values(), key=lambda w: (-exact[w], keys[w]), default=None)
-            if best is None:
-                reason = STOP_NO_IMPROVEMENT
-                break
+            if len(window) == 1 and err[window[0]] < np.inf:
+                # every other exact endpoint lies below this one's: the
+                # exhaustive argmax, with no copy (a copy scores the same)
+                # and, its bound finite, not focal
+                best = int(window[0])
+            else:
+                *_, window_ts, window_se, focal = _deletion_moments(units, window)
+                exact = window_ts - z * window_se  # meaningless on focal rows, which are skipped
+                keys = [_scene_order_key(ids[survivors[i]]) for i in window.tolist()]
+                # of bitwise-equal rows only the smallest id is a candidate
+                distinct = {}
+                for w in (~focal).nonzero()[0].tolist():
+                    key = units[window[w]].tobytes()
+                    if key not in distinct or keys[w] < keys[distinct[key]]:
+                        distinct[key] = w
+                pick = min(distinct.values(), key=lambda w: (-exact[w], keys[w]), default=None)
+                if pick is None:
+                    reason = STOP_NO_IMPROVEMENT
+                    break
+                best = int(window[pick])
 
-            units = np.ascontiguousarray(stack[:, best])
-            mean = means[best]
-            current = exact[best]
-            removed.append(ids[survivors.pop(window[best])])
-            moments.append((mean, resultant[best], ts[best], se[best]))
-    if len(covariances) < len(removed):
-        covariances.append(_covariance(units))
+            left = np.empty((len(survivors) - 1,) + units.shape[1:])
+            left[:best] = units[:best]
+            left[best:] = units[best + 1 :]
+            units = left
+            removed.append(ids[survivors.pop(best)])
 
     steps = ()
-    if removed:  # every step's summary in one pass over the stacked rows
-        rows = (np.array(column) for column in zip(*moments))
+    if removed:  # every step's summary in one pass over the rows after the first
         sizes = range(sample.n - 1, sample.n - 1 - len(removed), -1)
-        summaries = units_summary(sizes, alpha_ref, full.df, *rows, covariances)
+        summaries = units_summary(sizes, alpha_ref, full.df, *zip(*rows[1:]), covariances[1:])
         steps = tuple(map(ReductionStep, removed, summaries, (s.ci[0] for s in summaries)))
     return ReductionTrace(
         steps=steps,

@@ -34,6 +34,7 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import EmptySample, FocalMean, InvalidLevel
 from .geometry import DirectionSample, _freeze, last_axis_dots, last_axis_norms, mean_outer
@@ -218,6 +219,21 @@ def normal_quantile(p: float) -> float:
     return _ndtri(float(p))
 
 
+def two_sided_quantile(alpha: float, name: str = "alpha") -> float:
+    """z_{1 - alpha/2}, the normal quantile of a two-sided level-alpha interval.
+
+    Raises:
+        InvalidLevel: alpha is not in (0, 1), or is at most 2**-53, where
+            1 - alpha/2 rounds to 1; the message names alpha as `name`.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise InvalidLevel(f"{name} must be in (0, 1), got {alpha}")
+    level = 1.0 - alpha / 2.0
+    if level == 1.0:
+        raise InvalidLevel(f"{name} must be above 2**-53, where 1 - {name}/2 rounds to 1, got {alpha}")
+    return normal_quantile(level)
+
+
 def chisq_upper_tail(t: float, df: int) -> float:
     """P(chi2_df > t) for integer df >= 1 and t >= 0 (NaN gives NaN), to about 1e-300.
 
@@ -339,11 +355,9 @@ def confidence_interval(ts: float, se: float, alpha: float) -> Tuple[float, floa
 
     Works elementwise on arrays of ts and se, with the quantile computed once.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")
+    z = two_sided_quantile(alpha)
     if (np.asarray(se) < 0.0).any():
         raise ValueError("standard error must be nonnegative")
-    z = normal_quantile(1.0 - alpha / 2.0)
     half = z * se
     return (ts - half, ts + half)
 
@@ -427,6 +441,14 @@ class OpsSummary:
         object.__setattr__(self, "extrinsic_mean", _freeze(self.extrinsic_mean))
         object.__setattr__(self, "covariance", _freeze(self.covariance))
 
+    @classmethod
+    def _of_locked_rows(cls, **fields) -> "OpsSummary":
+        """A summary whose arrays are read-only rows of arrays no caller
+        holds writable, taken as they are (units_summary builds them)."""
+        summary = object.__new__(cls)
+        summary.__dict__.update(fields)
+        return summary
+
 
 def coplanarity_test(
     sample: DirectionSample, alpha: float = 0.05, df: Optional[int] = None
@@ -455,34 +477,41 @@ def units_summary(
     n: Sequence[int],
     alpha: float,
     df: int,
-    mean: np.ndarray,
-    resultant: np.ndarray,
-    ts: np.ndarray,
-    se: np.ndarray,
+    mean: ArrayLike,
+    resultant: ArrayLike,
+    ts: ArrayLike,
+    se: ArrayLike,
     covariance: Sequence[np.ndarray],
 ) -> Tuple[OpsSummary, ...]:
     """The OpsSummary of each of k samples, given their stacked_moments rows
     and covariances.
 
     n holds the k sample sizes; mean (k, q, d), resultant (k, q), ts (k,)
-    and se (k,) are k rows of stacked_moments, of samples that are not
-    focal, and covariance holds the k _covariance of their units; alpha and
-    df are taken as valid. The array statistics (z, the interval and the
-    extrinsic means) are formed once for all k rows and the tail
-    probabilities row by row, so coplanarity_test (k = 1) and the rows of a
-    stacked pass give bit-identical summaries.
+    and se (k,) are k rows of stacked_moments, arrays or sequences of rows,
+    of samples that are not focal, and covariance holds the k _covariance of
+    their units; alpha and df are taken as valid. The array statistics (z,
+    the interval and the extrinsic means) are formed once for all k rows and
+    the tail probabilities row by row, so coplanarity_test (k = 1) and the
+    rows of a stacked pass give bit-identical summaries. Each stacked array
+    is made once and locked, and each summary holds read-only rows of them.
     """
+    mean = _freeze(mean)
+    resultant = _freeze(resultant)
+    covariance = _freeze(covariance)
+    ts = np.array(ts, dtype=np.float64)
+    se = np.array(se, dtype=np.float64)
     q, d = mean.shape[1:]
     z, degenerate = z_values(ts, se)
     lower, upper = confidence_interval(ts, se, alpha)
     extrinsic_mean = mean / resultant[..., None]
+    extrinsic_mean.flags.writeable = False
     columns = (ts.tolist(), se.tolist(), z.tolist(), degenerate.tolist(), lower.tolist(), upper.tolist())
     summaries = []
     for i, (n_i, ts_i, se_i, z_i, degenerate_i, lower_i, upper_i) in enumerate(zip(n, *columns)):
         # a degenerate zero dispersion has p = 1; otherwise the upper normal tail
         p_normal = 1.0 if degenerate_i and z_i == 0.0 else normal_cdf(-z_i)
         t_stat, p_chisq = chisq_statistic(ts_i, n_i, df)
-        summaries.append(OpsSummary(
+        summaries.append(OpsSummary._of_locked_rows(
             n=n_i,
             q=q,
             dim=d,

@@ -32,8 +32,10 @@ from .directional import (
     confidence_interval,
     coplanarity_test,
     sample_moments,
+    two_sided_quantile,
+    units_summary,
 )
-from .errors import EmptySample, InvalidLandmark, InvalidLevel, MixedOrientationWarning
+from .errors import EmptySample, InvalidLandmark, MixedOrientationWarning
 from .geometry import (
     DirectionSample,
     FrameSpec,
@@ -174,7 +176,13 @@ def run_analysis(config: StudyConfig) -> AnalysisReport:
         loo = tuple(leave_one_out(sample, config.alpha))
         trace = greedy_reduce(sample, config.alpha_ref, config.max_removals, config.df)
         reduced_sample = sample.subset(trace.final_scene_ids)
-        reduced = coplanarity_test(reduced_sample, config.alpha, config.df)
+        reduced = full
+        if trace.steps:  # the last step's row, the reduced sample's, at the report's level
+            last = trace.steps[-1].summary
+            (reduced,) = units_summary(
+                [last.n], config.alpha, last.df, [last.mean_vector], [last.resultant],
+                [last.total_variance], [last.se], [last.covariance],
+            )
         vw_reduced = tuple(total_variance_ps(reduced_sample.units[:, f]) for f in range(sample.q))
 
     provenance = {
@@ -451,7 +459,8 @@ def run_monte_carlo(
 
     Raises:
         EmptySample, ValueError: n below 2 or reps below 1.
-        InvalidLevel: alpha outside (0, 1), before anything is drawn.
+        InvalidLevel: alpha outside (0, 1), or so small that 1 - alpha/2
+            rounds to 1, before anything is drawn.
         GenerationFailed: sigma too large for the draws to stay finite; the
             oracle's error wins over a replication's.
         FocalMean: a replication's mean is focal.
@@ -460,8 +469,7 @@ def run_monte_carlo(
         raise EmptySample("need at least two draws per replication")
     if reps < 1:
         raise ValueError("need at least one replication")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")
+    two_sided_quantile(alpha)  # InvalidLevel before any draw
     mu = np.array([0.0, 0.0, 1.0])
     master = SplitMix64(seed)
     oracle_seed = master.next_u64()

@@ -260,13 +260,10 @@ ANTIPODAL = DirectionSample(np.vstack([np.eye(3)[:2], -np.eye(3)[:2], np.eye(3)[
 def test_deletion_kernel_matches_direct_within_window(sample, alpha):
     # the greedy window is the kernel's error bound; the real distance to
     # the direct recomputation must sit far inside it
-    mean = stacked_moments(sample.units[:, None])[0][0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        lower, err, cov = diagnostics._deletion_endpoints(
-            sample.units, normal_quantile(1.0 - alpha / 2.0), mean
+        _, _, lower, err = diagnostics._deletion_endpoints(
+            sample.units, normal_quantile(1.0 - alpha / 2.0)
         )
-    # the covariance greedy_reduce carries into the previous step's summary
-    assert cov.tobytes() == _covariance(sample.units).tobytes()
     for i in range(sample.n):
         try:
             direct = ref.summary(ref.drop_rows(sample.units, [i]), alpha).ci[0]
@@ -326,26 +323,24 @@ def test_deletion_stack_slices_equal_the_index_gather(sample, data):
         ref.assert_same_bits(got, want, name)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(kernel_samples(), st.data())
-@example(_duplicated_sample(), None)
-def test_window_mean_row_is_the_mean_the_kernel_needs(sample, data):
-    # greedy_reduce feeds the winner's mean row of the window pass to the next
-    # kernel pass in place of the mean of the sample the deletion leaves
-    units = sample.units
-    n = units.shape[0]
-    if data is None:  # every deletion: the copies of repeated rows among them
-        rows = np.arange(n)
-    else:
-        rows = data.draw(deletion_rows(n))
-    mean = diagnostics._deletion_moments(units, rows)[1]
-    for r, i in enumerate(rows.tolist()):
-        left = ref.drop_rows(units, [i])
-        flat = left.reshape(n - 1, -1)
-        assert mean[r].tobytes() == (flat.sum(axis=0) / (n - 1)).tobytes()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cov = diagnostics._deletion_endpoints(left, 1.96, mean[r])[2]
-        assert cov.tobytes() == _covariance(left).tobytes()
+# two antipodal pairs: the sample's own mean is focal
+FOCAL = DirectionSample(np.vstack([np.eye(3)[:2], -np.eye(3)[:2]]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kernel_samples())
+@example(ANTIPODAL)
+@example(FOCAL)
+@example(_duplicated_sample())
+def test_kernel_row_is_the_samples_stacked_moments_row(sample):
+    # greedy_reduce takes the pass's row and C as the summary of the sample
+    # the last removal left, instead of a second pass over that sample
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        row, cov, _, _ = diagnostics._deletion_endpoints(sample.units, 1.96)
+    want = stacked_moments(sample.units[:, None])
+    for got, column, name in zip(row, want, ("mean", "resultant", "ts", "se", "focal")):
+        ref.assert_same_bits(got, column[0], name)
+    ref.assert_same_bits(cov, _covariance(sample.units), "cov")
 
 
 # ---------- the window pass against the exhaustive search ------------------------
@@ -428,12 +423,13 @@ class _ScriptedSummary:
         self.ci = (lower, lower + 1.0)
         self.n = 0
         self.df = 2
-        self.mean_vector = None  # the carried mean, which the scripted kernel ignores
 
 
 def _scripted(sample, monkeypatch, lower_of):
     """Script greedy's endpoints by deleted scene id: the kernel's, with a
-    zero error bound, and the window's exact ones (NaN meaning focal).
+    zero error bound, and the window's exact ones (NaN meaning focal). The
+    kernel's row of the sample itself keeps its mean and C, with the
+    endpoint 0.5 (tS 0.5, SE 0), so every sample rejects.
 
     The seams see units, not ids, so each row is looked up by its bytes in
     sample, whose rows must be distinct.
@@ -444,9 +440,12 @@ def _scripted(sample, monkeypatch, lower_of):
     def lowers(units, rows):
         return np.array([lower_of(id_of[units[i].tobytes()]) for i in rows], dtype=np.float64)
 
-    def kernel(units, z, mean):
-        lower = lowers(units, range(len(units)))
-        return lower, np.zeros(len(units)), diagnostics._covariance(units)
+    real_kernel = diagnostics._deletion_endpoints
+
+    def kernel(units, z):
+        (mean, resultant, _, _, focal), cov, _, _ = real_kernel(units, z)
+        row = (mean, resultant, np.float64(0.5), np.float64(0.0), focal)
+        return row, cov, lowers(units, range(len(units))), np.zeros(len(units))
 
     real = diagnostics._deletion_moments
 
@@ -535,19 +534,64 @@ def test_greedy_no_improvement_when_nothing_evaluable(monkeypatch):
 
 
 def test_greedy_no_improvement_when_the_window_is_all_focal(monkeypatch):
-    # the kernel finds candidates, the exact pass rules every one out
+    # the kernel finds candidates, the exact pass rules every one out; an
+    # infinite bound on every deletion sends each one to the exact pass
     units = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 60, 30)
     sample = DirectionSample(units)
+    real_kernel = diagnostics._deletion_endpoints
     real = diagnostics._deletion_moments
+
+    def unbounded(units, z):
+        row, cov, lower, err = real_kernel(units, z)
+        return row, cov, lower, np.full_like(err, np.inf)
 
     def all_focal(units, rows):
         *moments, focal = real(units, rows)
         return (*moments, np.ones_like(focal))
 
+    monkeypatch.setattr(diagnostics, "_deletion_endpoints", unbounded)
     monkeypatch.setattr(diagnostics, "_deletion_moments", all_focal)
     trace = greedy_reduce(sample, alpha_ref=0.05)
     assert trace.steps == ()
     assert trace.stopped_reason == STOP_NO_IMPROVEMENT
+
+
+# four rows whose mean has norm 1e-10 = FOCAL_TOL up to rounding, and e3:
+# deleting e3 is near-focal, with an infinite bound
+NEAR_FOCAL = DirectionSample(np.array([
+    [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+    [0.0, -math.cos(4e-10), -math.sin(4e-10)], [0.0, 0.0, 1.0],
+]))
+
+
+@pytest.mark.parametrize(
+    "sample, max_removals, exact_passes",
+    [
+        # one deletion in every window: no exact pass
+        (outlier_sample(n_tight=20, sigma=0.12, seed=3), 4, 0),
+        (outlier_sample_q3(), 4, 0),
+        # every row five times: at least two copies of the winner in every window
+        (DirectionSample(np.repeat(tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 12, 7), 5, axis=0)), 4, 4),
+        (NEAR_FOCAL, 1, 1),
+    ],
+    ids=["q1", "q3", "duplicates", "near_focal"],
+)
+def test_greedy_exact_window_pass_only_where_the_kernel_cannot_decide(
+    monkeypatch, sample, max_removals, exact_passes
+):
+    calls = mock.Mock(wraps=diagnostics._deletion_moments)
+    monkeypatch.setattr(diagnostics, "_deletion_moments", calls)
+    trace = greedy_reduce(sample, 0.05, max_removals)
+    assert len(trace.steps) == max_removals
+    assert calls.call_count == exact_passes
+    ref.assert_same_bits(trace, ref.greedy_reduce(sample, 0.05, max_removals))
+
+
+def test_near_focal_deletion_has_an_infinite_bound():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, lower, err = diagnostics._deletion_endpoints(NEAR_FOCAL.units, 1.96)
+    assert err[-1] == math.inf and np.isfinite(err[:-1]).all()
+    assert lower[-1] == 0.0
 
 
 def test_greedy_validation():
@@ -557,5 +601,7 @@ def test_greedy_validation():
     sample = outlier_sample(n_tight=5)
     with pytest.raises(InvalidLevel):
         greedy_reduce(sample, alpha_ref=1.5)
+    with pytest.raises(InvalidLevel, match=r"^alpha_ref must be above 2\*\*-53, .*, got 1e-300$"):
+        greedy_reduce(sample, alpha_ref=1e-300)
     with pytest.raises(ValueError):
         greedy_reduce(sample, alpha_ref=0.05, max_removals=-1)

@@ -13,6 +13,7 @@ from conftest import tangent_stack
 from opshape import directional
 from opshape.directional import (
     OpsSummary,
+    _covariance,
     angular_distances,
     chisq_statistic,
     chisq_upper_tail,
@@ -20,6 +21,7 @@ from opshape.directional import (
     coplanarity_test,
     normal_cdf,
     normal_quantile,
+    stacked_moments,
     units_summary,
 )
 from opshape.errors import EmptySample, FocalMean, InvalidLevel, MixedOrientationWarning
@@ -182,6 +184,38 @@ def summary_z(ts, se):
     return s.z, s.p_normal, s.degenerate
 
 
+def test_units_summary_rows_are_read_only_views_of_its_own_stacks():
+    units = tangent_gaussian_sample([0.0, 0.0, 1.0], 0.1, 20, 5)[:, None]
+    stack = np.stack([units[:-1], units[1:]], axis=1)  # two samples, scenes-major
+    mean, resultant, ts, se, _ = stacked_moments(stack)
+    covariance = [_covariance(stack[:, r]) for r in range(2)]
+    inputs = [a.copy() for a in (mean, resultant, *covariance)]
+    summaries = units_summary([19, 19], 0.05, 2, mean, resultant, ts, se, covariance)
+    for a in (mean, resultant, *covariance):
+        a[...] = 7.0  # the caller's arrays are not the summaries'
+    for name in ("mean_vector", "resultant", "extrinsic_mean", "covariance"):
+        rows = [getattr(s, name) for s in summaries]
+        assert not any(row.flags.writeable for row in rows), name
+        assert rows[0].base is rows[1].base is not None, name  # one stack, no copy per row
+    for r, s in enumerate(summaries):
+        ref.assert_same_bits(s.mean_vector, inputs[0][r])
+        ref.assert_same_bits(s.resultant, inputs[1][r])
+        ref.assert_same_bits(s.covariance, inputs[2 + r])
+
+
+def test_summary_from_outside_data_copies_and_locks_its_arrays():
+    (s,) = units_summary([10], 0.05, 2, np.array([[[0.0, 0.6, 0.8]]]), np.ones((1, 1)),
+                         [0.1], [0.05], [np.eye(3)])
+    fields = {f: getattr(s, f) for f in s.__dataclass_fields__}
+    outside = {name: np.array(fields[name]) for name in ("mean_vector", "resultant", "extrinsic_mean", "covariance")}
+    copy = OpsSummary(**{**fields, **outside})
+    for name, a in outside.items():
+        got = getattr(copy, name)
+        assert got is not a and not np.shares_memory(got, a) and not got.flags.writeable, name
+        a[...] = 7.0
+        ref.assert_same_bits(got, getattr(s, name), name)
+
+
 def z_convention(ts, se):
     """The one-sided normal test of zero dispersion, one scalar at a time:
     (z, p_upper, degenerate). With se == 0 the statistic is undefined; by
@@ -321,6 +355,24 @@ def test_normal_quantile_matches_reference():
         normal_quantile(1.5)
     with pytest.raises(InvalidLevel):
         normal_quantile(math.nan)
+
+
+# the largest alpha at which 1 - alpha/2 rounds to 1, and the next double up
+TINY_ALPHA = 2.0**-53
+SMALLEST_ALPHA = float(np.nextafter(TINY_ALPHA, 1.0))
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 5e-324, TINY_ALPHA])
+def test_interval_refuses_a_level_that_rounds_to_one(alpha):
+    assert 1.0 - alpha / 2.0 == 1.0
+    with pytest.raises(InvalidLevel) as error:
+        confidence_interval(1.0, 0.1, alpha)
+    assert str(error.value) == f"alpha must be above 2**-53, where 1 - alpha/2 rounds to 1, got {alpha}"
+
+
+def test_interval_at_the_smallest_level_is_finite():
+    lower, upper = confidence_interval(1.0, 0.1, SMALLEST_ALPHA)
+    assert math.isfinite(lower) and math.isfinite(upper) and lower < 1.0 < upper
 
 
 # ---------- the cephes port against scipy.special ---------------------------------

@@ -649,6 +649,13 @@ def no_draw(*args):
     raise AssertionError("drew before the arguments were checked")
 
 
+def test_alpha_whose_interval_rounds_to_one_fails_before_any_draw(monkeypatch):
+    monkeypatch.setattr(pipeline, "tangent_gaussian_mean", no_draw)
+    monkeypatch.setattr(pipeline, "TangentDraws", no_draw)
+    with pytest.raises(InvalidLevel, match=r"^alpha must be above 2\*\*-53, .*, got 1e-300$"):
+        pipeline.run_monte_carlo(alpha=1e-300, n=5, reps=3, oracle_draws=10)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0, math.nan])
 def test_bad_alpha_fails_before_any_draw(monkeypatch, alpha):
     monkeypatch.setattr(pipeline, "tangent_gaussian_mean", no_draw)

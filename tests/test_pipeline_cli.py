@@ -656,6 +656,14 @@ def test_cli_bad_statistical_argument_exits_2(study_csv, tmp_path, capsys, comma
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
+def test_smallest_level_is_the_double_after_two_to_the_minus_53():
+    parse = build_parser().parse_args
+    smallest = float(np.nextafter(2.0**-53, 1.0))
+    assert parse(["mc", "--out", "m", "--alpha", repr(smallest)]).alpha == smallest
+    with pytest.raises(SystemExit):
+        parse(["mc", "--out", "m", "--alpha", repr(2.0**-53)])
+
+
 def test_integer_options_stop_at_two_to_the_53():
     # --oracle-draws stops at its own, lower cap: the oracle streams its
     # draws, so memory never stops a large count, only time
@@ -694,6 +702,12 @@ def test_integer_options_stop_at_two_to_the_53():
             "analyze {study} --out {out} --df " + "9" * 400, 2, "argument --df: must be at most 2**53",
             id="analyze --df 400 digits",
         ),
+        # 1 - alpha/2 rounds to 1 at alpha <= 2**-53: the interval is infinite
+        ("analyze {study} --out {out} --alpha 1e-300", 2, "argument --alpha: must be in (2**-53, 1), got 1e-300"),
+        ("analyze {study} --out {out} --alpha-ref 1e-300", 2, "argument --alpha-ref: must be in (2**-53, 1)"),
+        ("reduce {study} --out {out} --alpha-ref 1e-300", 2, "argument --alpha-ref: must be in (2**-53, 1)"),
+        ("mc --out {out} --n 5 --reps 3 --alpha 1e-300", 2, "argument --alpha: must be in (2**-53, 1)"),
+        ("analyze {study} --out {out} --alpha " + repr(2.0**-53), 2, "argument --alpha: must be in (2**-53, 1)"),
         ("synth --out {out} --delta -1", 2, "argument --delta: must be >= 0"),
         ("synth --out {out} --delta nan", 2, "argument --delta: must be >= 0"),
         ("synth --out {out} --noise -0.5", 2, "argument --noise: must be >= 0"),
